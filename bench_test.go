@@ -175,17 +175,14 @@ func BenchmarkFigure12ExtRegfile(b *testing.B) {
 // the call-dense benchmark most sensitive to dispatch slots.
 func BenchmarkAblationHintMode(b *testing.B) {
 	r := exp.NewRunner(benchBudget)
-	bench, _ := workload.ByName("perlbmk")
+	r.Benchmarks = []string{"perlbmk"}
 	var noopIPC, tagIPC float64
 	for i := 0; i < b.N; i++ {
-		rn, err := r.Run(bench, exp.TechNOOP)
+		s, err := r.RunSuite([]exp.Technique{exp.TechNOOP, exp.TechExtension})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rt, err := r.Run(bench, exp.TechExtension)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rn, rt := s.Results["perlbmk"][exp.TechNOOP], s.Results["perlbmk"][exp.TechExtension]
 		noopIPC, tagIPC = rn.Stats.IPC(), rt.Stats.IPC()
 	}
 	b.ReportMetric(noopIPC, "noopIPC")
@@ -358,8 +355,7 @@ func BenchmarkEmulatorThroughput(b *testing.B) {
 // BenchmarkEmulatorDecodeCache measures the decoded-dispatch emulator
 // path explicitly (the default; EmulatorThroughput tracks the same path
 // for trajectory continuity). The ratio EmulatorUncached/
-// EmulatorDecodeCache is the decode cache's realised speedup, recorded
-// as decode_cache_speedup in BENCH_simcore.json.
+// EmulatorDecodeCache is the decode cache's realised speedup.
 func BenchmarkEmulatorDecodeCache(b *testing.B) {
 	bench, _ := workload.ByName("crafty")
 	p := bench.Build(42)
@@ -401,9 +397,8 @@ func BenchmarkEmulatorUncached(b *testing.B) {
 // BenchmarkSampledCampaign measures end-to-end sampled-campaign
 // throughput on the standard three-benchmark sweep — the quantity the
 // sampled-simulation engine exists to raise. Compare against
-// SimulatorThroughput in BENCH_simcore.json for the realised speedup
-// (inst/s here are campaign instructions per wall second, all phases
-// included).
+// SimulatorThroughput for the realised speedup (inst/s here are
+// campaign instructions per wall second, all phases included).
 func BenchmarkSampledCampaign(b *testing.B) {
 	const budget = 500_000
 	spec := campaign.DefaultSpec(budget)
@@ -453,8 +448,7 @@ func BenchmarkSweepNoCkpt(b *testing.B) {
 
 // BenchmarkSweepCkpt runs the same sweep against a checkpoint store:
 // the first cell generates the artifact, the rest resume from it. The
-// ratio SweepNoCkpt/SweepCkpt is the store's realised speedup, recorded
-// as checkpoint_speedup in BENCH_simcore.json (acceptance gate: >= 3x).
+// ratio SweepNoCkpt/SweepCkpt is the store's realised speedup.
 func BenchmarkSweepCkpt(b *testing.B) {
 	spec := ckptSweepSpec()
 	store, err := ckpt.Open(b.TempDir())
@@ -475,8 +469,7 @@ func BenchmarkSweepCkpt(b *testing.B) {
 // batching and no store: ONE emulator + warming stream feeds all eight
 // detailed cores, so the shared functional work is paid once instead of
 // eight times. The ratio SweepNoCkpt/LockstepSweep is the lockstep
-// engine's realised speedup, recorded as lockstep_speedup in
-// BENCH_simcore.json (acceptance gate: >= 2x on this sweep).
+// engine's realised speedup.
 func BenchmarkLockstepSweep(b *testing.B) {
 	spec := ckptSweepSpec()
 	eng := &campaign.Engine{Workers: 1, Lockstep: true}

@@ -12,7 +12,6 @@
 //	     [-config cfg.json] [-dumpconfig]
 //	     [-sweep "axis=v1,v2,...;axis=..."] [-cache DIR] [-ckpt DIR]
 //	     [-sample on|window/period/warmup|window=N,period=N,...]
-//	     [-lockstep=false]
 //	     [-remote http://host:port]
 //	     [-export FILE.json|FILE.csv] [-load FILE.json]
 //	     [-cpuprofile FILE] [-memprofile FILE]
@@ -40,13 +39,13 @@
 // -export saves the campaign (spec + results); -load renders
 // tables/figures from a saved campaign without simulating.
 //
-// -lockstep (on by default) executes sampled sweep cells that share a
-// warming identity as one batch: a single emulator + functional-warming
+// Sampled sweep cells that share a warming identity always execute
+// locally as one lockstep unit: a single emulator + functional-warming
 // stream fans each detailed window out to every cell's detailed core,
 // so the grid pays the shared functional work once instead of once per
 // cell. Results, caching and exports are bit-identical to per-cell
-// execution (-lockstep=false); exact runs are unaffected, and it
-// composes with -ckpt (a warm-resumed batch reads the artifact once).
+// execution; exact runs are unaffected, and it composes with -ckpt (a
+// warm-resumed unit reads the artifact once).
 //
 // -remote executes the campaign on a sdiqd campaign service instead of
 // in-process: the spec is POSTed to the server, jobs run on its shared
@@ -95,8 +94,6 @@ func main() {
 		"directory for the checkpoint artifact store (sampled sweeps share one warming pass per grid)")
 	sampleFlag := flag.String("sample", "",
 		"sampled simulation: \"on\" for the default regime, \"window/period/warmup\" or \"window=N,period=N,warmup=N,detailwarmup=N\" (empty = exact)")
-	lockstep := flag.Bool("lockstep", true,
-		"batch sampled cells sharing a warming identity into one emulator stream feeding K cores (local runs; exact runs unaffected)")
 	remote := flag.String("remote", "",
 		"run campaigns on a sdiqd campaign service at this base URL instead of in-process")
 	token := flag.String("token", os.Getenv("SDIQ_TOKEN"),
@@ -140,7 +137,6 @@ func main() {
 		fail(err)
 	}
 	r.Sampling = sampling
-	r.Lockstep = *lockstep
 
 	if *dumpConfig {
 		if err := exp.WriteConfig(os.Stdout, r.Config); err != nil {

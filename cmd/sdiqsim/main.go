@@ -66,7 +66,7 @@ func main() {
 	}
 	job.Config.Probe = probe
 
-	res, err := campaign.Execute(context.Background(), &job)
+	res, err := campaign.ExecuteStored(context.Background(), &job, nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sdiqsim: %v\n", err)
 		os.Exit(1)

@@ -38,8 +38,8 @@ type Engine struct {
 	// drivers use it for progress reporting.
 	OnResult func(Result)
 	// OnJobStart, when non-nil, observes every job as its simulation
-	// actually begins — after a cache miss and dedup, holding the Gate
-	// slot. Serialised like OnResult.
+	// actually begins — after a cache miss and dedup. Serialised like
+	// OnResult.
 	OnJobStart func(Job)
 	// OnJobError, when non-nil, observes per-job failures (serialised).
 	// Cancellation-induced skips are not failures and are not reported.
@@ -47,19 +47,15 @@ type Engine struct {
 	// Flight, when non-nil, deduplicates concurrent executions of
 	// identical jobs (same JobKey) across every engine sharing it.
 	Flight *Flight
-	// Gate, when non-nil, bounds concurrent simulations across every
-	// engine sharing it; cache and dedup hits bypass it.
-	Gate Gate
 	// Runner, when non-nil, executes cache-missed jobs instead of the
 	// inline simulate path. The engine still owns caching and dedup: the
 	// runner only sees jobs that genuinely need executing, and its
-	// results enter the shared cache like any other. The engine's own
-	// Gate is not applied around a Runner — bounding execution is then
-	// the runner's job (the service dispatcher gates its local fallback
-	// with the same shared Gate).
+	// results enter the shared cache like any other. Bounding execution
+	// is then the runner's job (the service dispatcher gates its local
+	// fallback with a shared Gate).
 	Runner Runner
 	// Ckpt, when non-nil, is the checkpoint artifact store inline
-	// executions run against (ExecuteStored): sampled cells of a sweep
+	// executions run against (ExecuteUnit): sampled cells of a sweep
 	// share one warming pass per CheckpointKey instead of each
 	// recomputing it. A Runner is expected to carry its own store.
 	Ckpt *ckpt.Store
@@ -158,10 +154,10 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*ResultSet, error) {
 		return rs, nil
 	}
 
-	// Work units: normally one job each; with lockstep active, jobs
-	// sharing a functional identity form one multi-cell batch unit.
-	// Engines with a Runner or a shared Flight schedule per job — there
-	// the service dispatcher and fleet-wide dedup own the sharing.
+	// Work units: one job each, except that with lockstep active jobs
+	// sharing a functional identity form one multi-cell unit. Engines
+	// with a Runner or a shared Flight schedule per job — there the
+	// service dispatcher and fleet-wide dedup own the sharing.
 	var units [][]int
 	if e.Lockstep && e.Runner == nil && e.Flight == nil {
 		units = lockstepUnits(jobs)
@@ -226,155 +222,40 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*ResultSet, error) {
 		mu.Unlock()
 	}
 
-	runJob := func(idx int) {
-		job := &jobs[idx]
-		var key string
-		if cache != nil || e.Flight != nil {
-			k, err := JobKey(job, spec.Params)
-			if err == nil {
-				// Unhashable jobs still run; they just can't be cached
-				// or deduplicated.
-				key = k
-			}
+	// fail records a job error and cancels the campaign.
+	fail := func(idx int, err error) {
+		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+			return // cancelled before/while running: skipped, not failed
 		}
-		fromCache := func() (Result, bool) {
-			if cache == nil || key == "" {
-				return Result{}, false
-			}
-			res, ok := cache.get(key)
-			if ok {
-				// The key omits the sweep point (it is encoded in the
-				// derived config); restamp the requester's coordinates.
-				res.Point = job.Point
-			}
-			return res, ok
+		mu.Lock()
+		errs = append(errs, err)
+		if e.OnJobError != nil {
+			e.OnJobError(jobs[idx], err)
 		}
-		if res, ok := fromCache(); ok {
-			deliver(idx, res, howCached)
-			return
-		}
-		// exec is the one path that simulates: it re-checks the cache (a
-		// concurrent identical job may have finished and written its
-		// entry between our miss and this flight turn), takes a Gate
-		// slot, runs, and persists.
-		exec := func() (Result, error) {
-			if res, ok := fromCache(); ok {
-				return res, nil
-			}
-			if e.Runner != nil {
-				if e.OnJobStart != nil {
-					mu.Lock()
-					e.OnJobStart(*job)
-					mu.Unlock()
-				}
-				res, err := e.Runner.RunJob(ctx, job, key, spec.Params)
-				if err != nil {
-					return res, err
-				}
-				if cache != nil && key != "" {
-					_ = cache.put(key, res)
-				}
-				return res, nil
-			}
-			if e.Gate != nil {
-				if err := e.Gate.Acquire(ctx); err != nil {
-					return Result{}, err
-				}
-				defer e.Gate.Release()
-			}
-			if e.OnJobStart != nil {
-				mu.Lock()
-				e.OnJobStart(*job)
-				mu.Unlock()
-			}
-			res, err := ExecuteStored(ctx, job, e.Ckpt)
-			if err != nil {
-				return res, err
-			}
-			if cache != nil && key != "" {
-				// A failed write only costs the next run a re-simulation.
-				_ = cache.put(key, res)
-			}
-			return res, nil
-		}
-		var (
-			res    Result
-			shared bool
-			err    error
-		)
-		if e.Flight != nil && key != "" {
-			res, shared, err = e.Flight.Do(ctx, key, exec)
-		} else {
-			res, err = exec()
-		}
-		if err != nil {
-			if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-				return // cancelled before/while running: skipped, not failed
-			}
-			mu.Lock()
-			errs = append(errs, err)
-			if e.OnJobError != nil {
-				e.OnJobError(*job, err)
-			}
-			mu.Unlock()
-			cancel()
-			return
-		}
-		how := howExecuted
-		switch {
-		case shared:
-			// Another caller's execution (possibly of a job with a
-			// different sweep point but identical derived config):
-			// restamp our coordinates, as for a cache hit.
-			res.Point = job.Point
-			res.Dedup = true
-			how = howDedup
-		case res.Cached:
-			how = howCached
-		}
-		deliver(idx, res, how)
+		mu.Unlock()
+		cancel()
 	}
 
-	// runBatch executes one lockstep unit. Cells served by the cache
-	// leave the batch first; whatever remains runs as one shared-stream
-	// execution under a single Gate slot (the batch is one simulation's
-	// worth of functional work — that sharing is the point), delivering,
-	// caching and error-reporting per cell exactly like runJob.
-	runBatch := func(idxs []int) {
-		run := idxs[:0:0]
-		keys := make(map[int]string, len(idxs))
-		for _, idx := range idxs {
-			job := &jobs[idx]
-			var key string
-			if cache != nil {
-				if k, err := JobKey(job, spec.Params); err == nil {
-					key = k
-				}
-			}
-			keys[idx] = key
-			if key != "" {
-				if res, ok := cache.get(key); ok {
-					res.Point = job.Point
-					deliver(idx, res, howCached)
-					continue
-				}
-			}
-			run = append(run, idx)
+	// keys holds each job's content hash ("" when unhashable or when
+	// neither cache nor dedup needs it). Each index belongs to exactly
+	// one unit, so workers never write the same slot.
+	keys := make([]string, len(jobs))
+	fromCache := func(idx int) (Result, bool) {
+		if cache == nil || keys[idx] == "" {
+			return Result{}, false
 		}
-		if len(run) == 0 {
-			return
+		res, ok := cache.get(keys[idx])
+		if ok {
+			// The key omits the sweep point (it is encoded in the
+			// derived config); restamp the requester's coordinates.
+			res.Point = jobs[idx].Point
 		}
-		if len(run) == 1 {
-			// A one-cell batch is just a job; the solo path also re-probes
-			// the cache and keeps the two executors trivially aligned.
-			runJob(run[0])
-			return
-		}
-		if e.Gate != nil {
-			if err := e.Gate.Acquire(ctx); err != nil {
-				return // cancelled while queued: skipped, not failed
-			}
-		}
+		return res, ok
+	}
+	// execute is the one path that simulates: it runs the unit's
+	// cache-missed cells on the Runner or inline and persists each
+	// success.
+	execute := func(run []int) ([]Result, []error) {
 		if e.OnJobStart != nil {
 			mu.Lock()
 			for _, idx := range run {
@@ -382,44 +263,88 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*ResultSet, error) {
 			}
 			mu.Unlock()
 		}
-		bjobs := make([]*Job, len(run))
+		var (
+			res   []Result
+			cerrs []error
+		)
+		if e.Runner != nil {
+			res, cerrs = make([]Result, len(run)), make([]error, len(run))
+			for i, idx := range run {
+				res[i], cerrs[i] = e.Runner.RunJob(ctx, &jobs[idx], keys[idx], spec.Params)
+			}
+		} else {
+			ujobs := make([]*Job, len(run))
+			for i, idx := range run {
+				ujobs[i] = &jobs[idx]
+			}
+			res, cerrs = ExecuteUnit(ctx, ujobs, e.Ckpt)
+		}
 		for i, idx := range run {
-			bjobs[i] = &jobs[idx]
-		}
-		results, cerrs, gerr := ExecuteBatchStored(ctx, bjobs, e.Ckpt)
-		if e.Gate != nil {
-			e.Gate.Release()
-		}
-		fail := func(idx int, err error) {
-			if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-				return // cancellation is a skip, not a failure
+			if cerrs[i] == nil && cache != nil && keys[idx] != "" {
+				// A failed write only costs the next run a re-simulation.
+				_ = cache.put(keys[idx], res[i])
 			}
-			mu.Lock()
-			errs = append(errs, err)
-			if e.OnJobError != nil {
-				e.OnJobError(jobs[idx], err)
-			}
-			mu.Unlock()
-			cancel()
 		}
-		if gerr != nil && cerrs == nil {
-			// Setup failed before any cell could run: every cell reports it.
-			for _, idx := range run {
-				fail(idx, fmt.Errorf("%s: %w", jobs[idx].ID(), gerr))
+		return res, cerrs
+	}
+
+	// runUnit executes one work unit: cached cells leave it first, the
+	// rest execute together, and each cell is then delivered or failed
+	// on its own — a failing cell sinks only itself.
+	runUnit := func(unit []int) {
+		run := unit[:0:0]
+		for _, idx := range unit {
+			if cache != nil || e.Flight != nil {
+				// Unhashable jobs still run; they just can't be cached
+				// or deduplicated.
+				keys[idx], _ = JobKey(&jobs[idx], spec.Params)
 			}
+			if res, ok := fromCache(idx); ok {
+				deliver(idx, res, howCached)
+			} else {
+				run = append(run, idx)
+			}
+		}
+		if len(run) == 0 {
 			return
 		}
+		var (
+			res    []Result
+			cerrs  []error
+			shared bool
+		)
+		if idx := run[0]; len(run) == 1 && e.Flight != nil && keys[idx] != "" {
+			// The flight turn re-probes the cache: a concurrent identical
+			// job may have finished and written its entry since our miss.
+			r, sh, err := e.Flight.Do(ctx, keys[idx], func() (Result, error) {
+				if r, ok := fromCache(idx); ok {
+					return r, nil
+				}
+				rs, es := execute(run)
+				return rs[0], es[0]
+			})
+			res, cerrs, shared = []Result{r}, []error{err}, sh
+		} else {
+			res, cerrs = execute(run)
+		}
 		for i, idx := range run {
-			if cerrs != nil && cerrs[i] != nil {
-				// A mid-batch cell failure sinks only its own cell; its
-				// batchmates' results still land below.
+			if cerrs[i] != nil {
 				fail(idx, cerrs[i])
 				continue
 			}
-			if cache != nil && keys[idx] != "" {
-				_ = cache.put(keys[idx], results[i])
+			how := howExecuted
+			switch {
+			case shared:
+				// Another caller's execution (possibly of a job with a
+				// different sweep point but identical derived config):
+				// restamp our coordinates, as for a cache hit.
+				res[i].Point = jobs[idx].Point
+				res[i].Dedup = true
+				how = howDedup
+			case res[i].Cached:
+				how = howCached
 			}
-			deliver(idx, results[i], howExecuted)
+			deliver(idx, res[i], how)
 		}
 	}
 
@@ -436,11 +361,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*ResultSet, error) {
 				if !ok {
 					return
 				}
-				if u := units[idx]; len(u) == 1 {
-					runJob(u[0])
-				} else {
-					runBatch(u)
-				}
+				runUnit(units[idx])
 			}
 		}(w)
 	}

@@ -193,7 +193,7 @@ func (f *fakeRunner) RunJob(ctx context.Context, job *Job, key string, params po
 	f.keys = append(f.keys, key)
 	f.params = append(f.params, params)
 	f.mu.Unlock()
-	return Execute(ctx, job)
+	return ExecuteStored(ctx, job, nil)
 }
 
 // TestEngineRunnerIndirection: with a Runner installed, every

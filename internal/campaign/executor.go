@@ -32,10 +32,10 @@ type Result struct {
 	// error bars. Nil for exact runs, and omitted from their JSON.
 	Sampled *SampledMeta `json:"sampled,omitempty"`
 	// StartedAt and FinishedAt bracket the job's execution (preparation
-	// through simulation), stamped by Execute. Like CompileMS/GenMS they
-	// are wall-clock metadata, not part of the result's identity: cache
-	// keys ignore them, and a cached result carries the stamps of the
-	// run that populated it. The CSV export omits them, so exact-mode
+	// through simulation), stamped by ExecuteUnit. Like CompileMS/GenMS
+	// they are wall-clock metadata, not part of the result's identity:
+	// cache keys ignore them, and a cached result carries the stamps of
+	// the run that populated it. The CSV export omits them, so exact-mode
 	// CSV output is byte-stable across their introduction.
 	StartedAt  time.Time `json:"started_at,omitzero"`
 	FinishedAt time.Time `json:"finished_at,omitzero"`
@@ -107,57 +107,16 @@ func Prepare(job *Job) (*prog.Program, Result, error) {
 	return p, res, nil
 }
 
-// Execute runs one job to completion: prepare, simulate (exact or
-// sampled, by job.Sampling), collect stats. The simulator polls ctx
-// mid-run, so cancellation takes effect mid-job, not just between jobs.
-// The result's StartedAt/FinishedAt bracket the whole execution (UTC,
-// monotonic-free so they JSON-roundtrip exactly).
-func Execute(ctx context.Context, job *Job) (Result, error) {
-	return ExecuteStored(ctx, job, nil)
+// ExecuteStored runs one job to completion: prepare, simulate (exact or
+// sampled, by job.Sampling), collect stats. It is ExecuteUnit for a unit
+// of one, so a solo job and a lockstep batch share every line of the
+// execution path. A nil store runs sampled jobs warm-from-scratch.
+func ExecuteStored(ctx context.Context, job *Job, store *ckpt.Store) (Result, error) {
+	results, errs := ExecuteUnit(ctx, []*Job{job}, store)
+	return results[0], errs[0]
 }
 
-// ExecuteStored is Execute with a checkpoint store attached: a sampled
-// job resumes its detailed windows from the store's artifact when one
-// exists under the job's CheckpointKey, and generates it write-through
-// otherwise. Results are bit-identical either way; a nil store simply
-// runs everything warm-from-scratch.
-func ExecuteStored(ctx context.Context, job *Job, store *ckpt.Store) (res Result, err error) {
-	if err := ctx.Err(); err != nil {
-		return Result{Bench: job.Bench, Tech: job.Tech, Point: job.Point}, err
-	}
-	started := time.Now().UTC()
-	defer func() {
-		res.StartedAt = started
-		res.FinishedAt = time.Now().UTC()
-	}()
-	p, res, err := Prepare(job)
-	if err != nil {
-		return res, err
-	}
-	if job.Sampling != nil {
-		var key string
-		if store != nil {
-			// An unkeyable job still runs; it just can't share warm state.
-			key, _ = CheckpointKey(job)
-		}
-		rep, err := sample.RunStored(ctx, job.Config, p, job.Budget, job.Sampling.engineConfig(), store, key)
-		if err != nil {
-			return res, fmt.Errorf("%s: %w", job.ID(), err)
-		}
-		res.Stats = rep.Stats
-		res.Sampled = sampledMetaOf(rep)
-		return res, nil
-	}
-	st, err := sim.RunProgramContext(ctx, job.Config, p, job.Budget)
-	if err != nil {
-		return res, fmt.Errorf("%s: %w", job.ID(), err)
-	}
-	res.Stats = st
-	return res, nil
-}
-
-// sampledMetaOf converts a sampling report to the result view; shared by
-// the solo and lockstep executors so both populate it identically.
+// sampledMetaOf converts a sampling report to the result view.
 func sampledMetaOf(rep *sample.Report) *SampledMeta {
 	return &SampledMeta{
 		Windows:        len(rep.Windows),
@@ -171,67 +130,86 @@ func sampledMetaOf(rep *sample.Report) *SampledMeta {
 	}
 }
 
-// ExecuteBatchStored runs a lockstep batch: sampled jobs sharing one
-// functional identity (equal CheckpointKey — same benchmark, seed,
-// budget, warming class, cache/predictor geometry and regime) execute as
-// K cells over ONE emulator + functional-warming stream, paying the
-// shared work once. The program is prepared once (within a warming class
-// the instrumentation is identical), and with a store attached the whole
-// batch touches the checkpoint artifact once.
+// ExecuteUnit runs one work unit: a single job, or K sampled jobs that
+// share one functional identity (equal CheckpointKey — same benchmark,
+// seed, budget, warming class, cache/predictor geometry and regime)
+// running as K cells over ONE emulator + functional-warming stream, so
+// the shared work is paid once. The program is prepared once (within a
+// warming class the instrumentation is identical), and with a store
+// attached the whole unit touches the checkpoint artifact once: resumed
+// when it exists, generated write-through when not. The simulator polls
+// ctx mid-run, so cancellation takes effect mid-job.
 //
-// Per-cell results are bit-identical to ExecuteStored running each job
-// alone — the differential suites in internal/sample assert this. The
-// returned errs slice (nil when every cell succeeded) carries per-cell
-// failures: one broken cell does not sink its batchmates. A non-nil
-// global error reports setup failures or cancellation that apply to
-// every cell.
-func ExecuteBatchStored(ctx context.Context, jobs []*Job, store *ckpt.Store) (results []Result, errs []error, err error) {
+// jobs must be non-empty. Per-cell results are bit-identical however
+// the cells were grouped — the differential suites in internal/sample
+// assert this. errs has one entry per job, nil on success: a failing
+// cell sinks only itself. Each result's StartedAt/FinishedAt bracket
+// the unit's execution (UTC, monotonic-free so they JSON-roundtrip
+// exactly).
+func ExecuteUnit(ctx context.Context, jobs []*Job, store *ckpt.Store) (results []Result, errs []error) {
 	results = make([]Result, len(jobs))
+	errs = make([]error, len(jobs))
 	for i, job := range jobs {
 		results[i] = Result{Bench: job.Bench, Tech: job.Tech, Point: job.Point}
 	}
-	if err := ctx.Err(); err != nil {
-		return results, nil, err
+	failAll := func(err error) ([]Result, []error) {
+		for i := range errs {
+			errs[i] = err
+		}
+		return results, errs
 	}
-	if jobs[0].Sampling == nil {
-		return results, nil, fmt.Errorf("campaign: lockstep batch needs sampled jobs")
+	lead := jobs[0]
+	if err := ctx.Err(); err != nil {
+		return failAll(err)
+	}
+	if len(jobs) > 1 && lead.Sampling == nil {
+		return failAll(fmt.Errorf("campaign: lockstep batch needs sampled jobs"))
 	}
 	started := time.Now().UTC()
-	p, prep, perr := Prepare(jobs[0])
-	if perr != nil {
-		return results, nil, perr
-	}
-	cfgs := make([]sim.Config, len(jobs))
-	for i, job := range jobs {
-		cfgs[i] = job.Config
-	}
-	var key string
-	if store != nil {
-		// An unkeyable job still runs; it just can't share warm state.
-		key, _ = CheckpointKey(jobs[0])
-	}
-	cells, gerr := sample.RunLockstepStored(ctx, cfgs, p, jobs[0].Budget, jobs[0].Sampling.engineConfig(), store, key)
-	if cells == nil {
-		return results, nil, gerr
-	}
-	finished := time.Now().UTC()
-	errs = make([]error, len(jobs))
-	failed := false
-	for i, job := range jobs {
-		res := &results[i]
-		res.GenMS, res.CompileMS, res.Hints = prep.GenMS, prep.CompileMS, prep.Hints
-		res.StartedAt, res.FinishedAt = started, finished
-		if cells[i].Err != nil {
-			errs[i] = fmt.Errorf("%s: %w", job.ID(), cells[i].Err)
-			failed = true
-			continue
+	defer func() {
+		finished := time.Now().UTC()
+		for i := range results {
+			results[i].StartedAt, results[i].FinishedAt = started, finished
 		}
-		rep := cells[i].Report
-		res.Stats = rep.Stats
-		res.Sampled = sampledMetaOf(rep)
+	}()
+	p, prep, err := Prepare(lead)
+	for i := range results {
+		results[i].GenMS, results[i].CompileMS, results[i].Hints = prep.GenMS, prep.CompileMS, prep.Hints
 	}
-	if !failed {
-		errs = nil
+	if err != nil {
+		return failAll(err)
 	}
-	return results, errs, gerr
+
+	cellErrs := make([]error, len(jobs))
+	if lead.Sampling == nil {
+		st, err := sim.RunProgramContext(ctx, lead.Config, p, lead.Budget)
+		if cellErrs[0] = err; err == nil {
+			results[0].Stats = st
+		}
+	} else {
+		cfgs := make([]sim.Config, len(jobs))
+		for i, job := range jobs {
+			cfgs[i] = job.Config
+		}
+		var key string
+		if store != nil {
+			// An unkeyable job still runs; it just can't share warm state.
+			key, _ = CheckpointKey(lead)
+		}
+		cells, err := sample.RunLockstepStored(ctx, cfgs, p, lead.Budget, lead.Sampling.engineConfig(), store, key)
+		for i := range cellErrs {
+			if cells == nil {
+				cellErrs[i] = err // set-up failed before any cell ran
+			} else if cellErrs[i] = cells[i].Err; cellErrs[i] == nil {
+				results[i].Stats = cells[i].Report.Stats
+				results[i].Sampled = sampledMetaOf(cells[i].Report)
+			}
+		}
+	}
+	for i, err := range cellErrs {
+		if err != nil {
+			errs[i] = fmt.Errorf("%s: %w", jobs[i].ID(), err)
+		}
+	}
+	return results, errs
 }

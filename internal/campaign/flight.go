@@ -77,9 +77,9 @@ func isCancellation(err error) bool {
 }
 
 // Gate is a counting semaphore bounding how many jobs simulate at once
-// across every Engine sharing it — the campaign service's one bounded
-// executor. Cache and dedup hits bypass the gate; only real simulations
-// hold a slot.
+// across every runner sharing it — the campaign service's one bounded
+// executor (its dispatcher's local fallback). Cache and dedup hits never
+// reach it; only real simulations hold a slot.
 type Gate chan struct{}
 
 // NewGate returns a gate with n slots (n <= 0 panics: a gate exists to
@@ -91,9 +91,7 @@ func NewGate(n int) Gate {
 	return make(Gate, n)
 }
 
-// Acquire takes a slot, abandoning the wait when ctx ends. It is
-// exported for runners outside the engine (the service dispatcher's
-// local-fallback path) that must share the same simulation bound.
+// Acquire takes a slot, abandoning the wait when ctx ends.
 func (g Gate) Acquire(ctx context.Context) error {
 	select {
 	case g <- struct{}{}:

@@ -226,7 +226,6 @@ func TestEngineFlightDedupAcrossEngines(t *testing.T) {
 	spec := smallSpec()
 	dir := t.TempDir()
 	flight := &Flight{}
-	gate := NewGate(4)
 
 	var mu sync.Mutex
 	started := map[string]int{}
@@ -249,7 +248,7 @@ func TestEngineFlightDedupAcrossEngines(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e := &Engine{Workers: 2, CacheDir: dir, Flight: flight, Gate: gate, OnJobStart: onStart}
+			e := &Engine{Workers: 2, CacheDir: dir, Flight: flight, OnJobStart: onStart}
 			rss[i], errs[i] = e.Run(context.Background(), spec)
 		}(i)
 	}

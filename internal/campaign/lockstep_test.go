@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/power"
@@ -176,4 +177,73 @@ func TestLockstepMidBatchError(t *testing.T) {
 	if len(failed) != 1 || len(failed[0].Point) != 1 || failed[0].Point[0].Value != 0 {
 		t.Errorf("OnJobError saw %v, want exactly the robsize=0 cell", failed)
 	}
+}
+
+// TestLockstepPartlyCachedUnit: when half of a lockstep unit's cells are
+// already in the result cache, only the other half executes — once
+// each, as one batch sharing one warming artifact — and the merged
+// campaign equals the per-cell reference.
+func TestLockstepPartlyCachedUnit(t *testing.T) {
+	ctx := context.Background()
+	axis := []int{16, 32, 48, 64}
+	dir := t.TempDir()
+	if _, err := (&Engine{Workers: 2, CacheDir: dir}).Run(ctx, lockstepSweep([]int{16, 48})); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := (&Engine{Workers: 2}).Run(ctx, lockstepSweep(axis))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store, err := ckpt.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu      sync.Mutex
+		started = map[string]int{}
+	)
+	eng := &Engine{
+		Workers:  2,
+		Lockstep: true,
+		CacheDir: dir,
+		Ckpt:     store,
+		OnJobStart: func(j Job) {
+			mu.Lock()
+			started[j.Point.String()]++
+			mu.Unlock()
+		},
+	}
+	rs, err := eng.Run(ctx, lockstepSweep(axis))
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(axis) / 2
+	if rs.CacheHits != half || rs.Executed != half || rs.DedupHits != 0 {
+		t.Errorf("cached/executed/dedup = %d/%d/%d, want %d/%d/0", rs.CacheHits, rs.Executed, rs.DedupHits, half, half)
+	}
+	want := map[string]int{"iq.entries=32": 1, "iq.entries=64": 1}
+	if !reflect.DeepEqual(started, want) {
+		t.Errorf("OnJobStart saw %v, want each uncached cell once: %v", started, want)
+	}
+	if len(rs.Results) != len(ref.Results) {
+		t.Fatalf("%d results, want %d", len(rs.Results), len(ref.Results))
+	}
+	for i := range ref.Results {
+		if got, want := withoutWallClock(rs.Results[i]), withoutWallClock(ref.Results[i]); !reflect.DeepEqual(got, want) {
+			t.Errorf("result %s diverges from the per-cell reference", got.Point)
+		}
+	}
+	if m := store.Metrics(); m.Generated != 1 {
+		t.Errorf("uncached cells generated %d artifacts, want 1", m.Generated)
+	}
+}
+
+// withoutWallClock drops what two executions of one job legitimately
+// differ in: timings and how the result was obtained.
+func withoutWallClock(r Result) Result {
+	r.CompileMS, r.GenMS = 0, 0
+	r.StartedAt, r.FinishedAt = time.Time{}, time.Time{}
+	r.Cached, r.Dedup = false, false
+	return r
 }

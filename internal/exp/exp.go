@@ -19,7 +19,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // Technique identifies one experimental configuration.
@@ -103,12 +102,9 @@ type Runner struct {
 	Benchmarks []string   // benchmark subset; empty = full suite
 	// Sampling runs the suite through the sampled-simulation engine
 	// (nil = exact). Results then carry error bars; see SamplingReport.
+	// Locally, sampled cells that share a warming identity always run as
+	// one lockstep unit (Engine.Lockstep).
 	Sampling *campaign.Sampling
-	// Lockstep batches sampled cells that share a warming identity into
-	// one emulator stream feeding every cell's core (Engine.Lockstep).
-	// Exact runs are unaffected. Local execution only: a Remote server
-	// schedules its own work.
-	Lockstep bool
 	// Remote, when non-empty, executes campaigns on a sdiqd campaign
 	// service at this base URL instead of the local engine: every
 	// experiment and sweep transparently becomes a POST + event stream +
@@ -157,7 +153,7 @@ func (r *Runner) Spec(techs []Technique) campaign.Spec {
 // store that fails to open degrades to warm-from-scratch execution.
 func (r *Runner) engine() *campaign.Engine {
 	store, _ := ckpt.Open(r.CkptDir)
-	return &campaign.Engine{Workers: r.Parallel, CacheDir: r.CacheDir, Ckpt: store, Lockstep: r.Lockstep}
+	return &campaign.Engine{Workers: r.Parallel, CacheDir: r.CacheDir, Ckpt: store, Lockstep: true}
 }
 
 // RunCampaign executes an arbitrary campaign spec the way this runner
@@ -172,18 +168,6 @@ func (r *Runner) RunCampaign(ctx context.Context, spec campaign.Spec) (*campaign
 		return cl.Run(ctx, spec)
 	}
 	return r.engine().Run(ctx, spec)
-}
-
-// Run executes one benchmark under one technique.
-func (r *Runner) Run(b workload.Benchmark, tech Technique) (RunResult, error) {
-	spec := r.Spec([]Technique{tech})
-	spec.Benchmarks = []string{b.Name}
-	jobs, err := spec.Jobs()
-	if err != nil {
-		return RunResult{Bench: b.Name, Tech: tech}, err
-	}
-	res, err := campaign.Execute(context.Background(), &jobs[0])
-	return runResultOf(res), err
 }
 
 // runResultOf converts an engine result into the harness view.

@@ -27,11 +27,12 @@ func getSuite(t *testing.T) *SuiteResults {
 
 func TestRunSingleBenchmark(t *testing.T) {
 	r := NewRunner(20_000)
-	b, _ := workload.ByName("gzip")
-	res, err := r.Run(b, TechNOOP)
+	r.Benchmarks = []string{"gzip"}
+	s, err := r.RunSuite([]Technique{TechNOOP})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := s.Results["gzip"][TechNOOP]
 	if res.Stats.CommittedReal != 20_000 {
 		t.Errorf("committed = %d, want budget", res.Stats.CommittedReal)
 	}

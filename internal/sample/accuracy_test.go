@@ -124,7 +124,7 @@ func TestAccuracyGateLockstep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cells, err := RunLockstep(context.Background(), cfgs, b.Build(42), gateBudget, Config{})
+		cells, err := RunLockstepStored(context.Background(), cfgs, b.Build(42), gateBudget, Config{}, nil, "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -206,19 +206,7 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 	bp := bpred.New(cfgs[0].Bpred)
 	cs := &countedStream{e: e}
 	warm := newWarmer(mem, bp)
-	reports := make([]*Report, len(cfgs))
-	errs := make([]error, len(cfgs))
-	for i := range reports {
-		reports[i] = &Report{Confidence: sc.Confidence}
-	}
-	live := len(cfgs)
-	// fail retires one cell: its report ends at the failure's stream
-	// position, the rest of the grid keeps measuring.
-	fail := func(i int, err error, at int64) {
-		errs[i] = err
-		reports[i].finalize(at)
-		live--
-	}
+	b := newBatch(cfgs, sc)
 
 	var w *ckpt.Writer
 	if store != nil && key != "" {
@@ -247,12 +235,8 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 
 	for cs.real < budget {
 		if err := ctx.Err(); err != nil {
-			for i := range errs {
-				if errs[i] == nil {
-					fail(i, err, cs.real)
-				}
-			}
-			return cellsOf(reports, errs), err
+			b.stop(err, cs.real)
+			return b.cells(), err
 		}
 
 		// Functional warming: architectural execution plus cache and
@@ -271,9 +255,9 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 			warm.observe(&d)
 		}
 		warmed := cs.real - warmStart
-		for i := range reports {
-			if errs[i] == nil {
-				reports[i].WarmedReal += warmed
+		for i, rep := range b.reports {
+			if b.errs[i] == nil {
+				rep.WarmedReal += warmed
 			}
 		}
 		if cs.real >= budget || e.Halted() {
@@ -283,9 +267,7 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 		// Detailed window on a fork of the stream state at this position.
 		// The window's resume state is serialized before any cell runs,
 		// so the published artifact holds exactly what every measurement
-		// saw. Each live cell then measures on its own fork of the warm
-		// state; the last one consumes the snapshot itself, which makes
-		// K=1 byte-for-byte the pre-lockstep single-run path.
+		// saw.
 		detail := windowDetail(sc, cs.real, budget)
 		win := &ckpt.Window{
 			StartReal: cs.real,
@@ -300,29 +282,9 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 				w = nil
 			}
 		}
-		forks := live
-		for i := range cfgs {
-			if errs[i] != nil {
-				continue
-			}
-			cw := win
-			if forks--; forks > 0 {
-				cw = &ckpt.Window{
-					StartReal: win.StartReal,
-					LastHint:  win.LastHint,
-					Ckpt:      win.Ckpt,
-					Mem:       win.Mem.Clone(),
-					Bp:        win.Bp.Clone(),
-				}
-			}
-			winStats, werr := runWindow(ctx, cfgs[i], p, cw, detail, sc)
-			reports[i].Windows = append(reports[i].Windows, Window{StartSeq: win.Ckpt.Seq(), Stats: winStats})
-			if werr != nil {
-				fail(i, werr, cs.real)
-			}
-		}
-		if live == 0 {
-			return cellsOf(reports, errs), nil
+		b.window(ctx, p, win, detail, sc, cs.real)
+		if b.live == 0 {
+			return b.cells(), nil
 		}
 
 		// The main stream re-executes the window's region functionally —
@@ -365,9 +327,9 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 			}
 		}
 		ffwd := cs.real - ffStart
-		for i := range reports {
-			if errs[i] == nil {
-				reports[i].FastForwardReal += ffwd
+		for i, rep := range b.reports {
+			if b.errs[i] == nil {
+				rep.FastForwardReal += ffwd
 			}
 		}
 		if e.Halted() {
@@ -375,10 +337,10 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 		}
 	}
 	var done *Report
-	for i := range reports {
-		if errs[i] == nil {
-			reports[i].finalize(cs.real)
-			done = reports[i]
+	for i, rep := range b.reports {
+		if b.errs[i] == nil {
+			rep.finalize(cs.real)
+			done = rep
 		}
 	}
 	if w != nil && done != nil {
@@ -393,7 +355,7 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 		})
 		w = nil
 	}
-	return cellsOf(reports, errs), nil
+	return b.cells(), nil
 }
 
 // resumeK replays a run's detailed windows from a stored artifact for
@@ -417,21 +379,11 @@ func resumeK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget int
 		// mismatches as a miss without evicting the artifact.
 		return nil, nil, false
 	}
-	reports := make([]*Report, len(cfgs))
-	errs := make([]error, len(cfgs))
-	for i := range reports {
-		reports[i] = &Report{Confidence: sc.Confidence}
-	}
-	live := len(cfgs)
+	b := newBatch(cfgs, sc)
 	for {
 		if cerr := ctx.Err(); cerr != nil {
-			for i := range errs {
-				if errs[i] == nil {
-					errs[i] = cerr
-					reports[i].finalize(budget)
-				}
-			}
-			return cellsOf(reports, errs), cerr, true
+			b.stop(cerr, budget)
+			return b.cells(), cerr, true
 		}
 		win, rerr := r.Next()
 		if rerr == io.EOF {
@@ -443,32 +395,9 @@ func resumeK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget int
 			store.Remove(key)
 			return nil, nil, false
 		}
-		detail := windowDetail(sc, win.StartReal, budget)
-		forks := live
-		for i := range cfgs {
-			if errs[i] != nil {
-				continue
-			}
-			cw := win
-			if forks--; forks > 0 {
-				cw = &ckpt.Window{
-					StartReal: win.StartReal,
-					LastHint:  win.LastHint,
-					Ckpt:      win.Ckpt,
-					Mem:       win.Mem.Clone(),
-					Bp:        win.Bp.Clone(),
-				}
-			}
-			winStats, werr := runWindow(ctx, cfgs[i], p, cw, detail, sc)
-			reports[i].Windows = append(reports[i].Windows, Window{StartSeq: win.Ckpt.Seq(), Stats: winStats})
-			if werr != nil {
-				errs[i] = werr
-				reports[i].finalize(budget)
-				live--
-			}
-		}
-		if live == 0 {
-			return cellsOf(reports, errs), nil, true
+		b.window(ctx, p, win, windowDetail(sc, win.StartReal, budget), sc, budget)
+		if b.live == 0 {
+			return b.cells(), nil, true
 		}
 	}
 	tr, got := r.Trailer()
@@ -476,12 +405,12 @@ func resumeK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget int
 		store.Remove(key)
 		return nil, nil, false
 	}
-	for i := range reports {
-		if errs[i] == nil {
-			reports[i].WarmedReal = tr.WarmedReal
-			reports[i].FastForwardReal = tr.FastForwardReal
-			reports[i].finalize(tr.TotalReal)
+	for i, rep := range b.reports {
+		if b.errs[i] == nil {
+			rep.WarmedReal = tr.WarmedReal
+			rep.FastForwardReal = tr.FastForwardReal
+			rep.finalize(tr.TotalReal)
 		}
 	}
-	return cellsOf(reports, errs), nil, true
+	return b.cells(), nil, true
 }

@@ -34,20 +34,15 @@ type Cell struct {
 	Err    error
 }
 
-// RunLockstep executes a sampled simulation of the program under K
-// processor configurations in lockstep over one functional stream. It
-// is RunLockstepStored without a checkpoint store.
-func RunLockstep(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget int64, sc Config) ([]Cell, error) {
-	return RunLockstepStored(ctx, cfgs, p, budget, sc, nil, "")
-}
-
-// RunLockstepStored is the K-configuration generalisation of RunStored:
-// one warming pass (resumed from the store when the artifact exists,
-// generated write-through when not) feeds every cell's detailed
-// windows. The returned error reports setup problems or cancellation;
-// per-cell simulation failures land in the cells, leaving the others
-// unharmed. The single-configuration entry points are the K=1 special
-// case of this function, so the two paths cannot drift apart.
+// RunLockstepStored executes a sampled simulation of the program under
+// K processor configurations in lockstep over one functional stream —
+// the K-configuration generalisation of RunStored: one warming pass
+// (resumed from the store when the artifact exists, generated
+// write-through when not) feeds every cell's detailed windows. The
+// returned error reports setup problems or cancellation; per-cell
+// simulation failures land in the cells, leaving the others unharmed.
+// The single-configuration entry points are the K=1 special case of
+// this function, so the two paths cannot drift apart.
 func RunLockstepStored(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget int64, sc Config, store *ckpt.Store, key string) ([]Cell, error) {
 	sc = sc.WithDefaults()
 	if err := sc.Validate(); err != nil {
@@ -81,11 +76,78 @@ func RunLockstepStored(ctx context.Context, cfgs []sim.Config, p *prog.Program, 
 	return generateK(ctx, cfgs, p, budget, sc, store, key)
 }
 
-// cellsOf zips reports and errors into the caller-facing form.
-func cellsOf(reports []*Report, errs []error) []Cell {
-	cells := make([]Cell, len(reports))
-	for i := range reports {
-		cells[i] = Cell{Report: reports[i], Err: errs[i]}
+// batch is the per-cell side of a lockstep run: one report per
+// configuration, each cell's failure, and how many cells still measure.
+type batch struct {
+	cfgs    []sim.Config
+	reports []*Report
+	errs    []error
+	live    int
+}
+
+func newBatch(cfgs []sim.Config, sc Config) *batch {
+	b := &batch{
+		cfgs:    cfgs,
+		reports: make([]*Report, len(cfgs)),
+		errs:    make([]error, len(cfgs)),
+		live:    len(cfgs),
+	}
+	for i := range b.reports {
+		b.reports[i] = &Report{Confidence: sc.Confidence}
+	}
+	return b
+}
+
+// fail retires one cell: its report ends at stream position at, and the
+// rest of the batch keeps measuring.
+func (b *batch) fail(i int, err error, at int64) {
+	b.errs[i] = err
+	b.reports[i].finalize(at)
+	b.live--
+}
+
+// stop retires every cell still measuring (cancellation).
+func (b *batch) stop(err error, at int64) {
+	for i := range b.errs {
+		if b.errs[i] == nil {
+			b.fail(i, err, at)
+		}
+	}
+}
+
+// window measures one detailed window on every live cell, each on its
+// own fork of the window's warm state. The last live cell consumes win
+// itself, which makes K=1 byte-for-byte the single-configuration path.
+// A cell whose window fails is retired at stream position failAt.
+func (b *batch) window(ctx context.Context, p *prog.Program, win *ckpt.Window, detail int64, sc Config, failAt int64) {
+	forks := b.live
+	for i := range b.cfgs {
+		if b.errs[i] != nil {
+			continue
+		}
+		cw := win
+		if forks--; forks > 0 {
+			cw = &ckpt.Window{
+				StartReal: win.StartReal,
+				LastHint:  win.LastHint,
+				Ckpt:      win.Ckpt,
+				Mem:       win.Mem.Clone(),
+				Bp:        win.Bp.Clone(),
+			}
+		}
+		st, err := runWindow(ctx, b.cfgs[i], p, cw, detail, sc)
+		b.reports[i].Windows = append(b.reports[i].Windows, Window{StartSeq: win.Ckpt.Seq(), Stats: st})
+		if err != nil {
+			b.fail(i, err, failAt)
+		}
+	}
+}
+
+// cells zips reports and errors into the caller-facing form.
+func (b *batch) cells() []Cell {
+	cells := make([]Cell, len(b.reports))
+	for i := range b.reports {
+		cells[i] = Cell{Report: b.reports[i], Err: b.errs[i]}
 	}
 	return cells
 }

@@ -127,17 +127,17 @@ func TestLockstepWarmingIdentityGuard(t *testing.T) {
 
 	cfgs := []sim.Config{sim.DefaultConfig(), sim.DefaultConfig()}
 	cfgs[1].Caches.DL1.SizeBytes *= 2
-	if _, err := sample.RunLockstep(ctx, cfgs, b.Build(42), testBudget, sc); err == nil {
+	if _, err := sample.RunLockstepStored(ctx, cfgs, b.Build(42), testBudget, sc, nil, ""); err == nil {
 		t.Error("differing cache geometry accepted into one lockstep batch")
 	}
 
 	cfgs = []sim.Config{sim.DefaultConfig(), sim.DefaultConfig()}
 	cfgs[1].Bpred.BTBEntries *= 2
-	if _, err := sample.RunLockstep(ctx, cfgs, b.Build(42), testBudget, sc); err == nil {
+	if _, err := sample.RunLockstepStored(ctx, cfgs, b.Build(42), testBudget, sc, nil, ""); err == nil {
 		t.Error("differing predictor geometry accepted into one lockstep batch")
 	}
 
-	if _, err := sample.RunLockstep(ctx, nil, b.Build(42), testBudget, sc); err == nil {
+	if _, err := sample.RunLockstepStored(ctx, nil, b.Build(42), testBudget, sc, nil, ""); err == nil {
 		t.Error("empty batch accepted")
 	}
 }

@@ -221,3 +221,48 @@ func TestWorkerCheckpointSharing(t *testing.T) {
 		t.Errorf("sdiqd_ckpt_bytes_shipped_total = %g, want > 0 — no artifact ever crossed the wire", v)
 	}
 }
+
+// TestWorkerPushesArtifactOnce: a worker that already holds a sweep's
+// artifact must not push it again after every job. One worker runs
+// three IQ cells of one warming identity: it generates the artifact on
+// the first cell and resumes it for the other two, so exactly one
+// artifact's bytes cross the wire.
+func TestWorkerPushesArtifactOnce(t *testing.T) {
+	s, cl := startServer(t, Config{
+		CacheDir:     t.TempDir(),
+		CkptDir:      t.TempDir(),
+		Workers:      1,
+		LeaseTTL:     2 * time.Second,
+		OfferTimeout: 30 * time.Second,
+		WorkerTTL:    60 * time.Second,
+		JobRetries:   2,
+	})
+	spec := sampledSpec("ckpt-push-once", []string{"gzip"}, 48, 64, 80)
+	spec.Techniques = []campaign.Technique{campaign.TechBaseline} // one warming identity
+
+	startWorker(t, cl.Base, "wa", 1, func(w *worker.Worker) { w.Ckpt = t.TempDir() })
+	waitMetric(t, cl, "sdiqd_workers_connected", 1)
+	if _, err := cl.Run(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := campaign.CheckpointKey(&jobs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	artifact, err := s.ckpt.ReadRaw(key)
+	if err != nil {
+		t.Fatalf("the worker never published the sweep's artifact: %v", err)
+	}
+	text := fetchMetrics(t, cl)
+	if v := metricValue(t, text, "sdiqd_jobs_remote_total"); v != 3 {
+		t.Errorf("sdiqd_jobs_remote_total = %g, want 3 — the worker must run every cell", v)
+	}
+	if v := metricValue(t, text, "sdiqd_ckpt_bytes_shipped_total"); v != float64(len(artifact)) {
+		t.Errorf("sdiqd_ckpt_bytes_shipped_total = %g, want %d (one push of the one artifact)", v, len(artifact))
+	}
+}

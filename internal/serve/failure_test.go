@@ -308,7 +308,7 @@ func TestCorruptUploadRejectedThenRecovered(t *testing.T) {
 		t.Fatalf("re-lease attempt=%d key match=%v, want attempt 2 of the same job", l2.Attempt, l2.Key == l.Key)
 	}
 	job := l2.Job.Job()
-	res, err := campaign.Execute(ctx, &job)
+	res, err := campaign.ExecuteStored(ctx, &job, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

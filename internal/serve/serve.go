@@ -670,7 +670,6 @@ func (s *Server) run(rc *campaignRun) {
 		CacheDir: s.tenantCacheDir(rc.client),
 		Ckpt:     tckpt,
 		Flight:   s.flightOf(rc.client),
-		Gate:     s.gate,
 		Runner:   &tenantRunner{d: s.disp, ckpt: tckpt}, // remote-or-local routing per cache-missed job
 		OnResult: func(r campaign.Result) {
 			switch {

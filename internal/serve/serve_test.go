@@ -24,13 +24,16 @@ func tinySpec() campaign.Spec {
 }
 
 // startServer spins up a Server over httptest and tears both down with
-// the test.
+// the test. Teardown waits for the campaign goroutines: Close only
+// cancels them, and one still writing its result cache would race the
+// removal of the test's temp dirs.
 func startServer(t *testing.T, cfg Config) (*Server, *Client) {
 	t.Helper()
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		s.Close()
+		s.wg.Wait()
 		ts.Close()
 	})
 	return s, NewClient(ts.URL)

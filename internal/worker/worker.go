@@ -324,19 +324,21 @@ func (w *Worker) serve(ctx context.Context, api *API, reg RegisterResponse, scra
 	// executing. A miss (first cell of the sweep landing here, or a
 	// store-less server) is fine — the execution generates the artifact
 	// locally and pushes it back afterwards. Failures at every step
-	// degrade to warm-from-scratch.
+	// degrade to warm-from-scratch. held records whether the artifact
+	// existed before this execution: only one this lease generated is
+	// pushed.
 	ckptKey := l.CkptKey
 	if store == nil {
 		ckptKey = ""
 	}
-	fetched := false
-	if ckptKey != "" && !store.Has(ckptKey) {
+	held := ckptKey != "" && store.Has(ckptKey)
+	if ckptKey != "" && !held {
 		if data, err := api.FetchCkpt(ctx, ckptKey); err != nil {
 			w.logf("lease %s: no artifact %.12s… from server: %v", l.ID, ckptKey, err)
 		} else if err := store.WriteRaw(ckptKey, data); err != nil {
 			w.logf("lease %s: artifact %.12s… rejected locally: %v", l.ID, ckptKey, err)
 		} else {
-			fetched = true
+			held = true
 			w.logf("lease %s: fetched artifact %.12s… (%d bytes)", l.ID, ckptKey, len(data))
 		}
 	}
@@ -389,8 +391,8 @@ func (w *Worker) serve(ctx context.Context, api *API, reg RegisterResponse, scra
 		if w.ScratchMaxBytes > 0 {
 			_, _, _ = scratch.GC(w.ScratchMaxBytes)
 		}
-		if ckptKey != "" && !fetched && store.Has(ckptKey) {
-			// This worker generated the sweep's warm state: publish it so
+		if ckptKey != "" && !held && store.Has(ckptKey) {
+			// This lease generated the sweep's warm state: publish it so
 			// the server and the rest of the fleet skip their warming.
 			// Best-effort — the server may refuse (another cell beat us
 			// to it) and correctness never depends on the push landing.

@@ -352,48 +352,6 @@ func BenchmarkEmulatorThroughput(b *testing.B) {
 	b.SetBytes(100_000)
 }
 
-// BenchmarkEmulatorDecodeCache measures the decoded-dispatch emulator
-// path explicitly (the default; EmulatorThroughput tracks the same path
-// for trajectory continuity). The ratio EmulatorUncached/
-// EmulatorDecodeCache is the decode cache's realised speedup.
-func BenchmarkEmulatorDecodeCache(b *testing.B) {
-	bench, _ := workload.ByName("crafty")
-	p := bench.Build(42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e := mustEmu(b, p)
-		e.SetDecode(true)
-		b.StartTimer()
-		for n := 0; n < 100_000; n++ {
-			if _, ok := e.Next(); !ok {
-				b.Fatal("halted")
-			}
-		}
-	}
-	b.SetBytes(100_000)
-}
-
-// BenchmarkEmulatorUncached measures the reference interpreter — the
-// per-instruction re-decode path the decode cache replaces.
-func BenchmarkEmulatorUncached(b *testing.B) {
-	bench, _ := workload.ByName("crafty")
-	p := bench.Build(42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e := mustEmu(b, p)
-		e.SetDecode(false)
-		b.StartTimer()
-		for n := 0; n < 100_000; n++ {
-			if _, ok := e.Next(); !ok {
-				b.Fatal("halted")
-			}
-		}
-	}
-	b.SetBytes(100_000)
-}
-
 // BenchmarkSampledCampaign measures end-to-end sampled-campaign
 // throughput on the standard three-benchmark sweep — the quantity the
 // sampled-simulation engine exists to raise. Compare against

@@ -123,10 +123,10 @@ func main() {
 			fail(fmt.Errorf("-ckpt %s: %w", *ckptDir, err))
 		}
 	}
-	r.Remote = *remote
-	r.RemoteToken = *token
 	if *remote != "" {
-		r.OnRemoteEvent = func(ev serve.Event) {
+		r.Client = serve.NewClient(*remote)
+		r.Client.Token = *token
+		r.Client.OnEvent = func(ev serve.Event) {
 			if ev.Type == serve.EventSubmitted {
 				fmt.Fprintf(os.Stderr, "sdiq: remote campaign %s on %s\n", ev.Campaign, *remote)
 			}

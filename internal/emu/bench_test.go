@@ -1,0 +1,50 @@
+package emu
+
+import (
+	"testing"
+
+	"repro/internal/workload"
+)
+
+// BenchmarkEmulatorDecodeCache measures the emulator's decoded dispatch
+// over 100,000 records of crafty; bytes stand in for instructions, so
+// B/s = inst/s. The ratio EmulatorUncached/EmulatorDecodeCache is the
+// decode cache's realised speedup.
+func BenchmarkEmulatorDecodeCache(b *testing.B) {
+	bench, _ := workload.ByName("crafty")
+	p := bench.Build(42)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := MustNew(p)
+		e.Restart = true
+		b.StartTimer()
+		for n := 0; n < 100_000; n++ {
+			if _, ok := e.Next(); !ok {
+				b.Fatal("halted")
+			}
+		}
+	}
+	b.SetBytes(100_000)
+}
+
+// BenchmarkEmulatorUncached measures the reference interpreter — the
+// per-instruction re-decode path the decode cache replaces — on the same
+// stream.
+func BenchmarkEmulatorUncached(b *testing.B) {
+	bench, _ := workload.ByName("crafty")
+	p := bench.Build(42)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r := newRef(p)
+		r.Restart = true
+		b.StartTimer()
+		for n := 0; n < 100_000; n++ {
+			if _, ok := r.Next(); !ok {
+				b.Fatal("halted")
+			}
+		}
+	}
+	b.SetBytes(100_000)
+}

@@ -17,10 +17,11 @@ import (
 // emulator over it via the program's decoded-stash slot; Link invalidates
 // it on any structural change.
 //
-// The decoded path duplicates the reference interpreter's semantics
-// deliberately: TestDecodeDifferential, FuzzDecodeDifferential and the
-// opcode table tests hold the two executions to identical DynInst
-// sequences and architectural state.
+// The reference interpreter in ref_test.go executes the same semantics
+// from structural positions with per-instruction decode:
+// TestDecodeDifferential, FuzzDecodeDifferential and the opcode table
+// tests hold the two executions to identical DynInst sequences and
+// architectural state.
 
 // decEntry is one predecoded instruction.
 type decEntry struct {
@@ -94,18 +95,4 @@ func decodeOf(p *prog.Program) *decProgram {
 	dp := decode(p)
 	p.SetDecoded(dp)
 	return dp
-}
-
-// finishDec mirrors finish for the decoded path.
-func (e *Emulator) finishDec(d trace.DynInst) (trace.DynInst, bool) {
-	if e.Restart {
-		e.flat = e.dec.entry
-		e.fstack = e.fstack[:0]
-		d.Taken = true
-		d.NextPC = int(e.dec.entry) * isa.InstBytes
-		return d, true
-	}
-	e.halt = true
-	d.NextPC = d.PC + isa.InstBytes
-	return d, true
 }

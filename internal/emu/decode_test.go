@@ -1,11 +1,10 @@
-package emu_test
+package emu
 
 import (
 	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/emu"
 	"repro/internal/prog"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -16,18 +15,17 @@ import (
 // small enough for the fuzzer to stay fast.
 const decodeDiffCap = 4_000
 
-// diffStreams runs p twice — decoded dispatch and reference interpreter —
-// and requires the two dynamic streams identical record by record, plus
-// matching final architectural state.
+// diffStreams runs p on the decoded emulator and on the reference
+// interpreter and requires the two dynamic streams identical record by
+// record, plus matching final architectural state.
 func diffStreams(t *testing.T, p *prog.Program, restart bool, budget int) {
 	t.Helper()
-	ed, err := emu.New(p)
+	ed, err := New(p)
 	if err != nil {
 		return
 	}
-	er := emu.MustNew(p)
+	er := newRef(p)
 	ed.Restart, er.Restart = restart, restart
-	er.SetDecode(false)
 	for i := 0; i < budget; i++ {
 		dd, okd := ed.Next()
 		dr, okr := er.Next()
@@ -52,9 +50,9 @@ func diffStreams(t *testing.T, p *prog.Program, restart bool, budget int) {
 	}
 }
 
-// TestDecodeDifferential holds the decoded and reference paths to
-// identical streams on every registered workload, with and without
-// Restart wraparound.
+// TestDecodeDifferential holds the decoded emulator and the reference
+// interpreter to identical streams on every registered workload, with
+// and without Restart wraparound.
 func TestDecodeDifferential(t *testing.T) {
 	for _, b := range workload.Suite() {
 		p := b.Build(42)
@@ -65,84 +63,104 @@ func TestDecodeDifferential(t *testing.T) {
 	}
 }
 
-// TestDecodeCheckpointRoundTrip proves a checkpoint taken under decoded
-// dispatch restores identically under either mode, mid-loop and with a
-// non-empty call stack: the wire representation is mode-independent.
-func TestDecodeCheckpointRoundTrip(t *testing.T) {
-	b, ok := workload.ByName("crafty")
+// callProg builds parser: its first call retires at record 9 and its
+// call stack reaches depth 2, so the checkpoint tests below see
+// non-empty stacks (gzip and crafty make no call in their first 20,000
+// records).
+func callProg(t *testing.T) *prog.Program {
+	t.Helper()
+	b, ok := workload.ByName("parser")
 	if !ok {
-		t.Fatal("crafty not registered")
+		t.Fatal("parser not registered")
 	}
-	p := b.Build(42)
-	e := emu.MustNew(p)
+	return b.Build(42)
+}
+
+// TestDecodeCheckpointRoundTrip proves a checkpoint taken mid-loop with
+// a non-empty call stack restores identically into the decoded emulator
+// and the reference interpreter, and that both continue exactly as the
+// checkpointed emulator does: the wire representation carries the whole
+// control state.
+func TestDecodeCheckpointRoundTrip(t *testing.T) {
+	p := callProg(t)
+	e := MustNew(p)
 	e.Restart = true
-	for i := 0; i < 12_345; i++ {
+	for i := 0; i < 12_000; i++ {
 		if _, ok := e.Next(); !ok {
 			t.Fatal("halted early")
 		}
 	}
 	c := e.Checkpoint()
-
-	var runs [][]trace.DynInst
-	for _, dec := range []bool{true, false} {
-		f, err := emu.NewFromCheckpoint(p, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Restart = true
-		f.SetDecode(dec)
-		var out []trace.DynInst
-		for i := 0; i < 5_000; i++ {
-			d, ok := f.Next()
-			if !ok {
-				break
-			}
-			out = append(out, d)
-		}
-		runs = append(runs, out)
+	if len(c.stack) == 0 {
+		t.Fatal("checkpoint has an empty call stack; the test needs one taken inside a call")
 	}
-	if !reflect.DeepEqual(runs[0], runs[1]) {
-		t.Fatal("restored streams diverge between decoded and reference dispatch")
+
+	dec, err := NewFromCheckpoint(p, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRef(p)
+	if err := ref.Restore(c); err != nil {
+		t.Fatal(err)
+	}
+	dec.Restart, ref.Restart = true, true
+	want := collect(t, e, 5_000)
+	if got := collect(t, dec, 5_000); !reflect.DeepEqual(got, want) {
+		t.Fatal("decoded emulator restored from the checkpoint diverges from the original")
+	}
+	if got := collect(t, ref, 5_000); !reflect.DeepEqual(got, want) {
+		t.Fatal("reference interpreter restored from the checkpoint diverges from the original")
 	}
 }
 
-// TestDecodeToggleMidStream flips dispatch modes every few instructions
-// and requires the interleaved stream to match an all-reference run:
-// SetDecode must convert control state losslessly at any point,
-// including inside calls.
-func TestDecodeToggleMidStream(t *testing.T) {
-	b, ok := workload.ByName("gzip")
-	if !ok {
-		t.Fatal("gzip not registered")
+// TestDecodeHandOffMidStream hands execution back and forth between the
+// decoded emulator and the reference interpreter every 7 records, by
+// checkpointing the one running and restoring into the other, and
+// requires the stream to match an all-reference run: Checkpoint and
+// Restore must convert between flat and structural control state
+// losslessly at any point, including inside calls.
+func TestDecodeHandOffMidStream(t *testing.T) {
+	type interpreter interface {
+		trace.Stream
+		Checkpoint() Checkpoint
+		Restore(Checkpoint) error
 	}
-	p := b.Build(42)
-	toggler := emu.MustNew(p)
-	ref := emu.MustNew(p)
-	toggler.Restart, ref.Restart = true, true
-	ref.SetDecode(false)
-	on := true
+	p := callProg(t)
+	dec, ref, all := MustNew(p), newRef(p), newRef(p)
+	dec.Restart, ref.Restart, all.Restart = true, true, true
+	interps := [2]interpreter{dec, ref}
+	cur, inCall := 0, 0
 	for i := 0; i < decodeDiffCap; i++ {
 		if i%7 == 0 {
-			on = !on
-			toggler.SetDecode(on)
+			c := interps[cur].Checkpoint()
+			if len(c.stack) > 0 {
+				inCall++
+			}
+			cur = 1 - cur
+			if err := interps[cur].Restore(c); err != nil {
+				t.Fatalf("record %d: %v", i, err)
+			}
 		}
-		dt, _ := toggler.Next()
-		dr, _ := ref.Next()
-		if dt != dr {
-			t.Fatalf("record %d diverges after toggles:\ntoggled:   %+v\nreference: %+v", i, dt, dr)
+		dh, _ := interps[cur].Next()
+		dr, _ := all.Next()
+		if dh != dr {
+			t.Fatalf("record %d diverges after hand-offs:\nhanded off: %+v\nreference:  %+v", i, dh, dr)
 		}
+	}
+	if inCall == 0 {
+		t.Fatal("no hand-off happened inside a call")
 	}
 }
 
-// FuzzDecodeDifferential feeds arbitrary assembly through both dispatch
-// paths and requires identical trace.DynInst sequences — the decoded
-// switch is a deliberate duplicate of the reference semantics, and this
-// is the harness that keeps the two from drifting. Seeds cover the
-// shapes the dispatch table specializes: short loops wrapped many times,
-// self-modifying-shaped programs (stores aimed at low/code addresses —
-// the ISA executes from the immutable program image, so both paths must
-// shrug them off identically), call stacks across procedure boundaries,
-// and div/rem poison values.
+// FuzzDecodeDifferential feeds arbitrary assembly through the decoded
+// emulator and the reference interpreter and requires identical
+// trace.DynInst sequences — the decoded switch is a deliberate duplicate
+// of the reference semantics, and this is the harness that keeps the two
+// from drifting. Seeds cover the shapes the dispatch table specializes:
+// short loops wrapped many times, self-modifying-shaped programs (stores
+// aimed at low/code addresses — the ISA executes from the immutable
+// program image, so both paths must shrug them off identically), call
+// stacks across procedure boundaries, and div/rem poison values.
 func FuzzDecodeDifferential(f *testing.F) {
 	f.Add(`program shortloop
 proc main entry

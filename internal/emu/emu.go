@@ -73,19 +73,16 @@ type Emulator struct {
 	iregs [isa.IntRegs]int64
 	fregs [isa.FPRegs]float64
 	mem   *Memory
-	pos   position
-	stack []position
 	seq   int64
 	halt  bool
 
-	// Decoded-dispatch state (see decode.go). While useDec is true the
-	// control position lives in flat/fstack and pos/stack are stale;
-	// Checkpoint, Restore and SetDecode convert between the two forms,
-	// so checkpoints always use the structural (wire) representation.
+	// Control state is a flat index into the program's decoded dispatch
+	// table (see decode.go) plus a stack of flat return indexes.
+	// Checkpoint and Restore convert it to and from structural
+	// positions, the checkpoint wire representation.
 	dec    *decProgram
 	flat   int32
 	fstack []int32
-	useDec bool
 
 	// Restart controls behaviour at program completion: when true the
 	// architectural state is preserved but control returns to the entry
@@ -100,39 +97,12 @@ func New(p *prog.Program) (*Emulator, error) {
 	if !p.Linked() {
 		return nil, fmt.Errorf("program %q is not linked", p.Name)
 	}
-	e := &Emulator{prog: p, mem: NewMemory()}
+	e := &Emulator{prog: p, mem: NewMemory(), dec: decodeOf(p)}
 	for i, w := range p.Data {
 		e.mem.Store(p.DataBase+uint64(8*i), w)
 	}
-	e.pos = position{p.Entry, 0, 0}
-	e.SetDecode(true)
+	e.flat = e.dec.entry
 	return e, nil
-}
-
-// SetDecode switches between the decoded-dispatch fast path (the
-// default) and the reference interpreter. Architectural state and the
-// dynamic stream are unaffected — the differential tests prove the two
-// paths bit-identical — so this is a performance/verification toggle,
-// usable mid-stream.
-func (e *Emulator) SetDecode(on bool) {
-	if on == e.useDec {
-		return
-	}
-	if on {
-		e.dec = decodeOf(e.prog)
-		e.flat = e.dec.flatOf(e.prog, e.pos)
-		e.fstack = e.fstack[:0]
-		for _, pos := range e.stack {
-			e.fstack = append(e.fstack, e.dec.flatOf(e.prog, pos))
-		}
-	} else {
-		e.pos = e.dec.posOf[e.flat]
-		e.stack = e.stack[:0]
-		for _, f := range e.fstack {
-			e.stack = append(e.stack, e.dec.posOf[f])
-		}
-	}
-	e.useDec = on
 }
 
 // MustNew is New that panics on error.
@@ -187,22 +157,16 @@ func (c *Checkpoint) Seq() int64 { return c.seq }
 // Checkpoint snapshots the emulator's architectural state. The snapshot
 // is independent of the emulator: later execution does not mutate it.
 func (e *Emulator) Checkpoint() Checkpoint {
-	pos, stack := e.pos, append([]position(nil), e.stack...)
-	if e.useDec {
-		// Checkpoints are always structural positions (the serialized
-		// wire format), independent of the dispatch mode in use.
-		pos = e.dec.posOf[e.flat]
-		stack = stack[:0]
-		for _, f := range e.fstack {
-			stack = append(stack, e.dec.posOf[f])
-		}
+	var stack []position
+	for _, f := range e.fstack {
+		stack = append(stack, e.dec.posOf[f])
 	}
 	return Checkpoint{
 		prog:  e.prog,
 		iregs: e.iregs,
 		fregs: e.fregs,
 		pages: e.mem.snapshot(),
-		pos:   pos,
+		pos:   e.dec.posOf[e.flat],
 		stack: stack,
 		seq:   e.seq,
 		halt:  e.halt,
@@ -222,14 +186,10 @@ func (e *Emulator) Restore(c Checkpoint) error {
 	// The restored emulator must not write through into the checkpoint's
 	// pages, and a second Restore must see them untouched.
 	e.mem.pages = e.mem.snapshot()
-	e.pos = c.pos
-	e.stack = append(e.stack[:0:0], c.stack...)
-	if e.useDec {
-		e.flat = e.dec.flatOf(e.prog, c.pos)
-		e.fstack = e.fstack[:0]
-		for _, pos := range c.stack {
-			e.fstack = append(e.fstack, e.dec.flatOf(e.prog, pos))
-		}
+	e.flat = e.dec.flatOf(e.prog, c.pos)
+	e.fstack = e.fstack[:0]
+	for _, pos := range c.stack {
+		e.fstack = append(e.fstack, e.dec.flatOf(e.prog, pos))
 	}
 	e.seq = c.seq
 	e.halt = c.halt
@@ -251,27 +211,6 @@ func NewFromCheckpoint(p *prog.Program, c Checkpoint) (*Emulator, error) {
 
 // Seq returns the number of instructions executed so far.
 func (e *Emulator) Seq() int64 { return e.seq }
-
-func (e *Emulator) cur() *prog.Inst {
-	p := e.prog.Procs[e.pos.proc]
-	return &p.Blocks[e.pos.block].Insts[e.pos.inst]
-}
-
-func (e *Emulator) pcAt(pos position) int {
-	return e.prog.Procs[pos.proc].Blocks[pos.block].Insts[pos.inst].PC
-}
-
-// advance moves to the next sequential instruction within the procedure.
-func (e *Emulator) advance() position {
-	p := e.prog.Procs[e.pos.proc]
-	n := e.pos
-	n.inst++
-	if n.inst >= len(p.Blocks[n.block].Insts) {
-		n.block++
-		n.inst = 0
-	}
-	return n
-}
 
 func (e *Emulator) readInt(r isa.Reg) int64 {
 	if !r.IsInt() {
@@ -301,285 +240,141 @@ func (e *Emulator) writeFP(r isa.Reg, v float64) {
 
 // Next implements trace.Stream: it executes one instruction and returns
 // its dynamic record. The decoded dispatch body lives directly in Next
-// (not behind a call) so the dominant path pays no extra frame for the
-// record copy; the reference interpreter is one call away.
+// (not behind a call) so the hot path pays no extra frame for the record
+// copy.
 func (e *Emulator) Next() (trace.DynInst, bool) {
-	if e.useDec {
-		if e.halt {
-			return trace.DynInst{}, false
-		}
-		en := &e.dec.entries[e.flat]
-		d := en.d
-		d.Seq = e.seq
-		e.seq++
-		next := e.flat + 1
-		switch d.Op {
-		case isa.Nop, isa.HintNop:
-			// nothing
-		case isa.Li:
-			e.writeInt(d.Dst, en.imm)
-		case isa.Mov:
-			e.writeInt(d.Dst, e.readInt(d.Src1))
-		case isa.Add:
-			e.writeInt(d.Dst, e.readInt(d.Src1)+e.readInt(d.Src2))
-		case isa.Sub:
-			e.writeInt(d.Dst, e.readInt(d.Src1)-e.readInt(d.Src2))
-		case isa.And:
-			e.writeInt(d.Dst, e.readInt(d.Src1)&e.readInt(d.Src2))
-		case isa.Or:
-			e.writeInt(d.Dst, e.readInt(d.Src1)|e.readInt(d.Src2))
-		case isa.Xor:
-			e.writeInt(d.Dst, e.readInt(d.Src1)^e.readInt(d.Src2))
-		case isa.Shl:
-			e.writeInt(d.Dst, e.readInt(d.Src1)<<(uint64(e.readInt(d.Src2))&63))
-		case isa.Shr:
-			e.writeInt(d.Dst, int64(uint64(e.readInt(d.Src1))>>(uint64(e.readInt(d.Src2))&63)))
-		case isa.Slt:
-			e.writeInt(d.Dst, boolToInt(e.readInt(d.Src1) < e.readInt(d.Src2)))
-		case isa.Addi:
-			e.writeInt(d.Dst, e.readInt(d.Src1)+en.imm)
-		case isa.Andi:
-			e.writeInt(d.Dst, e.readInt(d.Src1)&en.imm)
-		case isa.Xori:
-			e.writeInt(d.Dst, e.readInt(d.Src1)^en.imm)
-		case isa.Shli:
-			e.writeInt(d.Dst, e.readInt(d.Src1)<<(uint64(en.imm)&63))
-		case isa.Shri:
-			e.writeInt(d.Dst, int64(uint64(e.readInt(d.Src1))>>(uint64(en.imm)&63)))
-		case isa.Slti:
-			e.writeInt(d.Dst, boolToInt(e.readInt(d.Src1) < en.imm))
-		case isa.Mul:
-			e.writeInt(d.Dst, e.readInt(d.Src1)*e.readInt(d.Src2))
-		case isa.Muli:
-			e.writeInt(d.Dst, e.readInt(d.Src1)*en.imm)
-		case isa.Div:
-			e.writeInt(d.Dst, safeDiv(e.readInt(d.Src1), e.readInt(d.Src2)))
-		case isa.Rem:
-			e.writeInt(d.Dst, safeRem(e.readInt(d.Src1), e.readInt(d.Src2)))
-		case isa.FAdd:
-			e.writeFP(d.Dst, e.readFP(d.Src1)+e.readFP(d.Src2))
-		case isa.FSub:
-			e.writeFP(d.Dst, e.readFP(d.Src1)-e.readFP(d.Src2))
-		case isa.FMul:
-			e.writeFP(d.Dst, e.readFP(d.Src1)*e.readFP(d.Src2))
-		case isa.FDiv:
-			v := e.readFP(d.Src2)
-			if v == 0 {
-				v = 1
-			}
-			e.writeFP(d.Dst, e.readFP(d.Src1)/v)
-		case isa.FMov:
-			e.writeFP(d.Dst, e.readFP(d.Src1))
-		case isa.ItoF:
-			e.writeFP(d.Dst, float64(e.readInt(d.Src1)))
-		case isa.FtoI:
-			e.writeInt(d.Dst, int64(e.readFP(d.Src1)))
-		case isa.Ld:
-			d.Addr = uint64(e.readInt(d.Src1)+en.imm) &^ 7
-			e.writeInt(d.Dst, e.mem.Load(d.Addr))
-		case isa.LdF:
-			d.Addr = uint64(e.readInt(d.Src1)+en.imm) &^ 7
-			e.writeFP(d.Dst, float64(e.mem.Load(d.Addr)))
-		case isa.St:
-			d.Addr = uint64(e.readInt(d.Src1)+en.imm) &^ 7
-			e.mem.Store(d.Addr, e.readInt(d.Src2))
-		case isa.StF:
-			d.Addr = uint64(e.readInt(d.Src1)+en.imm) &^ 7
-			e.mem.Store(d.Addr, int64(e.readFP(d.Src2)))
-		case isa.Beq:
-			d.Taken = e.readInt(d.Src1) == e.readInt(d.Src2)
-			if d.Taken {
-				next = en.tgt
-			}
-		case isa.Bne:
-			d.Taken = e.readInt(d.Src1) != e.readInt(d.Src2)
-			if d.Taken {
-				next = en.tgt
-			}
-		case isa.Blt:
-			d.Taken = e.readInt(d.Src1) < e.readInt(d.Src2)
-			if d.Taken {
-				next = en.tgt
-			}
-		case isa.Bge:
-			d.Taken = e.readInt(d.Src1) >= e.readInt(d.Src2)
-			if d.Taken {
-				next = en.tgt
-			}
-		case isa.Jmp:
-			d.Taken = true
-			next = en.tgt
-		case isa.Call, isa.CallLib:
-			d.Taken = true
-			e.fstack = append(e.fstack, next)
-			next = en.tgt
-		case isa.Ret:
-			d.Taken = true
-			if len(e.fstack) == 0 {
-				return e.finishDec(d)
-			}
-			next = e.fstack[len(e.fstack)-1]
-			e.fstack = e.fstack[:len(e.fstack)-1]
-		case isa.Halt:
-			return e.finishDec(d)
-		default:
-			panic("emu: unhandled opcode in decoded dispatch")
-		}
-		e.flat = next
-		d.NextPC = int(next) * isa.InstBytes
-		return d, true
-	}
-	return e.nextRef()
-}
-
-// nextRef is the reference interpreter: structural positions, per-
-// instruction decode. Kept verbatim as the oracle the decoded path is
-// differentially tested against.
-func (e *Emulator) nextRef() (trace.DynInst, bool) {
 	if e.halt {
 		return trace.DynInst{}, false
 	}
-	in := e.cur()
-	d := trace.DynInst{
-		Seq:  e.seq,
-		PC:   in.PC,
-		Op:   in.Op,
-		Dst:  in.Dst,
-		Src1: in.Src1,
-		Src2: in.Src2,
-		Hint: in.Hint,
-	}
-	if in.Op == isa.HintNop {
-		d.Hint = int(in.Imm)
-	}
+	en := &e.dec.entries[e.flat]
+	d := en.d
+	d.Seq = e.seq
 	e.seq++
-
-	next := e.advance()
-	switch in.Op {
+	next := e.flat + 1
+	switch d.Op {
 	case isa.Nop, isa.HintNop:
 		// nothing
 	case isa.Li:
-		e.writeInt(in.Dst, in.Imm)
+		e.writeInt(d.Dst, en.imm)
 	case isa.Mov:
-		e.writeInt(in.Dst, e.readInt(in.Src1))
+		e.writeInt(d.Dst, e.readInt(d.Src1))
 	case isa.Add:
-		e.writeInt(in.Dst, e.readInt(in.Src1)+e.readInt(in.Src2))
+		e.writeInt(d.Dst, e.readInt(d.Src1)+e.readInt(d.Src2))
 	case isa.Sub:
-		e.writeInt(in.Dst, e.readInt(in.Src1)-e.readInt(in.Src2))
+		e.writeInt(d.Dst, e.readInt(d.Src1)-e.readInt(d.Src2))
 	case isa.And:
-		e.writeInt(in.Dst, e.readInt(in.Src1)&e.readInt(in.Src2))
+		e.writeInt(d.Dst, e.readInt(d.Src1)&e.readInt(d.Src2))
 	case isa.Or:
-		e.writeInt(in.Dst, e.readInt(in.Src1)|e.readInt(in.Src2))
+		e.writeInt(d.Dst, e.readInt(d.Src1)|e.readInt(d.Src2))
 	case isa.Xor:
-		e.writeInt(in.Dst, e.readInt(in.Src1)^e.readInt(in.Src2))
+		e.writeInt(d.Dst, e.readInt(d.Src1)^e.readInt(d.Src2))
 	case isa.Shl:
-		e.writeInt(in.Dst, e.readInt(in.Src1)<<(uint64(e.readInt(in.Src2))&63))
+		e.writeInt(d.Dst, e.readInt(d.Src1)<<(uint64(e.readInt(d.Src2))&63))
 	case isa.Shr:
-		e.writeInt(in.Dst, int64(uint64(e.readInt(in.Src1))>>(uint64(e.readInt(in.Src2))&63)))
+		e.writeInt(d.Dst, int64(uint64(e.readInt(d.Src1))>>(uint64(e.readInt(d.Src2))&63)))
 	case isa.Slt:
-		e.writeInt(in.Dst, boolToInt(e.readInt(in.Src1) < e.readInt(in.Src2)))
+		e.writeInt(d.Dst, boolToInt(e.readInt(d.Src1) < e.readInt(d.Src2)))
 	case isa.Addi:
-		e.writeInt(in.Dst, e.readInt(in.Src1)+in.Imm)
+		e.writeInt(d.Dst, e.readInt(d.Src1)+en.imm)
 	case isa.Andi:
-		e.writeInt(in.Dst, e.readInt(in.Src1)&in.Imm)
+		e.writeInt(d.Dst, e.readInt(d.Src1)&en.imm)
 	case isa.Xori:
-		e.writeInt(in.Dst, e.readInt(in.Src1)^in.Imm)
+		e.writeInt(d.Dst, e.readInt(d.Src1)^en.imm)
 	case isa.Shli:
-		e.writeInt(in.Dst, e.readInt(in.Src1)<<(uint64(in.Imm)&63))
+		e.writeInt(d.Dst, e.readInt(d.Src1)<<(uint64(en.imm)&63))
 	case isa.Shri:
-		e.writeInt(in.Dst, int64(uint64(e.readInt(in.Src1))>>(uint64(in.Imm)&63)))
+		e.writeInt(d.Dst, int64(uint64(e.readInt(d.Src1))>>(uint64(en.imm)&63)))
 	case isa.Slti:
-		e.writeInt(in.Dst, boolToInt(e.readInt(in.Src1) < in.Imm))
+		e.writeInt(d.Dst, boolToInt(e.readInt(d.Src1) < en.imm))
 	case isa.Mul:
-		e.writeInt(in.Dst, e.readInt(in.Src1)*e.readInt(in.Src2))
+		e.writeInt(d.Dst, e.readInt(d.Src1)*e.readInt(d.Src2))
 	case isa.Muli:
-		e.writeInt(in.Dst, e.readInt(in.Src1)*in.Imm)
+		e.writeInt(d.Dst, e.readInt(d.Src1)*en.imm)
 	case isa.Div:
-		e.writeInt(in.Dst, safeDiv(e.readInt(in.Src1), e.readInt(in.Src2)))
+		e.writeInt(d.Dst, safeDiv(e.readInt(d.Src1), e.readInt(d.Src2)))
 	case isa.Rem:
-		e.writeInt(in.Dst, safeRem(e.readInt(in.Src1), e.readInt(in.Src2)))
+		e.writeInt(d.Dst, safeRem(e.readInt(d.Src1), e.readInt(d.Src2)))
 	case isa.FAdd:
-		e.writeFP(in.Dst, e.readFP(in.Src1)+e.readFP(in.Src2))
+		e.writeFP(d.Dst, e.readFP(d.Src1)+e.readFP(d.Src2))
 	case isa.FSub:
-		e.writeFP(in.Dst, e.readFP(in.Src1)-e.readFP(in.Src2))
+		e.writeFP(d.Dst, e.readFP(d.Src1)-e.readFP(d.Src2))
 	case isa.FMul:
-		e.writeFP(in.Dst, e.readFP(in.Src1)*e.readFP(in.Src2))
+		e.writeFP(d.Dst, e.readFP(d.Src1)*e.readFP(d.Src2))
 	case isa.FDiv:
-		v := e.readFP(in.Src2)
+		v := e.readFP(d.Src2)
 		if v == 0 {
 			v = 1
 		}
-		e.writeFP(in.Dst, e.readFP(in.Src1)/v)
+		e.writeFP(d.Dst, e.readFP(d.Src1)/v)
 	case isa.FMov:
-		e.writeFP(in.Dst, e.readFP(in.Src1))
+		e.writeFP(d.Dst, e.readFP(d.Src1))
 	case isa.ItoF:
-		e.writeFP(in.Dst, float64(e.readInt(in.Src1)))
+		e.writeFP(d.Dst, float64(e.readInt(d.Src1)))
 	case isa.FtoI:
-		e.writeInt(in.Dst, int64(e.readFP(in.Src1)))
+		e.writeInt(d.Dst, int64(e.readFP(d.Src1)))
 	case isa.Ld:
-		d.Addr = uint64(e.readInt(in.Src1)+in.Imm) &^ 7
-		e.writeInt(in.Dst, e.mem.Load(d.Addr))
+		d.Addr = uint64(e.readInt(d.Src1)+en.imm) &^ 7
+		e.writeInt(d.Dst, e.mem.Load(d.Addr))
 	case isa.LdF:
-		d.Addr = uint64(e.readInt(in.Src1)+in.Imm) &^ 7
-		e.writeFP(in.Dst, float64(e.mem.Load(d.Addr)))
+		d.Addr = uint64(e.readInt(d.Src1)+en.imm) &^ 7
+		e.writeFP(d.Dst, float64(e.mem.Load(d.Addr)))
 	case isa.St:
-		d.Addr = uint64(e.readInt(in.Src1)+in.Imm) &^ 7
-		e.mem.Store(d.Addr, e.readInt(in.Src2))
+		d.Addr = uint64(e.readInt(d.Src1)+en.imm) &^ 7
+		e.mem.Store(d.Addr, e.readInt(d.Src2))
 	case isa.StF:
-		d.Addr = uint64(e.readInt(in.Src1)+in.Imm) &^ 7
-		e.mem.Store(d.Addr, int64(e.readFP(in.Src2)))
+		d.Addr = uint64(e.readInt(d.Src1)+en.imm) &^ 7
+		e.mem.Store(d.Addr, int64(e.readFP(d.Src2)))
 	case isa.Beq:
-		d.Taken = e.readInt(in.Src1) == e.readInt(in.Src2)
+		d.Taken = e.readInt(d.Src1) == e.readInt(d.Src2)
 		if d.Taken {
-			next = position{e.pos.proc, in.Target, 0}
+			next = en.tgt
 		}
 	case isa.Bne:
-		d.Taken = e.readInt(in.Src1) != e.readInt(in.Src2)
+		d.Taken = e.readInt(d.Src1) != e.readInt(d.Src2)
 		if d.Taken {
-			next = position{e.pos.proc, in.Target, 0}
+			next = en.tgt
 		}
 	case isa.Blt:
-		d.Taken = e.readInt(in.Src1) < e.readInt(in.Src2)
+		d.Taken = e.readInt(d.Src1) < e.readInt(d.Src2)
 		if d.Taken {
-			next = position{e.pos.proc, in.Target, 0}
+			next = en.tgt
 		}
 	case isa.Bge:
-		d.Taken = e.readInt(in.Src1) >= e.readInt(in.Src2)
+		d.Taken = e.readInt(d.Src1) >= e.readInt(d.Src2)
 		if d.Taken {
-			next = position{e.pos.proc, in.Target, 0}
+			next = en.tgt
 		}
 	case isa.Jmp:
 		d.Taken = true
-		next = position{e.pos.proc, in.Target, 0}
+		next = en.tgt
 	case isa.Call, isa.CallLib:
 		d.Taken = true
-		e.stack = append(e.stack, next)
-		next = position{in.Target, 0, 0}
+		e.fstack = append(e.fstack, next)
+		next = en.tgt
 	case isa.Ret:
 		d.Taken = true
-		if len(e.stack) == 0 {
+		if len(e.fstack) == 0 {
 			return e.finish(d)
 		}
-		next = e.stack[len(e.stack)-1]
-		e.stack = e.stack[:len(e.stack)-1]
+		next = e.fstack[len(e.fstack)-1]
+		e.fstack = e.fstack[:len(e.fstack)-1]
 	case isa.Halt:
 		return e.finish(d)
 	default:
-		panic(fmt.Sprintf("emu: unhandled opcode %v", in.Op))
+		panic("emu: unhandled opcode in decoded dispatch")
 	}
-
-	e.pos = next
-	d.NextPC = e.pcAt(next)
+	e.flat = next
+	d.NextPC = int(next) * isa.InstBytes
 	return d, true
 }
 
 // finish handles program completion: either halt or restart at the entry.
 func (e *Emulator) finish(d trace.DynInst) (trace.DynInst, bool) {
 	if e.Restart {
-		e.pos = position{e.prog.Entry, 0, 0}
-		e.stack = e.stack[:0]
+		e.flat = e.dec.entry
+		e.fstack = e.fstack[:0]
 		d.Taken = true
-		d.NextPC = e.pcAt(e.pos)
+		d.NextPC = int(e.dec.entry) * isa.InstBytes
 		return d, true
 	}
 	e.halt = true

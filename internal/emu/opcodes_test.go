@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/prog"
+	"repro/internal/trace"
 )
 
 // TestOpcodeSemantics is a table test over every computational opcode:
@@ -104,20 +105,18 @@ func TestOpcodeSemantics(t *testing.T) {
 // arm is checked against the reference, not just the default path.
 func runBothPaths(t *testing.T, p *prog.Program, reg int) int64 {
 	t.Helper()
-	run := func(decoded bool) (int64, int64) {
-		e := MustNew(p)
-		e.SetDecode(decoded)
+	run := func(next func() (trace.DynInst, bool)) int64 {
 		n := int64(0)
 		for {
-			if _, ok := e.Next(); !ok {
-				break
+			if _, ok := next(); !ok {
+				return n
 			}
 			n++
 		}
-		return e.IntReg(reg), n
 	}
-	dv, dn := run(true)
-	rv, rn := run(false)
+	dec, ref := MustNew(p), newRef(p)
+	dn, rn := run(dec.Next), run(ref.Next)
+	dv, rv := dec.IntReg(reg), ref.IntReg(reg)
 	if dv != rv || dn != rn {
 		t.Errorf("decoded path (r%d=%d after %d) != reference (r%d=%d after %d)",
 			reg, dv, dn, reg, rv, rn)

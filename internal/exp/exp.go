@@ -105,19 +105,13 @@ type Runner struct {
 	// Locally, sampled cells that share a warming identity always run as
 	// one lockstep unit (Engine.Lockstep).
 	Sampling *campaign.Sampling
-	// Remote, when non-empty, executes campaigns on a sdiqd campaign
-	// service at this base URL instead of the local engine: every
-	// experiment and sweep transparently becomes a POST + event stream +
-	// export fetch, sharing the server's cache and in-flight dedup with
-	// every other client. Parallel and CacheDir then configure nothing
-	// (the server owns both).
-	Remote string
-	// RemoteToken is the tenant-role bearer credential sent with every
-	// remote request — required when the server runs with -auth.
-	RemoteToken string
-	// OnRemoteEvent, when non-nil, observes the remote event stream
-	// (progress reporting for CLI drivers).
-	OnRemoteEvent func(serve.Event)
+	// Client, when non-nil, executes campaigns on a sdiqd campaign
+	// service instead of the local engine: every experiment and sweep
+	// transparently becomes a POST + event stream + export fetch,
+	// sharing the server's cache and in-flight dedup with every other
+	// client. Parallel and CacheDir then configure nothing (the server
+	// owns both).
+	Client *serve.Client
 }
 
 // NewRunner returns a runner with the paper's configuration.
@@ -157,15 +151,12 @@ func (r *Runner) engine() *campaign.Engine {
 }
 
 // RunCampaign executes an arbitrary campaign spec the way this runner
-// is configured: on the local engine, or — with Remote set — on a
+// is configured: on the local engine, or — with Client set — on a
 // campaign service, returning the server's result set. This is the one
 // execution path of every CLI experiment and sweep.
 func (r *Runner) RunCampaign(ctx context.Context, spec campaign.Spec) (*campaign.ResultSet, error) {
-	if r.Remote != "" {
-		cl := serve.NewClient(r.Remote)
-		cl.Token = r.RemoteToken
-		cl.OnEvent = r.OnRemoteEvent
-		return cl.Run(ctx, spec)
+	if r.Client != nil {
+		return r.Client.Run(ctx, spec)
 	}
 	return r.engine().Run(ctx, spec)
 }

@@ -116,10 +116,6 @@ type Queue struct {
 	ready      []uint64
 	readyCount int
 
-	// reference switches Broadcast to the original full-window scan; the
-	// differential tests run an indexed and a reference queue side by side.
-	reference bool
-
 	maxNewRange int // 0 = unlimited (no compiler control)
 	sizeLimit   int // 0 = unlimited; hardware-adaptive cap on valid entries
 
@@ -165,12 +161,6 @@ type waiter struct {
 	pos int64
 	op  int
 }
-
-// SetReference switches Broadcast between the indexed wakeup (default)
-// and the original full-window scan. The two are behaviourally identical;
-// the scan is kept as the reference implementation for the differential
-// and fuzz tests.
-func (q *Queue) SetReference(on bool) { q.reference = on }
 
 // MustNew is New that panics on error.
 func MustNew(cfg Config) *Queue {
@@ -436,19 +426,14 @@ func (q *Queue) BeginCycle() {
 //
 // The energy accounting is independent of the wakeup mechanism: it always
 // charges the latched CAM populations (what the modelled hardware
-// precharges), whether the simulator finds the woken operands through the
-// tag index or the reference scan.
+// precharges), although the simulator finds the woken operands through
+// the tag index rather than a scan.
 func (q *Queue) Broadcast(tag int) int {
 	q.Stats.Broadcasts++
 	q.Stats.GatedWakeups += int64(q.latchedWaiting)
 	q.Stats.NonEmptyWakeups += int64(OperandsPerEntry * q.latchedCount)
 	q.Stats.UngatedWakeups += int64(OperandsPerEntry * q.cfg.Entries)
-	var woken int
-	if q.reference {
-		woken = q.broadcastScan(tag)
-	} else {
-		woken = q.broadcastIndexed(tag)
-	}
+	woken := q.broadcastIndexed(tag)
 	q.Stats.Woken += int64(woken)
 	return woken
 }
@@ -480,38 +465,6 @@ func (q *Queue) broadcastIndexed(tag int) int {
 		}
 	}
 	q.waiters[tag] = list[:0]
-	return woken
-}
-
-// broadcastScan is the original O(window) CAM-style wakeup, kept as the
-// reference implementation. It maintains the same derived state (ready
-// list, index hygiene) so a queue can run entirely in reference mode.
-func (q *Queue) broadcastScan(tag int) int {
-	woken := 0
-	for pos := q.head; pos < q.tail; pos++ {
-		s := int(pos % int64(q.ringSize))
-		e := &q.ring[s]
-		if !e.Valid {
-			continue
-		}
-		for i := 0; i < OperandsPerEntry; i++ {
-			if e.Waiting[i] && e.Tag[i] == tag {
-				e.Waiting[i] = false
-				q.waiting--
-				woken++
-			}
-		}
-		if e.Ready() {
-			w := s >> 6
-			if q.ready[w]&(1<<uint(s&63)) == 0 {
-				q.markReady(s)
-			}
-		}
-	}
-	// The tag's subscribers (if any) all just woke or were already stale.
-	if tag >= 0 && tag < len(q.waiters) {
-		q.waiters[tag] = q.waiters[tag][:0]
-	}
 	return woken
 }
 

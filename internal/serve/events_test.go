@@ -80,7 +80,7 @@ func publishScript(h *hub, jobs int) {
 func TestCompactedReplayEqualsFullReplay(t *testing.T) {
 	const jobs = 12
 	full := newHub(jobs, 1<<20) // never compacts
-	tight := newHub(jobs, 6)   // compacts repeatedly mid-script
+	tight := newHub(jobs, 6)    // compacts repeatedly mid-script
 	publishScript(full, jobs)
 	publishScript(tight, jobs)
 

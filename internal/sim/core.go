@@ -101,11 +101,6 @@ type Core struct {
 	// RunSegment); 0 = unset.
 	segTarget int64
 
-	// refSched selects the original scan-based scheduler (linear wakeup,
-	// full-window select, FIFO-scan disambiguation) for differential
-	// testing; see UseReferenceScheduler.
-	refSched bool
-
 	cycle           int64
 	fetchStallUntil int64 // next cycle fetch may proceed (icache miss/bubble)
 	fetchBlocked    bool  // waiting on a mispredicted control transfer
@@ -284,16 +279,6 @@ func NewResumable(cfg Config, stream trace.Stream, mem *cache.Hierarchy, bp *bpr
 	return c, nil
 }
 
-// UseReferenceScheduler switches this core (and its issue queue) to the
-// original scan-based scheduler: CAM-style linear wakeup, full-window
-// oldest-first select, and linear store-FIFO disambiguation. It exists so
-// the differential tests can prove the fast paths produce bit-identical
-// Stats; call it before Run.
-func (c *Core) UseReferenceScheduler() {
-	c.refSched = true
-	c.q.SetReference(true)
-}
-
 // PresetHint seeds the issue queue's max_new_range before the run, as if
 // a hint had just been dispatched. The sampled-simulation engine uses it
 // to carry the last hint observed during fast-forward into a detailed
@@ -356,6 +341,12 @@ func (c *Core) RunSegment(ctx context.Context, target int64) (Stats, error) {
 			}
 		}
 	}
+	return c.snapshot(), err
+}
+
+// snapshot gathers the cumulative statistics from the core and its
+// components.
+func (c *Core) snapshot() Stats {
 	c.st.Cycles = c.cycle
 	c.st.CommittedReal = c.committedReal
 	c.st.CommittedHints = c.committedHints
@@ -369,7 +360,7 @@ func (c *Core) RunSegment(ctx context.Context, target int64) (Stats, error) {
 	if c.ctrl != nil {
 		c.st.Resizes = c.ctrl.Resizes()
 	}
-	return c.st, err
+	return c.st
 }
 
 func (c *Core) done() bool {
@@ -483,10 +474,8 @@ func (c *Core) writeback() {
 }
 
 // issue selects up to IssueWidth ready instructions oldest-first, subject
-// to functional-unit and memory-port limits and load/store ordering. The
-// fast path walks only the issue queue's ready list; the reference path
-// scans the whole window filtering on readiness. Both apply the same
-// selection rules in the same order, so the picks are identical.
+// to functional-unit and memory-port limits and load/store ordering. It
+// walks only the issue queue's ready list, not the whole window.
 func (c *Core) issue() {
 	var unitsUsed [isa.NumClasses]int
 	memPortsUsed := 0
@@ -508,7 +497,7 @@ func (c *Core) issue() {
 				// Selection never resolves stores (that happens in the
 				// pick loop below), so once one load is blocked by an
 				// older unresolved store, every younger load is too.
-				if !c.refSched && loadsBlocked {
+				if loadsBlocked {
 					return true
 				}
 				if !c.loadMayIssue(u) {
@@ -527,16 +516,7 @@ func (c *Core) issue() {
 		issued++
 		return true
 	}
-	if c.refSched {
-		c.q.ForEachValid(func(pos int64, e *iq.Entry) bool {
-			if !e.Ready() {
-				return true
-			}
-			return sel(pos, e)
-		})
-	} else {
-		c.q.ForEachReady(sel)
-	}
+	c.q.ForEachReady(sel)
 	for _, p := range c.picks {
 		u := &c.rob[p.idx]
 		if c.ctrl != nil {
@@ -569,21 +549,9 @@ func (c *Core) issue() {
 
 // loadMayIssue enforces conservative memory disambiguation: every older
 // in-flight store must have a resolved address; a matching one forwards.
-// The fast path answers from the unresolved-store counter and cursor; the
-// reference path scans the FIFO in program order.
+// It answers from the unresolved-store counter and cursor rather than a
+// scan of the store FIFO.
 func (c *Core) loadMayIssue(u *uop) bool {
-	if c.refSched {
-		for i := c.storeHead; i < c.storeTail; i++ {
-			s := c.storeAt(i)
-			if s.seq >= u.d.Seq {
-				break
-			}
-			if !s.resolved {
-				return false
-			}
-		}
-		return true
-	}
 	if c.unresolved == 0 {
 		return true
 	}
@@ -598,16 +566,6 @@ func (c *Core) loadMayIssue(u *uop) bool {
 }
 
 func (c *Core) resolveStore(u *uop) {
-	if c.refSched {
-		for i := c.storeHead; i < c.storeTail; i++ {
-			if s := c.storeAt(i); s.seq == u.d.Seq {
-				s.resolved = true
-				c.unresolved--
-				return
-			}
-		}
-		return
-	}
 	c.storeAt(u.storeIdx).resolved = true
 	c.unresolved--
 }
@@ -616,19 +574,10 @@ func (c *Core) resolveStore(u *uop) {
 // for loads (with store forwarding).
 func (c *Core) execLatency(u *uop) int {
 	if u.isLoad {
-		// Forward from the youngest older store to the same word.
-		if c.refSched {
-			for i := c.storeTail - 1; i >= c.storeHead; i-- {
-				s := c.storeAt(i)
-				if s.seq < u.d.Seq && s.addr == u.d.Addr {
-					return c.mem.DL1.Config().HitCycles
-				}
-			}
-			return c.mem.LoadLatency(u.d.Addr)
-		}
-		// Walk the same-address chain youngest-first; in-order commit
-		// guarantees that once an index drops below storeHead the rest of
-		// the chain has committed too.
+		// Forward from the youngest older store to the same word: walk the
+		// same-address chain youngest-first; in-order commit guarantees
+		// that once an index drops below storeHead the rest of the chain
+		// has committed too.
 		if idx, ok := c.lastStoreTo[u.d.Addr]; ok {
 			for idx >= c.storeHead {
 				s := c.storeAt(idx)

@@ -1,12 +1,11 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (see DESIGN.md section 4 for the index), plus ablation
-// benches for the design choices and microbenchmarks of the substrate.
+// evaluation, plus ablation benches for the design choices and
+// microbenchmarks of the substrate.
 //
 // Figure benches run a reduced-budget version of the corresponding
 // experiment and report the headline quantities as custom metrics (the
-// paper's values appear in the metric names' documentation in
-// EXPERIMENTS.md); regenerate the full-budget numbers with
-// `go run ./cmd/sdiq -experiment all`.
+// paper's value is in a comment beside each metric); regenerate the
+// full-budget numbers with `go run ./cmd/sdiq -experiment all`.
 package repro
 
 import (
@@ -39,10 +38,17 @@ func mustEmu(b *testing.B, p *prog.Program) *emu.Emulator {
 // ~50k instructions per run.
 const benchBudget = 50_000
 
-func runSuite(b *testing.B, techs []exp.Technique) *exp.SuiteResults {
+// runSuite simulates the full suite under techs and returns its figure
+// view.
+func runSuite(b *testing.B, techs ...campaign.Technique) *exp.SuiteResults {
 	b.Helper()
-	r := exp.NewRunner(benchBudget)
-	s, err := r.RunSuite(techs)
+	spec := campaign.DefaultSpec(benchBudget)
+	spec.Techniques = techs
+	rs, err := (&campaign.Engine{}).Run(context.Background(), spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := exp.FromCampaign(rs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,9 +83,9 @@ func BenchmarkTable2CompileTime(b *testing.B) {
 func BenchmarkFigure6IPCLoss(b *testing.B) {
 	var noop, abella float64
 	for i := 0; i < b.N; i++ {
-		s := runSuite(b, []exp.Technique{exp.TechBaseline, exp.TechNOOP, exp.TechAbella})
-		noop = s.Mean(func(bn string) float64 { return s.IPCLossPct(bn, exp.TechNOOP) })
-		abella = s.Mean(func(bn string) float64 { return s.IPCLossPct(bn, exp.TechAbella) })
+		s := runSuite(b, campaign.TechBaseline, campaign.TechNOOP, campaign.TechAbella)
+		noop = s.Mean(func(bn string) float64 { return s.IPCLossPct(bn, campaign.TechNOOP) })
+		abella = s.Mean(func(bn string) float64 { return s.IPCLossPct(bn, campaign.TechAbella) })
 	}
 	b.ReportMetric(noop, "NOOPloss%")     // paper: 2.2
 	b.ReportMetric(abella, "abellaloss%") // paper: 3.1
@@ -90,9 +96,9 @@ func BenchmarkFigure6IPCLoss(b *testing.B) {
 func BenchmarkFigure7Occupancy(b *testing.B) {
 	var occ, banksOff float64
 	for i := 0; i < b.N; i++ {
-		s := runSuite(b, []exp.Technique{exp.TechBaseline, exp.TechNOOP})
-		occ = s.Mean(func(bn string) float64 { return s.OccupancyReductionPct(bn, exp.TechNOOP) })
-		banksOff = s.Mean(func(bn string) float64 { return s.BanksOffPct(bn, exp.TechNOOP) })
+		s := runSuite(b, campaign.TechBaseline, campaign.TechNOOP)
+		occ = s.Mean(func(bn string) float64 { return s.OccupancyReductionPct(bn, campaign.TechNOOP) })
+		banksOff = s.Mean(func(bn string) float64 { return s.BanksOffPct(bn, campaign.TechNOOP) })
 	}
 	b.ReportMetric(occ, "occRed%")        // paper: 23
 	b.ReportMetric(banksOff, "banksOff%") // paper: 37
@@ -103,11 +109,11 @@ func BenchmarkFigure7Occupancy(b *testing.B) {
 func BenchmarkFigure8IQPower(b *testing.B) {
 	var dyn, stat, nonEmpty, abella float64
 	for i := 0; i < b.N; i++ {
-		s := runSuite(b, []exp.Technique{exp.TechBaseline, exp.TechNOOP, exp.TechAbella})
-		dyn = s.Mean(func(bn string) float64 { return s.Savings(bn, exp.TechNOOP).IQDynamicPct })
-		stat = s.Mean(func(bn string) float64 { return s.Savings(bn, exp.TechNOOP).IQStaticPct })
+		s := runSuite(b, campaign.TechBaseline, campaign.TechNOOP, campaign.TechAbella)
+		dyn = s.Mean(func(bn string) float64 { return s.Savings(bn, campaign.TechNOOP).IQDynamicPct })
+		stat = s.Mean(func(bn string) float64 { return s.Savings(bn, campaign.TechNOOP).IQStaticPct })
 		nonEmpty = s.Mean(s.NonEmptyPct)
-		abella = s.Mean(func(bn string) float64 { return s.Savings(bn, exp.TechAbella).IQDynamicPct })
+		abella = s.Mean(func(bn string) float64 { return s.Savings(bn, campaign.TechAbella).IQDynamicPct })
 	}
 	b.ReportMetric(dyn, "dyn%")           // paper: 47
 	b.ReportMetric(stat, "static%")       // paper: 31
@@ -120,9 +126,9 @@ func BenchmarkFigure8IQPower(b *testing.B) {
 func BenchmarkFigure9RegfilePower(b *testing.B) {
 	var dyn, stat float64
 	for i := 0; i < b.N; i++ {
-		s := runSuite(b, []exp.Technique{exp.TechBaseline, exp.TechNOOP})
-		dyn = s.Mean(func(bn string) float64 { return s.Savings(bn, exp.TechNOOP).RFDynamicPct })
-		stat = s.Mean(func(bn string) float64 { return s.Savings(bn, exp.TechNOOP).RFStaticPct })
+		s := runSuite(b, campaign.TechBaseline, campaign.TechNOOP)
+		dyn = s.Mean(func(bn string) float64 { return s.Savings(bn, campaign.TechNOOP).RFDynamicPct })
+		stat = s.Mean(func(bn string) float64 { return s.Savings(bn, campaign.TechNOOP).RFStaticPct })
 	}
 	b.ReportMetric(dyn, "dyn%")     // paper: 22
 	b.ReportMetric(stat, "static%") // paper: 21
@@ -133,9 +139,9 @@ func BenchmarkFigure9RegfilePower(b *testing.B) {
 func BenchmarkFigure10Extensions(b *testing.B) {
 	var ext, imp float64
 	for i := 0; i < b.N; i++ {
-		s := runSuite(b, []exp.Technique{exp.TechBaseline, exp.TechExtension, exp.TechImproved})
-		ext = s.Mean(func(bn string) float64 { return s.IPCLossPct(bn, exp.TechExtension) })
-		imp = s.Mean(func(bn string) float64 { return s.IPCLossPct(bn, exp.TechImproved) })
+		s := runSuite(b, campaign.TechBaseline, campaign.TechExtension, campaign.TechImproved)
+		ext = s.Mean(func(bn string) float64 { return s.IPCLossPct(bn, campaign.TechExtension) })
+		imp = s.Mean(func(bn string) float64 { return s.IPCLossPct(bn, campaign.TechImproved) })
 	}
 	b.ReportMetric(ext, "extLoss%") // paper: 1.7
 	b.ReportMetric(imp, "impLoss%") // paper: <1.3
@@ -146,10 +152,10 @@ func BenchmarkFigure10Extensions(b *testing.B) {
 func BenchmarkFigure11ExtIQPower(b *testing.B) {
 	var dyn, stat, overall float64
 	for i := 0; i < b.N; i++ {
-		s := runSuite(b, []exp.Technique{exp.TechBaseline, exp.TechExtension, exp.TechImproved})
-		dyn = s.Mean(func(bn string) float64 { return s.Savings(bn, exp.TechExtension).IQDynamicPct })
-		stat = s.Mean(func(bn string) float64 { return s.Savings(bn, exp.TechExtension).IQStaticPct })
-		overall = s.Mean(func(bn string) float64 { return s.Savings(bn, exp.TechImproved).OverallDynamicPct })
+		s := runSuite(b, campaign.TechBaseline, campaign.TechExtension, campaign.TechImproved)
+		dyn = s.Mean(func(bn string) float64 { return s.Savings(bn, campaign.TechExtension).IQDynamicPct })
+		stat = s.Mean(func(bn string) float64 { return s.Savings(bn, campaign.TechExtension).IQStaticPct })
+		overall = s.Mean(func(bn string) float64 { return s.Savings(bn, campaign.TechImproved).OverallDynamicPct })
 	}
 	b.ReportMetric(dyn, "dyn%")         // paper: 45
 	b.ReportMetric(stat, "static%")     // paper: 30
@@ -161,28 +167,29 @@ func BenchmarkFigure11ExtIQPower(b *testing.B) {
 func BenchmarkFigure12ExtRegfile(b *testing.B) {
 	var dyn, stat float64
 	for i := 0; i < b.N; i++ {
-		s := runSuite(b, []exp.Technique{exp.TechBaseline, exp.TechExtension})
-		dyn = s.Mean(func(bn string) float64 { return s.Savings(bn, exp.TechExtension).RFDynamicPct })
-		stat = s.Mean(func(bn string) float64 { return s.Savings(bn, exp.TechExtension).RFStaticPct })
+		s := runSuite(b, campaign.TechBaseline, campaign.TechExtension)
+		dyn = s.Mean(func(bn string) float64 { return s.Savings(bn, campaign.TechExtension).RFDynamicPct })
+		stat = s.Mean(func(bn string) float64 { return s.Savings(bn, campaign.TechExtension).RFStaticPct })
 	}
 	b.ReportMetric(dyn, "dyn%")     // paper: 21
 	b.ReportMetric(stat, "static%") // paper: 21
 }
 
-// --- ablations (design choices called out in DESIGN.md) ---
+// --- ablations (design choices of the reproduction) ---
 
 // BenchmarkAblationHintMode compares NOOP insertion against tagging on
 // the call-dense benchmark most sensitive to dispatch slots.
 func BenchmarkAblationHintMode(b *testing.B) {
-	r := exp.NewRunner(benchBudget)
-	r.Benchmarks = []string{"perlbmk"}
+	spec := campaign.DefaultSpec(benchBudget)
+	spec.Benchmarks = []string{"perlbmk"}
+	spec.Techniques = []campaign.Technique{campaign.TechNOOP, campaign.TechExtension}
 	var noopIPC, tagIPC float64
 	for i := 0; i < b.N; i++ {
-		s, err := r.RunSuite([]exp.Technique{exp.TechNOOP, exp.TechExtension})
+		rs, err := (&campaign.Engine{}).Run(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rn, rt := s.Results["perlbmk"][exp.TechNOOP], s.Results["perlbmk"][exp.TechExtension]
+		rn, rt := rs.MustGet("perlbmk", campaign.TechNOOP, nil), rs.MustGet("perlbmk", campaign.TechExtension, nil)
 		noopIPC, tagIPC = rn.Stats.IPC(), rt.Stats.IPC()
 	}
 	b.ReportMetric(noopIPC, "noopIPC")
@@ -235,10 +242,9 @@ func BenchmarkAblationBankSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDispatchSlack sweeps the hint slack (EXPERIMENTS.md
-// D4): zero slack maximises occupancy savings but bounces dispatch at
-// region boundaries; a full dispatch group erases losses and savings
-// alike.
+// BenchmarkAblationDispatchSlack sweeps the hint slack: zero slack
+// maximises occupancy savings but bounces dispatch at region boundaries;
+// a full dispatch group erases losses and savings alike.
 func BenchmarkAblationDispatchSlack(b *testing.B) {
 	bench, _ := workload.ByName("perlbmk")
 	for _, slack := range []int{-1, 4, 8} {

@@ -68,6 +68,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 
@@ -110,51 +111,55 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	r := exp.NewRunner(*budget)
-	r.Seed = *seed
-	r.Parallel = *parallel
-	r.CacheDir = *cacheDir
-	r.CkptDir = *ckptDir
-	// An explicitly requested store that cannot open is an error here,
-	// not the engine's silent warm-from-scratch degradation: the user
-	// asked for shared warming and should learn they aren't getting it.
-	if *ckptDir != "" {
-		if _, err := ckpt.Open(*ckptDir); err != nil {
-			fail(fmt.Errorf("-ckpt %s: %w", *ckptDir, err))
-		}
+	spec := campaign.DefaultSpec(*budget)
+	spec.Seed = *seed
+	// Listed explicitly rather than left empty ("all"), so that exports
+	// carry the technique list.
+	spec.Techniques = campaign.AllTechniques()
+	// An explicitly requested store that cannot open is an error, not a
+	// silent warm-from-scratch run: the user asked for shared warming and
+	// should learn they aren't getting it.
+	store, err := ckpt.Open(*ckptDir)
+	if err != nil {
+		fail(fmt.Errorf("-ckpt %s: %w", *ckptDir, err))
 	}
+	run := (&campaign.Engine{Workers: *parallel, CacheDir: *cacheDir, Ckpt: store, Lockstep: true}).Run
 	if *remote != "" {
-		r.Client = serve.NewClient(*remote)
-		r.Client.Token = *token
-		r.Client.OnEvent = func(ev serve.Event) {
+		client := serve.NewClient(*remote)
+		client.Token = *token
+		client.OnEvent = func(ev serve.Event) {
 			if ev.Type == serve.EventSubmitted {
 				fmt.Fprintf(os.Stderr, "sdiq: remote campaign %s on %s\n", ev.Campaign, *remote)
 			}
 		}
+		run = client.Run
 	}
-	sampling, err := campaign.ParseSampling(*sampleFlag)
-	if err != nil {
+	if spec.Sampling, err = campaign.ParseSampling(*sampleFlag); err != nil {
 		fail(err)
 	}
-	r.Sampling = sampling
 
 	if *dumpConfig {
-		if err := exp.WriteConfig(os.Stdout, r.Config); err != nil {
+		if err := exp.WriteConfig(os.Stdout, spec.Base); err != nil {
 			fail(err)
 		}
 		return
+	}
+	name := strings.ToLower(*experiment)
+	fig := slices.IndexFunc(exp.Figures, func(f exp.Figure) bool { return f.Name == name })
+	if fig < 0 && !slices.Contains([]string{"all", "table1", "table2", "sweep"}, name) {
+		fmt.Fprintf(os.Stderr, "sdiq: unknown experiment %q\n", *experiment)
+		os.Exit(2)
 	}
 	if *configPath != "" {
 		f, err := os.Open(*configPath)
 		if err != nil {
 			fail(err)
 		}
-		cfg, err := exp.LoadConfig(f)
+		spec.Base, err = exp.LoadConfig(f)
 		f.Close()
 		if err != nil {
 			fail(err)
 		}
-		r.Config = cfg
 	}
 	csv := false
 	switch *format {
@@ -169,19 +174,8 @@ func main() {
 		fail(err)
 	}
 
-	name := strings.ToLower(*experiment)
-
-	// Experiments that need no simulation runs.
-	switch name {
-	case "table1":
-		fmt.Print(exp.Table1(r.Config))
-		return
-	case "table2":
-		fmt.Print(exp.Table2(*seed))
-		return
-	}
-
 	var rs *campaign.ResultSet
+	var s *exp.SuiteResults
 	if *loadPath != "" {
 		f, err := os.Open(*loadPath)
 		if err != nil {
@@ -192,6 +186,25 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
+		// Everything but a sweep renders from the loaded base grid,
+		// tables 1 and 2 included.
+		if name != "sweep" {
+			if s, err = exp.FromCampaign(rs); err != nil {
+				fail(err)
+			}
+			spec = rs.Spec
+		}
+	}
+
+	// Tables 1 and 2 need no simulation: they render the campaign's
+	// configuration and seed.
+	switch name {
+	case "table1":
+		fmt.Print(exp.Table1(spec.Base))
+		return
+	case "table2":
+		fmt.Print(exp.Table2(spec.Seed))
+		return
 	}
 
 	if len(axes) > 0 && name != "sweep" {
@@ -199,11 +212,9 @@ func main() {
 	}
 	if name == "sweep" {
 		if rs == nil {
-			spec := r.Spec(exp.AllTechniques())
 			spec.Name = "sweep"
 			spec.Axes = axes
-			rs, err = r.RunCampaign(ctx, spec)
-			if err != nil {
+			if rs, err = run(ctx, spec); err != nil {
 				fail(err)
 			}
 		}
@@ -218,60 +229,20 @@ func main() {
 		return
 	}
 
-	var s *exp.SuiteResults
-	if rs != nil {
-		s, err = exp.FromCampaign(rs)
+	if s == nil {
+		if rs, err = run(ctx, spec); err != nil {
+			fail(err)
+		}
+		if s, err = exp.FromCampaign(rs); err != nil {
+			fail(err)
+		}
+	}
+	if fig < 0 {
+		fmt.Print(exp.AllFigures(s, csv))
 	} else {
-		s, err = r.RunSuiteContext(ctx, exp.AllTechniques())
+		fmt.Print(exp.Figures[fig].Render(s, csv))
 	}
-	if err != nil {
-		fail(err)
-	}
-	pick := func(tbl, csvText string) string {
-		if csv {
-			return csvText
-		}
-		return tbl
-	}
-	switch name {
-	case "all":
-		if csv {
-			fmt.Print(exp.Figure6CSV(s), "\n", exp.Figure7CSV(s), "\n", exp.Figure8CSV(s), "\n",
-				exp.Figure9CSV(s), "\n", exp.Figure10CSV(s), "\n", exp.Figure11CSV(s), "\n",
-				exp.Figure12CSV(s), "\n", exp.SummaryCSV(s))
-			if s.Sampled() {
-				fmt.Print("\n", exp.SamplingReportCSV(s))
-			}
-		} else {
-			fmt.Print(exp.AllFigures(s, r.Config, *seed))
-			if s.Sampled() {
-				fmt.Print("\n", exp.SamplingReport(s))
-			}
-		}
-	case "fig6":
-		fmt.Print(pick(exp.Figure6(s), exp.Figure6CSV(s)))
-	case "fig7":
-		fmt.Print(pick(exp.Figure7(s), exp.Figure7CSV(s)))
-	case "fig8":
-		fmt.Print(pick(exp.Figure8(s), exp.Figure8CSV(s)))
-	case "fig9":
-		fmt.Print(pick(exp.Figure9(s), exp.Figure9CSV(s)))
-	case "fig10":
-		fmt.Print(pick(exp.Figure10(s), exp.Figure10CSV(s)))
-	case "fig11":
-		fmt.Print(pick(exp.Figure11(s), exp.Figure11CSV(s)))
-	case "fig12":
-		fmt.Print(pick(exp.Figure12(s), exp.Figure12CSV(s)))
-	case "summary":
-		fmt.Print(pick(exp.Summary(s), exp.SummaryCSV(s)))
-		if s.Sampled() {
-			fmt.Print("\n", pick(exp.SamplingReport(s), exp.SamplingReportCSV(s)))
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "sdiq: unknown experiment %q\n", *experiment)
-		os.Exit(2)
-	}
-	export(*exportPath, s.Campaign)
+	export(*exportPath, rs)
 }
 
 // export writes the campaign to path, as JSON or CSV by extension.

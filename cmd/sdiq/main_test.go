@@ -10,11 +10,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -98,6 +100,70 @@ func TestGoldenSweepExportCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "sweep_iq16_80_budget8k.csv", got)
+}
+
+// TestGoldenAllCSV pins every figure of the evaluation in CSV form:
+// figures 6-12 and the headline summary, as -experiment all prints them.
+func TestGoldenAllCSV(t *testing.T) {
+	got := runSdiq(t, "-experiment", "all", "-format", "csv", "-budget", "20000", "-seed", "42")
+	checkGolden(t, "all_budget20k.csv", got)
+}
+
+// TestGoldenSummarySampledText pins the summary of a sampled suite as
+// text, which closes with the sampling error-bar report.
+func TestGoldenSummarySampledText(t *testing.T) {
+	got := runSdiq(t, "-experiment", "summary", "-sample", "on", "-budget", "200000", "-seed", "42")
+	checkGolden(t, "summary_sampled_budget200k.txt", got)
+}
+
+// TestGoldenSweepText pins the text sweep report of a two-point IQ-size
+// sweep: one table per technique, IPC with its loss vs baseline.
+func TestGoldenSweepText(t *testing.T) {
+	got := runSdiq(t, "-experiment", "sweep", "-sweep", "iq.entries=16,80", "-budget", "8000", "-seed", "42")
+	checkGolden(t, "sweep_iq16_80_budget8k.txt", got)
+}
+
+// TestLoadRendersTablesFromCampaign: -load re-renders Table 1 from the
+// loaded campaign's configuration, not from the command line's default.
+func TestLoadRendersTablesFromCampaign(t *testing.T) {
+	dir := t.TempDir()
+	cfg := filepath.Join(dir, "iq64.json")
+	if err := os.WriteFile(cfg, []byte(`{"IQ":{"Entries":64,"BankSize":8}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	saved := filepath.Join(dir, "suite.json")
+	runSdiq(t, "-experiment", "summary", "-config", cfg, "-budget", "5000", "-export", saved)
+	const want = "64 entries (8 banks of 8)"
+	for _, experiment := range []string{"table1", "all"} {
+		got := runSdiq(t, "-experiment", experiment, "-load", saved)
+		if !bytes.Contains(got, []byte(want)) {
+			t.Errorf("-experiment %s -load: Table 1 does not show the campaign's %q:\n%s", experiment, want, got)
+		}
+	}
+}
+
+// TestUnknownExperimentSimulatesNothing: a bad -experiment name exits 2
+// before any simulation, so the result cache stays empty.
+func TestUnknownExperimentSimulatesNothing(t *testing.T) {
+	cache := t.TempDir()
+	var stderr bytes.Buffer
+	cmd := exec.Command(sdiqBin, "-experiment", "fig13", "-cache", cache, "-budget", "20000")
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("sdiq -experiment fig13: %v, want exit status 2", err)
+	}
+	if !strings.Contains(stderr.String(), `unknown experiment "fig13"`) {
+		t.Errorf("stderr does not name the experiment: %s", stderr.String())
+	}
+	entries, err := os.ReadDir(cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Errorf("cache holds %d entries after a rejected experiment, want 0", len(entries))
+	}
 }
 
 // TestGoldenDeterminism guards the premise the goldens stand on: two

@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func TestConfigRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewRunner(0)
-	if err := WriteConfig(&buf, r.Config); err != nil {
+	if err := WriteConfig(&buf, sim.DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 	cfg, err := LoadConfig(&buf)

@@ -1,11 +1,29 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/campaign"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
+
+// runSuite simulates spec on a local engine with the given worker count
+// and returns its figure view.
+func runSuite(t *testing.T, spec campaign.Spec, workers int) *SuiteResults {
+	t.Helper()
+	rs, err := (&campaign.Engine{Workers: workers}).Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := FromCampaign(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 // suite runs the full evaluation once per test binary at a reduced budget
 // and shares it across tests (the shape assertions all read it).
@@ -13,26 +31,18 @@ var sharedSuite *SuiteResults
 
 func getSuite(t *testing.T) *SuiteResults {
 	t.Helper()
-	if sharedSuite != nil {
-		return sharedSuite
+	if sharedSuite == nil {
+		sharedSuite = runSuite(t, campaign.DefaultSpec(120_000), 0)
 	}
-	r := NewRunner(120_000)
-	s, err := r.RunSuite(AllTechniques())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharedSuite = s
-	return s
+	return sharedSuite
 }
 
 func TestRunSingleBenchmark(t *testing.T) {
-	r := NewRunner(20_000)
-	r.Benchmarks = []string{"gzip"}
-	s, err := r.RunSuite([]Technique{TechNOOP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := s.Results["gzip"][TechNOOP]
+	spec := campaign.DefaultSpec(20_000)
+	spec.Benchmarks = []string{"gzip"}
+	spec.Techniques = []campaign.Technique{campaign.TechNOOP}
+	s := runSuite(t, spec, 0)
+	res := s.Campaign.MustGet("gzip", campaign.TechNOOP, nil)
 	if res.Stats.CommittedReal != 20_000 {
 		t.Errorf("committed = %d, want budget", res.Stats.CommittedReal)
 	}
@@ -44,35 +54,17 @@ func TestRunSingleBenchmark(t *testing.T) {
 	}
 }
 
-func TestTechniqueNames(t *testing.T) {
-	want := map[Technique]string{
-		TechBaseline:  "baseline",
-		TechNOOP:      "NOOP",
-		TechExtension: "Extension",
-		TechImproved:  "Improved",
-		TechAbella:    "abella",
-	}
-	for tech, name := range want {
-		if tech.String() != name {
-			t.Errorf("technique %d = %q, want %q", int(tech), tech.String(), name)
-		}
-	}
-	if len(AllTechniques()) != int(numTechniques) {
-		t.Errorf("AllTechniques incomplete")
-	}
-}
-
 // TestPaperShapeIPCLoss asserts the paper's figure 6/10 orderings: the
 // compiler techniques lose less than the hardware-adaptive abella, the
 // tag-based Extension loses no more than NOOP insertion, and Improved
 // loses no more than Extension. Absolute values are substrate-dependent
-// and not asserted (see EXPERIMENTS.md).
+// and not asserted (see README "Fidelity notes").
 func TestPaperShapeIPCLoss(t *testing.T) {
 	s := getSuite(t)
-	loss := func(tech Technique) float64 {
+	loss := func(tech campaign.Technique) float64 {
 		return s.Mean(func(b string) float64 { return s.IPCLossPct(b, tech) })
 	}
-	noop, ext, imp, abella := loss(TechNOOP), loss(TechExtension), loss(TechImproved), loss(TechAbella)
+	noop, ext, imp, abella := loss(campaign.TechNOOP), loss(campaign.TechExtension), loss(campaign.TechImproved), loss(campaign.TechAbella)
 	t.Logf("IPC loss: NOOP=%.2f Extension=%.2f Improved=%.2f abella=%.2f", noop, ext, imp, abella)
 	if noop >= abella {
 		t.Errorf("NOOP loss %.2f must be below abella %.2f (paper fig 6)", noop, abella)
@@ -94,12 +86,12 @@ func TestPaperShapeIPCLoss(t *testing.T) {
 // smaller than IQ savings.
 func TestPaperShapePowerSavings(t *testing.T) {
 	s := getSuite(t)
-	dyn := s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).IQDynamicPct })
-	stat := s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).IQStaticPct })
-	abellaDyn := s.Mean(func(b string) float64 { return s.Savings(b, TechAbella).IQDynamicPct })
+	dyn := s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).IQDynamicPct })
+	stat := s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).IQStaticPct })
+	abellaDyn := s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechAbella).IQDynamicPct })
 	nonEmpty := s.Mean(s.NonEmptyPct)
-	rfDyn := s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).RFDynamicPct })
-	rfStat := s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).RFStaticPct })
+	rfDyn := s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).RFDynamicPct })
+	rfStat := s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).RFStaticPct })
 	t.Logf("IQ dyn=%.1f stat=%.1f nonEmpty=%.1f abellaDyn=%.1f RF dyn=%.1f stat=%.1f",
 		dyn, stat, nonEmpty, abellaDyn, rfDyn, rfStat)
 	if dyn <= nonEmpty {
@@ -128,7 +120,7 @@ func TestPaperShapePowerSavings(t *testing.T) {
 // Extension; occupancy reduction is substantial on average.
 func TestPaperShapePerBenchmark(t *testing.T) {
 	s := getSuite(t)
-	if l := s.IPCLossPct("mcf", TechNOOP); l > 0.5 {
+	if l := s.IPCLossPct("mcf", campaign.TechNOOP); l > 0.5 {
 		t.Errorf("mcf NOOP loss %.2f, want ~0 (memory-bound)", l)
 	}
 	// Among the benchmarks the NOOP technique hurts, at least one must be
@@ -139,12 +131,12 @@ func TestPaperShapePerBenchmark(t *testing.T) {
 	rescued := false
 	var hurt []string
 	for _, b := range s.Benchmarks {
-		noopLoss := s.IPCLossPct(b, TechNOOP)
+		noopLoss := s.IPCLossPct(b, campaign.TechNOOP)
 		if noopLoss < 1.0 {
 			continue
 		}
 		hurt = append(hurt, b)
-		extLoss := s.IPCLossPct(b, TechExtension)
+		extLoss := s.IPCLossPct(b, campaign.TechExtension)
 		t.Logf("%s: NOOP %.2f%% -> Extension %.2f%%", b, noopLoss, extLoss)
 		if extLoss < noopLoss*0.4 {
 			rescued = true
@@ -153,33 +145,27 @@ func TestPaperShapePerBenchmark(t *testing.T) {
 	if len(hurt) > 0 && !rescued {
 		t.Errorf("no NOOP-hurt benchmark (%v) was rescued by Extension", hurt)
 	}
-	occ := s.Mean(func(b string) float64 { return s.OccupancyReductionPct(b, TechNOOP) })
+	occ := s.Mean(func(b string) float64 { return s.OccupancyReductionPct(b, campaign.TechNOOP) })
 	if occ < 8 {
 		t.Errorf("mean occupancy reduction %.1f%% too small (paper 23%%)", occ)
 	}
-	if mcfOcc := s.OccupancyReductionPct("mcf", TechNOOP); mcfOcc < 40 {
+	if mcfOcc := s.OccupancyReductionPct("mcf", campaign.TechNOOP); mcfOcc < 40 {
 		t.Errorf("mcf occupancy reduction %.1f%%, want large (serial chain)", mcfOcc)
 	}
 }
 
 func TestFigureRenderings(t *testing.T) {
 	s := getSuite(t)
-	figs := map[string]string{
-		"fig6":  Figure6(s),
-		"fig7":  Figure7(s),
-		"fig8":  Figure8(s),
-		"fig9":  Figure9(s),
-		"fig10": Figure10(s),
-		"fig11": Figure11(s),
-		"fig12": Figure12(s),
-		"sum":   Summary(s),
+	figs := map[string]string{}
+	for _, f := range Figures {
+		figs[f.Name] = f.Render(s, false)
 	}
 	for name, text := range figs {
-		if !strings.Contains(text, "SPECINT") && name != "sum" {
+		if !strings.Contains(text, "SPECINT") && name != "summary" {
 			t.Errorf("%s: missing SPECINT mean row", name)
 		}
 		for _, b := range s.Benchmarks {
-			if name != "sum" && !strings.Contains(text, b) {
+			if name != "summary" && !strings.Contains(text, b) {
 				t.Errorf("%s: missing benchmark %s", name, b)
 			}
 		}
@@ -196,8 +182,7 @@ func TestFigureRenderings(t *testing.T) {
 }
 
 func TestTable1Rendering(t *testing.T) {
-	r := NewRunner(0)
-	text := Table1(r.Config)
+	text := Table1(sim.DefaultConfig())
 	for _, want := range []string{"80 entries", "128 entries", "112 entries",
 		"Hybrid 2K gshare", "64KB", "512KB", "6 ALU (1 cycle), 3 Mul (3 cycles)"} {
 		if !strings.Contains(text, want) {

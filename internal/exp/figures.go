@@ -5,13 +5,14 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 // PaperValues records the paper's reported averages for side-by-side
-// comparison in the rendered output and in EXPERIMENTS.md.
+// comparison in the rendered output.
 var PaperValues = struct {
 	NOOPIPCLoss, AbellaIPCLoss                 float64
 	ExtensionIPCLoss, ImprovedIPCLoss          float64
@@ -88,54 +89,54 @@ func Table2(seed int64) string {
 	return t.String()
 }
 
-// Figure6 renders the per-benchmark IPC loss of the NOOP technique, with
-// the abella baseline and the SPECINT mean (paper figure 6).
+// figure6Table builds the per-benchmark IPC loss of the NOOP technique,
+// with the abella baseline and the SPECINT mean (paper figure 6).
 func figure6Table(s *SuiteResults) *table {
 	t := newTable("Figure 6: normalised IPC loss, NOOP technique (%)",
 		"Benchmark", "NOOP", "abella")
 	for _, b := range s.Benchmarks {
-		t.addRow(b, f2(s.IPCLossPct(b, TechNOOP)), f2(s.IPCLossPct(b, TechAbella)))
+		t.addRow(b, f2(s.IPCLossPct(b, campaign.TechNOOP)), f2(s.IPCLossPct(b, campaign.TechAbella)))
 	}
 	t.addRow("SPECINT",
-		f2(s.Mean(func(b string) float64 { return s.IPCLossPct(b, TechNOOP) })),
-		f2(s.Mean(func(b string) float64 { return s.IPCLossPct(b, TechAbella) })))
+		f2(s.Mean(func(b string) float64 { return s.IPCLossPct(b, campaign.TechNOOP) })),
+		f2(s.Mean(func(b string) float64 { return s.IPCLossPct(b, campaign.TechAbella) })))
 	t.addNote("Paper SPECINT: NOOP %.1f%%, abella %.1f%%.", PaperValues.NOOPIPCLoss, PaperValues.AbellaIPCLoss)
 	return t
 }
 
-// Figure7 renders the IQ occupancy reduction of the NOOP technique
+// figure7Table builds the IQ occupancy reduction of the NOOP technique
 // (paper figure 7), plus the banks-off fractions of section 5.2.2.
 func figure7Table(s *SuiteResults) *table {
 	t := newTable("Figure 7: normalised IQ occupancy reduction, NOOP technique (%)",
 		"Benchmark", "OccRed", "BanksOff", "abellaBanksOff")
 	for _, b := range s.Benchmarks {
-		t.addRow(b, f1(s.OccupancyReductionPct(b, TechNOOP)),
-			f1(s.BanksOffPct(b, TechNOOP)), f1(s.BanksOffPct(b, TechAbella)))
+		t.addRow(b, f1(s.OccupancyReductionPct(b, campaign.TechNOOP)),
+			f1(s.BanksOffPct(b, campaign.TechNOOP)), f1(s.BanksOffPct(b, campaign.TechAbella)))
 	}
 	t.addRow("SPECINT",
-		f1(s.Mean(func(b string) float64 { return s.OccupancyReductionPct(b, TechNOOP) })),
-		f1(s.Mean(func(b string) float64 { return s.BanksOffPct(b, TechNOOP) })),
-		f1(s.Mean(func(b string) float64 { return s.BanksOffPct(b, TechAbella) })))
+		f1(s.Mean(func(b string) float64 { return s.OccupancyReductionPct(b, campaign.TechNOOP) })),
+		f1(s.Mean(func(b string) float64 { return s.BanksOffPct(b, campaign.TechNOOP) })),
+		f1(s.Mean(func(b string) float64 { return s.BanksOffPct(b, campaign.TechAbella) })))
 	t.addNote("Paper: occupancy reduction %.0f%%, banks off %.0f%% (abella %.0f%%).",
 		PaperValues.OccupancyReduction, PaperValues.BanksOff, PaperValues.AbellaBanksOff)
 	return t
 }
 
-// Figure8 renders the IQ dynamic and static power savings of the NOOP
-// technique, with the nonEmpty and abella bars (paper figure 8).
+// figure8Table builds the IQ dynamic and static power savings of the
+// NOOP technique, with the nonEmpty and abella bars (paper figure 8).
 func figure8Table(s *SuiteResults) *table {
 	t := newTable("Figure 8: normalised IQ power savings, NOOP technique (%)",
 		"Benchmark", "Dynamic", "Static")
 	for _, b := range s.Benchmarks {
-		sv := s.Savings(b, TechNOOP)
+		sv := s.Savings(b, campaign.TechNOOP)
 		t.addRow(b, f1(sv.IQDynamicPct), f1(sv.IQStaticPct))
 	}
 	t.addRow("SPECINT",
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).IQDynamicPct })),
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).IQStaticPct })))
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).IQDynamicPct })),
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).IQStaticPct })))
 	t.addRow("abella",
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechAbella).IQDynamicPct })),
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechAbella).IQStaticPct })))
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechAbella).IQDynamicPct })),
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechAbella).IQStaticPct })))
 	t.addRow("nonEmpty", f1(s.Mean(s.NonEmptyPct)), "-")
 	t.addNote("Paper SPECINT: dynamic %.0f%%, static %.0f%%; abella %.0f%%/%.0f%%.",
 		PaperValues.NOOPIQDyn, PaperValues.NOOPIQStatic,
@@ -143,62 +144,62 @@ func figure8Table(s *SuiteResults) *table {
 	return t
 }
 
-// Figure9 renders the integer register file power savings of the NOOP
+// figure9Table builds the integer register file power savings of the NOOP
 // technique with the abella bar (paper figure 9).
 func figure9Table(s *SuiteResults) *table {
 	t := newTable("Figure 9: normalised int regfile power savings, NOOP technique (%)",
 		"Benchmark", "Dynamic", "Static")
 	for _, b := range s.Benchmarks {
-		sv := s.Savings(b, TechNOOP)
+		sv := s.Savings(b, campaign.TechNOOP)
 		t.addRow(b, f1(sv.RFDynamicPct), f1(sv.RFStaticPct))
 	}
 	t.addRow("SPECINT",
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).RFDynamicPct })),
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).RFStaticPct })))
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).RFDynamicPct })),
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).RFStaticPct })))
 	t.addRow("abella",
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechAbella).RFDynamicPct })),
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechAbella).RFStaticPct })))
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechAbella).RFDynamicPct })),
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechAbella).RFStaticPct })))
 	t.addNote("Paper SPECINT: dynamic %.0f%%, static %.0f%%; abella %.0f%%/%.0f%%.",
 		PaperValues.NOOPRFDyn, PaperValues.NOOPRFStatic,
 		PaperValues.AbellaRFDyn, PaperValues.AbellaRFStatic)
 	return t
 }
 
-// Figure10 renders the IPC loss of Extension and Improved with NOOP and
+// figure10Table builds the IPC loss of Extension and Improved with NOOP and
 // abella for comparison (paper figure 10).
 func figure10Table(s *SuiteResults) *table {
 	t := newTable("Figure 10: normalised IPC loss, Extension and Improved (%)",
 		"Benchmark", "Extension", "Improved", "NOOP", "abella")
 	for _, b := range s.Benchmarks {
 		t.addRow(b,
-			f2(s.IPCLossPct(b, TechExtension)), f2(s.IPCLossPct(b, TechImproved)),
-			f2(s.IPCLossPct(b, TechNOOP)), f2(s.IPCLossPct(b, TechAbella)))
+			f2(s.IPCLossPct(b, campaign.TechExtension)), f2(s.IPCLossPct(b, campaign.TechImproved)),
+			f2(s.IPCLossPct(b, campaign.TechNOOP)), f2(s.IPCLossPct(b, campaign.TechAbella)))
 	}
-	mean := func(tech Technique) string {
+	mean := func(tech campaign.Technique) string {
 		return f2(s.Mean(func(b string) float64 { return s.IPCLossPct(b, tech) }))
 	}
-	t.addRow("SPECINT", mean(TechExtension), mean(TechImproved), mean(TechNOOP), mean(TechAbella))
+	t.addRow("SPECINT", mean(campaign.TechExtension), mean(campaign.TechImproved), mean(campaign.TechNOOP), mean(campaign.TechAbella))
 	t.addNote("Paper SPECINT: Extension %.1f%%, Improved <%.1f%%.",
 		PaperValues.ExtensionIPCLoss, PaperValues.ImprovedIPCLoss)
 	return t
 }
 
-// Figure11 renders the IQ power savings of Extension and Improved
+// figure11Table builds the IQ power savings of Extension and Improved
 // (paper figure 11), plus the section 6 overall-processor saving.
 func figure11Table(s *SuiteResults) *table {
 	t := newTable("Figure 11: normalised IQ power savings, Extension and Improved (%)",
 		"Benchmark", "ExtDyn", "ExtStat", "ImpDyn", "ImpStat")
 	for _, b := range s.Benchmarks {
-		e := s.Savings(b, TechExtension)
-		i := s.Savings(b, TechImproved)
+		e := s.Savings(b, campaign.TechExtension)
+		i := s.Savings(b, campaign.TechImproved)
 		t.addRow(b, f1(e.IQDynamicPct), f1(e.IQStaticPct), f1(i.IQDynamicPct), f1(i.IQStaticPct))
 	}
 	t.addRow("SPECINT",
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechExtension).IQDynamicPct })),
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechExtension).IQStaticPct })),
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechImproved).IQDynamicPct })),
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechImproved).IQStaticPct })))
-	overall := s.Mean(func(b string) float64 { return s.Savings(b, TechImproved).OverallDynamicPct })
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechExtension).IQDynamicPct })),
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechExtension).IQStaticPct })),
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechImproved).IQDynamicPct })),
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechImproved).IQStaticPct })))
+	overall := s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechImproved).OverallDynamicPct })
 	t.addNote("Paper SPECINT: dynamic %.0f%%, static %.0f%% (both techniques).",
 		PaperValues.ExtIQDyn, PaperValues.ExtIQStatic)
 	t.addNote("Overall processor dynamic saving (Improved, section 6 shares): %.1f%% (paper ~%.0f%%).",
@@ -206,28 +207,28 @@ func figure11Table(s *SuiteResults) *table {
 	return t
 }
 
-// Figure12 renders the regfile power savings of Extension and Improved
+// figure12Table builds the regfile power savings of Extension and Improved
 // (paper figure 12).
 func figure12Table(s *SuiteResults) *table {
 	t := newTable("Figure 12: normalised int regfile power savings, Extension and Improved (%)",
 		"Benchmark", "ExtDyn", "ExtStat", "ImpDyn", "ImpStat")
 	for _, b := range s.Benchmarks {
-		e := s.Savings(b, TechExtension)
-		i := s.Savings(b, TechImproved)
+		e := s.Savings(b, campaign.TechExtension)
+		i := s.Savings(b, campaign.TechImproved)
 		t.addRow(b, f1(e.RFDynamicPct), f1(e.RFStaticPct), f1(i.RFDynamicPct), f1(i.RFStaticPct))
 	}
 	t.addRow("SPECINT",
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechExtension).RFDynamicPct })),
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechExtension).RFStaticPct })),
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechImproved).RFDynamicPct })),
-		f1(s.Mean(func(b string) float64 { return s.Savings(b, TechImproved).RFStaticPct })))
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechExtension).RFDynamicPct })),
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechExtension).RFStaticPct })),
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechImproved).RFDynamicPct })),
+		f1(s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechImproved).RFStaticPct })))
 	t.addNote("Paper SPECINT: Extension %.0f%%/%.0f%%, Improved %.0f%%/%.0f%%.",
 		PaperValues.ExtRFDyn, PaperValues.ExtRFStatic, PaperValues.ImpRFDyn, PaperValues.ImpRFStat)
 	return t
 }
 
-// Summary renders a one-screen overview of every headline number against
-// the paper.
+// summaryTable builds a one-screen overview of every headline number
+// against the paper.
 func summaryTable(s *SuiteResults) *table {
 	t := newTable("Headline comparison: paper vs measured (SPECINT means)",
 		"Metric", "Paper", "Measured")
@@ -235,84 +236,73 @@ func summaryTable(s *SuiteResults) *table {
 		t.addRow(name, f1(paper), f1(measured))
 	}
 	add("NOOP IPC loss %", PaperValues.NOOPIPCLoss,
-		s.Mean(func(b string) float64 { return s.IPCLossPct(b, TechNOOP) }))
+		s.Mean(func(b string) float64 { return s.IPCLossPct(b, campaign.TechNOOP) }))
 	add("abella IPC loss %", PaperValues.AbellaIPCLoss,
-		s.Mean(func(b string) float64 { return s.IPCLossPct(b, TechAbella) }))
+		s.Mean(func(b string) float64 { return s.IPCLossPct(b, campaign.TechAbella) }))
 	add("Extension IPC loss %", PaperValues.ExtensionIPCLoss,
-		s.Mean(func(b string) float64 { return s.IPCLossPct(b, TechExtension) }))
+		s.Mean(func(b string) float64 { return s.IPCLossPct(b, campaign.TechExtension) }))
 	add("Improved IPC loss %", PaperValues.ImprovedIPCLoss,
-		s.Mean(func(b string) float64 { return s.IPCLossPct(b, TechImproved) }))
+		s.Mean(func(b string) float64 { return s.IPCLossPct(b, campaign.TechImproved) }))
 	add("IQ occupancy reduction %", PaperValues.OccupancyReduction,
-		s.Mean(func(b string) float64 { return s.OccupancyReductionPct(b, TechNOOP) }))
+		s.Mean(func(b string) float64 { return s.OccupancyReductionPct(b, campaign.TechNOOP) }))
 	add("IQ banks off %", PaperValues.BanksOff,
-		s.Mean(func(b string) float64 { return s.BanksOffPct(b, TechNOOP) }))
+		s.Mean(func(b string) float64 { return s.BanksOffPct(b, campaign.TechNOOP) }))
 	add("NOOP IQ dynamic saving %", PaperValues.NOOPIQDyn,
-		s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).IQDynamicPct }))
+		s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).IQDynamicPct }))
 	add("NOOP IQ static saving %", PaperValues.NOOPIQStatic,
-		s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).IQStaticPct }))
+		s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).IQStaticPct }))
 	add("abella IQ dynamic saving %", PaperValues.AbellaIQDyn,
-		s.Mean(func(b string) float64 { return s.Savings(b, TechAbella).IQDynamicPct }))
+		s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechAbella).IQDynamicPct }))
 	add("NOOP RF dynamic saving %", PaperValues.NOOPRFDyn,
-		s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).RFDynamicPct }))
+		s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).RFDynamicPct }))
 	add("NOOP RF static saving %", PaperValues.NOOPRFStatic,
-		s.Mean(func(b string) float64 { return s.Savings(b, TechNOOP).RFStaticPct }))
+		s.Mean(func(b string) float64 { return s.Savings(b, campaign.TechNOOP).RFStaticPct }))
 	return t
 }
 
-// AllFigures renders the complete evaluation.
-func AllFigures(s *SuiteResults, cfg sim.Config, seed int64) string {
-	var sb strings.Builder
-	sb.WriteString(Table1(cfg) + "\n")
-	sb.WriteString(Table2(seed) + "\n")
-	sb.WriteString(Figure6(s) + "\n")
-	sb.WriteString(Figure7(s) + "\n")
-	sb.WriteString(Figure8(s) + "\n")
-	sb.WriteString(Figure9(s) + "\n")
-	sb.WriteString(Figure10(s) + "\n")
-	sb.WriteString(Figure11(s) + "\n")
-	sb.WriteString(Figure12(s) + "\n")
-	sb.WriteString(Summary(s))
-	return sb.String()
+// Figure is one view of the evaluation under its -experiment name.
+type Figure struct {
+	Name  string
+	table func(*SuiteResults) *table
 }
 
-// Rendered and CSV forms of each figure.
+// Figures lists the paper's figures 6-12 and the headline summary, in
+// the order -experiment all prints them.
+var Figures = []Figure{
+	{"fig6", figure6Table},
+	{"fig7", figure7Table},
+	{"fig8", figure8Table},
+	{"fig9", figure9Table},
+	{"fig10", figure10Table},
+	{"fig11", figure11Table},
+	{"fig12", figure12Table},
+	{"summary", summaryTable},
+}
 
-func Figure6(s *SuiteResults) string { return figure6Table(s).String() }
+// Render renders the figure as an aligned text table, or as CSV. The
+// summary of a sampled suite closes with its sampling report.
+func (f Figure) Render(s *SuiteResults, csv bool) string {
+	out := f.table(s).render(csv)
+	if f.Name == "summary" && s.Sampled() {
+		report := SamplingReport(s)
+		if csv {
+			report = SamplingReportCSV(s)
+		}
+		out += "\n" + report
+	}
+	return out
+}
 
-// Figure6CSV renders the same data as comma-separated values.
-func Figure6CSV(s *SuiteResults) string { return figure6Table(s).CSV() }
-
-func Figure7(s *SuiteResults) string { return figure7Table(s).String() }
-
-// Figure7CSV renders the same data as comma-separated values.
-func Figure7CSV(s *SuiteResults) string { return figure7Table(s).CSV() }
-
-func Figure8(s *SuiteResults) string { return figure8Table(s).String() }
-
-// Figure8CSV renders the same data as comma-separated values.
-func Figure8CSV(s *SuiteResults) string { return figure8Table(s).CSV() }
-
-func Figure9(s *SuiteResults) string { return figure9Table(s).String() }
-
-// Figure9CSV renders the same data as comma-separated values.
-func Figure9CSV(s *SuiteResults) string { return figure9Table(s).CSV() }
-
-func Figure10(s *SuiteResults) string { return figure10Table(s).String() }
-
-// Figure10CSV renders the same data as comma-separated values.
-func Figure10CSV(s *SuiteResults) string { return figure10Table(s).CSV() }
-
-func Figure11(s *SuiteResults) string { return figure11Table(s).String() }
-
-// Figure11CSV renders the same data as comma-separated values.
-func Figure11CSV(s *SuiteResults) string { return figure11Table(s).CSV() }
-
-func Figure12(s *SuiteResults) string { return figure12Table(s).String() }
-
-// Figure12CSV renders the same data as comma-separated values.
-func Figure12CSV(s *SuiteResults) string { return figure12Table(s).CSV() }
-
-func Summary(s *SuiteResults) string { return summaryTable(s).String() }
-
-// SummaryCSV renders the same data as comma-separated values.
-func SummaryCSV(s *SuiteResults) string { return summaryTable(s).CSV() }
+// AllFigures renders the complete evaluation: every figure in order,
+// preceded in text form by tables 1 and 2 of the campaign's own
+// configuration and seed.
+func AllFigures(s *SuiteResults, csv bool) string {
+	var parts []string
+	if !csv {
+		parts = append(parts, Table1(s.Campaign.Spec.Base), Table2(s.Campaign.Spec.Seed))
+	}
+	for _, f := range Figures {
+		parts = append(parts, f.Render(s, csv))
+	}
+	return strings.Join(parts, "\n")
+}

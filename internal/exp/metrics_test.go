@@ -1,19 +1,22 @@
 package exp
 
 import (
-	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/iq"
-	"repro/internal/power"
 	"repro/internal/sim"
 )
 
-// fixtureSuite builds a SuiteResults by hand with arithmetic chosen so
-// every derived metric has an exact expected value — no simulation.
-func fixtureSuite() *SuiteResults {
+// fixtureSuite builds a campaign ResultSet by hand, with arithmetic
+// chosen so every derived metric has an exact expected value — no
+// simulation — and passes it through FromCampaign. The default base
+// configuration has 10 IQ banks and 14 int regfile banks.
+func fixtureSuite(t *testing.T) *SuiteResults {
+	t.Helper()
 	mk := func(committed, cycles, occSum, occCycles int64) sim.Stats {
 		return sim.Stats{
 			CommittedReal: committed,
@@ -21,65 +24,70 @@ func fixtureSuite() *SuiteResults {
 			IQ:            iq.Stats{OccupancySum: occSum, Cycles: occCycles},
 		}
 	}
-	s := &SuiteResults{
-		Benchmarks: []string{"alpha", "beta"},
-		Results:    map[string]map[Technique]RunResult{},
-		Params:     power.DefaultParams(),
-		IQBanks:    10,
-		RFBanks:    14,
-	}
-	// alpha: baseline IPC 2.0 (1000/500), NOOP IPC 1.5 (750/500) -> 25% loss.
-	//        occupancy 40 -> 30 -> 25% reduction.
-	s.Results["alpha"] = map[Technique]RunResult{
-		TechBaseline: {Bench: "alpha", Tech: TechBaseline, Stats: mk(1000, 500, 20000, 500)},
-		TechNOOP:     {Bench: "alpha", Tech: TechNOOP, Stats: mk(750, 500, 15000, 500)},
-	}
-	// beta: baseline IPC 1.0, NOOP IPC 0.9 -> 10% loss.
-	//       occupancy 60 -> 15 -> 75% reduction.
-	s.Results["beta"] = map[Technique]RunResult{
-		TechBaseline: {Bench: "beta", Tech: TechBaseline, Stats: mk(500, 500, 30000, 500)},
-		TechNOOP:     {Bench: "beta", Tech: TechNOOP, Stats: mk(450, 500, 7500, 500)},
+	spec := campaign.DefaultSpec(1000)
+	spec.Benchmarks = []string{"alpha", "beta"}
+	spec.Techniques = []campaign.Technique{campaign.TechBaseline, campaign.TechNOOP}
+	s, err := FromCampaign(&campaign.ResultSet{Spec: spec, Results: []campaign.Result{
+		// alpha: baseline IPC 2.0 (1000/500), NOOP IPC 1.5 (750/500) -> 25% loss.
+		//        occupancy 40 -> 30 -> 25% reduction.
+		{Bench: "alpha", Tech: campaign.TechBaseline, Stats: mk(1000, 500, 20000, 500)},
+		{Bench: "alpha", Tech: campaign.TechNOOP, Stats: mk(750, 500, 15000, 500)},
+		// beta: baseline IPC 1.0, NOOP IPC 0.9 -> 10% loss.
+		//       occupancy 60 -> 15 -> 75% reduction.
+		{Bench: "beta", Tech: campaign.TechBaseline, Stats: mk(500, 500, 30000, 500)},
+		{Bench: "beta", Tech: campaign.TechNOOP, Stats: mk(450, 500, 7500, 500)},
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return s
+}
+
+// runStats returns a pointer to one fixture run's statistics, to edit in place.
+func runStats(s *SuiteResults, bench string, tech campaign.Technique) *sim.Stats {
+	i := slices.IndexFunc(s.Campaign.Results, func(r campaign.Result) bool {
+		return r.Bench == bench && r.Tech == tech
+	})
+	return &s.Campaign.Results[i].Stats
 }
 
 func almost(got, want float64) bool { return math.Abs(got-want) < 1e-9 }
 
 func TestIPCLossPctFixture(t *testing.T) {
-	s := fixtureSuite()
-	if got := s.IPCLossPct("alpha", TechNOOP); !almost(got, 25) {
+	s := fixtureSuite(t)
+	if got := s.IPCLossPct("alpha", campaign.TechNOOP); !almost(got, 25) {
 		t.Errorf("alpha loss = %f, want 25", got)
 	}
-	if got := s.IPCLossPct("beta", TechNOOP); !almost(got, 10) {
+	if got := s.IPCLossPct("beta", campaign.TechNOOP); !almost(got, 10) {
 		t.Errorf("beta loss = %f, want 10", got)
 	}
-	if got := s.IPCLossPct("alpha", TechBaseline); !almost(got, 0) {
+	if got := s.IPCLossPct("alpha", campaign.TechBaseline); !almost(got, 0) {
 		t.Errorf("baseline self-loss = %f, want 0", got)
 	}
 	// Zero-IPC baseline must not divide by zero.
-	s.Results["alpha"][TechBaseline] = RunResult{}
-	if got := s.IPCLossPct("alpha", TechNOOP); got != 0 {
+	*runStats(s, "alpha", campaign.TechBaseline) = sim.Stats{}
+	if got := s.IPCLossPct("alpha", campaign.TechNOOP); got != 0 {
 		t.Errorf("zero baseline loss = %f, want 0", got)
 	}
 }
 
 func TestOccupancyReductionPctFixture(t *testing.T) {
-	s := fixtureSuite()
-	if got := s.OccupancyReductionPct("alpha", TechNOOP); !almost(got, 25) {
+	s := fixtureSuite(t)
+	if got := s.OccupancyReductionPct("alpha", campaign.TechNOOP); !almost(got, 25) {
 		t.Errorf("alpha reduction = %f, want 25", got)
 	}
-	if got := s.OccupancyReductionPct("beta", TechNOOP); !almost(got, 75) {
+	if got := s.OccupancyReductionPct("beta", campaign.TechNOOP); !almost(got, 75) {
 		t.Errorf("beta reduction = %f, want 75", got)
 	}
-	s.Results["beta"][TechBaseline] = RunResult{}
-	if got := s.OccupancyReductionPct("beta", TechNOOP); got != 0 {
+	*runStats(s, "beta", campaign.TechBaseline) = sim.Stats{}
+	if got := s.OccupancyReductionPct("beta", campaign.TechNOOP); got != 0 {
 		t.Errorf("zero-occupancy baseline = %f, want 0", got)
 	}
 }
 
 func TestMeanAndSpreadFixture(t *testing.T) {
-	s := fixtureSuite()
-	loss := func(b string) float64 { return s.IPCLossPct(b, TechNOOP) }
+	s := fixtureSuite(t)
+	loss := func(b string) float64 { return s.IPCLossPct(b, campaign.TechNOOP) }
 	if got := s.Mean(loss); !almost(got, 17.5) { // (25+10)/2
 		t.Errorf("mean = %f, want 17.5", got)
 	}
@@ -93,67 +101,44 @@ func TestMeanAndSpreadFixture(t *testing.T) {
 }
 
 func TestBanksOffPctFixture(t *testing.T) {
-	s := fixtureSuite()
+	s := fixtureSuite(t)
 	// 6 of 10 banks on -> 40% off.
-	st := s.Results["alpha"][TechNOOP]
-	st.Stats.IQ.BanksOnSum = 3000
-	st.Stats.IQ.Cycles = 500
-	s.Results["alpha"][TechNOOP] = st
-	if got := s.BanksOffPct("alpha", TechNOOP); !almost(got, 40) {
+	st := runStats(s, "alpha", campaign.TechNOOP)
+	st.IQ.BanksOnSum = 3000
+	st.IQ.Cycles = 500
+	if got := s.BanksOffPct("alpha", campaign.TechNOOP); !almost(got, 40) {
 		t.Errorf("banks off = %f, want 40", got)
 	}
 }
 
-// TestRunSuiteErrorPropagation is the harness-level regression test for
-// the silent-error-dropping bug: a failing cell must fail the suite with
-// an error naming the cell, not hang or vanish.
-func TestRunSuiteErrorPropagation(t *testing.T) {
-	r := NewRunner(5_000)
-	r.Benchmarks = []string{"doesnotexist", "gzip"}
-	r.Parallel = 1
-	s, err := r.RunSuite([]Technique{TechBaseline})
-	if err == nil {
-		t.Fatal("suite with unknown benchmark returned nil error")
-	}
-	if s != nil {
-		t.Error("failed suite must not return results")
-	}
-	if !strings.Contains(err.Error(), "doesnotexist") {
-		t.Errorf("error does not name the failing cell: %v", err)
-	}
-}
-
-// TestRunSuiteContextCancellation: a cancelled context aborts the suite.
-func TestRunSuiteContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	r := NewRunner(5_000)
-	if _, err := r.RunSuiteContext(ctx, []Technique{TechBaseline}); err == nil {
-		t.Fatal("cancelled suite returned nil error")
-	}
-}
-
-// TestRunSuiteCacheReuse: the harness inherits the engine's cache — a
-// second identical suite run must be served entirely from disk.
-func TestRunSuiteCacheReuse(t *testing.T) {
-	r := NewRunner(5_000)
-	r.Benchmarks = []string{"gzip"}
-	r.CacheDir = t.TempDir()
-	s1, err := r.RunSuite([]Technique{TechBaseline, TechNOOP})
+// TestFromCampaignRowsAndRefusals: rows list the spec's benchmarks, then
+// any other benchmark found in the results; sweeps, a missing base
+// configuration and non-paper techniques are refused.
+func TestFromCampaignRowsAndRefusals(t *testing.T) {
+	s := fixtureSuite(t)
+	rs := s.Campaign
+	rs.Results = append(rs.Results, campaign.Result{Bench: "gamma", Tech: campaign.TechBaseline})
+	got, err := FromCampaign(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.Campaign.Executed != 2 {
-		t.Fatalf("first run executed %d", s1.Campaign.Executed)
+	if want := []string{"alpha", "beta", "gamma"}; !slices.Equal(got.Benchmarks, want) {
+		t.Errorf("rows = %v, want %v", got.Benchmarks, want)
 	}
-	s2, err := r.RunSuite([]Technique{TechBaseline, TechNOOP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Campaign.CacheHits != 2 || s2.Campaign.Executed != 0 {
-		t.Errorf("second run: executed=%d hits=%d", s2.Campaign.Executed, s2.Campaign.CacheHits)
-	}
-	if s1.Results["gzip"][TechNOOP].Stats != s2.Results["gzip"][TechNOOP].Stats {
-		t.Error("cached suite stats diverge")
+
+	for name, edit := range map[string]func(*campaign.ResultSet){
+		"sweeps axes": func(rs *campaign.ResultSet) {
+			rs.Spec.Axes = []campaign.Axis{{Name: "iq.entries", Values: []int{16, 80}}}
+		},
+		"no base configuration": func(rs *campaign.ResultSet) { rs.Spec.Base.IQ.BankSize = 0 },
+		"non-paper technique": func(rs *campaign.ResultSet) {
+			rs.Results = append(rs.Results, campaign.Result{Bench: "alpha", Tech: "bogus"})
+		},
+	} {
+		bad := *fixtureSuite(t).Campaign
+		edit(&bad)
+		if _, err := FromCampaign(&bad); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: err = %v", name, err)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/prog"
@@ -91,29 +92,21 @@ func TestNoSlowdownProperty(t *testing.T) {
 	}
 }
 
-// TestParallelSerialEquivalence: the suite runner must produce identical
+// TestParallelSerialEquivalence: the suite must produce identical
 // statistics regardless of worker count (no shared-state leakage between
 // parallel runs).
 func TestParallelSerialEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the suite twice")
 	}
-	techs := []Technique{TechBaseline, TechNOOP}
-	serial := NewRunner(20_000)
-	serial.Parallel = 1
-	s1, err := serial.RunSuite(techs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel := NewRunner(20_000)
-	parallel.Parallel = 8
-	s2, err := parallel.RunSuite(techs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := campaign.DefaultSpec(20_000)
+	spec.Techniques = []campaign.Technique{campaign.TechBaseline, campaign.TechNOOP}
+	s1 := runSuite(t, spec, 1)
+	s2 := runSuite(t, spec, 8)
 	for _, b := range s1.Benchmarks {
-		for _, tech := range techs {
-			a, c := s1.Results[b][tech].Stats, s2.Results[b][tech].Stats
+		for _, tech := range spec.Techniques {
+			a := s1.Campaign.MustGet(b, tech, nil).Stats
+			c := s2.Campaign.MustGet(b, tech, nil).Stats
 			if a.Cycles != c.Cycles || a.CommittedReal != c.CommittedReal ||
 				a.IQ.GatedWakeups != c.IQ.GatedWakeups {
 				t.Errorf("%s/%s: serial and parallel runs diverge", b, tech)

@@ -78,6 +78,14 @@ func (t *table) CSV() string {
 	return sb.String()
 }
 
+// render renders the table as aligned text, or as CSV.
+func (t *table) render(csv bool) string {
+	if csv {
+		return t.CSV()
+	}
+	return t.String()
+}
+
 // pad left- or right-aligns a cell.
 func pad(s string, w int, right bool) string {
 	if len(s) >= w {

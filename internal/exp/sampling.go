@@ -2,12 +2,14 @@ package exp
 
 import (
 	"fmt"
+
+	"repro/internal/campaign"
 )
 
 // Sampled reports whether the suite ran through the sampled-simulation
 // engine (and therefore carries error bars).
 func (s *SuiteResults) Sampled() bool {
-	return s.Campaign != nil && s.Campaign.Spec.Sampling != nil
+	return s.Campaign.Spec.Sampling != nil
 }
 
 // samplingTable builds the error-bar table: per benchmark and technique,
@@ -17,12 +19,12 @@ func (s *SuiteResults) samplingTable() *table {
 	sp := s.Campaign.Spec.Sampling
 	conf := 0.0
 	cols := []string{"bench"}
-	techs := []Technique{}
-	for _, t := range AllTechniques() {
+	techs := []campaign.Technique{}
+	for _, t := range campaign.AllTechniques() {
 		for _, b := range s.Benchmarks {
-			if _, ok := s.Results[b][t]; ok {
+			if _, ok := s.Campaign.Get(b, t, nil); ok {
 				techs = append(techs, t)
-				cols = append(cols, t.String())
+				cols = append(cols, string(t))
 				break
 			}
 		}
@@ -37,7 +39,7 @@ func (s *SuiteResults) samplingTable() *table {
 		minW, maxW := -1, -1
 		minF, maxF := 0.0, 0.0
 		for _, tech := range techs {
-			r, ok := s.Results[b][tech]
+			r, ok := s.Campaign.Get(b, tech, nil)
 			if !ok || r.Sampled == nil {
 				row = append(row, "-")
 				continue

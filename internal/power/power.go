@@ -5,7 +5,7 @@
 // so this model works in relative energy units with per-event costs whose
 // proportions are calibrated to Wattch-era issue-queue breakdowns
 // (wakeup CAM ≈ 55%, payload RAM ≈ 30%, selection ≈ 15% of baseline
-// dynamic energy at IPC ≈ 2; see DESIGN.md section 3.5).
+// dynamic energy at IPC ≈ 2).
 //
 // Three wakeup-gating accounting schemes reproduce the paper's bars:
 // the ungated baseline precharges every operand comparator of every entry

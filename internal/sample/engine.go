@@ -206,7 +206,7 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 	bp := bpred.New(cfgs[0].Bpred)
 	cs := &countedStream{e: e}
 	warm := newWarmer(mem, bp)
-	b := newBatch(cfgs, sc)
+	b := newBatch(cfgs)
 
 	var w *ckpt.Writer
 	if store != nil && key != "" {
@@ -379,7 +379,7 @@ func resumeK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget int
 		// mismatches as a miss without evicting the artifact.
 		return nil, nil, false
 	}
-	b := newBatch(cfgs, sc)
+	b := newBatch(cfgs)
 	for {
 		if cerr := ctx.Err(); cerr != nil {
 			b.stop(cerr, budget)

@@ -85,7 +85,7 @@ type batch struct {
 	live    int
 }
 
-func newBatch(cfgs []sim.Config, sc Config) *batch {
+func newBatch(cfgs []sim.Config) *batch {
 	b := &batch{
 		cfgs:    cfgs,
 		reports: make([]*Report, len(cfgs)),
@@ -93,7 +93,7 @@ func newBatch(cfgs []sim.Config, sc Config) *batch {
 		live:    len(cfgs),
 	}
 	for i := range b.reports {
-		b.reports[i] = &Report{Confidence: sc.Confidence}
+		b.reports[i] = &Report{Confidence: confidence}
 	}
 	return b
 }

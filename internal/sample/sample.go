@@ -59,8 +59,6 @@ type Config struct {
 	// that refills the pipeline before measurement starts. Zero means the
 	// default; negative means explicitly none.
 	DetailWarmupInsts int64
-	// Confidence is the level for the per-metric intervals (default 0.95).
-	Confidence float64
 	// JitterPct randomises each period's fast-forward gap by up to ±this
 	// percentage (0..90), drawn from a deterministic per-run generator, so
 	// windows cannot alias with loop periodicity in the workload (the
@@ -78,6 +76,9 @@ type Config struct {
 	PureFastForward bool
 }
 
+// confidence is the level of every per-metric interval a Report carries.
+const confidence = 0.95
+
 // DefaultConfig is the standard regime: 1k-instruction measured windows
 // every 60k instructions, preceded by 2k of functional warming and 2k of
 // detailed pipeline fill, with ±25% period jitter — a 5% detailed
@@ -91,7 +92,6 @@ func DefaultConfig() Config {
 		PeriodInsts:       60_000,
 		WarmupInsts:       2_000,
 		DetailWarmupInsts: 2_000,
-		Confidence:        0.95,
 		JitterPct:         25,
 	}
 }
@@ -119,9 +119,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.DetailWarmupInsts < 0 {
 		c.DetailWarmupInsts = 0 // explicit "no pipeline fill"
-	}
-	if c.Confidence == 0 {
-		c.Confidence = d.Confidence
 	}
 	if c.JitterPct == 0 {
 		c.JitterPct = d.JitterPct

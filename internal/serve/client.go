@@ -37,13 +37,14 @@ type Client struct {
 	OnEvent func(Event)
 
 	// RetryBase/RetryMax shape the jittered exponential backoff Run uses
-	// to survive server restarts (defaults 200ms / 5s). MaxOffline
-	// bounds how long Run keeps retrying an unreachable server before
-	// giving up (default 2m).
-	RetryBase  time.Duration
-	RetryMax   time.Duration
-	MaxOffline time.Duration
+	// to survive server restarts (defaults 200ms / 5s).
+	RetryBase time.Duration
+	RetryMax  time.Duration
 }
+
+// maxOffline bounds how long Run keeps retrying an unreachable server
+// before giving up.
+const maxOffline = 2 * time.Minute
 
 // HTTPError is an answered non-2xx API response. Errors from the client
 // are *HTTPError whenever the server replied at all; transport failures
@@ -94,13 +95,6 @@ func (c *Client) backoff(n int) time.Duration {
 		d = ceil
 	}
 	return d*3/4 + time.Duration(rand.Int63n(int64(d)/2+1))
-}
-
-func (c *Client) maxOffline() time.Duration {
-	if c.MaxOffline > 0 {
-		return c.MaxOffline
-	}
-	return 2 * time.Minute
 }
 
 // NewClient returns a client for the server at base.
@@ -244,7 +238,7 @@ func (c *Client) ResultSet(ctx context.Context, id string) (*campaign.ResultSet,
 // snapshot event), a server that came back with no memory of the
 // campaign gets the spec resubmitted (the shared result cache makes the
 // re-run cheap), and an unreachable server is retried for up to
-// MaxOffline before Run gives up. A failed campaign returns its
+// maxOffline before Run gives up. A failed campaign returns its
 // server-side error.
 func (c *Client) Run(ctx context.Context, spec campaign.Spec) (*campaign.ResultSet, error) {
 	sub, err := c.Submit(ctx, spec)
@@ -319,8 +313,8 @@ func (c *Client) Run(ctx context.Context, spec campaign.Spec) (*campaign.ResultS
 		if offlineSince.IsZero() {
 			offlineSince = time.Now()
 		}
-		if time.Since(offlineSince) > c.maxOffline() {
-			return nil, fmt.Errorf("serve: server unreachable for %v: %w", c.maxOffline(), serr)
+		if time.Since(offlineSince) > maxOffline {
+			return nil, fmt.Errorf("serve: server unreachable for %v: %w", maxOffline, serr)
 		}
 		fails++
 		select {
@@ -348,7 +342,7 @@ func (c *Client) Run(ctx context.Context, spec campaign.Spec) (*campaign.ResultS
 		if offlineSince.IsZero() {
 			offlineSince = time.Now()
 		}
-		if time.Since(offlineSince) > c.maxOffline() {
+		if time.Since(offlineSince) > maxOffline {
 			return nil, err
 		}
 		fails++

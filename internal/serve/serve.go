@@ -79,9 +79,6 @@ type Config struct {
 	// transitions. "" disables durability — a restart then forgets all
 	// campaigns, exactly the pre-durability behaviour.
 	StateDir string
-	// SnapshotEvery is the WAL-append count between snapshot
-	// compactions; 0 means store.DefaultSnapshotEvery.
-	SnapshotEvery int
 	// EventCompactAfter bounds a campaign's in-memory event tail before
 	// older events fold into a snapshot event; 0 means the default
 	// (4096). Only tests should need to lower it.
@@ -225,7 +222,7 @@ func New(cfg Config) *Server {
 	if s.ckpt, err = ckpt.Open(ckptRoot); err != nil {
 		log.Printf("sdiqd: checkpoint store disabled: %v", err)
 	}
-	if s.store, err = store.Open(cfg.StateDir, cfg.SnapshotEvery); err != nil {
+	if s.store, err = store.Open(cfg.StateDir, store.DefaultSnapshotEvery); err != nil {
 		log.Printf("sdiqd: durable state disabled: %v", err)
 	}
 	if s.store != nil && cfg.CacheDir == "" {

@@ -2,8 +2,7 @@
 // functional emulator to the timing simulator. The timing model is
 // trace-driven on the committed path: every record carries its real branch
 // outcome and memory address, so the simulator can model predictors and
-// caches exactly while never simulating wrong-path data (see DESIGN.md,
-// substitution "wrong-path execution").
+// caches exactly while never simulating wrong-path data.
 package trace
 
 import "repro/internal/isa"

@@ -4,7 +4,7 @@
 // here, so each benchmark is replaced by a synthetic program *in our ISA*
 // whose microarchitectural character mimics its namesake — loop structure,
 // ILP profile, call density, control regularity and memory behaviour (see
-// DESIGN.md, substitutions). Generators are deterministic in their seed.
+// README "Fidelity notes"). Generators are deterministic in their seed.
 package workload
 
 import (

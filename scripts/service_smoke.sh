@@ -2,11 +2,12 @@
 # End-to-end smoke of the campaign service: start sdiqd, run a tiny
 # sampled campaign against it with sdiq -remote, and require the
 # client-side AND server-side CSV exports to be byte-identical to the
-# same spec run locally. Also exercises /metrics and graceful SIGTERM
-# drain, then re-runs the service with -auth: unauthenticated probes
-# must be refused with 401 and the authenticated sweep must still be
-# byte-identical. CI runs this on every push; it needs only bash, curl
-# and go.
+# same spec run locally. The paper's figure suite (-experiment all, CSV)
+# rendered from a remote run must equal the local rendering too. Also
+# exercises /metrics and graceful SIGTERM drain, then re-runs the
+# service with -auth: unauthenticated probes must be refused with 401
+# and the authenticated sweep must still be byte-identical. CI runs this
+# on every push; it needs only bash, curl and go.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,6 +45,12 @@ ID=$(curl -fs "http://$ADDR/v1/campaigns" | grep -o '"id": *"[^"]*"' | head -1 |
 [ -n "$ID" ] || { echo "no campaign id found"; exit 1; }
 curl -fs "http://$ADDR/v1/campaigns/$ID/export?format=csv" >"$WORK/server.csv"
 diff "$WORK/server.csv" "$WORK/local.csv"
+
+echo "== figure suite via sdiq -remote must match a local run"
+FIGS=(-experiment all -format csv -budget 20000 -seed 7)
+"$WORK/sdiq" -remote "http://$ADDR" "${FIGS[@]}" >"$WORK/remote-figs.csv"
+"$WORK/sdiq" "${FIGS[@]}" >"$WORK/local-figs.csv"
+diff "$WORK/remote-figs.csv" "$WORK/local-figs.csv"
 
 echo "== metrics"
 curl -fs "http://$ADDR/metrics" | grep -E '^sdiqd_(jobs_executed_total|job_cache_hits_total|job_dedup_hits_total|insts_per_second) ' | tee "$WORK/metrics.txt"

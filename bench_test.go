@@ -429,6 +429,29 @@ func BenchmarkSweepCkpt(b *testing.B) {
 	b.SetBytes(8 * 1_000_000)
 }
 
+// BenchmarkSweepCkptCold runs the same sweep against a fresh checkpoint
+// store every iteration: one cell generates the artifact and the other
+// seven resume from it, the path a sweep takes the first time it runs.
+// SweepCkpt reuses one store, so after its first iteration every cell
+// resumes; the ratio SweepNoCkpt/SweepCkptCold is the store's speedup on
+// a cold sweep.
+func BenchmarkSweepCkptCold(b *testing.B) {
+	spec := ckptSweepSpec()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		store, err := ckpt.Open(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := &campaign.Engine{Workers: 1, Ckpt: store}
+		b.StartTimer()
+		if _, err := eng.Run(context.Background(), spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(8 * 1_000_000)
+}
+
 // BenchmarkLockstepSweep runs the acceptance sweep with lockstep
 // batching and no store: ONE emulator + warming stream feeds all eight
 // detailed cores, so the shared functional work is paid once instead of

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/sample"
 )
 
 // ckptSchema versions the checkpoint key layout. Bump it whenever the
@@ -60,17 +61,20 @@ func CheckpointKey(job *Job) (string, error) {
 	}
 	ec := job.Sampling.engineConfig().WithDefaults()
 	blob, err := json.Marshal(struct {
-		Schema          int
-		Bench           string
-		Seed            int64
-		Budget          int64
-		Class           string
-		Caches          cache.HierarchyConfig
-		Bpred           bpred.Config
-		Window          int64
-		Period          int64
-		Warmup          int64
-		DetailWarmup    int64
+		Schema       int
+		Bench        string
+		Seed         int64
+		Budget       int64
+		Class        string
+		Caches       cache.HierarchyConfig
+		Bpred        bpred.Config
+		Window       int64
+		Period       int64
+		Warmup       int64
+		DetailWarmup int64
+		// The sampled engine's fixed jitter and its always-on
+		// fast-forward warming, hashed at the values they had as regime
+		// knobs so that every key stays what it was.
 		JitterPct       int
 		PureFastForward bool
 	}{
@@ -85,8 +89,8 @@ func CheckpointKey(job *Job) (string, error) {
 		Period:          ec.PeriodInsts,
 		Warmup:          ec.WarmupInsts,
 		DetailWarmup:    ec.DetailWarmupInsts,
-		JitterPct:       ec.JitterPct,
-		PureFastForward: ec.PureFastForward,
+		JitterPct:       sample.JitterPct,
+		PureFastForward: false,
 	})
 	if err != nil {
 		return "", fmt.Errorf("campaign: hashing checkpoint identity of %s: %w", job.ID(), err)

@@ -50,6 +50,22 @@ func TestCheckpointKeyFormat(t *testing.T) {
 	}
 }
 
+// TestCheckpointKeyPinned pins one job's key to the value computed
+// before the sampled engine's jitter and fast-forward warming became
+// constants: keys name stored artifacts, so a change here orphans every
+// artifact in every store.
+func TestCheckpointKeyPinned(t *testing.T) {
+	j := keyedJob()
+	key, err := CheckpointKey(&j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "2df3091695c6bff6139fbaf85935919aa0325311897316c17f3fba25ece268a9"
+	if key != want {
+		t.Fatalf("CheckpointKey = %s, want %s", key, want)
+	}
+}
+
 // TestCheckpointKeySharing pins down which job fields share an artifact
 // and which invalidate it. The sweep axes a grid varies (IQ geometry,
 // issue width — anything the functional warming stream cannot observe)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/binio"
 	"repro/internal/bpred"
@@ -21,9 +22,18 @@ import (
 // holds exactly one window's state in memory at a time — the fix for
 // the unbounded rep.Checkpoints accumulation the in-memory predecessor
 // suffered from.
+//
+// Format 2 stores each window as a delta against the previous one,
+// because consecutive windows share nearly all of their state: the
+// emulator checkpoint carries only the pages that changed
+// (emu.MarshalDelta), and the cache and predictor state bytes carry only
+// the diffBlock-byte blocks that changed (appendDiff). Readers rebuild
+// each window's full state before decoding it, so every decoder's
+// validation still runs. Format 1 artifacts fail the version check and
+// are regenerated.
 const (
 	artifactMagic   = "SDIQCKP1"
-	artifactVersion = 1
+	artifactVersion = 2
 
 	recWindow  = 1
 	recTrailer = 2
@@ -33,6 +43,10 @@ const (
 	// the benchmark's mapped pages; the synthetic workloads sit far
 	// below this.
 	maxRecordBytes = 1 << 30
+
+	// diffBlock is the granularity at which a window's cache and
+	// predictor state bytes are compared with the previous window's.
+	diffBlock = 32
 )
 
 // Window is one sampling window's resume state: everything a detailed
@@ -77,6 +91,10 @@ type Writer struct {
 	n     int
 	done  bool
 	wrote countingWriter
+
+	// The previous window's state: the base of the next window's delta.
+	prevCkpt        emu.Checkpoint
+	prevMem, prevBp []byte
 }
 
 type countingWriter struct {
@@ -134,9 +152,15 @@ func (w *Writer) record(tag uint8, payload []byte) error {
 	return err
 }
 
-// Append adds one window's resume state.
+// Append adds one window's resume state, as a delta against the
+// previous window's.
 func (w *Writer) Append(win *Window) error {
-	ck, err := win.Ckpt.MarshalBinary()
+	first := w.n == 0
+	var base *emu.Checkpoint
+	if !first {
+		base = &w.prevCkpt
+	}
+	ck, err := win.Ckpt.MarshalDelta(base)
 	if err != nil {
 		return err
 	}
@@ -147,12 +171,78 @@ func (w *Writer) Append(win *Window) error {
 	b.I64(int64(win.LastHint))
 	b.U32(uint32(len(ck)))
 	b.Raw(ck)
-	b.U32(uint32(len(mem)))
-	b.Raw(mem)
-	b.U32(uint32(len(bp)))
-	b.Raw(bp)
+	appendDiff(&b, w.prevMem, mem, first)
+	appendDiff(&b, w.prevBp, bp, first)
+	if err := w.record(recWindow, b.Bytes()); err != nil {
+		return err
+	}
+	w.prevCkpt, w.prevMem, w.prevBp = win.Ckpt, mem, bp
 	w.n++
-	return w.record(recWindow, b.Bytes())
+	return nil
+}
+
+// appendDiff writes state as a diff against prev: its length, then
+// either the whole bytes (the first window, or a length change) or the
+// runs of diffBlock-byte blocks that changed, as a run count and then
+// each run's offset, length and bytes.
+func appendDiff(w *binio.Writer, prev, state []byte, first bool) {
+	w.U32(uint32(len(state)))
+	if first || len(prev) != len(state) {
+		w.Raw(state)
+		return
+	}
+	var runs [][2]int // [start, end) byte ranges
+	for off := 0; off < len(state); off += diffBlock {
+		end := min(off+diffBlock, len(state))
+		if bytes.Equal(prev[off:end], state[off:end]) {
+			continue
+		}
+		if n := len(runs); n > 0 && runs[n-1][1] == off {
+			runs[n-1][1] = end
+		} else {
+			runs = append(runs, [2]int{off, end})
+		}
+	}
+	w.U32(uint32(len(runs)))
+	for _, run := range runs {
+		w.U32(uint32(run[0]))
+		w.U32(uint32(run[1] - run[0]))
+		w.Raw(state[run[0]:run[1]])
+	}
+}
+
+// readDiff applies one appendDiff diff to state, the previous window's
+// bytes, and returns this window's bytes. It patches state in place.
+func readDiff(b *binio.Reader, state []byte, first bool) ([]byte, error) {
+	n := int(b.U32())
+	if err := b.Err(); err != nil {
+		return nil, err
+	}
+	if n > maxRecordBytes {
+		return nil, fmt.Errorf("ckpt: implausible state size %d", n)
+	}
+	if first || n != len(state) {
+		whole := b.Raw(n)
+		if err := b.Err(); err != nil {
+			return nil, err
+		}
+		return append(state[:0], whole...), nil
+	}
+	runs := int(b.U32())
+	for i := 0; i < runs; i++ {
+		off, size := int(b.U32()), int(b.U32())
+		if err := b.Err(); err != nil {
+			return nil, err
+		}
+		if off > n || size > n-off {
+			return nil, fmt.Errorf("ckpt: state diff run [%d, +%d) outside %d bytes", off, size, n)
+		}
+		copy(state[off:], b.Raw(size))
+	}
+	if err := b.Err(); err != nil {
+		return nil, err
+	}
+	return state, nil
 }
 
 // Commit writes the trailer, finishes the stream and atomically
@@ -210,6 +300,11 @@ type Reader struct {
 	budget  int64
 	trailer *Trailer
 	read    int
+
+	// The previous window's state: the base the next window's delta
+	// patches.
+	prevCkpt emu.Checkpoint
+	mem, bp  []byte
 }
 
 // OpenArtifact opens the artifact for key and prepares to deserialize
@@ -262,7 +357,8 @@ func (s *Store) OpenArtifact(key string, p *prog.Program, ccfg cache.HierarchyCo
 // Budget returns the generating run's instruction budget (header field).
 func (r *Reader) Budget() int64 { return r.budget }
 
-// Next returns the next window, or io.EOF after the trailer.
+// Next returns the next window, or io.EOF after the trailer. The
+// trailer must end the stream, whose gzip checksum is verified then.
 func (r *Reader) Next() (*Window, error) {
 	if r.trailer != nil {
 		return nil, io.EOF
@@ -277,8 +373,8 @@ func (r *Reader) Next() (*Window, error) {
 	if n < 0 || n > maxRecordBytes {
 		return nil, fmt.Errorf("ckpt: implausible record size %d", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r.gz, payload); err != nil {
+	payload, err := readPayload(r.gz, n)
+	if err != nil {
 		return nil, fmt.Errorf("ckpt: truncated record: %w", err)
 	}
 	b := binio.NewReader(payload)
@@ -293,34 +389,58 @@ func (r *Reader) Next() (*Window, error) {
 		if err := b.Err(); err != nil {
 			return nil, err
 		}
+		if b.Remaining() != 0 {
+			return nil, fmt.Errorf("ckpt: %d trailing bytes in trailer record", b.Remaining())
+		}
 		if tr.Windows != r.read {
 			return nil, fmt.Errorf("ckpt: trailer records %d windows, artifact held %d", tr.Windows, r.read)
+		}
+		// gzip compares the CRC-32 and length in its footer only once the
+		// stream is read to its end.
+		if k, err := io.ReadFull(r.gz, hdr[:1]); k != 0 {
+			return nil, errors.New("ckpt: bytes after the artifact trailer")
+		} else if err != io.EOF {
+			return nil, fmt.Errorf("ckpt: artifact stream: %w", err)
 		}
 		r.trailer = &tr
 		return nil, io.EOF
 	case recWindow:
 		win := &Window{StartReal: b.I64(), LastHint: int(b.I64())}
 		ckBytes := b.Raw(int(b.U32()))
-		memBytes := b.Raw(int(b.U32()))
-		bpBytes := b.Raw(int(b.U32()))
 		if err := b.Err(); err != nil {
 			return nil, err
 		}
-		ck, err := emu.UnmarshalCheckpoint(ckBytes, r.prog)
+		first := r.read == 0
+		var err error
+		if r.mem, err = readDiff(b, r.mem, first); err != nil {
+			return nil, err
+		}
+		if r.bp, err = readDiff(b, r.bp, first); err != nil {
+			return nil, err
+		}
+		if b.Remaining() != 0 {
+			return nil, fmt.Errorf("ckpt: %d trailing bytes in window record", b.Remaining())
+		}
+		var base *emu.Checkpoint
+		if !first {
+			base = &r.prevCkpt
+		}
+		ck, err := emu.UnmarshalCheckpointDelta(ckBytes, r.prog, base)
 		if err != nil {
 			return nil, err
 		}
+		r.prevCkpt = ck
 		win.Ckpt = ck
 		mem, err := cache.NewHierarchy(r.ccfg)
 		if err != nil {
 			return nil, err
 		}
-		if err := mem.UnmarshalState(memBytes); err != nil {
+		if err := mem.UnmarshalState(r.mem); err != nil {
 			return nil, err
 		}
 		win.Mem = mem
 		bp := bpred.New(r.bcfg)
-		if err := bp.UnmarshalState(bpBytes); err != nil {
+		if err := bp.UnmarshalState(r.bp); err != nil {
 			return nil, err
 		}
 		win.Bp = bp
@@ -329,6 +449,23 @@ func (r *Reader) Next() (*Window, error) {
 	default:
 		return nil, fmt.Errorf("ckpt: unknown record tag %d", tag)
 	}
+}
+
+// readPayload reads an n-byte record payload. It grows the buffer as
+// the bytes arrive, so a corrupt length prefix cannot allocate much more
+// than the stream holds.
+func readPayload(rd io.Reader, n int) ([]byte, error) {
+	const chunk = 1 << 20
+	buf := make([]byte, 0, min(n, chunk))
+	for len(buf) < n {
+		k := min(n-len(buf), chunk)
+		buf = slices.Grow(buf, k)
+		if _, err := io.ReadFull(rd, buf[len(buf):len(buf)+k]); err != nil {
+			return nil, err
+		}
+		buf = buf[:len(buf)+k]
+	}
+	return buf, nil
 }
 
 // Trailer returns the artifact's trailer; ok is false until Next has
@@ -348,8 +485,9 @@ func (r *Reader) Close() error {
 	return r.f.Close()
 }
 
-// checkContainer validates that data parses as an artifact container
-// header (gzip + magic + version) before WriteRaw publishes it.
+// checkContainer validates data as an artifact container before
+// WriteRaw publishes it: gzip, magic and version, and a gzip stream that
+// reads to its end with a matching checksum.
 func checkContainer(data []byte) error {
 	gz, err := gzip.NewReader(bytes.NewReader(data))
 	if err != nil {
@@ -366,6 +504,9 @@ func checkContainer(data []byte) error {
 	b := binio.NewReader(hdr[len(artifactMagic):])
 	if v := b.U32(); v != artifactVersion {
 		return fmt.Errorf("ckpt: upload artifact version %d, want %d", v, artifactVersion)
+	}
+	if _, err := io.Copy(io.Discard, gz); err != nil {
+		return fmt.Errorf("ckpt: upload stream: %w", err)
 	}
 	return nil
 }

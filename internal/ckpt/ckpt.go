@@ -21,9 +21,10 @@
 // at dir/key[:2]/key.ckpt, written to a temp file and renamed, so
 // concurrent writers (or crashed ones) can never publish a partial
 // artifact. The artifact is a gzip stream of binio-encoded records: a
-// header, one record per window, and a trailer with the run's phase
-// totals — readable strictly in window order, so resuming never holds
-// more than one window's state in memory.
+// header, one record per window, each a delta against the window before,
+// and a trailer with the run's phase totals — readable strictly in
+// window order, so resuming never holds more than two windows' state in
+// memory.
 package ckpt
 
 import (

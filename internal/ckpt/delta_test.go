@@ -1,0 +1,420 @@
+package ckpt
+
+import (
+	"bytes"
+	"compress/gzip"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/binio"
+	"repro/internal/bpred"
+	"repro/internal/cache"
+	"repro/internal/emu"
+	"repro/internal/isa"
+	"repro/internal/prog"
+	"repro/internal/workload"
+)
+
+const otherKey = "abcdabcdabcdabcdabcdabcdabcdabcd"
+
+// streamWindows returns n windows taken every gap instructions along one
+// stream of p, with a hierarchy and predictor warmed by that stream.
+// Before each window the stream also maps a page it has not touched and
+// pushes a return address, so every delta carries a new page and the
+// predictor state changes length while its return stack fills.
+func streamWindows(tb testing.TB, p *prog.Program, ccfg cache.HierarchyConfig, bcfg bpred.Config, n, gap int) []Window {
+	tb.Helper()
+	e, err := emu.New(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e.Restart = true
+	h, err := cache.NewHierarchy(ccfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bp := bpred.New(bcfg)
+	var wins []Window
+	for w := 0; w < n; w++ {
+		for i := 0; i < gap; i++ {
+			d, ok := e.Next()
+			if !ok {
+				tb.Fatal("emulator halted")
+			}
+			h.WarmFetch(d.PC)
+			switch d.Op.Class() {
+			case isa.ClassLoad:
+				h.WarmLoad(d.Addr)
+			case isa.ClassStore:
+				h.WarmStore(d.Addr)
+			case isa.ClassBranch:
+				bp.TrainCond(d.PC, d.Taken)
+			}
+		}
+		e.Mem().Store(uint64(1+w)<<30, int64(w))
+		bp.WarmCall(4 * w)
+		wins = append(wins, Window{
+			StartReal: int64(w * gap),
+			LastHint:  w % 3,
+			Ckpt:      e.Checkpoint(),
+			Mem:       h.Clone(),
+			Bp:        bp.Clone(),
+		})
+	}
+	return wins
+}
+
+// writeArtifact publishes wins under key and returns the artifact bytes.
+func writeArtifact(tb testing.TB, st *Store, key string, wins []Window) []byte {
+	tb.Helper()
+	w, err := st.Create(key, 1_000_000)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := range wins {
+		if err := w.Append(&wins[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Commit(Trailer{TotalReal: 1_000_000}); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := st.ReadRaw(key)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// install writes data as the artifact file for key, bypassing WriteRaw.
+func install(tb testing.TB, st *Store, key string, data []byte) {
+	tb.Helper()
+	p := st.path(key)
+	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+		tb.Fatal(err)
+	}
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// readWindows reads every window of the artifact under key. The error
+// is what ended the read: nil after the trailer.
+func readWindows(st *Store, key string, p *prog.Program, ccfg cache.HierarchyConfig, bcfg bpred.Config) ([]*Window, error) {
+	r, err := st.OpenArtifact(key, p, ccfg, bcfg)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	var wins []*Window
+	for {
+		win, err := r.Next()
+		if err == io.EOF {
+			return wins, nil
+		}
+		if err != nil {
+			return wins, err
+		}
+		wins = append(wins, win)
+	}
+}
+
+func gunzip(tb testing.TB, data []byte) []byte {
+	tb.Helper()
+	gz, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body, err := io.ReadAll(gz)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+func gzipAt(tb testing.TB, body []byte, level int) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	gz, err := gzip.NewWriterLevel(&buf, level)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := gz.Write(body); err != nil {
+		tb.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestArtifactDeltaRoundTrip: windows along one stream, whose pages,
+// cache lines and predictor length change between windows, read back
+// whole from their deltas, each with its own page map.
+func TestArtifactDeltaRoundTrip(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := workload.ByName("gzip")
+	p := b.Build(42)
+	ccfg, bcfg := cache.HierarchyConfig{}.WithDefaults(), bpred.Config{}.WithDefaults()
+	wins := streamWindows(t, p, ccfg, bcfg, 4, 3000)
+	delta := writeArtifact(t, st, testKey, wins)
+
+	got, err := readWindows(st, testKey, p, ccfg, bcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(wins) {
+		t.Fatalf("read %d windows, wrote %d", len(got), len(wins))
+	}
+	for i, g := range got {
+		w := &wins[i]
+		if g.StartReal != w.StartReal || g.LastHint != w.LastHint {
+			t.Errorf("window %d: got (%d,%d), want (%d,%d)", i, g.StartReal, g.LastHint, w.StartReal, w.LastHint)
+		}
+		// Every window is compared after all were read: a window that
+		// shared its page map with the reader would have gained the later
+		// windows' pages.
+		if !g.Ckpt.Equal(&w.Ckpt) {
+			t.Errorf("window %d: checkpoint differs", i)
+		}
+		if !bytes.Equal(g.Mem.MarshalState(), w.Mem.MarshalState()) {
+			t.Errorf("window %d: hierarchy state differs", i)
+		}
+		if !bytes.Equal(g.Bp.MarshalState(), w.Bp.MarshalState()) {
+			t.Errorf("window %d: predictor state differs", i)
+		}
+	}
+
+	// Written one artifact each, the windows carry their whole state.
+	whole := 0
+	for i := range wins {
+		whole += len(writeArtifact(t, st, fmt.Sprintf("%032x", i+1), wins[i:i+1]))
+	}
+	if len(delta) >= whole {
+		t.Errorf("delta artifact is %d bytes, %d one-window artifacts total %d", len(delta), len(wins), whole)
+	}
+}
+
+// TestArtifactChecksumVerified: a flip that leaves the record stream
+// decodable, so that the windows decode on silently altered state, must
+// still be caught by the gzip checksum — by the reader once it reaches
+// the trailer, and by WriteRaw before it publishes.
+func TestArtifactChecksumVerified(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, ck, h, bp, ccfg, bcfg := buildState(t, 2000)
+	wins := []Window{
+		{StartReal: 1000, Ckpt: ck, Mem: h, Bp: bp},
+		{StartReal: 6000, LastHint: 2, Ckpt: ck, Mem: h.Clone(), Bp: bp.Clone()},
+	}
+	data := writeArtifact(t, st, testKey, wins)
+
+	// Stored uncompressed, the body appears verbatim in the file, so one
+	// flip changes one body byte: here a bit of the first window's
+	// register r5. It follows the artifact header, the record's tag and
+	// length, StartReal, LastHint, the checkpoint's length and magic, and
+	// registers r0–r4.
+	body := gunzip(t, data)
+	stored := gzipAt(t, body, gzip.NoCompression)
+	at := bytes.Index(stored, body[:64])
+	if at < 0 {
+		t.Fatal("body not found in the stored re-encoding")
+	}
+	flipped := append([]byte(nil), stored...)
+	flipped[at+len(artifactMagic)+4+8+1+4+8+8+4+4+8*5] ^= 1
+	footer := append([]byte(nil), data...)
+	footer[len(footer)-8] ^= 1 // the CRC-32 in the gzip footer
+
+	install(t, st, otherKey, stored)
+	if got, err := readWindows(st, otherKey, p, ccfg, bcfg); err != nil || len(got) != 2 {
+		t.Fatalf("stored re-encoding: %d windows, %v", len(got), err)
+	}
+	for name, corrupt := range map[string][]byte{"body": flipped, "footer": footer} {
+		install(t, st, otherKey, corrupt)
+		got, err := readWindows(st, otherKey, p, ccfg, bcfg)
+		if !errors.Is(err, gzip.ErrChecksum) {
+			t.Errorf("%s flip: read ended with %v, want a checksum error", name, err)
+		}
+		if len(got) != 2 {
+			t.Fatalf("%s flip: %d windows decoded before the trailer, want 2", name, len(got))
+		}
+		if name == "body" && got[0].Ckpt.Equal(&ck) {
+			t.Error("body flip left the first window's checkpoint as written")
+		}
+		st.Remove(otherKey)
+		if err := st.WriteRaw(otherKey, corrupt); !errors.Is(err, gzip.ErrChecksum) {
+			t.Errorf("%s flip: WriteRaw = %v, want a checksum error", name, err)
+		}
+		if st.Has(otherKey) {
+			t.Errorf("%s flip: WriteRaw published the artifact", name)
+		}
+	}
+}
+
+// TestArtifactBytesAfterTrailer: the trailer ends an artifact.
+func TestArtifactBytesAfterTrailer(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, ck, h, bp, ccfg, bcfg := buildState(t, 500)
+	data := writeArtifact(t, st, testKey, []Window{{StartReal: 1, Ckpt: ck, Mem: h, Bp: bp}})
+	install(t, st, otherKey, gzipAt(t, append(gunzip(t, data), 0), gzip.BestSpeed))
+	if _, err := readWindows(st, otherKey, p, ccfg, bcfg); err == nil {
+		t.Fatal("artifact with a byte after its trailer read cleanly")
+	}
+}
+
+// TestFormat1Artifact: testdata/v1.ckpt was written by the format-1
+// build, for gzip at seed 42 with a 6,000-instruction budget under
+// internal/sample's test regime. Opening it fails with an error that
+// names its version, so a resuming run treats it as a miss, and
+// WriteRaw refuses it.
+func TestFormat1Artifact(t *testing.T) {
+	v1, err := os.ReadFile("testdata/v1.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	install(t, st, testKey, v1)
+	b, _ := workload.ByName("gzip")
+	_, err = st.OpenArtifact(testKey, b.Build(42), cache.HierarchyConfig{}.WithDefaults(), bpred.Config{}.WithDefaults())
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("OpenArtifact(v1) = %v, want an error naming version 1", err)
+	}
+	if err := st.WriteRaw(otherKey, v1); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("WriteRaw(v1) = %v, want an error naming version 1", err)
+	}
+	if st.Has(otherKey) {
+		t.Fatal("WriteRaw published a format-1 artifact")
+	}
+}
+
+func TestStateDiff(t *testing.T) {
+	prev := make([]byte, 1000)
+	for i := range prev {
+		prev[i] = byte(i * 7)
+	}
+	cur := append([]byte(nil), prev...)
+	for _, off := range []int{0, 31, 32, 500, 531, 999} {
+		cur[off] ^= 0xff
+	}
+	for _, tc := range []struct {
+		name        string
+		prev, state []byte
+		first       bool
+	}{
+		{"runs", prev, cur, false},
+		{"unchanged", prev, prev, false},
+		{"first window", prev, cur, true},
+		{"length change", prev, cur[:900], false},
+	} {
+		var w binio.Writer
+		appendDiff(&w, tc.prev, tc.state, tc.first)
+		r := binio.NewReader(w.Bytes())
+		got, err := readDiff(r, append([]byte(nil), tc.prev...), tc.first)
+		if err != nil || !bytes.Equal(got, tc.state) || r.Remaining() != 0 {
+			t.Errorf("%s: diff round trip: err %v, equal %v, %d bytes left", tc.name, err, bytes.Equal(got, tc.state), r.Remaining())
+		}
+	}
+	// Six flipped bytes in five blocks make three runs: [0, 64),
+	// [480, 544) and the short last block [992, 1000).
+	var w binio.Writer
+	appendDiff(&w, prev, cur, false)
+	if want := 4 + 4 + 3*8 + 64 + 64 + 8; w.Len() != want {
+		t.Errorf("diff is %d bytes, want %d", w.Len(), want)
+	}
+
+	for name, enc := range map[string]func(*binio.Writer){
+		"run past the end":    func(w *binio.Writer) { w.U32(1000); w.U32(1); w.U32(996); w.U32(8); w.Raw(make([]byte, 8)) },
+		"offset past the end": func(w *binio.Writer) { w.U32(1000); w.U32(1); w.U32(1001); w.U32(0) },
+		"truncated run":       func(w *binio.Writer) { w.U32(1000); w.U32(1); w.U32(0); w.U32(8); w.Raw(make([]byte, 4)) },
+		"truncated count":     func(w *binio.Writer) { w.U32(1000); w.U32(2); w.U32(0); w.U32(1); w.U8(0) },
+	} {
+		var w binio.Writer
+		enc(&w)
+		if _, err := readDiff(binio.NewReader(w.Bytes()), append([]byte(nil), prev...), false); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	var big binio.Writer
+	big.U32(maxRecordBytes + 1)
+	if _, err := readDiff(binio.NewReader(big.Bytes()), nil, true); err == nil {
+		t.Error("state longer than maxRecordBytes accepted")
+	}
+}
+
+// fuzzProg is a loop over one data page with a call, small enough that
+// an artifact of it fits a fuzz corpus.
+func fuzzProg(tb testing.TB) *prog.Program {
+	tb.Helper()
+	b := prog.NewBuilder("fuzz")
+	base := b.AppendData(make([]int64, 16)...)
+	b.Proc("main").Entry().
+		Li(isa.R(1), 100).
+		Li(isa.R(2), int64(base)).
+		Label("loop").
+		Andi(isa.R(3), isa.R(1), 15).
+		Shli(isa.R(3), isa.R(3), 3).
+		Add(isa.R(4), isa.R(2), isa.R(3)).
+		Ld(isa.R(5), isa.R(4), 0).
+		Add(isa.R(5), isa.R(5), isa.R(1)).
+		St(isa.R(5), isa.R(4), 0).
+		Call("leaf").
+		Addi(isa.R(1), isa.R(1), -1).
+		Bne(isa.R(1), isa.RZero, "loop").
+		Halt()
+	b.Proc("leaf").
+		Addi(isa.R(6), isa.R(6), 1).
+		Ret()
+	return b.MustBuild()
+}
+
+// The fuzz artifacts' geometry: a few dozen lines per cache level and a
+// few dozen predictor entries.
+var (
+	fuzzCaches = cache.HierarchyConfig{
+		IL1:       cache.Config{Name: "il1", SizeBytes: 512, LineBytes: 32, Assoc: 2, HitCycles: 1},
+		DL1:       cache.Config{Name: "dl1", SizeBytes: 512, LineBytes: 32, Assoc: 2, HitCycles: 2},
+		L2:        cache.Config{Name: "l2", SizeBytes: 2048, LineBytes: 64, Assoc: 4, HitCycles: 10},
+		MemCycles: 50,
+	}
+	fuzzBpred = bpred.Config{
+		GshareEntries: 64, BimodalEntries: 64, SelectorEntries: 64, HistoryBits: 6,
+		BTBEntries: 16, BTBAssoc: 4, RASEntries: 4,
+	}
+)
+
+// FuzzArtifactReader opens arbitrary bytes as an artifact and reads it
+// to its end; nothing may panic. Each input is tried as the artifact
+// file and, so that mutations reach the record decoders instead of
+// failing gzip's checksum, as the decompressed body of one. The
+// committed seed is a three-window artifact of fuzzProg; its body is
+// added here.
+func FuzzArtifactReader(f *testing.F) {
+	p := fuzzProg(f)
+	st, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(gunzip(f, writeArtifact(f, st, testKey, streamWindows(f, p, fuzzCaches, fuzzBpred, 3, 400))))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, file := range [][]byte{data, gzipAt(t, data, gzip.NoCompression)} {
+			install(t, st, testKey, file)
+			readWindows(st, testKey, p, fuzzCaches, fuzzBpred)
+		}
+	})
+}

@@ -48,3 +48,33 @@ func BenchmarkEmulatorUncached(b *testing.B) {
 	}
 	b.SetBytes(100_000)
 }
+
+// BenchmarkNewFromCheckpoint measures what a sampled window pays to fork
+// the stream on mcf, whose 1 MB data segment it rarely writes: a fresh
+// emulator restored from a checkpoint, then 3,000 instructions.
+func BenchmarkNewFromCheckpoint(b *testing.B) {
+	bench, _ := workload.ByName("mcf")
+	p := bench.Build(42)
+	e := MustNew(p)
+	e.Restart = true
+	for n := 0; n < 200_000; n++ {
+		if _, ok := e.Next(); !ok {
+			b.Fatal("halted")
+		}
+	}
+	cp := e.Checkpoint()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := NewFromCheckpoint(p, cp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r.Restart = true
+		for n := 0; n < 3_000; n++ {
+			if _, ok := r.Next(); !ok {
+				b.Fatal("halted")
+			}
+		}
+	}
+}

@@ -1,8 +1,10 @@
 package emu
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
@@ -13,8 +15,8 @@ import (
 // checkpointProg builds a program with enough variety to exercise every
 // piece of checkpointed state: memory traffic, call stack depth, FP
 // registers and data-dependent branches.
-func checkpointProg(t *testing.T) *prog.Program {
-	t.Helper()
+func checkpointProg(tb testing.TB) *prog.Program {
+	tb.Helper()
 	b := prog.NewBuilder("ckpt")
 	base := b.AppendData(make([]int64, 64)...)
 	b.Proc("main").Entry().
@@ -105,6 +107,16 @@ func TestCheckpointDeterminism(t *testing.T) {
 	}
 }
 
+// marshal returns the checkpoint's wire bytes.
+func marshal(t *testing.T, c *Checkpoint) []byte {
+	t.Helper()
+	data, err := c.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestCheckpointIsolation verifies a checkpoint is a true snapshot: state
 // mutated after the checkpoint (registers, memory) must not leak into it.
 func TestCheckpointIsolation(t *testing.T) {
@@ -113,8 +125,13 @@ func TestCheckpointIsolation(t *testing.T) {
 	collect(t, e, 500)
 	cp := e.Checkpoint()
 	wantR5 := e.IntReg(5)
-	// Advance the emulator: it rewrites r5 and the data table in place.
+	want := marshal(t, &cp)
+	// Advance the emulator: it rewrites r5 and the data table in place,
+	// on pages it shares with the checkpoint.
 	collect(t, e, 500)
+	if got := marshal(t, &cp); !bytes.Equal(got, want) {
+		t.Fatal("source emulator's writes after Checkpoint reached the checkpoint")
+	}
 	r, err := NewFromCheckpoint(p, cp)
 	if err != nil {
 		t.Fatal(err)
@@ -125,6 +142,9 @@ func TestCheckpointIsolation(t *testing.T) {
 	// The restored emulator's memory writes must not flow back into the
 	// checkpoint either: restore twice and compare first instructions.
 	collect(t, r, 500)
+	if got := marshal(t, &cp); !bytes.Equal(got, want) {
+		t.Fatal("restored emulator's writes reached the checkpoint")
+	}
 	r2, err := NewFromCheckpoint(p, cp)
 	if err != nil {
 		t.Fatal(err)
@@ -134,6 +154,102 @@ func TestCheckpointIsolation(t *testing.T) {
 	b := collect(t, r3, 100)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("second restore from checkpoint differs from first")
+	}
+}
+
+// TestCopyOnWriteRestores: two emulators restored from one checkpoint
+// share its pages until they write. Writing the same page in turn, each
+// must read back only its own writes, and the checkpoint must keep its
+// bytes — for a checkpoint taken from a running emulator and for one
+// decoded from its bytes, whose pages belong to no memory.
+func TestCopyOnWriteRestores(t *testing.T) {
+	p := checkpointProg(t)
+	e := MustNew(p)
+	collect(t, e, 300)
+	taken := e.Checkpoint()
+	want := marshal(t, &taken)
+	decoded, err := UnmarshalCheckpoint(want, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cp := range map[string]Checkpoint{"taken": taken, "decoded": decoded} {
+		a, err := NewFromCheckpoint(p, cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewFromCheckpoint(p, cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := p.DataBase
+		orig0, orig1 := a.Mem().Load(base), a.Mem().Load(base+8)
+		a.Mem().Store(base, 111)
+		b.Mem().Store(base, 222)
+		a.Mem().Store(base+8, 333)
+		if got := a.Mem().Load(base); got != 111 {
+			t.Errorf("%s: a reads %d at the shared page, want its own 111", name, got)
+		}
+		if got := b.Mem().Load(base); got != 222 {
+			t.Errorf("%s: b reads %d at the shared page, want its own 222", name, got)
+		}
+		if got := b.Mem().Load(base + 8); got != orig1 {
+			t.Errorf("%s: b reads a's write: %d, want the checkpoint's %d", name, got, orig1)
+		}
+		if !bytes.Equal(marshal(t, &cp), want) {
+			t.Fatalf("%s: writes by restored emulators reached the checkpoint", name)
+		}
+		c, err := NewFromCheckpoint(p, cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Mem().Load(base) != orig0 || c.Mem().Load(base+8) != orig1 {
+			t.Fatalf("%s: a third restore sees earlier restores' writes", name)
+		}
+	}
+}
+
+// TestConcurrentRestores: goroutines restoring from one checkpoint and
+// running concurrently share its pages; each stream must equal a serial
+// run. Run it under -race.
+func TestConcurrentRestores(t *testing.T) {
+	p := checkpointProg(t)
+	e := MustNew(p)
+	e.Restart = true
+	collect(t, e, 1000)
+	cp := e.Checkpoint()
+	const n = 10_000
+	serial, err := NewFromCheckpoint(p, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial.Restart = true
+	want := collect(t, serial, n)
+	got := make([][]trace.DynInst, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := NewFromCheckpoint(p, cp)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			r.Restart = true
+			for len(got[i]) < n {
+				d, ok := r.Next()
+				if !ok {
+					break
+				}
+				got[i] = append(got[i], d)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("goroutine %d: stream differs from the serial run", i)
+		}
 	}
 }
 

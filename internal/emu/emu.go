@@ -7,6 +7,7 @@ package emu
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/isa"
 	"repro/internal/prog"
@@ -19,15 +20,33 @@ const (
 	pageWords = 1 << (pageBits - 3)
 )
 
+// page is one mapped page. Pages are shared copy-on-write between a
+// memory and the checkpoints taken from it or restored into it: only
+// the memory whose epoch is owner writes a page in place, and any other
+// memory copies the page first. A page's owner never changes, and a
+// memory takes a new epoch whenever it shares its pages, so a page a
+// checkpoint can reach is never written again. Pages decoded from a
+// checkpoint have no owner.
+type page struct {
+	owner *epoch
+	words [pageWords]int64
+}
+
+// epoch is one period of a memory's ownership of its pages, identified
+// by its address. It is not zero-sized, so distinct epochs have
+// distinct addresses.
+type epoch struct{ _ byte }
+
 // Memory is a sparse, paged, word-granular memory. Addresses are byte
 // addresses rounded down to 8-byte alignment.
 type Memory struct {
-	pages map[uint64]*[pageWords]int64
+	pages map[uint64]*page
+	epoch *epoch
 }
 
 // NewMemory returns an empty memory.
 func NewMemory() *Memory {
-	return &Memory{pages: map[uint64]*[pageWords]int64{}}
+	return &Memory{pages: map[uint64]*page{}, epoch: new(epoch)}
 }
 
 // Load reads the 8-byte word containing addr; unmapped memory reads 0.
@@ -36,31 +55,34 @@ func (m *Memory) Load(addr uint64) int64 {
 	if pg == nil {
 		return 0
 	}
-	return pg[(addr>>3)&(pageWords-1)]
+	return pg.words[(addr>>3)&(pageWords-1)]
 }
 
-// Store writes the 8-byte word containing addr.
+// Store writes the 8-byte word containing addr, first copying the page
+// if this memory does not own it.
 func (m *Memory) Store(addr uint64, v int64) {
 	key := addr >> pageBits
 	pg := m.pages[key]
-	if pg == nil {
-		pg = new([pageWords]int64)
+	if pg == nil || pg.owner != m.epoch {
+		cp := &page{owner: m.epoch}
+		if pg != nil {
+			cp.words = pg.words
+		}
+		pg = cp
 		m.pages[key] = pg
 	}
-	pg[(addr>>3)&(pageWords-1)] = v
+	pg.words[(addr>>3)&(pageWords-1)] = v
 }
 
 // Pages returns the number of mapped pages (for tests).
 func (m *Memory) Pages() int { return len(m.pages) }
 
-// snapshot deep-copies the memory's mapped pages.
-func (m *Memory) snapshot() map[uint64]*[pageWords]int64 {
-	pages := make(map[uint64]*[pageWords]int64, len(m.pages))
-	for k, pg := range m.pages {
-		cp := *pg
-		pages[k] = &cp
-	}
-	return pages
+// share returns a new map holding the memory's pages and moves the
+// memory to a fresh epoch, so it copies each of those pages before its
+// next write to it.
+func (m *Memory) share() map[uint64]*page {
+	m.epoch = new(epoch)
+	return maps.Clone(m.pages)
 }
 
 type position struct {
@@ -94,15 +116,25 @@ type Emulator struct {
 // New returns an emulator over a linked program with the data segment
 // loaded.
 func New(p *prog.Program) (*Emulator, error) {
-	if !p.Linked() {
-		return nil, fmt.Errorf("program %q is not linked", p.Name)
+	e, err := newBare(p)
+	if err != nil {
+		return nil, err
 	}
-	e := &Emulator{prog: p, mem: NewMemory(), dec: decodeOf(p)}
+	e.mem = NewMemory()
 	for i, w := range p.Data {
 		e.mem.Store(p.DataBase+uint64(8*i), w)
 	}
 	e.flat = e.dec.entry
 	return e, nil
+}
+
+// newBare returns an emulator over a linked program with no memory and
+// no control position; the caller sets both.
+func newBare(p *prog.Program) (*Emulator, error) {
+	if !p.Linked() {
+		return nil, fmt.Errorf("program %q is not linked", p.Name)
+	}
+	return &Emulator{prog: p, dec: decodeOf(p)}, nil
 }
 
 // MustNew is New that panics on error.
@@ -143,7 +175,7 @@ type Checkpoint struct {
 	prog  *prog.Program
 	iregs [isa.IntRegs]int64
 	fregs [isa.FPRegs]float64
-	pages map[uint64]*[pageWords]int64
+	pages map[uint64]*page
 	pos   position
 	stack []position
 	seq   int64
@@ -156,6 +188,8 @@ func (c *Checkpoint) Seq() int64 { return c.seq }
 
 // Checkpoint snapshots the emulator's architectural state. The snapshot
 // is independent of the emulator: later execution does not mutate it.
+// The snapshot shares the memory's pages; the emulator copies a page the
+// first time it writes to it afterwards.
 func (e *Emulator) Checkpoint() Checkpoint {
 	var stack []position
 	for _, f := range e.fstack {
@@ -165,7 +199,7 @@ func (e *Emulator) Checkpoint() Checkpoint {
 		prog:  e.prog,
 		iregs: e.iregs,
 		fregs: e.fregs,
-		pages: e.mem.snapshot(),
+		pages: e.mem.share(),
 		pos:   e.dec.posOf[e.flat],
 		stack: stack,
 		seq:   e.seq,
@@ -174,7 +208,9 @@ func (e *Emulator) Checkpoint() Checkpoint {
 }
 
 // Restore rewinds the emulator to a checkpoint taken from the same
-// program. The checkpoint stays valid and can be restored again.
+// program. The checkpoint stays valid and can be restored again: the
+// emulator shares the checkpoint's pages and copies each one the first
+// time it writes to it.
 func (e *Emulator) Restore(c Checkpoint) error {
 	if c.prog != e.prog {
 		return fmt.Errorf("emu: checkpoint is for program %q, emulator runs %q",
@@ -182,10 +218,7 @@ func (e *Emulator) Restore(c Checkpoint) error {
 	}
 	e.iregs = c.iregs
 	e.fregs = c.fregs
-	e.mem = &Memory{pages: c.pages}
-	// The restored emulator must not write through into the checkpoint's
-	// pages, and a second Restore must see them untouched.
-	e.mem.pages = e.mem.snapshot()
+	e.mem = &Memory{pages: maps.Clone(c.pages), epoch: new(epoch)}
 	e.flat = e.dec.flatOf(e.prog, c.pos)
 	e.fstack = e.fstack[:0]
 	for _, pos := range c.stack {
@@ -197,9 +230,10 @@ func (e *Emulator) Restore(c Checkpoint) error {
 }
 
 // NewFromCheckpoint builds a fresh emulator resuming at a checkpoint of
-// the given linked program.
+// the given linked program. The data segment is not loaded: the
+// checkpoint's memory replaces it.
 func NewFromCheckpoint(p *prog.Program, c Checkpoint) (*Emulator, error) {
-	e, err := New(p)
+	e, err := newBare(p)
 	if err != nil {
 		return nil, err
 	}

@@ -9,8 +9,10 @@
 package emu
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/binio"
 	"repro/internal/prog"
@@ -43,7 +45,27 @@ func validPosition(p *prog.Program, pos position) bool {
 
 // MarshalBinary serializes the checkpoint's architectural state. The
 // program is not included; UnmarshalCheckpoint re-attaches it.
-func (c *Checkpoint) MarshalBinary() ([]byte, error) {
+func (c *Checkpoint) MarshalBinary() ([]byte, error) { return c.MarshalDelta(nil) }
+
+// pageRecord is the wire size of one page: its key and its words.
+const pageRecord = 8 + 8*pageWords
+
+// MarshalDelta serializes the checkpoint as a delta against prev, an
+// earlier checkpoint of the same program that maps no page c does not:
+// the header, the total page count, then only the pages whose words
+// differ from prev's, in ascending key order. A nil prev writes every
+// page, which is MarshalBinary's layout. Checkpoints taken along one
+// stream share the pages the program did not write in between, so
+// those are skipped without comparing their words.
+// UnmarshalCheckpointDelta with the same prev decodes the result.
+func (c *Checkpoint) MarshalDelta(prev *Checkpoint) ([]byte, error) {
+	if prev != nil {
+		for k := range prev.pages {
+			if c.pages[k] == nil {
+				return nil, fmt.Errorf("emu: delta base maps page %#x, the checkpoint does not", k)
+			}
+		}
+	}
 	var w binio.Writer
 	w.U32(ckptMagic)
 	for _, v := range c.iregs {
@@ -59,16 +81,17 @@ func (c *Checkpoint) MarshalBinary() ([]byte, error) {
 	}
 	w.I64(c.seq)
 	w.Bool(c.halt)
-	keys := make([]uint64, 0, len(c.pages))
-	for k := range c.pages {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	keys := slices.Sorted(maps.Keys(c.pages))
 	w.U32(uint32(len(keys)))
 	for _, k := range keys {
-		w.U64(k)
 		pg := c.pages[k]
-		for _, word := range pg {
+		if prev != nil {
+			if old := prev.pages[k]; old == pg || (old != nil && old.words == pg.words) {
+				continue
+			}
+		}
+		w.U64(k)
+		for _, word := range pg.words {
 			w.I64(word)
 		}
 	}
@@ -83,6 +106,15 @@ func (c *Checkpoint) MarshalBinary() ([]byte, error) {
 // would execute garbage — the store's content key is what rules that
 // out.
 func UnmarshalCheckpoint(data []byte, p *prog.Program) (Checkpoint, error) {
+	return UnmarshalCheckpointDelta(data, p, nil)
+}
+
+// UnmarshalCheckpointDelta decodes MarshalDelta(prev)'s output as
+// UnmarshalCheckpoint does: the result holds prev's pages overlaid with
+// the pages data carries. It has its own page map and shares the
+// unchanged pages with prev. The page keys must ascend strictly, and
+// the overlay must hold exactly the recorded page total.
+func UnmarshalCheckpointDelta(data []byte, p *prog.Program, prev *Checkpoint) (Checkpoint, error) {
 	var c Checkpoint
 	if !p.Linked() {
 		return c, fmt.Errorf("emu: cannot attach checkpoint to unlinked program %q", p.Name)
@@ -102,7 +134,7 @@ func UnmarshalCheckpoint(data []byte, p *prog.Program) (Checkpoint, error) {
 	if err := r.Err(); err != nil {
 		return Checkpoint{}, err
 	}
-	if nstack > 1<<20 {
+	if nstack > r.Remaining()/24 { // 24 bytes per stack entry
 		return Checkpoint{}, fmt.Errorf("emu: implausible checkpoint stack depth %d", nstack)
 	}
 	c.stack = make([]position, nstack)
@@ -110,28 +142,40 @@ func UnmarshalCheckpoint(data []byte, p *prog.Program) (Checkpoint, error) {
 		c.stack[i] = readPosition(r)
 	}
 	c.seq = r.I64()
-	c.halt = r.Bool()
+	halt := r.U8()
 	npages := int(r.U32())
 	if err := r.Err(); err != nil {
 		return Checkpoint{}, err
 	}
-	if r.Remaining() < npages*(8+8*pageWords) {
+	if halt > 1 {
+		return Checkpoint{}, fmt.Errorf("emu: checkpoint halt flag %d is not a bool", halt)
+	}
+	c.halt = halt == 1
+	if r.Remaining()%pageRecord != 0 {
 		return Checkpoint{}, binio.ErrCorrupt
 	}
-	c.pages = make(map[uint64]*[pageWords]int64, npages)
-	for i := 0; i < npages; i++ {
+	ndelta := r.Remaining() / pageRecord
+	if prev != nil {
+		c.pages = maps.Clone(prev.pages)
+	} else {
+		c.pages = make(map[uint64]*page, ndelta)
+	}
+	var last uint64
+	for i := 0; i < ndelta; i++ {
 		key := r.U64()
-		pg := new([pageWords]int64)
-		for j := range pg {
-			pg[j] = r.I64()
+		if i > 0 && key <= last {
+			return Checkpoint{}, fmt.Errorf("emu: checkpoint page %#x out of order after %#x", key, last)
+		}
+		last = key
+		pg := new(page)
+		b := r.Raw(8 * pageWords)
+		for j := range pg.words {
+			pg.words[j] = int64(binary.LittleEndian.Uint64(b[8*j:]))
 		}
 		c.pages[key] = pg
 	}
-	if err := r.Err(); err != nil {
-		return Checkpoint{}, err
-	}
-	if r.Remaining() != 0 {
-		return Checkpoint{}, fmt.Errorf("emu: %d trailing bytes after checkpoint", r.Remaining())
+	if len(c.pages) != npages {
+		return Checkpoint{}, fmt.Errorf("emu: checkpoint records %d pages, holds %d", npages, len(c.pages))
 	}
 	if !validPosition(p, c.pos) {
 		return Checkpoint{}, fmt.Errorf("emu: checkpoint position %+v outside program %q", c.pos, p.Name)
@@ -160,7 +204,7 @@ func (c *Checkpoint) Equal(o *Checkpoint) bool {
 	}
 	for k, pg := range c.pages {
 		opg := o.pages[k]
-		if opg == nil || *pg != *opg {
+		if opg == nil || pg.words != opg.words {
 			return false
 		}
 	}

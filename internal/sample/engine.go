@@ -223,13 +223,13 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 	// jobs sample equal positions.
 	jitterState := uint64(budget)*2654435761 + uint64(sc.PeriodInsts) + 1
 	jitteredGap := func() int64 {
-		if sc.JitterPct <= 0 || ffPerPeriod == 0 {
+		if ffPerPeriod == 0 {
 			return ffPerPeriod
 		}
 		jitterState ^= jitterState << 13
 		jitterState ^= jitterState >> 7
 		jitterState ^= jitterState << 17
-		span := ffPerPeriod * int64(sc.JitterPct) / 100
+		span := ffPerPeriod * JitterPct / 100
 		return ffPerPeriod - span + int64(jitterState%uint64(2*span+1))
 	}
 
@@ -288,9 +288,9 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 		}
 
 		// The main stream re-executes the window's region functionally —
-		// with warming, regardless of PureFastForward, so the state every
-		// later window starts from is a pure function of the stream
-		// position and never of this cell's detailed configuration.
+		// with warming, so the state every later window starts from is a
+		// pure function of the stream position and never of this cell's
+		// detailed configuration.
 		stop = cs.real + detail
 		for cs.real < stop {
 			d, ok := e.Next()
@@ -301,30 +301,22 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 			warm.observe(&d)
 		}
 
-		// Fast-forward: architectural state always; cache and predictor
-		// warming too unless PureFastForward.
+		// Fast-forward: architectural state plus cache and predictor
+		// warming, as SMARTS does. Without warming, long-lived cache
+		// state ages too slowly and memory-bound programs (mcf-like)
+		// overstate their hit rates.
 		ffStart := cs.real
 		stop = ffStart + jitteredGap()
 		if stop > budget {
 			stop = budget
 		}
-		if sc.PureFastForward {
-			for cs.real < stop {
-				d, ok := e.Next()
-				if !ok {
-					break
-				}
-				cs.observe(&d)
+		for cs.real < stop {
+			d, ok := e.Next()
+			if !ok {
+				break
 			}
-		} else {
-			for cs.real < stop {
-				d, ok := e.Next()
-				if !ok {
-					break
-				}
-				cs.observe(&d)
-				warm.observe(&d)
-			}
+			cs.observe(&d)
+			warm.observe(&d)
 		}
 		ffwd := cs.real - ffStart
 		for i, rep := range b.reports {

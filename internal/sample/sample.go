@@ -59,29 +59,22 @@ type Config struct {
 	// that refills the pipeline before measurement starts. Zero means the
 	// default; negative means explicitly none.
 	DetailWarmupInsts int64
-	// JitterPct randomises each period's fast-forward gap by up to ±this
-	// percentage (0..90), drawn from a deterministic per-run generator, so
-	// windows cannot alias with loop periodicity in the workload (the
-	// systematic-sampling failure mode SMARTS § 3 warns about). The
-	// expected period — and therefore the detailed fraction and the cache
-	// identity of a campaign job — is unchanged. Default 25.
-	JitterPct int
-	// PureFastForward disables functional warming during the fast-forward
-	// phase (architectural state only, maximum functional speed). The
-	// default — warming throughout, as SMARTS does — is what keeps
-	// long-lived cache state truthful; pure fast-forward lets caches age
-	// too slowly and overestimates hit rates on memory-bound programs
-	// (mcf-like), so enable it only for small-footprint workloads or when
-	// chasing maximum throughput over accuracy.
-	PureFastForward bool
 }
 
 // confidence is the level of every per-metric interval a Report carries.
 const confidence = 0.95
 
+// JitterPct randomises each period's fast-forward gap by up to ±this
+// percentage, drawn from a deterministic per-run generator, so windows
+// cannot alias with loop periodicity in the workload (the
+// systematic-sampling failure mode SMARTS § 3 warns about). The
+// expected period — and therefore the detailed fraction and the cache
+// identity of a campaign job — is unchanged.
+const JitterPct = 25
+
 // DefaultConfig is the standard regime: 1k-instruction measured windows
 // every 60k instructions, preceded by 2k of functional warming and 2k of
-// detailed pipeline fill, with ±25% period jitter — a 5% detailed
+// detailed pipeline fill, with ±JitterPct period jitter — a 5% detailed
 // fraction that lands the standard three-benchmark sweep at ~5-6x over
 // exact with well under 1% mean IPC error at a 2M budget (see README
 // "Sampling"). Budgets under ~1M instructions yield few windows and
@@ -92,14 +85,13 @@ func DefaultConfig() Config {
 		PeriodInsts:       60_000,
 		WarmupInsts:       2_000,
 		DetailWarmupInsts: 2_000,
-		JitterPct:         25,
 	}
 }
 
 // WithDefaults resolves the regime Run will actually execute: zero
-// fields take DefaultConfig values; a negative WarmupInsts,
-// DetailWarmupInsts or JitterPct means explicitly none and resolves to
-// 0. Validate the resolved config, not the raw one — Run does.
+// fields take DefaultConfig values; a negative WarmupInsts or
+// DetailWarmupInsts means explicitly none and resolves to 0. Validate
+// the resolved config, not the raw one — Run does.
 func (c Config) WithDefaults() Config {
 	d := DefaultConfig()
 	if c.WindowInsts == 0 {
@@ -120,12 +112,6 @@ func (c Config) WithDefaults() Config {
 	if c.DetailWarmupInsts < 0 {
 		c.DetailWarmupInsts = 0 // explicit "no pipeline fill"
 	}
-	if c.JitterPct == 0 {
-		c.JitterPct = d.JitterPct
-	}
-	if c.JitterPct < 0 {
-		c.JitterPct = 0 // explicit "no jitter"
-	}
 	return c
 }
 
@@ -138,9 +124,6 @@ func (c *Config) Validate() error {
 	if min := c.WarmupInsts + c.DetailWarmupInsts + c.WindowInsts; c.PeriodInsts < min {
 		return fmt.Errorf("sample: period %d shorter than warmup+window %d",
 			c.PeriodInsts, min)
-	}
-	if c.JitterPct > 90 {
-		return fmt.Errorf("sample: jitter %d%% exceeds 90%%", c.JitterPct)
 	}
 	return nil
 }

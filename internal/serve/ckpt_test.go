@@ -10,6 +10,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"os"
 	"testing"
 	"time"
 
@@ -85,7 +86,6 @@ func TestCheckpointEndpoints(t *testing.T) {
 		t.Fatal("garbage upload was published")
 	}
 
-	// A genuine artifact round-trips: PUT, then GET returns the bytes.
 	side, err := ckpt.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +101,24 @@ func TestCheckpointEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// So is an artifact whose gzip checksum fails, and one written in an
+	// older artifact format.
+	corrupt := append([]byte(nil), artifact...)
+	corrupt[len(corrupt)-8] ^= 1 // the CRC-32 in the gzip footer
+	v1, err := os.ReadFile("../ckpt/testdata/v1.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"checksum": corrupt, "format 1": v1} {
+		if code, body := rawCkpt(t, cl, http.MethodPut, key, data); code != http.StatusUnprocessableEntity {
+			t.Errorf("PUT %s artifact = %d (%s), want 422", name, code, body)
+		}
+		if s.ckpt.Has(key) {
+			t.Fatalf("%s artifact was published", name)
+		}
+	}
+
+	// A genuine artifact round-trips: PUT, then GET returns the bytes.
 	if code, _ := rawCkpt(t, cl, http.MethodPut, key, artifact); code != http.StatusNoContent {
 		t.Errorf("PUT artifact = %d, want 204", code)
 	}

@@ -26,6 +26,7 @@
 // share a warming identity reuse one functional-warming pass instead of
 // each recomputing it, locally and across the fleet (workers download
 // artifacts from /v1/checkpoints and push ones they generate).
+// A worker may fetch or push only the artifact keys its leases named.
 // DELETE /v1/campaigns/{id} garbage-collects artifacts no remaining
 // campaign references.
 //
@@ -39,8 +40,9 @@
 //
 // -registry-ttl evicts finished campaigns (memory, durable state and
 // orphaned checkpoint artifacts) that long after completion;
-// -cache-max-bytes bounds the result cache, evicting least recently
-// used entries; -gc-interval is how often both bounds are enforced.
+// -cache-max-bytes bounds each on-disk store — the result cache and the
+// checkpoint store, separately — evicting least recently used entries;
+// -gc-interval is how often both bounds are enforced.
 //
 // -auth turns authentication on: every /v1/* request must present a
 // bearer token from the given token file (JSON mapping tokens to
@@ -48,9 +50,10 @@
 // client identity comes from the token's principal, never a header.
 // SIGHUP re-reads the file, so tokens rotate without a restart (a
 // broken file keeps the previous set in force). -tenant-isolation
-// additionally namespaces the result cache, in-flight dedup and
-// checkpoint store per client, so tenants never share artifacts and
-// -cache-max-bytes bounds each tenant separately.
+// additionally gives each client its own namespace — result cache and
+// checkpoint store under tenants/<client> of -cache and -ckpt, plus its
+// own in-flight dedup — so tenants never share results or artifacts and
+// -cache-max-bytes bounds each tenant's stores separately.
 //
 //	sdiqd -addr :8080 -cache /var/cache/sdiq &
 //	sdiqw -server http://localhost:8080 -scratch /tmp/sdiqw &
@@ -85,10 +88,10 @@ func main() {
 	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "worker lease lifetime between heartbeats")
 	jobRetries := flag.Int("job-retries", 2, "re-lease attempts after a failed lease before local fallback (negative = none)")
 	registryTTL := flag.Duration("registry-ttl", 0, "evict finished campaigns this long after completion (0 = keep until DELETE)")
-	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "result cache size bound, LRU-evicted (0 = unbounded)")
-	gcInterval := flag.Duration("gc-interval", 0, "how often registry/cache bounds are enforced (0 = 1m)")
+	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "size bound of each result cache and checkpoint store, LRU-evicted (0 = unbounded)")
+	gcInterval := flag.Duration("gc-interval", 0, "how often registry/store bounds are enforced (0 = 1m)")
 	authFile := flag.String("auth", "", "bearer token file (JSON); enables authentication on every /v1/* endpoint")
-	tenantIsolation := flag.Bool("tenant-isolation", false, "namespace result cache and checkpoint store per client")
+	tenantIsolation := flag.Bool("tenant-isolation", false, "give each client its own result cache, checkpoint store and dedup")
 	flag.Parse()
 
 	log.SetPrefix("sdiqd: ")

@@ -11,11 +11,12 @@
 //	      [-scratch-max-bytes N] [-ckpt DIR] [-parallel N] [-token TOKEN]
 //
 // -scratch is the worker's local result cache: a job this worker has
-// run before is answered from disk (-scratch-max-bytes bounds it,
-// evicting least recently used results). -ckpt is the worker's local
+// run before is answered from disk. -ckpt is the worker's local
 // checkpoint artifact store: sampled jobs download the sweep's shared
 // warm state from the server (or generate and push it back) instead of
-// re-warming per cell. -parallel is how many jobs run concurrently
+// re-warming per cell. -scratch-max-bytes bounds each of the two,
+// evicting least recently used entries after every job (an artifact
+// only once it has been pushed). -parallel is how many jobs run concurrently
 // (default: GOMAXPROCS). -token is the worker-role bearer credential,
 // required against a server running with -auth (also read from
 // SDIQ_TOKEN so the secret stays out of process listings).
@@ -51,7 +52,7 @@ func main() {
 	server := flag.String("server", "http://localhost:8080", "sdiqd base URL")
 	name := flag.String("name", "", "worker name (default: hostname)")
 	scratch := flag.String("scratch", "", "local result cache directory (recommended)")
-	scratchMax := flag.Int64("scratch-max-bytes", 0, "scratch cache size bound, LRU-evicted (0 = unbounded)")
+	scratchMax := flag.Int64("scratch-max-bytes", 0, "size bound of the scratch cache and of the checkpoint store, each LRU-evicted (0 = unbounded)")
 	ckptDir := flag.String("ckpt", "", "local checkpoint artifact store directory")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent jobs")
 	token := flag.String("token", os.Getenv("SDIQ_TOKEN"), "worker bearer token (default $SDIQ_TOKEN; required when the server runs -auth)")

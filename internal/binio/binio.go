@@ -98,8 +98,15 @@ func (r *Reader) U8() uint8 {
 	return b[0]
 }
 
-// Bool reads a one-byte bool (any non-zero is true).
-func (r *Reader) Bool() bool { return r.U8() != 0 }
+// Bool reads a one-byte bool. Writer only writes 0 and 1; any other
+// byte is corrupt, so that an accepted buffer re-encodes to itself.
+func (r *Reader) Bool() bool {
+	b := r.U8()
+	if b > 1 {
+		r.err = ErrCorrupt
+	}
+	return b == 1
+}
 
 // U32 reads a little-endian uint32.
 func (r *Reader) U32() uint32 {

@@ -72,7 +72,16 @@ func (p *Predictor) UnmarshalState(data []byte) error {
 			return fmt.Errorf("bpred: serialized %s has %d entries, predictor has %d", name, n, len(dst))
 		}
 		copy(dst, r.Raw(n))
-		return r.Err()
+		if err := r.Err(); err != nil {
+			return err
+		}
+		for i, c := range dst {
+			if c > 3 {
+				// No predictor reaches this state: the counters saturate.
+				return fmt.Errorf("bpred: serialized %s counter %d is %d, beyond a 2-bit counter", name, i, c)
+			}
+		}
+		return nil
 	}
 	if err := readTable("gshare", p.gshare); err != nil {
 		return err

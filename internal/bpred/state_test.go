@@ -117,3 +117,36 @@ func TestStateExcludesStats(t *testing.T) {
 		t.Fatalf("restored predictor carries %d lookups", fresh.Stats.CondLookups)
 	}
 }
+
+// fuzzPredictor is a small configuration — a few dozen entries per
+// table — so mutations reach every counter and BTB entry.
+var fuzzPredictor = Config{
+	GshareEntries: 64, BimodalEntries: 64, SelectorEntries: 64, HistoryBits: 6,
+	BTBEntries: 16, BTBAssoc: 4, RASEntries: 4,
+}
+
+// FuzzPredictorState decodes arbitrary bytes as the warm state of a
+// small predictor: the decoder reads bytes that workers upload inside
+// checkpoint artifacts. Nothing may panic, an accepted state must
+// re-marshal to the same bytes, and its counters must be ones a
+// predictor can reach. The committed seeds are a trained predictor's
+// state and the same state with a gshare counter of 48, which an
+// earlier decoder accepted.
+func FuzzPredictorState(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := New(fuzzPredictor)
+		if p.UnmarshalState(data) != nil {
+			return
+		}
+		if !bytes.Equal(p.MarshalState(), data) {
+			t.Fatal("accepted state re-marshals to different bytes")
+		}
+		for _, table := range [][]uint8{p.gshare, p.bimodal, p.selector} {
+			for i, c := range table {
+				if c > 3 {
+					t.Fatalf("accepted counter %d of %d: 2-bit counters saturate at 3", i, c)
+				}
+			}
+		}
+	})
+}

@@ -123,3 +123,33 @@ func TestStateExcludesStats(t *testing.T) {
 		t.Fatalf("restored hierarchy carries %d DL1 accesses", fresh.DL1.Stats.Accesses)
 	}
 }
+
+// fuzzHierarchy is a small geometry — a few dozen lines per level — so
+// mutations reach every field of every line.
+var fuzzHierarchy = HierarchyConfig{
+	IL1:       Config{Name: "il1", SizeBytes: 512, LineBytes: 32, Assoc: 2, HitCycles: 1},
+	DL1:       Config{Name: "dl1", SizeBytes: 512, LineBytes: 32, Assoc: 2, HitCycles: 2},
+	L2:        Config{Name: "l2", SizeBytes: 2048, LineBytes: 64, Assoc: 4, HitCycles: 10},
+	MemCycles: 50,
+}
+
+// FuzzHierarchyState decodes arbitrary bytes as the warm state of a
+// small hierarchy: the decoder reads bytes that workers upload inside
+// checkpoint artifacts. Nothing may panic, and an accepted state must
+// re-marshal to the same bytes. The committed seeds are a warmed
+// hierarchy's state and the same state with a line's valid byte set to
+// 0x30, which an earlier decoder accepted as true.
+func FuzzHierarchyState(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := NewHierarchy(fuzzHierarchy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.UnmarshalState(data) != nil {
+			return
+		}
+		if !bytes.Equal(h.MarshalState(), data) {
+			t.Fatal("accepted state re-marshals to different bytes")
+		}
+	})
+}

@@ -5,13 +5,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"time"
 
+	"repro/internal/blob"
 	"repro/internal/power"
 )
 
@@ -32,7 +27,7 @@ const cacheSchema = 1
 func JobKey(job *Job, params power.Params) (string, error) {
 	cfg := job.Config
 	cfg.Probe = nil // runtime attachment, not identity
-	blob, err := json.Marshal(struct {
+	raw, err := json.Marshal(struct {
 		Schema   int
 		Bench    string
 		Tech     Technique
@@ -45,174 +40,79 @@ func JobKey(job *Job, params power.Params) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("campaign: hashing job %s: %w", job.ID(), err)
 	}
-	sum := sha256.Sum256(blob)
+	sum := sha256.Sum256(raw)
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Cache is the exported handle on a result cache directory — the same
-// store the engine uses internally, for drivers that manage results by
-// JobKey themselves (the remote worker's scratch cache). A nil *Cache
-// (from an empty dir) is safe to use and never hits.
+// Cache is a result cache directory: one JSON-encoded Result per
+// JobKey, in a blob.Store. The engine opens one per run (CacheDir), and
+// drivers that manage results by JobKey themselves (the remote worker's
+// scratch cache) and the service's GC hold their own handles. A nil
+// *Cache (from an empty dir) is safe to use and never hits.
 type Cache struct {
-	dc *diskCache
+	blob *blob.Store
 }
 
 // OpenCache opens (creating if needed) a result cache at dir. An empty
 // dir returns a nil Cache whose Get always misses and Put discards.
 func OpenCache(dir string) (*Cache, error) {
-	dc, err := newDiskCache(dir)
+	b, err := blob.Open(dir, "json")
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("campaign: cache dir: %w", err)
 	}
-	if dc == nil {
+	if b == nil {
 		return nil, nil
 	}
-	return &Cache{dc: dc}, nil
+	return &Cache{blob: b}, nil
 }
 
 // Get loads the cached result for a JobKey; ok is false on a miss or a
-// corrupt entry. Hits come back with Cached set, like the engine's.
+// corrupt entry. Hits come back with Cached set and count as a use for
+// GC. A missing or unreadable entry is a miss, never an error: the
+// cache is an accelerator, not a source of truth.
 func (c *Cache) Get(key string) (Result, bool) {
-	if c == nil || key == "" {
+	if c == nil {
 		return Result{}, false
 	}
-	return c.dc.get(key)
-}
-
-// Put stores a result under a JobKey (atomically, like the engine's
-// writes). Errors are the caller's to ignore: a failed write only costs
-// a future re-simulation.
-func (c *Cache) Put(key string, res Result) error {
-	if c == nil || key == "" {
-		return nil
-	}
-	return c.dc.put(key, res)
-}
-
-// GC bounds the cache directory to maxBytes by evicting entries least
-// recently used first (every hit refreshes an entry's mtime, so mtime
-// order is recency order). Eviction is an accelerator trade, never a
-// correctness event: an evicted result simply re-simulates on its next
-// request. Returns how many entries were evicted and how many bytes
-// they held. A nil cache or non-positive bound is a no-op.
-func (c *Cache) GC(maxBytes int64) (evicted int, reclaimed int64, err error) {
-	if c == nil || maxBytes <= 0 {
-		return 0, 0, nil
-	}
-	return c.dc.gc(maxBytes)
-}
-
-// cacheEntry is one on-disk result during a GC scan.
-type cacheEntry struct {
-	path  string
-	size  int64
-	mtime time.Time
-}
-
-// gc walks the sharded cache directory and deletes oldest-mtime entries
-// until the total is at or under maxBytes. Concurrent readers of a
-// deleted entry observe a miss, concurrent writers win the race
-// harmlessly (their fresh mtime puts them at the back of the LRU).
-func (c *diskCache) gc(maxBytes int64) (int, int64, error) {
-	var entries []cacheEntry
-	var total int64
-	err := filepath.WalkDir(c.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(d.Name(), ".json") || strings.HasPrefix(d.Name(), ".") {
-			return nil // temp files and foreign droppings are not ours to evict
-		}
-		info, ierr := d.Info()
-		if ierr != nil {
-			return nil
-		}
-		entries = append(entries, cacheEntry{path: path, size: info.Size(), mtime: info.ModTime()})
-		total += info.Size()
-		return nil
-	})
-	if err != nil {
-		return 0, 0, fmt.Errorf("campaign: cache gc: %w", err)
-	}
-	if total <= maxBytes {
-		return 0, 0, nil
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].mtime.Before(entries[j].mtime) })
-	evicted, reclaimed := 0, int64(0)
-	for _, e := range entries {
-		if total-reclaimed <= maxBytes {
-			break
-		}
-		if os.Remove(e.path) != nil {
-			continue // already gone (racing GC or manual cleanup)
-		}
-		evicted++
-		reclaimed += e.size
-	}
-	return evicted, reclaimed, nil
-}
-
-// diskCache persists one Result per content hash under a directory,
-// sharded by the key's first byte to keep directories small. A missing
-// or unreadable entry is a miss, never an error: the cache is an
-// accelerator, not a source of truth.
-type diskCache struct {
-	dir string
-}
-
-func newDiskCache(dir string) (*diskCache, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("campaign: cache dir: %w", err)
-	}
-	return &diskCache{dir: dir}, nil
-}
-
-func (c *diskCache) path(key string) string {
-	return filepath.Join(c.dir, key[:2], key+".json")
-}
-
-// get loads a cached result; ok is false on miss or a corrupt entry.
-// Hits refresh the entry's mtime (best-effort) so the GC's mtime order
-// approximates least-recently-used rather than least-recently-written.
-func (c *diskCache) get(key string) (Result, bool) {
-	p := c.path(key)
-	raw, err := os.ReadFile(p)
+	raw, err := c.blob.Read(key)
 	if err != nil {
 		return Result{}, false
 	}
 	var res Result
 	if err := json.Unmarshal(raw, &res); err != nil {
+		// The first writer wins, so a torn entry left in place would
+		// shadow every re-simulated result: drop it.
+		c.blob.Remove(key)
 		return Result{}, false
 	}
-	now := time.Now()
-	_ = os.Chtimes(p, now, now)
 	res.Cached = true
 	return res, true
 }
 
-// put stores a result atomically (write-to-temp, rename) so concurrent
-// campaigns over the same cache directory never observe torn entries.
-func (c *diskCache) put(key string, res Result) error {
-	p := c.path(key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return err
+// Put stores a result under a JobKey, atomically, so concurrent
+// campaigns over the same directory never observe torn entries; an
+// entry already present is kept. Errors are the caller's to ignore: a
+// failed write only costs a future re-simulation.
+func (c *Cache) Put(key string, res Result) error {
+	if c == nil {
+		return nil
 	}
-	blob, err := json.Marshal(res)
+	raw, err := json.Marshal(res)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(p), "."+key+".tmp*")
-	if err != nil {
-		return err
+	_, err = c.blob.Write(key, raw)
+	return err
+}
+
+// GC bounds the cache directory to maxBytes by evicting entries least
+// recently used first. Eviction is an accelerator trade, never a
+// correctness event: an evicted result simply re-simulates on its next
+// request. Returns how many entries were evicted and how many bytes
+// they held. A nil cache or non-positive bound is a no-op.
+func (c *Cache) GC(maxBytes int64) (evicted int, reclaimed int64, err error) {
+	if c == nil {
+		return 0, 0, nil
 	}
-	_, werr := tmp.Write(blob)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	}
-	return os.Rename(tmp.Name(), p)
+	return c.blob.GC(maxBytes)
 }

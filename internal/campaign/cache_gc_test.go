@@ -33,10 +33,10 @@ func TestCacheGCEvictsOldestFirst(t *testing.T) {
 		// Stagger mtimes explicitly: filesystem timestamp granularity is
 		// far coarser than this loop.
 		mt := time.Now().Add(time.Duration(i-n) * time.Minute)
-		if err := os.Chtimes(c.dc.path(gcKey(i)), mt, mt); err != nil {
+		if err := os.Chtimes(c.blob.Path(gcKey(i)), mt, mt); err != nil {
 			t.Fatal(err)
 		}
-		if fi, err := os.Stat(c.dc.path(gcKey(i))); err == nil && i == 0 {
+		if fi, err := os.Stat(c.blob.Path(gcKey(i))); err == nil && i == 0 {
 			size = fi.Size()
 		}
 	}
@@ -74,7 +74,7 @@ func TestCacheGCTouchOnGet(t *testing.T) {
 			t.Fatal(err)
 		}
 		mt := time.Now().Add(time.Duration(i-10) * time.Minute)
-		if err := os.Chtimes(c.dc.path(gcKey(i)), mt, mt); err != nil {
+		if err := os.Chtimes(c.blob.Path(gcKey(i)), mt, mt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,7 +83,7 @@ func TestCacheGCTouchOnGet(t *testing.T) {
 		t.Fatal("priming get missed")
 	}
 	var size int64
-	if fi, err := os.Stat(c.dc.path(gcKey(0))); err == nil {
+	if fi, err := os.Stat(c.blob.Path(gcKey(0))); err == nil {
 		size = fi.Size()
 	}
 	if _, _, err := c.GC(size * 2); err != nil {

@@ -114,6 +114,15 @@ func TestCacheCorruptEntryIsAMiss(t *testing.T) {
 	if second.Results[0].Stats != first.Results[0].Stats {
 		t.Error("re-simulated result diverges")
 	}
+	// The re-simulated result replaced the corrupt entry: the next run
+	// is served from the cache.
+	third, err := e.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third.Executed != 0 || third.CacheHits != 1 {
+		t.Errorf("corrupt entry never replaced: executed=%d hits=%d", third.Executed, third.CacheHits)
+	}
 }
 
 // TestCacheSharedAcrossSpecs: a sweep point whose derived configuration

@@ -145,7 +145,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	cache, err := newDiskCache(e.CacheDir)
+	cache, err := OpenCache(e.CacheDir)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +244,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*ResultSet, error) {
 		if cache == nil || keys[idx] == "" {
 			return Result{}, false
 		}
-		res, ok := cache.get(keys[idx])
+		res, ok := cache.Get(keys[idx])
 		if ok {
 			// The key omits the sweep point (it is encoded in the
 			// derived config); restamp the requester's coordinates.
@@ -282,7 +282,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*ResultSet, error) {
 		for i, idx := range run {
 			if cerrs[i] == nil && cache != nil && keys[idx] != "" {
 				// A failed write only costs the next run a re-simulation.
-				_ = cache.put(keys[idx], res[i])
+				_ = cache.Put(keys[idx], res[i])
 			}
 		}
 		return res, cerrs

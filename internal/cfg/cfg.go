@@ -328,16 +328,3 @@ func (l *Loop) ExitTargets(p *prog.Proc) []int {
 	sort.Ints(out)
 	return out
 }
-
-// IsLoopExitBlock is a convenience for hint placement: it reports whether
-// block b (not in any loop) is a target of a loop exit edge.
-func IsLoopExitBlock(a *Analysis, b int) bool {
-	for _, l := range a.Loops {
-		for _, t := range l.ExitTargets(a.Proc) {
-			if t == b {
-				return true
-			}
-		}
-	}
-	return false
-}

@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"slices"
 
 	"repro/internal/binio"
+	"repro/internal/blob"
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/emu"
@@ -115,16 +115,9 @@ func (s *Store) Create(key string, budget int64) (*Writer, error) {
 	if s == nil {
 		return nil, nil
 	}
-	p := s.path(key)
-	if p == "" {
-		return nil, fmt.Errorf("ckpt: invalid key %q", key)
-	}
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return nil, err
-	}
-	f, err := os.CreateTemp(s.dir, "gen-*")
+	f, err := s.blob.Temp(key)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ckpt: create %.12s: %w", key, err)
 	}
 	w := &Writer{s: s, key: key, f: f}
 	w.wrote = countingWriter{w: f}
@@ -134,7 +127,7 @@ func (s *Store) Create(key string, budget int64) (*Writer, error) {
 	hdr.U32(artifactVersion)
 	hdr.I64(budget)
 	if _, err := w.gz.Write(hdr.Bytes()); err != nil {
-		discard(f)
+		blob.Discard(f)
 		return nil, err
 	}
 	return w, nil
@@ -246,7 +239,9 @@ func readDiff(b *binio.Reader, state []byte, first bool) ([]byte, error) {
 }
 
 // Commit writes the trailer, finishes the stream and atomically
-// publishes the artifact under its key.
+// publishes the artifact under its key. An artifact already published
+// under the key is kept — the first writer wins, as for WriteRaw — and
+// this one is dropped without counting as generated.
 func (w *Writer) Commit(tr Trailer) error {
 	if w.done {
 		return errors.New("ckpt: writer already finished")
@@ -259,24 +254,19 @@ func (w *Writer) Commit(tr Trailer) error {
 	b.I64(tr.FastForwardReal)
 	b.U32(uint32(tr.Windows))
 	if err := w.record(recTrailer, b.Bytes()); err != nil {
-		discard(w.f)
+		blob.Discard(w.f)
 		return err
 	}
 	if err := w.gz.Close(); err != nil {
-		discard(w.f)
+		blob.Discard(w.f)
 		return err
 	}
-	if err := w.f.Close(); err != nil {
-		os.Remove(w.f.Name())
-		return err
+	published, err := w.s.blob.Publish(w.key, w.f)
+	if published {
+		w.s.generated.Add(1)
+		w.s.bytesWritten.Add(w.wrote.n)
 	}
-	if err := os.Rename(w.f.Name(), w.s.path(w.key)); err != nil {
-		os.Remove(w.f.Name())
-		return err
-	}
-	w.s.generated.Add(1)
-	w.s.bytesWritten.Add(w.wrote.n)
-	return nil
+	return err
 }
 
 // Abort abandons the artifact; the store is left as if Create never
@@ -286,7 +276,7 @@ func (w *Writer) Abort() {
 		return
 	}
 	w.done = true
-	discard(w.f)
+	blob.Discard(w.f)
 }
 
 // Reader consumes a published artifact window by window. Create one via
@@ -307,21 +297,18 @@ type Reader struct {
 	mem, bp  []byte
 }
 
-// OpenArtifact opens the artifact for key and prepares to deserialize
-// its windows against the given program and configuration. A missing
-// artifact returns an error wrapping fs.ErrNotExist and counts a store
-// miss; an open counts a hit. A nil store always misses.
+// OpenArtifact opens the artifact for key, marks it recently used, and
+// prepares to deserialize its windows against the given program and
+// configuration. A missing artifact returns an error wrapping
+// fs.ErrNotExist and counts a store miss; an open counts a hit. A nil
+// store always misses.
 func (s *Store) OpenArtifact(key string, p *prog.Program, ccfg cache.HierarchyConfig, bcfg bpred.Config) (*Reader, error) {
 	if s == nil {
 		return nil, os.ErrNotExist
 	}
-	path := s.path(key)
-	if path == "" {
-		return nil, os.ErrNotExist
-	}
-	f, err := os.Open(path)
+	f, err := s.blob.Open(key)
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
+		if errors.Is(err, os.ErrNotExist) && blob.ValidKey(key) {
 			s.misses.Add(1)
 		}
 		return nil, err

@@ -17,31 +17,32 @@
 // configuration + instrumentation class — IQ and power axes excluded),
 // and the sampling regime. The store itself treats keys as opaque.
 //
-// Disk layout mirrors the campaign result cache: one artifact per key
-// at dir/key[:2]/key.ckpt, written to a temp file and renamed, so
-// concurrent writers (or crashed ones) can never publish a partial
-// artifact. The artifact is a gzip stream of binio-encoded records: a
-// header, one record per window, each a delta against the window before,
-// and a trailer with the run's phase totals — readable strictly in
-// window order, so resuming never holds more than two windows' state in
+// Artifacts live in a blob.Store, the file store under the campaign
+// result cache too: one artifact per key at dir/key[:2]/key.ckpt,
+// published atomically with the first writer winning, so concurrent
+// writers (or crashed ones) can never publish a partial artifact, and
+// bounded to a byte budget least recently used first (GC). The
+// artifact is a gzip stream of binio-encoded records: a header, one
+// record per window, each a delta against the window before, and a
+// trailer with the run's phase totals — readable strictly in window
+// order, so resuming never holds more than two windows' state in
 // memory.
 package ckpt
 
 import (
 	"fmt"
 	"io/fs"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/blob"
 )
 
 // Store is a content-addressed artifact store rooted at one directory.
 // All methods are safe for concurrent use; a nil *Store is a valid
 // "checkpointing off" store (lookups miss, writes are discarded).
 type Store struct {
-	dir string
+	blob *blob.Store
 
 	// genMu serializes artifact generation per key within this process:
 	// the first job of a sweep generates, concurrent cells of the same
@@ -61,54 +62,19 @@ type keyLock struct {
 // Open returns a store rooted at dir, creating it if needed. An empty
 // dir returns (nil, nil): checkpointing off.
 func Open(dir string) (*Store, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	b, err := blob.Open(dir, "ckpt")
+	if err != nil {
 		return nil, fmt.Errorf("ckpt: open store: %w", err)
 	}
-	return &Store{dir: dir, gen: map[string]*keyLock{}}, nil
-}
-
-// Dir returns the store's root directory ("" for a nil store).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
+	if b == nil {
+		return nil, nil
 	}
-	return s.dir
-}
-
-// validKey keeps key material safe to splice into paths: content hashes
-// are lowercase hex, and anything else (a traversal attempt arriving
-// over HTTP, say) is rejected before it reaches the filesystem.
-func validKey(key string) bool {
-	if len(key) < 8 || len(key) > 128 {
-		return false
-	}
-	for _, c := range key {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// path returns the artifact path for key, or "" for an invalid key.
-func (s *Store) path(key string) string {
-	if s == nil || !validKey(key) {
-		return ""
-	}
-	return filepath.Join(s.dir, key[:2], key+".ckpt")
+	return &Store{blob: b, gen: map[string]*keyLock{}}, nil
 }
 
 // Has reports whether an artifact for key is published.
 func (s *Store) Has(key string) bool {
-	p := s.path(key)
-	if p == "" {
-		return false
-	}
-	_, err := os.Stat(p)
-	return err == nil
+	return s != nil && s.blob.Has(key)
 }
 
 // Lock serializes in-process generation for key: the caller that gets
@@ -116,7 +82,7 @@ func (s *Store) Has(key string) bool {
 // find it published. The returned function releases the lock. A nil
 // store returns a no-op.
 func (s *Store) Lock(key string) (unlock func()) {
-	if s == nil || !validKey(key) {
+	if s == nil || !blob.ValidKey(key) {
 		return func() {}
 	}
 	s.genMu.Lock()
@@ -141,68 +107,52 @@ func (s *Store) Lock(key string) (unlock func()) {
 
 // Remove evicts the artifact for key, reporting whether one existed.
 func (s *Store) Remove(key string) bool {
-	p := s.path(key)
-	if p == "" {
-		return false
-	}
-	if err := os.Remove(p); err != nil {
+	if s == nil || !s.blob.Remove(key) {
 		return false
 	}
 	s.evicted.Add(1)
 	return true
 }
 
+// GC bounds the store to maxBytes, evicting artifacts least recently
+// opened or read first; evictions count in Metrics.Evicted. An evicted
+// artifact costs its next user one regeneration, which is
+// byte-identical. A nil store or non-positive bound is a no-op.
+func (s *Store) GC(maxBytes int64) (evicted int, reclaimed int64, err error) {
+	if s == nil {
+		return 0, 0, nil
+	}
+	evicted, reclaimed, err = s.blob.GC(maxBytes)
+	s.evicted.Add(int64(evicted))
+	return evicted, reclaimed, err
+}
+
 // ReadRaw returns the raw artifact bytes for key (for shipping to a
-// remote worker); a missing artifact returns fs.ErrNotExist.
+// remote worker) and marks the artifact recently used; a missing
+// artifact returns fs.ErrNotExist.
 func (s *Store) ReadRaw(key string) ([]byte, error) {
-	p := s.path(key)
-	if p == "" {
+	if s == nil {
 		return nil, fs.ErrNotExist
 	}
-	b, err := os.ReadFile(p)
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
+	return s.blob.Read(key)
 }
 
 // WriteRaw atomically installs raw artifact bytes received from a peer.
-// The container header is validated so a corrupt upload cannot be
-// published; an already-present artifact is left untouched (artifacts
-// are content-addressed, so first-writer-wins is safe).
+// The container is validated so a corrupt upload cannot be published;
+// an already-present artifact is left untouched (artifacts are
+// content-addressed, so first-writer-wins is safe).
 func (s *Store) WriteRaw(key string, data []byte) error {
-	p := s.path(key)
-	if p == "" {
+	if s == nil || !blob.ValidKey(key) {
 		return fmt.Errorf("ckpt: invalid key %q", key)
 	}
 	if err := checkContainer(data); err != nil {
 		return err
 	}
-	if s.Has(key) {
-		return nil
+	published, err := s.blob.Write(key, data)
+	if published {
+		s.bytesWritten.Add(int64(len(data)))
 	}
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(s.dir, "put-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	s.bytesWritten.Add(int64(len(data)))
-	return nil
+	return err
 }
 
 // Metrics is a snapshot of the store's counters.
@@ -233,28 +183,11 @@ func (s *Store) Metrics() Metrics {
 	}
 }
 
-// DiskStat walks the store and returns the published artifact count and
-// total bytes (both 0 for nil).
+// DiskStat returns the published artifact count and total bytes (both
+// 0 for nil).
 func (s *Store) DiskStat() (artifacts, bytes int64) {
 	if s == nil {
 		return 0, 0
 	}
-	filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".ckpt") {
-			return nil
-		}
-		if info, err := d.Info(); err == nil {
-			artifacts++
-			bytes += info.Size()
-		}
-		return nil
-	})
-	return artifacts, bytes
-}
-
-// discard abandons a temp file (used by the artifact writer).
-func discard(f *os.File) {
-	name := f.Name()
-	f.Close()
-	os.Remove(name)
+	return s.blob.DiskStat()
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
@@ -191,7 +192,8 @@ func TestOpenArtifactGeometryMismatch(t *testing.T) {
 }
 
 func TestWriteRawValidation(t *testing.T) {
-	st, err := Open(t.TempDir())
+	dir := t.TempDir()
+	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +230,11 @@ func TestWriteRawValidation(t *testing.T) {
 
 	// ... and an already-present key is first-writer-wins: a second
 	// write is a silent no-op, never an overwrite.
-	before, _ := os.Stat(filepath.Join(st.Dir(), other[:2], other+".ckpt"))
+	before, _ := os.Stat(filepath.Join(dir, other[:2], other+".ckpt"))
 	if err := st.WriteRaw(other, data); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := os.Stat(filepath.Join(st.Dir(), other[:2], other+".ckpt"))
+	after, _ := os.Stat(filepath.Join(dir, other[:2], other+".ckpt"))
 	if !after.ModTime().Equal(before.ModTime()) || after.Size() != before.Size() {
 		t.Error("second WriteRaw overwrote an existing artifact")
 	}
@@ -322,9 +324,15 @@ func TestAbortLeavesNoTrace(t *testing.T) {
 	if st.Has(testKey) {
 		t.Fatal("aborted artifact published")
 	}
-	tmps, _ := filepath.Glob(filepath.Join(dir, "gen-*"))
-	if len(tmps) != 0 {
-		t.Fatalf("temp files left behind: %v", tmps)
+	var left []string
+	filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			left = append(left, path)
+		}
+		return nil
+	})
+	if len(left) != 0 {
+		t.Fatalf("files left behind: %v", left)
 	}
 }
 
@@ -364,5 +372,97 @@ func TestLockSerializes(t *testing.T) {
 	st.genMu.Unlock()
 	if leak != 0 {
 		t.Errorf("%d key locks leaked after release", leak)
+	}
+}
+
+// commitArtifact generates and commits a one-window artifact for key.
+func commitArtifact(t *testing.T, st *Store, key string, budget int64) {
+	t.Helper()
+	_, ck, h, bp, _, _ := buildState(t, 200)
+	w, err := st.Create(key, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(&Window{StartReal: 1, Ckpt: ck, Mem: h, Bp: bp}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(Trailer{TotalReal: budget}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCommitFirstWriterWins: generating onto a published key keeps the
+// published artifact, as WriteRaw does, and does not count as
+// generated.
+func TestCommitFirstWriterWins(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitArtifact(t, st, testKey, 1000)
+	first, err := st.ReadRaw(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitArtifact(t, st, testKey, 2000)
+	again, err := st.ReadRaw(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, first) {
+		t.Error("a second Commit replaced the published artifact")
+	}
+	if m := st.Metrics(); m.Generated != 1 || m.BytesWritten != int64(len(first)) {
+		t.Errorf("metrics = %+v, want one generated artifact of %d bytes", m, len(first))
+	}
+}
+
+// TestGCEvictsLeastRecentlyUsed: GC bounds the store by recency of use
+// — an artifact opened or read since outranks one written later — and
+// counts its evictions.
+func TestGCEvictsLeastRecentlyUsed(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _, _, _, ccfg, bcfg := buildState(t, 200)
+	keys := []string{"aaaa0000aaaa0000", "bbbb0000bbbb0000", "cccc0000cccc0000"}
+	var size int64
+	for i, k := range keys {
+		commitArtifact(t, st, k, 1000)
+		mt := time.Now().Add(time.Duration(i-10) * time.Minute)
+		path := filepath.Join(dir, k[:2], k+".ckpt")
+		if err := os.Chtimes(path, mt, mt); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size = max(size, fi.Size())
+	}
+	r, err := st.OpenArtifact(keys[0], p, ccfg, bcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	if _, err := st.ReadRaw(keys[1]); err != nil {
+		t.Fatal(err)
+	}
+	if n, _, err := st.GC(2 * size); err != nil || n != 1 {
+		t.Fatalf("GC = %d, %v; want one eviction", n, err)
+	}
+	if !st.Has(keys[0]) || !st.Has(keys[1]) || st.Has(keys[2]) {
+		t.Error("GC did not evict the least recently used artifact")
+	}
+	if _, _, err := st.GC(1); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := st.DiskStat(); n != 0 {
+		t.Errorf("%d artifacts survive GC(1)", n)
+	}
+	if m := st.Metrics(); m.Evicted != 3 {
+		t.Errorf("Evicted = %d, want 3", m.Evicted)
 	}
 }

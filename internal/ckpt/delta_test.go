@@ -94,7 +94,7 @@ func writeArtifact(tb testing.TB, st *Store, key string, wins []Window) []byte {
 // install writes data as the artifact file for key, bypassing WriteRaw.
 func install(tb testing.TB, st *Store, key string, data []byte) {
 	tb.Helper()
-	p := st.path(key)
+	p := st.blob.Path(key)
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		tb.Fatal(err)
 	}

@@ -152,13 +152,6 @@ func (e *Emulator) Mem() *Memory { return e.mem }
 // IntReg returns the value of integer register i.
 func (e *Emulator) IntReg(i int) int64 { return e.iregs[i] }
 
-// SetIntReg sets integer register i (r0 stays zero).
-func (e *Emulator) SetIntReg(i int, v int64) {
-	if i != 0 {
-		e.iregs[i] = v
-	}
-}
-
 // Halted reports whether the program has finished.
 func (e *Emulator) Halted() bool { return e.halt }
 

@@ -142,15 +142,11 @@ func UnmarshalCheckpointDelta(data []byte, p *prog.Program, prev *Checkpoint) (C
 		c.stack[i] = readPosition(r)
 	}
 	c.seq = r.I64()
-	halt := r.U8()
+	c.halt = r.Bool()
 	npages := int(r.U32())
 	if err := r.Err(); err != nil {
 		return Checkpoint{}, err
 	}
-	if halt > 1 {
-		return Checkpoint{}, fmt.Errorf("emu: checkpoint halt flag %d is not a bool", halt)
-	}
-	c.halt = halt == 1
 	if r.Remaining()%pageRecord != 0 {
 		return Checkpoint{}, binio.ErrCorrupt
 	}

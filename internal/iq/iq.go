@@ -199,10 +199,6 @@ func (q *Queue) MaxNewRange() int { return q.maxNewRange }
 // dispatch and issue.
 func (q *Queue) BanksOn() int { return q.banksOn }
 
-// ReadyCount returns the number of valid entries whose operands have all
-// arrived (the ready-list population).
-func (q *Queue) ReadyCount() int { return q.readyCount }
-
 func (q *Queue) slot(pos int64) *Entry { return &q.ring[int(pos%int64(q.ringSize))] }
 
 func (q *Queue) bankOf(pos int64) int {
@@ -245,9 +241,6 @@ func (q *Queue) SetSizeLimit(entries int) {
 	}
 	q.sizeLimit = entries
 }
-
-// SizeLimit returns the adaptive cap (0 = none).
-func (q *Queue) SizeLimit() int { return q.sizeLimit }
 
 // SizeLimitBlocked reports whether dispatch is blocked specifically by
 // the adaptive size limit.
@@ -530,8 +523,7 @@ func (q *Queue) scanReady(lo, hi int, base int64, f func(pos int64, e *Entry) bo
 	return true
 }
 
-// Head, NewHead, Tail expose the virtual pointers (tests, debugging).
-func (q *Queue) Head() int64    { return q.head }
+// NewHead and Tail expose the virtual pointers (tests, debugging).
 func (q *Queue) NewHead() int64 { return q.newHead }
 func (q *Queue) Tail() int64    { return q.tail }
 

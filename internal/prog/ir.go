@@ -124,17 +124,6 @@ func (b *Block) Last() *Inst {
 	return &b.Insts[len(b.Insts)-1]
 }
 
-// RealInsts counts instructions excluding hint NOOPs and plain NOOPs.
-func (b *Block) RealInsts() int {
-	n := 0
-	for i := range b.Insts {
-		if b.Insts[i].Op.Class() != isa.ClassNop {
-			n++
-		}
-	}
-	return n
-}
-
 // Proc is a procedure: an ordered list of basic blocks; block 0 is the
 // entry. IsLib marks an opaque library routine (paper section 4.4): its
 // body is not analysed and callers allow the IQ its maximum size.
@@ -307,9 +296,4 @@ func (p *Program) checkTargets(pr *Proc, in *Inst) error {
 		}
 	}
 	return nil
-}
-
-// PCOf returns the PC of the first instruction of the given block.
-func (p *Program) PCOf(procID, blockID int) int {
-	return p.Procs[procID].Blocks[blockID].Insts[0].PC
 }

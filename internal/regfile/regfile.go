@@ -109,9 +109,6 @@ func (f *File) Banks() int { return f.banks }
 // Live returns the number of allocated physical registers.
 func (f *File) Live() int { return f.live }
 
-// FreeCount returns the number of free physical registers.
-func (f *File) FreeCount() int { return f.cfg.Regs - f.live }
-
 // BanksOn returns the number of banks holding at least one live register.
 // The count is maintained incrementally on allocate and free: it is read
 // on every register access for the power accounting, so it must be O(1).

@@ -14,8 +14,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -247,9 +249,10 @@ func TestOwnershipScoping(t *testing.T) {
 // never share a cache or checkpoint artifact — the store accounting
 // proves the namespaces are disjoint.
 func TestTenantIsolation(t *testing.T) {
+	ckptDir := t.TempDir()
 	s, cl := startServer(t, Config{
 		CacheDir:        t.TempDir(),
-		CkptDir:         t.TempDir(),
+		CkptDir:         ckptDir,
 		Workers:         2,
 		Auth:            testAuth(t),
 		TenantIsolation: true,
@@ -284,13 +287,13 @@ func TestTenantIsolation(t *testing.T) {
 		t.Errorf("jobs executed = %d after both tenants, want %d (no cross-tenant result sharing)",
 			exec, 2*execAfterAlice)
 	}
-	// Store accounting: each tenant holds its own artifacts, the shared
-	// root store holds none.
-	if n, _ := s.ckpt.DiskStat(); n != 0 {
-		t.Errorf("shared checkpoint store has %d artifacts under isolation, want 0", n)
+	// Store accounting: there is no shared namespace, each tenant holds
+	// its own artifacts, and every artifact on disk is under tenants/.
+	if s.shared != nil {
+		t.Error("isolated server has a shared namespace")
 	}
 	for _, tenant := range []string{"alice", "bob"} {
-		st := s.tenant(tenant).ckpt
+		st := s.tenant(tenant).ns.ckpt
 		if st == nil {
 			t.Fatalf("tenant %s has no checkpoint store", tenant)
 		}
@@ -298,8 +301,22 @@ func TestTenantIsolation(t *testing.T) {
 			t.Errorf("tenant %s has %d artifacts, want 2 (one per warm class)", tenant, n)
 		}
 	}
-	// And the per-tenant metrics exist with the right counts.
+	filepath.WalkDir(ckptDir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(path, ".ckpt") &&
+			!strings.HasPrefix(path, filepath.Join(ckptDir, "tenants")+string(filepath.Separator)) {
+			t.Errorf("artifact %s outside every tenant's namespace", path)
+		}
+		return nil
+	})
+	// And the metrics count every tenant's store: the unlabelled
+	// checkpoint rows sum the namespaces, and the per-tenant rows exist
+	// with the right counts.
 	text := fetchMetrics(t, cl)
+	for _, name := range []string{"sdiqd_ckpt_generated_total", "sdiqd_ckpt_artifacts"} {
+		if v := metricValue(t, text, name); v != 4 {
+			t.Errorf("%s = %g, want 4 (2 per tenant)", name, v)
+		}
+	}
 	for _, tenant := range []string{"alice", "bob"} {
 		row := fmt.Sprintf(`sdiqd_tenant_campaigns_done_total{tenant=%q} 1`, tenant)
 		if !strings.Contains(text, row) {

@@ -12,7 +12,7 @@ import (
 // rest of the grid (and the server's own local fallback) can resume
 // from them. Artifacts are opaque content-addressed blobs here; the
 // store validates keys and container headers, and the dispatcher gates
-// uploads to keys it actually handed out in leases.
+// both directions to keys it actually handed out in leases.
 
 // maxArtifactBytes bounds a PUT body. Artifacts are gzip streams of
 // per-window state — tens of megabytes for realistic regimes — so a
@@ -21,17 +21,15 @@ const maxArtifactBytes = 1 << 30
 
 func (s *Server) handleCkptGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if s.ckpt == nil {
+	if s.cfg.CkptDir == "" {
 		writeError(w, http.StatusNotFound, "no checkpoint store")
 		return
 	}
-	// Reads route through the store the key's lease granted — under
-	// tenant isolation that is the owning tenant's store, and a key the
-	// server never leased names nothing a worker has business fetching.
-	st := s.ckpt
-	if granted, ok := s.disp.grantedStore(key); ok {
-		st = granted
-	} else if s.cfg.TenantIsolation {
+	// Reads route through the store the key's lease granted — the
+	// namespace of the campaign the lease served. A key the server never
+	// leased names nothing a worker has business fetching.
+	st, ok := s.disp.grantedStore(key)
+	if !ok {
 		writeError(w, http.StatusNotFound, "no artifact %.12s…", key)
 		return
 	}
@@ -51,7 +49,7 @@ func (s *Server) handleCkptGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCkptPut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if s.ckpt == nil {
+	if s.cfg.CkptDir == "" {
 		writeError(w, http.StatusNotFound, "no checkpoint store")
 		return
 	}

@@ -58,7 +58,7 @@ func rawCkpt(t *testing.T, cl *Client, method, key string, body []byte) (int, []
 // grantKey marks key as leased, the precondition for uploads.
 func grantKey(s *Server, key string) {
 	s.disp.mu.Lock()
-	s.disp.ckptGranted[key] = s.ckpt
+	s.disp.ckptGranted[key] = s.shared.ckpt
 	s.disp.mu.Unlock()
 }
 
@@ -82,7 +82,7 @@ func TestCheckpointEndpoints(t *testing.T) {
 	if code, _ := rawCkpt(t, cl, http.MethodPut, key, []byte("not an artifact")); code != http.StatusUnprocessableEntity {
 		t.Errorf("PUT garbage = %d, want 422", code)
 	}
-	if s.ckpt.Has(key) {
+	if s.shared.ckpt.Has(key) {
 		t.Fatal("garbage upload was published")
 	}
 
@@ -113,7 +113,7 @@ func TestCheckpointEndpoints(t *testing.T) {
 		if code, body := rawCkpt(t, cl, http.MethodPut, key, data); code != http.StatusUnprocessableEntity {
 			t.Errorf("PUT %s artifact = %d (%s), want 422", name, code, body)
 		}
-		if s.ckpt.Has(key) {
+		if s.shared.ckpt.Has(key) {
 			t.Fatalf("%s artifact was published", name)
 		}
 	}
@@ -139,6 +139,15 @@ func TestCheckpointEndpoints(t *testing.T) {
 	if v := metricValue(t, text, "sdiqd_ckpt_bytes_shipped_total"); v < float64(2*len(artifact)) {
 		t.Errorf("sdiqd_ckpt_bytes_shipped_total = %g, want >= %d (one PUT + one GET)",
 			v, 2*len(artifact))
+	}
+
+	// A published artifact no lease ever named is not readable either.
+	unleased := "2222222233333333444444445555555566666666777777778888888899999999"
+	if err := s.shared.ckpt.WriteRaw(unleased, artifact); err != nil {
+		t.Fatal(err)
+	}
+	if code, _ := rawCkpt(t, cl, http.MethodGet, unleased, nil); code != http.StatusNotFound {
+		t.Errorf("GET of a published but never-leased artifact = %d, want 404", code)
 	}
 }
 
@@ -169,7 +178,7 @@ func TestDeleteEvictsOrphanedArtifacts(t *testing.T) {
 	if _, err := cl.Run(ctx, sampledSpec("ckpt-gc-b", []string{"gzip", "mcf"}, 64)); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := s.ckpt.DiskStat(); n != 4 {
+	if n, _ := s.shared.ckpt.DiskStat(); n != 4 {
 		t.Fatalf("%d artifacts after both campaigns, want 4 (gzip+mcf x plain+noop)", n)
 	}
 
@@ -178,13 +187,13 @@ func TestDeleteEvictsOrphanedArtifacts(t *testing.T) {
 	if err := cl.Delete(ctx, "c0002"); err != nil {
 		t.Fatalf("delete campaign B: %v", err)
 	}
-	if n, _ := s.ckpt.DiskStat(); n != 2 {
+	if n, _ := s.shared.ckpt.DiskStat(); n != 2 {
 		t.Fatalf("%d artifacts after deleting B, want 2 — gzip is still referenced by A", n)
 	}
 	if err := cl.Delete(ctx, "c0001"); err != nil {
 		t.Fatalf("delete campaign A: %v", err)
 	}
-	if n, _ := s.ckpt.DiskStat(); n != 0 {
+	if n, _ := s.shared.ckpt.DiskStat(); n != 0 {
 		t.Fatalf("%d artifacts after deleting both campaigns, want 0", n)
 	}
 	if v := metricValue(t, fetchMetrics(t, cl), "sdiqd_ckpt_evicted_total"); v != 4 {
@@ -232,7 +241,7 @@ func TestWorkerCheckpointSharing(t *testing.T) {
 	}
 	// The sweep has two warming identities (plain, noop); workers must
 	// have pushed generated artifacts to the server.
-	if n, _ := s.ckpt.DiskStat(); n != 2 {
+	if n, _ := s.shared.ckpt.DiskStat(); n != 2 {
 		t.Errorf("%d artifacts on the server, want 2 (one per warm class)", n)
 	}
 	if v := metricValue(t, text, "sdiqd_ckpt_bytes_shipped_total"); v <= 0 {
@@ -272,7 +281,7 @@ func TestWorkerPushesArtifactOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	artifact, err := s.ckpt.ReadRaw(key)
+	artifact, err := s.shared.ckpt.ReadRaw(key)
 	if err != nil {
 		t.Fatalf("the worker never published the sweep's artifact: %v", err)
 	}
@@ -282,5 +291,99 @@ func TestWorkerPushesArtifactOnce(t *testing.T) {
 	}
 	if v := metricValue(t, text, "sdiqd_ckpt_bytes_shipped_total"); v != float64(len(artifact)) {
 		t.Errorf("sdiqd_ckpt_bytes_shipped_total = %g, want %d (one push of the one artifact)", v, len(artifact))
+	}
+}
+
+// csvOf renders a result set as CSV.
+func csvOf(t *testing.T, rs *campaign.ResultSet) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rs.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestArtifactByteBound: CacheMaxBytes bounds the checkpoint store as
+// it bounds the result cache. With a one-byte bound every GC empties the
+// store, so the rerun regenerates what the first run generated, and
+// both runs still export byte-identically to a local run.
+func TestArtifactByteBound(t *testing.T) {
+	s, cl := startServer(t, Config{
+		CacheDir:      t.TempDir(),
+		CkptDir:       t.TempDir(),
+		Workers:       2,
+		CacheMaxBytes: 1,
+		GCInterval:    time.Hour, // the test runs each GC itself
+	})
+	spec := sampledSpec("ckpt-bound", []string{"gzip"}, 48, 64)
+	want := localCSV(t, spec)
+	for run := 1; run <= 2; run++ {
+		rs, err := cl.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(csvOf(t, rs), want) {
+			t.Errorf("run %d under a one-byte bound is not byte-identical to a local run", run)
+		}
+		s.gcOnce()
+		text := fetchMetrics(t, cl)
+		gen := metricValue(t, text, "sdiqd_ckpt_generated_total")
+		if gen != float64(2*run) {
+			t.Errorf("run %d: sdiqd_ckpt_generated_total = %g, want %d (one per warm class per run)", run, gen, 2*run)
+		}
+		if v := metricValue(t, text, "sdiqd_ckpt_evicted_total"); v != gen {
+			t.Errorf("run %d: sdiqd_ckpt_evicted_total = %g, want every generated artifact (%g)", run, v, gen)
+		}
+		if n, _ := s.shared.ckpt.DiskStat(); n != 0 {
+			t.Errorf("run %d: %d artifacts survive the bound", run, n)
+		}
+	}
+}
+
+// TestWorkerStoresBounded: a worker's ScratchMaxBytes bounds its local
+// checkpoint store as well as its scratch cache. Under a one-byte bound
+// the worker keeps no artifact, so each artifact crosses the wire twice
+// — pushed by the cell that generated it, fetched back by its sibling —
+// and the export is still byte-identical to a local run.
+func TestWorkerStoresBounded(t *testing.T) {
+	s, cl := startServer(t, Config{
+		CacheDir:     t.TempDir(),
+		CkptDir:      t.TempDir(),
+		Workers:      1,
+		LeaseTTL:     2 * time.Second,
+		OfferTimeout: 30 * time.Second,
+		WorkerTTL:    60 * time.Second,
+	})
+	spec := sampledSpec("worker-bound", []string{"gzip"}, 48, 64)
+	workerCkpt := t.TempDir()
+	startWorker(t, cl.Base, "wa", 1, func(w *worker.Worker) {
+		w.Ckpt, w.ScratchMaxBytes = workerCkpt, 1
+	})
+	waitMetric(t, cl, "sdiqd_workers_connected", 1)
+	rs, err := cl.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(csvOf(t, rs), localCSV(t, spec)) {
+		t.Error("bounded worker's run is not byte-identical to a local run")
+	}
+	local, err := ckpt.Open(workerCkpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := local.DiskStat(); n != 0 {
+		t.Errorf("worker holds %d artifacts under a one-byte bound", n)
+	}
+	text := fetchMetrics(t, cl)
+	if v := metricValue(t, text, "sdiqd_jobs_remote_total"); v != 4 {
+		t.Errorf("sdiqd_jobs_remote_total = %g, want 4", v)
+	}
+	artifacts, size := s.shared.ckpt.DiskStat()
+	if artifacts != 2 {
+		t.Fatalf("%d artifacts on the server, want 2 (one per warm class)", artifacts)
+	}
+	if v := metricValue(t, text, "sdiqd_ckpt_bytes_shipped_total"); v != float64(2*size) {
+		t.Errorf("sdiqd_ckpt_bytes_shipped_total = %g, want %d (each artifact pushed once, fetched once)", v, 2*size)
 	}
 }

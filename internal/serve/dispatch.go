@@ -15,8 +15,8 @@ import (
 )
 
 // dispatcher is the server side of the remote worker pool. It sits
-// behind the campaign engines as their campaign.Runner: every
-// cache-missed, dedup-missed job lands in RunJob, which either offers
+// behind the campaign engines, through their namespaces' RunJob: every
+// cache-missed, dedup-missed job lands in runJob, which either offers
 // it to the lease queue (workers connected) or runs it in-process on
 // the shared gate. Workers pull jobs with long-poll leases, heartbeat
 // while they run, and upload results; a lease that misses its TTL is
@@ -30,7 +30,6 @@ type dispatcher struct {
 	retries   int           // re-lease attempts after a failed lease
 	gate      campaign.Gate // shared simulation gate (local executions)
 	met       *metrics
-	ckpt      *ckpt.Store // shared checkpoint artifact store (may be nil)
 	// nonce is a per-boot random tag baked into every worker and lease
 	// ID. Without it a restarted coordinator reissues the same IDs from
 	// zero ("w0001", "l000001"), and a zombie worker's late upload —
@@ -48,8 +47,8 @@ type dispatcher struct {
 	leases  map[string]*lease
 	// ckptGranted records every checkpoint key ever handed out in a
 	// lease, mapped to the store the lease's campaign draws from — the
-	// set of keys a worker PUT may legitimately name, and where each
-	// upload must land (the owning tenant's store under isolation). Keys
+	// set of keys a worker GET or PUT may legitimately name, and the
+	// namespace each read comes from and each upload lands in. Keys
 	// are content hashes, so the set grows with distinct sweep warming
 	// identities, not with jobs; it is the gate that keeps the artifact
 	// store write surface closed to anything the server never asked for.
@@ -82,7 +81,7 @@ const (
 )
 
 // task is one job offered to the fleet. Its owner (the engine worker
-// goroutine blocked in RunJob) waits on outcome; the dispatcher's state
+// goroutine blocked in runJob) waits on outcome; the dispatcher's state
 // machine guarantees exactly one delivery.
 type task struct {
 	job     *campaign.Job
@@ -116,7 +115,7 @@ type lease struct {
 	granted  time.Time
 }
 
-func newDispatcher(cfg Config, gate campaign.Gate, met *metrics, store *ckpt.Store) *dispatcher {
+func newDispatcher(cfg Config, gate campaign.Gate, met *metrics) *dispatcher {
 	ttl := cfg.LeaseTTL
 	if ttl <= 0 {
 		ttl = defaultLeaseTTL
@@ -149,7 +148,6 @@ func newDispatcher(cfg Config, gate campaign.Gate, met *metrics, store *ckpt.Sto
 		retries:     retries,
 		gate:        gate,
 		met:         met,
-		ckpt:        store,
 		nonce:       hex.EncodeToString(nb[:]),
 		workers:     make(map[string]*workerState),
 		wake:        make(chan struct{}),
@@ -158,22 +156,16 @@ func newDispatcher(cfg Config, gate campaign.Gate, met *metrics, store *ckpt.Sto
 	}
 }
 
-// --- campaign.Runner ---
+// --- job routing ---
 
-// RunJob routes one cache-missed job: to the fleet when live workers
+// runJob routes one cache-missed job: to the fleet when live workers
 // are registered (falling back locally if the offer times out, the
 // campaign is cancelled, or remote attempts are exhausted), otherwise
-// straight to the in-process gate. Jobs run through the dispatcher
-// directly use the shared checkpoint store; tenant-scoped campaigns go
-// through a tenantRunner instead.
-func (d *dispatcher) RunJob(ctx context.Context, job *campaign.Job, key string, params power.Params) (campaign.Result, error) {
-	return d.runJobWith(ctx, job, key, params, d.ckpt)
-}
-
-// runJobWith is RunJob with an explicit checkpoint store: the one the
-// owning campaign's tenant reads warm state from and publishes it to,
-// locally and (via the granted-keys map) across the fleet.
-func (d *dispatcher) runJobWith(ctx context.Context, job *campaign.Job, key string, params power.Params, store *ckpt.Store) (campaign.Result, error) {
+// straight to the in-process gate. store is the checkpoint store of the
+// owning campaign's namespace: the job reads warm state from it and
+// publishes it to it, locally and (via the granted-keys map) across the
+// fleet.
+func (d *dispatcher) runJob(ctx context.Context, job *campaign.Job, key string, params power.Params, store *ckpt.Store) (campaign.Result, error) {
 	if key != "" && d.hasWorkers() {
 		res, err, done := d.runRemote(ctx, job, key, params, store)
 		if done {
@@ -182,18 +174,6 @@ func (d *dispatcher) runJobWith(ctx context.Context, job *campaign.Job, key stri
 		d.met.jobsFellBack.Add(1)
 	}
 	return d.runLocal(ctx, job, store)
-}
-
-// tenantRunner is the campaign.Runner a tenant-scoped campaign gets:
-// the shared dispatcher with every job pinned to the tenant's own
-// checkpoint store.
-type tenantRunner struct {
-	d    *dispatcher
-	ckpt *ckpt.Store
-}
-
-func (tr *tenantRunner) RunJob(ctx context.Context, job *campaign.Job, key string, params power.Params) (campaign.Result, error) {
-	return tr.d.runJobWith(ctx, job, key, params, tr.ckpt)
 }
 
 // runRemote offers the job to the lease queue and waits it out. done is
@@ -603,9 +583,9 @@ func validateUpload(t *task, up worker.ResultUpload) error {
 // grantedStore resolves a checkpoint key a worker names to the store
 // its lease granted access to: only keys the dispatcher itself handed
 // out in leases are reachable from outside (and WriteRaw still
-// validates the container). Under tenant isolation the store is the
-// owning tenant's, so a worker's upload lands in the right namespace
-// and its fetch can never read another tenant's artifact.
+// validates the container). The store is the leased campaign's
+// namespace's, so a worker's upload lands in the right namespace and,
+// under isolation, its fetch can never read another tenant's artifact.
 func (d *dispatcher) grantedStore(key string) (*ckpt.Store, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

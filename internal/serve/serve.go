@@ -35,6 +35,7 @@ import (
 	"repro/internal/auth"
 	"repro/internal/campaign"
 	"repro/internal/ckpt"
+	"repro/internal/power"
 	"repro/internal/store"
 )
 
@@ -87,10 +88,11 @@ type Config struct {
 	// durable state) this long after they finish; 0 keeps them until
 	// DELETE.
 	RegistryTTL time.Duration
-	// CacheMaxBytes bounds the on-disk result cache, evicting least
-	// recently used entries; 0 means unbounded.
+	// CacheMaxBytes bounds each on-disk store — every result cache and
+	// every checkpoint store — evicting least recently used entries; 0
+	// means unbounded.
 	CacheMaxBytes int64
-	// GCInterval is how often the registry-TTL and cache-size bounds are
+	// GCInterval is how often the registry-TTL and store-size bounds are
 	// enforced; 0 means every minute. Irrelevant when neither bound is
 	// set.
 	GCInterval time.Duration
@@ -104,25 +106,26 @@ type Config struct {
 	// authenticated principal, never a header. Nil leaves the service
 	// open, exactly the pre-auth behaviour.
 	Auth *auth.Authenticator
-	// TenantIsolation namespaces the result cache, in-flight dedup and
-	// checkpoint store per client: tenants then never share artifacts —
-	// each pays for its own simulations — and CacheMaxBytes bounds each
-	// tenant's cache separately.
+	// TenantIsolation gives each client its own namespace — result
+	// cache and checkpoint store under tenants/<client> of CacheDir and
+	// CkptDir, plus its own in-flight dedup: tenants then never share
+	// results or artifacts — each pays for its own simulations — and
+	// CacheMaxBytes bounds each tenant's stores separately.
 	TenantIsolation bool
 }
 
 // Server owns the campaign registry, the shared executor gate, the
-// fleet-wide dedup group and the metrics. Create with New, expose with
+// tenants' namespaces and the metrics. Create with New, expose with
 // Handler, stop with Drain.
 type Server struct {
-	cfg    Config
-	gate   campaign.Gate
-	flight *campaign.Flight
-	met    metrics
-	disp   *dispatcher
-	ckpt   *ckpt.Store     // nil when CkptDir is unset or unusable
-	store  *store.Store    // nil when StateDir is unset or unusable
-	rcache *campaign.Cache // GC handle on CacheDir; nil when cache is off
+	cfg   Config
+	gate  campaign.Gate
+	met   metrics
+	disp  *dispatcher
+	store *store.Store // nil when StateDir is unset or unusable
+	// shared is every tenant's namespace when isolation is off, open
+	// from boot; nil under TenantIsolation.
+	shared *namespace
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -135,22 +138,36 @@ type Server struct {
 	order     []string
 	active    map[string]int // running campaigns per client
 
-	// tenants is per-client accounting plus, under TenantIsolation, each
-	// tenant's private stores. Guarded by tmu (not mu: tenant stores are
-	// opened lazily on paths that also take mu).
+	// tenants is per-client accounting plus each client's namespace.
+	// Guarded by tmu (not mu: namespaces are opened lazily on paths that
+	// also take mu, always in the order mu, then tmu).
 	tmu     sync.Mutex
 	tenants map[string]*tenantState
 }
 
-// tenantState is one client's accounting and, when isolation is on, its
-// private result cache, checkpoint store and dedup group.
+// tenantState is one client's accounting and namespace.
 type tenantState struct {
 	submitted, done, failed int64 // guarded by Server.tmu
+	ns                      *namespace
+}
 
-	// Isolation-only (nil/zero otherwise):
-	flight *campaign.Flight
-	ckpt   *ckpt.Store     // may stay nil (no CkptDir, or open failed)
-	rcache *campaign.Cache // GC handle on the tenant's cache dir
+// namespace is what a tenant's campaigns share: one result cache, one
+// checkpoint store and one in-flight dedup group. It is also their
+// campaign.Runner, pinning every job, local or leased, to its
+// checkpoint store. With isolation off every tenant holds the server's
+// one shared namespace; with it on, each tenant has its own.
+type namespace struct {
+	cacheDir string          // the engines' CacheDir ("" = no cache)
+	cache    *campaign.Cache // GC handle on cacheDir; nil when off
+	ckpt     *ckpt.Store     // nil when CkptDir is unset or unusable
+	flight   campaign.Flight
+	disp     *dispatcher
+}
+
+// RunJob routes a cache-missed job through the dispatcher, against the
+// namespace's checkpoint store.
+func (ns *namespace) RunJob(ctx context.Context, job *campaign.Job, key string, params power.Params) (campaign.Result, error) {
+	return ns.disp.runJob(ctx, job, key, params, ns.ckpt)
 }
 
 // campaignRun is one submitted campaign's full lifecycle state.
@@ -166,6 +183,7 @@ type campaignRun struct {
 	// jobs can reference (computed once at submission). DELETE uses them
 	// to evict artifacts no remaining campaign references.
 	ckptKeys map[string]struct{}
+	ns       *namespace // the owner's namespace
 	// wal is the campaign's durable transition log; nil when durability
 	// is off (nil is safe to append to).
 	wal *store.Log
@@ -199,7 +217,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		gate:      campaign.NewGate(workers),
-		flight:    &campaign.Flight{},
 		met:       metrics{start: time.Now()},
 		ctx:       ctx,
 		cancel:    cancel,
@@ -207,31 +224,17 @@ func New(cfg Config) *Server {
 		active:    make(map[string]int),
 		tenants:   make(map[string]*tenantState),
 	}
-	// A store that fails to open degrades to checkpointing-off rather
-	// than refusing to serve: the feature is an optimization, not a
-	// correctness dependency. But say so — a typo'd -ckpt silently
-	// costing the fleet its shared warming is a debugging trap.
+	s.disp = newDispatcher(cfg, s.gate, &s.met)
+	if !cfg.TenantIsolation {
+		s.shared = s.openNamespace("")
+	}
 	var err error
-	ckptRoot := cfg.CkptDir
-	if cfg.TenantIsolation && ckptRoot != "" {
-		// Tenant stores live under CkptDir/tenants/<client>; the shared
-		// store moves aside so its recursive accounting (DiskStat, GC)
-		// never reaches into a tenant's namespace.
-		ckptRoot = filepath.Join(ckptRoot, "shared")
-	}
-	if s.ckpt, err = ckpt.Open(ckptRoot); err != nil {
-		log.Printf("sdiqd: checkpoint store disabled: %v", err)
-	}
 	if s.store, err = store.Open(cfg.StateDir, store.DefaultSnapshotEvery); err != nil {
 		log.Printf("sdiqd: durable state disabled: %v", err)
 	}
 	if s.store != nil && cfg.CacheDir == "" {
 		log.Printf("sdiqd: durable state without a result cache: recovered campaigns will re-simulate finished jobs")
 	}
-	if s.rcache, err = campaign.OpenCache(cfg.CacheDir); err != nil {
-		log.Printf("sdiqd: result cache GC disabled: %v", err)
-	}
-	s.disp = newDispatcher(cfg, s.gate, &s.met, s.ckpt)
 	s.recover()
 	s.startJanitor()
 	return s
@@ -282,6 +285,7 @@ func (s *Server) recover() {
 		if !auth.ValidName(client) {
 			client = sanitizeClient(client)
 		}
+		ns := s.tenant(client).ns
 		rc := &campaignRun{
 			id:        rec.Meta.ID,
 			client:    client,
@@ -290,7 +294,8 @@ func (s *Server) recover() {
 			submitted: rec.Meta.Submitted,
 			tracker:   campaign.NewTracker(jobs),
 			hub:       newHub(len(jobs), s.cfg.EventCompactAfter),
-			ckptKeys:  ckptKeysOf(s.ckptStoreOf(client), jobs),
+			ckptKeys:  ckptKeysOf(ns.ckpt, jobs),
+			ns:        ns,
 		}
 		s.campaigns[rc.id] = rc
 		s.order = append(s.order, rc.id)
@@ -336,7 +341,7 @@ func campaignSeq(id string) (int, bool) {
 	return n, true
 }
 
-// startJanitor enforces the registry-TTL and cache-size bounds on a
+// startJanitor enforces the registry-TTL and store-size bounds on a
 // timer until the server closes. No bounds, no goroutine.
 func (s *Server) startJanitor() {
 	if s.cfg.RegistryTTL <= 0 && s.cfg.CacheMaxBytes <= 0 {
@@ -362,9 +367,10 @@ func (s *Server) startJanitor() {
 
 // gcOnce applies both state bounds: finished campaigns past the
 // registry TTL are dropped (registry, durable state, orphaned
-// checkpoint artifacts), and the result cache is trimmed to its byte
-// bound, LRU first — per tenant under isolation, so one tenant's churn
-// cannot evict another's results.
+// checkpoint artifacts), and every namespace's result cache and
+// checkpoint store is trimmed to the byte bound, LRU first — each
+// separately, so under isolation one tenant's churn cannot evict
+// another's results or artifacts.
 func (s *Server) gcOnce() {
 	if ttl := s.cfg.RegistryTTL; ttl > 0 {
 		cutoff := time.Now().Add(-ttl)
@@ -382,102 +388,82 @@ func (s *Server) gcOnce() {
 			s.store.Remove(id)
 			s.met.campaignsEvicted.Add(1)
 		}
-		type evictSet struct {
-			keys   []string
-			client string
-		}
-		var evict []evictSet
+		var evict []func()
 		s.mu.Lock()
 		for _, id := range victims {
-			if keys, client := s.dropLocked(id); len(keys) > 0 {
-				evict = append(evict, evictSet{keys, client})
-			}
+			evict = append(evict, s.dropLocked(id))
 		}
 		s.mu.Unlock()
 		for _, e := range evict {
-			st := s.ckptStoreOf(e.client)
-			for _, k := range e.keys {
-				st.Remove(k)
-			}
+			e()
 		}
 	}
 	if max := s.cfg.CacheMaxBytes; max > 0 {
-		caches := []*campaign.Cache{s.rcache}
-		if s.cfg.TenantIsolation {
-			// Each tenant's cache is bounded separately; the root handle
-			// would enforce one shared LRU bound across all of them.
-			caches = caches[:0]
-			s.tmu.Lock()
-			for _, ts := range s.tenants {
-				if ts.rcache != nil {
-					caches = append(caches, ts.rcache)
-				}
-			}
-			s.tmu.Unlock()
-		}
-		for _, c := range caches {
-			if n, _, err := c.GC(max); err != nil {
+		for _, ns := range s.namespaces() {
+			if n, _, err := ns.cache.GC(max); err != nil {
 				log.Printf("sdiqd: result cache gc: %v", err)
 			} else if n > 0 {
 				s.met.cacheEvictions.Add(int64(n))
+			}
+			if _, _, err := ns.ckpt.GC(max); err != nil {
+				log.Printf("sdiqd: checkpoint store gc: %v", err)
 			}
 		}
 	}
 }
 
-// tenant returns (creating if needed) the client's accounting record,
-// lazily opening its private stores when isolation is on.
+// tenant returns (creating if needed) the client's accounting record
+// and namespace: the shared one, or under isolation a namespace of its
+// own, opened lazily.
 func (s *Server) tenant(client string) *tenantState {
 	s.tmu.Lock()
 	defer s.tmu.Unlock()
 	ts, ok := s.tenants[client]
 	if !ok {
-		ts = &tenantState{}
-		if s.cfg.TenantIsolation {
-			ts.flight = &campaign.Flight{}
-			if s.cfg.CkptDir != "" {
-				var err error
-				if ts.ckpt, err = ckpt.Open(filepath.Join(s.cfg.CkptDir, "tenants", client)); err != nil {
-					log.Printf("sdiqd: tenant %s: checkpoint store disabled: %v", client, err)
-				}
-			}
-			if dir := s.tenantCacheDir(client); dir != "" {
-				var err error
-				if ts.rcache, err = campaign.OpenCache(dir); err != nil {
-					log.Printf("sdiqd: tenant %s: result cache gc disabled: %v", client, err)
-				}
-			}
+		ts = &tenantState{ns: s.shared}
+		if ts.ns == nil {
+			ts.ns = s.openNamespace(filepath.Join("tenants", client))
 		}
 		s.tenants[client] = ts
 	}
 	return ts
 }
 
-// tenantCacheDir is where the client's results cache: a per-tenant
-// subdirectory under isolation, the shared cache otherwise.
-func (s *Server) tenantCacheDir(client string) string {
-	if !s.cfg.TenantIsolation || s.cfg.CacheDir == "" {
-		return s.cfg.CacheDir
+// openNamespace opens a namespace whose stores live at sub under
+// CacheDir and CkptDir. A store that fails to open degrades to off
+// rather than refusing to serve: both are accelerators, not correctness
+// dependencies. But say so — a typo'd -ckpt silently costing the fleet
+// its shared warming is a debugging trap.
+func (s *Server) openNamespace(sub string) *namespace {
+	ns := &namespace{disp: s.disp}
+	var err error
+	if s.cfg.CacheDir != "" {
+		ns.cacheDir = filepath.Join(s.cfg.CacheDir, sub)
+		if ns.cache, err = campaign.OpenCache(ns.cacheDir); err != nil {
+			log.Printf("sdiqd: result cache GC disabled: %v", err)
+		}
 	}
-	return filepath.Join(s.cfg.CacheDir, "tenants", client)
+	if s.cfg.CkptDir != "" {
+		if ns.ckpt, err = ckpt.Open(filepath.Join(s.cfg.CkptDir, sub)); err != nil {
+			log.Printf("sdiqd: checkpoint store disabled: %v", err)
+		}
+	}
+	return ns
 }
 
-// ckptStoreOf is the checkpoint store the client's campaigns use.
-func (s *Server) ckptStoreOf(client string) *ckpt.Store {
-	if !s.cfg.TenantIsolation {
-		return s.ckpt
+// namespaces lists every namespace once: the shared one, which exists
+// from boot, or each known tenant's own.
+func (s *Server) namespaces() []*namespace {
+	if s.shared != nil {
+		return []*namespace{s.shared}
 	}
-	return s.tenant(client).ckpt
-}
-
-// flightOf is the in-flight dedup group the client's campaigns share:
-// fleet-wide normally, per-tenant under isolation (cross-tenant dedup
-// would hand one tenant another's results).
-func (s *Server) flightOf(client string) *campaign.Flight {
-	if !s.cfg.TenantIsolation {
-		return s.flight
+	s.tmu.Lock()
+	defer s.tmu.Unlock()
+	out := make([]*namespace, 0, len(s.tenants))
+	for _, ts := range s.tenants {
+		out = append(out, ts.ns)
 	}
-	return s.tenant(client).flight
+	return out
 }
 
 // Handler returns the service's HTTP routes. With Config.Auth set,
@@ -584,7 +570,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", cerr)
 		return
 	}
-	ckptKeys := ckptKeysOf(s.ckptStoreOf(client), jobs)
+	ts := s.tenant(client)
+	ckptKeys := ckptKeysOf(ts.ns.ckpt, jobs)
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -612,6 +599,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tracker:   campaign.NewTracker(jobs),
 		hub:       newHub(len(jobs), s.cfg.EventCompactAfter),
 		ckptKeys:  ckptKeys,
+		ns:        ts.ns,
 	}
 	s.campaigns[id] = rc
 	s.order = append(s.order, id)
@@ -633,7 +621,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.met.campaignsSubmitted.Add(1)
 	s.met.campaignsActive.Add(1)
-	ts := s.tenant(client)
 	s.tmu.Lock()
 	ts.submitted++
 	s.tmu.Unlock()
@@ -653,21 +640,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // tracker, event hub and metrics.
 func (s *Server) run(rc *campaignRun) {
 	defer s.wg.Done()
-	// Everything tenant-scoped is resolved once per campaign: under
-	// isolation the cache dir, checkpoint store and dedup group are the
-	// owner's private ones, and the runner pins jobs (local or remote) to
-	// the same store so a worker's uploaded artifact lands in the right
-	// namespace.
-	tckpt := s.ckptStoreOf(rc.client)
+	// Everything tenant-scoped comes from the owner's namespace: the
+	// cache dir, checkpoint store and dedup group, and the runner that
+	// pins jobs (local or remote) to the same store, so a worker's
+	// uploaded artifact lands in the right namespace.
+	ns := rc.ns
 	eng := &campaign.Engine{
 		// Per-campaign parallelism: the local gate bounds in-process
 		// simulations; live remote capacity is added on top so a fleet
 		// actually raises throughput instead of idling behind the gate.
 		Workers:  cap(s.gate) + s.disp.extraCapacity(),
-		CacheDir: s.tenantCacheDir(rc.client),
-		Ckpt:     tckpt,
-		Flight:   s.flightOf(rc.client),
-		Runner:   &tenantRunner{d: s.disp, ckpt: tckpt}, // remote-or-local routing per cache-missed job
+		CacheDir: ns.cacheDir,
+		Ckpt:     ns.ckpt,
+		Flight:   &ns.flight,
+		Runner:   ns, // remote-or-local routing per cache-missed job
 		OnResult: func(r campaign.Result) {
 			switch {
 			case r.Dedup:
@@ -930,8 +916,8 @@ func (s *Server) tenantRows() []labelRow {
 			labelRow{"sdiqd_tenant_campaigns_failed_total", "Campaigns finished with an error, by tenant.", "counter", lbl, float64(ts.failed)},
 			labelRow{"sdiqd_tenant_campaigns_active", "Campaigns currently running, by tenant.", "gauge", lbl, float64(active[c])},
 		)
-		if s.cfg.TenantIsolation && ts.ckpt != nil {
-			artifacts, bytes := ts.ckpt.DiskStat()
+		if ts.ns != s.shared && ts.ns.ckpt != nil {
+			artifacts, bytes := ts.ns.ckpt.DiskStat()
 			rows = append(rows,
 				labelRow{"sdiqd_tenant_ckpt_artifacts", "Checkpoint artifacts on disk, by tenant.", "gauge", lbl, float64(artifacts)},
 				labelRow{"sdiqd_tenant_ckpt_store_bytes", "Checkpoint artifact bytes on disk, by tenant.", "gauge", lbl, float64(bytes)},
@@ -941,14 +927,25 @@ func (s *Server) tenantRows() []labelRow {
 	return rows
 }
 
-// ckptRows renders the checkpoint store's live metrics (nil store → no
-// rows, so scraping a store-less server is unchanged).
+// ckptRows renders the checkpoint stores' live metrics, summed over
+// every namespace (no CkptDir → no rows, so scraping a store-less
+// server is unchanged).
 func (s *Server) ckptRows() []row {
-	if s.ckpt == nil {
+	if s.cfg.CkptDir == "" {
 		return nil
 	}
-	m := s.ckpt.Metrics()
-	artifacts, bytes := s.ckpt.DiskStat()
+	var m ckpt.Metrics
+	var artifacts, bytes int64
+	for _, ns := range s.namespaces() {
+		nm := ns.ckpt.Metrics()
+		m.Hits += nm.Hits
+		m.Misses += nm.Misses
+		m.Generated += nm.Generated
+		m.Evicted += nm.Evicted
+		a, b := ns.ckpt.DiskStat()
+		artifacts += a
+		bytes += b
+	}
 	return []row{
 		{"sdiqd_ckpt_hits_total", "Checkpoint artifacts resumed from the store.", "counter", float64(m.Hits)},
 		{"sdiqd_ckpt_misses_total", "Checkpoint artifact lookups that missed.", "counter", float64(m.Misses)},
@@ -983,30 +980,26 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "campaign %s is still running", id)
 		return
 	}
-	orphans, client := s.dropLocked(id)
+	evict := s.dropLocked(id)
 	s.mu.Unlock()
 	s.store.Remove(id)
-	st := s.ckptStoreOf(client)
-	for _, k := range orphans {
-		st.Remove(k)
-	}
+	evict()
 	s.met.campaignsDeleted.Add(1)
 	w.WriteHeader(http.StatusNoContent)
 }
 
 // dropLocked removes a campaign from the registry (the caller holds
-// s.mu) and returns the checkpoint keys orphaned by its departure — the
+// s.mu) and returns the eviction, for the caller to run once s.mu is
+// released, of the checkpoint artifacts orphaned by its departure: the
 // campaign's keys minus every key a surviving campaign (running or
-// finished) can still reference — plus the owning client, so the caller
-// evicts from that tenant's store. Under isolation the reference check
-// only counts same-tenant campaigns: another tenant referencing the
-// same key holds its own copy in its own store.
-func (s *Server) dropLocked(id string) (orphans []string, client string) {
+// finished) of the same namespace can still reference. A campaign of
+// another namespace referencing the same key holds its own copy in its
+// own store.
+func (s *Server) dropLocked(id string) (evict func()) {
 	rc, ok := s.campaigns[id]
 	if !ok {
-		return nil, ""
+		return func() {}
 	}
-	client = rc.client
 	delete(s.campaigns, id)
 	for i, oid := range s.order {
 		if oid == id {
@@ -1014,10 +1007,11 @@ func (s *Server) dropLocked(id string) (orphans []string, client string) {
 			break
 		}
 	}
+	var orphans []string
 	for k := range rc.ckptKeys {
 		referenced := false
 		for _, other := range s.campaigns {
-			if s.cfg.TenantIsolation && other.client != rc.client {
+			if other.ns != rc.ns {
 				continue
 			}
 			if _, ok := other.ckptKeys[k]; ok {
@@ -1029,7 +1023,11 @@ func (s *Server) dropLocked(id string) (orphans []string, client string) {
 			orphans = append(orphans, k)
 		}
 	}
-	return orphans, client
+	return func() {
+		for _, k := range orphans {
+			rc.ns.ckpt.Remove(k)
+		}
+	}
 }
 
 // errCampaignFailed wraps a failed campaign's server-side error for

@@ -35,8 +35,9 @@ type Worker struct {
 	Ckpt string
 	// Concurrency is how many leases run at once (min 1).
 	Concurrency int
-	// ScratchMaxBytes bounds the scratch cache, evicting least recently
-	// used results after each store; 0 means unbounded.
+	// ScratchMaxBytes bounds the scratch cache and the local checkpoint
+	// store, each separately, evicting least recently used entries after
+	// every executed job; 0 means unbounded.
 	ScratchMaxBytes int64
 	// RetryBase/RetryMax shape the jittered exponential backoff used for
 	// registration and lease-poll failures (defaults 500ms / 15s). A
@@ -388,9 +389,6 @@ func (w *Worker) serve(ctx context.Context, api *API, reg RegisterResponse, scra
 		w.insts.Add(res.Stats.CommittedReal)
 		w.simNanos.Add(res.FinishedAt.Sub(res.StartedAt).Nanoseconds())
 		_ = scratch.Put(key, res)
-		if w.ScratchMaxBytes > 0 {
-			_, _, _ = scratch.GC(w.ScratchMaxBytes)
-		}
 		if ckptKey != "" && !held && store.Has(ckptKey) {
 			// This lease generated the sweep's warm state: publish it so
 			// the server and the rest of the fleet skip their warming.
@@ -404,6 +402,12 @@ func (w *Worker) serve(ctx context.Context, api *API, reg RegisterResponse, scra
 				}
 			}
 		}
+		// Bound the local stores only now: the push above reads the
+		// artifact this job generated. Eviction costs a later job a
+		// fetch or a regeneration, never a wrong result, and a failed
+		// GC only leaves a store over its bound until the next job's.
+		_, _, _ = scratch.GC(w.ScratchMaxBytes)
+		_, _, _ = store.GC(w.ScratchMaxBytes)
 	}
 	if w.OnDone != nil {
 		w.OnDone(l, res, execErr)

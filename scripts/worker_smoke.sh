@@ -7,10 +7,12 @@
 # server. The server and both workers run with -ckpt, so the sampled
 # sweep also smokes checkpoint sharing: warm state generated on one
 # worker must be shipped through the server and reused, never recomputed.
-# A second phase re-runs the whole fleet with -auth: the worker carries
-# its bearer token, bad-token probes are refused with 401, and the
-# authed remote sweep is still byte-identical to the local run. CI runs
-# this on every push; it needs only bash, curl and go.
+# A second phase re-runs the whole fleet with -auth and
+# -tenant-isolation: the worker carries its bearer token, bad-token
+# probes are refused with 401, and the authed remote sweep is still
+# byte-identical to the local run. Its worker runs with a one-byte
+# -scratch-max-bytes, so it must end holding no artifact. CI runs this
+# on every push; it needs only bash, curl and go.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -105,7 +107,7 @@ cat >"$WORK/tokens.json" <<EOF
 ]}
 EOF
 "$WORK/sdiqd" -addr "$ADDR" -cache "$WORK/cache-auth" -ckpt "$WORK/ckpt-auth" -lease-ttl 5s \
-    -auth "$WORK/tokens.json" >"$WORK/sdiqd-auth.log" 2>&1 &
+    -auth "$WORK/tokens.json" -tenant-isolation >"$WORK/sdiqd-auth.log" 2>&1 &
 SRV_PID=$!
 for _ in $(seq 1 50); do
     curl -fs "http://$ADDR/healthz" >/dev/null 2>&1 && break
@@ -121,7 +123,7 @@ CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/v1/campaigns
 
 echo "== authed worker connects, tenant-token probe of the worker API is 403"
 SDIQ_TOKEN="$WORKER_TOKEN" "$WORK/sdiqw" -server "http://$ADDR" -name smoke-auth \
-    -scratch "$WORK/scratch-auth" -ckpt "$WORK/ckptw-auth" -parallel 2 >"$WORK/sdiqw-auth.log" 2>&1 &
+    -scratch "$WORK/scratch-auth" -ckpt "$WORK/ckptw-auth" -scratch-max-bytes 1 -parallel 2 >"$WORK/sdiqw-auth.log" 2>&1 &
 W1_PID=$!
 for _ in $(seq 1 50); do
     N=$(curl -fs "http://$ADDR/metrics" | awk '/^sdiqd_workers_connected /{print $2}')
@@ -143,7 +145,24 @@ curl -fs "http://$ADDR/metrics" >"$WORK/metrics-auth.txt"
 grep -q '^sdiqd_jobs_remote_total [1-9]' "$WORK/metrics-auth.txt" || {
     echo "no job ran remotely under auth"; cat "$WORK/sdiqw-auth.log"; exit 1
 }
+# Under isolation the artifacts live in the tenant's namespace; the
+# unlabelled rows sum every namespace.
+grep -q '^sdiqd_ckpt_artifacts [1-9]' "$WORK/metrics-auth.txt" || {
+    echo "no artifact counted on the isolated server"; exit 1
+}
 
-kill -TERM "$W1_PID" "$SRV_PID"
+echo "== bounded worker drains holding no artifact"
+kill -TERM "$W1_PID"
+for _ in $(seq 1 50); do
+    kill -0 "$W1_PID" 2>/dev/null || break
+    sleep 0.2
+done
+if kill -0 "$W1_PID" 2>/dev/null; then
+    echo "the authed worker ignored SIGTERM"; exit 1
+fi
+LEFT=$(find "$WORK/ckptw-auth" -name '*.ckpt' | wc -l)
+[ "$LEFT" = "0" ] || { echo "bounded worker still holds $LEFT artifact(s)"; exit 1; }
+
+kill -TERM "$SRV_PID"
 
 echo "worker smoke OK"

@@ -42,7 +42,7 @@ func main() {
 func runBaseline() *iq.Queue {
 	q := iq.MustNew(iq.DefaultConfig())
 	// Cycle 0: dispatch a..f.
-	q.BeginCycle()
+	q.BeginCycle(1)
 	pa, _ := q.Dispatch(0, [2]int{-1, -1}, [2]bool{false, false})
 	pb, _ := q.Dispatch(1, [2]int{-1, -1}, [2]bool{false, false})
 	pc, _ := q.Dispatch(2, [2]int{tagA, -1}, [2]bool{true, false})
@@ -50,17 +50,17 @@ func runBaseline() *iq.Queue {
 	pe, _ := q.Dispatch(4, [2]int{tagC, tagD}, [2]bool{true, true})
 	pf, _ := q.Dispatch(5, [2]int{tagB, tagD}, [2]bool{true, true})
 	// Cycle 1: a, b issue.
-	q.BeginCycle()
+	q.BeginCycle(1)
 	q.Issue(pa)
 	q.Issue(pb)
 	// Cycle 2: a, b write back (6 wakeups each); c, d issue.
-	q.BeginCycle()
+	q.BeginCycle(1)
 	q.Broadcast(tagA)
 	q.Broadcast(tagB)
 	q.Issue(pc)
 	q.Issue(pd)
 	// Cycle 3: c, d write back (3 wakeups each); e, f issue.
-	q.BeginCycle()
+	q.BeginCycle(1)
 	q.Broadcast(tagC)
 	q.Broadcast(tagD)
 	q.Issue(pe)
@@ -73,19 +73,19 @@ func runBaseline() *iq.Queue {
 func runLimited() *iq.Queue {
 	q := iq.MustNew(iq.DefaultConfig())
 	// Cycle 0: hint 2; only a and b fit.
-	q.BeginCycle()
+	q.BeginCycle(1)
 	q.SetHint(2)
 	pa, _ := q.Dispatch(0, [2]int{-1, -1}, [2]bool{false, false})
 	pb, _ := q.Dispatch(1, [2]int{-1, -1}, [2]bool{false, false})
 	// Cycle 1: a, b issue; c, d dispatch into the freed region.
-	q.BeginCycle()
+	q.BeginCycle(1)
 	q.Issue(pa)
 	q.Issue(pb)
 	pc, _ := q.Dispatch(2, [2]int{tagA, -1}, [2]bool{true, false})
 	pd, _ := q.Dispatch(3, [2]int{tagB, -1}, [2]bool{true, false})
 	// Cycle 2: a, b write back (2 wakeups each); c, d issue; e, f enter
 	// (f's first operand already arrived with b's broadcast).
-	q.BeginCycle()
+	q.BeginCycle(1)
 	q.Broadcast(tagA)
 	q.Broadcast(tagB)
 	q.Issue(pc)
@@ -93,7 +93,7 @@ func runLimited() *iq.Queue {
 	pe, _ := q.Dispatch(4, [2]int{tagC, tagD}, [2]bool{true, true})
 	pf, _ := q.Dispatch(5, [2]int{tagB, tagD}, [2]bool{false, true})
 	// Cycle 3: c, d write back (3 wakeups each); e, f issue.
-	q.BeginCycle()
+	q.BeginCycle(1)
 	q.Broadcast(tagC)
 	q.Broadcast(tagD)
 	q.Issue(pe)

@@ -109,6 +109,10 @@ func (c *Controller) EnabledBanks() int { return c.enabledBanks }
 // Resizes returns how many resize decisions have been taken.
 func (c *Controller) Resizes() int64 { return c.resizes }
 
+// CyclesToDecision returns how many more cycles OnCycle accounts before
+// the next resize decision, the deciding cycle included.
+func (c *Controller) CyclesToDecision() int64 { return c.cfg.IntervalCycles - c.cycleCount }
+
 // OnIssue records one instruction issue; young marks issues coming from
 // the youngest enabled bank's worth of entries (those that would not have
 // been resident with one bank fewer).
@@ -119,13 +123,15 @@ func (c *Controller) OnIssue(young bool) {
 	}
 }
 
-// OnCycle advances the interval clock; stalled reports whether dispatch
-// was blocked by the size limit this cycle. It returns the new entry
-// limit and whether it changed.
-func (c *Controller) OnCycle(stalled bool) (limit int, changed bool) {
-	c.cycleCount++
+// OnCycle advances the interval clock by n cycles; stalled reports
+// whether dispatch was blocked by the size limit in each of them. It
+// returns the new entry limit and whether it changed. A decision is taken
+// only in the last of the n cycles, so n must not exceed
+// CyclesToDecision.
+func (c *Controller) OnCycle(n int64, stalled bool) (limit int, changed bool) {
+	c.cycleCount += n
 	if stalled {
-		c.stallCycles++
+		c.stallCycles += n
 	}
 	if c.cycleCount < c.cfg.IntervalCycles {
 		return c.Limit(), false

@@ -9,7 +9,7 @@ func drain(c *Controller, cycles int64, stalled bool, issues, young int) (int, b
 		for j := 0; j < issues; j++ {
 			c.OnIssue(j < young)
 		}
-		l, ch := c.OnCycle(stalled)
+		l, ch := c.OnCycle(1, stalled)
 		limit = l
 		changed = changed || ch
 	}
@@ -87,5 +87,43 @@ func TestHighYoungShareHolds(t *testing.T) {
 	_, changed := drain(c, cfg.IntervalCycles, false, 4, 4)
 	if changed {
 		t.Error("controller resized despite fully-young issue mix")
+	}
+}
+
+// TestBulkCyclesMatchSingleCycles accounts idle stretches in one OnCycle
+// call and in one call per cycle: the controllers must decide alike, and
+// CyclesToDecision must count down to the deciding cycle.
+func TestBulkCyclesMatchSingleCycles(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.IntervalCycles = 100
+	bulk, single := New(cfg, 10, 8), New(cfg, 10, 8)
+	for i := 0; i < 40; i++ {
+		stalled := i%3 == 0
+		for _, c := range []*Controller{bulk, single} {
+			c.OnIssue(i%2 == 0)
+			c.OnIssue(false)
+		}
+		n := bulk.CyclesToDecision()
+		if got := single.CyclesToDecision(); got != n {
+			t.Fatalf("interval %d: CyclesToDecision %d and %d", i, n, got)
+		}
+		if n != cfg.IntervalCycles {
+			t.Fatalf("interval %d: %d cycles to decision at its start, want %d", i, n, cfg.IntervalCycles)
+		}
+		// Everything but the deciding cycle in one call, then the decision.
+		if _, changed := bulk.OnCycle(n-1, stalled); changed {
+			t.Fatalf("interval %d: decided before the deciding cycle", i)
+		}
+		if got := bulk.CyclesToDecision(); got != 1 {
+			t.Fatalf("interval %d: %d cycles to decision before the deciding one, want 1", i, got)
+		}
+		lb, cb := bulk.OnCycle(1, stalled)
+		ls, cs := drain(single, n, stalled, 0, 0)
+		if lb != ls || cb != cs {
+			t.Fatalf("interval %d: bulk (%d, %v), single (%d, %v)", i, lb, cb, ls, cs)
+		}
+	}
+	if bulk.Resizes() != single.Resizes() || bulk.Resizes() == 0 {
+		t.Fatalf("resizes: bulk %d, single %d; want equal and non-zero", bulk.Resizes(), single.Resizes())
 	}
 }

@@ -73,11 +73,12 @@ func readyScan(q *Queue) []int64 {
 	return out
 }
 
-// banksOnScan recomputes BanksOn from the valid entries.
+// banksOnScan recomputes BanksOn from the valid entries' positions: the
+// bank of position p is (p mod ringSize) / BankSize.
 func banksOnScan(q *Queue) int {
 	banks := map[int]bool{}
 	q.ForEachValid(func(pos int64, e *Entry) bool {
-		banks[q.bankOf(pos)] = true
+		banks[int(pos%int64(q.ringSize))/q.cfg.BankSize] = true
 		return true
 	})
 	return len(banks)
@@ -148,9 +149,13 @@ func TestRandomizedIndexMatchesScan(t *testing.T) {
 					}
 					id++
 				case op < 7: // broadcast (sometimes a tag nobody waits on)
+					// after n unchanged cycles, sampled in one call and in n
 					tag := rng.Intn(tagSpace + 4)
-					fast.BeginCycle()
-					ref.BeginCycle()
+					n := int64(1 + rng.Intn(3))
+					fast.BeginCycle(n)
+					for i := int64(0); i < n; i++ {
+						ref.BeginCycle(1)
+					}
 					if wf, wr := fast.Broadcast(tag), ref.broadcastScan(tag); wf != wr {
 						t.Fatalf("step %d: broadcast(%d) woke %d fast vs %d ref", step, tag, wf, wr)
 					}

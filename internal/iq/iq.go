@@ -84,7 +84,9 @@ type Stats struct {
 // Queue is the issue queue. Positions are virtual (monotonically
 // increasing); the physical slot of position p is p mod the ring size
 // (Entries for the paper's non-collapsible queue; larger when modelling
-// a collapsible one, where holes do not consume capacity).
+// a collapsible one, where holes do not consume capacity). The hot paths
+// never divide: each pointer carries its slot, stepped with a wrap, and
+// other positions are found as an offset from head.
 type Queue struct {
 	cfg      Config
 	banks    int
@@ -93,6 +95,8 @@ type Queue struct {
 	head     int64 // oldest valid position, or == tail when empty
 	newHead  int64 // oldest position of the current program region
 	tail     int64 // next position to fill
+
+	headSlot, newHeadSlot, tailSlot int // slots of head, newHead and tail
 
 	count      int // valid entries
 	newCount   int // valid entries in [newHead, tail)
@@ -154,12 +158,14 @@ func New(cfg Config) (*Queue, error) {
 }
 
 // waiter records one subscribed operand in the wakeup index. pos pins the
-// subscription to a particular occupancy of the slot: if the entry has
-// issued and the slot been refilled, posOf no longer matches and the
-// subscriber is stale.
+// subscription to a particular occupancy of slot: if the entry has issued
+// and the slot been refilled, posOf no longer matches and the subscriber
+// is stale. The slot is stored because a stale waiter's position may lie
+// below head, where it cannot be found as an offset from head.
 type waiter struct {
-	pos int64
-	op  int
+	pos  int64
+	slot int32
+	op   int32
 }
 
 // MustNew is New that panics on error.
@@ -199,10 +205,23 @@ func (q *Queue) MaxNewRange() int { return q.maxNewRange }
 // dispatch and issue.
 func (q *Queue) BanksOn() int { return q.banksOn }
 
-func (q *Queue) slot(pos int64) *Entry { return &q.ring[int(pos%int64(q.ringSize))] }
+// slotOf returns the slot of a position in [head, head+ringSize): every
+// valid entry's, and tail's.
+func (q *Queue) slotOf(pos int64) int {
+	s := q.headSlot + int(pos-q.head)
+	if s >= q.ringSize {
+		s -= q.ringSize
+	}
+	return s
+}
 
-func (q *Queue) bankOf(pos int64) int {
-	return int(pos%int64(q.ringSize)) / q.cfg.BankSize
+// nextSlot returns the slot after s, wrapping at the ring's end.
+func (q *Queue) nextSlot(s int) int {
+	s++
+	if s == q.ringSize {
+		return 0
+	}
+	return s
 }
 
 // SetHint installs a new max_new_range from a compiler hint: the current
@@ -217,7 +236,7 @@ func (q *Queue) SetHint(entries int) {
 		entries = q.cfg.Entries
 	}
 	q.maxNewRange = entries
-	q.newHead = q.tail
+	q.newHead, q.newHeadSlot = q.tail, q.tailSlot
 	q.newCount = 0
 	q.Stats.HintSets++
 }
@@ -225,7 +244,7 @@ func (q *Queue) SetHint(entries int) {
 // ClearHint removes compiler control (used by the uncontrolled baseline).
 func (q *Queue) ClearHint() {
 	q.maxNewRange = 0
-	q.newHead = q.tail
+	q.newHead, q.newHeadSlot = q.tail, q.tailSlot
 	q.newCount = 0
 }
 
@@ -290,7 +309,7 @@ func (q *Queue) Dispatch(id int64, tags [OperandsPerEntry]int, waiting [Operands
 		return 0, false
 	}
 	pos = q.tail
-	s := int(pos % int64(q.ringSize))
+	s := q.tailSlot
 	e := &q.ring[s]
 	*e = Entry{Valid: true, ID: id, Tag: tags, Waiting: waiting}
 	q.posOf[s] = pos
@@ -300,13 +319,14 @@ func (q *Queue) Dispatch(id int64, tags [OperandsPerEntry]int, waiting [Operands
 		}
 		if e.Waiting[i] {
 			q.waiting++
-			q.subscribe(tags[i], waiter{pos: pos, op: i})
+			q.subscribe(tags[i], waiter{pos: pos, slot: int32(s), op: int32(i)})
 		}
 	}
 	if e.Ready() {
 		q.markReady(s)
 	}
 	q.tail++
+	q.tailSlot = q.nextSlot(s)
 	q.count++
 	q.newCount++
 	b := q.bankOfSlot[s]
@@ -347,7 +367,10 @@ func (q *Queue) clearReady(slot int) {
 // payload). The head and new_head pointers slide past any invalid entries
 // they now point to, exactly like the paper's figure 2.
 func (q *Queue) Issue(pos int64) {
-	s := int(pos % int64(q.ringSize))
+	if pos < q.head || pos >= q.tail {
+		panic(fmt.Sprintf("iq: issuing pos %d outside [%d, %d)", pos, q.head, q.tail))
+	}
+	s := q.slotOf(pos)
 	e := &q.ring[s]
 	if !e.Valid {
 		panic(fmt.Sprintf("iq: issuing invalid entry at pos %d", pos))
@@ -382,7 +405,7 @@ func (q *Queue) unsubscribe(tag int, pos int64, op int) {
 	}
 	list := q.waiters[tag]
 	for i := range list {
-		if list[i].pos == pos && list[i].op == op {
+		if list[i].pos == pos && int(list[i].op) == op {
 			list[i] = list[len(list)-1]
 			q.waiters[tag] = list[:len(list)-1]
 			return
@@ -391,27 +414,30 @@ func (q *Queue) unsubscribe(tag int, pos int64, op int) {
 }
 
 func (q *Queue) advanceHeads() {
-	for q.head < q.tail && !q.slot(q.head).Valid {
+	for q.head < q.tail && !q.ring[q.headSlot].Valid {
 		q.head++
+		q.headSlot = q.nextSlot(q.headSlot)
 	}
 	if q.newHead < q.head {
-		q.newHead = q.head
+		q.newHead, q.newHeadSlot = q.head, q.headSlot
 	}
-	for q.newHead < q.tail && !q.slot(q.newHead).Valid {
+	for q.newHead < q.tail && !q.ring[q.newHeadSlot].Valid {
 		q.newHead++
+		q.newHeadSlot = q.nextSlot(q.newHeadSlot)
 	}
 }
 
 // BeginCycle latches the waiting-operand and occupancy counts used to
-// charge this cycle's broadcasts, and samples occupancy statistics.
-func (q *Queue) BeginCycle() {
+// charge this cycle's broadcasts, and samples occupancy statistics for n
+// cycles over which the queue does not change.
+func (q *Queue) BeginCycle(n int64) {
 	q.latchedWaiting = q.waiting
 	q.latchedCount = q.count
-	q.Stats.Cycles++
-	q.Stats.OccupancySum += int64(q.count)
-	q.Stats.SpanSum += int64(q.Span())
-	q.Stats.BanksOnSum += int64(q.BanksOn())
-	q.Stats.NewCountSum += int64(q.newCount)
+	q.Stats.Cycles += n
+	q.Stats.OccupancySum += n * int64(q.count)
+	q.Stats.SpanSum += n * int64(q.Span())
+	q.Stats.BanksOnSum += n * int64(q.banksOn)
+	q.Stats.NewCountSum += n * int64(q.newCount)
 }
 
 // Broadcast wakes all operands waiting on tag and charges wakeup energy
@@ -445,7 +471,7 @@ func (q *Queue) broadcastIndexed(tag int) int {
 	}
 	woken := 0
 	for _, w := range list {
-		s := int(w.pos % int64(q.ringSize))
+		s := int(w.slot)
 		e := &q.ring[s]
 		if !e.Valid || q.posOf[s] != w.pos || !e.Waiting[w.op] {
 			continue
@@ -464,8 +490,9 @@ func (q *Queue) broadcastIndexed(tag int) int {
 // ForEachValid visits valid entries oldest-first; the visitor returns
 // false to stop early.
 func (q *Queue) ForEachValid(f func(pos int64, e *Entry) bool) {
-	for pos := q.head; pos < q.tail; pos++ {
-		e := q.slot(pos)
+	s := q.headSlot
+	for pos := q.head; pos < q.tail; pos, s = pos+1, q.nextSlot(s) {
+		e := &q.ring[s]
 		if !e.Valid {
 			continue
 		}
@@ -484,7 +511,7 @@ func (q *Queue) ForEachReady(f func(pos int64, e *Entry) bool) {
 	if q.readyCount == 0 || q.head == q.tail {
 		return
 	}
-	start := int(q.head % int64(q.ringSize))
+	start := q.headSlot
 	span := int(q.tail - q.head)
 	end := start + span
 	if end <= q.ringSize {
@@ -539,19 +566,28 @@ func (q *Queue) CheckInvariants() error {
 	if q.cfg.Collapsible && q.count > q.cfg.Entries {
 		return fmt.Errorf("count %d exceeds capacity %d", q.count, q.cfg.Entries)
 	}
+	for _, p := range []struct {
+		name string
+		pos  int64
+		slot int
+	}{{"head", q.head, q.headSlot}, {"newHead", q.newHead, q.newHeadSlot}, {"tail", q.tail, q.tailSlot}} {
+		if want := int(p.pos % int64(q.ringSize)); p.slot != want {
+			return fmt.Errorf("%s slot %d, want %d (pos %d mod %d)", p.name, p.slot, want, p.pos, q.ringSize)
+		}
+	}
 	count, waiting, newCount, ready := 0, 0, 0, 0
 	bank := make([]int, len(q.bankCount))
 	for pos := q.head; pos < q.tail; pos++ {
-		e := q.slot(pos)
+		s := int(pos % int64(q.ringSize))
+		e := &q.ring[s]
 		if !e.Valid {
 			continue
 		}
 		count++
-		bank[q.bankOf(pos)]++
+		bank[s/q.cfg.BankSize]++
 		if pos >= q.newHead {
 			newCount++
 		}
-		s := int(pos % int64(q.ringSize))
 		if q.posOf[s] != pos {
 			return fmt.Errorf("posOf[%d] = %d, want %d", s, q.posOf[s], pos)
 		}
@@ -564,8 +600,8 @@ func (q *Queue) CheckInvariants() error {
 		for i := 0; i < OperandsPerEntry; i++ {
 			if e.Waiting[i] {
 				waiting++
-				if !q.subscribed(e.Tag[i], pos, i) {
-					return fmt.Errorf("waiting operand %d of pos %d (tag %d) missing from wakeup index", i, pos, e.Tag[i])
+				if !q.subscribed(e.Tag[i], pos, s, i) {
+					return fmt.Errorf("waiting operand %d of pos %d (slot %d, tag %d) missing from wakeup index", i, pos, s, e.Tag[i])
 				}
 			}
 		}
@@ -596,10 +632,10 @@ func (q *Queue) CheckInvariants() error {
 			return fmt.Errorf("bank %d count %d != recomputed %d", b, q.bankCount[b], bank[b])
 		}
 	}
-	if q.head < q.tail && !q.slot(q.head).Valid {
+	if q.head < q.tail && !q.ring[q.headSlot].Valid {
 		return fmt.Errorf("head points at invalid entry")
 	}
-	if q.newHead < q.tail && !q.slot(q.newHead).Valid {
+	if q.newHead < q.tail && !q.ring[q.newHeadSlot].Valid {
 		return fmt.Errorf("newHead points at invalid entry")
 	}
 	if q.maxNewRange > 0 && q.newCount > q.maxNewRange {
@@ -608,14 +644,14 @@ func (q *Queue) CheckInvariants() error {
 	return nil
 }
 
-// subscribed reports whether (pos, op) appears in the wakeup index under
-// tag (invariant checking only).
-func (q *Queue) subscribed(tag int, pos int64, op int) bool {
+// subscribed reports whether (pos, slot, op) appears in the wakeup index
+// under tag (invariant checking only).
+func (q *Queue) subscribed(tag int, pos int64, slot, op int) bool {
 	if tag < 0 || tag >= len(q.waiters) {
 		return false
 	}
 	for _, w := range q.waiters[tag] {
-		if w.pos == pos && w.op == op {
+		if w.pos == pos && int(w.slot) == slot && int(w.op) == op {
 			return true
 		}
 	}

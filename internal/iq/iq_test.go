@@ -25,7 +25,7 @@ func TestFigure1Wakeups(t *testing.T) {
 	runBaseline := func() *Queue {
 		q := MustNew(Config{Entries: 80, BankSize: 8})
 		// Cycle 0: dispatch all six.
-		q.BeginCycle()
+		q.BeginCycle(1)
 		pa := mustDispatch(t, q, 0, noOps(), notWaiting())
 		pb := mustDispatch(t, q, 1, noOps(), notWaiting())
 		pc := mustDispatch(t, q, 2, [2]int{tagA, -1}, [2]bool{true, false})
@@ -33,17 +33,17 @@ func TestFigure1Wakeups(t *testing.T) {
 		pe := mustDispatch(t, q, 4, [2]int{tagC, tagD}, [2]bool{true, true})
 		pf := mustDispatch(t, q, 5, [2]int{tagB, tagD}, [2]bool{true, true})
 		// Cycle 1: a, b issue.
-		q.BeginCycle()
+		q.BeginCycle(1)
 		q.Issue(pa)
 		q.Issue(pb)
 		// Cycle 2: a, b write back and broadcast; c, d issue.
-		q.BeginCycle()
+		q.BeginCycle(1)
 		q.Broadcast(tagA)
 		q.Broadcast(tagB)
 		q.Issue(pc)
 		q.Issue(pd)
 		// Cycle 3: c, d broadcast; e, f issue.
-		q.BeginCycle()
+		q.BeginCycle(1)
 		q.Broadcast(tagC)
 		q.Broadcast(tagD)
 		q.Issue(pe)
@@ -58,7 +58,7 @@ func TestFigure1Wakeups(t *testing.T) {
 
 	// Limited to 2 entries (figure 1(d)).
 	q = MustNew(Config{Entries: 80, BankSize: 8})
-	q.BeginCycle()
+	q.BeginCycle(1)
 	q.SetHint(2)
 	pa := mustDispatch(t, q, 0, noOps(), notWaiting())
 	pb := mustDispatch(t, q, 1, noOps(), notWaiting())
@@ -69,13 +69,13 @@ func TestFigure1Wakeups(t *testing.T) {
 		t.Fatal("block must be attributed to the hint")
 	}
 	// Cycle 1: a, b issue; c, d dispatch.
-	q.BeginCycle()
+	q.BeginCycle(1)
 	q.Issue(pa)
 	q.Issue(pb)
 	pc := mustDispatch(t, q, 2, [2]int{tagA, -1}, [2]bool{true, false})
 	pd := mustDispatch(t, q, 3, [2]int{tagB, -1}, [2]bool{true, false})
 	// Cycle 2: a, b broadcast (2 waiting ops each); c, d issue; e, f dispatch.
-	q.BeginCycle()
+	q.BeginCycle(1)
 	q.Broadcast(tagA)
 	q.Broadcast(tagB)
 	q.Issue(pc)
@@ -84,7 +84,7 @@ func TestFigure1Wakeups(t *testing.T) {
 	// f's first operand (from b) already broadcast: dispatches ready.
 	pf := mustDispatch(t, q, 5, [2]int{tagB, tagD}, [2]bool{false, true})
 	// Cycle 3: c, d broadcast (3 waiting ops); e, f issue.
-	q.BeginCycle()
+	q.BeginCycle(1)
 	q.Broadcast(tagC)
 	q.Broadcast(tagD)
 	q.Issue(pe)
@@ -215,6 +215,22 @@ func TestWraparound(t *testing.T) {
 	}
 }
 
+// TestIssueOutsideWindowPanics: a position a full ring past a valid
+// entry names the same slot, and must not issue that entry.
+func TestIssueOutsideWindowPanics(t *testing.T) {
+	q := MustNew(Config{Entries: 8, BankSize: 4})
+	pos := mustDispatch(t, q, 1, noOps(), notWaiting())
+	defer func() {
+		if recover() == nil {
+			t.Error("issuing a position outside [head, tail) did not panic")
+		}
+		if q.Count() != 1 {
+			t.Errorf("count = %d after the refused issue, want 1", q.Count())
+		}
+	}()
+	q.Issue(pos + 8)
+}
+
 func TestBankGating(t *testing.T) {
 	q := MustNew(Config{Entries: 16, BankSize: 4})
 	if q.BanksOn() != 0 {
@@ -242,7 +258,7 @@ func TestBroadcastAccountingSchemes(t *testing.T) {
 	mustDispatch(t, q, 0, [2]int{7, 8}, [2]bool{true, true})
 	mustDispatch(t, q, 1, [2]int{7, -1}, [2]bool{true, false})
 	mustDispatch(t, q, 2, noOps(), notWaiting())
-	q.BeginCycle()
+	q.BeginCycle(1)
 	woken := q.Broadcast(7)
 	if woken != 2 {
 		t.Errorf("woken = %d, want 2", woken)
@@ -307,10 +323,10 @@ func TestRandomOperationsInvariant(t *testing.T) {
 				break
 			}
 		case 8:
-			q.BeginCycle()
+			q.BeginCycle(1)
 			q.Broadcast(rng.Intn(8))
 		case 9:
-			q.BeginCycle()
+			q.BeginCycle(1)
 		}
 		if err := q.CheckInvariants(); err != nil {
 			t.Fatalf("step %d: %v", step, err)

@@ -186,11 +186,12 @@ func (f *File) Read() {
 // Write counts a register write (at writeback).
 func (f *File) Write() { f.Stats.Writes++ }
 
-// Tick samples per-cycle occupancy statistics.
-func (f *File) Tick() {
-	f.Stats.Cycles++
-	f.Stats.LiveSum += int64(f.live)
-	f.Stats.BanksOnSum += int64(f.BanksOn())
+// Tick samples per-cycle occupancy statistics for n cycles over which the
+// file does not change.
+func (f *File) Tick(n int64) {
+	f.Stats.Cycles += n
+	f.Stats.LiveSum += n * int64(f.live)
+	f.Stats.BanksOnSum += n * int64(f.banksOn)
 }
 
 // CheckInvariants recomputes derived state; tests call it after random

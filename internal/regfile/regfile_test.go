@@ -151,7 +151,7 @@ func TestStatsSampling(t *testing.T) {
 	f.Read()
 	f.Read()
 	f.Write()
-	f.Tick()
+	f.Tick(1)
 	if f.Stats.Reads != 2 || f.Stats.Writes != 1 || f.Stats.Cycles != 1 {
 		t.Errorf("stats = %+v", f.Stats)
 	}
@@ -160,6 +160,12 @@ func TestStatsSampling(t *testing.T) {
 	}
 	if f.Stats.BanksOnReads != 8 {
 		t.Errorf("banksOnReads = %d, want 8", f.Stats.BanksOnReads)
+	}
+	// One call for n unchanged cycles charges what n calls of one would.
+	f.Allocate()
+	f.Tick(5)
+	if f.Stats.Cycles != 6 || f.Stats.LiveSum != 32+5*33 || f.Stats.BanksOnSum != 4+5*5 {
+		t.Errorf("after Tick(5): cycles %d live %d banks %d", f.Stats.Cycles, f.Stats.LiveSum, f.Stats.BanksOnSum)
 	}
 }
 

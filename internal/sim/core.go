@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/adaptive"
@@ -33,7 +34,6 @@ type uop struct {
 	d        trace.DynInst
 	class    isa.Class
 	state    uopState
-	iqPos    int64
 	destPhys int // -1 = none
 	prevPhys int
 	destFP   bool
@@ -41,7 +41,6 @@ type uop struct {
 	srcFP    [2]bool
 
 	isLoad, isStore bool
-	addrResolved    bool
 	blocksFetch     bool  // mispredicted control transfer: fetch waits on it
 	storeIdx        int64 // virtual store-ring index (stores only)
 }
@@ -107,10 +106,30 @@ type Core struct {
 	lastFetchLine   int   // last I-cache line touched, -1 initially
 	fetchLineShift  int   // log2(IL1 line bytes) when a power of two, else -1
 
+	// Read from the hierarchy once, so fetch and execLatency do not copy
+	// a cache.Config per cycle or per forwarded load.
+	il1LineBytes, il1HitCycles, dl1HitCycles int
+
+	// stall is what this cycle's dispatch stall charged; skipIdle charges
+	// it again for every cycle it skips.
+	stall dispatchStall
+
 	committedReal  int64
 	committedHints int64
 
 	st Stats
+}
+
+// dispatchStall records what one cycle's dispatch stall charged: the
+// Stats stall counter it bumped (nil while the fetch-queue head is still
+// decoding), whether it re-applied the head's Extension tag, and the
+// register file whose Allocate failed (nil if none). skipIdle reads it
+// only after an idle cycle, in which nothing dispatched, so all of it
+// belongs to the fetch-queue head.
+type dispatchStall struct {
+	counter *int64
+	hint    bool
+	file    *regfile.File
 }
 
 type storeRec struct {
@@ -268,8 +287,11 @@ func NewResumable(cfg Config, stream trace.Stream, mem *cache.Hierarchy, bp *bpr
 		picks:         make([]pick, 0, cfg.IssueWidth),
 		lastFetchLine: -1,
 	}
+	il1 := mem.IL1.Config()
+	c.il1LineBytes, c.il1HitCycles = il1.LineBytes, il1.HitCycles
+	c.dl1HitCycles = mem.DL1.Config().HitCycles
 	c.fetchLineShift = -1
-	if lb := mem.IL1.Config().LineBytes; lb > 0 && lb&(lb-1) == 0 {
+	if lb := c.il1LineBytes; lb > 0 && lb&(lb-1) == 0 {
 		c.fetchLineShift = bits.TrailingZeros(uint(lb))
 	}
 	if cfg.Control == ControlAdaptive {
@@ -299,10 +321,11 @@ func (c *Core) robCap() int {
 	return c.cfg.ROBSize
 }
 
-// ctxPollCycles is how often RunContext polls for cancellation. A power
-// of two so the check is a mask; 4096 cycles is microseconds of wall
-// time, far below human-visible cancellation latency, while keeping the
-// branch essentially free in the cycle loop.
+// ctxPollCycles is how often RunContext polls for cancellation: whenever
+// the cycle count crosses a multiple of it, by a step or by a skip. A
+// power of two so the check is a shift; 4096 cycles is microseconds of
+// wall time, far below human-visible cancellation latency, while keeping
+// the branch essentially free in the cycle loop.
 const ctxPollCycles = 4096
 
 // Run simulates until the stream is exhausted and the pipeline drains, or
@@ -327,15 +350,23 @@ func (c *Core) RunContext(ctx context.Context) (Stats, error) {
 // simulation engine runs each detailed window as two segments (detailed
 // pipeline warm-up, then the measured unit) and differences the
 // snapshots, so the measured unit starts from a full pipeline.
+//
+// After an idle cycle the loop skips ahead to the next cycle in which
+// something can happen (see skipIdle), so long memory stalls cost one
+// step, not one per cycle; the statistics are those of stepping every
+// cycle.
 func (c *Core) RunSegment(ctx context.Context, target int64) (Stats, error) {
 	c.segTarget = target
 	var err error
 	for !c.done() {
-		c.step()
+		from := c.cycle
+		if idle := c.step(); idle {
+			c.skipIdle()
+		}
 		if c.cfg.MaxCycles > 0 && c.cycle >= c.cfg.MaxCycles {
 			break
 		}
-		if c.cycle&(ctxPollCycles-1) == 0 {
+		if c.cycle/ctxPollCycles != from/ctxPollCycles {
 			if err = ctx.Err(); err != nil {
 				break
 			}
@@ -373,40 +404,134 @@ func (c *Core) done() bool {
 	return c.streamDone && c.robCount == 0 && c.fqCount == 0
 }
 
-// step advances one cycle through all pipeline stages, oldest first.
-func (c *Core) step() {
+// step advances one cycle through all pipeline stages, oldest first. It
+// reports whether the cycle was idle: nothing committed, wrote back,
+// issued, dispatched (hint NOOPs included) or was fetched, the stream did
+// not end, and the adaptive limit did not change.
+func (c *Core) step() (idle bool) {
 	c.cycle++
-	c.q.BeginCycle()
-	c.commit()
-	c.writeback()
-	c.issue()
-	c.dispatch()
-	c.fetch()
-	c.irf.Tick()
-	c.frf.Tick()
+	c.q.BeginCycle(1)
+	committed := c.commit()
+	wrote := c.writeback()
+	issued := c.issue()
+	dispatched := c.dispatch()
+	fetched := c.fetch()
+	c.irf.Tick(1)
+	c.frf.Tick(1)
+	resized := false
 	if c.ctrl != nil {
-		limit, changed := c.ctrl.OnCycle(c.q.SizeLimitBlocked())
-		if changed {
+		var limit int
+		limit, resized = c.ctrl.OnCycle(1, c.q.SizeLimitBlocked())
+		if resized {
 			c.q.SetSizeLimit(limit)
 		}
 	}
 	if c.cfg.Probe != nil {
-		c.cfg.Probe.Sample(c.cycle, ProbeSample{
-			IQCount:     c.q.Count(),
-			IQBanksOn:   c.q.BanksOn(),
-			MaxNewRange: c.q.MaxNewRange(),
-			IntRFLive:   c.irf.Live(),
-			ROBCount:    c.robCount,
-			FetchQueue:  c.fqCount,
-		})
+		c.cfg.Probe.Sample(c.cycle, c.probeSample())
+	}
+	return !committed && !wrote && !issued && !dispatched && !fetched && !resized
+}
+
+// probeSample reads the machine state a Probe observes.
+func (c *Core) probeSample() ProbeSample {
+	return ProbeSample{
+		IQCount:     c.q.Count(),
+		IQBanksOn:   c.q.BanksOn(),
+		MaxNewRange: c.q.MaxNewRange(),
+		IntRFLive:   c.irf.Live(),
+		ROBCount:    c.robCount,
+		FetchQueue:  c.fqCount,
 	}
 }
 
-func (c *Core) commit() {
-	for n := 0; n < c.cfg.CommitWidth && c.robCount > 0; n++ {
+// skipIdle follows an idle cycle. Until the next event that can change
+// the machine (nextEvent), every cycle would repeat that one exactly:
+// the same stages find nothing to do, and the same per-cycle statistics
+// are charged from the same state. So it advances to the cycle before
+// the event, or to MaxCycles, and charges the skipped cycles in bulk:
+// the occupancy samples of the queue and both register files, the
+// dispatch stall of the idle cycle (its counter, a re-applied Extension
+// tag, a failed register allocation) and the adaptive controller's
+// cycle and stall counts. A Probe still sees every cycle.
+func (c *Core) skipIdle() {
+	next := c.nextEvent()
+	if c.cfg.MaxCycles > 0 && c.cfg.MaxCycles < next-1 {
+		next = c.cfg.MaxCycles + 1 // stop where RunSegment does
+	} else if next == math.MaxInt64 {
+		return // stuck for good with no MaxCycles: step until cancelled
+	}
+	n := next - 1 - c.cycle
+	if n <= 0 {
+		return
+	}
+	c.q.BeginCycle(n)
+	c.irf.Tick(n)
+	c.frf.Tick(n)
+	if c.stall.counter != nil {
+		*c.stall.counter += n
+	}
+	if c.stall.hint {
+		c.st.HintsApplied += n
+		c.q.Stats.HintSets += n
+	}
+	if c.stall.file != nil {
+		c.stall.file.Stats.AllocFails += n
+	}
+	if c.ctrl != nil {
+		// n stops short of the deciding cycle, so the limit holds.
+		c.ctrl.OnCycle(n, c.q.SizeLimitBlocked())
+	}
+	if c.cfg.Probe == nil {
+		c.cycle += n
+		return
+	}
+	s := c.probeSample()
+	for end := c.cycle + n; c.cycle < end; {
+		c.cycle++
+		c.cfg.Probe.Sample(c.cycle, s)
+	}
+}
+
+// nextEvent returns the earliest cycle after an idle one in which the
+// machine can change, or math.MaxInt64 if none is pending. Nothing else
+// can start activity: commit, issue and dispatch wait on writebacks (or on
+// each other), and fetch on its stall, a mispredict's writeback or room
+// that dispatch makes.
+func (c *Core) nextEvent() int64 {
+	next := int64(math.MaxInt64)
+	// A completion is due. The scan covers the whole ring, ending at the
+	// current slot, where a latency clamped to completionRing lands.
+	for k := int64(1); k <= completionRing; k++ {
+		if len(c.complete[(c.cycle+k)%completionRing]) > 0 {
+			next = c.cycle + k
+			break
+		}
+	}
+	// Fetch's I-cache miss or bubble ends.
+	if !c.fetchBlocked && !c.streamDone && c.fqCount < len(c.fq) {
+		next = min(next, c.fetchStallUntil)
+	}
+	// The fetch-queue head finishes decoding.
+	if c.fqCount > 0 {
+		if r := c.fq[c.fqHead].readyCycle; r > c.cycle {
+			next = min(next, r)
+		}
+	}
+	// The adaptive controller decides, which may unblock dispatch.
+	if c.ctrl != nil {
+		next = min(next, c.cycle+c.ctrl.CyclesToDecision())
+	}
+	return next
+}
+
+// commit retires up to CommitWidth completed instructions in order and
+// reports whether it retired any.
+func (c *Core) commit() bool {
+	n := 0
+	for ; n < c.cfg.CommitWidth && c.robCount > 0; n++ {
 		u := &c.rob[c.robHead]
 		if u.state != uopDone {
-			return
+			break
 		}
 		if u.isStore {
 			c.mem.StoreAccess(u.d.Addr)
@@ -433,12 +558,13 @@ func (c *Core) commit() {
 		}
 		c.robCount--
 		if c.segTarget > 0 && c.committedReal >= c.segTarget {
-			return
+			return true
 		}
 		if c.cfg.MaxInsts > 0 && c.committedReal >= c.cfg.MaxInsts {
-			return
+			return true
 		}
 	}
+	return n > 0
 }
 
 func (c *Core) file(fp bool) *regfile.File {
@@ -448,8 +574,13 @@ func (c *Core) file(fp bool) *regfile.File {
 	return c.irf
 }
 
-func (c *Core) writeback() {
+// writeback completes the operations due this cycle and reports whether
+// there were any.
+func (c *Core) writeback() bool {
 	slot := int(c.cycle % completionRing)
+	if len(c.complete[slot]) == 0 {
+		return false
+	}
 	for _, idx := range c.complete[slot] {
 		u := &c.rob[idx]
 		u.state = uopDone
@@ -471,12 +602,14 @@ func (c *Core) writeback() {
 		}
 	}
 	c.complete[slot] = c.complete[slot][:0]
+	return true
 }
 
 // issue selects up to IssueWidth ready instructions oldest-first, subject
 // to functional-unit and memory-port limits and load/store ordering. It
-// walks only the issue queue's ready list, not the whole window.
-func (c *Core) issue() {
+// walks only the issue queue's ready list, not the whole window. It
+// reports whether anything issued.
+func (c *Core) issue() bool {
 	var unitsUsed [isa.NumClasses]int
 	memPortsUsed := 0
 	issued := 0
@@ -532,7 +665,6 @@ func (c *Core) issue() {
 		u.state = uopIssued
 		lat := c.execLatency(u)
 		if u.isStore {
-			u.addrResolved = true
 			c.resolveStore(u)
 		}
 		if lat > completionRing {
@@ -545,6 +677,7 @@ func (c *Core) issue() {
 		due := (c.cycle + int64(lat)) % completionRing
 		c.complete[due] = append(c.complete[due], p.idx)
 	}
+	return len(c.picks) > 0
 }
 
 // loadMayIssue enforces conservative memory disambiguation: every older
@@ -582,7 +715,7 @@ func (c *Core) execLatency(u *uop) int {
 			for idx >= c.storeHead {
 				s := c.storeAt(idx)
 				if s.seq < u.d.Seq {
-					return c.mem.DL1.Config().HitCycles
+					return c.dl1HitCycles
 				}
 				idx = s.prevSameAddr
 			}
@@ -595,18 +728,22 @@ func (c *Core) execLatency(u *uop) int {
 // dispatch moves up to DispatchWidth decoded instructions from the fetch
 // queue into the ROB and issue queue, renaming their registers. Hint
 // NOOPs are stripped here — consuming a dispatch slot, as the paper notes
-// (section 5.2.1) — and set max_new_range.
-func (c *Core) dispatch() {
+// (section 5.2.1) — and set max_new_range. It reports whether it took
+// anything from the fetch queue, and records what a stall charged in
+// c.stall.
+func (c *Core) dispatch() bool {
+	c.stall = dispatchStall{}
 	if c.fqCount == 0 {
-		c.st.StallFetchEmpty++
-		return
+		c.stallOn(&c.st.StallFetchEmpty)
+		return false
 	}
-	for n := 0; n < c.cfg.DispatchWidth && c.fqCount > 0; n++ {
+	n := 0
+	for ; n < c.cfg.DispatchWidth && c.fqCount > 0; n++ {
 		fe := &c.fq[c.fqHead]
 		if fe.readyCycle > c.cycle {
-			return
+			break
 		}
-		d := fe.d
+		d := &fe.d
 		if d.Op == isa.HintNop {
 			// Stripped at the final decode stage; costs this slot.
 			if c.cfg.Control == ControlHints {
@@ -617,53 +754,66 @@ func (c *Core) dispatch() {
 			c.popFQ()
 			continue
 		}
-		// Extension tags apply before the carrying instruction dispatches.
+		// Extension tags apply before the carrying instruction dispatches,
+		// so a stalled instruction applies its tag again every cycle.
 		if c.cfg.Control == ControlHints && d.Hint > 0 {
 			c.q.SetHint(d.Hint)
 			c.st.HintsApplied++
+			c.stall.hint = true
 		}
 		if c.robCount >= c.robCap() {
-			c.st.StallROBFull++
-			return
+			c.stallOn(&c.st.StallROBFull)
+			break
 		}
 		if !c.q.CanDispatch() {
 			switch {
 			case c.q.HintBlocked():
-				c.st.StallHintLimit++
+				c.stallOn(&c.st.StallHintLimit)
 			case c.q.SizeLimitBlocked():
-				c.st.StallSizeLimit++
+				c.stallOn(&c.st.StallSizeLimit)
 			default:
-				c.st.StallIQFull++
+				c.stallOn(&c.st.StallIQFull)
 			}
-			return
+			break
 		}
-		isMem := d.Op.IsMem()
-		if isMem && c.loads+c.storeCount() >= c.cfg.LSQSize {
-			c.st.StallLSQFull++
-			return
+		if d.Op.IsMem() && c.loads+c.storeCount() >= c.cfg.LSQSize {
+			c.stallOn(&c.st.StallLSQFull)
+			break
 		}
-		if !c.rename(d, fe.blocksFetch) {
-			c.st.StallNoPhysReg++
-			return
+		if !c.rename(fe) {
+			c.stallOn(&c.st.StallNoPhysReg)
+			break
 		}
 		c.popFQ()
 	}
+	return n > 0
 }
 
-// rename allocates the ROB entry, renames sources and destination, and
-// places the uop in the issue queue. Returns false on physical-register
-// exhaustion (nothing is consumed).
-func (c *Core) rename(d trace.DynInst, blocksFetch bool) bool {
-	u := uop{
-		d:           d,
-		class:       d.Op.Class(),
-		destPhys:    -1,
-		prevPhys:    -1,
-		srcPhys:     [2]int{-1, -1},
-		isLoad:      d.Op.IsLoad(),
-		isStore:     d.Op.IsStore(),
-		blocksFetch: blocksFetch,
-	}
+// stallOn charges one cycle of dispatch stall to counter and records it
+// for skipIdle.
+func (c *Core) stallOn(counter *int64) {
+	*counter++
+	c.stall.counter = counter
+}
+
+// rename builds the fetch-queue record's uop in the ROB's tail slot, which
+// is free because dispatch checked ROB capacity, renames its sources and
+// destination, and places it in the issue queue. It returns false on
+// physical-register exhaustion: nothing is consumed and the slot stays
+// unused.
+func (c *Core) rename(fe *fqEntry) bool {
+	d := &fe.d
+	idx := c.robTail
+	u := &c.rob[idx]
+	u.d = *d
+	u.class = d.Op.Class()
+	u.state = uopInIQ
+	u.destPhys, u.prevPhys, u.destFP = -1, -1, false
+	u.srcPhys = [2]int{-1, -1}
+	u.srcFP = [2]bool{}
+	u.isLoad, u.isStore = d.Op.IsLoad(), d.Op.IsStore()
+	u.blocksFetch = fe.blocksFetch
+	u.storeIdx = 0
 	var tags [2]int
 	var waiting [2]bool
 	tags[0], tags[1] = -1, -1
@@ -692,6 +842,7 @@ func (c *Core) rename(d trace.DynInst, blocksFetch bool) bool {
 		f := c.file(fp)
 		phys, ok := f.Allocate()
 		if !ok {
+			c.stall.file = f
 			return false
 		}
 		arch := int(d.Dst)
@@ -702,24 +853,9 @@ func (c *Core) rename(d trace.DynInst, blocksFetch bool) bool {
 		u.destFP = fp
 		u.prevPhys = f.SetRename(arch, phys)
 	}
-	idx := c.robTail
-	pos, ok := c.q.Dispatch(int64(idx), tags, waiting)
-	if !ok {
-		// Should not happen: CanDispatch was checked. Roll back rename.
-		if u.destPhys >= 0 {
-			f := c.file(u.destFP)
-			arch := int(d.Dst)
-			if u.destFP {
-				arch -= isa.IntRegs
-			}
-			f.SetRename(arch, u.prevPhys)
-			f.Free(u.destPhys)
-		}
-		return false
+	if _, ok := c.q.Dispatch(int64(idx), tags, waiting); !ok {
+		panic("sim: issue queue refused a dispatch that CanDispatch allowed")
 	}
-	u.iqPos = pos
-	u.state = uopInIQ
-	c.rob[idx] = u
 	c.robTail++
 	if c.robTail == len(c.rob) {
 		c.robTail = 0
@@ -732,7 +868,7 @@ func (c *Core) rename(d trace.DynInst, blocksFetch bool) bool {
 		}
 		*c.storeAt(c.storeTail) = storeRec{seq: d.Seq, addr: d.Addr, prevSameAddr: prev}
 		c.lastStoreTo[d.Addr] = c.storeTail
-		c.rob[idx].storeIdx = c.storeTail
+		u.storeIdx = c.storeTail
 		c.storeTail++
 		c.unresolved++
 	}
@@ -752,60 +888,63 @@ func (c *Core) popFQ() {
 
 // fetch brings up to FetchWidth instructions from the stream into the
 // fetch queue, consulting the I-cache, branch predictor, BTB and RAS.
-// A mispredicted control transfer blocks fetch until it executes.
-func (c *Core) fetch() {
-	if c.fetchBlocked || c.streamDone {
-		return
+// A mispredicted control transfer blocks fetch until it executes. Each
+// record is written straight into its fetch-queue slot. It reports
+// whether it fetched anything or found the end of the stream.
+func (c *Core) fetch() bool {
+	if c.fetchBlocked || c.streamDone || c.fetchStallUntil > c.cycle {
+		return false
 	}
-	if c.fetchStallUntil > c.cycle {
-		return
-	}
-	lineBytes := c.mem.IL1.Config().LineBytes
 	transfers := 0
-	for n := 0; n < c.cfg.FetchWidth; n++ {
+	n := 0
+	for ; n < c.cfg.FetchWidth; n++ {
 		if c.fqCount >= len(c.fq) {
-			return
+			break
 		}
-		d, ok := c.stream.Next()
-		if !ok {
+		fe := &c.fq[c.fqTail]
+		var ok bool
+		if fe.d, ok = c.stream.Next(); !ok {
 			c.streamDone = true
-			return
+			return true
 		}
 		// I-cache: one access per line transition.
+		pc := fe.d.PC
 		var line int
 		if c.fetchLineShift >= 0 {
-			line = d.PC >> uint(c.fetchLineShift)
+			line = pc >> uint(c.fetchLineShift)
 		} else {
-			line = d.PC / lineBytes
+			line = pc / c.il1LineBytes
 		}
 		if line != c.lastFetchLine {
 			c.lastFetchLine = line
-			lat := c.mem.FetchLatency(d.PC)
-			if lat > c.mem.IL1.Config().HitCycles {
+			if lat := c.mem.FetchLatency(pc); lat > c.il1HitCycles {
 				// Miss: this instruction arrives when the line does.
 				c.fetchStallUntil = c.cycle + int64(lat)
-				c.pushFQ(d, c.fetchStallUntil)
-				c.predict(d)
-				return
+				c.pushFQ(c.fetchStallUntil)
+				c.predict(fe)
+				return true
 			}
 		}
-		c.pushFQ(d, c.cycle)
-		if redirected := c.predict(d); redirected {
+		c.pushFQ(c.cycle)
+		if redirected := c.predict(fe); redirected {
 			// The fetch unit follows one predicted-taken transfer per
 			// cycle (a two-block fetch group); a second ends the group,
 			// as do mispredict blocks and BTB bubbles.
 			transfers++
 			if transfers >= 2 || c.fetchBlocked || c.fetchStallUntil > c.cycle {
-				return
+				return true
 			}
 		}
 	}
+	return n > 0
 }
 
-// pushFQ inserts a fetched instruction; it becomes dispatchable after the
-// decode pipeline.
-func (c *Core) pushFQ(d trace.DynInst, fetchCycle int64) {
-	c.fq[c.fqTail] = fqEntry{d: d, readyCycle: fetchCycle + int64(c.cfg.DecodeStages)}
+// pushFQ enqueues the record fetch wrote at the fetch-queue tail; it
+// becomes dispatchable after the decode pipeline.
+func (c *Core) pushFQ(fetchCycle int64) {
+	fe := &c.fq[c.fqTail]
+	fe.readyCycle = fetchCycle + int64(c.cfg.DecodeStages)
+	fe.blocksFetch = false
 	c.fqTail++
 	if c.fqTail == len(c.fq) {
 		c.fqTail = 0
@@ -814,9 +953,11 @@ func (c *Core) pushFQ(d trace.DynInst, fetchCycle int64) {
 	c.st.FetchedInsts++
 }
 
-// predict runs the front-end predictors for d and returns whether fetch
-// must stop this cycle (taken transfer, bubble, or mispredict block).
-func (c *Core) predict(d trace.DynInst) bool {
+// predict runs the front-end predictors for the record just fetched and
+// returns whether fetch must stop this cycle (taken transfer, bubble, or
+// mispredict block).
+func (c *Core) predict(fe *fqEntry) bool {
+	d := &fe.d
 	switch {
 	case d.Op.IsBranch():
 		predTaken := c.bp.PredictCond(d.PC)
@@ -833,7 +974,7 @@ func (c *Core) predict(d trace.DynInst) bool {
 			}
 		}
 		if predTaken != d.Taken {
-			c.blockFetchOn()
+			c.blockFetchOn(fe)
 			return true
 		}
 		return d.Taken
@@ -860,18 +1001,16 @@ func (c *Core) predict(d trace.DynInst) bool {
 		return true
 	case d.Op == isa.Ret:
 		if _, correct := c.bp.PopRAS(d.NextPC); !correct {
-			c.blockFetchOn()
+			c.blockFetchOn(fe)
 		}
 		return true
 	}
 	return false
 }
 
-// blockFetchOn marks the most recently fetched instruction as the one
-// fetch waits for (it is at the fetch-queue tail).
-func (c *Core) blockFetchOn() {
+// blockFetchOn marks the record just fetched as the one fetch waits for.
+func (c *Core) blockFetchOn(fe *fqEntry) {
 	c.st.Mispredicts++
 	c.fetchBlocked = true
-	idx := (c.fqTail - 1 + len(c.fq)) % len(c.fq)
-	c.fq[idx].blocksFetch = true
+	fe.blocksFetch = true
 }

@@ -21,7 +21,7 @@ import (
 )
 
 // runScan is RunSegment's cycle loop over stepScan, without a segment
-// target or cancellation.
+// target, cancellation or idle-cycle skipping.
 func (c *Core) runScan() Stats {
 	for !c.done() {
 		c.stepScan()
@@ -37,29 +37,22 @@ func (c *Core) runScan() Stats {
 // the differential fails.
 func (c *Core) stepScan() {
 	c.cycle++
-	c.q.BeginCycle()
+	c.q.BeginCycle(1)
 	c.commit()
 	c.writeback()
 	c.issueScan()
 	c.dispatch()
 	c.fetch()
-	c.irf.Tick()
-	c.frf.Tick()
+	c.irf.Tick(1)
+	c.frf.Tick(1)
 	if c.ctrl != nil {
-		limit, changed := c.ctrl.OnCycle(c.q.SizeLimitBlocked())
+		limit, changed := c.ctrl.OnCycle(1, c.q.SizeLimitBlocked())
 		if changed {
 			c.q.SetSizeLimit(limit)
 		}
 	}
 	if c.cfg.Probe != nil {
-		c.cfg.Probe.Sample(c.cycle, ProbeSample{
-			IQCount:     c.q.Count(),
-			IQBanksOn:   c.q.BanksOn(),
-			MaxNewRange: c.q.MaxNewRange(),
-			IntRFLive:   c.irf.Live(),
-			ROBCount:    c.robCount,
-			FetchQueue:  c.fqCount,
-		})
+		c.cfg.Probe.Sample(c.cycle, c.probeSample())
 	}
 }
 
@@ -115,7 +108,6 @@ func (c *Core) issueScan() {
 		u.state = uopIssued
 		lat := c.execLatencyScan(u)
 		if u.isStore {
-			u.addrResolved = true
 			c.resolveStoreScan(u)
 		}
 		if lat > completionRing {
@@ -163,7 +155,7 @@ func (c *Core) execLatencyScan(u *uop) int {
 	for i := c.storeTail - 1; i >= c.storeHead; i-- {
 		s := c.storeAt(i)
 		if s.seq < u.d.Seq && s.addr == u.d.Addr {
-			return c.mem.DL1.Config().HitCycles
+			return c.dl1HitCycles
 		}
 	}
 	return c.mem.LoadLatency(u.d.Addr)

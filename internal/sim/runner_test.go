@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -85,6 +86,26 @@ func TestRunContextAlreadyCancelled(t *testing.T) {
 	}
 	if st.Cycles > 2*ctxPollCycles {
 		t.Fatalf("ran %d cycles after pre-cancelled ctx; want <= %d", st.Cycles, 2*ctxPollCycles)
+	}
+}
+
+// TestRunContextAlreadyCancelledLongStalls is
+// TestRunContextAlreadyCancelled with main memory 10,000 cycles away. The
+// cold I-cache miss at cycle 1 stalls fetch for one whole memory access,
+// a single skip across the poll boundaries at 4096 and 8192 cycles: the
+// run must stop at the end of that skip, not at a later cycle that lands
+// on a boundary.
+func TestRunContextAlreadyCancelledLongStalls(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := DefaultConfig()
+	cfg.Caches.MemCycles = 10_000
+	st, err := RunProgramContext(ctx, cfg, loopProgram(), 1<<40)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if limit := int64(cfg.Caches.MemCycles + completionRing); st.Cycles > limit {
+		t.Fatalf("ran %d cycles after pre-cancelled ctx; want <= %d, the end of the first skip", st.Cycles, limit)
 	}
 }
 

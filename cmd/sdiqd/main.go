@@ -30,13 +30,15 @@
 // DELETE /v1/campaigns/{id} garbage-collects artifacts no remaining
 // campaign references.
 //
-// -state makes the control plane durable: campaign submissions and
-// every job-state transition are written (fsync'd) to a per-campaign
-// write-ahead log with periodic snapshot compaction. After a crash or
-// restart, sdiqd recovers every campaign, re-runs unfinished ones —
-// already-finished jobs come back as result-cache hits, never duplicate
-// simulations (pair -state with -cache) — and resumes serving status,
-// events and exports to reconnecting clients and workers.
+// -state makes the control plane durable: each campaign's submission
+// record is written at submit, and its terminal record (outcome and
+// final job roster) once, when it ends — both fsync'd and published by
+// rename. After a crash or restart, sdiqd recovers every campaign,
+// re-runs the ones without a terminal record and the ones that finished
+// cleanly — already-finished jobs come back as result-cache hits, never
+// duplicate simulations (pair -state with -cache) — serves failed ones
+// from their terminal record, and resumes serving status, events and
+// exports to reconnecting clients and workers.
 //
 // -registry-ttl evicts finished campaigns (memory, durable state and
 // orphaned checkpoint artifacts) that long after completion;

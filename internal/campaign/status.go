@@ -201,9 +201,10 @@ func (t *Tracker) jobFailed(j *Job, err error) {
 }
 
 // Restore primes the tracker with job statuses recovered from durable
-// state (the campaign service's WAL): each known job's status is
-// replaced wholesale and the aggregate counters are rebuilt from it, as
-// if the transitions had been observed live. Unknown IDs are ignored
+// state (the final job roster in the campaign service's terminal
+// record): each known job's status is replaced wholesale and the
+// aggregate counters are rebuilt from it, as if the transitions had
+// been observed live. Unknown IDs are ignored
 // (spec drift across restarts loses those jobs' history, nothing more).
 // OnChange is not fired: restoration is priming, not progress.
 func (t *Tracker) Restore(jobs []JobStatus) {

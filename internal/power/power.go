@@ -13,6 +13,11 @@
 // valid entries only (the paper's nonEmpty bar, after Folegnani &
 // González); full gating precharges only waiting operands of valid
 // entries (used by every resizing technique).
+//
+// A product that feeds a sum is converted explicitly, float64(x*y): the
+// conversion forbids the fused multiply-add an arm64 build would
+// otherwise emit, so every architecture rounds alike
+// (scripts/arm64_fma_check.sh guards this).
 package power
 
 import "repro/internal/sim"
@@ -93,10 +98,10 @@ func wakeups(s *sim.Stats, g GatingScheme) int64 {
 // IQDynamic returns the issue queue's dynamic energy for a run under a
 // gating scheme.
 func (p Params) IQDynamic(s *sim.Stats, g GatingScheme) float64 {
-	return p.IQWakeupPerOp*float64(wakeups(s, g)) +
-		p.IQReadPerIssue*float64(s.IQ.Issues) +
-		p.IQWritePerDispatch*float64(s.IQ.Dispatches) +
-		p.IQSelectPerIssue*float64(s.IQ.Issues)
+	return float64(p.IQWakeupPerOp*float64(wakeups(s, g))) +
+		float64(p.IQReadPerIssue*float64(s.IQ.Issues)) +
+		float64(p.IQWritePerDispatch*float64(s.IQ.Dispatches)) +
+		float64(p.IQSelectPerIssue*float64(s.IQ.Issues))
 }
 
 // IQStatic returns the issue queue's leakage energy. allBanksOn charges
@@ -106,7 +111,7 @@ func (p Params) IQStatic(s *sim.Stats, banks int, allBanksOn bool) float64 {
 	if allBanksOn {
 		bankCycles = float64(banks) * float64(s.Cycles)
 	}
-	return p.IQBankLeak*bankCycles + p.IQFixedLeak*float64(s.Cycles)
+	return float64(p.IQBankLeak*bankCycles) + float64(p.IQFixedLeak*float64(s.Cycles))
 }
 
 // RFDynamic returns the integer register file's dynamic energy. Reads are
@@ -119,13 +124,13 @@ func (p Params) RFDynamic(s *sim.Stats, banks int, gateBanks bool) float64 {
 		return p.RFAccessUnit * float64(rf.Reads+rf.Writes)
 	}
 	nb := float64(banks)
-	readEnergy := p.RFAlpha*float64(rf.Reads) +
+	readEnergy := float64(p.RFAlpha*float64(rf.Reads)) +
 		(1-p.RFAlpha)*float64(rf.BanksOnReads)/nb
 	avgOn := 0.0
 	if rf.Cycles > 0 {
 		avgOn = float64(rf.BanksOnSum) / float64(rf.Cycles)
 	}
-	writeEnergy := (p.RFAlpha + (1-p.RFAlpha)*avgOn/nb) * float64(rf.Writes)
+	writeEnergy := float64((p.RFAlpha + (1-p.RFAlpha)*avgOn/nb) * float64(rf.Writes))
 	return p.RFAccessUnit * (readEnergy + writeEnergy)
 }
 
@@ -135,7 +140,7 @@ func (p Params) RFStatic(s *sim.Stats, banks int, allBanksOn bool) float64 {
 	if allBanksOn {
 		bankCycles = float64(banks) * float64(s.Cycles)
 	}
-	return p.RFBankLeak*bankCycles + p.RFFixedLeak*float64(s.Cycles)
+	return float64(p.RFBankLeak*bankCycles) + float64(p.RFFixedLeak*float64(s.Cycles))
 }
 
 // Savings is one technique's normalised savings versus the baseline run,
@@ -167,7 +172,7 @@ func (p Params) Compute(base, tech *sim.Stats, iqBanks, rfBanks int) Savings {
 		RFDynamicPct: pct(p.RFDynamic(base, rfBanks, false), p.RFDynamic(tech, rfBanks, true)),
 		RFStaticPct:  pct(p.RFStatic(base, rfBanks, true), p.RFStatic(tech, rfBanks, false)),
 	}
-	s.OverallDynamicPct = p.IQShareOfProcessor*s.IQDynamicPct + p.RFShareOfProcessor*s.RFDynamicPct
+	s.OverallDynamicPct = float64(p.IQShareOfProcessor*s.IQDynamicPct) + float64(p.RFShareOfProcessor*s.RFDynamicPct)
 	return s
 }
 

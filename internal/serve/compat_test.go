@@ -5,10 +5,19 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/campaign"
 )
+
+// parentSpec is the spec of the campaigns in testdata: gzip × baseline
+// over the given IQ sizes, at a 20k budget, sampled.
+func parentSpec(iq ...int) campaign.Spec {
+	spec := sampledSpec("parent", []string{"gzip"}, iq...)
+	spec.Techniques = []campaign.Technique{campaign.TechBaseline}
+	return spec
+}
 
 // TestParentBuildStores is the on-disk layout gate. testdata/parent
 // holds the result cache, checkpoint store and -state directory that
@@ -29,11 +38,6 @@ func TestParentBuildStores(t *testing.T) {
 		Workers:  2,
 	})
 	ctx := context.Background()
-	parentSpec := func(iq ...int) campaign.Spec {
-		spec := sampledSpec("parent", []string{"gzip"}, iq...)
-		spec.Techniques = []campaign.Technique{campaign.TechBaseline}
-		return spec
-	}
 
 	waitStatus(t, cl, "c0001", "done", func(info CampaignInfo) bool { return info.Done })
 	got, err := cl.Export(ctx, "c0001", "csv")
@@ -64,5 +68,76 @@ func TestParentBuildStores(t *testing.T) {
 	}
 	if v := metricValue(t, text, "sdiqd_ckpt_generated_total"); v != 0 {
 		t.Errorf("sdiqd_ckpt_generated_total = %g, want 0", v)
+	}
+}
+
+// TestParentBuildRunningCampaign recovers a campaign that a build
+// logging every job-state change to a wal.log left mid-run.
+// testdata/parent_running holds that build's campaign c0002 over
+// c0001's spec: its meta.json, a snap.json without done (one job
+// finished) and a CRC-framed wal.log recording the other job's start.
+// Copied over testdata/parent, both campaigns re-run from the parent's
+// cache alone and export byte-identically to a local run, and neither
+// wal.log is written.
+func TestParentBuildRunningCampaign(t *testing.T) {
+	dir := t.TempDir()
+	for _, src := range []string{"testdata/parent", "testdata/parent_running"} {
+		if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	state := filepath.Join(dir, "state")
+	wals := map[string][]byte{}
+	for _, id := range []string{"c0001", "c0002"} {
+		blob, err := os.ReadFile(filepath.Join(state, "campaigns", id, "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wals[id] = blob
+	}
+	if len(wals["c0002"]) == 0 {
+		t.Fatal("fixture c0002 has an empty wal.log")
+	}
+
+	s, cl := startServer(t, Config{
+		CacheDir: filepath.Join(dir, "cache"),
+		StateDir: state,
+		Workers:  2,
+	})
+	ctx := context.Background()
+	want := localCSV(t, parentSpec(48, 64))
+	for _, id := range []string{"c0001", "c0002"} {
+		waitStatus(t, cl, id, "done", func(info CampaignInfo) bool { return info.Done })
+		got, err := cl.Export(ctx, id, "csv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("recovered %s differs from a local run:\n%s", id, got)
+		}
+	}
+	text := fetchMetrics(t, cl)
+	if v := metricValue(t, text, "sdiqd_campaigns_recovered_total"); v != 2 {
+		t.Errorf("sdiqd_campaigns_recovered_total = %g, want 2", v)
+	}
+	if v := metricValue(t, text, "sdiqd_jobs_executed_total"); v != 0 {
+		t.Errorf("sdiqd_jobs_executed_total = %g, want 0 (every result from the parent's cache)", v)
+	}
+	if v := metricValue(t, text, "sdiqd_job_cache_hits_total"); v != 4 {
+		t.Errorf("sdiqd_job_cache_hits_total = %g, want 4", v)
+	}
+
+	killServer(s)
+	for id, before := range wals {
+		after, err := os.ReadFile(filepath.Join(state, "campaigns", id, "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, before) {
+			t.Errorf("%s: wal.log written by the new build:\n before %q\n after  %q", id, before, after)
+		}
+		if got, want := campaignFiles(t, state, id), []string{"meta.json", "snap.json", "wal.log"}; !slices.Equal(got, want) {
+			t.Errorf("%s: durable state = %v, want %v", id, got, want)
+		}
 	}
 }

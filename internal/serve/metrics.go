@@ -47,7 +47,6 @@ type metrics struct {
 	campaignsRecovered atomic.Int64 // campaigns resumed from durable state at boot
 	campaignsEvicted   atomic.Int64 // finished campaigns evicted by the registry TTL
 	cacheEvictions     atomic.Int64 // result-cache entries evicted by the byte bound
-	walAppends         atomic.Int64 // job transitions fsync'd to campaign WALs
 	workerReconnects   atomic.Int64 // worker re-registrations after losing the coordinator
 
 	// Identity.
@@ -101,7 +100,6 @@ func (m *metrics) rows() []row {
 		{"sdiqd_campaigns_recovered_total", "Campaigns resumed from durable state at boot.", "counter", float64(m.campaignsRecovered.Load())},
 		{"sdiqd_campaigns_evicted_total", "Finished campaigns evicted by the registry TTL.", "counter", float64(m.campaignsEvicted.Load())},
 		{"sdiqd_result_cache_evictions_total", "Result-cache entries evicted by the byte bound.", "counter", float64(m.cacheEvictions.Load())},
-		{"sdiqd_wal_appends_total", "Job transitions appended to campaign write-ahead logs.", "counter", float64(m.walAppends.Load())},
 		{"sdiqd_worker_reconnects_total", "Worker re-registrations after losing the coordinator.", "counter", float64(m.workerReconnects.Load())},
 		{"sdiqd_auth_failures_total", "Requests refused with 401/403 (bad token or wrong role).", "counter", float64(m.authFailures.Load())},
 	}

@@ -12,6 +12,9 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -22,14 +25,29 @@ import (
 
 // killServer simulates a coordinator crash from the campaigns' point of
 // view: every engine context dies instantly — no drain, and run() skips
-// the WAL's terminal record when the server context is dead, exactly as
-// a SIGKILL would have — then waits for the run goroutines so the WAL
-// file handles are released before a second Server opens the same dirs.
-// (The real SIGKILL, torn writes included, is scripts/crash_smoke.sh's
-// job; internal/store's torn-tail tests cover mid-append corruption.)
+// the terminal record when the server context is dead, exactly as a
+// SIGKILL would have — then waits for the run goroutines so nothing
+// writes to the state directory once a second Server opens it. (The
+// real SIGKILL is scripts/crash_smoke.sh's job; durable records are
+// published whole by rename, so a crash cannot tear one.)
 func killServer(s *Server) {
 	s.cancel()
 	s.wg.Wait()
+}
+
+// campaignFiles lists the files of a campaign's durable state, in name
+// order.
+func campaignFiles(t *testing.T, state, id string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Join(state, "campaigns", id))
+	if err != nil {
+		t.Fatalf("campaign %s durable state: %v", id, err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 // waitStatus polls a campaign's status until cond is satisfied.
@@ -76,12 +94,24 @@ func TestRestartRecoveryRandomizedCrashPoints(t *testing.T) {
 		})
 		killServer(s1)
 		exec1 := s1.met.jobsExecuted.Load()
+		// A campaign the kill stopped leaves only its submission record;
+		// one that beat the kill also left its terminal record.
+		wantFiles := []string{"meta.json"}
+		if _, _, _, err := s1.campaigns[sub.ID].state(); err == nil {
+			wantFiles = append(wantFiles, "snap.json")
+		}
+		if got := campaignFiles(t, state, sub.ID); !slices.Equal(got, wantFiles) {
+			t.Errorf("it %d: durable state after the kill = %v, want %v", it, got, wantFiles)
+		}
 
 		s2, cl2 := startServer(t, Config{CacheDir: cache, StateDir: state, Workers: 2})
 		if got := s2.met.campaignsRecovered.Load(); got != 1 {
 			t.Fatalf("it %d: campaigns recovered = %d, want 1", it, got)
 		}
 		waitStatus(t, cl2, sub.ID, "done", func(info CampaignInfo) bool { return info.Done })
+		if got, want := campaignFiles(t, state, sub.ID), []string{"meta.json", "snap.json"}; !slices.Equal(got, want) {
+			t.Errorf("it %d: durable state of the recovered campaign = %v, want %v", it, got, want)
+		}
 
 		csv, err := cl2.Export(ctx, sub.ID, "csv")
 		if err != nil {
@@ -123,6 +153,9 @@ func TestRestartRecoversFinishedCampaign(t *testing.T) {
 	}
 	sub := s1.order[0]
 	killServer(s1)
+	if got, want := campaignFiles(t, state, sub), []string{"meta.json", "snap.json"}; !slices.Equal(got, want) {
+		t.Errorf("durable state of a finished campaign = %v, want %v", got, want)
+	}
 
 	s2, cl2 := startServer(t, Config{CacheDir: cache, StateDir: state, Workers: 2})
 	waitStatus(t, cl2, sub, "done", func(info CampaignInfo) bool { return info.Done })
@@ -143,7 +176,7 @@ func TestRestartRecoversFinishedCampaign(t *testing.T) {
 
 // TestRestartTombstonesFailedCampaign: a campaign that failed on its
 // own (not because the server died) must recover as a tombstone — its
-// error and job states are served, nothing re-runs.
+// error and job roster are served as before the kill, nothing re-runs.
 func TestRestartTombstonesFailedCampaign(t *testing.T) {
 	spec := tinySpec()
 	spec.Benchmarks = []string{"nosuchbench"}
@@ -155,6 +188,10 @@ func TestRestartTombstonesFailedCampaign(t *testing.T) {
 		t.Fatalf("campaign error = %v, want nosuchbench failure", err)
 	}
 	sub := s1.order[0]
+	before, err := cl1.Status(ctx, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
 	killServer(s1)
 
 	s2, cl2 := startServer(t, Config{CacheDir: cache, StateDir: state, Workers: 2})
@@ -164,6 +201,21 @@ func TestRestartTombstonesFailedCampaign(t *testing.T) {
 	}
 	if info.Status.Failed == 0 {
 		t.Errorf("recovered status lost the failed jobs: %+v", info.Status)
+	}
+	// The terminal record's roster: same jobs, order, states and errors.
+	type entry struct {
+		ID, Error string
+		State     campaign.JobState
+	}
+	roster := func(st campaign.Status) []entry {
+		var out []entry
+		for _, js := range st.Jobs {
+			out = append(out, entry{js.ID, js.Error, js.State})
+		}
+		return out
+	}
+	if got, want := roster(info.Status), roster(before.Status); len(want) == 0 || !slices.Equal(got, want) {
+		t.Errorf("recovered roster differs from the one served before the kill:\n got %+v\nwant %+v", got, want)
 	}
 	if _, err := cl2.Export(ctx, sub, "csv"); httpStatus(err) != http.StatusUnprocessableEntity {
 		t.Errorf("export of recovered failed campaign = %v, want 422", err)
@@ -354,17 +406,4 @@ func TestResultCacheByteBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitMetric(t, cl, "sdiqd_result_cache_evictions_total", 2)
-}
-
-// TestWALAppendsCounted: durable servers account their WAL traffic.
-func TestWALAppendsCounted(t *testing.T) {
-	ctx := context.Background()
-	s, cl := startServer(t, Config{CacheDir: t.TempDir(), StateDir: t.TempDir(), Workers: 2})
-	if _, err := cl.Run(ctx, tinySpec()); err != nil {
-		t.Fatal(err)
-	}
-	// Two jobs, each at least running→done: four transitions minimum.
-	if n := s.met.walAppends.Load(); n < 4 {
-		t.Errorf("wal appends = %d, want >= 4", n)
-	}
 }

@@ -75,10 +75,10 @@ type Config struct {
 
 	// Durability and state bounds (all zero values take defaults):
 
-	// StateDir roots the durable control-plane state: per-campaign
-	// submission records plus a write-ahead log of job-state
-	// transitions. "" disables durability — a restart then forgets all
-	// campaigns, exactly the pre-durability behaviour.
+	// StateDir roots the durable control-plane state: each campaign's
+	// submission record, written at submit, and its terminal record,
+	// written once when it ends. "" disables durability — a restart then
+	// forgets all campaigns, exactly the pre-durability behaviour.
 	StateDir string
 	// EventCompactAfter bounds a campaign's in-memory event tail before
 	// older events fold into a snapshot event; 0 means the default
@@ -184,9 +184,6 @@ type campaignRun struct {
 	// to evict artifacts no remaining campaign references.
 	ckptKeys map[string]struct{}
 	ns       *namespace // the owner's namespace
-	// wal is the campaign's durable transition log; nil when durability
-	// is off (nil is safe to append to).
-	wal *store.Log
 
 	mu       sync.Mutex
 	done     bool
@@ -195,10 +192,10 @@ type campaignRun struct {
 	err      error
 }
 
-func (rc *campaignRun) finish(rs *campaign.ResultSet, err error) {
+func (rc *campaignRun) finish(finished time.Time, rs *campaign.ResultSet, err error) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	rc.done, rc.finished, rc.rs, rc.err = true, time.Now().UTC(), rs, err
+	rc.done, rc.finished, rc.rs, rc.err = true, finished, rs, err
 }
 
 func (rc *campaignRun) state() (done bool, finished time.Time, rs *campaign.ResultSet, err error) {
@@ -229,7 +226,7 @@ func New(cfg Config) *Server {
 		s.shared = s.openNamespace("")
 	}
 	var err error
-	if s.store, err = store.Open(cfg.StateDir, store.DefaultSnapshotEvery); err != nil {
+	if s.store, err = store.Open(cfg.StateDir); err != nil {
 		log.Printf("sdiqd: durable state disabled: %v", err)
 	}
 	if s.store != nil && cfg.CacheDir == "" {
@@ -240,14 +237,14 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// recover folds the durable state back into the registry. Campaigns
-// that finished cleanly or were still running are resumed — re-running
-// the engine turns every already-finished job into a cache hit (the
-// cache is the durable home of results; the WAL only proves which jobs
-// finished), re-simulates only genuinely unfinished jobs, and rebuilds
-// the in-memory ResultSet so exports work again. Campaigns that failed
-// terminally come back as tombstones: status, events and the recorded
-// error are served, nothing re-runs.
+// recover reads the durable state back into the registry. Campaigns
+// that finished cleanly or were still running re-run their spec — the
+// engine turns every already-finished job into a cache hit (the cache
+// is the durable home of results), re-simulates only genuinely
+// unfinished jobs, and rebuilds the in-memory ResultSet so exports work
+// again. Campaigns whose terminal record holds a failure come back as
+// tombstones: the recorded job roster, its events and the error are
+// served, nothing re-runs.
 func (s *Server) recover() {
 	if s.store == nil {
 		return
@@ -301,8 +298,8 @@ func (s *Server) recover() {
 		s.order = append(s.order, rc.id)
 
 		if rec.Snap.Done && rec.Snap.Error != "" {
-			// Terminal failure: restore the recorded job states and
-			// replay them as events, then close the log. No ResultSet
+			// Terminal failure: restore the recorded job roster and
+			// replay it as events, then close the hub. No ResultSet
 			// survives a restart, so exports answer 422 with the error —
 			// same as they did before the crash.
 			rc.tracker.Restore(rec.Snap.Jobs)
@@ -319,10 +316,6 @@ func (s *Server) recover() {
 			continue
 		}
 
-		var rerr error
-		if rc.wal, rerr = s.store.Resume(rec); rerr != nil {
-			log.Printf("sdiqd: recover %s: wal resume: %v (re-running without durability)", rc.id, rerr)
-		}
 		s.active[rc.client]++
 		s.wg.Add(1)
 		s.met.campaignsRecovered.Add(1)
@@ -609,11 +602,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	// Persist the submission before acknowledging it. A WAL that fails
-	// to open degrades this campaign to in-memory only — same trade as
-	// the checkpoint store: durability is a feature, not a gate.
-	var werr error
-	if rc.wal, werr = s.store.Create(store.Meta{
+	// Persist the submission before acknowledging it. A record that
+	// fails to write degrades this campaign to in-memory only — same
+	// trade as the checkpoint store: durability is a feature, not a gate.
+	if werr := s.store.Create(store.Meta{
 		ID: id, Client: client, Submitted: rc.submitted, Jobs: len(jobs), Spec: spec,
 	}); werr != nil {
 		log.Printf("sdiqd: %s: durable state disabled for this campaign: %v", id, werr)
@@ -672,42 +664,31 @@ func (s *Server) run(rc *campaignRun) {
 	}
 	rc.tracker.OnChange = func(js campaign.JobStatus) {
 		rc.hub.publish(Event{Type: EventJob, Campaign: rc.id, Job: &js})
-		if rc.wal == nil {
-			return
-		}
-		// The engine writes results to the cache before this callback
-		// fires, so a crash between cache write and WAL append recovers
-		// the job as a cache hit — never a duplicate simulation.
-		if werr := rc.wal.JobChanged(js); werr != nil {
-			log.Printf("sdiqd: %s: wal append: %v", rc.id, werr)
-		} else {
-			s.met.walAppends.Add(1)
-		}
 	}
 	rc.tracker.Attach(eng)
 
 	rs, err := eng.Run(s.ctx, rc.spec)
 	rc.tracker.FinishSkipped()
-	rc.finish(rs, err)
+	finished := time.Now().UTC()
+	st := rc.tracker.Snapshot()
 
 	// The terminal record is written only when the campaign genuinely
 	// ended. A failure caused by server shutdown (drain deadline, test
-	// kill — the crash-injection suite relies on this) leaves no done
-	// record, so the next boot resumes the campaign instead of
-	// tombstoning a failure the campaign never earned.
+	// kill — the crash-injection suite relies on this) leaves none, so
+	// the next boot resumes the campaign instead of tombstoning a
+	// failure the campaign never earned. It is written before the
+	// campaign reads as done, so no DELETE or TTL eviction races it.
 	if err == nil || s.ctx.Err() == nil {
-		errMsg := ""
+		snap := store.Snapshot{Done: true, Finished: finished, Jobs: st.Jobs}
 		if err != nil {
-			errMsg = err.Error()
+			snap.Error = err.Error()
 		}
-		_, finished, _, _ := rc.state()
-		if werr := rc.wal.Done(errMsg, finished); werr != nil {
-			log.Printf("sdiqd: %s: wal done record: %v", rc.id, werr)
+		if werr := s.store.Finish(rc.id, snap); werr != nil {
+			log.Printf("sdiqd: %s: terminal record: %v", rc.id, werr)
 		}
 	}
-	rc.wal.Close()
+	rc.finish(finished, rs, err)
 
-	st := rc.tracker.Snapshot()
 	st.Jobs = nil // the done event carries the summary, not the roster
 	done := Event{Type: EventDone, Campaign: rc.id, Status: &st}
 	if err != nil {

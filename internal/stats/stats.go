@@ -3,6 +3,9 @@
 // and a fixed-bucket histogram for occupancy distributions. The paper
 // reports arithmetic means over benchmarks ("SPECINT" bars); geometric
 // means are provided for rate-like quantities (IPC ratios).
+//
+// As in internal/power, a product that feeds a sum is converted
+// explicitly, float64(x*y), so arm64 builds do not fuse it.
 package stats
 
 import (
@@ -48,7 +51,7 @@ func StdDev(xs []float64) float64 {
 	s := 0.0
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(xs)))
 }
@@ -63,7 +66,7 @@ func SampleStdDev(xs []float64) float64 {
 	s := 0.0
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(xs)-1))
 }
@@ -191,7 +194,7 @@ func (h *Histogram) String() string {
 	width := (h.Hi - h.Lo) / float64(len(h.Buckets))
 	for i, b := range h.Buckets {
 		bar := int(40 * b / max)
-		out += fmt.Sprintf("%8.1f |%-40s %d\n", h.Lo+float64(i)*width, repeat('#', bar), b)
+		out += fmt.Sprintf("%8.1f |%-40s %d\n", h.Lo+float64(float64(i)*width), repeat('#', bar), b)
 	}
 	return out
 }

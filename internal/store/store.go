@@ -1,36 +1,28 @@
-// Package store is the campaign service's durable control plane: a
-// per-campaign write-ahead log of job-state transitions plus periodic
-// snapshots, so a crashed sdiqd can recover every campaign it was
-// running. The layout under the state directory is
+// Package store is the campaign service's durable control plane. A
+// campaign's durable state is its spec and its outcome: two whole-file
+// records under the state directory,
 //
-//	campaigns/<id>/meta.json  — immutable submission record (spec, client)
-//	campaigns/<id>/wal.log    — CRC-framed JSON lines, fsync'd per append
-//	campaigns/<id>/snap.json  — folded job states up to a WAL sequence
+//	campaigns/<id>/meta.json  — submission record (spec, client), written at submit
+//	campaigns/<id>/snap.json  — terminal record (outcome, final job roster),
+//	                            written once, when the campaign ends
 //
-// Every record carries a monotone sequence number and every snapshot a
-// LastSeq watermark; replay folds the snapshot first and then only WAL
-// records newer than the watermark, so a crash between writing a
-// snapshot and truncating the log can never resurrect stale state.
-// Snapshots are taken every snapshotEvery appends (and at completion)
-// and truncate the log, keeping replay O(snapshot + recent tail) rather
-// than O(history). All publications use the temp-file + rename idiom so
-// readers never observe torn files; a torn WAL tail (the append cut by
-// the crash itself) is detected by its CRC and discarded.
+// Both are published by temp file, fsync and rename, so a reader sees
+// a whole record or none. Nothing else is needed to recover: a campaign
+// without a terminal record re-runs its spec, and the result cache
+// turns every job that finished before the crash into a hit.
+//
+// Older builds also logged every job-state change to a wal.log and
+// folded it into snap.json as they went. Their state directories stay
+// readable: a snap.json without done marks a campaign that was still
+// running, and a leftover wal.log is ignored.
 package store
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/campaign"
@@ -38,12 +30,7 @@ import (
 
 const (
 	metaName = "meta.json"
-	walName  = "wal.log"
 	snapName = "snap.json"
-
-	// DefaultSnapshotEvery is the WAL-append count between snapshot
-	// compactions when the caller passes 0.
-	DefaultSnapshotEvery = 256
 )
 
 // Meta is the immutable submission record for one campaign — everything
@@ -56,29 +43,10 @@ type Meta struct {
 	Spec      campaign.Spec `json:"spec"`
 }
 
-// Record is one WAL entry: a job-state transition, or the campaign's
-// terminal "done" mark.
-type Record struct {
-	Seq  int64               `json:"seq"`
-	Type string              `json:"type"` // "job" | "done"
-	Job  *campaign.JobStatus `json:"job,omitempty"`
-	// Error and Finished are set on "done" records; Error carries the
-	// campaign-level failure, if any.
-	Error    string    `json:"error,omitempty"`
-	Finished time.Time `json:"finished,omitzero"`
-}
-
-// Record types.
-const (
-	RecJob  = "job"
-	RecDone = "done"
-)
-
-// Snapshot is the folded state of a campaign up to WAL sequence
-// LastSeq. Jobs holds the last observed status per job, in first-touch
-// order (stable across snapshot/replay cycles).
+// Snapshot is a campaign's terminal record: its outcome and the final
+// status of every job. Error carries the campaign-level failure, if
+// any. Done is false only in a record an older build wrote mid-run.
 type Snapshot struct {
-	LastSeq  int64                `json:"last_seq"`
 	Done     bool                 `json:"done,omitempty"`
 	Error    string               `json:"error,omitempty"`
 	Finished time.Time            `json:"finished,omitzero"`
@@ -86,17 +54,14 @@ type Snapshot struct {
 }
 
 // Store roots the durable state directory. A nil *Store (from an empty
-// dir) disables durability: Create returns a nil *Log, which is safe to
-// use everywhere.
+// dir) disables durability: every method is then a no-op.
 type Store struct {
-	dir   string // <root>/campaigns
-	every int
+	dir string // <root>/campaigns
 }
 
 // Open prepares a state store rooted at dir. An empty dir returns
-// (nil, nil): durability off. snapshotEvery is the WAL-append count
-// between compactions (0 means DefaultSnapshotEvery).
-func Open(dir string, snapshotEvery int) (*Store, error) {
+// (nil, nil): durability off.
+func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, nil
 	}
@@ -104,41 +69,47 @@ func Open(dir string, snapshotEvery int) (*Store, error) {
 	if err := os.MkdirAll(cdir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: state dir: %w", err)
 	}
-	if snapshotEvery <= 0 {
-		snapshotEvery = DefaultSnapshotEvery
-	}
-	return &Store{dir: cdir, every: snapshotEvery}, nil
+	return &Store{dir: cdir}, nil
 }
 
 func (s *Store) campaignDir(id string) string { return filepath.Join(s.dir, id) }
 
-// Create persists a new campaign's submission record and opens its WAL.
-// A nil *Store returns (nil, nil); a nil *Log is safe to append to.
-func (s *Store) Create(meta Meta) (*Log, error) {
+// Create persists a new campaign's submission record. A failed Create
+// leaves no campaign directory behind.
+func (s *Store) Create(meta Meta) error {
 	if s == nil {
-		return nil, nil
-	}
-	dir := s.campaignDir(meta.ID)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: campaign dir: %w", err)
+		return nil
 	}
 	blob, err := json.Marshal(meta)
 	if err != nil {
-		return nil, fmt.Errorf("store: meta: %w", err)
+		return fmt.Errorf("store: meta: %w", err)
+	}
+	dir := s.campaignDir(meta.ID)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("store: campaign dir: %w", err)
 	}
 	if err := writeFileSync(filepath.Join(dir, metaName), blob); err != nil {
-		return nil, fmt.Errorf("store: meta: %w", err)
+		os.RemoveAll(dir)
+		return fmt.Errorf("store: meta: %w", err)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	return nil
+}
+
+// Finish publishes a campaign's terminal record. It never creates the
+// campaign directory: on a campaign that was removed, or never created,
+// it fails and writes nothing.
+func (s *Store) Finish(id string, snap Snapshot) error {
+	if s == nil {
+		return nil
+	}
+	blob, err := json.Marshal(snap)
 	if err != nil {
-		return nil, fmt.Errorf("store: wal: %w", err)
+		return fmt.Errorf("store: terminal record: %w", err)
 	}
-	return &Log{
-		dir:    dir,
-		every:  s.every,
-		f:      f,
-		states: make(map[string]campaign.JobStatus),
-	}, nil
+	if err := writeFileSync(filepath.Join(s.campaignDir(id), snapName), blob); err != nil {
+		return fmt.Errorf("store: terminal record: %w", err)
+	}
+	return nil
 }
 
 // Remove deletes a campaign's durable state (registry eviction, DELETE).
@@ -149,23 +120,23 @@ func (s *Store) Remove(id string) error {
 	return os.RemoveAll(s.campaignDir(id))
 }
 
-// Recovered is one campaign folded back from disk: its submission
-// record plus the last observed state of every job that moved.
+// Recovered is one campaign read back from disk: its submission record
+// and its terminal record, whose Done is false if the campaign was
+// still running.
 type Recovered struct {
 	Meta Meta
-	Snap Snapshot // snapshot + newer WAL records applied
-
-	walEnd int64 // byte offset past the last intact WAL record
+	Snap Snapshot
 }
 
-// Recover folds every campaign directory under the store. Corrupt or
-// half-deleted campaigns are skipped; their problems are joined into
-// the returned error while intact campaigns still come back. Results
-// are sorted by campaign ID so recovery order is deterministic.
+// Recover reads every campaign directory under the store. A campaign
+// whose records do not decode, or whose meta.json names another ID, is
+// skipped; the problems are joined into the returned error while intact
+// campaigns still come back. Results are in campaign ID order.
 func (s *Store) Recover() ([]Recovered, error) {
 	if s == nil {
 		return nil, nil
 	}
+	// ReadDir sorts by name, and a campaign's ID is its directory name.
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: recover: %w", err)
@@ -183,297 +154,37 @@ func (s *Store) Recover() ([]Recovered, error) {
 		}
 		out = append(out, rec)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Meta.ID < out[j].Meta.ID })
 	return out, errors.Join(errs...)
 }
 
 func (s *Store) load(id string) (Recovered, error) {
 	dir := s.campaignDir(id)
-	blob, err := os.ReadFile(filepath.Join(dir, metaName))
-	if err != nil {
+	var rec Recovered
+	if err := readJSON(filepath.Join(dir, metaName), &rec.Meta); err != nil {
 		return Recovered{}, fmt.Errorf("meta: %w", err)
 	}
-	var meta Meta
-	if err := json.Unmarshal(blob, &meta); err != nil {
-		return Recovered{}, fmt.Errorf("meta: %w", err)
+	if rec.Meta.ID != id {
+		return Recovered{}, fmt.Errorf("meta names %q", rec.Meta.ID)
 	}
-	if meta.ID != id {
-		return Recovered{}, fmt.Errorf("meta names %q", meta.ID)
+	// No terminal record: the campaign was still running.
+	if err := readJSON(filepath.Join(dir, snapName), &rec.Snap); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return Recovered{}, fmt.Errorf("terminal record: %w", err)
 	}
+	return rec, nil
+}
 
-	var snap Snapshot
-	if blob, err := os.ReadFile(filepath.Join(dir, snapName)); err == nil {
-		if err := json.Unmarshal(blob, &snap); err != nil {
-			return Recovered{}, fmt.Errorf("snapshot: %w", err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return Recovered{}, fmt.Errorf("snapshot: %w", err)
-	}
-
-	states := make(map[string]campaign.JobStatus, len(snap.Jobs))
-	var order []string
-	for _, js := range snap.Jobs {
-		states[js.ID] = js
-		order = append(order, js.ID)
-	}
-
-	// Replay the WAL tail: records at or below the snapshot watermark
-	// are stale leftovers from a crash between snapshot and truncate.
-	lastSeq := snap.LastSeq
-	walEnd, err := replayWAL(filepath.Join(dir, walName), func(rec Record) {
-		if rec.Seq <= snap.LastSeq {
-			return
-		}
-		if rec.Seq > lastSeq {
-			lastSeq = rec.Seq
-		}
-		switch rec.Type {
-		case RecJob:
-			if rec.Job == nil {
-				return
-			}
-			if _, seen := states[rec.Job.ID]; !seen {
-				order = append(order, rec.Job.ID)
-			}
-			states[rec.Job.ID] = *rec.Job
-		case RecDone:
-			snap.Done = true
-			snap.Error = rec.Error
-			snap.Finished = rec.Finished
-		}
-	})
+func readJSON(path string, v any) error {
+	blob, err := os.ReadFile(path)
 	if err != nil {
-		return Recovered{}, err
-	}
-
-	snap.LastSeq = lastSeq
-	snap.Jobs = snap.Jobs[:0]
-	for _, jid := range order {
-		snap.Jobs = append(snap.Jobs, states[jid])
-	}
-	return Recovered{Meta: meta, Snap: snap, walEnd: walEnd}, nil
-}
-
-// Resume reopens a recovered campaign's WAL for further appends. Any
-// torn tail past the last intact record is truncated away first, so
-// post-resume appends are never hidden behind a corrupt line.
-func (s *Store) Resume(rec Recovered) (*Log, error) {
-	if s == nil {
-		return nil, nil
-	}
-	dir := s.campaignDir(rec.Meta.ID)
-	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: resume wal: %w", err)
-	}
-	if err := f.Truncate(rec.walEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: resume wal: %w", err)
-	}
-	if _, err := f.Seek(rec.walEnd, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: resume wal: %w", err)
-	}
-	l := &Log{
-		dir:    dir,
-		every:  s.every,
-		f:      f,
-		seq:    rec.Snap.LastSeq,
-		states: make(map[string]campaign.JobStatus, len(rec.Snap.Jobs)),
-	}
-	for _, js := range rec.Snap.Jobs {
-		l.states[js.ID] = js
-		l.order = append(l.order, js.ID)
-	}
-	return l, nil
-}
-
-// replayWAL folds every intact record of a WAL into fn and returns the
-// byte offset just past the last one. A missing file is an empty log.
-// The scan stops silently at the first short or corrupt line — by
-// construction that is the append torn by the crash.
-func replayWAL(path string, fn func(Record)) (int64, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	var off int64
-	r := bufio.NewReader(f)
-	for {
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			// io.EOF with a partial line is a torn append; any other
-			// error leaves the log readable up to here. Either way the
-			// intact prefix stands.
-			return off, nil
-		}
-		rec, ok := decodeLine(line)
-		if !ok {
-			return off, nil
-		}
-		fn(rec)
-		off += int64(len(line))
-	}
-}
-
-// decodeLine parses one "%08x <json>\n" WAL line, checking the CRC.
-func decodeLine(line []byte) (Record, bool) {
-	line = bytes.TrimSuffix(line, []byte("\n"))
-	i := bytes.IndexByte(line, ' ')
-	if i != 8 {
-		return Record{}, false
-	}
-	want, err := strconv.ParseUint(string(line[:i]), 16, 32)
-	if err != nil {
-		return Record{}, false
-	}
-	payload := line[i+1:]
-	if crc32.ChecksumIEEE(payload) != uint32(want) {
-		return Record{}, false
-	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return Record{}, false
-	}
-	return rec, true
-}
-
-// Log is one campaign's open WAL. Appends are fsync'd before returning;
-// every `every` appends the log folds itself into a snapshot and
-// truncates. A nil *Log discards everything (durability off).
-type Log struct {
-	dir   string
-	every int
-
-	mu       sync.Mutex
-	f        *os.File
-	seq      int64
-	appends  int // since the last snapshot
-	states   map[string]campaign.JobStatus
-	order    []string // first-touch, for stable snapshots
-	done     bool
-	errMsg   string
-	finished time.Time
-	closed   bool
-}
-
-// JobChanged appends one job-state transition.
-func (l *Log) JobChanged(js campaign.JobStatus) error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errors.New("store: log closed")
-	}
-	l.seq++
-	if err := l.appendLocked(Record{Seq: l.seq, Type: RecJob, Job: &js}); err != nil {
 		return err
 	}
-	if _, seen := l.states[js.ID]; !seen {
-		l.order = append(l.order, js.ID)
-	}
-	l.states[js.ID] = js
-	return l.maybeSnapshotLocked()
-}
-
-// Done appends the campaign's terminal record and compacts, so a
-// finished campaign replays from its snapshot alone.
-func (l *Log) Done(errMsg string, finished time.Time) error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errors.New("store: log closed")
-	}
-	l.seq++
-	if err := l.appendLocked(Record{Seq: l.seq, Type: RecDone, Error: errMsg, Finished: finished}); err != nil {
-		return err
-	}
-	l.done, l.errMsg, l.finished = true, errMsg, finished
-	return l.snapshotLocked()
-}
-
-// Close releases the WAL file handle. Idempotent; safe on nil.
-func (l *Log) Close() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	l.closed = true
-	return l.f.Close()
-}
-
-func (l *Log) appendLocked(rec Record) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: wal append: %w", err)
-	}
-	line := make([]byte, 0, len(payload)+10)
-	line = fmt.Appendf(line, "%08x ", crc32.ChecksumIEEE(payload))
-	line = append(line, payload...)
-	line = append(line, '\n')
-	if _, err := l.f.Write(line); err != nil {
-		return fmt.Errorf("store: wal append: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("store: wal sync: %w", err)
-	}
-	l.appends++
-	return nil
-}
-
-func (l *Log) maybeSnapshotLocked() error {
-	if l.appends < l.every {
-		return nil
-	}
-	return l.snapshotLocked()
-}
-
-// snapshotLocked publishes the folded state (watermarked with the
-// current sequence) and then truncates the WAL. A crash between the two
-// steps is harmless: replay skips records at or below the watermark.
-func (l *Log) snapshotLocked() error {
-	snap := Snapshot{
-		LastSeq:  l.seq,
-		Done:     l.done,
-		Error:    l.errMsg,
-		Finished: l.finished,
-		Jobs:     make([]campaign.JobStatus, 0, len(l.order)),
-	}
-	for _, id := range l.order {
-		snap.Jobs = append(snap.Jobs, l.states[id])
-	}
-	blob, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("store: snapshot: %w", err)
-	}
-	if err := writeFileSync(filepath.Join(l.dir, snapName), blob); err != nil {
-		return fmt.Errorf("store: snapshot: %w", err)
-	}
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("store: wal truncate: %w", err)
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("store: wal truncate: %w", err)
-	}
-	l.appends = 0
-	return nil
+	return json.Unmarshal(blob, v)
 }
 
 // writeFileSync publishes blob at path via temp-file + fsync + rename,
-// then fsyncs the directory so the rename itself survives a crash.
+// then fsyncs the directory so the rename itself survives a crash. The
+// temp file lives in path's directory, so a missing directory fails the
+// write instead of creating one.
 func writeFileSync(path string, blob []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")

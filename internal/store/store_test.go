@@ -1,8 +1,11 @@
 package store
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -27,9 +30,23 @@ func js(id string, state campaign.JobState) campaign.JobStatus {
 	return campaign.JobStatus{ID: id, Bench: "gzip", State: state}
 }
 
-func openStore(t *testing.T, dir string, every int) *Store {
+// testSnap is a failed campaign's terminal record.
+func testSnap() Snapshot {
+	done := js("gzip/baseline", campaign.JobDone)
+	done.IPC = 1.25
+	failed := js("gzip/noop", campaign.JobFailed)
+	failed.Error = "boom"
+	return Snapshot{
+		Done:     true,
+		Error:    "boom",
+		Finished: time.Date(2026, 8, 8, 13, 0, 0, 0, time.UTC),
+		Jobs:     []campaign.JobStatus{done, failed},
+	}
+}
+
+func openStore(t *testing.T, dir string) *Store {
 	t.Helper()
-	st, err := Open(dir, every)
+	st, err := Open(dir)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -48,32 +65,31 @@ func recoverOne(t *testing.T, st *Store) Recovered {
 	return recs[0]
 }
 
-// TestRoundTrip is the basic contract: what a log records is what
-// recovery folds back, spec included.
+// campaignFiles lists a campaign directory's file names.
+func campaignFiles(t *testing.T, dir, id string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Join(dir, "campaigns", id))
+	if err != nil {
+		t.Fatalf("read campaign dir: %v", err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestRoundTrip is the basic contract: a campaign without a terminal
+// record recovers as running with its spec intact, and once finished it
+// recovers with the roster Finish recorded, in order.
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	st := openStore(t, dir, 0)
-
-	l, err := st.Create(testMeta("c0001"))
-	if err != nil {
+	st := openStore(t, dir)
+	if err := st.Create(testMeta("c0001")); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if err := l.JobChanged(js("gzip/baseline", campaign.JobRunning)); err != nil {
-		t.Fatalf("JobChanged: %v", err)
-	}
-	done := js("gzip/baseline", campaign.JobDone)
-	done.IPC = 1.25
-	if err := l.JobChanged(done); err != nil {
-		t.Fatalf("JobChanged: %v", err)
-	}
-	if err := l.JobChanged(js("gzip/noop", campaign.JobRunning)); err != nil {
-		t.Fatalf("JobChanged: %v", err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
 
-	rec := recoverOne(t, openStore(t, dir, 0))
+	rec := recoverOne(t, openStore(t, dir))
 	if rec.Meta.ID != "c0001" || rec.Meta.Client != "tester" || rec.Meta.Jobs != 2 {
 		t.Fatalf("meta mismatch: %+v", rec.Meta)
 	}
@@ -84,198 +100,77 @@ func TestRoundTrip(t *testing.T) {
 	if len(jobs) != 2 {
 		t.Fatalf("recovered spec expands to %d jobs, want 2", len(jobs))
 	}
-	if rec.Snap.Done {
-		t.Fatalf("campaign recovered as done")
+	if rec.Snap.Done || len(rec.Snap.Jobs) != 0 {
+		t.Fatalf("unfinished campaign recovered with a terminal record: %+v", rec.Snap)
 	}
-	if len(rec.Snap.Jobs) != 2 {
-		t.Fatalf("recovered %d job states, want 2: %+v", len(rec.Snap.Jobs), rec.Snap.Jobs)
+
+	if err := st.Finish("c0001", testSnap()); err != nil {
+		t.Fatalf("Finish: %v", err)
 	}
-	if got := rec.Snap.Jobs[0]; got.ID != "gzip/baseline" || got.State != campaign.JobDone || got.IPC != 1.25 {
-		t.Fatalf("job 0 folded wrong: %+v", got)
-	}
-	if got := rec.Snap.Jobs[1]; got.ID != "gzip/noop" || got.State != campaign.JobRunning {
-		t.Fatalf("job 1 folded wrong: %+v", got)
+	rec = recoverOne(t, openStore(t, dir))
+	if !reflect.DeepEqual(rec.Snap, testSnap()) {
+		t.Fatalf("terminal record round-tripped wrong:\n got %+v\nwant %+v", rec.Snap, testSnap())
 	}
 }
 
-// TestDoneRecordAndCompaction: Done() snapshots and truncates, so a
-// finished campaign recovers from the snapshot alone with an empty WAL.
+// TestDoneRecordAndCompaction: a finished campaign's durable state is
+// exactly its submission record and its terminal record — no log — and
+// it recovers from them alone.
 func TestDoneRecordAndCompaction(t *testing.T) {
 	dir := t.TempDir()
-	st := openStore(t, dir, 0)
-	l, err := st.Create(testMeta("c0001"))
-	if err != nil {
+	st := openStore(t, dir)
+	if err := st.Create(testMeta("c0001")); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
+	if got := campaignFiles(t, dir, "c0001"); !slices.Equal(got, []string{metaName}) {
+		t.Fatalf("after Create the campaign holds %v, want only %s", got, metaName)
+	}
 	fin := time.Date(2026, 8, 8, 13, 0, 0, 0, time.UTC)
-	if err := l.JobChanged(js("gzip/baseline", campaign.JobDone)); err != nil {
-		t.Fatalf("JobChanged: %v", err)
+	if err := st.Finish("c0001", Snapshot{Done: true, Error: "boom", Finished: fin}); err != nil {
+		t.Fatalf("Finish: %v", err)
 	}
-	if err := l.Done("boom", fin); err != nil {
-		t.Fatalf("Done: %v", err)
+	if got := campaignFiles(t, dir, "c0001"); !slices.Equal(got, []string{metaName, snapName}) {
+		t.Fatalf("after Finish the campaign holds %v, want %s and %s", got, metaName, snapName)
 	}
-	l.Close()
-
-	wal, err := os.Stat(filepath.Join(dir, "campaigns", "c0001", walName))
-	if err != nil {
-		t.Fatalf("wal stat: %v", err)
-	}
-	if wal.Size() != 0 {
-		t.Fatalf("wal not truncated after Done: %d bytes", wal.Size())
-	}
-	rec := recoverOne(t, openStore(t, dir, 0))
+	rec := recoverOne(t, openStore(t, dir))
 	if !rec.Snap.Done || rec.Snap.Error != "boom" || !rec.Snap.Finished.Equal(fin) {
 		t.Fatalf("done state lost: %+v", rec.Snap)
 	}
 }
 
-// TestSnapshotCompactionEquivalence: with aggressive compaction the WAL
-// stays bounded and recovery equals what an uncompacted log folds.
-func TestSnapshotCompactionEquivalence(t *testing.T) {
-	compactDir, plainDir := t.TempDir(), t.TempDir()
-	lc, err := openStore(t, compactDir, 3).Create(testMeta("c0001"))
-	if err != nil {
+// TestFinishAfterRemove: a terminal record that lands after DELETE or
+// TTL eviction removed the campaign fails and creates nothing, so no
+// directory without a meta.json is left behind.
+func TestFinishAfterRemove(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	if err := st.Create(testMeta("c0001")); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	lp, err := openStore(t, plainDir, 1_000_000).Create(testMeta("c0001"))
-	if err != nil {
-		t.Fatalf("Create: %v", err)
+	if err := st.Remove("c0001"); err != nil {
+		t.Fatalf("Remove: %v", err)
 	}
-	ids := []string{"gzip/baseline", "gzip/noop", "mcf/baseline", "mcf/noop"}
-	states := []campaign.JobState{campaign.JobRunning, campaign.JobDone}
-	for _, state := range states {
-		for _, id := range ids {
-			for _, l := range []*Log{lc, lp} {
-				if err := l.JobChanged(js(id, state)); err != nil {
-					t.Fatalf("JobChanged: %v", err)
-				}
-			}
+	for _, id := range []string{"c0001", "c0002"} { // removed, never created
+		if err := st.Finish(id, testSnap()); err == nil {
+			t.Errorf("Finish(%s) on a missing campaign succeeded", id)
 		}
 	}
-	lc.Close()
-	lp.Close()
-
-	// The compacting log's WAL holds at most `every` records.
-	cw, _ := os.ReadFile(filepath.Join(compactDir, "campaigns", "c0001", walName))
-	pw, _ := os.ReadFile(filepath.Join(plainDir, "campaigns", "c0001", walName))
-	if len(cw) >= len(pw) {
-		t.Fatalf("compaction did not shrink the wal: %d vs %d bytes", len(cw), len(pw))
-	}
-
-	rc := recoverOne(t, openStore(t, compactDir, 3))
-	rp := recoverOne(t, openStore(t, plainDir, 1_000_000))
-	if len(rc.Snap.Jobs) != len(rp.Snap.Jobs) {
-		t.Fatalf("job counts differ: %d vs %d", len(rc.Snap.Jobs), len(rp.Snap.Jobs))
-	}
-	for i := range rc.Snap.Jobs {
-		if rc.Snap.Jobs[i] != rp.Snap.Jobs[i] {
-			t.Fatalf("job %d differs after compaction:\n compacted %+v\n plain     %+v",
-				i, rc.Snap.Jobs[i], rp.Snap.Jobs[i])
-		}
-	}
-}
-
-// TestTornTailDiscardedAndResumable: a WAL whose last line was cut by a
-// crash recovers up to the tear, and Resume truncates the tear so new
-// appends land on a clean log.
-func TestTornTailDiscardedAndResumable(t *testing.T) {
-	dir := t.TempDir()
-	st := openStore(t, dir, 0)
-	l, err := st.Create(testMeta("c0001"))
+	ents, err := os.ReadDir(filepath.Join(dir, "campaigns"))
 	if err != nil {
-		t.Fatalf("Create: %v", err)
+		t.Fatal(err)
 	}
-	if err := l.JobChanged(js("gzip/baseline", campaign.JobDone)); err != nil {
-		t.Fatalf("JobChanged: %v", err)
-	}
-	l.Close()
-
-	wal := filepath.Join(dir, "campaigns", "c0001", walName)
-	f, err := os.OpenFile(wal, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatalf("open wal: %v", err)
-	}
-	// Half a record: no newline, garbage CRC.
-	if _, err := f.WriteString(`deadbeef {"seq":99,"type":"job"`); err != nil {
-		t.Fatalf("tear wal: %v", err)
-	}
-	f.Close()
-
-	st2 := openStore(t, dir, 0)
-	rec := recoverOne(t, st2)
-	if len(rec.Snap.Jobs) != 1 || rec.Snap.Jobs[0].State != campaign.JobDone {
-		t.Fatalf("torn tail corrupted recovery: %+v", rec.Snap.Jobs)
-	}
-
-	l2, err := st2.Resume(rec)
-	if err != nil {
-		t.Fatalf("Resume: %v", err)
-	}
-	if err := l2.JobChanged(js("gzip/noop", campaign.JobDone)); err != nil {
-		t.Fatalf("JobChanged after resume: %v", err)
-	}
-	l2.Close()
-
-	rec2 := recoverOne(t, openStore(t, dir, 0))
-	if len(rec2.Snap.Jobs) != 2 {
-		t.Fatalf("post-resume append lost behind torn tail: %+v", rec2.Snap.Jobs)
-	}
-	if rec2.Snap.Jobs[1].ID != "gzip/noop" || rec2.Snap.Jobs[1].State != campaign.JobDone {
-		t.Fatalf("post-resume append folded wrong: %+v", rec2.Snap.Jobs[1])
-	}
-}
-
-// TestSnapshotWatermarkBeatsStaleWAL models a crash between writing a
-// snapshot and truncating the WAL: the leftover records' sequence
-// numbers are at or below the snapshot watermark and must not
-// resurrect older job states.
-func TestSnapshotWatermarkBeatsStaleWAL(t *testing.T) {
-	dir := t.TempDir()
-	st := openStore(t, dir, 0)
-	l, err := st.Create(testMeta("c0001"))
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	if err := l.JobChanged(js("gzip/baseline", campaign.JobRunning)); err != nil {
-		t.Fatalf("JobChanged: %v", err)
-	}
-	wal := filepath.Join(dir, "campaigns", "c0001", walName)
-	stale, err := os.ReadFile(wal)
-	if err != nil {
-		t.Fatalf("read wal: %v", err)
-	}
-	// Newer state, then a forced snapshot+truncate via Done.
-	if err := l.JobChanged(js("gzip/baseline", campaign.JobDone)); err != nil {
-		t.Fatalf("JobChanged: %v", err)
-	}
-	if err := l.Done("", time.Date(2026, 8, 8, 13, 0, 0, 0, time.UTC)); err != nil {
-		t.Fatalf("Done: %v", err)
-	}
-	l.Close()
-	// Undo the truncation: put the stale seq-1 record back, as if the
-	// crash landed between snapshot publish and WAL truncate.
-	if err := os.WriteFile(wal, stale, 0o644); err != nil {
-		t.Fatalf("restore stale wal: %v", err)
-	}
-
-	rec := recoverOne(t, openStore(t, dir, 0))
-	if got := rec.Snap.Jobs[0].State; got != campaign.JobDone {
-		t.Fatalf("stale WAL record resurrected state %q over snapshot's done", got)
-	}
-	if !rec.Snap.Done {
-		t.Fatalf("done mark lost: %+v", rec.Snap)
+	if len(ents) != 0 {
+		t.Fatalf("Finish on missing campaigns left %d entries behind", len(ents))
 	}
 }
 
 // TestRemove deletes all durable state for a campaign.
 func TestRemove(t *testing.T) {
 	dir := t.TempDir()
-	st := openStore(t, dir, 0)
-	l, err := st.Create(testMeta("c0001"))
-	if err != nil {
+	st := openStore(t, dir)
+	if err := st.Create(testMeta("c0001")); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	l.Close()
 	if err := st.Remove("c0001"); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
@@ -290,22 +185,15 @@ func TestRemove(t *testing.T) {
 
 // TestNilStoreAndLog: durability off means every call is a safe no-op.
 func TestNilStoreAndLog(t *testing.T) {
-	st, err := Open("", 0)
+	st, err := Open("")
 	if err != nil || st != nil {
 		t.Fatalf("Open(\"\") = %v, %v; want nil, nil", st, err)
 	}
-	l, err := st.Create(testMeta("c0001"))
-	if err != nil || l != nil {
-		t.Fatalf("nil store Create = %v, %v; want nil, nil", l, err)
+	if err := st.Create(testMeta("c0001")); err != nil {
+		t.Fatalf("nil store Create: %v", err)
 	}
-	if err := l.JobChanged(js("gzip/baseline", campaign.JobDone)); err != nil {
-		t.Fatalf("nil log JobChanged: %v", err)
-	}
-	if err := l.Done("", time.Time{}); err != nil {
-		t.Fatalf("nil log Done: %v", err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("nil log Close: %v", err)
+	if err := st.Finish("c0001", testSnap()); err != nil {
+		t.Fatalf("nil store Finish: %v", err)
 	}
 	recs, err := st.Recover()
 	if err != nil || recs != nil {
@@ -320,12 +208,10 @@ func TestNilStoreAndLog(t *testing.T) {
 // recovery of its healthy neighbours.
 func TestCorruptCampaignSkipped(t *testing.T) {
 	dir := t.TempDir()
-	st := openStore(t, dir, 0)
-	l, err := st.Create(testMeta("c0001"))
-	if err != nil {
+	st := openStore(t, dir)
+	if err := st.Create(testMeta("c0001")); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	l.Close()
 	bad := filepath.Join(dir, "campaigns", "c0002")
 	if err := os.MkdirAll(bad, 0o755); err != nil {
 		t.Fatal(err)
@@ -334,11 +220,94 @@ func TestCorruptCampaignSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := openStore(t, dir, 0).Recover()
+	recs, err := openStore(t, dir).Recover()
 	if err == nil {
 		t.Fatalf("corrupt campaign produced no error")
 	}
 	if len(recs) != 1 || recs[0].Meta.ID != "c0001" {
 		t.Fatalf("healthy campaign lost alongside corrupt one: %+v", recs)
 	}
+}
+
+// FuzzRecover writes fuzzed bytes as campaign c0002's meta.json and,
+// when withSnap is set, its snap.json, next to an intact finished
+// campaign c0001, then recovers. Recover must not panic; c0002 comes
+// back exactly when both records decode and its meta.json names c0002,
+// and is otherwise skipped with an error; c0001 always comes back
+// unchanged.
+func FuzzRecover(f *testing.F) {
+	meta, _ := json.Marshal(testMeta("c0002"))
+	other, _ := json.Marshal(testMeta("c0001"))
+	snap, _ := json.Marshal(testSnap())
+	f.Add(meta, snap, true)
+	f.Add(meta, []byte(nil), false)
+	f.Add(meta, []byte(`{"last_seq":2,"jobs":[{"id":"gzip/baseline","state":"done"}]}`), true)
+	f.Add(other, snap, true)
+	f.Add(meta[:len(meta)/2], snap, true)
+	f.Add(meta, snap[:len(snap)/2], true)
+
+	// The intact campaign is written through the store once; each input
+	// gets a copy of its bytes, so no input pays for an fsync.
+	wantMeta, wantSnap := testMeta("c0001"), testSnap()
+	tmpl := f.TempDir()
+	tst, err := Open(tmpl)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := tst.Create(wantMeta); err != nil {
+		f.Fatal(err)
+	}
+	if err := tst.Finish("c0001", wantSnap); err != nil {
+		f.Fatal(err)
+	}
+	intact := map[string][]byte{}
+	for _, name := range []string{metaName, snapName} {
+		if intact[name], err = os.ReadFile(filepath.Join(tmpl, "campaigns", "c0001", name)); err != nil {
+			f.Fatal(err)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, meta, snap []byte, withSnap bool) {
+		dir := t.TempDir()
+		files := map[string][]byte{
+			"c0001/" + metaName: intact[metaName],
+			"c0001/" + snapName: intact[snapName],
+			"c0002/" + metaName: meta,
+		}
+		if withSnap {
+			files["c0002/"+snapName] = snap
+		}
+		for name, blob := range files {
+			path := filepath.Join(dir, "campaigns", name)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		recs, err := openStore(t, dir).Recover()
+		if len(recs) == 0 || recs[0].Meta.ID != "c0001" {
+			t.Fatalf("intact campaign lost: %+v (err %v)", recs, err)
+		}
+		got, _ := json.Marshal(recs[0].Meta)
+		want, _ := json.Marshal(wantMeta)
+		if string(got) != string(want) || !reflect.DeepEqual(recs[0].Snap, wantSnap) {
+			t.Fatalf("intact campaign changed:\n got %+v\nwant %+v %+v", recs[0], wantMeta, wantSnap)
+		}
+
+		var m Meta
+		var sn Snapshot
+		decodes := json.Unmarshal(meta, &m) == nil && m.ID == "c0002" &&
+			(!withSnap || json.Unmarshal(snap, &sn) == nil)
+		switch {
+		case decodes && (len(recs) != 2 || recs[1].Meta.ID != "c0002" || err != nil):
+			t.Fatalf("decodable campaign not recovered: %+v (err %v)", recs, err)
+		case !decodes && len(recs) != 1:
+			t.Fatalf("undecodable campaign recovered: %+v", recs[1:])
+		case !decodes && err == nil:
+			t.Fatal("undecodable campaign skipped without an error")
+		}
+	})
 }

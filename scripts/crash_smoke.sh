@@ -5,12 +5,14 @@
 # state/cache directories at the same address, and require:
 #   - the client (sdiq -remote, reconnecting with backoff) finishes the
 #     campaign and its export is byte-identical to a local run;
-#   - the restarted server recovered the campaign from its WAL
-#     (sdiqd_campaigns_recovered_total >= 1);
+#   - the restarted server recovered the campaign from its submission
+#     record and re-ran it (sdiqd_campaigns_recovered_total >= 1);
 #   - both workers re-registered instead of dying
 #     (sdiqd_worker_reconnects_total >= 1);
 #   - work finished before the kill came back as cache hits, never
-#     duplicate simulations (sdiqd_job_cache_hits_total >= 1).
+#     duplicate simulations (sdiqd_job_cache_hits_total >= 1);
+#   - the state directory holds a meta.json and a snap.json per
+#     campaign, and no wal.log.
 # The exports and their diff land in ${CRASH_ARTIFACTS:-$WORK/artifacts}
 # so CI can upload the recovered-vs-local evidence.
 # CI runs this on every push; it needs only bash, curl and go.
@@ -92,12 +94,19 @@ fi
 
 echo "== durability metrics"
 curl -fs "http://$ADDR/metrics" |
-    grep -E '^sdiqd_(campaigns_recovered_total|worker_reconnects_total|job_cache_hits_total|jobs_executed_total|jobs_remote_total|wal_appends_total|jobs_failed_total) ' |
+    grep -E '^sdiqd_(campaigns_recovered_total|worker_reconnects_total|job_cache_hits_total|jobs_executed_total|jobs_remote_total|jobs_failed_total) ' |
     tee "$ART/metrics.txt"
-grep -q '^sdiqd_campaigns_recovered_total [1-9]' "$ART/metrics.txt" || { echo "campaign not recovered from WAL"; exit 1; }
+grep -q '^sdiqd_campaigns_recovered_total [1-9]' "$ART/metrics.txt" || { echo "campaign not recovered from durable state"; exit 1; }
 grep -q '^sdiqd_worker_reconnects_total [1-9]' "$ART/metrics.txt" || { echo "no worker re-registered"; exit 1; }
 grep -q '^sdiqd_job_cache_hits_total [1-9]' "$ART/metrics.txt" || { echo "finished work re-simulated instead of cache-hit"; exit 1; }
 grep -q '^sdiqd_jobs_failed_total 0' "$ART/metrics.txt" || { echo "jobs failed"; exit 1; }
+
+echo "== durable state: a submission record and a terminal record per campaign, no log"
+find "$WORK/state" -type f | sort | tee "$ART/state.txt"
+if grep -q '/wal\.log$' "$ART/state.txt"; then echo "wal.log written"; exit 1; fi
+for d in "$WORK/state/campaigns"/*/; do
+    [ -f "$d/meta.json" ] && [ -f "$d/snap.json" ] || { echo "$d lacks meta.json or snap.json"; exit 1; }
+done
 
 echo "== shut everything down"
 kill -TERM "$W1_PID" "$W2_PID" "$SRV2_PID" 2>/dev/null || true

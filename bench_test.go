@@ -21,6 +21,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/prog"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -348,9 +349,10 @@ func BenchmarkEmulatorThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		e := mustEmu(b, p)
+		var d trace.DynInst
 		b.StartTimer()
 		for n := 0; n < 100_000; n++ {
-			if _, ok := e.Next(); !ok {
+			if !e.NextInto(&d) {
 				b.Fatal("halted")
 			}
 		}

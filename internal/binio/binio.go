@@ -26,6 +26,10 @@ type Writer struct {
 	buf []byte
 }
 
+// NewWriter returns a writer that appends to buf, so an encoder can
+// reuse a buffer from an earlier encode by passing buf[:0].
+func NewWriter(buf []byte) *Writer { return &Writer{buf: buf} }
+
 // Bytes returns the accumulated buffer.
 func (w *Writer) Bytes() []byte { return w.buf }
 

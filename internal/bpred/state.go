@@ -1,11 +1,11 @@
-// Warm-state cloning and serialization for the checkpoint store
-// (internal/ckpt), mirroring internal/cache: Clone serves the
-// fork-per-window sampled engine, MarshalState/UnmarshalState the
-// on-disk artifact. The serialized state is everything a restored
-// predictor needs to behave bit-identically — component counters,
-// chooser, global history, BTB contents with LRU clocks, and the
-// return-address stack. Stats are measurements, not state, and are
-// excluded.
+// Warm-state copying and serialization for the checkpoint store
+// (internal/ckpt), mirroring internal/cache: CopyInto serves the
+// fork-per-window sampled engine, AppendState/UnmarshalState the
+// on-disk artifact, and both write into the caller's storage. The
+// serialized state is everything a restored predictor needs to behave
+// bit-identically — component counters, chooser, global history, BTB
+// contents with LRU clocks, and the return-address stack. Stats are
+// measurements, not state, and are excluded.
 package bpred
 
 import (
@@ -22,20 +22,25 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Clone returns an independent deep copy of the predictor.
-func (p *Predictor) Clone() *Predictor {
-	cp := *p
-	cp.gshare = append([]uint8(nil), p.gshare...)
-	cp.bimodal = append([]uint8(nil), p.bimodal...)
-	cp.selector = append([]uint8(nil), p.selector...)
-	cp.btb = append([]btbEntry(nil), p.btb...)
-	cp.ras = append([]int(nil), p.ras...)
-	return &cp
+// CopyInto makes dst an independent copy of the predictor —
+// configuration, tables, history, BTB, return-address stack and Stats —
+// reusing dst's storage, whatever state it held before; later updates
+// to either do not affect the other. A zero Predictor is a valid dst.
+func (p *Predictor) CopyInto(dst *Predictor) {
+	gshare := append(dst.gshare[:0], p.gshare...)
+	bimodal := append(dst.bimodal[:0], p.bimodal...)
+	selector := append(dst.selector[:0], p.selector...)
+	btb := append(dst.btb[:0], p.btb...)
+	ras := append(dst.ras[:0], p.ras...)
+	*dst = *p
+	dst.gshare, dst.bimodal, dst.selector = gshare, bimodal, selector
+	dst.btb, dst.ras = btb, ras
 }
 
-// MarshalState serializes the predictor's warm state.
-func (p *Predictor) MarshalState() []byte {
-	var w binio.Writer
+// AppendState appends the predictor's serialized warm state to buf and
+// returns the extended buffer.
+func (p *Predictor) AppendState(buf []byte) []byte {
+	w := binio.NewWriter(buf)
 	w.U32(uint32(len(p.gshare)))
 	w.Raw(p.gshare)
 	w.U32(uint32(len(p.bimodal)))
@@ -59,7 +64,7 @@ func (p *Predictor) MarshalState() []byte {
 	return w.Bytes()
 }
 
-// UnmarshalState restores state serialized by MarshalState into a
+// UnmarshalState restores state serialized by AppendState into a
 // predictor built from the same configuration. Stats are reset.
 func (p *Predictor) UnmarshalState(data []byte) error {
 	r := binio.NewReader(data)

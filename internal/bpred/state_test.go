@@ -2,6 +2,7 @@ package bpred
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 )
 
@@ -25,13 +26,13 @@ func trained(t *testing.T) *Predictor {
 
 func TestStateRoundTrip(t *testing.T) {
 	p := trained(t)
-	data := p.MarshalState()
+	data := p.AppendState(nil)
 
 	fresh := New(Config{})
 	if err := fresh.UnmarshalState(data); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fresh.MarshalState(), data) {
+	if !bytes.Equal(fresh.AppendState(nil), data) {
 		t.Fatal("restored predictor re-serializes differently")
 	}
 	// Behavioral equivalence: identical queries and updates keep both
@@ -49,36 +50,118 @@ func TestStateRoundTrip(t *testing.T) {
 		p.UpdateCond(pc, i%5 == 0)
 		fresh.UpdateCond(pc, i%5 == 0)
 	}
-	if !bytes.Equal(p.MarshalState(), fresh.MarshalState()) {
+	if !bytes.Equal(p.AppendState(nil), fresh.AppendState(nil)) {
 		t.Fatal("original and restored diverged under identical updates")
 	}
 }
 
 func TestCloneIsolation(t *testing.T) {
 	p := trained(t)
-	snap := p.MarshalState()
-	c := p.Clone()
-	if !bytes.Equal(c.MarshalState(), snap) {
-		t.Fatal("clone does not match original")
+	snap := p.AppendState(nil)
+	c := new(Predictor)
+	p.CopyInto(c)
+	if !bytes.Equal(c.AppendState(nil), snap) {
+		t.Fatal("copy does not match original")
 	}
 	for i := 0; i < 3000; i++ {
 		p.TrainCond(i%4096, true)
 		p.UpdateBTB(i%4096, i)
 	}
-	if !bytes.Equal(c.MarshalState(), snap) {
-		t.Fatal("training the original changed the clone")
+	if !bytes.Equal(c.AppendState(nil), snap) {
+		t.Fatal("training the original changed the copy")
 	}
 	for i := 0; i < 3000; i++ {
 		c.TrainCond((i*3)%4096, false)
 	}
-	if bytes.Equal(c.MarshalState(), snap) {
-		t.Fatal("training the clone had no effect (shared tables?)")
+	if bytes.Equal(c.AppendState(nil), snap) {
+		t.Fatal("training the copy had no effect (shared tables?)")
+	}
+}
+
+// TestCopyIntoReusedStorage: copying into a predictor that holds other
+// state — other counters and BTB entries, a deeper return-address stack,
+// other statistics, even another configuration — leaves exactly the
+// source's state, which then behaves like the source under a seeded
+// random sequence of predictions and updates. The sampled engine copies
+// every window into the storage of the window before.
+func TestCopyIntoReusedStorage(t *testing.T) {
+	src := New(Config{})
+	for i := 0; i < 500; i++ {
+		src.TrainCond((i*29)%4096, i%4 != 0)
+		src.UpdateBTB((i*41)%4096, i)
+	}
+	src.WarmCall(100)
+	src.WarmCall(200)
+	src.Stats = Stats{CondLookups: 9, CondMispred: 2}
+	deep := trained(t) // its return-address stack is full
+	small := New(fuzzPredictor)
+	small.WarmCall(4)
+	for name, dst := range map[string]*Predictor{"deep": deep, "small": small, "zero": new(Predictor)} {
+		src.CopyInto(dst)
+		if !bytes.Equal(dst.AppendState(nil), src.AppendState(nil)) {
+			t.Fatalf("%s: copy's state bytes differ from the source's", name)
+		}
+		if dst.Stats != src.Stats || dst.cfg != src.cfg {
+			t.Fatalf("%s: copy's statistics or configuration differ from the source's", name)
+		}
+		ref := new(Predictor)
+		src.CopyInto(ref)
+		rng := rand.New(rand.NewSource(11))
+		for i := 0; i < 20_000; i++ {
+			pc := 4 * rng.Intn(8192)
+			switch rng.Intn(4) {
+			case 0:
+				if a, b := ref.PredictCond(pc), dst.PredictCond(pc); a != b {
+					t.Fatalf("%s: step %d: prediction %v on a fresh copy, %v on the reused one", name, i, a, b)
+				}
+				taken := rng.Intn(2) == 0
+				ref.UpdateCond(pc, taken)
+				dst.UpdateCond(pc, taken)
+			case 1:
+				ta, oka := ref.LookupBTB(pc)
+				tb, okb := dst.LookupBTB(pc)
+				if ta != tb || oka != okb {
+					t.Fatalf("%s: step %d: BTB (%d,%v) on a fresh copy, (%d,%v) on the reused one", name, i, ta, oka, tb, okb)
+				}
+				ref.UpdateBTB(pc, i)
+				dst.UpdateBTB(pc, i)
+			case 2:
+				ref.PushRAS(pc)
+				dst.PushRAS(pc)
+			default:
+				pa, oka := ref.PopRAS(pc)
+				pb, okb := dst.PopRAS(pc)
+				if pa != pb || oka != okb {
+					t.Fatalf("%s: step %d: return (%d,%v) on a fresh copy, (%d,%v) on the reused one", name, i, pa, oka, pb, okb)
+				}
+			}
+		}
+		if !bytes.Equal(dst.AppendState(nil), ref.AppendState(nil)) || dst.Stats != ref.Stats {
+			t.Fatalf("%s: reused copy diverged from a fresh copy", name)
+		}
+	}
+}
+
+// TestAppendStateNonEmptyBuffer: encoding appends, so a buffer that
+// already holds bytes — another prefix, or an earlier window's state
+// reused through buf[:0] — yields exactly the bytes of an empty one.
+func TestAppendStateNonEmptyBuffer(t *testing.T) {
+	p := trained(t)
+	want := p.AppendState(nil)
+	prefix := []byte("prefix")
+	got := p.AppendState(prefix)
+	if !bytes.Equal(got[:len(prefix)], []byte("prefix")) || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatal("appending after a prefix changed the prefix or the state bytes")
+	}
+	buf := New(Config{}).AppendState(nil)
+	if got := p.AppendState(buf[:0]); !bytes.Equal(got, want) {
+		t.Fatal("encoding into a reused buffer differs from encoding into an empty one")
 	}
 }
 
 func TestUnmarshalStateConfigMismatch(t *testing.T) {
 	p := trained(t)
-	data := p.MarshalState()
+	data := p.AppendState(nil)
 	cfg := DefaultConfig()
 	cfg.BTBEntries *= 2
 	bigger := New(cfg)
@@ -89,7 +172,7 @@ func TestUnmarshalStateConfigMismatch(t *testing.T) {
 
 func TestUnmarshalStateCorrupt(t *testing.T) {
 	p := trained(t)
-	data := p.MarshalState()
+	data := p.AppendState(nil)
 	fresh := New(Config{})
 	if err := fresh.UnmarshalState(data[:len(data)/3]); err == nil {
 		t.Error("truncated state accepted")
@@ -105,8 +188,8 @@ func TestUnmarshalStateCorrupt(t *testing.T) {
 func TestStateExcludesStats(t *testing.T) {
 	p := trained(t)
 	p.Stats.CondLookups = 1234
-	withStats := p.MarshalState()
-	if !bytes.Equal(withStats, trained(t).MarshalState()) {
+	withStats := p.AppendState(nil)
+	if !bytes.Equal(withStats, trained(t).AppendState(nil)) {
 		t.Fatal("statistics leaked into serialized predictor state")
 	}
 	fresh := New(Config{})
@@ -138,7 +221,7 @@ func FuzzPredictorState(f *testing.F) {
 		if p.UnmarshalState(data) != nil {
 			return
 		}
-		if !bytes.Equal(p.MarshalState(), data) {
+		if !bytes.Equal(p.AppendState(nil), data) {
 			t.Fatal("accepted state re-marshals to different bytes")
 		}
 		for _, table := range [][]uint8{p.gshare, p.bimodal, p.selector} {

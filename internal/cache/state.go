@@ -1,11 +1,13 @@
-// Warm-state cloning and serialization for the checkpoint store
+// Warm-state copying and serialization for the checkpoint store
 // (internal/ckpt): a sampled run's functional warming leaves the
 // hierarchy in a state that is expensive to recompute and cheap to
-// snapshot. Clone serves the in-process fork-per-window engine;
-// MarshalState/UnmarshalState serve the on-disk artifact. Both carry
-// the complete microarchitectural state — every line's valid/tag/lru
-// plus the LRU tick — so a restored hierarchy behaves bit-identically
-// to the original under any subsequent access sequence.
+// snapshot. CopyInto serves the in-process fork-per-window engine;
+// AppendState/UnmarshalState serve the on-disk artifact. Both carry the
+// complete microarchitectural state — every line's valid/tag/lru plus
+// the LRU tick — so a restored hierarchy behaves bit-identically to the
+// original under any subsequent access sequence. Both write into the
+// caller's storage, so a sampled run that forks and encodes the state
+// every window reuses the same buffers instead of allocating them.
 package cache
 
 import (
@@ -35,22 +37,26 @@ func (cfg HierarchyConfig) WithDefaults() HierarchyConfig {
 	return cfg
 }
 
-// Clone returns an independent deep copy of the cache: later accesses
-// to either do not affect the other.
-func (c *Cache) Clone() *Cache {
-	cp := *c
-	cp.lines = append([]line(nil), c.lines...)
-	return &cp
+// copyInto makes dst an independent copy of the cache, reusing dst's
+// line storage when it is large enough.
+func (c *Cache) copyInto(dst *Cache) {
+	lines := append(dst.lines[:0], c.lines...)
+	*dst = *c
+	dst.lines = lines
 }
 
-// Clone returns an independent deep copy of the hierarchy.
-func (h *Hierarchy) Clone() *Hierarchy {
-	return &Hierarchy{
-		IL1:       h.IL1.Clone(),
-		DL1:       h.DL1.Clone(),
-		L2:        h.L2.Clone(),
-		MemCycles: h.MemCycles,
+// CopyInto makes dst an independent copy of the hierarchy — configuration,
+// lines, LRU clocks and Stats — reusing dst's storage, whatever state it
+// held before; later accesses to either do not affect the other. A zero
+// Hierarchy is a valid dst.
+func (h *Hierarchy) CopyInto(dst *Hierarchy) {
+	if dst.IL1 == nil {
+		dst.IL1, dst.DL1, dst.L2 = new(Cache), new(Cache), new(Cache)
 	}
+	h.IL1.copyInto(dst.IL1)
+	h.DL1.copyInto(dst.DL1)
+	h.L2.copyInto(dst.L2)
+	dst.MemCycles = h.MemCycles
 }
 
 // appendState writes the cache's mutable state plus a geometry
@@ -93,17 +99,18 @@ func (c *Cache) readState(r *binio.Reader) error {
 	return nil
 }
 
-// MarshalState serializes the hierarchy's warm state (all three levels'
-// lines and LRU clocks; Stats are not state and are excluded).
-func (h *Hierarchy) MarshalState() []byte {
-	var w binio.Writer
-	h.IL1.appendState(&w)
-	h.DL1.appendState(&w)
-	h.L2.appendState(&w)
+// AppendState appends the hierarchy's serialized warm state (all three
+// levels' lines and LRU clocks; Stats are not state and are excluded) to
+// buf and returns the extended buffer.
+func (h *Hierarchy) AppendState(buf []byte) []byte {
+	w := binio.NewWriter(buf)
+	h.IL1.appendState(w)
+	h.DL1.appendState(w)
+	h.L2.appendState(w)
 	return w.Bytes()
 }
 
-// UnmarshalState restores warm state serialized by MarshalState into a
+// UnmarshalState restores warm state serialized by AppendState into a
 // hierarchy built from the same configuration. Stats are reset.
 func (h *Hierarchy) UnmarshalState(data []byte) error {
 	r := binio.NewReader(data)

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 )
 
@@ -23,7 +24,7 @@ func warmed(t *testing.T) *Hierarchy {
 
 func TestStateRoundTrip(t *testing.T) {
 	h := warmed(t)
-	data := h.MarshalState()
+	data := h.AppendState(nil)
 
 	fresh, err := NewHierarchy(HierarchyConfig{})
 	if err != nil {
@@ -34,7 +35,7 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 	// The restored state must re-serialize byte-identically — the
 	// property resume bit-identity rests on.
-	if !bytes.Equal(fresh.MarshalState(), data) {
+	if !bytes.Equal(fresh.AppendState(nil), data) {
 		t.Fatal("restored hierarchy re-serializes differently")
 	}
 	// And must behave identically: the same access stream produces the
@@ -45,36 +46,112 @@ func TestStateRoundTrip(t *testing.T) {
 			t.Fatalf("access %d: latency %d on original, %d on restored", i, a, b)
 		}
 	}
-	if !bytes.Equal(h.MarshalState(), fresh.MarshalState()) {
+	if !bytes.Equal(h.AppendState(nil), fresh.AppendState(nil)) {
 		t.Fatal("original and restored diverged under identical accesses")
 	}
 }
 
 func TestCloneIsolation(t *testing.T) {
 	h := warmed(t)
-	snap := h.MarshalState()
-	c := h.Clone()
-	if !bytes.Equal(c.MarshalState(), snap) {
-		t.Fatal("clone does not match original")
+	snap := h.AppendState(nil)
+	c := new(Hierarchy)
+	h.CopyInto(c)
+	if !bytes.Equal(c.AppendState(nil), snap) {
+		t.Fatal("copy does not match original")
 	}
-	// Mutating the original must not leak into the clone, and vice versa.
+	// Mutating the original must not leak into the copy, and vice versa.
 	for i := 0; i < 2000; i++ {
 		h.WarmLoad(uint64(0x90_0000 + 64*i))
 	}
-	if !bytes.Equal(c.MarshalState(), snap) {
-		t.Fatal("mutating the original changed the clone")
+	if !bytes.Equal(c.AppendState(nil), snap) {
+		t.Fatal("mutating the original changed the copy")
 	}
 	for i := 0; i < 2000; i++ {
 		c.WarmFetch(9000 + i)
 	}
-	if bytes.Equal(c.MarshalState(), snap) {
-		t.Fatal("mutating the clone had no effect (shared storage?)")
+	if bytes.Equal(c.AppendState(nil), snap) {
+		t.Fatal("mutating the copy had no effect (shared storage?)")
+	}
+}
+
+// TestCopyIntoReusedStorage: copying into a hierarchy that holds other
+// state — other lines, other LRU ticks, other statistics, even another
+// geometry — leaves exactly the source's state, which then behaves like
+// the source under a seeded random access sequence. The sampled engine
+// copies every window into the storage of the window before.
+func TestCopyIntoReusedStorage(t *testing.T) {
+	src := warmed(t)
+	src.DL1.Stats = Stats{Accesses: 7, Misses: 3}
+	other, err := NewHierarchy(HierarchyConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		other.LoadLatency(uint64(0x70_0000 + 96*i))
+		other.FetchLatency(4 * i)
+	}
+	small, err := NewHierarchy(fuzzHierarchy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small.WarmLoad(0x1234)
+	for name, dst := range map[string]*Hierarchy{"warm": other, "small": small, "zero": new(Hierarchy)} {
+		src.CopyInto(dst)
+		if !bytes.Equal(dst.AppendState(nil), src.AppendState(nil)) {
+			t.Fatalf("%s: copy's state bytes differ from the source's", name)
+		}
+		if dst.DL1.Stats != src.DL1.Stats || dst.MemCycles != src.MemCycles || dst.L2.Config() != src.L2.Config() {
+			t.Fatalf("%s: copy's statistics or configuration differ from the source's", name)
+		}
+		ref := new(Hierarchy)
+		src.CopyInto(ref)
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 20_000; i++ {
+			addr := uint64(rng.Int63n(1 << 22))
+			var a, b int
+			switch rng.Intn(3) {
+			case 0:
+				a, b = ref.LoadLatency(addr), dst.LoadLatency(addr)
+			case 1:
+				a, b = ref.FetchLatency(int(addr)), dst.FetchLatency(int(addr))
+			default:
+				ref.WarmStore(addr)
+				dst.WarmStore(addr)
+			}
+			if a != b {
+				t.Fatalf("%s: access %d at %#x: latency %d on a fresh copy, %d on the reused one", name, i, addr, a, b)
+			}
+		}
+		if !bytes.Equal(dst.AppendState(nil), ref.AppendState(nil)) || dst.DL1.Stats != ref.DL1.Stats {
+			t.Fatalf("%s: reused copy diverged from a fresh copy", name)
+		}
+	}
+}
+
+// TestAppendStateNonEmptyBuffer: encoding appends, so a buffer that
+// already holds bytes — another prefix, or an earlier window's state
+// reused through buf[:0] — yields exactly the bytes of an empty one.
+func TestAppendStateNonEmptyBuffer(t *testing.T) {
+	h := warmed(t)
+	want := h.AppendState(nil)
+	prefix := []byte("prefix")
+	got := h.AppendState(prefix)
+	if !bytes.Equal(got[:len(prefix)], []byte("prefix")) || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatal("appending after a prefix changed the prefix or the state bytes")
+	}
+	other, err := NewHierarchy(HierarchyConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := other.AppendState(nil)
+	if got := h.AppendState(buf[:0]); !bytes.Equal(got, want) {
+		t.Fatal("encoding into a reused buffer differs from encoding into an empty one")
 	}
 }
 
 func TestUnmarshalStateGeometryMismatch(t *testing.T) {
 	h := warmed(t)
-	data := h.MarshalState()
+	data := h.AppendState(nil)
 
 	cfg := DefaultHierarchyConfig()
 	cfg.DL1.SizeBytes *= 2
@@ -89,7 +166,7 @@ func TestUnmarshalStateGeometryMismatch(t *testing.T) {
 
 func TestUnmarshalStateCorrupt(t *testing.T) {
 	h := warmed(t)
-	data := h.MarshalState()
+	data := h.AppendState(nil)
 	fresh, err := NewHierarchy(HierarchyConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -110,9 +187,9 @@ func TestUnmarshalStateCorrupt(t *testing.T) {
 func TestStateExcludesStats(t *testing.T) {
 	h := warmed(t)
 	h.DL1.Stats = Stats{Accesses: 999, Misses: 42}
-	withStats := h.MarshalState()
+	withStats := h.AppendState(nil)
 	h2 := warmed(t)
-	if !bytes.Equal(withStats, h2.MarshalState()) {
+	if !bytes.Equal(withStats, h2.AppendState(nil)) {
 		t.Fatal("statistics leaked into serialized warm state")
 	}
 	fresh, _ := NewHierarchy(HierarchyConfig{})
@@ -148,7 +225,7 @@ func FuzzHierarchyState(f *testing.F) {
 		if h.UnmarshalState(data) != nil {
 			return
 		}
-		if !bytes.Equal(h.MarshalState(), data) {
+		if !bytes.Equal(h.AppendState(nil), data) {
 			t.Fatal("accepted state re-marshals to different bytes")
 		}
 	})

@@ -65,8 +65,9 @@ type Window struct {
 	// Ckpt is the architectural state at the window start.
 	Ckpt emu.Checkpoint
 	// Mem and Bp are the functionally-warmed microarchitectural state at
-	// the window start. The consumer owns them (they are rebuilt per
-	// record on read, cloned on write).
+	// the window start. On read they are rebuilt per record and the
+	// consumer owns them. On write the writer only encodes them: the
+	// caller keeps its storage and may overwrite it for the next window.
 	Mem *cache.Hierarchy
 	Bp  *bpred.Predictor
 }
@@ -95,6 +96,10 @@ type Writer struct {
 	// The previous window's state: the base of the next window's delta.
 	prevCkpt        emu.Checkpoint
 	prevMem, prevBp []byte
+	// Buffers reused from window to window: the current window's state
+	// bytes, which swap with prevMem and prevBp once written, and the
+	// record payload.
+	mem, bp, payload []byte
 }
 
 type countingWriter struct {
@@ -157,19 +162,22 @@ func (w *Writer) Append(win *Window) error {
 	if err != nil {
 		return err
 	}
-	mem := win.Mem.MarshalState()
-	bp := win.Bp.MarshalState()
-	var b binio.Writer
+	w.mem = win.Mem.AppendState(w.mem[:0])
+	w.bp = win.Bp.AppendState(w.bp[:0])
+	b := binio.NewWriter(w.payload[:0])
 	b.I64(win.StartReal)
 	b.I64(int64(win.LastHint))
 	b.U32(uint32(len(ck)))
 	b.Raw(ck)
-	appendDiff(&b, w.prevMem, mem, first)
-	appendDiff(&b, w.prevBp, bp, first)
-	if err := w.record(recWindow, b.Bytes()); err != nil {
+	appendDiff(b, w.prevMem, w.mem, first)
+	appendDiff(b, w.prevBp, w.bp, first)
+	w.payload = b.Bytes()
+	if err := w.record(recWindow, w.payload); err != nil {
 		return err
 	}
-	w.prevCkpt, w.prevMem, w.prevBp = win.Ckpt, mem, bp
+	w.prevCkpt = win.Ckpt
+	w.prevMem, w.mem = w.mem, w.prevMem
+	w.prevBp, w.bp = w.bp, w.prevBp
 	w.n++
 	return nil
 }

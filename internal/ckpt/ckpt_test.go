@@ -99,9 +99,9 @@ func TestArtifactRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	wins := []Window{
-		{StartReal: 1000, LastHint: 0, Ckpt: ck, Mem: h.Clone(), Bp: bp.Clone()},
-		{StartReal: 6000, LastHint: 3, Ckpt: ck, Mem: h.Clone(), Bp: bp.Clone()},
-		{StartReal: 11000, LastHint: 1, Ckpt: ck, Mem: h.Clone(), Bp: bp.Clone()},
+		{StartReal: 1000, LastHint: 0, Ckpt: ck, Mem: cloneMem(h), Bp: cloneBp(bp)},
+		{StartReal: 6000, LastHint: 3, Ckpt: ck, Mem: cloneMem(h), Bp: cloneBp(bp)},
+		{StartReal: 11000, LastHint: 1, Ckpt: ck, Mem: cloneMem(h), Bp: cloneBp(bp)},
 	}
 	for i := range wins {
 		if err := w.Append(&wins[i]); err != nil {
@@ -139,10 +139,10 @@ func TestArtifactRoundTrip(t *testing.T) {
 		if !got.Ckpt.Equal(&wins[i].Ckpt) {
 			t.Errorf("window %d: checkpoint round-trip differs", i)
 		}
-		if !bytes.Equal(got.Mem.MarshalState(), wins[i].Mem.MarshalState()) {
+		if !bytes.Equal(got.Mem.AppendState(nil), wins[i].Mem.AppendState(nil)) {
 			t.Errorf("window %d: hierarchy state round-trip differs", i)
 		}
-		if !bytes.Equal(got.Bp.MarshalState(), wins[i].Bp.MarshalState()) {
+		if !bytes.Equal(got.Bp.AppendState(nil), wins[i].Bp.AppendState(nil)) {
 			t.Errorf("window %d: predictor state round-trip differs", i)
 		}
 	}
@@ -465,4 +465,18 @@ func TestGCEvictsLeastRecentlyUsed(t *testing.T) {
 	if m := st.Metrics(); m.Evicted != 3 {
 		t.Errorf("Evicted = %d, want 3", m.Evicted)
 	}
+}
+
+// cloneMem returns an independent copy of a hierarchy.
+func cloneMem(h *cache.Hierarchy) *cache.Hierarchy {
+	c := new(cache.Hierarchy)
+	h.CopyInto(c)
+	return c
+}
+
+// cloneBp returns an independent copy of a predictor.
+func cloneBp(bp *bpred.Predictor) *bpred.Predictor {
+	c := new(bpred.Predictor)
+	bp.CopyInto(c)
+	return c
 }

@@ -62,8 +62,8 @@ func streamWindows(tb testing.TB, p *prog.Program, ccfg cache.HierarchyConfig, b
 			StartReal: int64(w * gap),
 			LastHint:  w % 3,
 			Ckpt:      e.Checkpoint(),
-			Mem:       h.Clone(),
-			Bp:        bp.Clone(),
+			Mem:       cloneMem(h),
+			Bp:        cloneBp(bp),
 		})
 	}
 	return wins
@@ -185,10 +185,10 @@ func TestArtifactDeltaRoundTrip(t *testing.T) {
 		if !g.Ckpt.Equal(&w.Ckpt) {
 			t.Errorf("window %d: checkpoint differs", i)
 		}
-		if !bytes.Equal(g.Mem.MarshalState(), w.Mem.MarshalState()) {
+		if !bytes.Equal(g.Mem.AppendState(nil), w.Mem.AppendState(nil)) {
 			t.Errorf("window %d: hierarchy state differs", i)
 		}
-		if !bytes.Equal(g.Bp.MarshalState(), w.Bp.MarshalState()) {
+		if !bytes.Equal(g.Bp.AppendState(nil), w.Bp.AppendState(nil)) {
 			t.Errorf("window %d: predictor state differs", i)
 		}
 	}
@@ -215,7 +215,7 @@ func TestArtifactChecksumVerified(t *testing.T) {
 	p, ck, h, bp, ccfg, bcfg := buildState(t, 2000)
 	wins := []Window{
 		{StartReal: 1000, Ckpt: ck, Mem: h, Bp: bp},
-		{StartReal: 6000, LastHint: 2, Ckpt: ck, Mem: h.Clone(), Bp: bp.Clone()},
+		{StartReal: 6000, LastHint: 2, Ckpt: ck, Mem: cloneMem(h), Bp: cloneBp(bp)},
 	}
 	data := writeArtifact(t, st, testKey, wins)
 

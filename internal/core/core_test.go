@@ -6,6 +6,7 @@ import (
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/prog"
+	"repro/internal/trace"
 )
 
 func instImm(op isa.Op, d, a int, imm int64) prog.Inst {
@@ -239,12 +240,13 @@ func TestInstrumentNOOPMode(t *testing.T) {
 	_ = foundPreheaderHint // placement verified structurally below
 	// Emulate: hints must appear in the dynamic stream exactly once per
 	// static location execution.
-	tr, err := emu.Run(p, 10_000)
+	e, err := emu.New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hintCount := 0
-	for _, d := range tr {
+	var d trace.DynInst
+	for n := 0; n < 10_000 && e.NextInto(&d); n++ {
 		if d.Op == isa.HintNop {
 			hintCount++
 			if d.Hint < 1 || d.Hint > 80 {

@@ -3,6 +3,7 @@ package emu
 import (
 	"testing"
 
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -18,9 +19,10 @@ func BenchmarkEmulatorDecodeCache(b *testing.B) {
 		b.StopTimer()
 		e := MustNew(p)
 		e.Restart = true
+		var d trace.DynInst
 		b.StartTimer()
 		for n := 0; n < 100_000; n++ {
-			if _, ok := e.Next(); !ok {
+			if !e.NextInto(&d) {
 				b.Fatal("halted")
 			}
 		}
@@ -39,9 +41,10 @@ func BenchmarkEmulatorUncached(b *testing.B) {
 		b.StopTimer()
 		r := newRef(p)
 		r.Restart = true
+		var d trace.DynInst
 		b.StartTimer()
 		for n := 0; n < 100_000; n++ {
-			if _, ok := r.Next(); !ok {
+			if !r.NextInto(&d) {
 				b.Fatal("halted")
 			}
 		}

@@ -10,7 +10,7 @@ import (
 // over the linked program, indexed by PC/isa.InstBytes (Link assigns PCs
 // sequentially across procedures, so the flat index is total program
 // order). Each entry carries a prebuilt trace.DynInst template plus the
-// predecoded immediate and control target, so the hot Next() loop does
+// predecoded immediate and control target, so the hot NextInto loop does
 // one table index, one struct copy and one switch — no per-instruction
 // block walking, field-by-field record assembly or PC lookups. The table
 // is a pure function of the linked program and is shared by every

@@ -74,9 +74,6 @@ func (m *Memory) Store(addr uint64, v int64) {
 	pg.words[(addr>>3)&(pageWords-1)] = v
 }
 
-// Pages returns the number of mapped pages (for tests).
-func (m *Memory) Pages() int { return len(m.pages) }
-
 // share returns a new map holding the memory's pages and moves the
 // memory to a fresh epoch, so it copies each of those pages before its
 // next write to it.
@@ -149,7 +146,8 @@ func MustNew(p *prog.Program) *Emulator {
 // Mem exposes the memory (for tests and initialisation).
 func (e *Emulator) Mem() *Memory { return e.mem }
 
-// IntReg returns the value of integer register i.
+// IntReg returns the value of integer register i; tests outside this
+// package compare architectural state through it.
 func (e *Emulator) IntReg(i int) int64 { return e.iregs[i] }
 
 // Halted reports whether the program has finished.
@@ -265,16 +263,17 @@ func (e *Emulator) writeFP(r isa.Reg, v float64) {
 	}
 }
 
-// Next implements trace.Stream: it executes one instruction and returns
-// its dynamic record. The decoded dispatch body lives directly in Next
-// (not behind a call) so the hot path pays no extra frame for the record
-// copy.
-func (e *Emulator) Next() (trace.DynInst, bool) {
+// NextInto implements trace.Stream: it executes one instruction and
+// fills d with its dynamic record. Every field of d is written: the
+// decoded template overwrites the whole record before the instruction's
+// dynamic fields are filled in, so nothing is left over from the record
+// d held before.
+func (e *Emulator) NextInto(d *trace.DynInst) bool {
 	if e.halt {
-		return trace.DynInst{}, false
+		return false
 	}
 	en := &e.dec.entries[e.flat]
-	d := en.d
+	*d = en.d
 	d.Seq = e.seq
 	e.seq++
 	next := e.flat + 1
@@ -392,21 +391,30 @@ func (e *Emulator) Next() (trace.DynInst, bool) {
 	}
 	e.flat = next
 	d.NextPC = int(next) * isa.InstBytes
-	return d, true
+	return true
 }
 
 // finish handles program completion: either halt or restart at the entry.
-func (e *Emulator) finish(d trace.DynInst) (trace.DynInst, bool) {
+func (e *Emulator) finish(d *trace.DynInst) bool {
 	if e.Restart {
 		e.flat = e.dec.entry
 		e.fstack = e.fstack[:0]
 		d.Taken = true
 		d.NextPC = int(e.dec.entry) * isa.InstBytes
-		return d, true
+		return true
 	}
 	e.halt = true
 	d.NextPC = d.PC + isa.InstBytes
-	return d, true
+	return true
+}
+
+// Next is NextInto returning the record by value. The simulator and the
+// sampled engine call NextInto; Next serves callers that step the
+// emulator one record at a time, such as sdiqbench's emulator replay.
+func (e *Emulator) Next() (trace.DynInst, bool) {
+	var d trace.DynInst
+	ok := e.NextInto(&d)
+	return d, ok
 }
 
 func boolToInt(b bool) int64 {
@@ -434,22 +442,4 @@ func safeRem(a, b int64) int64 {
 		return 0
 	}
 	return a % b
-}
-
-// Run executes up to budget instructions and returns the trace; a
-// convenience for tests.
-func Run(p *prog.Program, budget int64) ([]trace.DynInst, error) {
-	e, err := New(p)
-	if err != nil {
-		return nil, err
-	}
-	var out []trace.DynInst
-	for int64(len(out)) < budget {
-		d, ok := e.Next()
-		if !ok {
-			break
-		}
-		out = append(out, d)
-	}
-	return out, nil
 }

@@ -1,6 +1,8 @@
 package emu
 
 import (
+	"maps"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -23,8 +25,8 @@ func TestMemorySparse(t *testing.T) {
 	if m.Load(0x1003) != 42 {
 		t.Error("unaligned load must read containing word")
 	}
-	if m.Pages() != 1 {
-		t.Errorf("pages = %d, want 1", m.Pages())
+	if len(m.pages) != 1 {
+		t.Errorf("pages = %d, want 1", len(m.pages))
 	}
 }
 
@@ -87,7 +89,7 @@ func TestSumLoopExecution(t *testing.T) {
 
 func TestBranchOutcomesInTrace(t *testing.T) {
 	p := buildSumLoop(t, 3)
-	tr, err := Run(p, 1000)
+	tr, err := runTrace(p, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +111,7 @@ func TestBranchOutcomesInTrace(t *testing.T) {
 	if branches[0].NextPC != loopPC {
 		t.Errorf("taken NextPC = %d, want %d", branches[0].NextPC, loopPC)
 	}
-	if branches[0].Redirects() != true {
+	if branches[0].NextPC == branches[0].PC+isa.InstBytes {
 		t.Error("taken backward branch must redirect")
 	}
 }
@@ -231,22 +233,22 @@ func TestHintsAppearInTrace(t *testing.T) {
 		Li(isa.R(1), 1).
 		Halt()
 	p := b.MustBuild()
-	tr, err := Run(p, 10)
+	tr, err := runTrace(p, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr[0].Op != isa.HintNop || tr[0].Hint != 12 {
 		t.Errorf("hint record = %+v", tr[0])
 	}
-	if !tr[0].IsHintCarrier() {
-		t.Error("hint record must be a hint carrier")
+	if tr[0].Hint <= 0 {
+		t.Error("hint record must carry its hint")
 	}
 }
 
 func TestDeterminism(t *testing.T) {
 	p := buildSumLoop(t, 50)
-	t1, _ := Run(p, 500)
-	t2, _ := Run(p, 500)
+	t1, _ := runTrace(p, 500)
+	t2, _ := runTrace(p, 500)
 	if len(t1) != len(t2) {
 		t.Fatalf("lengths differ: %d vs %d", len(t1), len(t2))
 	}
@@ -277,19 +279,135 @@ func TestFloatingPoint(t *testing.T) {
 	}
 }
 
+// limit wraps a stream and cuts it after n instructions.
+type limit struct {
+	s trace.Stream
+	n int64
+}
+
+func (l *limit) NextInto(d *trace.DynInst) bool {
+	if l.n <= 0 {
+		return false
+	}
+	l.n--
+	return l.s.NextInto(d)
+}
+
+// runTrace executes up to budget instructions of p and returns the trace.
+func runTrace(p *prog.Program, budget int64) ([]trace.DynInst, error) {
+	e, err := New(p)
+	if err != nil {
+		return nil, err
+	}
+	var out []trace.DynInst
+	var d trace.DynInst
+	for int64(len(out)) < budget && e.NextInto(&d) {
+		out = append(out, d)
+	}
+	return out, nil
+}
+
 func TestStreamLimit(t *testing.T) {
 	p := buildSumLoop(t, 100)
 	e := MustNew(p)
-	lim := &trace.Limit{S: e, N: 7}
+	lim := &limit{s: e, n: 7}
+	var d trace.DynInst
 	n := 0
-	for {
-		_, ok := lim.Next()
-		if !ok {
-			break
-		}
+	for lim.NextInto(&d) {
 		n++
 	}
 	if n != 7 {
 		t.Errorf("limit yielded %d, want 7", n)
+	}
+}
+
+// TestNextIntoContract pins the Stream contract on the emulator: once
+// NextInto reports false it keeps reporting false, and the by-value Next
+// wrapper yields NextInto's records, then the zero record.
+func TestNextIntoContract(t *testing.T) {
+	p := buildSumLoop(t, 4)
+	e, w := MustNew(p), MustNew(p)
+	var d trace.DynInst
+	for i := 0; ; i++ {
+		ok := e.NextInto(&d)
+		got, wok := w.Next()
+		if ok != wok || (ok && got != d) {
+			t.Fatalf("record %d: NextInto (%+v, %v), Next (%+v, %v)", i, d, ok, got, wok)
+		}
+		if !ok {
+			if got != (trace.DynInst{}) {
+				t.Fatalf("Next after halt returned %+v, want the zero record", got)
+			}
+			break
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if e.NextInto(&d) {
+			t.Fatal("halted emulator yielded an instruction")
+		}
+		if _, ok := w.Next(); ok {
+			t.Fatal("halted emulator's Next yielded an instruction")
+		}
+	}
+}
+
+// TestMemoryMatchesMap drives Load and Store against a plain map of
+// words over random addresses on a few pages, with Checkpoint and
+// Restore interleaved: a checkpoint moves the memory to a new epoch, so
+// its next store to each shared page copies that page, and a restore
+// starts a fresh memory over shared pages. Every load must read what the
+// map holds.
+func TestMemoryMatchesMap(t *testing.T) {
+	p := buildSumLoop(t, 1)
+	e := MustNew(p)
+	rng := rand.New(rand.NewSource(5))
+	want := map[uint64]int64{} // the program has no data segment
+	type saved struct {
+		c    Checkpoint
+		want map[uint64]int64
+	}
+	var snaps []saved
+	addr := func() uint64 {
+		// Six pages, so checkpoints share pages that later stores copy.
+		return uint64(rng.Intn(6))<<pageBits | uint64(rng.Intn(pageWords))<<3 | uint64(rng.Intn(8))
+	}
+	for i := 0; i < 200_000; i++ {
+		switch r := rng.Intn(100); {
+		case r < 45:
+			a := addr()
+			if got := e.Mem().Load(a); got != want[a&^7] {
+				t.Fatalf("op %d: Load(%#x) = %d, want %d", i, a, got, want[a&^7])
+			}
+		case r < 90:
+			a, v := addr(), rng.Int63()
+			e.Mem().Store(a, v)
+			want[a&^7] = v
+		case r < 95:
+			snaps = append(snaps, saved{e.Checkpoint(), maps.Clone(want)})
+		default:
+			if len(snaps) == 0 {
+				continue
+			}
+			s := snaps[rng.Intn(len(snaps))]
+			if err := e.Restore(s.c); err != nil {
+				t.Fatal(err)
+			}
+			want = maps.Clone(s.want)
+		}
+	}
+	if len(snaps) == 0 {
+		t.Fatal("no checkpoint taken")
+	}
+	// The checkpoints still hold the memory they were taken with.
+	for i, s := range snaps {
+		r, err := NewFromCheckpoint(p, s.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a, v := range s.want {
+			if got := r.Mem().Load(a); got != v {
+				t.Fatalf("checkpoint %d: word %#x = %d, want %d", i, a, got, v)
+			}
+		}
 	}
 }

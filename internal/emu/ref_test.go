@@ -10,7 +10,7 @@ import (
 
 // refEmu is the reference interpreter: it executes from structural
 // (proc, block, inst) positions and decodes every instruction as it
-// runs. The decoded dispatch in Emulator.Next is differentially tested
+// runs. The decoded dispatch in Emulator.NextInto is differentially tested
 // against it. It shares the embedded Emulator's registers, memory, Seq,
 // Halted and Restart, and keeps its own control position and call
 // stack; the embedded Emulator's flat control state goes unused.
@@ -61,6 +61,14 @@ func (r *refEmu) advance() position {
 		n.inst = 0
 	}
 	return n
+}
+
+// NextInto adapts Next to trace.Stream, so the reference can stand in
+// for the decoded emulator wherever a stream is consumed.
+func (r *refEmu) NextInto(d *trace.DynInst) bool {
+	var ok bool
+	*d, ok = r.Next()
+	return ok
 }
 
 // Next executes one instruction and returns its dynamic record.

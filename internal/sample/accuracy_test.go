@@ -19,9 +19,10 @@ import (
 // locality, D-cache, predictor).
 var gateBenches = []string{"gzip", "mcf", "crafty"}
 
-// gateBudget is large enough that sampling statistics settle (about 100
-// windows per benchmark under the default regime) while keeping the
-// exact reference runs to roughly a second each.
+// gateBudget is large enough that sampling statistics settle (34
+// windows per benchmark on gzip, mcf and crafty under the default
+// regime's 60k period) while keeping the exact reference runs to
+// roughly a second each.
 const gateBudget = 2_000_000
 
 // totalEnergy is the composite relative-energy figure the gate bounds:

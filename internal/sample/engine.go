@@ -17,36 +17,35 @@ import (
 	"repro/internal/trace"
 )
 
-// countedStream wraps the emulator, counting committed real (non-hint)
-// instructions and tracking the most recent issue-queue hint so a
-// detailed window can start with the enclosing region's hint applied
-// (Core.PresetHint) instead of an uncontrolled queue. The functional
-// phases update the counters inline (see generate) to avoid a call and
-// a record copy per fast-forwarded instruction.
+// countedStream is the functional stream of a sampled run: the emulator
+// plus the warmer, counting committed real (non-hint) instructions and
+// tracking the most recent issue-queue hint so a detailed window can
+// start with the enclosing region's hint applied (Core.PresetHint)
+// instead of an uncontrolled queue.
 type countedStream struct {
 	e        *emu.Emulator
+	warm     *warmer
 	real     int64
 	lastHint int
 }
 
-// observe applies the phase-independent bookkeeping for one record.
-func (s *countedStream) observe(d *trace.DynInst) {
-	if d.Hint > 0 {
-		s.lastHint = d.Hint
+// advance executes and warms instructions until stop real instructions
+// have committed or the program halts. Every instruction is filled into
+// the same record, so the fast-forward loop copies nothing per
+// instruction.
+func (s *countedStream) advance(stop int64) {
+	var d trace.DynInst
+	real, lastHint := s.real, s.lastHint
+	for real < stop && s.e.NextInto(&d) {
+		if d.Hint > 0 {
+			lastHint = d.Hint
+		}
+		if d.Op != isa.HintNop {
+			real++
+		}
+		s.warm.observe(&d)
 	}
-	if d.Op != isa.HintNop {
-		s.real++
-	}
-}
-
-// Next implements trace.Stream.
-func (s *countedStream) Next() (trace.DynInst, bool) {
-	d, ok := s.e.Next()
-	if !ok {
-		return d, ok
-	}
-	s.observe(&d)
-	return d, ok
+	s.real, s.lastHint = real, lastHint
 }
 
 // warmer drives the update-only warming paths of the cache hierarchy and
@@ -137,10 +136,11 @@ func RunStored(ctx context.Context, cfg sim.Config, p *prog.Program, budget int6
 
 // runWindow executes one detailed window on a fork of the stream: a
 // fresh emulator restored from the window's architectural checkpoint
-// and the window's own warm hierarchy/predictor (the caller hands over
-// ownership; stats are reset here). Both the generate and resume paths
-// measure every window through this one function — that shared path is
-// what makes their reports bit-identical.
+// and the window's warm hierarchy/predictor, which the run mutates (the
+// caller lends storage it overwrites before the next window; stats are
+// reset here). Both the generate and resume paths measure every window
+// through this one function — that shared path is what makes their
+// reports bit-identical.
 func runWindow(ctx context.Context, cfg sim.Config, p *prog.Program, win *ckpt.Window, detail int64, sc Config) (sim.Stats, error) {
 	fe, err := emu.NewFromCheckpoint(p, win.Ckpt)
 	if err != nil {
@@ -204,9 +204,12 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 		return nil, err
 	}
 	bp := bpred.New(cfgs[0].Bpred)
-	cs := &countedStream{e: e}
-	warm := newWarmer(mem, bp)
+	cs := &countedStream{e: e, warm: newWarmer(mem, bp)}
 	b := newBatch(cfgs)
+	// pub is the window generateK publishes: the artifact encodes it and
+	// the batch's last live cell runs on it. Its hierarchy and predictor
+	// are one copy of the stream's warm state, overwritten each window.
+	var pub ckpt.Window
 
 	var w *ckpt.Writer
 	if store != nil && key != "" {
@@ -242,18 +245,7 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 		// Functional warming: architectural execution plus cache and
 		// predictor state transitions, no statistics.
 		warmStart := cs.real
-		stop := warmStart + sc.WarmupInsts
-		if stop > budget {
-			stop = budget
-		}
-		for cs.real < stop {
-			d, ok := e.Next()
-			if !ok {
-				break
-			}
-			cs.observe(&d)
-			warm.observe(&d)
-		}
+		cs.advance(min(warmStart+sc.WarmupInsts, budget))
 		warmed := cs.real - warmStart
 		for i, rep := range b.reports {
 			if b.errs[i] == nil {
@@ -269,20 +261,20 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 		// so the published artifact holds exactly what every measurement
 		// saw.
 		detail := windowDetail(sc, cs.real, budget)
-		win := &ckpt.Window{
+		forkInto(&pub, &ckpt.Window{
 			StartReal: cs.real,
 			LastHint:  cs.lastHint,
 			Ckpt:      e.Checkpoint(),
-			Mem:       mem.Clone(),
-			Bp:        bp.Clone(),
-		}
+			Mem:       mem,
+			Bp:        bp,
+		})
 		if w != nil {
-			if err := w.Append(win); err != nil {
+			if err := w.Append(&pub); err != nil {
 				w.Abort()
 				w = nil
 			}
 		}
-		b.window(ctx, p, win, detail, sc, cs.real)
+		b.window(ctx, p, &pub, detail, sc, cs.real)
 		if b.live == 0 {
 			return b.cells(), nil
 		}
@@ -291,33 +283,14 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 		// with warming, so the state every later window starts from is a
 		// pure function of the stream position and never of this cell's
 		// detailed configuration.
-		stop = cs.real + detail
-		for cs.real < stop {
-			d, ok := e.Next()
-			if !ok {
-				break
-			}
-			cs.observe(&d)
-			warm.observe(&d)
-		}
+		cs.advance(cs.real + detail)
 
 		// Fast-forward: architectural state plus cache and predictor
 		// warming, as SMARTS does. Without warming, long-lived cache
 		// state ages too slowly and memory-bound programs (mcf-like)
 		// overstate their hit rates.
 		ffStart := cs.real
-		stop = ffStart + jitteredGap()
-		if stop > budget {
-			stop = budget
-		}
-		for cs.real < stop {
-			d, ok := e.Next()
-			if !ok {
-				break
-			}
-			cs.observe(&d)
-			warm.observe(&d)
-		}
+		cs.advance(min(ffStart+jitteredGap(), budget))
 		ffwd := cs.real - ffStart
 		for i, rep := range b.reports {
 			if b.errs[i] == nil {

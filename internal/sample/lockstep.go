@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/bpred"
+	"repro/internal/cache"
 	"repro/internal/ckpt"
 	"repro/internal/prog"
 	"repro/internal/sim"
@@ -77,12 +79,14 @@ func RunLockstepStored(ctx context.Context, cfgs []sim.Config, p *prog.Program, 
 }
 
 // batch is the per-cell side of a lockstep run: one report per
-// configuration, each cell's failure, and how many cells still measure.
+// configuration, each cell's failure, how many cells still measure, and
+// each cell's fork of the window state, reused from window to window.
 type batch struct {
 	cfgs    []sim.Config
 	reports []*Report
 	errs    []error
 	live    int
+	forks   []ckpt.Window
 }
 
 func newBatch(cfgs []sim.Config) *batch {
@@ -91,6 +95,7 @@ func newBatch(cfgs []sim.Config) *batch {
 		reports: make([]*Report, len(cfgs)),
 		errs:    make([]error, len(cfgs)),
 		live:    len(cfgs),
+		forks:   make([]ckpt.Window, len(cfgs)),
 	}
 	for i := range b.reports {
 		b.reports[i] = &Report{Confidence: confidence}
@@ -116,9 +121,10 @@ func (b *batch) stop(err error, at int64) {
 }
 
 // window measures one detailed window on every live cell, each on its
-// own fork of the window's warm state. The last live cell consumes win
-// itself, which makes K=1 byte-for-byte the single-configuration path.
-// A cell whose window fails is retired at stream position failAt.
+// own fork of the window's warm state. The last live cell runs on win
+// itself, which makes K=1 byte-for-byte the single-configuration path;
+// the caller must not need win's hierarchy and predictor afterwards. A
+// cell whose window fails is retired at stream position failAt.
 func (b *batch) window(ctx context.Context, p *prog.Program, win *ckpt.Window, detail int64, sc Config, failAt int64) {
 	forks := b.live
 	for i := range b.cfgs {
@@ -127,13 +133,8 @@ func (b *batch) window(ctx context.Context, p *prog.Program, win *ckpt.Window, d
 		}
 		cw := win
 		if forks--; forks > 0 {
-			cw = &ckpt.Window{
-				StartReal: win.StartReal,
-				LastHint:  win.LastHint,
-				Ckpt:      win.Ckpt,
-				Mem:       win.Mem.Clone(),
-				Bp:        win.Bp.Clone(),
-			}
+			cw = &b.forks[i]
+			forkInto(cw, win)
 		}
 		st, err := runWindow(ctx, b.cfgs[i], p, cw, detail, sc)
 		b.reports[i].Windows = append(b.reports[i].Windows, Window{StartSeq: win.Ckpt.Seq(), Stats: st})
@@ -141,6 +142,18 @@ func (b *batch) window(ctx context.Context, p *prog.Program, win *ckpt.Window, d
 			b.fail(i, err, failAt)
 		}
 	}
+}
+
+// forkInto copies win into dst, reusing dst's hierarchy and predictor
+// storage from the previous window (allocating it on first use). The
+// architectural checkpoint is shared: a window only restores from it.
+func forkInto(dst, win *ckpt.Window) {
+	if dst.Mem == nil {
+		dst.Mem, dst.Bp = new(cache.Hierarchy), new(bpred.Predictor)
+	}
+	win.Mem.CopyInto(dst.Mem)
+	win.Bp.CopyInto(dst.Bp)
+	dst.StartReal, dst.LastHint, dst.Ckpt = win.StartReal, win.LastHint, win.Ckpt
 }
 
 // cells zips reports and errors into the caller-facing form.

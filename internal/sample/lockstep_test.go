@@ -6,8 +6,8 @@
 // level (Engine.Lockstep on vs off, exact and sampled, checkpoint store
 // on and off) — and require identical per-cell Stats and byte-identical
 // exports. The suite runs under -race in CI: the per-window fan-out
-// clones memory and predictor state per cell, and a missed clone shows
-// up here as a divergence or a race report.
+// copies memory and predictor state into each cell's fork, and a missed
+// copy shows up here as a divergence or a race report.
 //
 // External test package: campaign imports sample, so the campaign-level
 // differentials must live outside package sample.

@@ -1,0 +1,142 @@
+package sample_test
+
+import (
+	"bytes"
+	"compress/gzip"
+	"context"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"repro/internal/bpred"
+	"repro/internal/cache"
+	"repro/internal/ckpt"
+	"repro/internal/sample"
+	"repro/internal/sim"
+)
+
+// The sampled path keeps each window's warm state in storage reused from
+// window to window: one published copy per run, one fork per lockstep
+// cell, and double-buffered state bytes in the artifact writer. The
+// tests here pin what that reuse must not change (the artifact's bytes)
+// and what it buys (allocation per window).
+
+const reuseKey = "ab12cd34ab12cd34ab12cd34ab12cd34"
+
+// gunzipFile returns the decompressed contents of a gzip file.
+func gunzipFile(t *testing.T, path string) []byte {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestArtifactMatchesFixture regenerates the artifact in testdata/gzip.ckpt
+// and compares the two decompressed record streams byte for byte. The
+// fixture was written by a build that cloned the hierarchy and the
+// predictor for every window and encoded them into fresh buffers (commit
+// 56c41c8): gzip, seed 42, testBudget under testRegime(), 15 windows. It
+// is regenerated solo and as the 8-cell batch, whose last cell runs on
+// the very storage the next window is encoded from.
+func TestArtifactMatchesFixture(t *testing.T) {
+	want := gunzipFile(t, "testdata/gzip.ckpt")
+	for _, tc := range []struct {
+		name string
+		cfgs []sim.Config
+	}{{"solo", []sim.Config{sim.DefaultConfig()}}, {"iq8", iqConfigs()}} {
+		dir := t.TempDir()
+		st, err := ckpt.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, err := sample.RunLockstepStored(context.Background(), tc.cfgs, buildGzip(t).Build(42), testBudget, testRegime(), st, reuseKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(cells[0].Report.Windows); n != 15 {
+			t.Fatalf("%s: %d windows, want 15", tc.name, n)
+		}
+		got := gunzipFile(t, filepath.Join(dir, reuseKey[:2], reuseKey+".ckpt"))
+		if !bytes.Equal(got, want) {
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("%s: record stream differs from the fixture at byte %d (%d bytes, fixture %d)", tc.name, i, len(got), len(want))
+		}
+	}
+}
+
+// TestSteadyStateWindowAllocation is the allocation guard of the sampled
+// path: in steady state a window must allocate less than one encoded
+// warm state (the hierarchy's plus the predictor's state bytes) per
+// cell. Forking or encoding the warm state into fresh storage each
+// window costs about that much per copy, so a regression to it fails.
+// Bytes per window are the TotalAlloc difference between a 1M and a 2M
+// budget over the difference in window count, which cancels set-up. The
+// regime is sparse (2k window every 200k, 20k warm-up, 1k fill), on gzip
+// and a fresh store, so every window is generated and published.
+func TestSteadyStateWindowAllocation(t *testing.T) {
+	sc := sample.Config{WindowInsts: 2000, PeriodInsts: 200_000, WarmupInsts: 20_000, DetailWarmupInsts: 1000}
+	cfg := sim.DefaultConfig()
+	h, err := cache.NewHierarchy(cfg.Caches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateBytes := len(h.AppendState(nil)) + len(bpred.New(cfg.Bpred).AppendState(nil))
+	b := buildGzip(t)
+	for _, tc := range []struct {
+		name string
+		cfgs []sim.Config
+	}{{"solo", []sim.Config{cfg}}, {"iq8", iqConfigs()}} {
+		measure := func(budget int64) (alloc int64, windows int) {
+			st, err := ckpt.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := b.Build(42)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			cells, err := sample.RunLockstepStored(context.Background(), tc.cfgs, p, budget, sc, st, reuseKey)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range cells {
+				if c.Err != nil {
+					t.Fatal(c.Err)
+				}
+			}
+			if st.Metrics().Generated != 1 {
+				t.Fatalf("%s: the run did not publish its artifact", tc.name)
+			}
+			return int64(after.TotalAlloc - before.TotalAlloc), len(cells[0].Report.Windows)
+		}
+		a1, w1 := measure(1_000_000)
+		a2, w2 := measure(2_000_000)
+		if w2 <= w1 {
+			t.Fatalf("%s: %d windows at 2M, %d at 1M", tc.name, w2, w1)
+		}
+		perWindow := (a2 - a1) / int64(w2-w1)
+		bound := int64(len(tc.cfgs) * stateBytes)
+		t.Logf("%s: %d KB per window (%d windows more), bound %d KB (%d cells x %d KB of state)",
+			tc.name, perWindow>>10, w2-w1, bound>>10, len(tc.cfgs), stateBytes>>10)
+		if perWindow >= bound {
+			t.Errorf("%s: %d bytes allocated per window, want less than %d: is window state forked or encoded into fresh storage?",
+				tc.name, perWindow, bound)
+		}
+	}
+}

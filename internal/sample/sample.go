@@ -28,7 +28,8 @@
 //
 // Every detailed window executes on a fork of the stream state at its
 // start — a fresh emulator restored from an architectural checkpoint
-// plus clones of the warmed hierarchy and predictor — while the main
+// plus a copy of the warmed hierarchy and predictor, made into storage
+// reused from window to window — while the main
 // stream re-executes the window's region functionally. The warm state
 // at every window start is therefore a pure function of the stream
 // position and the sampling regime, never of the cell's detailed

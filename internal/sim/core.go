@@ -902,8 +902,7 @@ func (c *Core) fetch() bool {
 			break
 		}
 		fe := &c.fq[c.fqTail]
-		var ok bool
-		if fe.d, ok = c.stream.Next(); !ok {
+		if !c.stream.NextInto(&fe.d) {
 			c.streamDone = true
 			return true
 		}

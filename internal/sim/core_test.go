@@ -340,6 +340,21 @@ func TestStatsConsistency(t *testing.T) {
 	}
 }
 
+// sliceStream adapts a slice to a trace.Stream.
+type sliceStream struct {
+	insts []trace.DynInst
+	pos   int
+}
+
+func (s *sliceStream) NextInto(d *trace.DynInst) bool {
+	if s.pos >= len(s.insts) {
+		return false
+	}
+	*d = s.insts[s.pos]
+	s.pos++
+	return true
+}
+
 func TestSliceStreamDirectly(t *testing.T) {
 	// Drive the core with a handmade two-instruction stream.
 	mkInst := func(seq int64, pc int) trace.DynInst {
@@ -349,7 +364,7 @@ func TestSliceStreamDirectly(t *testing.T) {
 			NextPC: pc + 4,
 		}
 	}
-	s := &trace.SliceStream{Insts: []trace.DynInst{mkInst(0, 0), mkInst(1, 4)}}
+	s := &sliceStream{insts: []trace.DynInst{mkInst(0, 0), mkInst(1, 4)}}
 	core, err := New(DefaultConfig(), s)
 	if err != nil {
 		t.Fatal(err)

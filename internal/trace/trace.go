@@ -31,53 +31,13 @@ type DynInst struct {
 	Hint int
 }
 
-// Class returns the functional-unit class.
-func (d *DynInst) Class() isa.Class { return d.Op.Class() }
-
-// IsHintCarrier reports whether the record changes max_new_range.
-func (d *DynInst) IsHintCarrier() bool { return d.Hint > 0 }
-
-// ControlFlow reports whether the instruction can redirect fetch.
-func (d *DynInst) ControlFlow() bool { return d.Op.IsBranch() || d.Op.IsCtrl() }
-
-// Redirects reports whether fetch must continue at a non-sequential PC.
-func (d *DynInst) Redirects() bool {
-	return d.ControlFlow() && d.NextPC != d.PC+isa.InstBytes
-}
-
-// Stream yields dynamic instructions in commit order. Next returns false
-// when the program has halted or the budget is exhausted.
+// Stream yields dynamic instructions in commit order. NextInto fills
+// every field of the caller's record with the next instruction and
+// reports true, or reports false when the program has halted or the
+// budget is exhausted. Once it returns false it keeps returning false.
+// Filling the caller's record, rather than returning one, lets the
+// simulator's fetch queue and the sampled engine's warming loop keep one
+// record per slot instead of copying each instruction twice.
 type Stream interface {
-	Next() (DynInst, bool)
-}
-
-// SliceStream adapts a slice to a Stream; used by tests.
-type SliceStream struct {
-	Insts []DynInst
-	pos   int
-}
-
-// Next implements Stream.
-func (s *SliceStream) Next() (DynInst, bool) {
-	if s.pos >= len(s.Insts) {
-		return DynInst{}, false
-	}
-	d := s.Insts[s.pos]
-	s.pos++
-	return d, true
-}
-
-// Limit wraps a stream and cuts it after n instructions.
-type Limit struct {
-	S Stream
-	N int64
-}
-
-// Next implements Stream.
-func (l *Limit) Next() (DynInst, bool) {
-	if l.N <= 0 {
-		return DynInst{}, false
-	}
-	l.N--
-	return l.S.Next()
+	NextInto(d *DynInst) bool
 }

@@ -1,133 +1,112 @@
 package trace
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/isa"
-)
-
-func TestDynInstPredicates(t *testing.T) {
-	// A not-taken conditional branch controls flow but does not redirect.
-	br := DynInst{PC: 100, Op: isa.Beq, Taken: false, NextPC: 104}
-	if !br.ControlFlow() || br.Redirects() {
-		t.Errorf("not-taken branch: ctrl=%v redirects=%v", br.ControlFlow(), br.Redirects())
-	}
-	br.Taken = true
-	br.NextPC = 200
-	if !br.Redirects() {
-		t.Error("taken branch to 200 must redirect")
-	}
-	// A taken branch to the fallthrough address does not redirect fetch.
-	br.NextPC = 104
-	if br.Redirects() {
-		t.Error("branch to fallthrough must not redirect")
-	}
-	add := DynInst{Op: isa.Add, NextPC: 4}
-	if add.ControlFlow() {
-		t.Error("add is not control flow")
-	}
-	if add.Class() != isa.ClassIntALU {
-		t.Errorf("class = %v", add.Class())
-	}
+// sliceStream adapts a slice to a Stream.
+type sliceStream struct {
+	insts []DynInst
+	pos   int
 }
 
-func TestHintCarrier(t *testing.T) {
-	h := DynInst{Op: isa.HintNop, Hint: 12}
-	if !h.IsHintCarrier() {
-		t.Error("hint NOOP must carry")
+func (s *sliceStream) NextInto(d *DynInst) bool {
+	if s.pos >= len(s.insts) {
+		return false
 	}
-	tagged := DynInst{Op: isa.Add, Hint: 7}
-	if !tagged.IsHintCarrier() {
-		t.Error("tagged instruction must carry")
+	*d = s.insts[s.pos]
+	s.pos++
+	return true
+}
+
+// limit wraps a stream and cuts it after n instructions.
+type limit struct {
+	s Stream
+	n int64
+}
+
+func (l *limit) NextInto(d *DynInst) bool {
+	if l.n <= 0 {
+		return false
 	}
-	plain := DynInst{Op: isa.Add}
-	if plain.IsHintCarrier() {
-		t.Error("untagged instruction must not carry")
+	l.n--
+	return l.s.NextInto(d)
+}
+
+// drain counts the records a stream yields into one reused record.
+func drain(s Stream) int {
+	var d DynInst
+	n := 0
+	for s.NextInto(&d) {
+		n++
 	}
+	return n
 }
 
 func TestSliceStream(t *testing.T) {
-	s := &SliceStream{Insts: []DynInst{{Seq: 0}, {Seq: 1}}}
-	d, ok := s.Next()
-	if !ok || d.Seq != 0 {
+	s := &sliceStream{insts: []DynInst{{Seq: 0}, {Seq: 1}}}
+	var d DynInst
+	if ok := s.NextInto(&d); !ok || d.Seq != 0 {
 		t.Fatalf("first = %v,%v", d, ok)
 	}
-	d, ok = s.Next()
-	if !ok || d.Seq != 1 {
+	if ok := s.NextInto(&d); !ok || d.Seq != 1 {
 		t.Fatalf("second = %v,%v", d, ok)
 	}
-	if _, ok := s.Next(); ok {
+	if s.NextInto(&d) {
 		t.Error("exhausted stream must return false")
 	}
 }
 
 func TestLimit(t *testing.T) {
-	inner := &SliceStream{Insts: make([]DynInst, 10)}
-	l := &Limit{S: inner, N: 3}
-	n := 0
-	for {
-		if _, ok := l.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 3 {
+	if n := drain(&limit{s: &sliceStream{insts: make([]DynInst, 10)}, n: 3}); n != 3 {
 		t.Errorf("limit yielded %d, want 3", n)
 	}
 	// Limit larger than the stream drains naturally.
-	l2 := &Limit{S: &SliceStream{Insts: make([]DynInst, 2)}, N: 100}
-	n = 0
-	for {
-		if _, ok := l2.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 2 {
+	if n := drain(&limit{s: &sliceStream{insts: make([]DynInst, 2)}, n: 100}); n != 2 {
 		t.Errorf("oversized limit yielded %d, want 2", n)
 	}
 }
 
-// countingStream records how many times Next is called — for verifying
-// wrappers do not pull past exhaustion.
+// countingStream records how many times NextInto is called — for
+// verifying wrappers do not pull past exhaustion.
 type countingStream struct {
 	calls int
 	n     int
 }
 
-func (c *countingStream) Next() (DynInst, bool) {
+func (c *countingStream) NextInto(d *DynInst) bool {
 	c.calls++
 	if c.n <= 0 {
-		return DynInst{}, false
+		return false
 	}
 	c.n--
-	return DynInst{}, true
+	*d = DynInst{}
+	return true
 }
 
 // TestStreamContract pins the Stream contract the simulator and the
-// sampled-simulation engine rely on: once Next returns false it keeps
-// returning false, and an exhausted Limit never touches the wrapped
-// stream again.
+// sampled-simulation engine rely on: once NextInto returns false it
+// keeps returning false, and an exhausted limit never touches the
+// wrapped stream again.
 func TestStreamContract(t *testing.T) {
-	s := &SliceStream{Insts: []DynInst{{Seq: 5}}}
-	s.Next()
+	var d DynInst
+	s := &sliceStream{insts: []DynInst{{Seq: 5}}}
+	s.NextInto(&d)
 	for i := 0; i < 3; i++ {
-		if _, ok := s.Next(); ok {
-			t.Fatal("exhausted SliceStream yielded an instruction")
+		if s.NextInto(&d) {
+			t.Fatal("exhausted sliceStream yielded an instruction")
 		}
 	}
 	inner := &countingStream{n: 10}
-	l := &Limit{S: inner, N: 2}
-	l.Next()
-	l.Next()
+	l := &limit{s: inner, n: 2}
+	l.NextInto(&d)
+	l.NextInto(&d)
 	before := inner.calls
 	for i := 0; i < 3; i++ {
-		if _, ok := l.Next(); ok {
-			t.Fatal("exhausted Limit yielded an instruction")
+		if l.NextInto(&d) {
+			t.Fatal("exhausted limit yielded an instruction")
 		}
 	}
 	if inner.calls != before {
-		t.Errorf("exhausted Limit pulled %d extra records from the inner stream",
+		t.Errorf("exhausted limit pulled %d extra records from the inner stream",
 			inner.calls-before)
 	}
 }
@@ -136,14 +115,13 @@ func TestStreamContract(t *testing.T) {
 // Seq starts at 0: a stream resuming mid-run (a restored checkpoint, a
 // sample window) carries arbitrary starting sequence numbers.
 func TestStreamMidSequence(t *testing.T) {
-	s := &SliceStream{Insts: []DynInst{{Seq: 1 << 40}, {Seq: 1<<40 + 1}}}
-	d, ok := s.Next()
-	if !ok || d.Seq != 1<<40 {
+	s := &sliceStream{insts: []DynInst{{Seq: 1 << 40}, {Seq: 1<<40 + 1}}}
+	var d DynInst
+	if ok := s.NextInto(&d); !ok || d.Seq != 1<<40 {
 		t.Fatalf("mid-sequence first record = %v,%v", d, ok)
 	}
-	l := &Limit{S: s, N: 1}
-	d, ok = l.Next()
-	if !ok || d.Seq != 1<<40+1 {
+	l := &limit{s: s, n: 1}
+	if ok := l.NextInto(&d); !ok || d.Seq != 1<<40+1 {
 		t.Fatalf("mid-sequence limited record = %v,%v", d, ok)
 	}
 }

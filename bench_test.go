@@ -297,13 +297,25 @@ func BenchmarkAblationCollapsibleQueue(b *testing.B) {
 	}
 }
 
+// folegnaniConfig approximates the earlier Folegnani & González resizing
+// (ISCA 2001) that both the paper and IqRob64 build on: issue-queue-only
+// adaptation (no ROB cap), with a slightly more eager shrink and a slower
+// upward probe.
+func folegnaniConfig() adaptive.Config {
+	c := adaptive.DefaultConfig()
+	c.ROBLimit = 0
+	c.ShrinkThreshold = 0.04
+	c.ProbeIntervals = 8
+	return c
+}
+
 // BenchmarkAblationAdaptiveVariant compares the IqRob64 abella baseline
 // against the older Folegnani-González IQ-only resizing it derives from.
 func BenchmarkAblationAdaptiveVariant(b *testing.B) {
 	bench, _ := workload.ByName("twolf")
 	configs := map[string]func(*sim.Config){
 		"iqrob64":   func(c *sim.Config) {},
-		"folegnani": func(c *sim.Config) { c.Adaptive = adaptive.FolegnaniConfig() },
+		"folegnani": func(c *sim.Config) { c.Adaptive = folegnaniConfig() },
 	}
 	for name, tweak := range configs {
 		tweak := tweak

@@ -42,18 +42,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// FolegnaniConfig approximates the earlier Folegnani & González resizing
-// (ISCA 2001) that both the paper and IqRob64 build on: issue-queue-only
-// adaptation (no ROB cap), with a slightly more eager shrink and a slower
-// upward probe. Used by the ablation benchmarks.
-func FolegnaniConfig() Config {
-	c := DefaultConfig()
-	c.ROBLimit = 0
-	c.ShrinkThreshold = 0.04
-	c.ProbeIntervals = 8
-	return c
-}
-
 // Controller drives bank-granular issue-queue resizing.
 type Controller struct {
 	cfg      Config

@@ -228,9 +228,3 @@ func (h *Hierarchy) FetchLatency(pc int) int {
 	}
 	return h.IL1.Config().HitCycles + h.L2.Config().HitCycles + h.MemCycles
 }
-
-// SameLine reports whether two PCs share an I-cache line (one fetch).
-func (h *Hierarchy) SameLine(pcA, pcB int) bool {
-	lb := uint64(h.IL1.Config().LineBytes)
-	return uint64(pcA)/lb == uint64(pcB)/lb
-}

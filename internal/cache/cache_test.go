@@ -110,9 +110,6 @@ func TestFetchLatency(t *testing.T) {
 	if lat := h.FetchLatency(0x104); lat != 1 {
 		t.Errorf("same-line fetch = %d, want 1", lat)
 	}
-	if !h.SameLine(0x100, 0x11C) || h.SameLine(0x100, 0x120) {
-		t.Error("SameLine geometry wrong for 32B lines")
-	}
 }
 
 func TestStatsPropertyAccessesGrow(t *testing.T) {

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -330,6 +331,30 @@ func (s *Spec) Points() []Point {
 		points = next
 	}
 	return points
+}
+
+// JobCount validates the spec and returns the number of jobs Jobs
+// expands it to, points × benchmarks × techniques, from the list
+// lengths alone: nothing grows with the count, so a service can bound a
+// campaign before expanding it. A product that overflows int is an
+// error. Jobs can still refuse a spec JobCount accepts, at a point
+// whose issue queue is not a multiple of its bank size.
+func (s *Spec) JobCount() (int, error) {
+	if err := s.Validate(); err != nil {
+		return 0, err
+	}
+	n := len(s.benchmarks())
+	factors := []int{len(s.techniques())}
+	for _, ax := range s.Axes {
+		factors = append(factors, len(ax.Values))
+	}
+	for _, k := range factors {
+		if n > math.MaxInt/k {
+			return 0, fmt.Errorf("campaign: the job count overflows (%d axes)", len(s.Axes))
+		}
+		n *= k
+	}
+	return n, nil
 }
 
 // Jobs expands the spec into its job set: points × benchmarks ×

@@ -305,26 +305,3 @@ func (l *Loop) BackEdgePreds(p *prog.Proc) (inside, outside []int) {
 	}
 	return inside, outside
 }
-
-// Contains reports whether the loop contains block b.
-func (l *Loop) Contains(b int) bool {
-	i := sort.SearchInts(l.Blocks, b)
-	return i < len(l.Blocks) && l.Blocks[i] == b
-}
-
-// ExitTargets returns the blocks outside the loop that are successors of
-// loop blocks (the places control goes when the loop finishes).
-func (l *Loop) ExitTargets(p *prog.Proc) []int {
-	var out []int
-	seen := map[int]bool{}
-	for _, b := range l.Blocks {
-		for _, s := range p.Blocks[b].Succs {
-			if !l.Contains(s) && !seen[s] {
-				seen[s] = true
-				out = append(out, s)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
-}

@@ -186,13 +186,6 @@ func TestLoopEdgesAndExits(t *testing.T) {
 	if len(inside) != 1 || len(outside) != 1 {
 		t.Fatalf("outer header preds: inside=%v outside=%v", inside, outside)
 	}
-	exits := outer.ExitTargets(p)
-	if len(exits) != 1 {
-		t.Fatalf("outer exits = %v, want 1", exits)
-	}
-	if outer.Contains(exits[0]) {
-		t.Errorf("exit target inside loop")
-	}
 }
 
 func TestReversePostorderProperty(t *testing.T) {

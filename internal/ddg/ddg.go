@@ -272,21 +272,3 @@ func (g *Graph) hasPositiveCycle(comp []int, inComp map[int]bool, ii int) bool {
 	}
 	return true
 }
-
-// LongestPathTimes returns, for each node, the earliest data-ready time
-// under infinite resources considering only distance-0 edges — the
-// critical-path schedule of a DAG region.
-func (g *Graph) LongestPathTimes() []int {
-	t := make([]int, g.N())
-	for i := 0; i < g.N(); i++ { // nodes are in program order; edges go forward
-		for _, e := range g.In[i] {
-			if e.Distance != 0 {
-				continue
-			}
-			if v := t[e.From] + e.Latency; v > t[i] {
-				t[i] = v
-			}
-		}
-	}
-	return t
-}

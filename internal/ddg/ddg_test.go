@@ -154,18 +154,6 @@ func TestNopsExcluded(t *testing.T) {
 	}
 }
 
-func TestLongestPathTimes(t *testing.T) {
-	g := BuildBlock(figure1Block())
-	times := g.LongestPathTimes()
-	// a,b at 0; c,d at 1 (after the 1-cycle addis); e at 1+3=4; f at 4.
-	want := []int{0, 0, 1, 1, 4, 4}
-	for i, w := range want {
-		if times[i] != w {
-			t.Errorf("t[%d] = %d, want %d", i, times[i], w)
-		}
-	}
-}
-
 func TestZeroRegisterCreatesNoEdges(t *testing.T) {
 	insts := []prog.Inst{
 		inst3(isa.Add, 0, 1, 2), // writes r0: discarded

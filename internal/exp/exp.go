@@ -89,14 +89,3 @@ func (s *SuiteResults) Mean(f func(bench string) float64) float64 {
 	}
 	return stats.Mean(xs)
 }
-
-// Spread returns the min, max and standard deviation of f across the
-// suite — the per-benchmark variation the paper's bar charts show.
-func (s *SuiteResults) Spread(f func(bench string) float64) (min, max, stddev float64) {
-	xs := make([]float64, 0, len(s.Benchmarks))
-	for _, b := range s.Benchmarks {
-		xs = append(xs, f(b))
-	}
-	min, max = stats.MinMax(xs)
-	return min, max, stats.StdDev(xs)
-}

@@ -91,13 +91,6 @@ func TestMeanAndSpreadFixture(t *testing.T) {
 	if got := s.Mean(loss); !almost(got, 17.5) { // (25+10)/2
 		t.Errorf("mean = %f, want 17.5", got)
 	}
-	min, max, sd := s.Spread(loss)
-	if !almost(min, 10) || !almost(max, 25) {
-		t.Errorf("spread min/max = %f/%f, want 10/25", min, max)
-	}
-	if !almost(sd, 7.5) { // population stddev of {25,10}
-		t.Errorf("stddev = %f, want 7.5", sd)
-	}
 }
 
 func TestBanksOffPctFixture(t *testing.T) {

@@ -164,7 +164,9 @@ func TestAccuracyGateLockstep(t *testing.T) {
 // exact simulation on the standard sweep and requires >=5x. Wall-clock
 // assertions are inherently machine- and load-sensitive, so the check
 // only arms when SAMPLE_GATE=1 (the dedicated CI job sets it); without
-// it the measurement still runs and logs.
+// it the measurement still runs once and logs. Armed, each benchmark's
+// exact and sampled runs are timed as the minimum of three, alternating,
+// so a burst of load on a shared host does not decide the gate.
 func TestSampledSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement; skipped in -short")
@@ -172,25 +174,37 @@ func TestSampledSpeedup(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock ratios are meaningless under the race detector; see race_off.go")
 	}
+	armed := os.Getenv("SAMPLE_GATE") == "1"
+	runs := 1
+	if armed {
+		runs = 3
+	}
 	cfg := sim.DefaultConfig()
 	var tExact, tSampled time.Duration
 	for _, name := range gateBenches {
 		b, _ := workload.ByName(name)
-		p := b.Build(42)
-		t0 := time.Now()
-		if _, err := sim.RunProgram(cfg, p, gateBudget); err != nil {
-			t.Fatal(err)
+		exact, sampled := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+		for range runs {
+			// A fresh program per run, as for the sampled half: the
+			// decode cache lives on the program.
+			p := b.Build(42)
+			t0 := time.Now()
+			if _, err := sim.RunProgram(cfg, p, gateBudget); err != nil {
+				t.Fatal(err)
+			}
+			exact = min(exact, time.Since(t0))
+			t0 = time.Now()
+			if _, err := Run(context.Background(), cfg, b.Build(42), gateBudget, Config{}); err != nil {
+				t.Fatal(err)
+			}
+			sampled = min(sampled, time.Since(t0))
 		}
-		tExact += time.Since(t0)
-		t0 = time.Now()
-		if _, err := Run(context.Background(), cfg, b.Build(42), gateBudget, Config{}); err != nil {
-			t.Fatal(err)
-		}
-		tSampled += time.Since(t0)
+		tExact += exact
+		tSampled += sampled
 	}
 	speedup := float64(tExact) / float64(tSampled)
-	t.Logf("exact %v, sampled %v: %.1fx speedup", tExact, tSampled, speedup)
-	if os.Getenv("SAMPLE_GATE") != "1" {
+	t.Logf("exact %v, sampled %v (minimum of %d runs each): %.1fx speedup", tExact, tSampled, runs, speedup)
+	if !armed {
 		t.Logf("SAMPLE_GATE not set; speedup threshold not enforced")
 		return
 	}

@@ -234,12 +234,12 @@ func (c *Client) ResultSet(ctx context.Context, id string) (*campaign.ResultSet,
 // progress (relaying to OnEvent), and return the finished ResultSet.
 // Run survives server restarts: a broken stream is re-opened with
 // jittered backoff (events already relayed are filtered by sequence
-// number; a durable server replays history, possibly pre-folded into a
-// snapshot event), a server that came back with no memory of the
-// campaign gets the spec resubmitted (the shared result cache makes the
-// re-run cheap), and an unreachable server is retried for up to
-// maxOffline before Run gives up. A failed campaign returns its
-// server-side error.
+// number; a durable server that recovered the campaign starts a new
+// log, numbered from 0 again, which Run relays in full), a server that
+// came back with no memory of the campaign gets the spec resubmitted
+// (the shared result cache makes the re-run cheap), and an unreachable
+// server is retried for up to maxOffline before Run gives up. A failed
+// campaign returns its server-side error.
 func (c *Client) Run(ctx context.Context, spec campaign.Spec) (*campaign.ResultSet, error) {
 	sub, err := c.Submit(ctx, spec)
 	if err != nil {
@@ -248,6 +248,7 @@ func (c *Client) Run(ctx context.Context, spec campaign.Spec) (*campaign.ResultS
 
 	var done *Event
 	lastSeq := -1
+	var logStart time.Time // Time of the relayed log's "submitted" event
 	var offlineSince time.Time
 	fails := 0
 	for done == nil {
@@ -255,18 +256,14 @@ func (c *Client) Run(ctx context.Context, spec campaign.Spec) (*campaign.ResultS
 			return nil, ctx.Err()
 		}
 		_ = c.Stream(ctx, sub.ID, func(ev Event) error {
-			if ev.Type == EventSnapshot {
-				// A compaction snapshot stands in for folded history;
-				// relay it even when it overlaps what we saw live.
-				if ev.Seq > lastSeq {
-					lastSeq = ev.Seq
-				}
-			} else {
-				if ev.Seq <= lastSeq {
-					return nil // replayed history we already relayed
-				}
-				lastSeq = ev.Seq
+			if ev.Type == EventSubmitted && !ev.Time.Equal(logStart) {
+				// A recovered campaign's log, numbered from 0 again.
+				logStart, lastSeq = ev.Time, -1
 			}
+			if ev.Seq <= lastSeq {
+				return nil // replayed history we already relayed
+			}
+			lastSeq = ev.Seq
 			if c.OnEvent != nil {
 				c.OnEvent(ev)
 			}

@@ -11,6 +11,7 @@
 // API (all JSON):
 //
 //	POST /v1/campaigns               submit a campaign.Spec → 202 {id,...}
+//	                                 (413 over maxCampaignJobs jobs)
 //	GET  /v1/campaigns               list campaigns
 //	GET  /v1/campaigns/{id}          status snapshot with per-job detail
 //	GET  /v1/campaigns/{id}/events   NDJSON stream (?format=sse for SSE)
@@ -80,10 +81,6 @@ type Config struct {
 	// written once when it ends. "" disables durability — a restart then
 	// forgets all campaigns, exactly the pre-durability behaviour.
 	StateDir string
-	// EventCompactAfter bounds a campaign's in-memory event tail before
-	// older events fold into a snapshot event; 0 means the default
-	// (4096). Only tests should need to lower it.
-	EventCompactAfter int
 	// RegistryTTL evicts finished campaigns from the registry (and their
 	// durable state) this long after they finish; 0 keeps them until
 	// DELETE.
@@ -170,38 +167,24 @@ func (ns *namespace) RunJob(ctx context.Context, job *campaign.Job, key string, 
 	return ns.disp.runJob(ctx, job, key, params, ns.ckpt)
 }
 
-// campaignRun is one submitted campaign's full lifecycle state.
+// maxCampaignJobs is the most jobs one campaign may expand to. A spec
+// over it is refused (413) before its jobs are expanded, at submission
+// and again at recovery: the roster, the event log and the engine all
+// hold every job of a campaign in memory.
+const maxCampaignJobs = 10_000
+
+// campaignRun is one submitted campaign: its identity and spec, plus
+// its progress — roster, counters, event log and outcome.
 type campaignRun struct {
-	id        string
+	*progress
 	client    string
 	spec      campaign.Spec
-	jobs      int
 	submitted time.Time
-	tracker   *campaign.Tracker
-	hub       *hub
 	// ckptKeys are the checkpoint artifact keys this campaign's sampled
 	// jobs can reference (computed once at submission). DELETE uses them
 	// to evict artifacts no remaining campaign references.
 	ckptKeys map[string]struct{}
 	ns       *namespace // the owner's namespace
-
-	mu       sync.Mutex
-	done     bool
-	finished time.Time
-	rs       *campaign.ResultSet
-	err      error
-}
-
-func (rc *campaignRun) finish(finished time.Time, rs *campaign.ResultSet, err error) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.done, rc.finished, rc.rs, rc.err = true, finished, rs, err
-}
-
-func (rc *campaignRun) state() (done bool, finished time.Time, rs *campaign.ResultSet, err error) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.done, rc.finished, rc.rs, rc.err
 }
 
 // New returns a ready Server; callers then serve s.Handler().
@@ -244,7 +227,8 @@ func New(cfg Config) *Server {
 // unfinished jobs, and rebuilds the in-memory ResultSet so exports work
 // again. Campaigns whose terminal record holds a failure come back as
 // tombstones: the recorded job roster, its events and the error are
-// served, nothing re-runs.
+// served, nothing re-runs. A spec over maxCampaignJobs is skipped, as
+// submission would refuse it.
 func (s *Server) recover() {
 	if s.store == nil {
 		return
@@ -270,9 +254,9 @@ func (s *Server) recover() {
 		if n, ok := campaignSeq(rec.Meta.ID); ok && n > s.seq {
 			s.seq = n // never reissue a recovered campaign's ID
 		}
-		jobs, jerr := rec.Meta.Spec.Jobs()
+		jobs, jerr := admit(&rec.Meta.Spec)
 		if jerr != nil {
-			log.Printf("sdiqd: recover %s: spec no longer expands: %v", rec.Meta.ID, jerr)
+			log.Printf("sdiqd: recover %s: skipped: %v", rec.Meta.ID, jerr)
 			continue
 		}
 		// Durable records from before name validation may carry a client
@@ -284,35 +268,24 @@ func (s *Server) recover() {
 		}
 		ns := s.tenant(client).ns
 		rc := &campaignRun{
-			id:        rec.Meta.ID,
+			progress:  newProgress(rec.Meta.ID, jobs),
 			client:    client,
 			spec:      rec.Meta.Spec,
-			jobs:      len(jobs),
 			submitted: rec.Meta.Submitted,
-			tracker:   campaign.NewTracker(jobs),
-			hub:       newHub(len(jobs), s.cfg.EventCompactAfter),
 			ckptKeys:  ckptKeysOf(ns.ckpt, jobs),
 			ns:        ns,
 		}
 		s.campaigns[rc.id] = rc
 		s.order = append(s.order, rc.id)
+		rc.begin()
 
 		if rec.Snap.Done && rec.Snap.Error != "" {
-			// Terminal failure: restore the recorded job roster and
-			// replay it as events, then close the hub. No ResultSet
-			// survives a restart, so exports answer 422 with the error —
-			// same as they did before the crash.
-			rc.tracker.Restore(rec.Snap.Jobs)
-			rc.done, rc.finished = true, rec.Snap.Finished
-			rc.err = errors.New(rec.Snap.Error)
-			rc.hub.publish(Event{Type: EventSubmitted, Campaign: rc.id})
-			for i := range rec.Snap.Jobs {
-				rc.hub.publish(Event{Type: EventJob, Campaign: rc.id, Job: &rec.Snap.Jobs[i]})
-			}
-			st := rc.tracker.Snapshot()
-			st.Jobs = nil
-			rc.hub.publish(Event{Type: EventDone, Campaign: rc.id, Status: &st, Error: rec.Snap.Error})
-			rc.hub.close()
+			// Terminal failure: replay the recorded job roster and end
+			// the campaign with its error. No ResultSet survives a
+			// restart, so exports answer 422 with the error — same as
+			// they did before the crash.
+			rc.restore(rec.Snap.Jobs)
+			rc.finish(rec.Snap.Finished, nil, errors.New(rec.Snap.Error), nil)
 			continue
 		}
 
@@ -320,7 +293,6 @@ func (s *Server) recover() {
 		s.wg.Add(1)
 		s.met.campaignsRecovered.Add(1)
 		s.met.campaignsActive.Add(1)
-		rc.hub.publish(Event{Type: EventSubmitted, Campaign: rc.id})
 		resumed = append(resumed, rc)
 	}
 }
@@ -541,6 +513,24 @@ type Submitted struct {
 	ExportURL string `json:"export_url"`
 }
 
+// errTooManyJobs refuses a campaign over maxCampaignJobs.
+var errTooManyJobs = errors.New("campaign too large")
+
+// admit returns spec's jobs when the campaign is admissible: a valid
+// spec of at most maxCampaignJobs jobs. The count comes from the axis
+// lengths, so a spec over the bound is refused before anything grows
+// with it.
+func admit(spec *campaign.Spec) ([]campaign.Job, error) {
+	n, err := spec.JobCount()
+	if err != nil {
+		return nil, err
+	}
+	if n > maxCampaignJobs {
+		return nil, fmt.Errorf("%w: the spec expands to %d jobs, over the bound of %d", errTooManyJobs, n, maxCampaignJobs)
+	}
+	return spec.Jobs()
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec campaign.Spec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
@@ -548,7 +538,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}
-	jobs, err := spec.Jobs()
+	jobs, err := admit(&spec)
+	if errors.Is(err, errTooManyJobs) {
+		writeError(w, http.StatusRequestEntityTooLarge, "%v", err)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
@@ -584,13 +578,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.seq++
 	id := fmt.Sprintf("c%04d", s.seq)
 	rc := &campaignRun{
-		id:        id,
+		progress:  newProgress(id, jobs),
 		client:    client,
 		spec:      spec,
-		jobs:      len(jobs),
 		submitted: time.Now().UTC(),
-		tracker:   campaign.NewTracker(jobs),
-		hub:       newHub(len(jobs), s.cfg.EventCompactAfter),
 		ckptKeys:  ckptKeys,
 		ns:        ts.ns,
 	}
@@ -616,7 +607,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.tmu.Lock()
 	ts.submitted++
 	s.tmu.Unlock()
-	rc.hub.publish(Event{Type: EventSubmitted, Campaign: id})
+	rc.begin()
 	go s.run(rc)
 
 	writeJSON(w, http.StatusAccepted, Submitted{
@@ -628,24 +619,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// run executes one campaign on the shared executor, feeding the
-// tracker, event hub and metrics.
+// run executes one campaign on the shared executor, feeding its
+// progress and the metrics.
 func (s *Server) run(rc *campaignRun) {
 	defer s.wg.Done()
 	// Everything tenant-scoped comes from the owner's namespace: the
-	// cache dir, checkpoint store and dedup group, and the runner that
-	// pins jobs (local or remote) to the same store, so a worker's
+	// cache dir and dedup group, and the runner that pins jobs (local or
+	// remote) to the namespace's checkpoint store, so a worker's
 	// uploaded artifact lands in the right namespace.
 	ns := rc.ns
 	eng := &campaign.Engine{
 		// Per-campaign parallelism: the local gate bounds in-process
 		// simulations; live remote capacity is added on top so a fleet
 		// actually raises throughput instead of idling behind the gate.
-		Workers:  cap(s.gate) + s.disp.extraCapacity(),
-		CacheDir: ns.cacheDir,
-		Ckpt:     ns.ckpt,
-		Flight:   &ns.flight,
-		Runner:   ns, // remote-or-local routing per cache-missed job
+		Workers:    cap(s.gate) + s.disp.extraCapacity(),
+		CacheDir:   ns.cacheDir,
+		Flight:     &ns.flight,
+		Runner:     ns, // remote-or-local routing per cache-missed job
+		OnJobStart: rc.started,
 		OnResult: func(r campaign.Result) {
 			switch {
 			case r.Dedup:
@@ -657,28 +648,31 @@ func (s *Server) run(rc *campaignRun) {
 				s.met.instsCommitted.Add(r.Stats.CommittedReal)
 				s.met.simNanos.Add(r.FinishedAt.Sub(r.StartedAt).Nanoseconds())
 			}
+			rc.delivered(r)
 		},
 		OnJobError: func(j campaign.Job, err error) {
 			s.met.jobsFailed.Add(1)
+			rc.failed(j, err)
 		},
 	}
-	rc.tracker.OnChange = func(js campaign.JobStatus) {
-		rc.hub.publish(Event{Type: EventJob, Campaign: rc.id, Job: &js})
-	}
-	rc.tracker.Attach(eng)
 
 	rs, err := eng.Run(s.ctx, rc.spec)
-	rc.tracker.FinishSkipped()
-	finished := time.Now().UTC()
-	st := rc.tracker.Snapshot()
-
+	if err != nil {
+		s.met.campaignsFailed.Add(1)
+	} else {
+		s.met.campaignsDone.Add(1)
+	}
 	// The terminal record is written only when the campaign genuinely
 	// ended. A failure caused by server shutdown (drain deadline, test
 	// kill — the crash-injection suite relies on this) leaves none, so
 	// the next boot resumes the campaign instead of tombstoning a
-	// failure the campaign never earned. It is written before the
+	// failure the campaign never earned. finish writes it before the
 	// campaign reads as done, so no DELETE or TTL eviction races it.
-	if err == nil || s.ctx.Err() == nil {
+	finished := time.Now().UTC()
+	rc.finish(finished, rs, err, func(st campaign.Status) {
+		if err != nil && s.ctx.Err() != nil {
+			return
+		}
 		snap := store.Snapshot{Done: true, Finished: finished, Jobs: st.Jobs}
 		if err != nil {
 			snap.Error = err.Error()
@@ -686,19 +680,7 @@ func (s *Server) run(rc *campaignRun) {
 		if werr := s.store.Finish(rc.id, snap); werr != nil {
 			log.Printf("sdiqd: %s: terminal record: %v", rc.id, werr)
 		}
-	}
-	rc.finish(finished, rs, err)
-
-	st.Jobs = nil // the done event carries the summary, not the roster
-	done := Event{Type: EventDone, Campaign: rc.id, Status: &st}
-	if err != nil {
-		done.Error = err.Error()
-		s.met.campaignsFailed.Add(1)
-	} else {
-		s.met.campaignsDone.Add(1)
-	}
-	rc.hub.publish(done)
-	rc.hub.close()
+	})
 
 	ts := s.tenant(rc.client)
 	s.tmu.Lock()
@@ -736,16 +718,16 @@ func (s *Server) info(rc *campaignRun, withJobs bool) CampaignInfo {
 		ID:        rc.id,
 		Client:    rc.client,
 		Name:      rc.spec.Name,
-		Jobs:      rc.jobs,
 		Submitted: rc.submitted,
 		Done:      done,
 		Finished:  finished,
 	}
 	if withJobs {
-		info.Status = rc.tracker.Snapshot()
+		info.Status = rc.snapshot()
 	} else {
-		info.Status = rc.tracker.Summary()
+		info.Status = rc.summary()
 	}
+	info.Jobs = info.Status.Total
 	if err != nil {
 		info.Error = err.Error()
 	}
@@ -797,7 +779,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no campaign %q", r.PathValue("id"))
 		return
 	}
-	streamEvents(w, r, rc.hub)
+	streamEvents(w, r, rc.progress)
 }
 
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
@@ -939,7 +921,7 @@ func (s *Server) ckptRows() []row {
 }
 
 // handleDelete drops a finished campaign from the in-memory registry —
-// its tracker, event log and result set become garbage immediately —
+// its progress, event log and result set become garbage immediately —
 // and garbage-collects checkpoint artifacts no remaining campaign
 // references. Running campaigns are refused: cancel-by-delete would
 // silently change other observers' results, and the engine owns

@@ -347,7 +347,7 @@ func TestServiceMetrics(t *testing.T) {
 }
 
 // TestServiceDeleteCampaign: DELETE drops a finished campaign from the
-// registry — its id 404s afterwards and the registry entry (tracker,
+// registry — its id 404s afterwards and the registry entry (progress,
 // event log, result set) is released — while running campaigns are
 // refused with 409 and unknown ids with 404.
 func TestServiceDeleteCampaign(t *testing.T) {

@@ -27,7 +27,7 @@ import (
 //     each other and to the same spec run locally with the engine.
 //
 // Run under -race (CI does) this also soaks the engine's shared-state
-// paths: Flight, Gate, tracker callbacks and the on-disk cache.
+// paths: Flight, Gate, progress callbacks and the on-disk cache.
 func TestServiceSoakConcurrentCampaigns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")

@@ -1,8 +1,7 @@
 // Package stats provides the small statistical helpers the experiment
-// harness uses: means (arithmetic and geometric), dispersion, extrema,
-// and a fixed-bucket histogram for occupancy distributions. The paper
-// reports arithmetic means over benchmarks ("SPECINT" bars); geometric
-// means are provided for rate-like quantities (IPC ratios).
+// harness uses: means, dispersion, extrema, and a fixed-bucket
+// histogram for occupancy distributions. The paper reports arithmetic
+// means over benchmarks ("SPECINT" bars).
 //
 // As in internal/power, a product that feeds a sum is converted
 // explicitly, float64(x*y), so arm64 builds do not fuse it.
@@ -11,7 +10,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean (0 for empty input).
@@ -24,22 +22,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of positive values; non-positive
-// inputs yield 0.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }
 
 // StdDev returns the population standard deviation.
@@ -120,29 +102,6 @@ func MinMax(xs []float64) (min, max float64) {
 		}
 	}
 	return min, max
-}
-
-// Percentile returns the p-th percentile (0..100) by linear
-// interpolation on the sorted input.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
 }
 
 // Histogram accumulates values into equal-width buckets over [Lo, Hi);

@@ -16,18 +16,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4, 16}); math.Abs(got-4) > 1e-9 {
-		t.Errorf("geomean = %f, want 4", got)
-	}
-	if GeoMean([]float64{1, 0, 2}) != 0 {
-		t.Error("non-positive input must yield 0")
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("empty geomean must be 0")
-	}
-}
-
 func TestStdDev(t *testing.T) {
 	if StdDev([]float64{5}) != 0 {
 		t.Error("single value stddev must be 0")
@@ -47,27 +35,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2}, {-5, 1}, {200, 5},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("p%.0f = %f, want %f", c.p, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile must be 0")
-	}
-	// Input must not be mutated (Percentile sorts a copy).
-	ys := []float64{3, 1, 2}
-	Percentile(ys, 50)
-	if ys[0] != 3 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
 func TestMeanBounds(t *testing.T) {
 	f := func(xs []float64) bool {
 		for _, x := range xs {
@@ -82,20 +49,6 @@ func TestMeanBounds(t *testing.T) {
 		m := Mean(xs)
 		min, max := MinMax(xs)
 		return m >= min-1e-9 && m <= max+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGeoMeanBelowArithmetic(t *testing.T) {
-	f := func(seed uint32) bool {
-		xs := []float64{
-			1 + float64(seed%100),
-			1 + float64((seed>>8)%100),
-			1 + float64((seed>>16)%100),
-		}
-		return GeoMean(xs) <= Mean(xs)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,7 +1,7 @@
 // Warm-state copying and serialization for the checkpoint store
 // (internal/ckpt), mirroring internal/cache: CopyInto serves the
 // fork-per-window sampled engine, AppendState/UnmarshalState the
-// on-disk artifact, and both write into the caller's storage. The
+// on-disk artifact, and all of them write into the caller's storage. The
 // serialized state is everything a restored predictor needs to behave
 // bit-identically — component counters, chooser, global history, BTB
 // contents with LRU clocks, and the return-address stack. Stats are
@@ -9,6 +9,7 @@
 package bpred
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/binio"
@@ -64,8 +65,18 @@ func (p *Predictor) AppendState(buf []byte) []byte {
 	return w.Bytes()
 }
 
+// Encoded sizes of the fixed-size records: a BTB entry (valid, tag,
+// target, lru) and a return-address stack slot.
+const (
+	btbEntryBytes = 1 + 8 + 8 + 8
+	rasSlotBytes  = 8
+)
+
 // UnmarshalState restores state serialized by AppendState into a
-// predictor built from the same configuration. Stats are reset.
+// predictor built from the same configuration, overwriting whatever
+// state it held in its own storage: the BTB entries are decoded from one
+// bounds-checked slice and the return-address stack is refilled in
+// place. Stats are reset.
 func (p *Predictor) UnmarshalState(data []byte) error {
 	r := binio.NewReader(data)
 	readTable := func(name string, dst []uint8) error {
@@ -105,20 +116,27 @@ func (p *Predictor) UnmarshalState(data []byte) error {
 	if nbtb != len(p.btb) {
 		return fmt.Errorf("bpred: serialized BTB has %d entries, predictor has %d", nbtb, len(p.btb))
 	}
-	for i := 0; i < nbtb; i++ {
-		p.btb[i] = btbEntry{valid: r.Bool(), tag: r.U64(), target: int(r.I64()), lru: r.I64()}
-	}
+	btb := r.Raw(nbtb * btbEntryBytes)
 	nras := int(r.U32())
 	if err := r.Err(); err != nil {
 		return err
 	}
+	for i := range p.btb {
+		rec := btb[i*btbEntryBytes:][:btbEntryBytes]
+		if rec[0] > 1 {
+			return binio.ErrCorrupt // a valid byte Writer.Bool cannot write
+		}
+		p.btb[i] = btbEntry{
+			valid:  rec[0] == 1,
+			tag:    binary.LittleEndian.Uint64(rec[1:]),
+			target: int(int64(binary.LittleEndian.Uint64(rec[9:]))),
+			lru:    int64(binary.LittleEndian.Uint64(rec[17:])),
+		}
+	}
 	if nras > p.cfg.RASEntries {
 		return fmt.Errorf("bpred: serialized RAS depth %d exceeds capacity %d", nras, p.cfg.RASEntries)
 	}
-	ras := make([]int, nras)
-	for i := range ras {
-		ras[i] = int(r.I64())
-	}
+	ras := r.Raw(nras * rasSlotBytes)
 	tick := r.I64()
 	if err := r.Err(); err != nil {
 		return err
@@ -127,7 +145,10 @@ func (p *Predictor) UnmarshalState(data []byte) error {
 		return fmt.Errorf("bpred: %d trailing bytes after predictor state", r.Remaining())
 	}
 	p.history = history
-	p.ras = ras
+	p.ras = p.ras[:0]
+	for i := 0; i < nras; i++ {
+		p.ras = append(p.ras, int(int64(binary.LittleEndian.Uint64(ras[i*rasSlotBytes:]))))
+	}
 	p.tick = tick
 	p.Stats = Stats{}
 	return nil

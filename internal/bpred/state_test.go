@@ -208,26 +208,56 @@ var fuzzPredictor = Config{
 	BTBEntries: 16, BTBAssoc: 4, RASEntries: 4,
 }
 
+// usedPredictor is a small predictor that already holds trained state,
+// a full return-address stack and statistics of its own: the storage a
+// reused decode overwrites.
+func usedPredictor() *Predictor {
+	p := New(fuzzPredictor)
+	for i := 0; i < 200; i++ {
+		p.PredictCond(4 * i)
+		p.UpdateCond(4*i, i%3 == 0)
+		p.LookupBTB(8 * i)
+		p.UpdateBTB(8*i, 12*i)
+		p.PushRAS(16 * i)
+		if i%7 == 0 {
+			p.PopRAS(0)
+		}
+	}
+	return p
+}
+
 // FuzzPredictorState decodes arbitrary bytes as the warm state of a
 // small predictor: the decoder reads bytes that workers upload inside
-// checkpoint artifacts. Nothing may panic, an accepted state must
-// re-marshal to the same bytes, and its counters must be ones a
+// checkpoint artifacts. Nothing may panic. Each input is decoded twice,
+// into a fresh predictor and into one that already holds other state
+// and statistics, as the artifact reader's reused storage does: both
+// must accept or refuse it alike, an accepted state must re-marshal to
+// the same bytes, with zero statistics, and its counters must be ones a
 // predictor can reach. The committed seeds are a trained predictor's
 // state and the same state with a gshare counter of 48, which an
 // earlier decoder accepted.
 func FuzzPredictorState(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := New(fuzzPredictor)
-		if p.UnmarshalState(data) != nil {
+		fresh, used := New(fuzzPredictor), usedPredictor()
+		ferr, uerr := fresh.UnmarshalState(data), used.UnmarshalState(data)
+		if (ferr == nil) != (uerr == nil) {
+			t.Fatalf("fresh decode: %v; decode into used storage: %v", ferr, uerr)
+		}
+		if ferr != nil {
 			return
 		}
-		if !bytes.Equal(p.AppendState(nil), data) {
-			t.Fatal("accepted state re-marshals to different bytes")
-		}
-		for _, table := range [][]uint8{p.gshare, p.bimodal, p.selector} {
-			for i, c := range table {
-				if c > 3 {
-					t.Fatalf("accepted counter %d of %d: 2-bit counters saturate at 3", i, c)
+		for name, p := range map[string]*Predictor{"fresh": fresh, "used": used} {
+			if !bytes.Equal(p.AppendState(nil), data) {
+				t.Fatalf("%s: accepted state re-marshals to different bytes", name)
+			}
+			if p.Stats != (Stats{}) {
+				t.Fatalf("%s: statistics survived the decode", name)
+			}
+			for _, table := range [][]uint8{p.gshare, p.bimodal, p.selector} {
+				for i, c := range table {
+					if c > 3 {
+						t.Fatalf("%s: accepted counter %d of %d: 2-bit counters saturate at 3", name, i, c)
+					}
 				}
 			}
 		}

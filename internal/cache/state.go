@@ -5,12 +5,14 @@
 // AppendState/UnmarshalState serve the on-disk artifact. Both carry the
 // complete microarchitectural state — every line's valid/tag/lru plus
 // the LRU tick — so a restored hierarchy behaves bit-identically to the
-// original under any subsequent access sequence. Both write into the
-// caller's storage, so a sampled run that forks and encodes the state
-// every window reuses the same buffers instead of allocating them.
+// original under any subsequent access sequence. All of them write into
+// the caller's storage, so a sampled run that forks, encodes or decodes
+// the state every window reuses the same storage instead of allocating
+// it.
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/binio"
@@ -76,8 +78,12 @@ func (c *Cache) appendState(w *binio.Writer) {
 	}
 }
 
+// lineStateBytes is the encoded size of one line: valid, tag and lru.
+const lineStateBytes = 1 + 8 + 8
+
 // readState restores the cache's mutable state, validating the geometry
-// fingerprint against this cache's configuration.
+// fingerprint against this cache's configuration. The lines are
+// fixed-size records, decoded in place from one bounds-checked slice.
 func (c *Cache) readState(r *binio.Reader) error {
 	sets, assoc, lineBytes := int(r.U32()), int(r.U32()), int(r.U32())
 	tick := r.I64()
@@ -89,11 +95,20 @@ func (c *Cache) readState(r *binio.Reader) error {
 		return fmt.Errorf("cache %s: serialized geometry %dx%d/%dB (%d lines) does not match %dx%d/%dB (%d lines)",
 			c.cfg.Name, sets, assoc, lineBytes, n, c.sets, c.cfg.Assoc, c.cfg.LineBytes, len(c.lines))
 	}
-	for i := 0; i < n; i++ {
-		c.lines[i] = line{valid: r.Bool(), tag: r.U64(), lru: r.I64()}
-	}
+	raw := r.Raw(n * lineStateBytes)
 	if err := r.Err(); err != nil {
 		return err
+	}
+	for i := range c.lines {
+		rec := raw[i*lineStateBytes:][:lineStateBytes]
+		if rec[0] > 1 {
+			return binio.ErrCorrupt // a valid byte Writer.Bool cannot write
+		}
+		c.lines[i] = line{
+			valid: rec[0] == 1,
+			tag:   binary.LittleEndian.Uint64(rec[1:]),
+			lru:   int64(binary.LittleEndian.Uint64(rec[9:])),
+		}
 	}
 	c.tick = tick
 	return nil
@@ -111,7 +126,8 @@ func (h *Hierarchy) AppendState(buf []byte) []byte {
 }
 
 // UnmarshalState restores warm state serialized by AppendState into a
-// hierarchy built from the same configuration. Stats are reset.
+// hierarchy built from the same configuration, overwriting whatever
+// state it held in its own storage. Stats are reset.
 func (h *Hierarchy) UnmarshalState(data []byte) error {
 	r := binio.NewReader(data)
 	if err := h.IL1.readState(r); err != nil {

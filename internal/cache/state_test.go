@@ -210,23 +210,51 @@ var fuzzHierarchy = HierarchyConfig{
 	MemCycles: 50,
 }
 
+// usedHierarchy is a small hierarchy that already holds warm state and
+// statistics of its own: the storage a reused decode overwrites.
+func usedHierarchy(t *testing.T) *Hierarchy {
+	t.Helper()
+	h, err := NewHierarchy(fuzzHierarchy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		h.LoadLatency(uint64(0x4000 + 40*i))
+		h.FetchLatency(12 * i)
+	}
+	return h
+}
+
 // FuzzHierarchyState decodes arbitrary bytes as the warm state of a
 // small hierarchy: the decoder reads bytes that workers upload inside
-// checkpoint artifacts. Nothing may panic, and an accepted state must
-// re-marshal to the same bytes. The committed seeds are a warmed
-// hierarchy's state and the same state with a line's valid byte set to
-// 0x30, which an earlier decoder accepted as true.
+// checkpoint artifacts. Nothing may panic. Each input is decoded twice,
+// into a fresh hierarchy and into one that already holds other warm
+// state and statistics, as the artifact reader's reused storage does:
+// both must accept or refuse it alike, and an accepted state must
+// re-marshal to the same bytes, with zero statistics. The committed
+// seeds are a warmed hierarchy's state and the same state with a line's
+// valid byte set to 0x30, which an earlier decoder accepted as true.
 func FuzzHierarchyState(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, err := NewHierarchy(fuzzHierarchy)
+		fresh, err := NewHierarchy(fuzzHierarchy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.UnmarshalState(data) != nil {
+		used := usedHierarchy(t)
+		ferr, uerr := fresh.UnmarshalState(data), used.UnmarshalState(data)
+		if (ferr == nil) != (uerr == nil) {
+			t.Fatalf("fresh decode: %v; decode into used storage: %v", ferr, uerr)
+		}
+		if ferr != nil {
 			return
 		}
-		if !bytes.Equal(h.AppendState(nil), data) {
-			t.Fatal("accepted state re-marshals to different bytes")
+		for name, h := range map[string]*Hierarchy{"fresh": fresh, "used": used} {
+			if !bytes.Equal(h.AppendState(nil), data) {
+				t.Fatalf("%s: accepted state re-marshals to different bytes", name)
+			}
+			if h.IL1.Stats != (Stats{}) || h.DL1.Stats != (Stats{}) || h.L2.Stats != (Stats{}) {
+				t.Fatalf("%s: statistics survived the decode", name)
+			}
 		}
 	})
 }

@@ -33,6 +33,22 @@ func overflowSpec() Spec {
 	return spec
 }
 
+// smallOverflowSpec sweeps sixteen axes of sixteen values each: 11 × 5
+// × 16^16 jobs, which no int holds, from a body of about 2.4 KB, small
+// enough that a fuzzer spends its time mutating it, not minimizing it.
+func smallOverflowSpec() Spec {
+	spec := DefaultSpec(1000)
+	names := []string{"robsize", "lsqsize", "fetchqueuesize", "memports"}
+	for i := 0; i < 16; i++ {
+		ax := Axis{Name: names[i%len(names)], Values: make([]int, 16)}
+		for v := range ax.Values {
+			ax.Values[v] = v + 1
+		}
+		spec.Axes = append(spec.Axes, ax)
+	}
+	return spec
+}
+
 // TestJobCountMatchesJobs: on small specs the count is exactly the
 // expansion's length, and invalid specs fail the same way in both.
 func TestJobCountMatchesJobs(t *testing.T) {
@@ -64,9 +80,13 @@ func TestJobCountMatchesJobs(t *testing.T) {
 		}
 	}
 
-	spec := overflowSpec()
-	if n, err := spec.JobCount(); err == nil || !strings.Contains(err.Error(), "overflows") {
-		t.Errorf("five axes of 10,000 values: JobCount = %d, %v; want an overflow error", n, err)
+	for name, spec := range map[string]Spec{
+		"five axes of 10,000 values":     overflowSpec(),
+		"sixteen axes of sixteen values": smallOverflowSpec(),
+	} {
+		if n, err := spec.JobCount(); err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("%s: JobCount = %d, %v; want an overflow error", name, n, err)
+		}
 	}
 }
 
@@ -74,7 +94,9 @@ func TestJobCountMatchesJobs(t *testing.T) {
 // tenant's submission, and checks the bounded expansion behind
 // admission: JobCount never panics, it returns the exact product of the
 // list lengths or an error when that product overflows int, and a
-// count small enough to expand is what Jobs expands to.
+// count small enough to expand is what Jobs expands to. Its overflowing
+// seed is smallOverflowSpec, not the ~300 KB overflowSpec: a short run
+// would spend its seconds minimizing mutants of a large seed.
 func FuzzSpecJobCount(f *testing.F) {
 	sweep := DefaultSpec(1000)
 	sweep.Benchmarks = []string{"gzip", "mcf"}
@@ -82,7 +104,7 @@ func FuzzSpecJobCount(f *testing.F) {
 		{Name: "iq.entries", Values: []int{16, 32, 48}},
 		{Name: "robsize", Values: []int{64, 128}},
 	}
-	for _, spec := range []Spec{DefaultSpec(1000), sweep, overflowSpec()} {
+	for _, spec := range []Spec{DefaultSpec(1000), sweep, smallOverflowSpec()} {
 		blob, err := json.Marshal(spec)
 		if err != nil {
 			f.Fatal(err)

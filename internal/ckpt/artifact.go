@@ -65,9 +65,11 @@ type Window struct {
 	// Ckpt is the architectural state at the window start.
 	Ckpt emu.Checkpoint
 	// Mem and Bp are the functionally-warmed microarchitectural state at
-	// the window start. On read they are rebuilt per record and the
-	// consumer owns them. On write the writer only encodes them: the
-	// caller keeps its storage and may overwrite it for the next window.
+	// the window start. On read they are the reader's own storage, into
+	// which every record decodes: the consumer may change them, as a
+	// detailed run does, until the next call to Next overwrites them. On
+	// write the writer only encodes them: the caller keeps its storage
+	// and may overwrite it for the next window.
 	Mem *cache.Hierarchy
 	Bp  *bpred.Predictor
 }
@@ -288,7 +290,9 @@ func (w *Writer) Abort() {
 }
 
 // Reader consumes a published artifact window by window. Create one via
-// Store.OpenArtifact.
+// Store.OpenArtifact. It decodes every window into storage it owns and
+// reuses: one Window, with one hierarchy and one predictor, and the
+// record's header and payload buffers.
 type Reader struct {
 	f       *os.File
 	gz      *gzip.Reader
@@ -303,6 +307,10 @@ type Reader struct {
 	// patches.
 	prevCkpt emu.Checkpoint
 	mem, bp  []byte
+
+	win     Window
+	hdr     [5]byte
+	payload []byte
 }
 
 // OpenArtifact opens the artifact for key, marks it recently used, and
@@ -354,11 +362,15 @@ func (r *Reader) Budget() int64 { return r.budget }
 
 // Next returns the next window, or io.EOF after the trailer. The
 // trailer must end the stream, whose gzip checksum is verified then.
+//
+// The window is the reader's own storage and is valid until the next
+// call to Next, which decodes the next record into it. Its checkpoint
+// is the exception: each window's is its own and stays valid.
 func (r *Reader) Next() (*Window, error) {
 	if r.trailer != nil {
 		return nil, io.EOF
 	}
-	hdr := make([]byte, 5)
+	hdr := r.hdr[:]
 	if _, err := io.ReadFull(r.gz, hdr); err != nil {
 		return nil, fmt.Errorf("ckpt: truncated artifact (no trailer): %w", err)
 	}
@@ -368,11 +380,11 @@ func (r *Reader) Next() (*Window, error) {
 	if n < 0 || n > maxRecordBytes {
 		return nil, fmt.Errorf("ckpt: implausible record size %d", n)
 	}
-	payload, err := readPayload(r.gz, n)
-	if err != nil {
+	var err error
+	if r.payload, err = readPayload(r.gz, n, r.payload); err != nil {
 		return nil, fmt.Errorf("ckpt: truncated record: %w", err)
 	}
-	b := binio.NewReader(payload)
+	b := binio.NewReader(r.payload)
 	switch tag {
 	case recTrailer:
 		tr := Trailer{
@@ -400,13 +412,12 @@ func (r *Reader) Next() (*Window, error) {
 		r.trailer = &tr
 		return nil, io.EOF
 	case recWindow:
-		win := &Window{StartReal: b.I64(), LastHint: int(b.I64())}
+		startReal, lastHint := b.I64(), int(b.I64())
 		ckBytes := b.Raw(int(b.U32()))
 		if err := b.Err(); err != nil {
 			return nil, err
 		}
 		first := r.read == 0
-		var err error
 		if r.mem, err = readDiff(b, r.mem, first); err != nil {
 			return nil, err
 		}
@@ -425,20 +436,20 @@ func (r *Reader) Next() (*Window, error) {
 			return nil, err
 		}
 		r.prevCkpt = ck
-		win.Ckpt = ck
-		mem, err := cache.NewHierarchy(r.ccfg)
-		if err != nil {
+		win := &r.win
+		if win.Mem == nil {
+			if win.Mem, err = cache.NewHierarchy(r.ccfg); err != nil {
+				return nil, err
+			}
+			win.Bp = bpred.New(r.bcfg)
+		}
+		if err := win.Mem.UnmarshalState(r.mem); err != nil {
 			return nil, err
 		}
-		if err := mem.UnmarshalState(r.mem); err != nil {
+		if err := win.Bp.UnmarshalState(r.bp); err != nil {
 			return nil, err
 		}
-		win.Mem = mem
-		bp := bpred.New(r.bcfg)
-		if err := bp.UnmarshalState(r.bp); err != nil {
-			return nil, err
-		}
-		win.Bp = bp
+		win.StartReal, win.LastHint, win.Ckpt = startReal, lastHint, ck
 		r.read++
 		return win, nil
 	default:
@@ -446,17 +457,17 @@ func (r *Reader) Next() (*Window, error) {
 	}
 }
 
-// readPayload reads an n-byte record payload. It grows the buffer as
-// the bytes arrive, so a corrupt length prefix cannot allocate much more
-// than the stream holds.
-func readPayload(rd io.Reader, n int) ([]byte, error) {
+// readPayload reads an n-byte record payload into buf's storage and
+// returns it. It grows the buffer only as the bytes arrive, so a corrupt
+// length prefix cannot allocate much more than the stream holds.
+func readPayload(rd io.Reader, n int, buf []byte) ([]byte, error) {
 	const chunk = 1 << 20
-	buf := make([]byte, 0, min(n, chunk))
+	buf = buf[:0]
 	for len(buf) < n {
 		k := min(n-len(buf), chunk)
 		buf = slices.Grow(buf, k)
 		if _, err := io.ReadFull(rd, buf[len(buf):len(buf)+k]); err != nil {
-			return nil, err
+			return buf, err
 		}
 		buf = buf[:len(buf)+k]
 	}

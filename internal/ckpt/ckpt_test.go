@@ -132,18 +132,9 @@ func TestArtifactRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("window %d: %v", i, err)
 		}
-		if got.StartReal != wins[i].StartReal || got.LastHint != wins[i].LastHint {
-			t.Errorf("window %d: got (%d,%d), want (%d,%d)",
-				i, got.StartReal, got.LastHint, wins[i].StartReal, wins[i].LastHint)
-		}
+		checkWindow(t, i, got, &wins[i])
 		if !got.Ckpt.Equal(&wins[i].Ckpt) {
 			t.Errorf("window %d: checkpoint round-trip differs", i)
-		}
-		if !bytes.Equal(got.Mem.AppendState(nil), wins[i].Mem.AppendState(nil)) {
-			t.Errorf("window %d: hierarchy state round-trip differs", i)
-		}
-		if !bytes.Equal(got.Bp.AppendState(nil), wins[i].Bp.AppendState(nil)) {
-			t.Errorf("window %d: predictor state round-trip differs", i)
 		}
 	}
 	if _, err := r.Next(); err != io.EOF {

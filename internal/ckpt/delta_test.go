@@ -103,24 +103,42 @@ func install(tb testing.TB, st *Store, key string, data []byte) {
 	}
 }
 
-// readWindows reads every window of the artifact under key. The error
-// is what ended the read: nil after the trailer.
-func readWindows(st *Store, key string, p *prog.Program, ccfg cache.HierarchyConfig, bcfg bpred.Config) ([]*Window, error) {
+// readWindows reads the artifact under key to its end and hands each
+// window, with its index, to each (when not nil) before reading the
+// next: a window is the reader's storage, valid only until then. It
+// returns how many windows were read and the error that ended the read:
+// nil after the trailer.
+func readWindows(st *Store, key string, p *prog.Program, ccfg cache.HierarchyConfig, bcfg bpred.Config, each func(int, *Window)) (int, error) {
 	r, err := st.OpenArtifact(key, p, ccfg, bcfg)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	defer r.Close()
-	var wins []*Window
-	for {
+	for n := 0; ; n++ {
 		win, err := r.Next()
 		if err == io.EOF {
-			return wins, nil
+			return n, nil
 		}
 		if err != nil {
-			return wins, err
+			return n, err
 		}
-		wins = append(wins, win)
+		if each != nil {
+			each(n, win)
+		}
+	}
+}
+
+// checkWindow compares a window read back with the one written.
+func checkWindow(t *testing.T, i int, got, want *Window) {
+	t.Helper()
+	if got.StartReal != want.StartReal || got.LastHint != want.LastHint {
+		t.Errorf("window %d: got (%d,%d), want (%d,%d)", i, got.StartReal, got.LastHint, want.StartReal, want.LastHint)
+	}
+	if !bytes.Equal(got.Mem.AppendState(nil), want.Mem.AppendState(nil)) {
+		t.Errorf("window %d: hierarchy state differs", i)
+	}
+	if !bytes.Equal(got.Bp.AppendState(nil), want.Bp.AppendState(nil)) {
+		t.Errorf("window %d: predictor state differs", i)
 	}
 }
 
@@ -167,29 +185,25 @@ func TestArtifactDeltaRoundTrip(t *testing.T) {
 	wins := streamWindows(t, p, ccfg, bcfg, 4, 3000)
 	delta := writeArtifact(t, st, testKey, wins)
 
-	got, err := readWindows(st, testKey, p, ccfg, bcfg)
+	var ckpts []emu.Checkpoint
+	n, err := readWindows(st, testKey, p, ccfg, bcfg, func(i int, g *Window) {
+		if i < len(wins) {
+			checkWindow(t, i, g, &wins[i])
+		}
+		ckpts = append(ckpts, g.Ckpt)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(wins) {
-		t.Fatalf("read %d windows, wrote %d", len(got), len(wins))
+	if n != len(wins) {
+		t.Fatalf("read %d windows, wrote %d", n, len(wins))
 	}
-	for i, g := range got {
-		w := &wins[i]
-		if g.StartReal != w.StartReal || g.LastHint != w.LastHint {
-			t.Errorf("window %d: got (%d,%d), want (%d,%d)", i, g.StartReal, g.LastHint, w.StartReal, w.LastHint)
-		}
-		// Every window is compared after all were read: a window that
-		// shared its page map with the reader would have gained the later
-		// windows' pages.
-		if !g.Ckpt.Equal(&w.Ckpt) {
+	// Every checkpoint is compared after all were read: one that shared
+	// its page map with the reader would have gained the later windows'
+	// pages.
+	for i := range ckpts {
+		if !ckpts[i].Equal(&wins[i].Ckpt) {
 			t.Errorf("window %d: checkpoint differs", i)
-		}
-		if !bytes.Equal(g.Mem.AppendState(nil), w.Mem.AppendState(nil)) {
-			t.Errorf("window %d: hierarchy state differs", i)
-		}
-		if !bytes.Equal(g.Bp.AppendState(nil), w.Bp.AppendState(nil)) {
-			t.Errorf("window %d: predictor state differs", i)
 		}
 	}
 
@@ -200,6 +214,66 @@ func TestArtifactDeltaRoundTrip(t *testing.T) {
 	}
 	if len(delta) >= whole {
 		t.Errorf("delta artifact is %d bytes, %d one-window artifacts total %d", len(delta), len(wins), whole)
+	}
+}
+
+// TestWindowChangedBeforeNext: the reader decodes every window into the
+// same storage, which the consumer may change until the next call to
+// Next, as a detailed run on the last cell of a lockstep batch does.
+// Here each window's caches are accessed, its predictor trained and its
+// checkpoint resumed before the next is read; every window must still
+// read back as written, with zero statistics.
+func TestWindowChangedBeforeNext(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := workload.ByName("gzip")
+	p := b.Build(42)
+	ccfg, bcfg := cache.HierarchyConfig{}.WithDefaults(), bpred.Config{}.WithDefaults()
+	wins := streamWindows(t, p, ccfg, bcfg, 4, 3000)
+	writeArtifact(t, st, testKey, wins)
+
+	var storage *Window
+	n, err := readWindows(st, testKey, p, ccfg, bcfg, func(i int, g *Window) {
+		if i >= len(wins) {
+			return
+		}
+		if storage != nil && (g != storage || g.Mem != storage.Mem || g.Bp != storage.Bp) {
+			t.Errorf("window %d: decoded into new storage", i)
+		}
+		storage = g
+		checkWindow(t, i, g, &wins[i])
+		if !g.Ckpt.Equal(&wins[i].Ckpt) {
+			t.Errorf("window %d: checkpoint differs", i)
+		}
+		if g.Mem.DL1.Stats != (cache.Stats{}) || g.Mem.IL1.Stats != (cache.Stats{}) || g.Mem.L2.Stats != (cache.Stats{}) || g.Bp.Stats != (bpred.Stats{}) {
+			t.Errorf("window %d: decoded with the previous run's statistics", i)
+		}
+		e, err := emu.NewFromCheckpoint(p, g.Ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Restart = true
+		for k := 0; k < 5000; k++ {
+			d, ok := e.Next()
+			if !ok {
+				t.Fatal("emulator halted")
+			}
+			g.Mem.FetchLatency(d.PC)
+			g.Mem.LoadLatency(uint64(0x9000_0000 + 64*k))
+			g.Bp.PredictCond(d.PC)
+			g.Bp.UpdateCond(d.PC, k%3 == 0)
+			g.Bp.LookupBTB(d.PC)
+			g.Bp.UpdateBTB(d.PC, 8*k)
+			g.Bp.PushRAS(d.PC)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(wins) {
+		t.Fatalf("read %d windows, wrote %d", n, len(wins))
 	}
 }
 
@@ -236,19 +310,24 @@ func TestArtifactChecksumVerified(t *testing.T) {
 	footer[len(footer)-8] ^= 1 // the CRC-32 in the gzip footer
 
 	install(t, st, otherKey, stored)
-	if got, err := readWindows(st, otherKey, p, ccfg, bcfg); err != nil || len(got) != 2 {
-		t.Fatalf("stored re-encoding: %d windows, %v", len(got), err)
+	if n, err := readWindows(st, otherKey, p, ccfg, bcfg, nil); err != nil || n != 2 {
+		t.Fatalf("stored re-encoding: %d windows, %v", n, err)
 	}
 	for name, corrupt := range map[string][]byte{"body": flipped, "footer": footer} {
 		install(t, st, otherKey, corrupt)
-		got, err := readWindows(st, otherKey, p, ccfg, bcfg)
+		var first emu.Checkpoint
+		n, err := readWindows(st, otherKey, p, ccfg, bcfg, func(i int, w *Window) {
+			if i == 0 {
+				first = w.Ckpt
+			}
+		})
 		if !errors.Is(err, gzip.ErrChecksum) {
 			t.Errorf("%s flip: read ended with %v, want a checksum error", name, err)
 		}
-		if len(got) != 2 {
-			t.Fatalf("%s flip: %d windows decoded before the trailer, want 2", name, len(got))
+		if n != 2 {
+			t.Fatalf("%s flip: %d windows decoded before the trailer, want 2", name, n)
 		}
-		if name == "body" && got[0].Ckpt.Equal(&ck) {
+		if name == "body" && first.Equal(&ck) {
 			t.Error("body flip left the first window's checkpoint as written")
 		}
 		st.Remove(otherKey)
@@ -270,7 +349,7 @@ func TestArtifactBytesAfterTrailer(t *testing.T) {
 	p, ck, h, bp, ccfg, bcfg := buildState(t, 500)
 	data := writeArtifact(t, st, testKey, []Window{{StartReal: 1, Ckpt: ck, Mem: h, Bp: bp}})
 	install(t, st, otherKey, gzipAt(t, append(gunzip(t, data), 0), gzip.BestSpeed))
-	if _, err := readWindows(st, otherKey, p, ccfg, bcfg); err == nil {
+	if _, err := readWindows(st, otherKey, p, ccfg, bcfg, nil); err == nil {
 		t.Fatal("artifact with a byte after its trailer read cleanly")
 	}
 }
@@ -414,7 +493,7 @@ func FuzzArtifactReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, file := range [][]byte{data, gzipAt(t, data, gzip.NoCompression)} {
 			install(t, st, testKey, file)
-			readWindows(st, testKey, p, fuzzCaches, fuzzBpred)
+			readWindows(st, testKey, p, fuzzCaches, fuzzBpred, nil)
 		}
 	})
 }

@@ -19,6 +19,7 @@ package iq
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // OperandsPerEntry is the number of source-operand CAM fields per entry.
@@ -132,8 +133,22 @@ type Queue struct {
 
 // New builds a queue; Entries must be a positive multiple of BankSize.
 func New(cfg Config) (*Queue, error) {
+	q := new(Queue)
+	if err := q.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return q, nil
+}
+
+// Reset empties the queue and configures it for cfg, leaving it as New
+// builds it: no entries, no hint or size limit, zero Stats. It keeps the
+// queue's storage wherever that is large enough — the ring, the ready
+// bits and the wakeup waiter table with each tag's list — so a queue
+// reset for every sampled window stops allocating after the first. A
+// bad geometry is an error and leaves the queue as it was.
+func (q *Queue) Reset(cfg Config) error {
 	if cfg.Entries <= 0 || cfg.BankSize <= 0 || cfg.Entries%cfg.BankSize != 0 {
-		return nil, fmt.Errorf("iq: bad geometry entries=%d bankSize=%d", cfg.Entries, cfg.BankSize)
+		return fmt.Errorf("iq: bad geometry entries=%d bankSize=%d", cfg.Entries, cfg.BankSize)
 	}
 	ringSize := cfg.Entries
 	if cfg.Collapsible {
@@ -141,20 +156,32 @@ func New(cfg Config) (*Queue, error) {
 		// even though only Entries slots are logically occupied.
 		ringSize = cfg.Entries * 4
 	}
-	bankOfSlot := make([]int, ringSize)
-	for s := range bankOfSlot {
-		bankOfSlot[s] = s / cfg.BankSize
-	}
-	return &Queue{
+	*q = Queue{
 		cfg:        cfg,
 		banks:      cfg.Entries / cfg.BankSize,
 		ringSize:   ringSize,
-		ring:       make([]Entry, ringSize),
-		bankCount:  make([]int, ringSize/cfg.BankSize),
-		bankOfSlot: bankOfSlot,
-		posOf:      make([]int64, ringSize),
-		ready:      make([]uint64, (ringSize+63)/64),
-	}, nil
+		ring:       zeroed(q.ring, ringSize),
+		bankCount:  zeroed(q.bankCount, ringSize/cfg.BankSize),
+		bankOfSlot: zeroed(q.bankOfSlot, ringSize),
+		waiters:    q.waiters,
+		posOf:      zeroed(q.posOf, ringSize),
+		ready:      zeroed(q.ready, (ringSize+63)/64),
+	}
+	for s := range q.bankOfSlot {
+		q.bankOfSlot[s] = s / cfg.BankSize
+	}
+	for tag := range q.waiters {
+		q.waiters[tag] = q.waiters[tag][:0]
+	}
+	return nil
+}
+
+// zeroed returns s resized to n zero elements, in s's storage when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // waiter records one subscribed operand in the wakeup index. pos pins the

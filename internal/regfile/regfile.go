@@ -11,6 +11,7 @@ package regfile
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Config sizes the file.
@@ -53,19 +54,31 @@ type File struct {
 // New builds a file with the architectural registers mapped to physical
 // 0..ArchRegs-1, all ready.
 func New(cfg Config) (*File, error) {
+	f := new(File)
+	if err := f.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Reset configures the file for cfg and returns it to the state New
+// builds, zero Stats included, keeping its storage wherever that is
+// large enough. A bad geometry is an error and leaves the file as it
+// was.
+func (f *File) Reset(cfg Config) error {
 	if cfg.Regs <= 0 || cfg.BankSize <= 0 || cfg.Regs%cfg.BankSize != 0 {
-		return nil, fmt.Errorf("regfile: bad geometry regs=%d bankSize=%d", cfg.Regs, cfg.BankSize)
+		return fmt.Errorf("regfile: bad geometry regs=%d bankSize=%d", cfg.Regs, cfg.BankSize)
 	}
 	if cfg.ArchRegs < 0 || cfg.ArchRegs > cfg.Regs {
-		return nil, fmt.Errorf("regfile: %d arch regs exceed %d physical", cfg.ArchRegs, cfg.Regs)
+		return fmt.Errorf("regfile: %d arch regs exceed %d physical", cfg.ArchRegs, cfg.Regs)
 	}
-	f := &File{
+	*f = File{
 		cfg:       cfg,
 		banks:     cfg.Regs / cfg.BankSize,
-		freeMask:  make([]uint64, (cfg.Regs+63)/64),
-		ready:     make([]bool, cfg.Regs),
-		bankCount: make([]int, cfg.Regs/cfg.BankSize),
-		renameMap: make([]int, cfg.ArchRegs),
+		freeMask:  zeroed(f.freeMask, (cfg.Regs+63)/64),
+		ready:     zeroed(f.ready, cfg.Regs),
+		bankCount: zeroed(f.bankCount, cfg.Regs/cfg.BankSize),
+		renameMap: zeroed(f.renameMap, cfg.ArchRegs),
 	}
 	for r := 0; r < cfg.Regs; r++ {
 		f.setFree(r, true)
@@ -80,7 +93,15 @@ func New(cfg Config) (*File, error) {
 		f.live++
 		f.renameMap[a] = a
 	}
-	return f, nil
+	return nil
+}
+
+// zeroed returns s resized to n zero elements, in s's storage when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // MustNew is New that panics on error.

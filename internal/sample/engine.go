@@ -138,10 +138,12 @@ func RunStored(ctx context.Context, cfg sim.Config, p *prog.Program, budget int6
 // fresh emulator restored from the window's architectural checkpoint
 // and the window's warm hierarchy/predictor, which the run mutates (the
 // caller lends storage it overwrites before the next window; stats are
-// reset here). Both the generate and resume paths measure every window
-// through this one function — that shared path is what makes their
-// reports bit-identical.
-func runWindow(ctx context.Context, cfg sim.Config, p *prog.Program, win *ckpt.Window, detail int64, sc Config) (sim.Stats, error) {
+// reset here). The detailed core is the cell's own, reset for the
+// window, so its storage carries over from the cell's last window while
+// its state does not. Both the generate and resume paths measure every
+// window through this one function — that shared path is what makes
+// their reports bit-identical.
+func runWindow(ctx context.Context, core *sim.Core, cfg sim.Config, p *prog.Program, win *ckpt.Window, detail int64, sc Config) (sim.Stats, error) {
 	fe, err := emu.NewFromCheckpoint(p, win.Ckpt)
 	if err != nil {
 		return sim.Stats{}, err
@@ -162,8 +164,7 @@ func runWindow(ctx context.Context, cfg sim.Config, p *prog.Program, win *ckpt.W
 	wcfg := cfg
 	wcfg.MaxInsts = detail
 	wcfg.MaxCycles = sim.SafetyCycles(detail)
-	core, err := sim.NewResumable(wcfg, fe, mem, bp)
-	if err != nil {
+	if err := core.Reset(wcfg, fe, mem, bp); err != nil {
 		return sim.Stats{}, err
 	}
 	core.PresetHint(win.LastHint)

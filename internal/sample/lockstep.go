@@ -13,7 +13,7 @@ import (
 
 // This file is the lockstep sweep engine: ONE emulator + functional-
 // warming stream drives the sampling schedule, and each detailed window
-// fans out to K sim.NewResumable cores with different configurations —
+// fans out to K detailed cores with different configurations —
 // K per-cell reports from one functional pass. The warm state a window
 // starts from is a pure function of the stream position and the warming
 // regime, never of any cell's detailed configuration (the same invariant
@@ -80,13 +80,15 @@ func RunLockstepStored(ctx context.Context, cfgs []sim.Config, p *prog.Program, 
 
 // batch is the per-cell side of a lockstep run: one report per
 // configuration, each cell's failure, how many cells still measure, and
-// each cell's fork of the window state, reused from window to window.
+// each cell's fork of the window state and detailed core, both reused
+// from window to window.
 type batch struct {
 	cfgs    []sim.Config
 	reports []*Report
 	errs    []error
 	live    int
 	forks   []ckpt.Window
+	cores   []sim.Core
 }
 
 func newBatch(cfgs []sim.Config) *batch {
@@ -96,6 +98,7 @@ func newBatch(cfgs []sim.Config) *batch {
 		errs:    make([]error, len(cfgs)),
 		live:    len(cfgs),
 		forks:   make([]ckpt.Window, len(cfgs)),
+		cores:   make([]sim.Core, len(cfgs)),
 	}
 	for i := range b.reports {
 		b.reports[i] = &Report{Confidence: confidence}
@@ -136,7 +139,7 @@ func (b *batch) window(ctx context.Context, p *prog.Program, win *ckpt.Window, d
 			cw = &b.forks[i]
 			forkInto(cw, win)
 		}
-		st, err := runWindow(ctx, b.cfgs[i], p, cw, detail, sc)
+		st, err := runWindow(ctx, &b.cores[i], b.cfgs[i], p, cw, detail, sc)
 		b.reports[i].Windows = append(b.reports[i].Windows, Window{StartSeq: win.Ckpt.Seq(), Stats: st})
 		if err != nil {
 			b.fail(i, err, failAt)

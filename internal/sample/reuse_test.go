@@ -13,13 +13,15 @@ import (
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/ckpt"
+	"repro/internal/prog"
 	"repro/internal/sample"
 	"repro/internal/sim"
 )
 
-// The sampled path keeps each window's warm state in storage reused from
-// window to window: one published copy per run, one fork per lockstep
-// cell, and double-buffered state bytes in the artifact writer. The
+// The sampled path keeps each window's state in storage reused from
+// window to window: one published copy per run, one fork and one
+// detailed core per lockstep cell, double-buffered state bytes in the
+// artifact writer, and one decoded window in the artifact reader. The
 // tests here pin what that reuse must not change (the artifact's bytes)
 // and what it buys (allocation per window).
 
@@ -80,17 +82,21 @@ func TestArtifactMatchesFixture(t *testing.T) {
 	}
 }
 
-// TestSteadyStateWindowAllocation is the allocation guard of the sampled
-// path: in steady state a window must allocate less than one encoded
-// warm state (the hierarchy's plus the predictor's state bytes) per
-// cell. Forking or encoding the warm state into fresh storage each
-// window costs about that much per copy, so a regression to it fails.
-// Bytes per window are the TotalAlloc difference between a 1M and a 2M
-// budget over the difference in window count, which cancels set-up. The
-// regime is sparse (2k window every 200k, 20k warm-up, 1k fill), on gzip
-// and a fresh store, so every window is generated and published.
-func TestSteadyStateWindowAllocation(t *testing.T) {
-	sc := sample.Config{WindowInsts: 2000, PeriodInsts: 200_000, WarmupInsts: 20_000, DetailWarmupInsts: 1000}
+// allocRegime is the allocation guards' regime: sparse (2k window every
+// 200k, 20k warm-up, 1k fill), so that set-up is small next to windows.
+var allocRegime = sample.Config{WindowInsts: 2000, PeriodInsts: 200_000, WarmupInsts: 20_000, DetailWarmupInsts: 1000}
+
+// checkWindowAllocation runs gzip sampled under allocRegime at 1M and
+// 2M budgets, each on a store of its own, and requires the bytes
+// allocated per window — the TotalAlloc difference over the difference
+// in window count, which cancels set-up — to stay under a quarter of one
+// encoded warm state (the hierarchy's plus the predictor's state bytes)
+// per cell. Forking, encoding or decoding the warm state into fresh
+// storage costs about a whole one per copy, and building a detailed
+// core per window about half of one, so a regression to either fails.
+// With resume set, each run first generates and publishes the artifact
+// unmeasured, and the measured run resumes every window from it.
+func checkWindowAllocation(t *testing.T, resume bool) {
 	cfg := sim.DefaultConfig()
 	h, err := cache.NewHierarchy(cfg.Caches)
 	if err != nil {
@@ -102,16 +108,8 @@ func TestSteadyStateWindowAllocation(t *testing.T) {
 		name string
 		cfgs []sim.Config
 	}{{"solo", []sim.Config{cfg}}, {"iq8", iqConfigs()}} {
-		measure := func(budget int64) (alloc int64, windows int) {
-			st, err := ckpt.Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := b.Build(42)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			cells, err := sample.RunLockstepStored(context.Background(), tc.cfgs, p, budget, sc, st, reuseKey)
-			runtime.ReadMemStats(&after)
+		run := func(st *ckpt.Store, p *prog.Program, budget int64) []sample.Cell {
+			cells, err := sample.RunLockstepStored(context.Background(), tc.cfgs, p, budget, allocRegime, st, reuseKey)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,8 +118,23 @@ func TestSteadyStateWindowAllocation(t *testing.T) {
 					t.Fatal(c.Err)
 				}
 			}
-			if st.Metrics().Generated != 1 {
-				t.Fatalf("%s: the run did not publish its artifact", tc.name)
+			return cells
+		}
+		measure := func(budget int64) (alloc int64, windows int) {
+			st, err := ckpt.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := b.Build(42)
+			if resume {
+				run(st, p, budget)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			cells := run(st, p, budget)
+			runtime.ReadMemStats(&after)
+			if m := st.Metrics(); m.Generated != 1 || resume && m.Hits != 1 {
+				t.Fatalf("%s: store metrics %+v: want one published artifact (and, resuming, one hit)", tc.name, m)
 			}
 			return int64(after.TotalAlloc - before.TotalAlloc), len(cells[0].Report.Windows)
 		}
@@ -131,12 +144,25 @@ func TestSteadyStateWindowAllocation(t *testing.T) {
 			t.Fatalf("%s: %d windows at 2M, %d at 1M", tc.name, w2, w1)
 		}
 		perWindow := (a2 - a1) / int64(w2-w1)
-		bound := int64(len(tc.cfgs) * stateBytes)
-		t.Logf("%s: %d KB per window (%d windows more), bound %d KB (%d cells x %d KB of state)",
+		bound := int64(len(tc.cfgs) * stateBytes / 4)
+		t.Logf("%s: %d KB per window (%d windows more), bound %d KB (%d cells x a quarter of %d KB of state)",
 			tc.name, perWindow>>10, w2-w1, bound>>10, len(tc.cfgs), stateBytes>>10)
 		if perWindow >= bound {
-			t.Errorf("%s: %d bytes allocated per window, want less than %d: is window state forked or encoded into fresh storage?",
+			t.Errorf("%s: %d bytes allocated per window, want less than %d: is window state forked, encoded or decoded into fresh storage, or a detailed core built per window?",
 				tc.name, perWindow, bound)
 		}
 	}
+}
+
+// TestSteadyStateWindowAllocation is the allocation guard of the
+// generate path: on a fresh store every window is generated and
+// published.
+func TestSteadyStateWindowAllocation(t *testing.T) {
+	checkWindowAllocation(t, false)
+}
+
+// TestResumedWindowAllocation is the allocation guard of the resume
+// path: on a warm store every window is decoded from the artifact.
+func TestResumedWindowAllocation(t *testing.T) {
+	checkWindowAllocation(t, true)
 }

@@ -14,8 +14,9 @@
 //     the cache hierarchy and branch predictor (cache.Hierarchy.Warm*,
 //     bpred.Predictor.TrainCond and friends), so long-lived
 //     microarchitectural state is hot when detailed simulation resumes;
-//   - detailed window: a fresh sim.Core is built over the warmed
-//     hierarchy and predictor (sim.NewResumable) and consumes the next
+//   - detailed window: the cell's sim.Core is reset over the warmed
+//     hierarchy and predictor (sim.(*Core).Reset, which leaves it as
+//     sim.NewResumable would build it) and consumes the next
 //     instructions of the stream — first an unmeasured pipeline warm-up
 //     segment that fills the ROB, queues and in-flight machinery, then
 //     the measured unit whose sim.Stats are recorded.

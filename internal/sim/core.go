@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/adaptive"
 	"repro/internal/bpred"
@@ -242,29 +243,46 @@ func New(cfg Config, stream trace.Stream) (*Core, error) {
 
 // NewResumable builds a core over a pre-existing memory hierarchy and
 // branch predictor — the entry point of the sampled-simulation engine,
-// which functionally warms both between detailed windows and hands them
-// to a fresh core per window. The stream may resume mid-run: nothing in
-// the core assumes sequence numbers start at 0 (store ordering and
-// forwarding use only relative Seq comparisons), and the caller's
-// MaxInsts counts commits within this run, not absolute positions.
+// which functionally warms both between detailed windows. The stream may
+// resume mid-run: nothing in the core assumes sequence numbers start at
+// 0 (store ordering and forwarding use only relative Seq comparisons),
+// and the caller's MaxInsts counts commits within this run, not absolute
+// positions. It is Reset on a zero Core.
 func NewResumable(cfg Config, stream trace.Stream, mem *cache.Hierarchy, bp *bpred.Predictor) (*Core, error) {
-	q, err := iq.New(cfg.IQ)
-	if err != nil {
+	c := new(Core)
+	if err := c.Reset(cfg, stream, mem, bp); err != nil {
 		return nil, err
 	}
-	irf, err := regfile.New(cfg.IntRF)
-	if err != nil {
-		return nil, err
+	return c, nil
+}
+
+// Reset makes c the core NewResumable would build from the same
+// arguments, whatever c ran before, including a run cut short by
+// MaxCycles or cancellation: a following run's Stats are those of a new
+// core. It keeps c's storage wherever that is large enough — the ROB,
+// the fetch queue, the store and completion rings, the store-address
+// map, the issue queue and both register files — so the sampled engine
+// runs every window of a cell on one core instead of building one per
+// window. A zero Core is a valid receiver. On error c must be Reset
+// again before it runs.
+func (c *Core) Reset(cfg Config, stream trace.Stream, mem *cache.Hierarchy, bp *bpred.Predictor) error {
+	if c.q == nil {
+		c.q, c.irf, c.frf = new(iq.Queue), new(regfile.File), new(regfile.File)
 	}
-	frf, err := regfile.New(cfg.FPRF)
-	if err != nil {
-		return nil, err
+	if err := c.q.Reset(cfg.IQ); err != nil {
+		return err
+	}
+	if err := c.irf.Reset(cfg.IntRF); err != nil {
+		return err
+	}
+	if err := c.frf.Reset(cfg.FPRF); err != nil {
+		return err
 	}
 	if mem == nil || bp == nil {
-		return nil, fmt.Errorf("sim: nil hierarchy or predictor")
+		return fmt.Errorf("sim: nil hierarchy or predictor")
 	}
 	if cfg.ROBSize <= 0 || cfg.FetchQueueSize <= 0 {
-		return nil, fmt.Errorf("sim: non-positive ROB or fetch queue size")
+		return fmt.Errorf("sim: non-positive ROB or fetch queue size")
 	}
 	// Ring capacity: next power of two >= LSQSize (the LSQ check in
 	// dispatch bounds occupancy; extra slots are just unused storage).
@@ -272,21 +290,29 @@ func NewResumable(cfg Config, stream trace.Stream, mem *cache.Hierarchy, bp *bpr
 	for storeCap < cfg.LSQSize {
 		storeCap <<= 1
 	}
-	c := &Core{
+	*c = Core{
 		cfg:           cfg,
-		q:             q,
-		irf:           irf,
-		frf:           frf,
+		q:             c.q,
+		irf:           c.irf,
+		frf:           c.frf,
 		mem:           mem,
 		bp:            bp,
 		stream:        stream,
-		rob:           make([]uop, cfg.ROBSize),
-		fq:            make([]fqEntry, cfg.FetchQueueSize),
-		stores:        make([]storeRec, storeCap),
-		lastStoreTo:   make(map[uint64]int64),
-		picks:         make([]pick, 0, cfg.IssueWidth),
+		rob:           zeroed(c.rob, cfg.ROBSize),
+		fq:            zeroed(c.fq, cfg.FetchQueueSize),
+		complete:      c.complete,
+		stores:        zeroed(c.stores, storeCap),
+		lastStoreTo:   c.lastStoreTo,
+		picks:         slices.Grow(c.picks[:0], cfg.IssueWidth),
 		lastFetchLine: -1,
 	}
+	for i := range c.complete {
+		c.complete[i] = c.complete[i][:0]
+	}
+	if c.lastStoreTo == nil {
+		c.lastStoreTo = make(map[uint64]int64)
+	}
+	clear(c.lastStoreTo)
 	il1 := mem.IL1.Config()
 	c.il1LineBytes, c.il1HitCycles = il1.LineBytes, il1.HitCycles
 	c.dl1HitCycles = mem.DL1.Config().HitCycles
@@ -295,10 +321,18 @@ func NewResumable(cfg Config, stream trace.Stream, mem *cache.Hierarchy, bp *bpr
 		c.fetchLineShift = bits.TrailingZeros(uint(lb))
 	}
 	if cfg.Control == ControlAdaptive {
-		c.ctrl = adaptive.New(cfg.Adaptive, q.Banks(), cfg.IQ.BankSize)
-		q.SetSizeLimit(c.ctrl.Limit())
+		c.ctrl = adaptive.New(cfg.Adaptive, c.q.Banks(), cfg.IQ.BankSize)
+		c.q.SetSizeLimit(c.ctrl.Limit())
 	}
-	return c, nil
+	return nil
+}
+
+// zeroed returns s resized to n zero elements, in s's storage when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // PresetHint seeds the issue queue's max_new_range before the run, as if

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bpred"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/prog"
@@ -134,8 +136,10 @@ type skipRun struct {
 }
 
 // runSkipCase runs tc to its end, by RunSegment or stepwise, with or
-// without a trace probe.
-func runSkipCase(t testing.TB, tc skipCase, stepwise, probed bool) skipRun {
+// without a trace probe, on a new core or, when c is not nil, on c,
+// reset for the run with a new hierarchy and predictor as New builds
+// them.
+func runSkipCase(t testing.TB, c *Core, tc skipCase, stepwise, probed bool) skipRun {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Control = techniques[tc.tech].ctrl
@@ -154,8 +158,19 @@ func runSkipCase(t testing.TB, tc skipCase, stepwise, probed bool) skipRun {
 		t.Fatal(err)
 	}
 	e.Restart = true
-	if r.core, err = New(cfg, e); err != nil {
-		t.Fatal(err)
+	if c == nil {
+		if r.core, err = New(cfg, e); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		mem, err := cache.NewHierarchy(cfg.Caches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Reset(cfg, e, mem, bpred.New(cfg.Bpred)); err != nil {
+			t.Fatal(err)
+		}
+		r.core = c
 	}
 	targets := []int64{0}
 	if tc.split > 0 {
@@ -179,9 +194,9 @@ func runSkipCase(t testing.TB, tc skipCase, stepwise, probed bool) skipRun {
 // against the stepwise reference and returns the skipping run.
 func checkSkipCase(t testing.TB, tc skipCase) skipRun {
 	t.Helper()
-	ref := runSkipCase(t, tc, true, true)
-	got := runSkipCase(t, tc, false, true)
-	bare := runSkipCase(t, tc, false, false)
+	ref := runSkipCase(t, nil, tc, true, true)
+	got := runSkipCase(t, nil, tc, false, true)
+	bare := runSkipCase(t, nil, tc, false, false)
 	for i := range ref.stats {
 		for _, run := range []struct {
 			name string
@@ -357,8 +372,16 @@ func TestIdleSkipSkipsMemoryStalls(t *testing.T) {
 // FuzzIdleSkip draws a benchmark, a technique and a machine from the
 // input — resource sizes, memory latency, adaptive interval, MaxCycles,
 // queue kind and a segment split — and requires the skipping core to
-// match the stepwise reference.
+// match the stepwise reference. It runs the drawn machine once more on
+// a core that first ran a seed machine (a collapsible queue under hints,
+// cut by MaxCycles with work in flight) and was then reset, as the
+// sampled engine reuses a cell's core: that run must match too.
 func FuzzIdleSkip(f *testing.F) {
+	seed := skipCase{name: "seed", bench: "vortex", tech: techExtension, budget: 4000, cfg: func(cfg *Config) {
+		cfg.IQ.Collapsible = true
+		cfg.ROBSize = 200
+		cfg.MaxCycles = 1999
+	}}
 	f.Add(uint8(3), uint8(0), uint16(3000), uint8(16), uint8(4), uint8(1), uint16(50), uint16(2000), uint32(0), false, uint16(0))
 	f.Add(uint8(8), uint8(2), uint16(2000), uint8(120), uint8(63), uint8(9), uint16(10_000), uint16(40), uint32(9_999), false, uint16(700))
 	f.Add(uint8(2), uint8(4), uint16(2500), uint8(64), uint8(8), uint8(3), uint16(600), uint16(21), uint32(0), true, uint16(1200))
@@ -386,6 +409,22 @@ func FuzzIdleSkip(f *testing.F) {
 			}
 			cfg.IQ.Collapsible = collapsible
 		}
-		checkSkipCase(t, tc)
+		got := checkSkipCase(t, tc)
+		used := runSkipCase(t, nil, seed, false, false).core
+		if used.robCount == 0 {
+			t.Fatal("the seed machine left no work in flight")
+		}
+		again := runSkipCase(t, used, tc, false, true)
+		for i := range got.stats {
+			if !reflect.DeepEqual(again.stats[i], got.stats[i]) {
+				for _, d := range statsDiff(again.stats[i], got.stats[i]) {
+					t.Errorf("%s: segment %d, reset core vs new core: %s", tc.name, i, d)
+				}
+			}
+		}
+		if again.probe.n != got.probe.n || again.probe.h != got.probe.h {
+			t.Errorf("%s: probe traces differ: reset core %d samples (hash %x), new core %d (hash %x)",
+				tc.name, again.probe.n, again.probe.h, got.probe.n, got.probe.h)
+		}
 	})
 }

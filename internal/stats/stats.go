@@ -1,5 +1,5 @@
 // Package stats provides the small statistical helpers the experiment
-// harness uses: means, dispersion, extrema, and a fixed-bucket
+// harness uses: means, confidence intervals, and a fixed-bucket
 // histogram for occupancy distributions. The paper reports arithmetic
 // means over benchmarks ("SPECINT" bars).
 //
@@ -22,20 +22,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += float64(d * d)
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }
 
 // SampleStdDev returns the sample (n-1) standard deviation — the
@@ -85,23 +71,6 @@ func MeanCI(xs []float64, conf float64) (mean, half float64) {
 	}
 	half = zFor(conf) * SampleStdDev(xs) / math.Sqrt(float64(len(xs)))
 	return mean, half
-}
-
-// MinMax returns the extrema (0,0 for empty input).
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
 }
 
 // Histogram accumulates values into equal-width buckets over [Lo, Hi);

@@ -25,8 +25,9 @@
 // -ckpt enables the checkpoint artifact store: sampled sweep cells that
 // share a warming identity reuse one functional-warming pass instead of
 // each recomputing it, locally and across the fleet (workers download
-// artifacts from /v1/checkpoints and push ones they generate).
-// A worker may fetch or push only the artifact keys its leases named.
+// artifacts from /v1/checkpoints and push ones they generate). Each
+// artifact request names a live lease whose job carries the key, and
+// reads or writes the namespace of the campaign that lease serves.
 // DELETE /v1/campaigns/{id} garbage-collects artifacts no remaining
 // campaign references.
 //

@@ -1,7 +1,7 @@
 // Package campaign is the simulation-campaign engine: it expands a
 // declarative specification (benchmarks × techniques × configuration-axis
-// sweeps) into a deterministic job set, executes the jobs on a
-// context-cancellable work-stealing worker pool, aggregates per-job
+// sweeps) into a deterministic job set, executes the jobs in campaign
+// order on a context-cancellable worker pool, aggregates per-job
 // results into a queryable store, and caches completed results on disk
 // keyed by a content hash of everything that determines the outcome —
 // so re-runs and re-plots of an unchanged campaign are near-instant.

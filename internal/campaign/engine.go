@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ckpt"
 	"repro/internal/power"
@@ -100,36 +101,6 @@ func lockstepUnits(jobs []Job) [][]int {
 	return units
 }
 
-// jobQueue is one worker's share of the campaign. The owner pops from
-// the front; idle workers steal from the back, so an owner and a thief
-// contend only on the last unit of a queue.
-type jobQueue struct {
-	mu   sync.Mutex
-	jobs []int // indices into the campaign's work-unit slice
-}
-
-func (q *jobQueue) pop() (int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.jobs) == 0 {
-		return 0, false
-	}
-	idx := q.jobs[0]
-	q.jobs = q.jobs[1:]
-	return idx, true
-}
-
-func (q *jobQueue) steal() (int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.jobs) == 0 {
-		return 0, false
-	}
-	idx := q.jobs[len(q.jobs)-1]
-	q.jobs = q.jobs[:len(q.jobs)-1]
-	return idx, true
-}
-
 // Run expands the spec and executes every job. The returned ResultSet
 // lists completed results in the spec's deterministic job order
 // regardless of completion order or worker count.
@@ -178,15 +149,6 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*ResultSet, error) {
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	queues := make([]*jobQueue, workers)
-	for w := range queues {
-		queues[w] = &jobQueue{}
-	}
-	for i := range units {
-		q := queues[i%workers]
-		q.jobs = append(q.jobs, i)
-	}
 
 	results := make([]Result, len(jobs))
 	filled := make([]bool, len(jobs))
@@ -348,22 +310,23 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*ResultSet, error) {
 		}
 	}
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	// Workers take units in campaign order from one shared cursor.
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+	)
+	for range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				idx, ok := queues[w].pop()
-				for off := 1; !ok && off < workers; off++ {
-					idx, ok = queues[(w+off)%workers].steal()
-				}
-				if !ok {
+				i := int(next.Add(1)) - 1
+				if i >= len(units) {
 					return
 				}
-				runUnit(units[idx])
+				runUnit(units[i])
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 

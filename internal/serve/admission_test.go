@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // hugeSpec is the paper's evaluation swept over three axes of 30 values
@@ -41,7 +42,7 @@ func post(t *testing.T, cl *Client, body []byte) (int, string) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var apiErr apiError
+	var apiErr wire.ErrorBody
 	_ = json.NewDecoder(resp.Body).Decode(&apiErr)
 	return resp.StatusCode, apiErr.Error
 }
@@ -167,7 +168,7 @@ func TestRecoverSkipsOversizedCampaign(t *testing.T) {
 	if !strings.Contains(logs.String(), "recover c0001: skipped: campaign too large") {
 		t.Errorf("no log line for the skipped campaign; logged:\n%s", logs.String())
 	}
-	if _, err := cl.Status(context.Background(), "c0001"); httpStatus(err) != http.StatusNotFound {
+	if _, err := cl.Status(context.Background(), "c0001"); wire.StatusCode(err) != http.StatusNotFound {
 		t.Errorf("oversized campaign after recovery: status err = %v, want 404", err)
 	}
 	if got := s.met.campaignsRecovered.Load(); got != 1 {

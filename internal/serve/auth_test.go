@@ -24,6 +24,8 @@ import (
 
 	"repro/internal/auth"
 	"repro/internal/campaign"
+	"repro/internal/ckpt"
+	"repro/internal/wire"
 	"repro/internal/worker"
 )
 
@@ -212,13 +214,8 @@ func TestOwnershipScoping(t *testing.T) {
 	var infos []CampaignInfo
 	listAs := func(c *Client) []CampaignInfo {
 		t.Helper()
-		resp, err := c.do(ctx, http.MethodGet, "/v1/campaigns", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
 		var out []CampaignInfo
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		if _, err := c.conn().Call(ctx, http.MethodGet, "/v1/campaigns", nil, &out); err != nil {
 			t.Fatal(err)
 		}
 		return out
@@ -230,13 +227,13 @@ func TestOwnershipScoping(t *testing.T) {
 	if got := listAs(bob); len(got) != 0 {
 		t.Errorf("bob sees %d of alice's campaigns, want 0", len(got))
 	}
-	if _, err := bob.Status(ctx, id); httpStatus(err) != http.StatusNotFound {
+	if _, err := bob.Status(ctx, id); wire.StatusCode(err) != http.StatusNotFound {
 		t.Errorf("bob status of alice's campaign: %v, want 404", err)
 	}
-	if _, err := bob.Export(ctx, id, "csv"); httpStatus(err) != http.StatusNotFound {
+	if _, err := bob.Export(ctx, id, "csv"); wire.StatusCode(err) != http.StatusNotFound {
 		t.Errorf("bob export of alice's campaign: %v, want 404", err)
 	}
-	if err := bob.Delete(ctx, id); httpStatus(err) != http.StatusNotFound {
+	if err := bob.Delete(ctx, id); wire.StatusCode(err) != http.StatusNotFound {
 		t.Errorf("bob delete of alice's campaign: %v, want 404", err)
 	}
 	if err := alice.Delete(ctx, id); err != nil {
@@ -325,6 +322,111 @@ func TestTenantIsolation(t *testing.T) {
 	}
 }
 
+// TestArtifactFollowsItsLease: under -tenant-isolation, alice's and
+// bob's identical sampled cells share one checkpoint key. An artifact
+// request names a live lease that carries its key, and reads or writes
+// the namespace of the campaign that lease serves: pushed under alice's
+// lease after bob's cell was leased too, the artifact is alice's and
+// not bob's.
+func TestArtifactFollowsItsLease(t *testing.T) {
+	s, cl := startServer(t, Config{
+		CacheDir:        t.TempDir(),
+		CkptDir:         t.TempDir(),
+		Workers:         1,
+		Auth:            testAuth(t),
+		TenantIsolation: true,
+		LeaseTTL:        time.Minute,
+		OfferTimeout:    time.Minute,
+		WorkerTTL:       time.Minute,
+	})
+	ctx := context.Background()
+	api := worker.NewAPI(cl.Base)
+	api.Token = tokFleet
+	reg, err := api.Register(ctx, worker.RegisterRequest{Name: "fleet", Capacity: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := sampledSpec("lease-scope", []string{"gzip"}, 48)
+	spec.Techniques = []campaign.Technique{campaign.TechBaseline}
+	leaseAs := func(token string) worker.Lease {
+		t.Helper()
+		c := NewClient(cl.Base)
+		c.Token = token
+		if _, err := c.Submit(ctx, spec); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			l, ok, err := api.Lease(ctx, worker.LeaseRequest{WorkerID: reg.WorkerID, WaitMS: 2000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				return l
+			}
+		}
+	}
+	la, lb := leaseAs(tokAlice), leaseAs(tokBob)
+	key := la.CkptKey
+	if key == "" || lb.CkptKey != key {
+		t.Fatalf("checkpoint keys %q and %q, want one shared key", key, lb.CkptKey)
+	}
+
+	side, err := ckpt.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw, err := side.Create(key, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Commit(ckpt.Trailer{TotalReal: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	artifact, err := side.ReadRaw(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := func(method string, l worker.Lease, key string, body []byte) int {
+		t.Helper()
+		return rawStatus(t, cl.Base, method, "/v1/checkpoints/"+key+"?lease="+l.ID, "Bearer "+tokFleet, body)
+	}
+
+	if code := call(http.MethodPut, la, key, artifact); code != http.StatusNoContent {
+		t.Fatalf("PUT under alice's lease = %d, want 204", code)
+	}
+	if !s.tenant("alice").ns.ckpt.Has(key) {
+		t.Error("the artifact pushed under alice's lease is not in alice's store")
+	}
+	if s.tenant("bob").ns.ckpt.Has(key) {
+		t.Error("the artifact pushed under alice's lease landed in bob's store")
+	}
+	if code := call(http.MethodGet, la, key, nil); code != http.StatusOK {
+		t.Errorf("GET under alice's lease = %d, want 200", code)
+	}
+	if code := call(http.MethodGet, lb, key, nil); code != http.StatusNotFound {
+		t.Errorf("GET under bob's lease = %d, want 404: bob's store has no artifact", code)
+	}
+
+	// A key the named lease does not carry is out of reach, and so is
+	// every key once the lease is gone.
+	other := strings.Repeat("ab", 32)
+	if code := call(http.MethodPut, la, other, artifact); code != http.StatusForbidden {
+		t.Errorf("PUT of a key alice's lease does not carry = %d, want 403", code)
+	}
+	if code := call(http.MethodGet, la, other, nil); code != http.StatusNotFound {
+		t.Errorf("GET of a key alice's lease does not carry = %d, want 404", code)
+	}
+	if _, err := api.Complete(ctx, la.ID, worker.ResultUpload{WorkerID: reg.WorkerID, Key: la.Key, Error: "dropped"}); err != nil {
+		t.Fatal(err)
+	}
+	if code := call(http.MethodGet, la, key, nil); code != http.StatusNotFound {
+		t.Errorf("GET under alice's finished lease = %d, want 404", code)
+	}
+	if code := call(http.MethodPut, la, key, artifact); code != http.StatusForbidden {
+		t.Errorf("PUT under alice's finished lease = %d, want 403", code)
+	}
+}
+
 // TestClientOfFallbackIncludesPort pins the NAT-bucket bug: with auth
 // off and no header, two clients behind one address (same host,
 // different source ports) must land in different quota buckets, and a
@@ -371,7 +473,7 @@ func TestSubmitRejectsInvalidClientHeader(t *testing.T) {
 	_, cl := startServer(t, Config{CacheDir: t.TempDir(), Workers: 1})
 	ctx := context.Background()
 	cl.ID = "../../etc"
-	if _, err := cl.Submit(ctx, tinySpec()); httpStatus(err) != http.StatusBadRequest {
+	if _, err := cl.Submit(ctx, tinySpec()); wire.StatusCode(err) != http.StatusBadRequest {
 		t.Errorf("submit with traversal client ID: %v, want 400", err)
 	}
 	cl.ID = "alice"

@@ -11,8 +11,9 @@ import (
 // state instead of re-warming, and PUT artifacts they generated so the
 // rest of the grid (and the server's own local fallback) can resume
 // from them. Artifacts are opaque content-addressed blobs here; the
-// store validates keys and container headers, and the dispatcher gates
-// both directions to keys it actually handed out in leases.
+// store validates keys and container headers, and each request names
+// its live lease (?lease=<id>), which must carry the key: the lease
+// authorizes the request and picks the namespace it reads or writes.
 
 // maxArtifactBytes bounds a PUT body. Artifacts are gzip streams of
 // per-window state — tens of megabytes for realistic regimes — so a
@@ -25,10 +26,7 @@ func (s *Server) handleCkptGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no checkpoint store")
 		return
 	}
-	// Reads route through the store the key's lease granted — the
-	// namespace of the campaign the lease served. A key the server never
-	// leased names nothing a worker has business fetching.
-	st, ok := s.disp.grantedStore(key)
+	st, ok := s.disp.leasedStore(r.URL.Query().Get("lease"), key)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no artifact %.12s…", key)
 		return
@@ -53,11 +51,12 @@ func (s *Server) handleCkptPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no checkpoint store")
 		return
 	}
-	st, ok := s.disp.grantedStore(key)
-	if !ok || st == nil {
-		// Only keys the server itself named in a lease are writable:
-		// anything else is a confused or hostile client.
-		writeError(w, http.StatusForbidden, "artifact key %.12s… was never leased", key)
+	lease := r.URL.Query().Get("lease")
+	st, ok := s.disp.leasedStore(lease, key)
+	if !ok {
+		// Only a key the named live lease carries is writable: anything
+		// else is a confused or hostile client.
+		writeError(w, http.StatusForbidden, "artifact key %.12s… is not carried by lease %q", key, lease)
 		return
 	}
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxArtifactBytes))

@@ -32,14 +32,15 @@ func sampledSpec(name string, benches []string, iqEntries ...int) campaign.Spec 
 }
 
 // rawCkpt issues a bare HTTP request against the checkpoint endpoints,
-// returning status and body (no client-side error mapping).
-func rawCkpt(t *testing.T, cl *Client, method, key string, body []byte) (int, []byte) {
+// naming lease, returning status and body (no client-side error
+// mapping).
+func rawCkpt(t *testing.T, cl *Client, method, lease, key string, body []byte) (int, []byte) {
 	t.Helper()
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequest(method, cl.Base+"/v1/checkpoints/"+key, rd)
+	req, err := http.NewRequest(method, cl.Base+"/v1/checkpoints/"+key+"?lease="+lease, rd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,31 +56,34 @@ func rawCkpt(t *testing.T, cl *Client, method, key string, body []byte) (int, []
 	return resp.StatusCode, data
 }
 
-// grantKey marks key as leased, the precondition for uploads.
-func grantKey(s *Server, key string) {
+// grantKey adds a live lease whose job carries key, the precondition
+// for uploads, and returns its ID.
+func grantKey(s *Server, key string) string {
 	s.disp.mu.Lock()
-	s.disp.ckptGranted[key] = s.shared.ckpt
-	s.disp.mu.Unlock()
+	defer s.disp.mu.Unlock()
+	l := &lease{id: "l-test", t: &task{ckptKey: key, ckpt: s.shared.ckpt, state: taskLeased}}
+	s.disp.leases[l.id] = l
+	return l.id
 }
 
 func TestCheckpointEndpoints(t *testing.T) {
 	s, cl := startServer(t, Config{CacheDir: t.TempDir(), CkptDir: t.TempDir(), Workers: 2})
 	key := "1111222233334444555566667777888899990000aaaabbbbccccddddeeeeffff"
 
-	if code, _ := rawCkpt(t, cl, http.MethodGet, key, nil); code != http.StatusNotFound {
+	if code, _ := rawCkpt(t, cl, http.MethodGet, "", key, nil); code != http.StatusNotFound {
 		t.Errorf("GET missing artifact = %d, want 404", code)
 	}
-	if code, _ := rawCkpt(t, cl, http.MethodGet, "..%2F..%2Fetc%2Fpasswd", nil); code != http.StatusNotFound {
+	if code, _ := rawCkpt(t, cl, http.MethodGet, "", "..%2F..%2Fetc%2Fpasswd", nil); code != http.StatusNotFound {
 		t.Errorf("GET traversal key = %d, want 404", code)
 	}
 	// An upload for a key the server never leased is refused outright.
-	if code, _ := rawCkpt(t, cl, http.MethodPut, key, []byte("data")); code != http.StatusForbidden {
+	if code, _ := rawCkpt(t, cl, http.MethodPut, "", key, []byte("data")); code != http.StatusForbidden {
 		t.Errorf("PUT unleased key = %d, want 403", code)
 	}
 
 	// Once granted, the container is still validated before publishing.
-	grantKey(s, key)
-	if code, _ := rawCkpt(t, cl, http.MethodPut, key, []byte("not an artifact")); code != http.StatusUnprocessableEntity {
+	lease := grantKey(s, key)
+	if code, _ := rawCkpt(t, cl, http.MethodPut, lease, key, []byte("not an artifact")); code != http.StatusUnprocessableEntity {
 		t.Errorf("PUT garbage = %d, want 422", code)
 	}
 	if s.shared.ckpt.Has(key) {
@@ -110,7 +114,7 @@ func TestCheckpointEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, data := range map[string][]byte{"checksum": corrupt, "format 1": v1} {
-		if code, body := rawCkpt(t, cl, http.MethodPut, key, data); code != http.StatusUnprocessableEntity {
+		if code, body := rawCkpt(t, cl, http.MethodPut, lease, key, data); code != http.StatusUnprocessableEntity {
 			t.Errorf("PUT %s artifact = %d (%s), want 422", name, code, body)
 		}
 		if s.shared.ckpt.Has(key) {
@@ -119,14 +123,14 @@ func TestCheckpointEndpoints(t *testing.T) {
 	}
 
 	// A genuine artifact round-trips: PUT, then GET returns the bytes.
-	if code, _ := rawCkpt(t, cl, http.MethodPut, key, artifact); code != http.StatusNoContent {
+	if code, _ := rawCkpt(t, cl, http.MethodPut, lease, key, artifact); code != http.StatusNoContent {
 		t.Errorf("PUT artifact = %d, want 204", code)
 	}
 	// Re-upload of a published key is first-writer-wins, not an error.
-	if code, _ := rawCkpt(t, cl, http.MethodPut, key, artifact); code != http.StatusNoContent {
+	if code, _ := rawCkpt(t, cl, http.MethodPut, lease, key, artifact); code != http.StatusNoContent {
 		t.Errorf("second PUT = %d, want 204", code)
 	}
-	code, got := rawCkpt(t, cl, http.MethodGet, key, nil)
+	code, got := rawCkpt(t, cl, http.MethodGet, lease, key, nil)
 	if code != http.StatusOK || !bytes.Equal(got, artifact) {
 		t.Errorf("GET after PUT = %d, %d bytes; want 200 with the uploaded %d bytes",
 			code, len(got), len(artifact))
@@ -146,7 +150,7 @@ func TestCheckpointEndpoints(t *testing.T) {
 	if err := s.shared.ckpt.WriteRaw(unleased, artifact); err != nil {
 		t.Fatal(err)
 	}
-	if code, _ := rawCkpt(t, cl, http.MethodGet, unleased, nil); code != http.StatusNotFound {
+	if code, _ := rawCkpt(t, cl, http.MethodGet, lease, unleased, nil); code != http.StatusNotFound {
 		t.Errorf("GET of a published but never-leased artifact = %d, want 404", code)
 	}
 }
@@ -154,10 +158,10 @@ func TestCheckpointEndpoints(t *testing.T) {
 func TestCheckpointEndpointsWithoutStore(t *testing.T) {
 	_, cl := startServer(t, Config{CacheDir: t.TempDir(), Workers: 2})
 	key := "1111222233334444555566667777888899990000aaaabbbbccccddddeeeeffff"
-	if code, _ := rawCkpt(t, cl, http.MethodGet, key, nil); code != http.StatusNotFound {
+	if code, _ := rawCkpt(t, cl, http.MethodGet, "", key, nil); code != http.StatusNotFound {
 		t.Errorf("GET without store = %d, want 404", code)
 	}
-	if code, _ := rawCkpt(t, cl, http.MethodPut, key, []byte("x")); code != http.StatusNotFound {
+	if code, _ := rawCkpt(t, cl, http.MethodPut, "", key, []byte("x")); code != http.StatusNotFound {
 		t.Errorf("PUT without store = %d, want 404", code)
 	}
 }

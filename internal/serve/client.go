@@ -5,19 +5,22 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strings"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/wire"
 )
 
 // Client talks to a campaign service. It is what `sdiq -remote` uses:
 // submit the spec, follow the event stream, fetch the finished export.
+// Its errors are *wire.Error whenever the server answered; Run's
+// reconnect logic keys off that (an answered 404 means the server is
+// alive but forgot the campaign; a refused connection means it may be
+// restarting).
 type Client struct {
 	// Base is the server root, e.g. "http://localhost:8080".
 	Base string
@@ -35,147 +38,44 @@ type Client struct {
 	// OnEvent, when non-nil, observes every event Run receives — the
 	// hook CLI progress output hangs off.
 	OnEvent func(Event)
-
-	// RetryBase/RetryMax shape the jittered exponential backoff Run uses
-	// to survive server restarts (defaults 200ms / 5s).
-	RetryBase time.Duration
-	RetryMax  time.Duration
 }
 
-// maxOffline bounds how long Run keeps retrying an unreachable server
-// before giving up.
-const maxOffline = 2 * time.Minute
-
-// HTTPError is an answered non-2xx API response. Errors from the client
-// are *HTTPError whenever the server replied at all; transport failures
-// stay plainly wrapped — the distinction is what Run's reconnect logic
-// keys off (an answered 404 means the server is alive but forgot the
-// campaign; a refused connection means it may be restarting).
-type HTTPError struct {
-	Code   int
-	Method string
-	Path   string
-	Msg    string // server-provided error body, may be empty
-	Status string // e.g. "404 Not Found"
-}
-
-func (e *HTTPError) Error() string {
-	if e.Msg != "" {
-		return fmt.Sprintf("serve: %s %s: %s (%s)", e.Method, e.Path, e.Msg, e.Status)
-	}
-	return fmt.Sprintf("serve: %s %s: %s", e.Method, e.Path, e.Status)
-}
-
-// httpStatus returns err's status code when it is an *HTTPError, 0 for
-// transport errors.
-func httpStatus(err error) int {
-	var he *HTTPError
-	if errors.As(err, &he) {
-		return he.Code
-	}
-	return 0
-}
-
-// backoff returns the nth (0-based) retry delay: exponential from
-// RetryBase, capped at RetryMax, with ±25% jitter.
-func (c *Client) backoff(n int) time.Duration {
-	base := c.RetryBase
-	if base <= 0 {
-		base = 200 * time.Millisecond
-	}
-	ceil := c.RetryMax
-	if ceil <= 0 {
-		ceil = 5 * time.Second
-	}
-	d := base
-	for i := 0; i < n && d < ceil; i++ {
-		d *= 2
-	}
-	if d > ceil {
-		d = ceil
-	}
-	return d*3/4 + time.Duration(rand.Int63n(int64(d)/2+1))
-}
+// Run survives server restarts by retrying with jittered exponential
+// backoff between these bounds, for up to maxOffline of unreachability.
+const (
+	retryBase  = 200 * time.Millisecond
+	retryMax   = 5 * time.Second
+	maxOffline = 2 * time.Minute
+)
 
 // NewClient returns a client for the server at base.
 func NewClient(base string) *Client {
 	return &Client{Base: strings.TrimRight(base, "/")}
 }
 
-func (c *Client) http() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
-
-func (c *Client) do(ctx context.Context, method, path string, body io.Reader) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if c.ID != "" {
-		req.Header.Set("X-Sdiq-Client", c.ID)
-	}
-	if c.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.Token)
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %s %s: %w", method, path, err)
-	}
-	if resp.StatusCode >= 400 {
-		defer resp.Body.Close()
-		var apiErr apiError
-		_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&apiErr)
-		return nil, &HTTPError{
-			Code: resp.StatusCode, Method: method, Path: path,
-			Msg: apiErr.Error, Status: resp.Status,
-		}
-	}
-	return resp, nil
+func (c *Client) conn() wire.Conn {
+	return wire.Conn{Base: c.Base, HTTP: c.HTTP, Token: c.Token, ID: c.ID}
 }
 
 // Submit posts a campaign spec and returns the server's handle.
 func (c *Client) Submit(ctx context.Context, spec campaign.Spec) (Submitted, error) {
-	blob, err := json.Marshal(spec)
-	if err != nil {
-		return Submitted{}, fmt.Errorf("serve: encoding spec: %w", err)
-	}
-	resp, err := c.do(ctx, http.MethodPost, "/v1/campaigns", bytes.NewReader(blob))
-	if err != nil {
-		return Submitted{}, err
-	}
-	defer resp.Body.Close()
 	var sub Submitted
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		return Submitted{}, fmt.Errorf("serve: decoding submission: %w", err)
-	}
-	return sub, nil
+	_, err := c.conn().Call(ctx, http.MethodPost, "/v1/campaigns", spec, &sub)
+	return sub, err
 }
 
 // Status fetches a campaign's snapshot.
 func (c *Client) Status(ctx context.Context, id string) (CampaignInfo, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/campaigns/"+id, nil)
-	if err != nil {
-		return CampaignInfo{}, err
-	}
-	defer resp.Body.Close()
 	var info CampaignInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return CampaignInfo{}, fmt.Errorf("serve: decoding status: %w", err)
-	}
-	return info, nil
+	_, err := c.conn().Call(ctx, http.MethodGet, "/v1/campaigns/"+id, nil, &info)
+	return info, err
 }
 
 // Stream follows a campaign's NDJSON event stream from the beginning,
 // calling fn for every event until the stream ends (the campaign is
 // done) or fn returns an error.
 func (c *Client) Stream(ctx context.Context, id string, fn func(Event) error) error {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/campaigns/"+id+"/events", nil)
+	resp, err := c.conn().Send(ctx, http.MethodGet, "/v1/campaigns/"+id+"/events", "", nil)
 	if err != nil {
 		return err
 	}
@@ -201,7 +101,7 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(Event) error) er
 // Export fetches a finished campaign's export in the given format
 // ("csv" or "json") — the bytes the CLI's local -export would write.
 func (c *Client) Export(ctx context.Context, id, format string) ([]byte, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/campaigns/"+id+"/export?format="+format, nil)
+	resp, err := c.conn().Send(ctx, http.MethodGet, "/v1/campaigns/"+id+"/export?format="+format, "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -212,17 +112,13 @@ func (c *Client) Export(ctx context.Context, id, format string) ([]byte, error) 
 // Delete drops a finished campaign from the server's registry (its
 // events and results are gone; the disk cache keeps the simulations).
 func (c *Client) Delete(ctx context.Context, id string) error {
-	resp, err := c.do(ctx, http.MethodDelete, "/v1/campaigns/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	return nil
+	_, err := c.conn().Call(ctx, http.MethodDelete, "/v1/campaigns/"+id, nil, nil)
+	return err
 }
 
 // ResultSet fetches and decodes a finished campaign.
 func (c *Client) ResultSet(ctx context.Context, id string) (*campaign.ResultSet, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/campaigns/"+id+"/export?format=json", nil)
+	resp, err := c.conn().Send(ctx, http.MethodGet, "/v1/campaigns/"+id+"/export?format=json", "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +191,7 @@ func (c *Client) Run(ctx context.Context, spec campaign.Spec) (*campaign.ResultS
 				done = &Event{Type: EventDone, Campaign: sub.ID}
 			}
 			continue // server is alive: re-attach the stream
-		case httpStatus(serr) == http.StatusNotFound:
+		case wire.StatusCode(serr) == http.StatusNotFound:
 			// The server restarted without durable state — the campaign
 			// is gone. Resubmit and follow the new one from scratch.
 			if sub, err = c.Submit(ctx, spec); err != nil {
@@ -303,7 +199,7 @@ func (c *Client) Run(ctx context.Context, spec campaign.Spec) (*campaign.ResultS
 			}
 			lastSeq, offlineSince, fails = -1, time.Time{}, 0
 			continue
-		case httpStatus(serr) != 0:
+		case wire.StatusCode(serr) != 0:
 			return nil, serr // answered with an error waiting cannot fix
 		}
 		// Transport error: the server may be restarting. Back off, bounded.
@@ -315,7 +211,7 @@ func (c *Client) Run(ctx context.Context, spec campaign.Spec) (*campaign.ResultS
 		}
 		fails++
 		select {
-		case <-time.After(c.backoff(fails - 1)):
+		case <-time.After(wire.Backoff(fails-1, retryBase, retryMax)):
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -333,7 +229,7 @@ func (c *Client) Run(ctx context.Context, spec campaign.Spec) (*campaign.ResultS
 		if err == nil {
 			return rs, nil
 		}
-		if code := httpStatus(err); code != 0 && code != http.StatusConflict {
+		if code := wire.StatusCode(err); code != 0 && code != http.StatusConflict {
 			return nil, err
 		}
 		if offlineSince.IsZero() {
@@ -344,7 +240,7 @@ func (c *Client) Run(ctx context.Context, spec campaign.Spec) (*campaign.ResultS
 		}
 		fails++
 		select {
-		case <-time.After(c.backoff(fails - 1)):
+		case <-time.After(wire.Backoff(fails-1, retryBase, retryMax)):
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}

@@ -79,7 +79,6 @@ func TestClientRunRelaysRecoveredLog(t *testing.T) {
 	defer ts.Close()
 
 	cl := NewClient(ts.URL)
-	cl.RetryBase, cl.RetryMax = time.Millisecond, 10*time.Millisecond
 	var got []Event
 	cl.OnEvent = func(ev Event) { got = append(got, ev) }
 	if _, err := cl.Run(context.Background(), tinySpec()); err != nil {

@@ -45,14 +45,6 @@ type dispatcher struct {
 	queue   []*task
 	wake    chan struct{} // closed+replaced when the queue gains a task
 	leases  map[string]*lease
-	// ckptGranted records every checkpoint key ever handed out in a
-	// lease, mapped to the store the lease's campaign draws from — the
-	// set of keys a worker GET or PUT may legitimately name, and the
-	// namespace each read comes from and each upload lands in. Keys
-	// are content hashes, so the set grows with distinct sweep warming
-	// identities, not with jobs; it is the gate that keeps the artifact
-	// store write surface closed to anything the server never asked for.
-	ckptGranted map[string]*ckpt.Store
 }
 
 // Dispatcher protocol defaults (overridable via Config).
@@ -142,17 +134,16 @@ func newDispatcher(cfg Config, gate campaign.Gate, met *metrics) *dispatcher {
 		copy(nb[:], "boot")
 	}
 	return &dispatcher{
-		ttl:         ttl,
-		offer:       offer,
-		workerTTL:   wttl,
-		retries:     retries,
-		gate:        gate,
-		met:         met,
-		nonce:       hex.EncodeToString(nb[:]),
-		workers:     make(map[string]*workerState),
-		wake:        make(chan struct{}),
-		leases:      make(map[string]*lease),
-		ckptGranted: make(map[string]*ckpt.Store),
+		ttl:       ttl,
+		offer:     offer,
+		workerTTL: wttl,
+		retries:   retries,
+		gate:      gate,
+		met:       met,
+		nonce:     hex.EncodeToString(nb[:]),
+		workers:   make(map[string]*workerState),
+		wake:      make(chan struct{}),
+		leases:    make(map[string]*lease),
 	}
 }
 
@@ -163,8 +154,8 @@ func newDispatcher(cfg Config, gate campaign.Gate, met *metrics) *dispatcher {
 // campaign is cancelled, or remote attempts are exhausted), otherwise
 // straight to the in-process gate. store is the checkpoint store of the
 // owning campaign's namespace: the job reads warm state from it and
-// publishes it to it, locally and (via the granted-keys map) across the
-// fleet.
+// publishes it to it, locally and, through the leases that carry the
+// job, across the fleet.
 func (d *dispatcher) runJob(ctx context.Context, job *campaign.Job, key string, params power.Params, store *ckpt.Store) (campaign.Result, error) {
 	if key != "" && d.hasWorkers() {
 		res, err, done := d.runRemote(ctx, job, key, params, store)
@@ -441,9 +432,6 @@ func (d *dispatcher) nextLease(ctx context.Context, workerID string, wait time.D
 			l.timer = time.AfterFunc(d.ttl, func() { d.expire(l.id) })
 			d.leases[l.id] = l
 			w.active++
-			if t.ckptKey != "" {
-				d.ckptGranted[t.ckptKey] = t.ckpt
-			}
 			d.met.leasesGranted.Add(1)
 			d.mu.Unlock()
 			return l, t, nil
@@ -580,17 +568,19 @@ func validateUpload(t *task, up worker.ResultUpload) error {
 	return nil
 }
 
-// grantedStore resolves a checkpoint key a worker names to the store
-// its lease granted access to: only keys the dispatcher itself handed
-// out in leases are reachable from outside (and WriteRaw still
-// validates the container). The store is the leased campaign's
-// namespace's, so a worker's upload lands in the right namespace and,
-// under isolation, its fetch can never read another tenant's artifact.
-func (d *dispatcher) grantedStore(key string) (*ckpt.Store, bool) {
+// leasedStore resolves an artifact request to the checkpoint store of
+// the live lease it names, and only when that lease's job carries key:
+// a worker reads and publishes warm state for the job it holds, in the
+// namespace of the campaign that job serves, and nothing else is
+// reachable from outside (WriteRaw still validates the container).
+func (d *dispatcher) leasedStore(leaseID, key string) (*ckpt.Store, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st, ok := d.ckptGranted[key]
-	return st, ok
+	l, ok := d.leases[leaseID]
+	if !ok || l.t.ckptKey == "" || l.t.ckptKey != key {
+		return nil, false
+	}
+	return l.t.ckpt, true
 }
 
 // --- metrics ---

@@ -263,7 +263,7 @@ func TestServerStreamReplay(t *testing.T) {
 	}
 	waitStatus(t, cl, sub.ID, "done", func(info CampaignInfo) bool { return info.Done })
 
-	resp, err := cl.do(ctx, "GET", "/v1/campaigns/"+sub.ID+"/events", nil)
+	resp, err := cl.conn().Send(ctx, "GET", "/v1/campaigns/"+sub.ID+"/events", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

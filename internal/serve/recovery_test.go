@@ -20,7 +20,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/worker"
+	"repro/internal/wire"
 )
 
 // killServer simulates a coordinator crash from the campaigns' point of
@@ -217,7 +217,7 @@ func TestRestartTombstonesFailedCampaign(t *testing.T) {
 	if got, want := roster(info.Status), roster(before.Status); len(want) == 0 || !slices.Equal(got, want) {
 		t.Errorf("recovered roster differs from the one served before the kill:\n got %+v\nwant %+v", got, want)
 	}
-	if _, err := cl2.Export(ctx, sub, "csv"); httpStatus(err) != http.StatusUnprocessableEntity {
+	if _, err := cl2.Export(ctx, sub, "csv"); wire.StatusCode(err) != http.StatusUnprocessableEntity {
 		t.Errorf("export of recovered failed campaign = %v, want 422", err)
 	}
 	if exec := s2.met.jobsExecuted.Load(); exec != 0 {
@@ -277,12 +277,9 @@ func TestRestartWithWorkerAndClientAttached(t *testing.T) {
 
 	s1, hs1, addr := serverAt(t, "127.0.0.1:0", cfg)
 	base := "http://" + addr
-	startWorker(t, base, "steady", 1, func(w *worker.Worker) {
-		w.RetryBase, w.RetryMax = 20*time.Millisecond, 200*time.Millisecond
-	})
+	startWorker(t, base, "steady", 1, nil)
 
 	cl := NewClient(base)
-	cl.RetryBase, cl.RetryMax = 20*time.Millisecond, 200*time.Millisecond
 	runDone := make(chan struct{})
 	var rs *campaign.ResultSet
 	var runErr error
@@ -344,7 +341,7 @@ func TestDeleteRemovesDurableState(t *testing.T) {
 	killServer(s1)
 
 	s2, cl2 := startServer(t, Config{CacheDir: cache, StateDir: state, Workers: 2})
-	if _, err := cl2.Status(ctx, id); httpStatus(err) != http.StatusNotFound {
+	if _, err := cl2.Status(ctx, id); wire.StatusCode(err) != http.StatusNotFound {
 		t.Errorf("deleted campaign after restart: status err = %v, want 404", err)
 	}
 	if n := len(s2.campaigns); n != 0 {
@@ -373,7 +370,7 @@ func TestRegistryTTLEviction(t *testing.T) {
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if _, err := cl1.Status(ctx, id); httpStatus(err) == http.StatusNotFound {
+		if _, err := cl1.Status(ctx, id); wire.StatusCode(err) == http.StatusNotFound {
 			break
 		}
 		if time.Now().After(deadline) {

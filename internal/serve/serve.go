@@ -38,6 +38,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/power"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // Config parameterises a Server.
@@ -486,11 +487,6 @@ func (s *Server) Drain(ctx context.Context) error {
 // Close cancels every running campaign immediately.
 func (s *Server) Close() { s.cancel() }
 
-// apiError is the uniform error body.
-type apiError struct {
-	Error string `json:"error"`
-}
-
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -500,7 +496,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
+	writeJSON(w, code, wire.ErrorBody{Error: fmt.Sprintf(format, args...)})
 }
 
 // Submitted is the POST /v1/campaigns response.

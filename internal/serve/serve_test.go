@@ -128,7 +128,7 @@ func TestServiceStatusAndList(t *testing.T) {
 		}
 	}
 
-	resp, err := cl.do(ctx, http.MethodGet, "/v1/campaigns", nil)
+	resp, err := cl.conn().Send(ctx, http.MethodGet, "/v1/campaigns", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestServiceSSE(t *testing.T) {
 	if err != nil || !rs.Complete() {
 		t.Fatal(err)
 	}
-	resp, err := cl.do(ctx, http.MethodGet, "/v1/campaigns/c0001/events?format=sse", nil)
+	resp, err := cl.conn().Send(ctx, http.MethodGet, "/v1/campaigns/c0001/events?format=sse", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func metricValue(t *testing.T, text, name string) float64 {
 // fetchMetrics grabs /metrics as text.
 func fetchMetrics(t *testing.T, cl *Client) string {
 	t.Helper()
-	resp, err := cl.do(context.Background(), http.MethodGet, "/metrics", nil)
+	resp, err := cl.conn().Send(context.Background(), http.MethodGet, "/metrics", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,110 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/campaign"
+	"repro/internal/worker"
+)
+
+// FuzzLeaseResult posts each input as the body of
+// POST /v1/leases/{id}/result for a live lease on one sampled cell: the
+// gate between worker uploads and the shared cache. In the body,
+// {{worker}} and {{key}} stand for the lease holder's ID and the job's
+// key, so the seeds stay valid whatever the nonce and the hash. The
+// handler must not panic and answers 200, 400, 410 or 422. An accepted
+// upload delivers exactly one result naming the leased job, and any
+// other answer delivers nothing. Each call moves exactly one of the
+// remote, rejected, worker-failure and late-upload counters, and a 400
+// moves none.
+func FuzzLeaseResult(f *testing.F) {
+	s := New(Config{})
+	f.Cleanup(s.Close)
+	handler := s.Handler()
+	spec := sampledSpec("fuzz-upload", []string{"gzip"}, 48)
+	spec.Techniques = []campaign.Technique{campaign.TechBaseline}
+	jobs, err := spec.Jobs()
+	if err != nil {
+		f.Fatal(err)
+	}
+	job := jobs[0]
+	key, err := campaign.JobKey(&job, spec.Params)
+	if err != nil {
+		f.Fatal(err)
+	}
+	counters := func() [4]int64 {
+		m := &s.met
+		return [4]int64{m.jobsRemote.Load(), m.resultsRejected.Load(), m.workerJobFailures.Load(), m.lateUploads.Load()}
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		d := s.disp
+		reg, err := d.register(worker.RegisterRequest{Protocol: worker.ProtocolVersion, Name: "fuzz"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.deregister(reg.WorkerID)
+		tk := &task{job: &job, key: key, params: spec.Params, ctx: context.Background(), outcome: make(chan taskOutcome, 1)}
+		d.mu.Lock()
+		d.enqueueLocked(tk, false)
+		d.mu.Unlock()
+		defer d.abandon(tk) // runs first: a requeued task leaves the queue
+		l, leased, err := d.nextLease(context.Background(), reg.WorkerID, time.Millisecond)
+		if err != nil || leased != tk {
+			t.Fatalf("lease: %v, %v", leased, err)
+		}
+
+		body = bytes.ReplaceAll(body, []byte("{{worker}}"), []byte(reg.WorkerID))
+		body = bytes.ReplaceAll(body, []byte("{{key}}"), []byte(key))
+		before := counters()
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/leases/"+l.id+"/result", bytes.NewReader(body)))
+		after := counters()
+
+		var resp worker.ResultResponse
+		switch rec.Code {
+		case http.StatusOK:
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("200 with a body that is not a ResultResponse: %v", err)
+			}
+		case http.StatusBadRequest, http.StatusGone, http.StatusUnprocessableEntity:
+		default:
+			t.Fatalf("answered %d: %s", rec.Code, rec.Body)
+		}
+		moved, want := int64(0), int64(1)
+		for i := range before {
+			moved += after[i] - before[i]
+		}
+		if rec.Code == http.StatusBadRequest {
+			want = 0
+		}
+		if moved != want {
+			t.Fatalf("answered %d and moved the upload counters %v -> %v, want %d in all", rec.Code, before, after, want)
+		}
+		select {
+		case out := <-tk.outcome:
+			r := out.res
+			switch {
+			case !resp.Accepted:
+				t.Fatalf("answered %d %+v but delivered %+v", rec.Code, resp, out)
+			case out.err != nil || out.fallback || len(tk.outcome) != 0:
+				t.Fatalf("accepted, then delivered %+v and %d more", out, len(tk.outcome))
+			case r.Bench != job.Bench || r.Tech != job.Tech || (r.Sampled == nil) != (job.Sampling == nil) ||
+				!reflect.DeepEqual(r.Point, job.Point):
+				t.Fatalf("accepted a result for %s/%s at %s (sampled %v), leased %s/%s at %s",
+					r.Bench, r.Tech, r.Point, r.Sampled != nil, job.Bench, job.Tech, job.Point)
+			}
+		default:
+			if resp.Accepted {
+				t.Fatal("accepted but delivered nothing")
+			}
+		}
+	})
+}

@@ -3,12 +3,14 @@ package worker
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
+
+	"repro/internal/wire"
 )
 
 // ErrLeaseGone reports a heartbeat or upload against a lease the server
@@ -22,30 +24,11 @@ var ErrLeaseGone = errors.New("worker: lease gone")
 // worker's move is to register again, not to retry.
 var ErrUnknownWorker = errors.New("worker: unknown to the server")
 
-// APIError is a non-2xx protocol response. Status lets callers separate
-// terminal refusals (4xx: retrying the identical request is pointless)
-// from transient server trouble.
-type APIError struct {
-	Status int
-	Method string
-	Path   string
-	Msg    string
-}
-
-func (e *APIError) Error() string {
-	return fmt.Sprintf("worker: %s %s: %s (status %d)", e.Method, e.Path, e.Msg, e.Status)
-}
-
-// terminal reports a 4xx refusal that no retry of the same request can
-// fix.
-func terminal(err error) bool {
-	var ae *APIError
-	return errors.As(err, &ae) && ae.Status >= 400 && ae.Status < 500
-}
-
 // API is the low-level protocol client — one method per endpoint, no
 // policy. Worker drives it; protocol tests drive it directly to play
 // misbehaving fleets (dead workers, late uploads, corrupt results).
+// Its errors are *wire.Error whenever the server answered, except for
+// the two that say what to do next: ErrLeaseGone and ErrUnknownWorker.
 type API struct {
 	// Base is the server root, e.g. "http://host:8080".
 	Base string
@@ -62,64 +45,18 @@ func NewAPI(base string) *API {
 	return &API{Base: strings.TrimRight(base, "/")}
 }
 
-func (a *API) http() *http.Client {
-	if a.HTTP != nil {
-		return a.HTTP
-	}
-	return http.DefaultClient
+func (a *API) conn() wire.Conn {
+	return wire.Conn{Base: a.Base, HTTP: a.HTTP, Token: a.Token}
 }
 
-// authorize stamps the bearer credential onto an outgoing request.
-func (a *API) authorize(req *http.Request) {
-	if a.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+a.Token)
-	}
-}
-
-// call performs one JSON request. A nil out discards the body. noBody
-// status codes (204) succeed with out untouched; 410 maps to
+// call performs one JSON request (wire.Conn.Call); a 410 becomes
 // ErrLeaseGone.
-func (a *API) call(ctx context.Context, method, path string, in, out any) (status int, err error) {
-	var body io.Reader
-	if in != nil {
-		blob, err := json.Marshal(in)
-		if err != nil {
-			return 0, fmt.Errorf("worker: encoding %s %s: %w", method, path, err)
-		}
-		body = bytes.NewReader(blob)
+func (a *API) call(ctx context.Context, method, path string, in, out any) (int, error) {
+	status, err := a.conn().Call(ctx, method, path, in, out)
+	if status == http.StatusGone {
+		return status, ErrLeaseGone
 	}
-	req, err := http.NewRequestWithContext(ctx, method, a.Base+path, body)
-	if err != nil {
-		return 0, err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	a.authorize(req)
-	resp, err := a.http().Do(req)
-	if err != nil {
-		return 0, fmt.Errorf("worker: %s %s: %w", method, path, err)
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusGone:
-		return resp.StatusCode, ErrLeaseGone
-	case resp.StatusCode >= 400:
-		msg := resp.Status
-		var apiErr struct {
-			Error string `json:"error"`
-		}
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&apiErr) == nil && apiErr.Error != "" {
-			msg = apiErr.Error
-		}
-		return resp.StatusCode, &APIError{Status: resp.StatusCode, Method: method, Path: path, Msg: msg}
-	case resp.StatusCode == http.StatusNoContent || out == nil:
-		return resp.StatusCode, nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return resp.StatusCode, fmt.Errorf("worker: decoding %s %s: %w", method, path, err)
-	}
-	return resp.StatusCode, nil
+	return status, err
 }
 
 // Register announces the worker and returns its identity and timing
@@ -147,11 +84,11 @@ func (a *API) Deregister(ctx context.Context, workerID string) error {
 func (a *API) Lease(ctx context.Context, req LeaseRequest) (Lease, bool, error) {
 	var l Lease
 	status, err := a.call(ctx, http.MethodPost, "/v1/leases", req, &l)
-	if err != nil {
-		if status == http.StatusNotFound {
-			// The lease endpoint's only 404 is an unregistered worker.
-			return Lease{}, false, fmt.Errorf("%w: %v", ErrUnknownWorker, err)
-		}
+	switch {
+	case status == http.StatusNotFound:
+		// The lease endpoint's only 404 is an unregistered worker.
+		return Lease{}, false, fmt.Errorf("%w: %v", ErrUnknownWorker, err)
+	case err != nil:
 		return Lease{}, false, err
 	}
 	return l, status != http.StatusNoContent, nil
@@ -172,44 +109,31 @@ func (a *API) Complete(ctx context.Context, leaseID string, up ResultUpload) (Re
 	return resp, err
 }
 
-// FetchCkpt downloads the raw checkpoint artifact for key. Artifacts
-// are opaque binary blobs, not JSON, so this bypasses call.
-func (a *API) FetchCkpt(ctx context.Context, key string) ([]byte, error) {
-	path := "/v1/checkpoints/" + key
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, a.Base+path, nil)
+// FetchCkpt downloads the raw checkpoint artifact for key, which the
+// live lease leaseID must carry. Artifacts are opaque binary blobs, not
+// JSON.
+func (a *API) FetchCkpt(ctx context.Context, leaseID, key string) ([]byte, error) {
+	resp, err := a.conn().Send(ctx, http.MethodGet, ckptPath(leaseID, key), "", nil)
 	if err != nil {
 		return nil, err
 	}
-	a.authorize(req)
-	resp, err := a.http().Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("worker: GET %s: %w", path, err)
-	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, &APIError{Status: resp.StatusCode, Method: http.MethodGet, Path: path, Msg: resp.Status}
-	}
 	return io.ReadAll(resp.Body)
 }
 
-// PushCkpt uploads a locally generated checkpoint artifact so the rest
-// of the sweep — on the server and the fleet — can resume from it.
-func (a *API) PushCkpt(ctx context.Context, key string, data []byte) error {
-	path := "/v1/checkpoints/" + key
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, a.Base+path, bytes.NewReader(data))
+// PushCkpt uploads a checkpoint artifact that lease leaseID generated,
+// so the rest of the sweep — on the server and the fleet — can resume
+// from it.
+func (a *API) PushCkpt(ctx context.Context, leaseID, key string, data []byte) error {
+	resp, err := a.conn().Send(ctx, http.MethodPut, ckptPath(leaseID, key), "application/octet-stream", bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	a.authorize(req)
-	resp, err := a.http().Do(req)
-	if err != nil {
-		return fmt.Errorf("worker: PUT %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	if resp.StatusCode >= 300 {
-		return &APIError{Status: resp.StatusCode, Method: http.MethodPut, Path: path, Msg: resp.Status}
-	}
+	resp.Body.Close()
 	return nil
+}
+
+// ckptPath names an artifact and the lease that authorizes the request.
+func ckptPath(leaseID, key string) string {
+	return "/v1/checkpoints/" + key + "?lease=" + url.QueryEscape(leaseID)
 }

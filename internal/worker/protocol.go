@@ -7,20 +7,24 @@
 // content hash (campaign.JobKey) before the result enters the shared
 // cache, so a byzantine or stale worker can never corrupt it.
 //
-// Wire protocol (all JSON over the server's existing HTTP listener):
+// Wire protocol (JSON over the server's existing HTTP listener, except
+// the opaque checkpoint artifacts):
 //
 //	POST   /v1/workers              RegisterRequest  → RegisterResponse
 //	DELETE /v1/workers/{id}         deregister (requeues live leases)
 //	POST   /v1/leases               LeaseRequest     → Lease | 204 (none)
 //	POST   /v1/leases/{id}/heartbeat  Heartbeat      → HeartbeatResponse
 //	POST   /v1/leases/{id}/result   ResultUpload     → ResultResponse
+//	GET    /v1/checkpoints/{key}?lease={id}          → artifact
+//	PUT    /v1/checkpoints/{key}?lease={id}  artifact → 204
 //
 // The lease request long-polls: the server holds it open until a job is
 // available or the wait expires. A lease lives LeaseTTLMS from grant and
 // every accepted heartbeat re-arms it; a lease that outlives its TTL is
 // presumed dead, and its job is re-queued for another worker (bounded
 // retries, then the server runs it locally). A late upload against an
-// expired lease is answered 410 Gone and discarded.
+// expired lease is answered 410 Gone and discarded. An artifact request
+// names the live lease whose job carries the artifact's key.
 package worker
 
 import (
@@ -92,10 +96,11 @@ type Lease struct {
 	// DeadlineMS is the lease TTL from grant.
 	DeadlineMS int64 `json:"deadline_ms"`
 	// CkptKey, when non-empty, is the job's checkpoint artifact key
-	// (campaign.CheckpointKey): the worker may GET the artifact from
-	// /v1/checkpoints/{key} to resume sampling without re-warming, and
-	// may PUT one it generated back for the rest of the sweep. Absent
-	// for exact jobs and on servers without a checkpoint store.
+	// (campaign.CheckpointKey): while it holds the lease, the worker may
+	// GET the artifact from /v1/checkpoints/{key}?lease={ID} to resume
+	// sampling without re-warming, and may PUT one it generated back for
+	// the rest of the sweep. Absent for exact jobs and on servers
+	// without a checkpoint store.
 	CkptKey string `json:"ckpt_key,omitempty"`
 	// Job is the work itself.
 	Job JobSpec `json:"job"`

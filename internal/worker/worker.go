@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -12,6 +11,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/ckpt"
+	"repro/internal/wire"
 )
 
 // Worker is the pull-based remote simulation worker: it registers with
@@ -39,11 +39,6 @@ type Worker struct {
 	// store, each separately, evicting least recently used entries after
 	// every executed job; 0 means unbounded.
 	ScratchMaxBytes int64
-	// RetryBase/RetryMax shape the jittered exponential backoff used for
-	// registration and lease-poll failures (defaults 500ms / 15s). A
-	// coordinator restart is survived by waiting, not by dying.
-	RetryBase time.Duration
-	RetryMax  time.Duration
 	// Token is the worker-role bearer credential, required against a
 	// server running with -auth; "" sends no Authorization header.
 	Token string
@@ -97,28 +92,14 @@ func (w *Worker) Shutdown() {
 	}
 }
 
-// backoff returns the nth (0-based) retry delay: exponential from
-// RetryBase, capped at RetryMax, with ±25% jitter so a restarted
-// coordinator isn't stampeded by its whole fleet at once.
-func (w *Worker) backoff(n int) time.Duration {
-	base := w.RetryBase
-	if base <= 0 {
-		base = 500 * time.Millisecond
-	}
-	ceil := w.RetryMax
-	if ceil <= 0 {
-		ceil = 15 * time.Second
-	}
-	d := base
-	for i := 0; i < n && d < ceil; i++ {
-		d *= 2
-	}
-	if d > ceil {
-		d = ceil
-	}
-	// Jitter in [0.75, 1.25) of the nominal delay.
-	return d*3/4 + time.Duration(rand.Int63n(int64(d)/2+1))
-}
+// Registration and lease-poll failures are retried with jittered
+// exponential backoff between these bounds: a coordinator restart is
+// survived by waiting, not by dying, and the jitter keeps a restarted
+// coordinator from being stampeded by its whole fleet at once.
+const (
+	retryBase = 500 * time.Millisecond
+	retryMax  = 15 * time.Second
+)
 
 // register joins (or rejoins) the server, retrying transient failures
 // with jittered backoff until ctx ends. Terminal 4xx refusals —
@@ -133,12 +114,12 @@ func (w *Worker) register(ctx context.Context, api *API, name string, conc int, 
 		if err == nil {
 			return reg, nil
 		}
-		if terminal(err) || ctx.Err() != nil {
+		if wire.StatusCode(err)/100 == 4 || ctx.Err() != nil {
 			return RegisterResponse{}, err
 		}
 		w.logf("register: %v (retrying)", err)
 		select {
-		case <-time.After(w.backoff(attempt)):
+		case <-time.After(wire.Backoff(attempt, retryBase, retryMax)):
 		case <-ctx.Done():
 			return RegisterResponse{}, ctx.Err()
 		}
@@ -246,7 +227,7 @@ lease:
 			fails++
 			w.logf("lease poll: %v (retrying)", err)
 			select {
-			case <-time.After(w.backoff(fails - 1)):
+			case <-time.After(wire.Backoff(fails-1, retryBase, retryMax)):
 			case <-pollCtx.Done():
 				break lease
 			}
@@ -334,7 +315,7 @@ func (w *Worker) serve(ctx context.Context, api *API, reg RegisterResponse, scra
 	}
 	held := ckptKey != "" && store.Has(ckptKey)
 	if ckptKey != "" && !held {
-		if data, err := api.FetchCkpt(ctx, ckptKey); err != nil {
+		if data, err := api.FetchCkpt(ctx, l.ID, ckptKey); err != nil {
 			w.logf("lease %s: no artifact %.12s… from server: %v", l.ID, ckptKey, err)
 		} else if err := store.WriteRaw(ckptKey, data); err != nil {
 			w.logf("lease %s: artifact %.12s… rejected locally: %v", l.ID, ckptKey, err)
@@ -395,7 +376,7 @@ func (w *Worker) serve(ctx context.Context, api *API, reg RegisterResponse, scra
 			// Best-effort — the server may refuse (another cell beat us
 			// to it) and correctness never depends on the push landing.
 			if data, err := store.ReadRaw(ckptKey); err == nil {
-				if err := api.PushCkpt(ctx, ckptKey, data); err != nil {
+				if err := api.PushCkpt(ctx, l.ID, ckptKey, data); err != nil {
 					w.logf("lease %s: artifact push: %v", l.ID, err)
 				} else {
 					w.logf("lease %s: pushed artifact %.12s… (%d bytes)", l.ID, ckptKey, len(data))
@@ -436,7 +417,7 @@ func (w *Worker) upload(ctx context.Context, api *API, workerID string, l Lease,
 			}
 			return
 		}
-		if terminal(err) {
+		if wire.StatusCode(err)/100 == 4 {
 			// A 4xx (e.g. the server rejected the result's identity) is
 			// final; re-sending identical bytes can only earn a 410 —
 			// the server has already re-queued or resolved the job.

@@ -1,8 +1,8 @@
 // Command sdiqd is the long-running campaign service: it accepts
 // campaign specifications over HTTP from any number of sdiq clients,
-// schedules their jobs on one shared bounded executor over one on-disk
-// result cache, deduplicates identical in-flight jobs fleet-wide, and
-// streams progress and exports back. See internal/serve for the API.
+// puts their jobs on one job queue over one on-disk result cache,
+// deduplicates identical in-flight jobs fleet-wide, and streams
+// progress and exports back. See internal/serve for the API.
 //
 // Usage:
 //
@@ -11,16 +11,18 @@
 //	      [-registry-ttl 0] [-cache-max-bytes 0] [-gc-interval 1m]
 //	      [-auth tokens.json] [-tenant-isolation]
 //
-// -parallel bounds concurrent in-process simulations across all
-// campaigns (0 = GOMAXPROCS); -quota caps active campaigns per client
-// (0 = unlimited). On SIGTERM/SIGINT the server drains: new submissions
-// are refused with 503, running campaigns get up to -drain to finish,
-// then are cancelled at job granularity.
+// -parallel is how many of the server's own slots run jobs in-process,
+// across all campaigns (0 = GOMAXPROCS); -quota caps active campaigns
+// per client (0 = unlimited). On SIGTERM/SIGINT the server drains: new
+// submissions are refused with 503, running campaigns get up to -drain
+// to finish, then are cancelled at job granularity.
 //
-// Remote workers (sdiqw) may register at any time; cache-missed jobs
-// are then offered to the fleet over leases. -lease-ttl is how long a
-// worker may go silent before its job is re-queued; -job-retries bounds
-// re-leases before a job falls back to local execution.
+// Remote workers (sdiqw) may register at any time. Every cache-missed
+// job goes on one queue: a live fleet takes its jobs over leases, and
+// the slots run only those that failed more than -job-retries leases;
+// with no live worker the slots run every job, so a fleet that goes
+// silent hands its queue over after about -lease-ttl. -lease-ttl is
+// also how long a worker may go silent before its job is re-queued.
 //
 // -ckpt enables the checkpoint artifact store: sampled sweep cells that
 // share a warming identity reuse one functional-warming pass instead of
@@ -85,11 +87,11 @@ func main() {
 	cacheDir := flag.String("cache", "", "shared on-disk result cache directory (strongly recommended)")
 	ckptDir := flag.String("ckpt", "", "checkpoint artifact store directory (amortizes sampled-sweep warming)")
 	stateDir := flag.String("state", "", "durable control-plane state directory (campaigns survive restarts)")
-	parallel := flag.Int("parallel", 0, "max concurrent simulations fleet-wide (0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", 0, "in-process job slots: they run every job while no worker is live, and only jobs past -job-retries while one is (0 = GOMAXPROCS)")
 	quota := flag.Int("quota", 0, "max active campaigns per client (0 = unlimited)")
 	drain := flag.Duration("drain", 30*time.Second, "grace period for running campaigns on shutdown")
 	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "worker lease lifetime between heartbeats")
-	jobRetries := flag.Int("job-retries", 2, "re-lease attempts after a failed lease before local fallback (negative = none)")
+	jobRetries := flag.Int("job-retries", 2, "re-lease attempts after a failed lease; after them only the in-process slots run the job (negative = none)")
 	registryTTL := flag.Duration("registry-ttl", 0, "evict finished campaigns this long after completion (0 = keep until DELETE)")
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "size bound of each result cache and checkpoint store, LRU-evicted (0 = unbounded)")
 	gcInterval := flag.Duration("gc-interval", 0, "how often registry/store bounds are enforced (0 = 1m)")

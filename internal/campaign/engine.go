@@ -52,8 +52,8 @@ type Engine struct {
 	// inline simulate path. The engine still owns caching and dedup: the
 	// runner only sees jobs that genuinely need executing, and its
 	// results enter the shared cache like any other. Bounding execution
-	// is then the runner's job (the service dispatcher gates its local
-	// fallback with a shared Gate).
+	// is then the runner's job (the campaign service queues every job
+	// for its fleet and its own bounded slots).
 	Runner Runner
 	// Ckpt, when non-nil, is the checkpoint artifact store inline
 	// executions run against (ExecuteUnit): sampled cells of a sweep

@@ -75,31 +75,3 @@ func (f *Flight) Do(ctx context.Context, key string, fn func() (Result, error)) 
 func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
-
-// Gate is a counting semaphore bounding how many jobs simulate at once
-// across every runner sharing it — the campaign service's one bounded
-// executor (its dispatcher's local fallback). Cache and dedup hits never
-// reach it; only real simulations hold a slot.
-type Gate chan struct{}
-
-// NewGate returns a gate with n slots (n <= 0 panics: a gate exists to
-// bound concurrency, and a zero bound would deadlock every campaign).
-func NewGate(n int) Gate {
-	if n <= 0 {
-		panic("campaign: NewGate needs a positive slot count")
-	}
-	return make(Gate, n)
-}
-
-// Acquire takes a slot, abandoning the wait when ctx ends.
-func (g Gate) Acquire(ctx context.Context) error {
-	select {
-	case g <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Release returns a slot.
-func (g Gate) Release() { <-g }

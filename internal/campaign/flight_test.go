@@ -146,53 +146,6 @@ func TestFlightRetriesAfterLeaderCancelled(t *testing.T) {
 	}
 }
 
-// TestGateBoundsConcurrency: a shared gate keeps the number of
-// simultaneously running executions at its slot count.
-func TestGateBoundsConcurrency(t *testing.T) {
-	g := NewGate(2)
-	var running, peak atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < 12; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := g.Acquire(context.Background()); err != nil {
-				t.Error(err)
-				return
-			}
-			defer g.Release()
-			n := running.Add(1)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			running.Add(-1)
-		}()
-	}
-	wg.Wait()
-	if p := peak.Load(); p > 2 {
-		t.Errorf("peak concurrency %d exceeds gate size 2", p)
-	}
-}
-
-// TestGateAcquireHonoursContext: waiting for a slot ends with the
-// context.
-func TestGateAcquireHonoursContext(t *testing.T) {
-	g := NewGate(1)
-	if err := g.Acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if err := g.Acquire(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("err = %v, want deadline exceeded", err)
-	}
-	g.Release()
-}
-
 // TestJobKeyExactModePinned pins the exact-mode cache key of the
 // canonical paper job. The key is a content hash of (schema, bench,
 // tech, derived config, budget, seed, power params); if this test

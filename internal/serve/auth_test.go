@@ -155,13 +155,12 @@ func TestAuthMatrix(t *testing.T) {
 // identity comes from the token, never the spoofable header.
 func TestAuthEndToEnd(t *testing.T) {
 	s, cl := startServer(t, Config{
-		CacheDir:     t.TempDir(),
-		CkptDir:      t.TempDir(),
-		Workers:      2,
-		LeaseTTL:     2 * time.Second,
-		OfferTimeout: 30 * time.Second,
-		WorkerTTL:    60 * time.Second,
-		Auth:         testAuth(t),
+		CacheDir:  t.TempDir(),
+		CkptDir:   t.TempDir(),
+		Workers:   2,
+		LeaseTTL:  2 * time.Second,
+		WorkerTTL: 60 * time.Second,
+		Auth:      testAuth(t),
 	})
 	ctx := context.Background()
 	spec := sampledSpec("authed-fleet", []string{"gzip"}, 48, 80)
@@ -336,7 +335,6 @@ func TestArtifactFollowsItsLease(t *testing.T) {
 		Auth:            testAuth(t),
 		TenantIsolation: true,
 		LeaseTTL:        time.Minute,
-		OfferTimeout:    time.Minute,
 		WorkerTTL:       time.Minute,
 	})
 	ctx := context.Background()
@@ -558,10 +556,9 @@ func TestQuotaSurvivesRecovery(t *testing.T) {
 func TestStaleUploadAcrossRestartRejected(t *testing.T) {
 	ctx := context.Background()
 	cfg := Config{
-		Workers:      1,
-		LeaseTTL:     30 * time.Second,
-		OfferTimeout: 30 * time.Second,
-		WorkerTTL:    60 * time.Second,
+		Workers:   1,
+		LeaseTTL:  30 * time.Second,
+		WorkerTTL: 60 * time.Second,
 	}
 	cfg.CacheDir = t.TempDir()
 	s1, hs1, addr := serverAt(t, "127.0.0.1:0", cfg)

@@ -9,8 +9,8 @@ import (
 
 // Checkpoint artifact shipping: workers GET the sweep's shared warm
 // state instead of re-warming, and PUT artifacts they generated so the
-// rest of the grid (and the server's own local fallback) can resume
-// from them. Artifacts are opaque content-addressed blobs here; the
+// rest of the grid (and the coordinator's own slots) can resume from
+// them. Artifacts are opaque content-addressed blobs here; the
 // store validates keys and container headers, and each request names
 // its live lease (?lease=<id>), which must carry the key: the lease
 // authorizes the request and picks the namespace it reads or writes.

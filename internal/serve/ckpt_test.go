@@ -61,7 +61,7 @@ func rawCkpt(t *testing.T, cl *Client, method, lease, key string, body []byte) (
 func grantKey(s *Server, key string) string {
 	s.disp.mu.Lock()
 	defer s.disp.mu.Unlock()
-	l := &lease{id: "l-test", t: &task{ckptKey: key, ckpt: s.shared.ckpt, state: taskLeased}}
+	l := &lease{id: "l-test", t: &task{ckptKey: key, ckpt: s.shared.ckpt, state: taskTaken}}
 	s.disp.leases[l.id] = l
 	return l.id
 }
@@ -212,13 +212,12 @@ func TestDeleteEvictsOrphanedArtifacts(t *testing.T) {
 // local warm-from-scratch run.
 func TestWorkerCheckpointSharing(t *testing.T) {
 	s, cl := startServer(t, Config{
-		CacheDir:     t.TempDir(),
-		CkptDir:      t.TempDir(),
-		Workers:      2,
-		LeaseTTL:     2 * time.Second,
-		OfferTimeout: 30 * time.Second,
-		WorkerTTL:    60 * time.Second,
-		JobRetries:   2,
+		CacheDir:   t.TempDir(),
+		CkptDir:    t.TempDir(),
+		Workers:    2,
+		LeaseTTL:   2 * time.Second,
+		WorkerTTL:  60 * time.Second,
+		JobRetries: 2,
 	})
 	ctx := context.Background()
 	spec := sampledSpec("ckpt-fleet", []string{"gzip"}, 48, 80)
@@ -260,13 +259,12 @@ func TestWorkerCheckpointSharing(t *testing.T) {
 // artifact's bytes cross the wire.
 func TestWorkerPushesArtifactOnce(t *testing.T) {
 	s, cl := startServer(t, Config{
-		CacheDir:     t.TempDir(),
-		CkptDir:      t.TempDir(),
-		Workers:      1,
-		LeaseTTL:     2 * time.Second,
-		OfferTimeout: 30 * time.Second,
-		WorkerTTL:    60 * time.Second,
-		JobRetries:   2,
+		CacheDir:   t.TempDir(),
+		CkptDir:    t.TempDir(),
+		Workers:    1,
+		LeaseTTL:   2 * time.Second,
+		WorkerTTL:  60 * time.Second,
+		JobRetries: 2,
 	})
 	spec := sampledSpec("ckpt-push-once", []string{"gzip"}, 48, 64, 80)
 	spec.Techniques = []campaign.Technique{campaign.TechBaseline} // one warming identity
@@ -352,12 +350,11 @@ func TestArtifactByteBound(t *testing.T) {
 // and the export is still byte-identical to a local run.
 func TestWorkerStoresBounded(t *testing.T) {
 	s, cl := startServer(t, Config{
-		CacheDir:     t.TempDir(),
-		CkptDir:      t.TempDir(),
-		Workers:      1,
-		LeaseTTL:     2 * time.Second,
-		OfferTimeout: 30 * time.Second,
-		WorkerTTL:    60 * time.Second,
+		CacheDir:  t.TempDir(),
+		CkptDir:   t.TempDir(),
+		Workers:   1,
+		LeaseTTL:  2 * time.Second,
+		WorkerTTL: 60 * time.Second,
 	})
 	spec := sampledSpec("worker-bound", []string{"gzip"}, 48, 64)
 	workerCkpt := t.TempDir()

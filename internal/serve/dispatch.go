@@ -4,7 +4,9 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,21 +16,19 @@ import (
 	"repro/internal/worker"
 )
 
-// dispatcher is the server side of the remote worker pool. It sits
-// behind the campaign engines, through their namespaces' RunJob: every
-// cache-missed, dedup-missed job lands in runJob, which either offers
-// it to the lease queue (workers connected) or runs it in-process on
-// the shared gate. Workers pull jobs with long-poll leases, heartbeat
-// while they run, and upload results; a lease that misses its TTL is
-// presumed dead and its job is re-queued (bounded retries, then local
-// fallback), so a campaign always finishes — byte-identically — no
-// matter how much of the fleet dies under it.
+// dispatcher is the server's one job queue, behind the campaign
+// engines through their namespaces' RunJob. Two kinds of taker drain
+// it. Workers pull jobs with long-poll leases, heartbeat while they
+// run, and upload results; a lease that misses its TTL is presumed dead
+// and its job is re-queued. The coordinator's own slots run a job that
+// only they may (unhashable, or failed on the fleet past the retry
+// budget), and any job while no live worker is registered. So a
+// campaign always finishes — byte-identically — no matter how much of
+// the fleet dies under it.
 type dispatcher struct {
 	ttl       time.Duration // lease lifetime between heartbeats
-	offer     time.Duration // max queue wait before local fallback
 	workerTTL time.Duration // registered-worker staleness window
 	retries   int           // re-lease attempts after a failed lease
-	gate      campaign.Gate // shared simulation gate (local executions)
 	met       *metrics
 	// nonce is a per-boot random tag baked into every worker and lease
 	// ID. Without it a restarted coordinator reissues the same IDs from
@@ -43,7 +43,7 @@ type dispatcher struct {
 	lseq    int
 	workers map[string]*workerState
 	queue   []*task
-	wake    chan struct{} // closed+replaced when the queue gains a task
+	wake    chan struct{} // closed+replaced when the queue gains a task or a worker leaves
 	leases  map[string]*lease
 }
 
@@ -68,13 +68,13 @@ type taskState int
 
 const (
 	taskQueued taskState = iota
-	taskLeased
-	taskDone // outcome delivered (or abandoned by its campaign)
+	taskTaken            // leased to a worker, or running on a slot
+	taskDone             // outcome delivered (or abandoned by its campaign)
 )
 
-// task is one job offered to the fleet. Its owner (the engine worker
-// goroutine blocked in runJob) waits on outcome; the dispatcher's state
-// machine guarantees exactly one delivery.
+// task is one queued job. Its owner (the engine worker goroutine
+// blocked in runJob) waits on outcome; the dispatcher's state machine
+// guarantees exactly one delivery.
 type task struct {
 	job     *campaign.Job
 	key     string
@@ -84,17 +84,15 @@ type task struct {
 	ctx     context.Context // the campaign's context
 
 	state    taskState
-	attempts int         // leases granted so far
-	offerT   *time.Timer // fires while queued → local fallback
+	attempts int  // leases granted so far
+	slotOnly bool // only the coordinator's slots may take it
 	outcome  chan taskOutcome
 }
 
-// taskOutcome resolves a task: a worker's validated result, an error
-// (the campaign died), or fallback (run it locally).
+// taskOutcome resolves a task: a result, or the error that ended it.
 type taskOutcome struct {
-	res      campaign.Result
-	err      error
-	fallback bool
+	res campaign.Result
+	err error
 }
 
 // lease is one job handed to one worker, kept alive by heartbeats.
@@ -104,17 +102,12 @@ type lease struct {
 	t        *task
 	deadline time.Time
 	timer    *time.Timer
-	granted  time.Time
 }
 
-func newDispatcher(cfg Config, gate campaign.Gate, met *metrics) *dispatcher {
+func newDispatcher(cfg Config, met *metrics) *dispatcher {
 	ttl := cfg.LeaseTTL
 	if ttl <= 0 {
 		ttl = defaultLeaseTTL
-	}
-	offer := cfg.OfferTimeout
-	if offer <= 0 {
-		offer = ttl
 	}
 	wttl := cfg.WorkerTTL
 	if wttl <= 0 {
@@ -135,10 +128,8 @@ func newDispatcher(cfg Config, gate campaign.Gate, met *metrics) *dispatcher {
 	}
 	return &dispatcher{
 		ttl:       ttl,
-		offer:     offer,
 		workerTTL: wttl,
 		retries:   retries,
-		gate:      gate,
 		met:       met,
 		nonce:     hex.EncodeToString(nb[:]),
 		workers:   make(map[string]*workerState),
@@ -147,36 +138,23 @@ func newDispatcher(cfg Config, gate campaign.Gate, met *metrics) *dispatcher {
 	}
 }
 
-// --- job routing ---
+// --- the queue ---
 
-// runJob routes one cache-missed job: to the fleet when live workers
-// are registered (falling back locally if the offer times out, the
-// campaign is cancelled, or remote attempts are exhausted), otherwise
-// straight to the in-process gate. store is the checkpoint store of the
-// owning campaign's namespace: the job reads warm state from it and
-// publishes it to it, locally and, through the leases that carry the
-// job, across the fleet.
+// runJob queues one cache-missed job and waits for whichever taker runs
+// it. store is the checkpoint store of the owning campaign's namespace:
+// the job reads warm state from it and publishes it to it, on a slot
+// and, through the leases that carry the job, across the fleet. An
+// unhashable job (key "") has no identity to validate an upload
+// against, so only the slots take it.
 func (d *dispatcher) runJob(ctx context.Context, job *campaign.Job, key string, params power.Params, store *ckpt.Store) (campaign.Result, error) {
-	if key != "" && d.hasWorkers() {
-		res, err, done := d.runRemote(ctx, job, key, params, store)
-		if done {
-			return res, err
-		}
-		d.met.jobsFellBack.Add(1)
-	}
-	return d.runLocal(ctx, job, store)
-}
-
-// runRemote offers the job to the lease queue and waits it out. done is
-// false when the job should fall back to local execution.
-func (d *dispatcher) runRemote(ctx context.Context, job *campaign.Job, key string, params power.Params, store *ckpt.Store) (campaign.Result, error, bool) {
 	t := &task{
-		job:     job,
-		key:     key,
-		ckpt:    store,
-		params:  params,
-		ctx:     ctx,
-		outcome: make(chan taskOutcome, 1),
+		job:      job,
+		key:      key,
+		ckpt:     store,
+		params:   params,
+		ctx:      ctx,
+		slotOnly: key == "",
+		outcome:  make(chan taskOutcome, 1),
 	}
 	if store != nil {
 		// Sampled jobs carry their checkpoint identity into the lease so
@@ -188,83 +166,96 @@ func (d *dispatcher) runRemote(ctx context.Context, job *campaign.Job, key strin
 	d.mu.Unlock()
 	select {
 	case out := <-t.outcome:
-		if out.fallback {
-			return campaign.Result{}, nil, false
-		}
-		return out.res, out.err, true
+		return out.res, out.err
 	case <-ctx.Done():
 		d.abandon(t)
-		return campaign.Result{}, ctx.Err(), true
+		return campaign.Result{}, ctx.Err()
 	}
 }
 
-// runLocal executes in-process under the shared gate — the exact path
-// the server ran every job through before the worker pool existed.
-func (d *dispatcher) runLocal(ctx context.Context, job *campaign.Job, store *ckpt.Store) (campaign.Result, error) {
-	if err := d.gate.Acquire(ctx); err != nil {
-		return campaign.Result{}, err
+// slot is one of the coordinator's own execution slots: until ctx ends
+// it takes tasks (see takeForSlot) and runs them in-process against
+// their namespace's checkpoint store. Besides the queue's wake-ups it
+// looks again every half WorkerTTL, so a fleet that goes silent hands
+// its queue over once it turns stale.
+func (d *dispatcher) slot(ctx context.Context) {
+	tick := time.NewTicker(max(d.workerTTL/2, time.Millisecond))
+	defer tick.Stop()
+	for ctx.Err() == nil {
+		t, wake := d.takeForSlot()
+		if t == nil {
+			select {
+			case <-wake:
+			case <-tick.C:
+			case <-ctx.Done():
+			}
+			continue
+		}
+		res, err := campaign.ExecuteStored(t.ctx, t.job, t.ckpt)
+		d.mu.Lock()
+		if t.state == taskTaken {
+			if err == nil {
+				d.met.jobsLocal.Add(1)
+			}
+			t.state = taskDone
+			t.outcome <- taskOutcome{res: res, err: err}
+		}
+		d.mu.Unlock()
 	}
-	defer d.gate.Release()
-	d.met.jobsLocal.Add(1)
-	return campaign.ExecuteStored(ctx, job, store)
+}
+
+// takeForSlot takes the first queued task a slot may run: a slot-only
+// task, or any task while no live worker is registered. With none it
+// returns the channel that is closed at the queue's next change.
+func (d *dispatcher) takeForSlot() (*task, <-chan struct{}) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	fleet := d.liveLocked()
+	if i := slices.IndexFunc(d.queue, func(t *task) bool { return t.slotOnly || !fleet }); i >= 0 {
+		return d.takeLocked(i), nil
+	}
+	return nil, d.wake
+}
+
+// takeLocked removes the i-th task from the queue for a taker.
+func (d *dispatcher) takeLocked(i int) *task {
+	t := d.queue[i]
+	d.queue = slices.Delete(d.queue, i, i+1)
+	t.state = taskTaken
+	return t
 }
 
 // enqueueLocked puts a task on the queue (front for retries, so a
-// recovered job overtakes fresh work) and arms its offer timer.
+// recovered job overtakes fresh work) and wakes every taker.
 func (d *dispatcher) enqueueLocked(t *task, front bool) {
 	t.state = taskQueued
 	if front {
-		d.queue = append([]*task{t}, d.queue...)
+		d.queue = slices.Insert(d.queue, 0, t)
 	} else {
 		d.queue = append(d.queue, t)
 	}
-	t.offerT = time.AfterFunc(d.offer, func() { d.offerExpired(t) })
 	close(d.wake)
 	d.wake = make(chan struct{})
 }
 
-// removeLocked drops a task from the queue slice.
-func (d *dispatcher) removeLocked(t *task) {
-	for i, q := range d.queue {
-		if q == t {
-			d.queue = append(d.queue[:i:i], d.queue[i+1:]...)
-			return
-		}
-	}
-}
-
-// offerExpired fires when a task sat unleased for the full offer
-// window: the fleet is too slow (or dead) — reclaim it for local
-// execution.
-func (d *dispatcher) offerExpired(t *task) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if t.state != taskQueued {
-		return
-	}
-	d.removeLocked(t)
-	t.state = taskDone
-	t.outcome <- taskOutcome{fallback: true}
-}
-
 // abandon detaches a task whose campaign stopped waiting. A queued task
 // leaves the queue; a leased one stays with its worker, whose next
-// heartbeat is told to cancel and whose upload is discarded.
+// heartbeat is told to cancel and whose upload is discarded; one on a
+// slot stops with its campaign's context.
 func (d *dispatcher) abandon(t *task) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if t.state == taskQueued {
-		d.removeLocked(t)
-		t.offerT.Stop()
+	if i := slices.Index(d.queue, t); i >= 0 {
+		d.queue = slices.Delete(d.queue, i, i+1)
 	}
 	t.state = taskDone
 }
 
 // requeueLocked returns a leased task to the queue after its lease
-// failed (expiry, worker-reported error, rejected upload) — or, past
-// the retry budget, resolves it to local fallback.
+// failed (expiry, worker-reported error, rejected upload). Past the
+// retry budget only the coordinator's slots may take it.
 func (d *dispatcher) requeueLocked(t *task) {
-	if t.state != taskLeased {
+	if t.state != taskTaken {
 		return
 	}
 	if err := t.ctx.Err(); err != nil {
@@ -273,11 +264,10 @@ func (d *dispatcher) requeueLocked(t *task) {
 		return
 	}
 	if t.attempts > d.retries {
-		t.state = taskDone
-		t.outcome <- taskOutcome{fallback: true}
-		return
+		t.slotOnly = true
+	} else {
+		d.met.leaseRequeues.Add(1)
 	}
-	d.met.leaseRequeues.Add(1)
 	d.enqueueLocked(t, true)
 }
 
@@ -324,7 +314,8 @@ func max64(a, b int64) int64 {
 }
 
 // deregister removes a worker; leases it still holds are re-queued
-// immediately rather than waiting out their TTLs.
+// immediately rather than waiting out their TTLs, and the slots look
+// again, since the fleet may have just left.
 func (d *dispatcher) deregister(id string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -340,6 +331,8 @@ func (d *dispatcher) deregister(id string) bool {
 		l.timer.Stop()
 		d.requeueLocked(l.t)
 	}
+	close(d.wake)
+	d.wake = make(chan struct{})
 	return true
 }
 
@@ -365,11 +358,9 @@ func (d *dispatcher) freshLocked(w *workerState) bool {
 	return time.Since(w.lastSeen) <= d.workerTTL
 }
 
-// hasWorkers reports whether any live worker is registered — the
-// remote-vs-local routing signal.
-func (d *dispatcher) hasWorkers() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// liveLocked reports whether any live worker is registered: while one
+// is, the slots leave the fleet's tasks to it.
+func (d *dispatcher) liveLocked() bool {
 	for _, w := range d.workers {
 		if d.freshLocked(w) {
 			return true
@@ -380,7 +371,7 @@ func (d *dispatcher) hasWorkers() bool {
 
 // extraCapacity is the fleet's concurrent-job headroom — added to each
 // campaign engine's worker count so remote capacity actually raises
-// campaign parallelism beyond the local gate.
+// campaign parallelism beyond the coordinator's own slots.
 func (d *dispatcher) extraCapacity() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -415,11 +406,8 @@ func (d *dispatcher) nextLease(ctx context.Context, workerID string, wait time.D
 			return nil, nil, fmt.Errorf("unknown worker %q (register first)", workerID)
 		}
 		d.touchLocked(w)
-		if len(d.queue) > 0 {
-			t := d.queue[0]
-			d.queue = d.queue[1:]
-			t.offerT.Stop()
-			t.state = taskLeased
+		if i := slices.IndexFunc(d.queue, func(t *task) bool { return !t.slotOnly }); i >= 0 {
+			t := d.takeLocked(i)
 			t.attempts++
 			d.lseq++
 			l := &lease{
@@ -427,7 +415,6 @@ func (d *dispatcher) nextLease(ctx context.Context, workerID string, wait time.D
 				workerID: workerID,
 				t:        t,
 				deadline: time.Now().Add(d.ttl),
-				granted:  time.Now(),
 			}
 			l.timer = time.AfterFunc(d.ttl, func() { d.expire(l.id) })
 			d.leases[l.id] = l
@@ -502,19 +489,30 @@ func (d *dispatcher) heartbeat(leaseID string, hb worker.Heartbeat) (worker.Hear
 	}, true
 }
 
-// complete resolves a lease from a result upload. gone means the lease
-// already expired (the upload is late; its job is elsewhere by now).
-// The upload is validated against the leased job's own identity — its
-// JobKey and result coordinates — before the result is accepted; an
-// upload that fails validation counts as a failed lease and the job is
-// re-queued.
-func (d *dispatcher) complete(leaseID string, up worker.ResultUpload) (worker.ResultResponse, error, bool) {
+// Uploads that leave their lease as it was: to a lease that expired or
+// never existed (410), and to a live one another worker holds (409).
+var (
+	errLeaseGone = errors.New("lease is gone")
+	errNotHolder = errors.New("lease is held by another worker")
+)
+
+// complete resolves a lease from a result upload. An upload for a lease
+// that is gone (errLeaseGone) or held by another worker (errNotHolder)
+// changes nothing. Otherwise the upload is validated against the leased
+// job's own identity — its JobKey and result coordinates — before the
+// result is accepted; an upload that fails validation counts as a
+// failed lease and the job is re-queued.
+func (d *dispatcher) complete(leaseID string, up worker.ResultUpload) (worker.ResultResponse, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	l, ok := d.leases[leaseID]
-	if !ok || l.workerID != up.WorkerID {
+	if !ok {
 		d.met.lateUploads.Add(1)
-		return worker.ResultResponse{}, nil, false
+		return worker.ResultResponse{}, errLeaseGone
+	}
+	if l.workerID != up.WorkerID {
+		d.met.resultsRejected.Add(1)
+		return worker.ResultResponse{}, errNotHolder
 	}
 	delete(d.leases, leaseID)
 	l.timer.Stop()
@@ -523,26 +521,26 @@ func (d *dispatcher) complete(leaseID string, up worker.ResultUpload) (worker.Re
 		w.active--
 	}
 	t := l.t
-	if t.state != taskLeased {
+	if t.state != taskTaken {
 		// The campaign stopped waiting; nothing to deliver to.
-		return worker.ResultResponse{}, nil, true
+		return worker.ResultResponse{}, nil
 	}
 	if up.Error != "" {
 		d.met.workerJobFailures.Add(1)
 		d.requeueLocked(t)
-		return worker.ResultResponse{Requeued: t.state == taskQueued}, nil, true
+		return worker.ResultResponse{Requeued: t.state == taskQueued}, nil
 	}
 	if err := validateUpload(t, up); err != nil {
 		d.met.resultsRejected.Add(1)
 		d.requeueLocked(t)
-		return worker.ResultResponse{Requeued: t.state == taskQueued}, err, true
+		return worker.ResultResponse{Requeued: t.state == taskQueued}, err
 	}
 	res := *up.Result
 	res.Point = t.job.Point // canonical coordinates, as the engine stamps them
 	t.state = taskDone
 	d.met.jobsRemote.Add(1)
 	t.outcome <- taskOutcome{res: res}
-	return worker.ResultResponse{Accepted: true}, nil, true
+	return worker.ResultResponse{Accepted: true}, nil
 }
 
 // validateUpload checks a worker's result against the job the lease

@@ -10,12 +10,14 @@ package serve
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/wire"
 	"repro/internal/worker"
 )
 
@@ -84,12 +86,11 @@ func failureSpec() campaign.Spec {
 // produces, with no JobKey simulated twice.
 func TestWorkerDeathMidJobReleased(t *testing.T) {
 	_, cl := startServer(t, Config{
-		CacheDir:     t.TempDir(),
-		Workers:      2,
-		LeaseTTL:     250 * time.Millisecond,
-		OfferTimeout: 30 * time.Second, // never reclaim: recovery must come from re-leasing
-		WorkerTTL:    60 * time.Second,
-		JobRetries:   2,
+		CacheDir:   t.TempDir(),
+		Workers:    2,
+		LeaseTTL:   250 * time.Millisecond,
+		WorkerTTL:  60 * time.Second,
+		JobRetries: 2,
 	})
 	ctx := context.Background()
 	spec := failureSpec()
@@ -160,7 +161,7 @@ func TestWorkerDeathMidJobReleased(t *testing.T) {
 		t.Errorf("remote jobs = %g, want 4", got)
 	}
 	if got := metricValue(t, text, "sdiqd_jobs_local_total"); got != 0 {
-		t.Errorf("local jobs = %g, want 0 (recovery must come from the fleet, not fallback)", got)
+		t.Errorf("local jobs = %g, want 0 (recovery must come from the fleet, not the coordinator's slots)", got)
 	}
 	if got := metricValue(t, text, "sdiqd_jobs_failed_total"); got != 0 {
 		t.Errorf("%g jobs failed", got)
@@ -169,17 +170,16 @@ func TestWorkerDeathMidJobReleased(t *testing.T) {
 
 // TestLeaseExpiryLocalFallbackAndLateUpload: with no retry budget and a
 // fleet that leases a job and then drops every heartbeat, the job must
-// be reclaimed for local execution (the campaign never hangs on a dead
-// fleet), and the dead worker's eventual late upload must be answered
-// 410 and discarded — the locally-computed result already stands.
+// pass to the coordinator's own slots (the campaign never hangs on a
+// dead fleet), and the dead worker's eventual late upload must be
+// answered 410 and discarded — the slot's result already stands.
 func TestLeaseExpiryLocalFallbackAndLateUpload(t *testing.T) {
 	_, cl := startServer(t, Config{
-		CacheDir:     t.TempDir(),
-		Workers:      1,
-		LeaseTTL:     200 * time.Millisecond,
-		OfferTimeout: 250 * time.Millisecond,
-		WorkerTTL:    60 * time.Second,
-		JobRetries:   -1, // no re-leasing: expiry goes straight to local fallback
+		CacheDir:   t.TempDir(),
+		Workers:    1,
+		LeaseTTL:   200 * time.Millisecond,
+		WorkerTTL:  60 * time.Second,
+		JobRetries: -1, // no re-leasing: expiry hands the job to the slots
 	})
 	ctx := context.Background()
 	spec := failureSpec()
@@ -203,7 +203,7 @@ func TestLeaseExpiryLocalFallbackAndLateUpload(t *testing.T) {
 		}
 	}
 	// Never heartbeat, never upload: the lease dies of silence, and the
-	// server — out of retries — runs the job itself.
+	// server — out of retries — runs the job on its own slot.
 	if err := cl.Stream(ctx, sub.ID, func(Event) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestLeaseExpiryLocalFallbackAndLateUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 	if local := localCSV(t, spec); !bytes.Equal(remote, local) {
-		t.Errorf("fallback export differs from pure-local run")
+		t.Errorf("export after the handover to the slots differs from pure-local run")
 	}
 
 	// The zombie finally reports in; its lease is long gone.
@@ -229,9 +229,6 @@ func TestLeaseExpiryLocalFallbackAndLateUpload(t *testing.T) {
 	text := fetchMetrics(t, cl)
 	if got := metricValue(t, text, "sdiqd_leases_expired_total"); got != 1 {
 		t.Errorf("leases expired = %g, want 1", got)
-	}
-	if got := metricValue(t, text, "sdiqd_jobs_fellback_total"); got != 1 {
-		t.Errorf("fallbacks = %g, want 1", got)
 	}
 	if got := metricValue(t, text, "sdiqd_jobs_local_total"); got != 1 {
 		t.Errorf("local jobs = %g, want 1", got)
@@ -254,12 +251,11 @@ func TestLeaseExpiryLocalFallbackAndLateUpload(t *testing.T) {
 // bytes.
 func TestCorruptUploadRejectedThenRecovered(t *testing.T) {
 	_, cl := startServer(t, Config{
-		CacheDir:     t.TempDir(),
-		Workers:      1,
-		LeaseTTL:     60 * time.Second,
-		OfferTimeout: 60 * time.Second,
-		WorkerTTL:    60 * time.Second,
-		JobRetries:   1,
+		CacheDir:   t.TempDir(),
+		Workers:    1,
+		LeaseTTL:   60 * time.Second,
+		WorkerTTL:  60 * time.Second,
+		JobRetries: 1,
 	})
 	ctx := context.Background()
 	spec := failureSpec()
@@ -341,19 +337,134 @@ func TestCorruptUploadRejectedThenRecovered(t *testing.T) {
 	}
 }
 
+// TestImpostorUploadConflicts: an upload from a worker that does not
+// hold a live lease is answered 409 and changes nothing — the lease
+// stays live, its job stays leased, and neither a late upload nor a
+// requeue is counted — so the holder's own upload is then accepted. A
+// heartbeat from the impostor is answered 410, which makes a worker
+// drop the job.
+func TestImpostorUploadConflicts(t *testing.T) {
+	_, cl := startServer(t, Config{
+		CacheDir:  t.TempDir(),
+		Workers:   1,
+		LeaseTTL:  time.Minute,
+		WorkerTTL: time.Minute,
+	})
+	ctx := context.Background()
+	spec := failureSpec()
+	spec.Benchmarks = []string{"gzip"}
+	spec.Techniques = []campaign.Technique{campaign.TechBaseline}
+
+	api := worker.NewAPI(cl.Base)
+	holder, err := api.Register(ctx, worker.RegisterRequest{Name: "holder", Capacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	impostor, err := api.Register(ctx, worker.RegisterRequest{Name: "impostor", Capacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := cl.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l worker.Lease
+	for ok := false; !ok; {
+		if l, ok, err = api.Lease(ctx, worker.LeaseRequest{WorkerID: holder.WorkerID, WaitMS: 2000}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	job := l.Job.Job()
+	res, err := campaign.ExecuteStored(ctx, &job, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := worker.ResultUpload{WorkerID: impostor.WorkerID, Key: l.Key, Result: &res}
+	if _, err := api.Complete(ctx, l.ID, up); wire.StatusCode(err) != http.StatusConflict {
+		t.Fatalf("impostor's upload: err = %v, want 409", err)
+	}
+	if _, err := api.Heartbeat(ctx, l.ID, worker.Heartbeat{WorkerID: impostor.WorkerID}); err != worker.ErrLeaseGone {
+		t.Errorf("impostor's heartbeat: err = %v, want ErrLeaseGone", err)
+	}
+	text := fetchMetrics(t, cl)
+	for name, want := range map[string]float64{
+		"sdiqd_late_uploads_total":     0,
+		"sdiqd_lease_requeues_total":   0,
+		"sdiqd_results_rejected_total": 1,
+	} {
+		if got := metricValue(t, text, name); got != want {
+			t.Errorf("after the impostor's upload %s = %g, want %g", name, got, want)
+		}
+	}
+
+	up.WorkerID = holder.WorkerID
+	if resp, err := api.Complete(ctx, l.ID, up); err != nil || !resp.Accepted {
+		t.Fatalf("holder's upload: %+v, %v", resp, err)
+	}
+	if err := cl.Stream(ctx, sub.ID, func(Event) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	remote, err := cl.Export(ctx, sub.ID, "csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local := localCSV(t, spec); !bytes.Equal(remote, local) {
+		t.Errorf("export after the impostor's upload differs from pure-local run")
+	}
+	if got := metricValue(t, fetchMetrics(t, cl), "sdiqd_jobs_remote_total"); got != 1 {
+		t.Errorf("remote jobs = %g, want 1", got)
+	}
+}
+
+// TestSilentFleetHandsOver: a worker that registers and never polls
+// again keeps the coordinator's slots off the queue only until it turns
+// stale. About WorkerTTL later the slots take the whole campaign, long
+// before a lease could expire, and nothing is ever leased.
+func TestSilentFleetHandsOver(t *testing.T) {
+	const leaseTTL = 5 * time.Second
+	_, cl := startServer(t, Config{
+		CacheDir:  t.TempDir(),
+		Workers:   2,
+		LeaseTTL:  leaseTTL,
+		WorkerTTL: 300 * time.Millisecond,
+	})
+	ctx := context.Background()
+	spec := failureSpec()
+	if _, err := worker.NewAPI(cl.Base).Register(ctx, worker.RegisterRequest{Name: "silent", Capacity: 1}); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	rs, err := cl.Run(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= leaseTTL {
+		t.Errorf("campaign took %v beside a silent fleet, want less than LeaseTTL %v", took, leaseTTL)
+	}
+	if !bytes.Equal(csvOf(t, rs), localCSV(t, spec)) {
+		t.Error("export after the handover differs from pure-local run")
+	}
+	text := fetchMetrics(t, cl)
+	if got := metricValue(t, text, "sdiqd_jobs_local_total"); got != 4 {
+		t.Errorf("local jobs = %g, want 4: the slots take the silent fleet's queue", got)
+	}
+	if got := metricValue(t, text, "sdiqd_leases_granted_total"); got != 0 {
+		t.Errorf("leases granted = %g, want 0", got)
+	}
+}
+
 // TestWorkerJobErrorFallsBackToAuthoritativeError: a job that fails on
 // the workers (here: an unknown benchmark) is retried remotely within
-// budget, then falls back locally — whose execution produces the
-// authoritative error the campaign reports, exactly as a fleet-less
-// server would.
+// budget, then runs on the coordinator's own slot — whose execution
+// produces the authoritative error the campaign reports, exactly as a
+// fleet-less server would.
 func TestWorkerJobErrorFallsBackToAuthoritativeError(t *testing.T) {
 	_, cl := startServer(t, Config{
-		CacheDir:     t.TempDir(),
-		Workers:      1,
-		LeaseTTL:     5 * time.Second,
-		OfferTimeout: 5 * time.Second,
-		WorkerTTL:    60 * time.Second,
-		JobRetries:   1,
+		CacheDir:   t.TempDir(),
+		Workers:    1,
+		LeaseTTL:   5 * time.Second,
+		WorkerTTL:  60 * time.Second,
+		JobRetries: 1,
 	})
 	ctx := context.Background()
 	startWorker(t, cl.Base, "honest", 1, nil)
@@ -369,9 +480,6 @@ func TestWorkerJobErrorFallsBackToAuthoritativeError(t *testing.T) {
 	if got := metricValue(t, text, "sdiqd_worker_job_failures_total"); got != 2 {
 		t.Errorf("worker failures = %g, want 2 (initial + one retry)", got)
 	}
-	if got := metricValue(t, text, "sdiqd_jobs_fellback_total"); got != 1 {
-		t.Errorf("fallbacks = %g, want 1", got)
-	}
 	if got := metricValue(t, text, "sdiqd_jobs_failed_total"); got != 1 {
 		t.Errorf("failed jobs = %g, want 1", got)
 	}
@@ -383,10 +491,9 @@ func TestWorkerJobErrorFallsBackToAuthoritativeError(t *testing.T) {
 // keep serving jobs rather than spinning on a dead identity.
 func TestWorkerReregistersAfterRegistryLoss(t *testing.T) {
 	s, cl := startServer(t, Config{
-		CacheDir:     t.TempDir(),
-		Workers:      1,
-		LeaseTTL:     2 * time.Second,
-		OfferTimeout: 30 * time.Second,
+		CacheDir: t.TempDir(),
+		Workers:  1,
+		LeaseTTL: 2 * time.Second,
 		// Short staleness window → short poll interval, so the worker's
 		// next (404ing) poll lands quickly after the wipe below.
 		WorkerTTL: 500 * time.Millisecond,

@@ -33,10 +33,9 @@ type metrics struct {
 	leasesExpired     atomic.Int64 // leases that missed their TTL (dead worker)
 	leaseRequeues     atomic.Int64 // jobs put back on the queue after a failed lease
 	jobsRemote        atomic.Int64 // jobs completed by workers (validated uploads)
-	jobsLocal         atomic.Int64 // jobs executed in-process
-	jobsFellBack      atomic.Int64 // jobs reclaimed from the fleet for local execution
+	jobsLocal         atomic.Int64 // jobs completed by the coordinator's own slots
 	workerJobFailures atomic.Int64 // worker-reported execution errors
-	resultsRejected   atomic.Int64 // uploads that failed JobKey/identity validation
+	resultsRejected   atomic.Int64 // uploads from a non-holder or failing JobKey/identity validation
 	lateUploads       atomic.Int64 // uploads against expired or unknown leases
 	campaignsDeleted  atomic.Int64 // campaigns dropped via DELETE
 
@@ -91,10 +90,9 @@ func (m *metrics) rows() []row {
 		{"sdiqd_leases_expired_total", "Leases that missed their TTL (worker presumed dead).", "counter", float64(m.leasesExpired.Load())},
 		{"sdiqd_lease_requeues_total", "Jobs re-queued after a failed, expired or rejected lease.", "counter", float64(m.leaseRequeues.Load())},
 		{"sdiqd_jobs_remote_total", "Jobs completed by remote workers (validated uploads).", "counter", float64(m.jobsRemote.Load())},
-		{"sdiqd_jobs_local_total", "Jobs executed in-process (no fleet, or fallback).", "counter", float64(m.jobsLocal.Load())},
-		{"sdiqd_jobs_fellback_total", "Jobs reclaimed from the fleet for local execution.", "counter", float64(m.jobsFellBack.Load())},
+		{"sdiqd_jobs_local_total", "Jobs completed in-process by the coordinator's own slots.", "counter", float64(m.jobsLocal.Load())},
 		{"sdiqd_worker_job_failures_total", "Worker-reported execution errors.", "counter", float64(m.workerJobFailures.Load())},
-		{"sdiqd_results_rejected_total", "Uploads rejected by JobKey/identity validation.", "counter", float64(m.resultsRejected.Load())},
+		{"sdiqd_results_rejected_total", "Uploads rejected: sent by a worker not holding the lease, or failing JobKey/identity validation.", "counter", float64(m.resultsRejected.Load())},
 		{"sdiqd_late_uploads_total", "Uploads against expired or unknown leases, discarded.", "counter", float64(m.lateUploads.Load())},
 		{"sdiqd_campaigns_deleted_total", "Campaigns dropped from the registry via DELETE.", "counter", float64(m.campaignsDeleted.Load())},
 		{"sdiqd_campaigns_recovered_total", "Campaigns resumed from durable state at boot.", "counter", float64(m.campaignsRecovered.Load())},

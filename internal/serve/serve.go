@@ -1,12 +1,13 @@
 // Package serve is the campaign service: a long-running HTTP/JSON
 // server (cmd/sdiqd) that accepts campaign.Spec submissions from many
-// clients, expands and schedules their jobs on one shared bounded
-// executor backed by a single on-disk result cache, deduplicates
-// identical in-flight jobs fleet-wide (singleflight on the job content
-// hash), streams per-job progress as NDJSON or server-sent events, and
-// serves finished campaigns through the exact JSON/CSV exporters the
-// CLI uses locally — so a server-side export is byte-identical to the
-// same spec run with `sdiq -export`.
+// clients, puts their cache-missed jobs on one job queue over a single
+// on-disk result cache — drained by the remote worker fleet and by the
+// server's own bounded slots — deduplicates identical in-flight jobs
+// fleet-wide (singleflight on the job content hash), streams per-job
+// progress as NDJSON or server-sent events, and serves finished
+// campaigns through the exact JSON/CSV exporters the CLI uses locally —
+// so a server-side export is byte-identical to the same spec run with
+// `sdiq -export`.
 //
 // API (all JSON):
 //
@@ -51,8 +52,9 @@ type Config struct {
 	// warming identity instead of each recomputing it, locally and
 	// across the worker fleet (artifacts ship over /v1/checkpoints).
 	CkptDir string
-	// Workers bounds concurrent simulations fleet-wide (the shared
-	// executor); 0 means GOMAXPROCS.
+	// Workers is how many of the coordinator's own slots run jobs
+	// in-process: every job while no worker is live, and only jobs past
+	// JobRetries while one is. 0 means GOMAXPROCS.
 	Workers int
 	// QuotaPerClient caps campaigns a single client may have active at
 	// once; 0 means unlimited.
@@ -64,15 +66,13 @@ type Config struct {
 	// heartbeat before the worker is presumed dead and the job is
 	// re-queued. Default 15s.
 	LeaseTTL time.Duration
-	// OfferTimeout bounds how long a job waits on the lease queue before
-	// it is reclaimed for local execution. Default: LeaseTTL.
-	OfferTimeout time.Duration
 	// WorkerTTL is the staleness window after which a silent registered
-	// worker stops counting as connected. Default: LeaseTTL.
+	// worker stops counting as connected; with none connected, the slots
+	// take every job. Default: LeaseTTL.
 	WorkerTTL time.Duration
 	// JobRetries is how many times a job is re-leased after a failed
-	// lease (expiry, worker error, rejected upload) before falling back
-	// to local execution. Default 2; negative means no retries.
+	// lease (expiry, worker error, rejected upload); after that only the
+	// coordinator's slots run it. Default 2; negative means no retries.
 	JobRetries int
 
 	// Durability and state bounds (all zero values take defaults):
@@ -112,12 +112,11 @@ type Config struct {
 	TenantIsolation bool
 }
 
-// Server owns the campaign registry, the shared executor gate, the
-// tenants' namespaces and the metrics. Create with New, expose with
-// Handler, stop with Drain.
+// Server owns the campaign registry, the job queue and the slots that
+// drain it in-process, the tenants' namespaces and the metrics. Create
+// with New, expose with Handler, stop with Drain and then Close.
 type Server struct {
 	cfg   Config
-	gate  campaign.Gate
 	met   metrics
 	disp  *dispatcher
 	store *store.Store // nil when StateDir is unset or unusable
@@ -125,9 +124,10 @@ type Server struct {
 	// from boot; nil under TenantIsolation.
 	shared *namespace
 
-	ctx    context.Context
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	ctx     context.Context
+	cancel  context.CancelFunc
+	wg      sync.WaitGroup // running campaigns
+	slotsWG sync.WaitGroup // running slots
 
 	mu        sync.Mutex
 	draining  bool // guarded by mu so no submission can slip past Drain
@@ -151,7 +151,7 @@ type tenantState struct {
 
 // namespace is what a tenant's campaigns share: one result cache, one
 // checkpoint store and one in-flight dedup group. It is also their
-// campaign.Runner, pinning every job, local or leased, to its
+// campaign.Runner, pinning every job, on a slot or leased, to its
 // checkpoint store. With isolation off every tenant holds the server's
 // one shared namespace; with it on, each tenant has its own.
 type namespace struct {
@@ -162,7 +162,7 @@ type namespace struct {
 	disp     *dispatcher
 }
 
-// RunJob routes a cache-missed job through the dispatcher, against the
+// RunJob queues a cache-missed job on the dispatcher, against the
 // namespace's checkpoint store.
 func (ns *namespace) RunJob(ctx context.Context, job *campaign.Job, key string, params power.Params) (campaign.Result, error) {
 	return ns.disp.runJob(ctx, job, key, params, ns.ckpt)
@@ -188,16 +188,15 @@ type campaignRun struct {
 	ns       *namespace // the owner's namespace
 }
 
-// New returns a ready Server; callers then serve s.Handler().
+// New returns a ready Server, its slots running; callers then serve
+// s.Handler().
 func New(cfg Config) *Server {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:       cfg,
-		gate:      campaign.NewGate(workers),
 		met:       metrics{start: time.Now()},
 		ctx:       ctx,
 		cancel:    cancel,
@@ -205,7 +204,14 @@ func New(cfg Config) *Server {
 		active:    make(map[string]int),
 		tenants:   make(map[string]*tenantState),
 	}
-	s.disp = newDispatcher(cfg, s.gate, &s.met)
+	s.disp = newDispatcher(cfg, &s.met)
+	for range cfg.Workers {
+		s.slotsWG.Add(1)
+		go func() {
+			defer s.slotsWG.Done()
+			s.disp.slot(ctx)
+		}()
+	}
 	if !cfg.TenantIsolation {
 		s.shared = s.openNamespace("")
 	}
@@ -484,8 +490,11 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Close cancels every running campaign immediately.
-func (s *Server) Close() { s.cancel() }
+// Close cancels every running campaign immediately and stops the slots.
+func (s *Server) Close() {
+	s.cancel()
+	s.slotsWG.Wait()
+}
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -615,23 +624,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// run executes one campaign on the shared executor, feeding its
+// run executes one campaign through the job queue, feeding its
 // progress and the metrics.
 func (s *Server) run(rc *campaignRun) {
 	defer s.wg.Done()
 	// Everything tenant-scoped comes from the owner's namespace: the
-	// cache dir and dedup group, and the runner that pins jobs (local or
-	// remote) to the namespace's checkpoint store, so a worker's
+	// cache dir and dedup group, and the runner that pins jobs (on a
+	// slot or leased) to the namespace's checkpoint store, so a worker's
 	// uploaded artifact lands in the right namespace.
 	ns := rc.ns
 	eng := &campaign.Engine{
-		// Per-campaign parallelism: the local gate bounds in-process
-		// simulations; live remote capacity is added on top so a fleet
-		// actually raises throughput instead of idling behind the gate.
-		Workers:    cap(s.gate) + s.disp.extraCapacity(),
+		// Per-campaign parallelism: the slots, plus live remote capacity
+		// on top, so a fleet actually raises throughput.
+		Workers:    s.cfg.Workers + s.disp.extraCapacity(),
 		CacheDir:   ns.cacheDir,
 		Flight:     &ns.flight,
-		Runner:     ns, // remote-or-local routing per cache-missed job
+		Runner:     ns, // the job queue, per cache-missed job
 		OnJobStart: rc.started,
 		OnResult: func(r campaign.Result) {
 			switch {

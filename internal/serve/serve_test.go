@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -233,6 +236,51 @@ func TestServiceQuota(t *testing.T) {
 	}
 	if _, err := cl.Submit(ctx, tinySpec()); err != nil {
 		t.Errorf("post-completion submit rejected: %v", err)
+	}
+}
+
+// TestSlotsBoundConcurrency: with no fleet, Config.Workers bounds how
+// many jobs the coordinator simulates at once, across campaigns. Two
+// clients run concurrent campaigns over disjoint cells on one slot, so
+// no two executions may overlap in time.
+func TestSlotsBoundConcurrency(t *testing.T) {
+	_, cl := startServer(t, Config{CacheDir: t.TempDir(), Workers: 1})
+	ctx := context.Background()
+	specs := []campaign.Spec{failureSpec(), failureSpec()}
+	specs[1].Seed++ // disjoint cells: nothing is shared or cached
+	results := make([][]campaign.Result, len(specs))
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := NewClient(cl.Base)
+			c.ID = fmt.Sprintf("client-%d", i)
+			rs, err := c.Run(ctx, spec)
+			if err == nil {
+				results[i] = rs.Results
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	var runs []campaign.Result
+	for i := range specs {
+		if errs[i] != nil {
+			t.Fatalf("campaign %d: %v", i, errs[i])
+		}
+		runs = append(runs, results[i]...)
+	}
+	if got := metricValue(t, fetchMetrics(t, cl), "sdiqd_jobs_executed_total"); got != float64(len(runs)) {
+		t.Fatalf("executed %g of %d jobs", got, len(runs))
+	}
+	sort.Slice(runs, func(a, b int) bool { return runs[a].StartedAt.Before(runs[b].StartedAt) })
+	for i := 1; i < len(runs); i++ {
+		if prev, r := runs[i-1], runs[i]; r.StartedAt.Before(prev.FinishedAt) {
+			t.Errorf("%s/%s ran %v-%v, overlapping %s/%s at %v-%v on one slot",
+				r.Bench, r.Tech, r.StartedAt, r.FinishedAt, prev.Bench, prev.Tech, prev.StartedAt, prev.FinishedAt)
+		}
 	}
 }
 

@@ -19,11 +19,12 @@ import (
 // gate between worker uploads and the shared cache. In the body,
 // {{worker}} and {{key}} stand for the lease holder's ID and the job's
 // key, so the seeds stay valid whatever the nonce and the hash. The
-// handler must not panic and answers 200, 400, 410 or 422. An accepted
-// upload delivers exactly one result naming the leased job, and any
-// other answer delivers nothing. Each call moves exactly one of the
-// remote, rejected, worker-failure and late-upload counters, and a 400
-// moves none.
+// handler must not panic and answers 200, 400, 409 (an upload from a
+// worker that does not hold the lease), 410 or 422. An accepted upload
+// delivers exactly one result naming the leased job, and any other
+// answer delivers nothing. Each call moves exactly one of the remote,
+// rejected, worker-failure and late-upload counters, and a 400 moves
+// none.
 func FuzzLeaseResult(f *testing.F) {
 	s := New(Config{})
 	f.Cleanup(s.Close)
@@ -74,7 +75,7 @@ func FuzzLeaseResult(f *testing.F) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 				t.Fatalf("200 with a body that is not a ResultResponse: %v", err)
 			}
-		case http.StatusBadRequest, http.StatusGone, http.StatusUnprocessableEntity:
+		case http.StatusBadRequest, http.StatusConflict, http.StatusGone, http.StatusUnprocessableEntity:
 		default:
 			t.Fatalf("answered %d: %s", rec.Code, rec.Body)
 		}
@@ -94,7 +95,7 @@ func FuzzLeaseResult(f *testing.F) {
 			switch {
 			case !resp.Accepted:
 				t.Fatalf("answered %d %+v but delivered %+v", rec.Code, resp, out)
-			case out.err != nil || out.fallback || len(tk.outcome) != 0:
+			case out.err != nil || len(tk.outcome) != 0:
 				t.Fatalf("accepted, then delivered %+v and %d more", out, len(tk.outcome))
 			case r.Bench != job.Bench || r.Tech != job.Tech || (r.Sampled == nil) != (job.Sampling == nil) ||
 				!reflect.DeepEqual(r.Point, job.Point):

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"time"
 
@@ -79,14 +80,15 @@ func (s *Server) handleLeaseResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad result upload: %v", err)
 		return
 	}
-	resp, verr, ok := s.disp.complete(r.PathValue("id"), up)
-	if !ok {
+	resp, err := s.disp.complete(r.PathValue("id"), up)
+	switch {
+	case errors.Is(err, errLeaseGone):
 		writeError(w, http.StatusGone, "lease %q is gone (result discarded)", r.PathValue("id"))
-		return
+	case errors.Is(err, errNotHolder):
+		writeError(w, http.StatusConflict, "lease %q is held by another worker", r.PathValue("id"))
+	case err != nil:
+		writeError(w, http.StatusUnprocessableEntity, "result rejected: %v", err)
+	default:
+		writeJSON(w, http.StatusOK, resp)
 	}
-	if verr != nil {
-		writeError(w, http.StatusUnprocessableEntity, "result rejected: %v", verr)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

@@ -418,9 +418,9 @@ func (w *Worker) upload(ctx context.Context, api *API, workerID string, l Lease,
 			return
 		}
 		if wire.StatusCode(err)/100 == 4 {
-			// A 4xx (e.g. the server rejected the result's identity) is
-			// final; re-sending identical bytes can only earn a 410 —
-			// the server has already re-queued or resolved the job.
+			// A 4xx (the server rejected the result's identity, or the
+			// lease is held by another worker) is final: re-sending
+			// identical bytes cannot change the answer.
 			w.logf("lease %s: upload refused: %v", l.ID, err)
 			return
 		}

@@ -8,8 +8,7 @@
 //
 //	sdiqd [-addr :8080] [-cache DIR] [-ckpt DIR] [-state DIR] [-parallel N]
 //	      [-quota N] [-drain 30s] [-lease-ttl 15s] [-job-retries 2]
-//	      [-registry-ttl 0] [-cache-max-bytes 0] [-gc-interval 1m]
-//	      [-auth tokens.json] [-tenant-isolation]
+//	      [-cache-max-bytes 0] [-auth tokens.json] [-tenant-isolation]
 //
 // -parallel is how many of the server's own slots run jobs in-process,
 // across all campaigns (0 = GOMAXPROCS); -quota caps active campaigns
@@ -43,11 +42,11 @@
 // from their terminal record, and resumes serving status, events and
 // exports to reconnecting clients and workers.
 //
-// -registry-ttl evicts finished campaigns (memory, durable state and
-// orphaned checkpoint artifacts) that long after completion;
-// -cache-max-bytes bounds each on-disk store — the result cache and the
-// checkpoint store, separately — evicting least recently used entries;
-// -gc-interval is how often both bounds are enforced.
+// Once the finished campaigns hold more than 50,000 jobs in all, the
+// oldest leave, with their durable state and orphaned checkpoint
+// artifacts. -cache-max-bytes bounds each on-disk store — the result
+// cache and the checkpoint store, separately — evicting least recently
+// used entries every minute.
 //
 // -auth turns authentication on: every /v1/* request must present a
 // bearer token from the given token file (JSON mapping tokens to
@@ -92,9 +91,7 @@ func main() {
 	drain := flag.Duration("drain", 30*time.Second, "grace period for running campaigns on shutdown")
 	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "worker lease lifetime between heartbeats")
 	jobRetries := flag.Int("job-retries", 2, "re-lease attempts after a failed lease; after them only the in-process slots run the job (negative = none)")
-	registryTTL := flag.Duration("registry-ttl", 0, "evict finished campaigns this long after completion (0 = keep until DELETE)")
-	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "size bound of each result cache and checkpoint store, LRU-evicted (0 = unbounded)")
-	gcInterval := flag.Duration("gc-interval", 0, "how often registry/store bounds are enforced (0 = 1m)")
+	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "size bound of each result cache and checkpoint store, LRU-evicted every minute (0 = unbounded)")
 	authFile := flag.String("auth", "", "bearer token file (JSON); enables authentication on every /v1/* endpoint")
 	tenantIsolation := flag.Bool("tenant-isolation", false, "give each client its own result cache, checkpoint store and dedup")
 	flag.Parse()
@@ -132,9 +129,7 @@ func main() {
 		QuotaPerClient:  *quota,
 		LeaseTTL:        *leaseTTL,
 		JobRetries:      *jobRetries,
-		RegistryTTL:     *registryTTL,
 		CacheMaxBytes:   *cacheMaxBytes,
-		GCInterval:      *gcInterval,
 		Auth:            authenticator,
 		TenantIsolation: *tenantIsolation,
 	})

@@ -3,10 +3,8 @@ package exp
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -69,20 +67,16 @@ func Table1(cfg sim.Config) string {
 func Table2(seed int64) string {
 	t := newTable("Table 2: compilation times (ms)", "Benchmark", "Baseline", "Limited", "Ratio")
 	for _, b := range workload.Suite() {
-		t0 := time.Now()
-		p := b.Build(seed)
-		genMS := float64(time.Since(t0).Microseconds()) / 1000
-		t1 := time.Now()
-		if _, err := core.Instrument(p, core.Options{Mode: core.ModeNOOP}); err != nil {
+		_, res, err := campaign.Prepare(&campaign.Job{Bench: b.Name, Tech: campaign.TechNOOP, Seed: seed})
+		if err != nil {
 			t.addRow(b.Name, "error", err.Error(), "")
 			continue
 		}
-		anaMS := float64(time.Since(t1).Microseconds()) / 1000
 		ratio := 0.0
-		if genMS > 0 {
-			ratio = (genMS + anaMS) / genMS
+		if res.GenMS > 0 {
+			ratio = (res.GenMS + res.CompileMS) / res.GenMS
 		}
-		t.addRow(b.Name, f2(genMS), f2(genMS+anaMS), f1(ratio))
+		t.addRow(b.Name, f2(res.GenMS), f2(res.GenMS+res.CompileMS), f1(ratio))
 	}
 	t.addNote("Paper: SUIF-based pass, minutes on a Pentium 4 (gcc slowest at 186 min).")
 	t.addNote("Here: Go analysis pass on synthetic programs; compare relative ordering.")

@@ -176,3 +176,51 @@ func TestRecoverSkipsOversizedCampaign(t *testing.T) {
 	}
 	waitStatus(t, cl, "c0002", "done", func(info CampaignInfo) bool { return info.Done })
 }
+
+// TestBudgetBound: a budget over maxBudget is refused with 413 before
+// anything starts, maxBudget itself is admitted, and recovery skips an
+// over-budget record with the oversized campaign's log line.
+func TestBudgetBound(t *testing.T) {
+	state := t.TempDir()
+	st, err := store.Open(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := tinySpec()
+	over.Budget = maxBudget + 1
+	if err := st.Create(store.Meta{ID: "c0001", Submitted: time.Now().UTC(), Jobs: 2, Spec: over}); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs syncBuffer
+	prev := log.Writer()
+	log.SetOutput(&logs)
+	defer log.SetOutput(prev)
+	s, cl := startServer(t, Config{CacheDir: t.TempDir(), StateDir: state, Workers: 1})
+	if !strings.Contains(logs.String(), "recover c0001: skipped: campaign too large") {
+		t.Errorf("no log line for the over-budget record; logged:\n%s", logs.String())
+	}
+
+	body, err := json.Marshal(over)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, msg := post(t, cl, body); code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "budget") {
+		t.Errorf("budget %d answered %d (%s), want 413 naming the budget", over.Budget, code, msg)
+	}
+	if n := len(registered(s)); n != 0 {
+		t.Errorf("registry holds %d campaigns after the refusals", n)
+	}
+	text := fetchMetrics(t, cl)
+	for _, name := range []string{"sdiqd_campaigns_submitted_total", "sdiqd_campaigns_recovered_total", "sdiqd_jobs_executed_total"} {
+		if v := metricValue(t, text, name); v != 0 {
+			t.Errorf("%s = %g, want 0: nothing may start", name, v)
+		}
+	}
+
+	exact := tinySpec()
+	exact.Budget = maxBudget
+	if _, err := admit(&exact); err != nil {
+		t.Errorf("a budget of exactly %d is refused: %v", maxBudget, err)
+	}
+}

@@ -540,12 +540,13 @@ func TestQuotaSurvivesRecovery(t *testing.T) {
 		t.Errorf("submit after recovered campaign finished = %d, want 202", code)
 	}
 	waitIdle()
-	s2.mu.Lock()
-	leaked := len(s2.active)
-	s2.mu.Unlock()
-	if leaked != 0 {
-		t.Errorf("%d quota entries leaked after all campaigns finished", leaked)
+	s2.tmu.Lock()
+	for client, ts := range s2.tenants {
+		if ts.active != 0 {
+			t.Errorf("client %q holds %d quota slots after all campaigns finished", client, ts.active)
+		}
 	}
+	s2.tmu.Unlock()
 }
 
 // TestStaleUploadAcrossRestartRejected pins the zombie-upload hole: a

@@ -316,7 +316,6 @@ func TestArtifactByteBound(t *testing.T) {
 		CkptDir:       t.TempDir(),
 		Workers:       2,
 		CacheMaxBytes: 1,
-		GCInterval:    time.Hour, // the test runs each GC itself
 	})
 	spec := sampledSpec("ckpt-bound", []string{"gzip"}, 48, 64)
 	want := localCSV(t, spec)

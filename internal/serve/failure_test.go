@@ -117,7 +117,12 @@ func TestWorkerDeathMidJobReleased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	killedLease := <-leased // the doomed worker is now dead, holding this lease
+	var killedLease worker.Lease // the doomed worker is now dead, holding it
+	select {
+	case killedLease = <-leased:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the doomed worker was never leased a job in 10 s: no lease to kill it holding")
+	}
 
 	// The survivor arrives after the death and inherits the fleet.
 	startWorker(t, cl.Base, "survivor", 2, nil)

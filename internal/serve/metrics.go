@@ -44,7 +44,7 @@ type metrics struct {
 
 	// Durability and state bounds.
 	campaignsRecovered atomic.Int64 // campaigns resumed from durable state at boot
-	campaignsEvicted   atomic.Int64 // finished campaigns evicted by the registry TTL
+	campaignsEvicted   atomic.Int64 // finished campaigns evicted by the registry bound
 	cacheEvictions     atomic.Int64 // result-cache entries evicted by the byte bound
 	workerReconnects   atomic.Int64 // worker re-registrations after losing the coordinator
 
@@ -96,7 +96,7 @@ func (m *metrics) rows() []row {
 		{"sdiqd_late_uploads_total", "Uploads against expired or unknown leases, discarded.", "counter", float64(m.lateUploads.Load())},
 		{"sdiqd_campaigns_deleted_total", "Campaigns dropped from the registry via DELETE.", "counter", float64(m.campaignsDeleted.Load())},
 		{"sdiqd_campaigns_recovered_total", "Campaigns resumed from durable state at boot.", "counter", float64(m.campaignsRecovered.Load())},
-		{"sdiqd_campaigns_evicted_total", "Finished campaigns evicted by the registry TTL.", "counter", float64(m.campaignsEvicted.Load())},
+		{"sdiqd_campaigns_evicted_total", "Finished campaigns evicted by the registry bound on finished jobs, at finish or at boot.", "counter", float64(m.campaignsEvicted.Load())},
 		{"sdiqd_result_cache_evictions_total", "Result-cache entries evicted by the byte bound.", "counter", float64(m.cacheEvictions.Load())},
 		{"sdiqd_worker_reconnects_total", "Worker re-registrations after losing the coordinator.", "counter", float64(m.workerReconnects.Load())},
 		{"sdiqd_auth_failures_total", "Requests refused with 401/403 (bad token or wrong role).", "counter", float64(m.authFailures.Load())},

@@ -46,7 +46,7 @@ type progress struct {
 	id string // the campaign ID every event carries
 
 	mu     sync.Mutex
-	roster []campaign.JobStatus // in campaign job order
+	roster []campaign.JobStatus // in campaign job order; its length never changes
 	index  map[string][]int     // job ID → roster positions (a spec may list a job twice)
 	stat   campaign.Status      // counters; Jobs stays nil
 	events []Event
@@ -208,11 +208,11 @@ func (p *progress) restore(jobs []campaign.JobStatus) {
 }
 
 // finish ends the campaign: every job still pending or running becomes
-// skipped, persist (when non-nil) receives the final status with its
+// skipped, ending (when non-nil) receives the final status with its
 // roster, and only then is the outcome set and the log closed with the
-// "done" event — so whatever persist writes is on disk before the
+// "done" event — so whatever ending does has happened before the
 // campaign reads as done.
-func (p *progress) finish(finished time.Time, rs *campaign.ResultSet, err error, persist func(campaign.Status)) {
+func (p *progress) finish(finished time.Time, rs *campaign.ResultSet, err error, ending func(campaign.Status)) {
 	p.mu.Lock()
 	for i := range p.roster {
 		if s := p.roster[i].State; s == campaign.JobPending || s == campaign.JobRunning {
@@ -220,8 +220,8 @@ func (p *progress) finish(finished time.Time, rs *campaign.ResultSet, err error,
 		}
 	}
 	p.mu.Unlock()
-	if persist != nil {
-		persist(p.snapshot())
+	if ending != nil {
+		ending(p.snapshot())
 	}
 
 	p.mu.Lock()

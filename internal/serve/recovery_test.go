@@ -349,58 +349,18 @@ func TestDeleteRemovesDurableState(t *testing.T) {
 	}
 }
 
-// TestRegistryTTLEviction: finished campaigns past the TTL are dropped
-// from the registry and from durable state, and the eviction is
-// counted. A restart afterwards must not bring them back.
-func TestRegistryTTLEviction(t *testing.T) {
-	ctx := context.Background()
-	state, cache := t.TempDir(), t.TempDir()
-	cfg := Config{
-		CacheDir:    cache,
-		StateDir:    state,
-		Workers:     2,
-		RegistryTTL: 50 * time.Millisecond,
-		GCInterval:  20 * time.Millisecond,
-	}
-	s1, cl1 := startServer(t, cfg)
-	if _, err := cl1.Run(ctx, tinySpec()); err != nil {
-		t.Fatal(err)
-	}
-	id := s1.order[0]
-
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if _, err := cl1.Status(ctx, id); wire.StatusCode(err) == http.StatusNotFound {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("campaign never evicted by registry TTL")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := s1.met.campaignsEvicted.Load(); n < 1 {
-		t.Errorf("campaigns evicted = %d, want >= 1", n)
-	}
-	killServer(s1)
-
-	s2, _ := startServer(t, cfg)
-	if n := len(s2.campaigns); n != 0 {
-		t.Errorf("evicted campaign resurrected after restart: %d in registry", n)
-	}
-}
-
-// TestResultCacheByteBound: the janitor trims the shared result cache
-// to -cache-max-bytes and counts the evictions.
+// TestResultCacheByteBound: the janitor's step trims the shared result
+// cache to -cache-max-bytes and counts the evictions.
 func TestResultCacheByteBound(t *testing.T) {
 	ctx := context.Background()
-	_, cl := startServer(t, Config{
+	s, cl := startServer(t, Config{
 		CacheDir:      t.TempDir(),
 		Workers:       2,
 		CacheMaxBytes: 1, // evict everything the campaign writes
-		GCInterval:    20 * time.Millisecond,
 	})
 	if _, err := cl.Run(ctx, tinySpec()); err != nil {
 		t.Fatal(err)
 	}
+	s.gcOnce()
 	waitMetric(t, cl, "sdiqd_result_cache_evictions_total", 2)
 }

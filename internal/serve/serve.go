@@ -12,7 +12,7 @@
 // API (all JSON):
 //
 //	POST /v1/campaigns               submit a campaign.Spec → 202 {id,...}
-//	                                 (413 over maxCampaignJobs jobs)
+//	                                 (413 over maxCampaignJobs jobs or maxBudget)
 //	GET  /v1/campaigns               list campaigns
 //	GET  /v1/campaigns/{id}          status snapshot with per-job detail
 //	GET  /v1/campaigns/{id}/events   NDJSON stream (?format=sse for SSE)
@@ -22,6 +22,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -30,8 +31,11 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/auth"
@@ -82,18 +86,10 @@ type Config struct {
 	// written once when it ends. "" disables durability — a restart then
 	// forgets all campaigns, exactly the pre-durability behaviour.
 	StateDir string
-	// RegistryTTL evicts finished campaigns from the registry (and their
-	// durable state) this long after they finish; 0 keeps them until
-	// DELETE.
-	RegistryTTL time.Duration
 	// CacheMaxBytes bounds each on-disk store — every result cache and
-	// every checkpoint store — evicting least recently used entries; 0
-	// means unbounded.
+	// every checkpoint store — evicting least recently used entries every
+	// minute; 0 means unbounded.
 	CacheMaxBytes int64
-	// GCInterval is how often the registry-TTL and store-size bounds are
-	// enforced; 0 means every minute. Irrelevant when neither bound is
-	// set.
-	GCInterval time.Duration
 
 	// Identity and multi-tenancy:
 
@@ -129,12 +125,12 @@ type Server struct {
 	wg      sync.WaitGroup // running campaigns
 	slotsWG sync.WaitGroup // running slots
 
-	mu        sync.Mutex
-	draining  bool // guarded by mu so no submission can slip past Drain
-	seq       int
-	campaigns map[string]*campaignRun
-	order     []string
-	active    map[string]int // running campaigns per client
+	mu           sync.Mutex
+	draining     bool // guarded by mu so no submission can slip past Drain
+	seq          int
+	campaigns    map[string]*campaignRun
+	order        []string // campaign IDs in submission order
+	finishedJobs int      // of the ended campaigns; maxFinishedJobs bounds it
 
 	// tenants is per-client accounting plus each client's namespace.
 	// Guarded by tmu (not mu: namespaces are opened lazily on paths that
@@ -146,6 +142,7 @@ type Server struct {
 // tenantState is one client's accounting and namespace.
 type tenantState struct {
 	submitted, done, failed int64 // guarded by Server.tmu
+	active                  int   // running campaigns, which QuotaPerClient bounds; guarded by Server.tmu
 	ns                      *namespace
 }
 
@@ -160,6 +157,7 @@ type namespace struct {
 	ckpt     *ckpt.Store     // nil when CkptDir is unset or unusable
 	flight   campaign.Flight
 	disp     *dispatcher
+	refs     map[string]int // checkpoint key → registered campaigns naming it; guarded by Server.mu
 }
 
 // RunJob queues a cache-missed job on the dispatcher, against the
@@ -174,6 +172,20 @@ func (ns *namespace) RunJob(ctx context.Context, job *campaign.Job, key string, 
 // hold every job of a campaign in memory.
 const maxCampaignJobs = 10_000
 
+// maxFinishedJobs bounds the jobs of the registered finished campaigns,
+// server-wide, at finish and at recovery. A finished job holds about
+// 1.4 KB of heap and a one-job campaign 4.3 KB: about 70 MB in all, or
+// 215 MB at worst.
+const maxFinishedJobs = 50_000
+
+// Any admissible campaign fits under maxFinishedJobs, or this fails to
+// compile.
+const _ = uint(maxFinishedJobs - maxCampaignJobs)
+
+// maxBudget caps the committed instructions per job, ten times the
+// paper's 100M: a job's budget is how long it holds a slot or a lease.
+const maxBudget = 1_000_000_000
+
 // campaignRun is one submitted campaign: its identity and spec, plus
 // its progress — roster, counters, event log and outcome.
 type campaignRun struct {
@@ -182,10 +194,11 @@ type campaignRun struct {
 	spec      campaign.Spec
 	submitted time.Time
 	// ckptKeys are the checkpoint artifact keys this campaign's sampled
-	// jobs can reference (computed once at submission). DELETE uses them
-	// to evict artifacts no remaining campaign references.
+	// jobs can reference (computed once at submission). Eviction uses
+	// them to remove artifacts no registered campaign references.
 	ckptKeys map[string]struct{}
 	ns       *namespace // the owner's namespace
+	ended    bool       // finished in the registry, so evictable; guarded by Server.mu
 }
 
 // New returns a ready Server, its slots running; callers then serve
@@ -201,7 +214,6 @@ func New(cfg Config) *Server {
 		ctx:       ctx,
 		cancel:    cancel,
 		campaigns: make(map[string]*campaignRun),
-		active:    make(map[string]int),
 		tenants:   make(map[string]*tenantState),
 	}
 	s.disp = newDispatcher(cfg, &s.met)
@@ -227,15 +239,18 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// recover reads the durable state back into the registry. Campaigns
-// that finished cleanly or were still running re-run their spec — the
-// engine turns every already-finished job into a cache hit (the cache
-// is the durable home of results), re-simulates only genuinely
-// unfinished jobs, and rebuilds the in-memory ResultSet so exports work
-// again. Campaigns whose terminal record holds a failure come back as
-// tombstones: the recorded job roster, its events and the error are
-// served, nothing re-runs. A spec over maxCampaignJobs is skipped, as
-// submission would refuse it.
+// recover reads the durable state back into the registry, in
+// submission order. Campaigns that finished cleanly or were still
+// running re-run their spec — the engine turns every already-finished
+// job into a cache hit (the cache is the durable home of results),
+// re-simulates only genuinely unfinished jobs, and rebuilds the
+// in-memory ResultSet so exports work again. Campaigns whose terminal
+// record holds a failure come back as tombstones: the recorded job
+// roster, its events and the error are served, nothing re-runs. A spec
+// over maxCampaignJobs or maxBudget is skipped, as submission would
+// refuse it. Finished campaigns over maxFinishedJobs leave oldest
+// first, as at a finish, but only their records go: their artifacts are
+// left to the byte bound.
 func (s *Server) recover() {
 	if s.store == nil {
 		return
@@ -244,28 +259,37 @@ func (s *Server) recover() {
 	if err != nil {
 		log.Printf("sdiqd: state recovery (intact campaigns still recovered): %v", err)
 	}
-	// Registry and quota mutations happen under s.mu, and the resumed
-	// campaigns' run goroutines start only after the whole loop: a
-	// fast-finishing recovered campaign decrements s.active[client]
-	// under the lock, and starting it mid-loop would race the remaining
-	// increments — leaking (or double-freeing) quota slots.
-	var resumed []*campaignRun
-	s.mu.Lock()
-	defer func() {
-		s.mu.Unlock()
-		for _, rc := range resumed {
-			go s.run(rc)
-		}
-	}()
-	for _, rec := range recs {
-		if n, ok := campaignSeq(rec.Meta.ID); ok && n > s.seq {
+	// Recover lists IDs by name; "c%04d" grows a digit past c9999.
+	slices.SortStableFunc(recs, func(a, b store.Recovered) int {
+		return cmp.Or(cmp.Compare(len(a.Meta.ID), len(b.Meta.ID)), strings.Compare(a.Meta.ID, b.Meta.ID))
+	})
+	counts := make([]int, len(recs)) // 0: skipped
+	finished := 0
+	for i, rec := range recs {
+		var n int
+		if _, err := fmt.Sscanf(rec.Meta.ID, "c%d", &n); err == nil && n > s.seq {
 			s.seq = n // never reissue a recovered campaign's ID
 		}
-		jobs, jerr := admit(&rec.Meta.Spec)
-		if jerr != nil {
-			log.Printf("sdiqd: recover %s: skipped: %v", rec.Meta.ID, jerr)
+		if counts[i], err = admit(&rec.Meta.Spec); err != nil {
+			log.Printf("sdiqd: recover %s: skipped: %v", rec.Meta.ID, err)
+		} else if rec.Snap.Done {
+			finished += counts[i]
+		}
+	}
+	for i, rec := range recs {
+		if counts[i] == 0 {
 			continue
 		}
+		// As at a finish, the oldest finished campaigns leave, unexpanded,
+		// while the rest hold more than the bound.
+		if rec.Snap.Done && finished > maxFinishedJobs {
+			finished -= counts[i]
+			log.Printf("sdiqd: recover %s: removed: the finished campaigns hold over %d jobs", rec.Meta.ID, maxFinishedJobs)
+			_ = s.store.Remove(rec.Meta.ID) // a record left behind goes at the next boot
+			s.met.campaignsEvicted.Add(1)
+			continue
+		}
+		jobs, _ := rec.Meta.Spec.Jobs() // admit validated the spec
 		// Durable records from before name validation may carry a client
 		// that the grammar now refuses (an IPv6 remote address, say);
 		// sanitize before the name reaches quota maps or tenant paths.
@@ -281,12 +305,11 @@ func (s *Server) recover() {
 			submitted: rec.Meta.Submitted,
 			ckptKeys:  ckptKeysOf(ns.ckpt, jobs),
 			ns:        ns,
+			ended:     rec.Snap.Done && rec.Snap.Error != "",
 		}
-		s.campaigns[rc.id] = rc
-		s.order = append(s.order, rc.id)
+		_ = s.register(rc, 0) // no quota, and nothing drains before New returns
 		rc.begin()
-
-		if rec.Snap.Done && rec.Snap.Error != "" {
+		if rc.ended {
 			// Terminal failure: replay the recorded job roster and end
 			// the campaign with its error. No ResultSet survives a
 			// restart, so exports answer 422 with the error — same as
@@ -295,36 +318,18 @@ func (s *Server) recover() {
 			rc.finish(rec.Snap.Finished, nil, errors.New(rec.Snap.Error), nil)
 			continue
 		}
-
-		s.active[rc.client]++
-		s.wg.Add(1)
-		s.met.campaignsRecovered.Add(1)
-		s.met.campaignsActive.Add(1)
-		resumed = append(resumed, rc)
+		go s.run(rc)
 	}
 }
 
-// campaignSeq parses the numeric suffix of a "c%04d" campaign ID.
-func campaignSeq(id string) (int, bool) {
-	var n int
-	if _, err := fmt.Sscanf(id, "c%d", &n); err != nil {
-		return 0, false
-	}
-	return n, true
-}
-
-// startJanitor enforces the registry-TTL and store-size bounds on a
-// timer until the server closes. No bounds, no goroutine.
+// startJanitor enforces the store byte bound every minute until the
+// server closes. No bound, no goroutine.
 func (s *Server) startJanitor() {
-	if s.cfg.RegistryTTL <= 0 && s.cfg.CacheMaxBytes <= 0 {
+	if s.cfg.CacheMaxBytes <= 0 {
 		return
 	}
-	interval := s.cfg.GCInterval
-	if interval <= 0 {
-		interval = time.Minute
-	}
 	go func() {
-		t := time.NewTicker(interval)
+		t := time.NewTicker(time.Minute)
 		defer t.Stop()
 		for {
 			select {
@@ -337,49 +342,18 @@ func (s *Server) startJanitor() {
 	}()
 }
 
-// gcOnce applies both state bounds: finished campaigns past the
-// registry TTL are dropped (registry, durable state, orphaned
-// checkpoint artifacts), and every namespace's result cache and
-// checkpoint store is trimmed to the byte bound, LRU first — each
-// separately, so under isolation one tenant's churn cannot evict
-// another's results or artifacts.
+// gcOnce trims every namespace's result cache and checkpoint store to
+// the byte bound, LRU first — each separately, so under isolation one
+// tenant's churn cannot evict another's results or artifacts.
 func (s *Server) gcOnce() {
-	if ttl := s.cfg.RegistryTTL; ttl > 0 {
-		cutoff := time.Now().Add(-ttl)
-		s.mu.Lock()
-		var victims []string
-		for id, rc := range s.campaigns {
-			if done, finished, _, _ := rc.state(); done && finished.Before(cutoff) {
-				victims = append(victims, id)
-			}
+	for _, ns := range s.namespaces() {
+		if n, _, err := ns.cache.GC(s.cfg.CacheMaxBytes); err != nil {
+			log.Printf("sdiqd: result cache gc: %v", err)
+		} else if n > 0 {
+			s.met.cacheEvictions.Add(int64(n))
 		}
-		s.mu.Unlock()
-		// Durable state goes first: a crash between the two removals
-		// must forget the campaign, not resurrect a half-evicted one.
-		for _, id := range victims {
-			s.store.Remove(id)
-			s.met.campaignsEvicted.Add(1)
-		}
-		var evict []func()
-		s.mu.Lock()
-		for _, id := range victims {
-			evict = append(evict, s.dropLocked(id))
-		}
-		s.mu.Unlock()
-		for _, e := range evict {
-			e()
-		}
-	}
-	if max := s.cfg.CacheMaxBytes; max > 0 {
-		for _, ns := range s.namespaces() {
-			if n, _, err := ns.cache.GC(max); err != nil {
-				log.Printf("sdiqd: result cache gc: %v", err)
-			} else if n > 0 {
-				s.met.cacheEvictions.Add(int64(n))
-			}
-			if _, _, err := ns.ckpt.GC(max); err != nil {
-				log.Printf("sdiqd: checkpoint store gc: %v", err)
-			}
+		if _, _, err := ns.ckpt.GC(s.cfg.CacheMaxBytes); err != nil {
+			log.Printf("sdiqd: checkpoint store gc: %v", err)
 		}
 	}
 }
@@ -407,7 +381,7 @@ func (s *Server) tenant(client string) *tenantState {
 // dependencies. But say so — a typo'd -ckpt silently costing the fleet
 // its shared warming is a debugging trap.
 func (s *Server) openNamespace(sub string) *namespace {
-	ns := &namespace{disp: s.disp}
+	ns := &namespace{disp: s.disp, refs: make(map[string]int)}
 	var err error
 	if s.cfg.CacheDir != "" {
 		ns.cacheDir = filepath.Join(s.cfg.CacheDir, sub)
@@ -469,8 +443,8 @@ func (s *Server) Handler() http.Handler {
 // If ctx ends first the remaining campaigns are cancelled (they stop at
 // job granularity) and ctx's error is returned. Drain is what SIGTERM
 // triggers in cmd/sdiqd. The draining flag flips under the same lock
-// handleSubmit registers under, so every accepted campaign is
-// guaranteed to be inside the wait group before Drain starts waiting.
+// register reads it under, so every accepted campaign is guaranteed to
+// be inside the wait group before Drain starts waiting.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -518,22 +492,70 @@ type Submitted struct {
 	ExportURL string `json:"export_url"`
 }
 
-// errTooManyJobs refuses a campaign over maxCampaignJobs.
-var errTooManyJobs = errors.New("campaign too large")
+// errTooLarge refuses a campaign over maxCampaignJobs or maxBudget.
+var errTooLarge = errors.New("campaign too large")
 
-// admit returns spec's jobs when the campaign is admissible: a valid
-// spec of at most maxCampaignJobs jobs. The count comes from the axis
-// lengths, so a spec over the bound is refused before anything grows
-// with it.
-func admit(spec *campaign.Spec) ([]campaign.Job, error) {
+// admit returns spec's job count when the campaign is admissible: a
+// valid spec of at most maxCampaignJobs jobs, each of at most maxBudget
+// instructions. The count comes from the axis lengths, so a spec over
+// either bound is refused before anything grows with it.
+func admit(spec *campaign.Spec) (int, error) {
 	n, err := spec.JobCount()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if n > maxCampaignJobs {
-		return nil, fmt.Errorf("%w: the spec expands to %d jobs, over the bound of %d", errTooManyJobs, n, maxCampaignJobs)
+		return 0, fmt.Errorf("%w: the spec expands to %d jobs, over the bound of %d", errTooLarge, n, maxCampaignJobs)
 	}
-	return spec.Jobs()
+	if spec.Budget > maxBudget {
+		return 0, fmt.Errorf("%w: a budget of %d instructions is over the bound of %d", errTooLarge, spec.Budget, maxBudget)
+	}
+	return n, nil
+}
+
+// errDraining refuses a submission once Drain has begun.
+var errDraining = errors.New("server is draining")
+
+// register is the one way into the registry, for submission and for
+// recovery. An rc without an ID is a submission and takes the next ID;
+// quota, when positive, bounds its owner's running campaigns. A running
+// campaign holds a wait-group slot, the active gauge and a quota slot of
+// its owner until end; an ended one (a recovered tombstone) adds its
+// jobs to the finished count.
+func (s *Server) register(rc *campaignRun, quota int) error {
+	ts := s.tenant(rc.client)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.tmu.Lock()
+	defer s.tmu.Unlock()
+	if s.draining {
+		return errDraining
+	}
+	if quota > 0 && ts.active >= quota {
+		return fmt.Errorf("client %q already has %d active campaigns (quota %d)", rc.client, quota, quota)
+	}
+	switch {
+	case rc.id == "":
+		s.seq++
+		rc.id = fmt.Sprintf("c%04d", s.seq)
+		ts.submitted++
+		s.met.campaignsSubmitted.Add(1)
+	case !rc.ended:
+		s.met.campaignsRecovered.Add(1)
+	}
+	s.campaigns[rc.id] = rc
+	s.order = append(s.order, rc.id)
+	for k := range rc.ckptKeys {
+		rc.ns.refs[k]++
+	}
+	if rc.ended {
+		s.finishedJobs += len(rc.roster)
+		return nil
+	}
+	ts.active++
+	s.met.campaignsActive.Add(1)
+	s.wg.Add(1)
+	return nil
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -543,10 +565,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}
-	jobs, err := admit(&spec)
-	if errors.Is(err, errTooManyJobs) {
+	_, err := admit(&spec)
+	if errors.Is(err, errTooLarge) {
 		writeError(w, http.StatusRequestEntityTooLarge, "%v", err)
 		return
+	}
+	var jobs []campaign.Job
+	if err == nil {
+		jobs, err = spec.Jobs()
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad spec: %v", err)
@@ -562,72 +588,49 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", cerr)
 		return
 	}
-	ts := s.tenant(client)
-	ckptKeys := ckptKeysOf(ts.ns.ckpt, jobs)
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.met.campaignsRejected.Add(1)
-		w.Header().Set("Retry-After", "10")
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	if q := s.cfg.QuotaPerClient; q > 0 && s.active[client] >= q {
-		s.mu.Unlock()
-		s.met.campaignsRejected.Add(1)
-		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusTooManyRequests,
-			"client %q already has %d active campaigns (quota %d)", client, q, q)
-		return
-	}
-	s.seq++
-	id := fmt.Sprintf("c%04d", s.seq)
+	ns := s.tenant(client).ns
 	rc := &campaignRun{
-		progress:  newProgress(id, jobs),
+		progress:  newProgress("", jobs),
 		client:    client,
 		spec:      spec,
 		submitted: time.Now().UTC(),
-		ckptKeys:  ckptKeys,
-		ns:        ts.ns,
+		ckptKeys:  ckptKeysOf(ns.ckpt, jobs),
+		ns:        ns,
 	}
-	s.campaigns[id] = rc
-	s.order = append(s.order, id)
-	s.active[client]++
-	// Registered in the wait group before releasing the lock, so a
-	// concurrent Drain either rejected this submission or waits for it.
-	s.wg.Add(1)
-	s.mu.Unlock()
+	if err := s.register(rc, s.cfg.QuotaPerClient); err != nil {
+		s.met.campaignsRejected.Add(1)
+		code, retry := http.StatusTooManyRequests, "5"
+		if errors.Is(err, errDraining) {
+			code, retry = http.StatusServiceUnavailable, "10"
+		}
+		w.Header().Set("Retry-After", retry)
+		writeError(w, code, "%v", err)
+		return
+	}
 
 	// Persist the submission before acknowledging it. A record that
 	// fails to write degrades this campaign to in-memory only — same
 	// trade as the checkpoint store: durability is a feature, not a gate.
 	if werr := s.store.Create(store.Meta{
-		ID: id, Client: client, Submitted: rc.submitted, Jobs: len(jobs), Spec: spec,
+		ID: rc.id, Client: client, Submitted: rc.submitted, Jobs: len(jobs), Spec: spec,
 	}); werr != nil {
-		log.Printf("sdiqd: %s: durable state disabled for this campaign: %v", id, werr)
+		log.Printf("sdiqd: %s: durable state disabled for this campaign: %v", rc.id, werr)
 	}
-
-	s.met.campaignsSubmitted.Add(1)
-	s.met.campaignsActive.Add(1)
-	s.tmu.Lock()
-	ts.submitted++
-	s.tmu.Unlock()
 	rc.begin()
 	go s.run(rc)
 
 	writeJSON(w, http.StatusAccepted, Submitted{
-		ID:        id,
+		ID:        rc.id,
 		Jobs:      len(jobs),
-		StatusURL: "/v1/campaigns/" + id,
-		EventsURL: "/v1/campaigns/" + id + "/events",
-		ExportURL: "/v1/campaigns/" + id + "/export",
+		StatusURL: "/v1/campaigns/" + rc.id,
+		EventsURL: "/v1/campaigns/" + rc.id + "/events",
+		ExportURL: "/v1/campaigns/" + rc.id + "/export",
 	})
 }
 
 // run executes one campaign through the job queue, feeding its
-// progress and the metrics.
+// progress and the metrics, then ends it.
 func (s *Server) run(rc *campaignRun) {
-	defer s.wg.Done()
 	// Everything tenant-scoped comes from the owner's namespace: the
 	// cache dir and dedup group, and the runner that pins jobs (on a
 	// slot or leased) to the namespace's checkpoint store, so a worker's
@@ -659,21 +662,36 @@ func (s *Server) run(rc *campaignRun) {
 			rc.failed(j, err)
 		},
 	}
-
 	rs, err := eng.Run(s.ctx, rc.spec)
-	if err != nil {
-		s.met.campaignsFailed.Add(1)
-	} else {
-		s.met.campaignsDone.Add(1)
-	}
-	// The terminal record is written only when the campaign genuinely
-	// ended. A failure caused by server shutdown (drain deadline, test
-	// kill — the crash-injection suite relies on this) leaves none, so
-	// the next boot resumes the campaign instead of tombstoning a
-	// failure the campaign never earned. finish writes it before the
-	// campaign reads as done, so no DELETE or TTL eviction races it.
+	s.end(rc, rs, err)
+}
+
+// end closes a running campaign, before it reads as done so that a
+// client that sees it done finds all of this in place. It leaves the
+// running campaigns, freeing its owner's quota slot; its terminal record
+// is written; and it joins the finished campaigns, of which those over
+// maxFinishedJobs then leave, oldest first — never a running one, nor
+// rc, whose outcome its client is about to read. A failure caused by
+// server shutdown (drain deadline, test kill — the crash-injection
+// suite relies on this) neither writes a record nor joins: the next
+// boot resumes the campaign instead of tombstoning a failure it never
+// earned, and the bound cannot evict it meanwhile.
+func (s *Server) end(rc *campaignRun, rs *campaign.ResultSet, err error) {
+	defer s.wg.Done()
 	finished := time.Now().UTC()
 	rc.finish(finished, rs, err, func(st campaign.Status) {
+		ts := s.tenant(rc.client)
+		s.tmu.Lock()
+		ts.active--
+		if err != nil {
+			ts.failed++
+			s.met.campaignsFailed.Add(1)
+		} else {
+			ts.done++
+			s.met.campaignsDone.Add(1)
+		}
+		s.tmu.Unlock()
+		s.met.campaignsActive.Add(-1)
 		if err != nil && s.ctx.Err() != nil {
 			return
 		}
@@ -684,23 +702,22 @@ func (s *Server) run(rc *campaignRun) {
 		if werr := s.store.Finish(rc.id, snap); werr != nil {
 			log.Printf("sdiqd: %s: terminal record: %v", rc.id, werr)
 		}
+		s.evict(&s.met.campaignsEvicted, func() (victims []*campaignRun) {
+			rc.ended = true
+			s.finishedJobs += len(rc.roster)
+			over := s.finishedJobs - maxFinishedJobs
+			for _, id := range s.order {
+				if over <= 0 {
+					break
+				}
+				if old := s.campaigns[id]; old.ended && old != rc {
+					victims = append(victims, old)
+					over -= len(old.roster)
+				}
+			}
+			return victims
+		})
 	})
-
-	ts := s.tenant(rc.client)
-	s.tmu.Lock()
-	if err != nil {
-		ts.failed++
-	} else {
-		ts.done++
-	}
-	s.tmu.Unlock()
-
-	s.met.campaignsActive.Add(-1)
-	s.mu.Lock()
-	if s.active[rc.client]--; s.active[rc.client] <= 0 {
-		delete(s.active, rc.client)
-	}
-	s.mu.Unlock()
 }
 
 // CampaignInfo is the status view of one campaign.
@@ -859,13 +876,6 @@ func (s *Server) tenantRows() []labelRow {
 	if s.cfg.Auth == nil && !s.cfg.TenantIsolation {
 		return nil
 	}
-	s.mu.Lock()
-	active := make(map[string]int, len(s.active))
-	for c, n := range s.active {
-		active[c] = n
-	}
-	s.mu.Unlock()
-
 	s.tmu.Lock()
 	defer s.tmu.Unlock()
 	names := make([]string, 0, len(s.tenants))
@@ -881,7 +891,7 @@ func (s *Server) tenantRows() []labelRow {
 			labelRow{"sdiqd_tenant_campaigns_submitted_total", "Campaigns submitted, by tenant.", "counter", lbl, float64(ts.submitted)},
 			labelRow{"sdiqd_tenant_campaigns_done_total", "Campaigns finished successfully, by tenant.", "counter", lbl, float64(ts.done)},
 			labelRow{"sdiqd_tenant_campaigns_failed_total", "Campaigns finished with an error, by tenant.", "counter", lbl, float64(ts.failed)},
-			labelRow{"sdiqd_tenant_campaigns_active", "Campaigns currently running, by tenant.", "gauge", lbl, float64(active[c])},
+			labelRow{"sdiqd_tenant_campaigns_active", "Campaigns currently running, by tenant.", "gauge", lbl, float64(ts.active)},
 		)
 		if ts.ns != s.shared && ts.ns.ckpt != nil {
 			artifacts, bytes := ts.ns.ckpt.DiskStat()
@@ -924,76 +934,71 @@ func (s *Server) ckptRows() []row {
 	}
 }
 
-// handleDelete drops a finished campaign from the in-memory registry —
-// its progress, event log and result set become garbage immediately —
-// and garbage-collects checkpoint artifacts no remaining campaign
-// references. Running campaigns are refused: cancel-by-delete would
-// silently change other observers' results, and the engine owns
-// cancellation. Exports wanted later must be fetched (or re-submitted —
-// the disk cache makes that cheap) before deletion.
+// handleDelete evicts a finished campaign: its progress, event log and
+// result set become garbage, and its durable records and the artifacts
+// no other campaign references go. Running campaigns are refused:
+// cancel-by-delete would silently change other observers' results, and
+// the engine owns cancellation. Exports wanted later must be fetched
+// (or re-submitted — the disk cache makes that cheap) before deletion.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	rc, ok := s.campaigns[id]
-	if !ok || !s.ownsCampaign(r, rc) {
-		// Another tenant's campaign answers 404, not 403: the ID space
-		// must not leak across tenants.
-		s.mu.Unlock()
-		writeError(w, http.StatusNotFound, "no campaign %q", id)
+	code, refusal := http.StatusNoContent, ""
+	s.evict(&s.met.campaignsDeleted, func() []*campaignRun {
+		rc, ok := s.campaigns[id]
+		switch {
+		case !ok || !s.ownsCampaign(r, rc):
+			// Another tenant's campaign answers 404, not 403: the ID
+			// space must not leak across tenants.
+			code, refusal = http.StatusNotFound, "no campaign %q"
+		case !rc.ended:
+			code, refusal = http.StatusConflict, "campaign %s is still running"
+		default:
+			return []*campaignRun{rc}
+		}
+		return nil
+	})
+	if refusal != "" {
+		writeError(w, code, refusal, id)
 		return
 	}
-	if done, _, _, _ := rc.state(); !done {
-		s.mu.Unlock()
-		writeError(w, http.StatusConflict, "campaign %s is still running", id)
-		return
-	}
-	evict := s.dropLocked(id)
-	s.mu.Unlock()
-	s.store.Remove(id)
-	evict()
-	s.met.campaignsDeleted.Add(1)
-	w.WriteHeader(http.StatusNoContent)
+	w.WriteHeader(code)
 }
 
-// dropLocked removes a campaign from the registry (the caller holds
-// s.mu) and returns the eviction, for the caller to run once s.mu is
-// released, of the checkpoint artifacts orphaned by its departure: the
-// campaign's keys minus every key a surviving campaign (running or
-// finished) of the same namespace can still reference. A campaign of
-// another namespace referencing the same key holds its own copy in its
-// own store.
-func (s *Server) dropLocked(id string) (evict func()) {
-	rc, ok := s.campaigns[id]
-	if !ok {
-		return func() {}
-	}
-	delete(s.campaigns, id)
-	for i, oid := range s.order {
-		if oid == id {
-			s.order = append(s.order[:i:i], s.order[i+1:]...)
-			break
-		}
-	}
-	var orphans []string
-	for k := range rc.ckptKeys {
-		referenced := false
-		for _, other := range s.campaigns {
-			if other.ns != rc.ns {
-				continue
-			}
-			if _, ok := other.ckptKeys[k]; ok {
-				referenced = true
-				break
+// evict is the one way out of the registry, for DELETE and the bound.
+// pick runs under s.mu and names finished campaigns, each claimed there,
+// so a DELETE racing an eviction of the same campaign finds it gone.
+// Then its durable records go, then the checkpoint artifacts no
+// registered campaign of its namespace references, and it counts once
+// in ctr.
+func (s *Server) evict(ctr *atomic.Int64, pick func() []*campaignRun) {
+	s.mu.Lock()
+	victims := pick()
+	orphans := make([][]string, len(victims))
+	for i, rc := range victims {
+		delete(s.campaigns, rc.id)
+		s.finishedJobs -= len(rc.roster)
+		for k := range rc.ckptKeys {
+			if rc.ns.refs[k]--; rc.ns.refs[k] == 0 {
+				delete(rc.ns.refs, k)
+				orphans[i] = append(orphans[i], k)
 			}
 		}
-		if !referenced {
-			orphans = append(orphans, k)
-		}
 	}
-	return func() {
-		for _, k := range orphans {
+	if len(victims) > 0 {
+		s.order = slices.DeleteFunc(s.order, func(id string) bool {
+			_, ok := s.campaigns[id]
+			return !ok
+		})
+	}
+	s.mu.Unlock()
+	for i, rc := range victims {
+		if err := s.store.Remove(rc.id); err != nil {
+			log.Printf("sdiqd: %s: durable records: %v", rc.id, err)
+		}
+		for _, k := range orphans[i] {
 			rc.ns.ckpt.Remove(k)
 		}
+		ctr.Add(1)
 	}
 }
 

@@ -29,8 +29,8 @@
 // artifacts from /v1/checkpoints and push ones they generate). Each
 // artifact request names a live lease whose job carries the key, and
 // reads or writes the namespace of the campaign that lease serves.
-// DELETE /v1/campaigns/{id} garbage-collects artifacts no remaining
-// campaign references.
+// Artifacts, like cached results, outlive the campaigns that made them:
+// only -cache-max-bytes removes them.
 //
 // -state makes the control plane durable: each campaign's submission
 // record is written at submit, and its terminal record (outcome and
@@ -43,10 +43,9 @@
 // exports to reconnecting clients and workers.
 //
 // Once the finished campaigns hold more than 50,000 jobs in all, the
-// oldest leave, with their durable state and orphaned checkpoint
-// artifacts. -cache-max-bytes bounds each on-disk store — the result
-// cache and the checkpoint store, separately — evicting least recently
-// used entries every minute.
+// oldest leave, with their durable state. -cache-max-bytes bounds each
+// on-disk store — the result cache and the checkpoint store,
+// separately — evicting least recently used entries every minute.
 //
 // -auth turns authentication on: every /v1/* request must present a
 // bearer token from the given token file (JSON mapping tokens to
@@ -56,8 +55,9 @@
 // broken file keeps the previous set in force). -tenant-isolation
 // additionally gives each client its own namespace — result cache and
 // checkpoint store under tenants/<client> of -cache and -ckpt, plus its
-// own in-flight dedup — so tenants never share results or artifacts and
-// -cache-max-bytes bounds each tenant's stores separately.
+// own in-flight dedup — so tenants share no result or artifact on the
+// server, and -cache-max-bytes bounds each tenant's stores separately.
+// A worker's own stores name no tenant (see sdiqw).
 //
 //	sdiqd -addr :8080 -cache /var/cache/sdiq &
 //	sdiqw -server http://localhost:8080 -scratch /tmp/sdiqw &

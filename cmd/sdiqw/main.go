@@ -16,8 +16,8 @@
 // warm state from the server (or generate and push it back) instead of
 // re-warming per cell. -scratch-max-bytes bounds each of the two,
 // evicting least recently used entries after every job (an artifact
-// only once it has been pushed). -parallel is how many jobs run concurrently
-// (default: GOMAXPROCS). -token is the worker-role bearer credential,
+// only once it has been pushed). -parallel is how many jobs run
+// concurrently (default: GOMAXPROCS). -token is the worker-role bearer credential,
 // required against a server running with -auth (also read from
 // SDIQ_TOKEN so the secret stays out of process listings).
 //
@@ -25,6 +25,14 @@
 // polls retry with jittered exponential backoff, and when the server
 // comes back with no memory of this worker it simply re-registers —
 // scratch-cached results make any re-leased jobs cheap.
+//
+// Neither local store names a tenant: both are keyed by content hash
+// (campaign.JobKey, campaign.CheckpointKey), so against a server run
+// with -tenant-isolation a worker that ran one tenant's cell answers
+// another tenant's identical lease from -scratch, and resumes its
+// sampled cell from the -ckpt artifact without fetching or pushing it.
+// Results stay byte-identical; a fleet per tenant keeps their work
+// apart.
 //
 // On SIGTERM/SIGINT the worker drains: it stops taking leases, finishes
 // and uploads in-flight jobs, then deregisters. A second signal aborts

@@ -84,7 +84,7 @@ func (r *Reader) take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if r.off+n > len(r.buf) {
+	if n > len(r.buf)-r.off { // not r.off+n, which can overflow
 		r.err = ErrCorrupt
 		return nil
 	}

@@ -189,7 +189,7 @@ func TestAuthEndToEnd(t *testing.T) {
 	}
 
 	s.mu.Lock()
-	owner := s.campaigns[s.order[0]].client
+	owner := s.order.Front().Value.(*campaignRun).client
 	s.mu.Unlock()
 	if owner != "alice" {
 		t.Errorf("campaign owner = %q, want the authenticated principal %q (header spoof must lose)", owner, "alice")

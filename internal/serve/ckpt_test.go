@@ -1,8 +1,9 @@
-// Checkpoint store integration: artifact shipping endpoints, DELETE-time
-// garbage collection, and fleet-wide warm-state sharing. The sharing test
-// ends on the same oracle as the failure suite — a remote campaign that
-// resumed from shipped artifacts must export byte-identically to a plain
-// local run — and the whole file runs under -race in CI.
+// Checkpoint store integration: artifact shipping endpoints, artifacts
+// outliving the campaigns that generated them, the byte bound, and
+// fleet-wide warm-state sharing. The sharing test ends on the same
+// oracle as the failure suite — a remote campaign that resumed from
+// shipped artifacts must export byte-identically to a plain local run —
+// and the whole file runs under -race in CI.
 package serve
 
 import (
@@ -166,42 +167,46 @@ func TestCheckpointEndpointsWithoutStore(t *testing.T) {
 	}
 }
 
-// TestDeleteEvictsOrphanedArtifacts: DELETE of a campaign evicts the
-// artifacts only it references; anything a surviving campaign still
-// names stays published.
-func TestDeleteEvictsOrphanedArtifacts(t *testing.T) {
+// TestDeleteKeepsArtifacts: DELETE drops a campaign from the registry,
+// not the warm state it generated. Artifacts leave only by the byte
+// bound, as cached results do, so a later sweep point of the same
+// warming identity — the IQ axis is excluded from the key — resumes
+// from them instead of warming again, and still exports byte-identically
+// to a local run.
+func TestDeleteKeepsArtifacts(t *testing.T) {
 	s, cl := startServer(t, Config{CacheDir: t.TempDir(), CkptDir: t.TempDir(), Workers: 2})
 	ctx := context.Background()
 
-	// A references gzip's two warm classes (plain, noop); B references
-	// the same two — the IQ axis is excluded from the key, so a different
-	// sweep point shares them — plus mcf's two.
-	if _, err := cl.Run(ctx, sampledSpec("ckpt-gc-a", []string{"gzip"}, 48)); err != nil {
+	if _, err := cl.Run(ctx, sampledSpec("ckpt-keep-48", []string{"gzip"}, 48)); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := cl.Run(ctx, sampledSpec("ckpt-gc-b", []string{"gzip", "mcf"}, 64)); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := s.shared.ckpt.DiskStat(); n != 4 {
-		t.Fatalf("%d artifacts after both campaigns, want 4 (gzip+mcf x plain+noop)", n)
-	}
-
-	// Campaign ids are sequential; B is the second submission. Deleting
-	// it must evict only mcf's artifacts: gzip's are still A's.
-	if err := cl.Delete(ctx, "c0002"); err != nil {
-		t.Fatalf("delete campaign B: %v", err)
-	}
-	if n, _ := s.shared.ckpt.DiskStat(); n != 2 {
-		t.Fatalf("%d artifacts after deleting B, want 2 — gzip is still referenced by A", n)
 	}
 	if err := cl.Delete(ctx, "c0001"); err != nil {
-		t.Fatalf("delete campaign A: %v", err)
+		t.Fatalf("delete: %v", err)
 	}
-	if n, _ := s.shared.ckpt.DiskStat(); n != 0 {
-		t.Fatalf("%d artifacts after deleting both campaigns, want 0", n)
+	if n, _ := s.shared.ckpt.DiskStat(); n != 2 {
+		t.Fatalf("%d artifacts after the delete, want 2 (gzip x plain+noop)", n)
 	}
-	if v := metricValue(t, fetchMetrics(t, cl), "sdiqd_ckpt_evicted_total"); v != 4 {
-		t.Errorf("sdiqd_ckpt_evicted_total = %g, want 4", v)
+	text := fetchMetrics(t, cl)
+	if v := metricValue(t, text, "sdiqd_ckpt_evicted_total"); v != 0 {
+		t.Errorf("sdiqd_ckpt_evicted_total = %g after the delete, want 0", v)
+	}
+	hits := metricValue(t, text, "sdiqd_ckpt_hits_total")
+	generated := metricValue(t, text, "sdiqd_ckpt_generated_total")
+
+	spec := sampledSpec("ckpt-keep-64", []string{"gzip"}, 64)
+	rs, err := cl.Run(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(csvOf(t, rs), localCSV(t, spec)) {
+		t.Error("a campaign resumed from a deleted campaign's artifacts is not byte-identical to a local run")
+	}
+	text = fetchMetrics(t, cl)
+	if v := metricValue(t, text, "sdiqd_ckpt_hits_total"); v <= hits {
+		t.Errorf("sdiqd_ckpt_hits_total = %g, want more than %g: the second campaign must resume", v, hits)
+	}
+	if v := metricValue(t, text, "sdiqd_ckpt_generated_total"); v != generated {
+		t.Errorf("sdiqd_ckpt_generated_total = %g, want %g: nothing to warm again", v, generated)
 	}
 }
 

@@ -59,8 +59,7 @@ type workerState struct {
 	name     string
 	capacity int
 	lastSeen time.Time
-	active   int     // leases currently held
-	rate     float64 // last reported insts/sec
+	active   int // leases currently held
 }
 
 // taskState is a queued job's lifecycle under the dispatcher.
@@ -479,7 +478,6 @@ func (d *dispatcher) heartbeat(leaseID string, hb worker.Heartbeat) (worker.Hear
 	}
 	if w, ok := d.workers[hb.WorkerID]; ok {
 		d.touchLocked(w)
-		w.rate = hb.InstsPerSec
 	}
 	l.deadline = time.Now().Add(d.ttl)
 	l.timer.Reset(d.ttl)
@@ -586,12 +584,11 @@ func (d *dispatcher) leasedStore(leaseID, key string) (*ckpt.Store, bool) {
 // rows renders the dispatcher's live gauges for /metrics.
 func (d *dispatcher) rows() []row {
 	d.mu.Lock()
-	connected, capacity, rate := 0, 0, 0.0
+	connected, capacity := 0, 0
 	for _, w := range d.workers {
 		if d.freshLocked(w) {
 			connected++
 			capacity += w.capacity
-			rate += w.rate
 		}
 	}
 	queued, active := len(d.queue), len(d.leases)
@@ -599,7 +596,6 @@ func (d *dispatcher) rows() []row {
 	return []row{
 		{"sdiqd_workers_connected", "Live registered workers.", "gauge", float64(connected)},
 		{"sdiqd_worker_capacity", "Total concurrent-job capacity of live workers.", "gauge", float64(capacity)},
-		{"sdiqd_worker_insts_per_second", "Fleet simulation rate as last reported by worker heartbeats.", "gauge", rate},
 		{"sdiqd_lease_queue_depth", "Jobs waiting to be leased.", "gauge", float64(queued)},
 		{"sdiqd_leases_active", "Leases currently held by workers.", "gauge", float64(active)},
 	}

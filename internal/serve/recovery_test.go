@@ -151,7 +151,7 @@ func TestRestartRecoversFinishedCampaign(t *testing.T) {
 	if err := rs.WriteJSON(&wantJSON); err != nil {
 		t.Fatal(err)
 	}
-	sub := s1.order[0]
+	sub := registered(s1)[0]
 	killServer(s1)
 	if got, want := campaignFiles(t, state, sub), []string{"meta.json", "snap.json"}; !slices.Equal(got, want) {
 		t.Errorf("durable state of a finished campaign = %v, want %v", got, want)
@@ -187,7 +187,7 @@ func TestRestartTombstonesFailedCampaign(t *testing.T) {
 	if _, err := cl1.Run(ctx, spec); err == nil || !strings.Contains(err.Error(), "nosuchbench") {
 		t.Fatalf("campaign error = %v, want nosuchbench failure", err)
 	}
-	sub := s1.order[0]
+	sub := registered(s1)[0]
 	before, err := cl1.Status(ctx, sub)
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +334,7 @@ func TestDeleteRemovesDurableState(t *testing.T) {
 	if _, err := cl1.Run(ctx, tinySpec()); err != nil {
 		t.Fatal(err)
 	}
-	id := s1.order[0]
+	id := registered(s1)[0]
 	if err := cl1.Delete(ctx, id); err != nil {
 		t.Fatal(err)
 	}

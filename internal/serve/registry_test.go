@@ -40,7 +40,7 @@ func jobsSpec(n int) campaign.Spec {
 // with its durable records, but runs nothing. A finished one is a
 // tombstone; a running one holds its slot until the test ends it with
 // s.end.
-func synthetic(t *testing.T, s *Server, spec campaign.Spec, finished bool) *campaignRun {
+func synthetic(t testing.TB, s *Server, spec campaign.Spec, finished bool) *campaignRun {
 	t.Helper()
 	if _, err := admit(&spec); err != nil {
 		t.Fatal(err)
@@ -79,7 +79,11 @@ func synthetic(t *testing.T, s *Server, spec campaign.Spec, finished bool) *camp
 func registered(s *Server) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return slices.Clone(s.order)
+	var ids []string
+	for e := s.order.Front(); e != nil; e = e.Next() {
+		ids = append(ids, e.Value.(*campaignRun).id)
+	}
+	return ids
 }
 
 // hasRecords reports whether a campaign's durable directory exists.
@@ -97,8 +101,8 @@ func hasRecords(t *testing.T, state, id string) bool {
 // finished ones leave, in submission order, until the rest fit. A
 // running campaign older than all of them stays, and so does the one
 // that just finished, even when it is the oldest. Each leaver takes its
-// durable records and its orphaned artifacts with it, counts once, and
-// does not come back at restart.
+// durable records with it, counts once, and does not come back at
+// restart.
 func TestRegistryBoundAtFinish(t *testing.T) {
 	ctx := context.Background()
 	cfg := Config{CacheDir: t.TempDir(), CkptDir: t.TempDir(), StateDir: t.TempDir(), Workers: 2}
@@ -127,8 +131,8 @@ func TestRegistryBoundAtFinish(t *testing.T) {
 	if got := registered(s); !slices.Equal(got, stayed) {
 		t.Errorf("registry after the bound = %v, want %v", got, stayed)
 	}
-	if n, _ := s.shared.ckpt.DiskStat(); n != 2 {
-		t.Errorf("%d artifacts after the eviction, want 2: mcf's were c0002's alone, gzip's are c0008's too", n)
+	if n, _ := s.shared.ckpt.DiskStat(); n != 4 {
+		t.Errorf("%d artifacts after the eviction, want 4: c0002's leave only by the byte bound", n)
 	}
 	// c0009 brings the finished jobs to the bound; c0001, the oldest,
 	// finishes two over it, stays, and c0004 leaves.
@@ -316,5 +320,30 @@ func TestRegistryShutdownKeepsRunning(t *testing.T) {
 		if got := campaignFiles(t, state, rc.id); !slices.Equal(got, []string{"meta.json"}) {
 			t.Errorf("%s stopped by shutdown left %v, want only its submission record", rc.id, got)
 		}
+	}
+}
+
+// BenchmarkFinishAtBound times one finish at a full registry: with
+// maxFinishedJobs one-job finished campaigns registered, a one-job
+// campaign finishes one job over the bound and the oldest finished
+// campaign leaves. Each finishing campaign registers off the clock.
+//
+//	go test ./internal/serve -run '^$' -bench FinishAtBound -benchtime 2000x
+func BenchmarkFinishAtBound(b *testing.B) {
+	s := New(Config{Workers: 1})
+	b.Cleanup(s.Close)
+	for range maxFinishedJobs {
+		synthetic(b, s, jobsSpec(1), true)
+	}
+	n := int64(0)
+	for b.Loop() {
+		b.StopTimer()
+		rc := synthetic(b, s, jobsSpec(1), false)
+		b.StartTimer()
+		s.end(rc, nil, nil)
+		n++
+	}
+	if got := s.met.campaignsEvicted.Load(); got != n {
+		b.Fatalf("%d finishes evicted %d campaigns, want one each", n, got)
 	}
 }

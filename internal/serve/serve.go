@@ -23,6 +23,7 @@ package serve
 
 import (
 	"cmp"
+	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -102,9 +103,11 @@ type Config struct {
 	Auth *auth.Authenticator
 	// TenantIsolation gives each client its own namespace — result
 	// cache and checkpoint store under tenants/<client> of CacheDir and
-	// CkptDir, plus its own in-flight dedup: tenants then never share
-	// results or artifacts — each pays for its own simulations — and
-	// CacheMaxBytes bounds each tenant's stores separately.
+	// CkptDir, plus its own in-flight dedup: tenants then share no result
+	// or artifact on the server — each pays for its own simulations — and
+	// CacheMaxBytes bounds each tenant's stores separately. A worker's
+	// scratch cache and checkpoint store name no tenant, so one worker
+	// may still answer a tenant's lease from another's work.
 	TenantIsolation bool
 }
 
@@ -129,8 +132,8 @@ type Server struct {
 	draining     bool // guarded by mu so no submission can slip past Drain
 	seq          int
 	campaigns    map[string]*campaignRun
-	order        []string // campaign IDs in submission order
-	finishedJobs int      // of the ended campaigns; maxFinishedJobs bounds it
+	order        list.List // of *campaignRun, in submission order
+	finishedJobs int       // of the ended campaigns; maxFinishedJobs bounds it
 
 	// tenants is per-client accounting plus each client's namespace.
 	// Guarded by tmu (not mu: namespaces are opened lazily on paths that
@@ -157,7 +160,6 @@ type namespace struct {
 	ckpt     *ckpt.Store     // nil when CkptDir is unset or unusable
 	flight   campaign.Flight
 	disp     *dispatcher
-	refs     map[string]int // checkpoint key → registered campaigns naming it; guarded by Server.mu
 }
 
 // RunJob queues a cache-missed job on the dispatcher, against the
@@ -174,8 +176,8 @@ const maxCampaignJobs = 10_000
 
 // maxFinishedJobs bounds the jobs of the registered finished campaigns,
 // server-wide, at finish and at recovery. A finished job holds about
-// 1.4 KB of heap and a one-job campaign 4.3 KB: about 70 MB in all, or
-// 215 MB at worst.
+// 1.4 KB of heap and a one-job campaign 4.4 KB: about 71 MB in all, or
+// 219 MB at worst.
 const maxFinishedJobs = 50_000
 
 // Any admissible campaign fits under maxFinishedJobs, or this fails to
@@ -193,12 +195,9 @@ type campaignRun struct {
 	client    string
 	spec      campaign.Spec
 	submitted time.Time
-	// ckptKeys are the checkpoint artifact keys this campaign's sampled
-	// jobs can reference (computed once at submission). Eviction uses
-	// them to remove artifacts no registered campaign references.
-	ckptKeys map[string]struct{}
-	ns       *namespace // the owner's namespace
-	ended    bool       // finished in the registry, so evictable; guarded by Server.mu
+	ns        *namespace    // the owner's namespace
+	elem      *list.Element // its place in Server.order; guarded by Server.mu
+	ended     bool          // finished in the registry, so evictable; guarded by Server.mu
 }
 
 // New returns a ready Server, its slots running; callers then serve
@@ -249,8 +248,7 @@ func New(cfg Config) *Server {
 // roster, its events and the error are served, nothing re-runs. A spec
 // over maxCampaignJobs or maxBudget is skipped, as submission would
 // refuse it. Finished campaigns over maxFinishedJobs leave oldest
-// first, as at a finish, but only their records go: their artifacts are
-// left to the byte bound.
+// first, with their records, as at a finish.
 func (s *Server) recover() {
 	if s.store == nil {
 		return
@@ -297,14 +295,12 @@ func (s *Server) recover() {
 		if !auth.ValidName(client) {
 			client = sanitizeClient(client)
 		}
-		ns := s.tenant(client).ns
 		rc := &campaignRun{
 			progress:  newProgress(rec.Meta.ID, jobs),
 			client:    client,
 			spec:      rec.Meta.Spec,
 			submitted: rec.Meta.Submitted,
-			ckptKeys:  ckptKeysOf(ns.ckpt, jobs),
-			ns:        ns,
+			ns:        s.tenant(client).ns,
 			ended:     rec.Snap.Done && rec.Snap.Error != "",
 		}
 		_ = s.register(rc, 0) // no quota, and nothing drains before New returns
@@ -381,7 +377,7 @@ func (s *Server) tenant(client string) *tenantState {
 // dependencies. But say so — a typo'd -ckpt silently costing the fleet
 // its shared warming is a debugging trap.
 func (s *Server) openNamespace(sub string) *namespace {
-	ns := &namespace{disp: s.disp, refs: make(map[string]int)}
+	ns := &namespace{disp: s.disp}
 	var err error
 	if s.cfg.CacheDir != "" {
 		ns.cacheDir = filepath.Join(s.cfg.CacheDir, sub)
@@ -544,10 +540,7 @@ func (s *Server) register(rc *campaignRun, quota int) error {
 		s.met.campaignsRecovered.Add(1)
 	}
 	s.campaigns[rc.id] = rc
-	s.order = append(s.order, rc.id)
-	for k := range rc.ckptKeys {
-		rc.ns.refs[k]++
-	}
+	rc.elem = s.order.PushBack(rc)
 	if rc.ended {
 		s.finishedJobs += len(rc.roster)
 		return nil
@@ -588,14 +581,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", cerr)
 		return
 	}
-	ns := s.tenant(client).ns
 	rc := &campaignRun{
 		progress:  newProgress("", jobs),
 		client:    client,
 		spec:      spec,
 		submitted: time.Now().UTC(),
-		ckptKeys:  ckptKeysOf(ns.ckpt, jobs),
-		ns:        ns,
+		ns:        s.tenant(client).ns,
 	}
 	if err := s.register(rc, s.cfg.QuotaPerClient); err != nil {
 		s.met.campaignsRejected.Add(1)
@@ -706,11 +697,8 @@ func (s *Server) end(rc *campaignRun, rs *campaign.ResultSet, err error) {
 			rc.ended = true
 			s.finishedJobs += len(rc.roster)
 			over := s.finishedJobs - maxFinishedJobs
-			for _, id := range s.order {
-				if over <= 0 {
-					break
-				}
-				if old := s.campaigns[id]; old.ended && old != rc {
+			for e := s.order.Front(); e != nil && over > 0; e = e.Next() {
+				if old := e.Value.(*campaignRun); old.ended && old != rc {
 					victims = append(victims, old)
 					over -= len(old.roster)
 				}
@@ -771,9 +759,9 @@ func (s *Server) lookup(r *http.Request) (*campaignRun, bool) {
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	runs := make([]*campaignRun, 0, len(s.order))
-	for _, id := range s.order {
-		if rc := s.campaigns[id]; s.ownsCampaign(r, rc) {
+	runs := make([]*campaignRun, 0, s.order.Len())
+	for e := s.order.Front(); e != nil; e = e.Next() {
+		if rc := e.Value.(*campaignRun); s.ownsCampaign(r, rc) {
 			runs = append(runs, rc)
 		}
 	}
@@ -840,24 +828,6 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		// of a clean EOF on a truncated export.
 		panic(http.ErrAbortHandler)
 	}
-}
-
-// ckptKeysOf derives the distinct checkpoint keys a job roster can
-// reference; nil when the store is off (no GC bookkeeping needed then).
-func ckptKeysOf(store *ckpt.Store, jobs []campaign.Job) map[string]struct{} {
-	if store == nil {
-		return nil
-	}
-	keys := make(map[string]struct{})
-	for i := range jobs {
-		if k, err := campaign.CheckpointKey(&jobs[i]); err == nil && k != "" {
-			keys[k] = struct{}{}
-		}
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	return keys
 }
 
 // handleMetrics renders the counters plus the dispatcher's live worker
@@ -935,11 +905,11 @@ func (s *Server) ckptRows() []row {
 }
 
 // handleDelete evicts a finished campaign: its progress, event log and
-// result set become garbage, and its durable records and the artifacts
-// no other campaign references go. Running campaigns are refused:
-// cancel-by-delete would silently change other observers' results, and
-// the engine owns cancellation. Exports wanted later must be fetched
-// (or re-submitted — the disk cache makes that cheap) before deletion.
+// result set become garbage, and its durable records go (see evict for
+// what stays). Running campaigns are refused: cancel-by-delete would
+// silently change other observers' results, and the engine owns
+// cancellation. Exports wanted later must be fetched (or re-submitted —
+// the disk cache makes that cheap) before deletion.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	code, refusal := http.StatusNoContent, ""
@@ -967,36 +937,21 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // evict is the one way out of the registry, for DELETE and the bound.
 // pick runs under s.mu and names finished campaigns, each claimed there,
 // so a DELETE racing an eviction of the same campaign finds it gone.
-// Then its durable records go, then the checkpoint artifacts no
-// registered campaign of its namespace references, and it counts once
-// in ctr.
+// Then its durable records go, and it counts once in ctr. What it shared
+// with other campaigns, its cached results and checkpoint artifacts,
+// stays on disk, under the byte bound alone.
 func (s *Server) evict(ctr *atomic.Int64, pick func() []*campaignRun) {
 	s.mu.Lock()
 	victims := pick()
-	orphans := make([][]string, len(victims))
-	for i, rc := range victims {
+	for _, rc := range victims {
 		delete(s.campaigns, rc.id)
+		s.order.Remove(rc.elem)
 		s.finishedJobs -= len(rc.roster)
-		for k := range rc.ckptKeys {
-			if rc.ns.refs[k]--; rc.ns.refs[k] == 0 {
-				delete(rc.ns.refs, k)
-				orphans[i] = append(orphans[i], k)
-			}
-		}
-	}
-	if len(victims) > 0 {
-		s.order = slices.DeleteFunc(s.order, func(id string) bool {
-			_, ok := s.campaigns[id]
-			return !ok
-		})
 	}
 	s.mu.Unlock()
-	for i, rc := range victims {
+	for _, rc := range victims {
 		if err := s.store.Remove(rc.id); err != nil {
 			log.Printf("sdiqd: %s: durable records: %v", rc.id, err)
-		}
-		for _, k := range orphans[i] {
-			rc.ns.ckpt.Remove(k)
 		}
 		ctr.Add(1)
 	}

@@ -420,7 +420,7 @@ func TestServiceDeleteCampaign(t *testing.T) {
 	}
 	// Registry memory actually released, not just hidden.
 	s.mu.Lock()
-	held, order := len(s.campaigns), len(s.order)
+	held, order := len(s.campaigns), s.order.Len()
 	s.mu.Unlock()
 	if held != 0 || order != 0 {
 		t.Errorf("registry still holds %d campaigns / %d order entries after delete", held, order)

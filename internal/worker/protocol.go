@@ -150,14 +150,11 @@ func (s *JobSpec) Job() campaign.Job {
 	}
 }
 
-// Heartbeat keeps a lease alive and streams progress.
+// Heartbeat keeps a lease alive. It names only the worker that holds
+// the lease: the server measures each executed job's rate from its
+// result, leased or not.
 type Heartbeat struct {
 	WorkerID string `json:"worker_id"`
-	// ElapsedMS is how long the leased job has been running.
-	ElapsedMS int64 `json:"elapsed_ms"`
-	// InstsPerSec is the worker's committed-instruction rate over the
-	// jobs it has completed this session (0 until the first finishes).
-	InstsPerSec float64 `json:"insts_per_sec,omitempty"`
 }
 
 // HeartbeatResponse acknowledges a heartbeat.

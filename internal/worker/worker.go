@@ -55,10 +55,6 @@ type Worker struct {
 	// upload.
 	OnDone func(l Lease, res campaign.Result, err error)
 
-	// insts/simNanos accumulate completed-job work for the heartbeat's
-	// insts-per-second progress figure.
-	insts    atomic.Int64
-	simNanos atomic.Int64
 	// reconnects counts re-registrations after the server forgot us —
 	// reported on the wire so the coordinator can surface fleet churn.
 	reconnects atomic.Int64
@@ -124,16 +120,6 @@ func (w *Worker) register(ctx context.Context, api *API, name string, conc int, 
 			return RegisterResponse{}, ctx.Err()
 		}
 	}
-}
-
-// rate returns the worker's committed-instructions-per-second over its
-// completed jobs (0 until the first one lands).
-func (w *Worker) rate() float64 {
-	ns := w.simNanos.Load()
-	if ns <= 0 {
-		return 0
-	}
-	return float64(w.insts.Load()) / (float64(ns) / float64(time.Second))
 }
 
 // Run registers and serves leases until ctx ends or Shutdown is called.
@@ -329,7 +315,6 @@ func (w *Worker) serve(ctx context.Context, api *API, reg RegisterResponse, scra
 	// lease) aborts the execution.
 	jobCtx, cancelJob := context.WithCancel(ctx)
 	hbDone := make(chan struct{})
-	started := time.Now()
 	go func() {
 		defer close(hbDone)
 		every := time.Duration(reg.HeartbeatMS) * time.Millisecond
@@ -344,11 +329,7 @@ func (w *Worker) serve(ctx context.Context, api *API, reg RegisterResponse, scra
 				return
 			case <-t.C:
 			}
-			resp, err := api.Heartbeat(jobCtx, l.ID, Heartbeat{
-				WorkerID:    reg.WorkerID,
-				ElapsedMS:   time.Since(started).Milliseconds(),
-				InstsPerSec: w.rate(),
-			})
+			resp, err := api.Heartbeat(jobCtx, l.ID, Heartbeat{WorkerID: reg.WorkerID})
 			if err == ErrLeaseGone || resp.Cancel {
 				w.logf("lease %s: server cancelled (gone=%v)", l.ID, err == ErrLeaseGone)
 				cancelJob()
@@ -367,8 +348,6 @@ func (w *Worker) serve(ctx context.Context, api *API, reg RegisterResponse, scra
 		return // hard-stopped: vanish; the server re-leases the job
 	}
 	if execErr == nil {
-		w.insts.Add(res.Stats.CommittedReal)
-		w.simNanos.Add(res.FinishedAt.Sub(res.StartedAt).Nanoseconds())
 		_ = scratch.Put(key, res)
 		if ckptKey != "" && !held && store.Has(ckptKey) {
 			// This lease generated the sweep's warm state: publish it so

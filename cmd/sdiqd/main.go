@@ -16,7 +16,8 @@
 // submissions are refused with 503, running campaigns get up to -drain
 // to finish, then are cancelled at job granularity.
 //
-// Remote workers (sdiqw) may register at any time. Every cache-missed
+// Remote workers (sdiqw) may join at any time: a worker's first lease
+// poll admits it, and a restarted server's too. Every cache-missed
 // job goes on one queue: a live fleet takes its jobs over leases, and
 // the slots run only those that failed more than -job-retries leases;
 // with no live worker the slots run every job, so a fleet that goes
@@ -57,7 +58,8 @@
 // checkpoint store under tenants/<client> of -cache and -ckpt, plus its
 // own in-flight dedup — so tenants share no result or artifact on the
 // server, and -cache-max-bytes bounds each tenant's stores separately.
-// A worker's own stores name no tenant (see sdiqw).
+// A lease names its campaign's tenant, and workers keep their own
+// stores per tenant too (see sdiqw).
 //
 //	sdiqd -addr :8080 -cache /var/cache/sdiq &
 //	sdiqw -server http://localhost:8080 -scratch /tmp/sdiqw &

@@ -1,9 +1,10 @@
-// Command sdiqw is the remote simulation worker: it registers with a
-// sdiqd campaign server, pulls jobs over HTTP leases, runs them with
-// the same executor the server and CLI use (so results are
-// byte-identical wherever a job lands), heartbeats while they run, and
-// uploads the results. Point any number of sdiqw processes — on any
-// machines — at one sdiqd to scale a campaign fleet horizontally.
+// Command sdiqw is the remote simulation worker: it pulls jobs from a
+// sdiqd campaign server over HTTP leases — its first lease poll joins
+// the fleet — runs them with the same executor the server and CLI use
+// (so results are byte-identical wherever a job lands), heartbeats
+// while they run, and uploads the results. Point any number of sdiqw
+// processes — on any machines — at one sdiqd to scale a campaign fleet
+// horizontally.
 //
 // Usage:
 //
@@ -14,25 +15,23 @@
 // run before is answered from disk. -ckpt is the worker's local
 // checkpoint artifact store: sampled jobs download the sweep's shared
 // warm state from the server (or generate and push it back) instead of
-// re-warming per cell. -scratch-max-bytes bounds each of the two,
-// evicting least recently used entries after every job (an artifact
-// only once it has been pushed). -parallel is how many jobs run
+// re-warming per cell. -scratch-max-bytes bounds each store, a
+// tenant's too (below), evicting least recently used entries after
+// every job (an artifact only once it has been pushed). -parallel is how many jobs run
 // concurrently (default: GOMAXPROCS). -token is the worker-role bearer credential,
 // required against a server running with -auth (also read from
 // SDIQ_TOKEN so the secret stays out of process listings).
 //
-// The worker survives coordinator restarts: registration and lease
-// polls retry with jittered exponential backoff, and when the server
-// comes back with no memory of this worker it simply re-registers —
-// scratch-cached results make any re-leased jobs cheap.
+// The worker survives coordinator restarts: failed lease polls retry
+// with jittered exponential backoff, and the restarted server admits
+// the worker again at its next poll — scratch-cached results make any
+// re-leased jobs cheap. A poll the server refuses with a 4xx (protocol
+// drift, a refused token) ends the worker with that error.
 //
-// Neither local store names a tenant: both are keyed by content hash
-// (campaign.JobKey, campaign.CheckpointKey), so against a server run
-// with -tenant-isolation a worker that ran one tenant's cell answers
-// another tenant's identical lease from -scratch, and resumes its
-// sampled cell from the -ckpt artifact without fetching or pushing it.
-// Results stay byte-identical; a fleet per tenant keeps their work
-// apart.
+// Against a server run with -tenant-isolation, a lease names its
+// tenant, and the worker keeps that tenant's stores under
+// tenants/<tenant> of -scratch and -ckpt, so no tenant's lease is
+// answered from another's results or warm state.
 //
 // On SIGTERM/SIGINT the worker drains: it stops taking leases, finishes
 // and uploads in-flight jobs, then deregisters. A second signal aborts
@@ -58,9 +57,9 @@ import (
 
 func main() {
 	server := flag.String("server", "http://localhost:8080", "sdiqd base URL")
-	name := flag.String("name", "", "worker name (default: hostname)")
+	name := flag.String("name", "", "label in the worker's own log lines (default: hostname)")
 	scratch := flag.String("scratch", "", "local result cache directory (recommended)")
-	scratchMax := flag.Int64("scratch-max-bytes", 0, "size bound of the scratch cache and of the checkpoint store, each LRU-evicted (0 = unbounded)")
+	scratchMax := flag.Int64("scratch-max-bytes", 0, "size bound of each scratch cache and checkpoint store, LRU-evicted (0 = unbounded)")
 	ckptDir := flag.String("ckpt", "", "local checkpoint artifact store directory")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent jobs")
 	token := flag.String("token", os.Getenv("SDIQ_TOKEN"), "worker bearer token (default $SDIQ_TOKEN; required when the server runs -auth)")

@@ -14,8 +14,8 @@ import (
 // the X-Sdiq-Client header, fleet open). With Config.Auth set, every
 // /v1/* route demands a bearer token mapping to a principal of the
 // route's role: campaign endpoints (submit, list, status, events,
-// export, delete) are tenant-only; the worker protocol (register,
-// lease, heartbeat, result) and the checkpoint endpoints are
+// export, delete) are tenant-only; the worker protocol (lease,
+// heartbeat, result, leave) and the checkpoint endpoints are
 // worker-only; /metrics accepts any valid token or none; /healthz stays
 // open for load balancers.
 
@@ -97,29 +97,18 @@ func (s *Server) requireRole(role auth.Role, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
-// optionalAuth admits requests with any valid token or none at all, but
-// still 401s a token that is presented and wrong — a scraper with a
-// rotated-out credential should hear about it, not silently degrade.
+// optionalAuth passes a request without an Authorization header
+// through as it is and authenticates any other, so a token that is
+// presented and wrong still gets 401 — a scraper with a rotated-out
+// credential should hear about it, not silently degrade.
 func (s *Server) optionalAuth(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.cfg.Auth == nil {
+		if s.cfg.Auth == nil || r.Header.Get("Authorization") == "" {
 			h(w, r)
 			return
 		}
-		token, present, err := bearerToken(r)
-		if err != nil {
-			s.met.authFailures.Add(1)
-			writeUnauthorized(w, "%v", err)
-			return
-		}
-		if !present {
-			h(w, r)
-			return
-		}
-		p, found := s.cfg.Auth.Lookup(token)
-		if !found {
-			s.met.authFailures.Add(1)
-			writeUnauthorized(w, "unknown token")
+		p, ok := s.authenticate(w, r)
+		if !ok {
 			return
 		}
 		h(w, r.WithContext(context.WithValue(r.Context(), principalKey{}, p)))

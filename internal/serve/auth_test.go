@@ -97,7 +97,6 @@ func TestAuthMatrix(t *testing.T) {
 		{http.MethodGet, "/v1/campaigns/c0001/events?format=sse", auth.RoleTenant},
 		{http.MethodGet, "/v1/campaigns/c0001/export", auth.RoleTenant},
 		{http.MethodDelete, "/v1/campaigns/c0001", auth.RoleTenant},
-		{http.MethodPost, "/v1/workers", auth.RoleWorker},
 		{http.MethodDelete, "/v1/workers/w1", auth.RoleWorker},
 		{http.MethodPost, "/v1/leases", auth.RoleWorker},
 		{http.MethodPost, "/v1/leases/l1/heartbeat", auth.RoleWorker},
@@ -321,6 +320,55 @@ func TestTenantIsolation(t *testing.T) {
 	}
 }
 
+// TestWorkerIsolatesTenants: under -tenant-isolation one worker keeps a
+// result cache and a checkpoint store per tenant, so one tenant's work
+// never answers another's lease. Alice sweeps gzip at IQ 48, then bob
+// at IQ 48 and 64, on one worker with its own -scratch and -ckpt: bob's
+// IQ-48 cells simulate again and publish their warm state to bob's
+// namespace, as alice's did to hers, the worker runs every job, and
+// both exports match a local run. The worker runs two jobs at once, so
+// a tenant's stores may be opened by two leases together.
+func TestWorkerIsolatesTenants(t *testing.T) {
+	s, cl := startServer(t, Config{
+		CacheDir:        t.TempDir(),
+		CkptDir:         t.TempDir(),
+		Workers:         1,
+		Auth:            testAuth(t),
+		TenantIsolation: true,
+		LeaseTTL:        time.Minute,
+		WorkerTTL:       time.Minute,
+	})
+	startWorker(t, cl.Base, "shared", 2, func(w *worker.Worker) {
+		w.Token = tokFleet
+		w.Ckpt = t.TempDir()
+	})
+	waitMetric(t, cl, "sdiqd_workers_connected", 1)
+	runAs := func(token string, iq ...int) {
+		t.Helper()
+		spec := sampledSpec("worker-isolation", []string{"gzip"}, iq...)
+		c := NewClient(cl.Base)
+		c.Token = token
+		rs, err := c.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(csvOf(t, rs), localCSV(t, spec)) {
+			t.Errorf("the isolated sweep at IQ %v is not byte-identical to a local run", iq)
+		}
+	}
+	runAs(tokAlice, 48)
+	runAs(tokBob, 48, 64)
+
+	for _, tenant := range []string{"alice", "bob"} {
+		if n, _ := s.tenant(tenant).ns.ckpt.DiskStat(); n != 2 {
+			t.Errorf("tenant %s's namespace holds %d artifacts, want 2", tenant, n)
+		}
+	}
+	if got := metricValue(t, fetchMetrics(t, cl), "sdiqd_jobs_local_total"); got != 0 {
+		t.Errorf("local jobs = %g, want 0: the worker runs every job", got)
+	}
+}
+
 // TestArtifactFollowsItsLease: under -tenant-isolation, alice's and
 // bob's identical sampled cells share one checkpoint key. An artifact
 // request names a live lease that carries its key, and reads or writes
@@ -340,10 +388,8 @@ func TestArtifactFollowsItsLease(t *testing.T) {
 	ctx := context.Background()
 	api := worker.NewAPI(cl.Base)
 	api.Token = tokFleet
-	reg, err := api.Register(ctx, worker.RegisterRequest{Name: "fleet", Capacity: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	const fleet = "fleet"
+	join(t, api, fleet)
 	spec := sampledSpec("lease-scope", []string{"gzip"}, 48)
 	spec.Techniques = []campaign.Technique{campaign.TechBaseline}
 	leaseAs := func(token string) worker.Lease {
@@ -354,7 +400,7 @@ func TestArtifactFollowsItsLease(t *testing.T) {
 			t.Fatal(err)
 		}
 		for {
-			l, ok, err := api.Lease(ctx, worker.LeaseRequest{WorkerID: reg.WorkerID, WaitMS: 2000})
+			l, ok, err := api.Lease(ctx, worker.LeaseRequest{WorkerID: fleet, WaitMS: 2000})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -414,7 +460,7 @@ func TestArtifactFollowsItsLease(t *testing.T) {
 	if code := call(http.MethodGet, la, other, nil); code != http.StatusNotFound {
 		t.Errorf("GET of a key alice's lease does not carry = %d, want 404", code)
 	}
-	if _, err := api.Complete(ctx, la.ID, worker.ResultUpload{WorkerID: reg.WorkerID, Key: la.Key, Error: "dropped"}); err != nil {
+	if _, err := api.Complete(ctx, la.ID, worker.ResultUpload{WorkerID: fleet, Key: la.Key, Error: "dropped"}); err != nil {
 		t.Fatal(err)
 	}
 	if code := call(http.MethodGet, la, key, nil); code != http.StatusNotFound {
@@ -550,10 +596,10 @@ func TestQuotaSurvivesRecovery(t *testing.T) {
 }
 
 // TestStaleUploadAcrossRestartRejected pins the zombie-upload hole: a
-// restarted coordinator must never reissue worker or lease IDs, so a
-// late upload carrying pre-restart identifiers — even for a JobKey that
-// is legitimately leased again right now — is answered 410 and
-// discarded, not accepted into the new boot's campaign.
+// restarted coordinator must never reissue lease IDs, so a late upload
+// carrying a pre-restart lease — even for a JobKey that is
+// legitimately leased again right now — is answered 410 and discarded,
+// not accepted into the new boot's campaign.
 func TestStaleUploadAcrossRestartRejected(t *testing.T) {
 	ctx := context.Background()
 	cfg := Config{
@@ -566,14 +612,12 @@ func TestStaleUploadAcrossRestartRejected(t *testing.T) {
 	base := "http://" + addr
 
 	api1 := worker.NewAPI(base)
-	reg1, err := api1.Register(ctx, worker.RegisterRequest{Name: "zombie", Capacity: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	const zombie = "zombie"
+	join(t, api1, zombie)
 	if _, err := NewClient(base).Submit(ctx, failureSpec()); err != nil {
 		t.Fatal(err)
 	}
-	l1, ok, err := api1.Lease(ctx, worker.LeaseRequest{WorkerID: reg1.WorkerID, WaitMS: 10_000})
+	l1, ok, err := api1.Lease(ctx, worker.LeaseRequest{WorkerID: zombie, WaitMS: 10_000})
 	if err != nil || !ok {
 		t.Fatalf("first boot lease: ok=%v err=%v", ok, err)
 	}
@@ -589,17 +633,12 @@ func TestStaleUploadAcrossRestartRejected(t *testing.T) {
 	cfg.CacheDir = t.TempDir() // fresh cache: the re-run must lease again
 	s2, _, _ := serverAt(t, addr, cfg)
 	api2 := worker.NewAPI(base)
-	reg2, err := api2.Register(ctx, worker.RegisterRequest{Name: "fresh", Capacity: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg2.WorkerID == reg1.WorkerID {
-		t.Errorf("restarted coordinator reissued worker ID %q — stale identities can collide", reg1.WorkerID)
-	}
+	const fresh = "fresh"
+	join(t, api2, fresh)
 	if _, err := NewClient(base).Submit(ctx, failureSpec()); err != nil {
 		t.Fatal(err)
 	}
-	l2, ok, err := api2.Lease(ctx, worker.LeaseRequest{WorkerID: reg2.WorkerID, WaitMS: 30_000})
+	l2, ok, err := api2.Lease(ctx, worker.LeaseRequest{WorkerID: fresh, WaitMS: 30_000})
 	if err != nil || !ok {
 		t.Fatalf("second boot lease: ok=%v err=%v", ok, err)
 	}
@@ -610,7 +649,7 @@ func TestStaleUploadAcrossRestartRejected(t *testing.T) {
 	// The zombie fires its pre-restart upload, crafted to pass identity
 	// validation if the IDs were ever allowed to collide.
 	up := worker.ResultUpload{
-		WorkerID: reg1.WorkerID,
+		WorkerID: zombie,
 		Key:      l1.Key,
 		Result:   &campaign.Result{Bench: l1.Job.Bench, Tech: l1.Job.Tech},
 	}

@@ -62,7 +62,7 @@ func rawCkpt(t *testing.T, cl *Client, method, lease, key string, body []byte) (
 func grantKey(s *Server, key string) string {
 	s.disp.mu.Lock()
 	defer s.disp.mu.Unlock()
-	l := &lease{id: "l-test", t: &task{ckptKey: key, ckpt: s.shared.ckpt, state: taskTaken}}
+	l := &lease{id: "l-test", t: &task{ckptKey: key, ns: s.shared, state: taskTaken}}
 	s.disp.leases[l.id] = l
 	return l.id
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/auth"
 	"repro/internal/campaign"
 	"repro/internal/ckpt"
 	"repro/internal/power"
@@ -30,16 +31,15 @@ type dispatcher struct {
 	workerTTL time.Duration // registered-worker staleness window
 	retries   int           // re-lease attempts after a failed lease
 	met       *metrics
-	// nonce is a per-boot random tag baked into every worker and lease
-	// ID. Without it a restarted coordinator reissues the same IDs from
-	// zero ("w0001", "l000001"), and a zombie worker's late upload —
-	// carrying pre-restart IDs for a JobKey that is valid again — would
-	// be accepted against the new boot's lease. With the nonce, stale
-	// IDs can never collide with freshly issued ones: they 410.
+	// nonce is a per-boot random tag baked into every lease ID. Without
+	// it a restarted coordinator reissues the same IDs from zero
+	// ("l000001"), and a worker's late upload against a pre-restart
+	// lease would land on whatever lease of the new boot took its ID.
+	// With the nonce, stale IDs can never collide with freshly issued
+	// ones: they 410.
 	nonce string
 
 	mu      sync.Mutex
-	wseq    int
 	lseq    int
 	workers map[string]*workerState
 	queue   []*task
@@ -53,10 +53,9 @@ const (
 	defaultJobRetries = 2
 )
 
-// workerState is one registered worker.
+// workerState is one registered worker, kept under the ID it polls
+// with.
 type workerState struct {
-	id       string
-	name     string
 	capacity int
 	lastSeen time.Time
 	active   int // leases currently held
@@ -77,8 +76,8 @@ const (
 type task struct {
 	job     *campaign.Job
 	key     string
-	ckptKey string      // checkpoint artifact key ("" = none)
-	ckpt    *ckpt.Store // store this job reads/publishes warm state in
+	ckptKey string     // checkpoint artifact key ("" = none)
+	ns      *namespace // whose checkpoint store this job reads and publishes warm state in
 	params  power.Params
 	ctx     context.Context // the campaign's context
 
@@ -139,23 +138,23 @@ func newDispatcher(cfg Config, met *metrics) *dispatcher {
 
 // --- the queue ---
 
-// runJob queues one cache-missed job and waits for whichever taker runs
-// it. store is the checkpoint store of the owning campaign's namespace:
-// the job reads warm state from it and publishes it to it, on a slot
-// and, through the leases that carry the job, across the fleet. An
-// unhashable job (key "") has no identity to validate an upload
-// against, so only the slots take it.
-func (d *dispatcher) runJob(ctx context.Context, job *campaign.Job, key string, params power.Params, store *ckpt.Store) (campaign.Result, error) {
+// runJob queues one cache-missed job of a campaign in namespace ns and
+// waits for whichever taker runs it. The job reads warm state from the
+// namespace's checkpoint store and publishes it there, on a slot and,
+// through the leases that carry the job and name the namespace, across
+// the fleet. An unhashable job (key "") has no identity to validate an
+// upload against, so only the slots take it.
+func (d *dispatcher) runJob(ctx context.Context, job *campaign.Job, key string, params power.Params, ns *namespace) (campaign.Result, error) {
 	t := &task{
 		job:      job,
 		key:      key,
-		ckpt:     store,
+		ns:       ns,
 		params:   params,
 		ctx:      ctx,
 		slotOnly: key == "",
 		outcome:  make(chan taskOutcome, 1),
 	}
-	if store != nil {
+	if ns.ckpt != nil {
 		// Sampled jobs carry their checkpoint identity into the lease so
 		// a worker can fetch (or publish) the sweep's shared warm state.
 		t.ckptKey, _ = campaign.CheckpointKey(job)
@@ -190,7 +189,7 @@ func (d *dispatcher) slot(ctx context.Context) {
 			}
 			continue
 		}
-		res, err := campaign.ExecuteStored(t.ctx, t.job, t.ckpt)
+		res, err := campaign.ExecuteStored(t.ctx, t.job, t.ns.ckpt)
 		d.mu.Lock()
 		if t.state == taskTaken {
 			if err == nil {
@@ -272,44 +271,20 @@ func (d *dispatcher) requeueLocked(t *task) {
 
 // --- worker registry ---
 
-// register admits a worker and returns its id and timing contract.
-func (d *dispatcher) register(req worker.RegisterRequest) (worker.RegisterResponse, error) {
-	if req.Protocol != worker.ProtocolVersion {
-		return worker.RegisterResponse{}, fmt.Errorf(
-			"worker speaks protocol %d, server speaks %d", req.Protocol, worker.ProtocolVersion)
+// admitLocked takes a polling worker into the registry, or refreshes
+// the one it holds under that ID: its capacity comes with every poll.
+// Admission prunes the stale workers, since churn (crash and respawn)
+// is when dead entries appear.
+func (d *dispatcher) admitLocked(id string, capacity int) {
+	w, ok := d.workers[id]
+	if !ok {
+		d.pruneLocked()
+		w = &workerState{}
+		d.workers[id] = w
+		d.met.workersRegistered.Add(1)
 	}
-	capacity := req.Capacity
-	if capacity < 1 {
-		capacity = 1
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.pruneLocked()
-	d.wseq++
-	w := &workerState{
-		id:       fmt.Sprintf("w%s-%04d", d.nonce, d.wseq),
-		name:     req.Name,
-		capacity: capacity,
-		lastSeen: time.Now(),
-	}
-	d.workers[w.id] = w
-	d.met.workersRegistered.Add(1)
-	if req.Reconnects > 0 {
-		d.met.workerReconnects.Add(1)
-	}
-	return worker.RegisterResponse{
-		WorkerID:    w.id,
-		LeaseTTLMS:  d.ttl.Milliseconds(),
-		HeartbeatMS: max64(d.ttl.Milliseconds()/3, 1),
-		MaxPollMS:   max64(d.workerTTL.Milliseconds()/2, 1),
-	}, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	w.capacity = max(capacity, 1)
+	d.touchLocked(w)
 }
 
 // deregister removes a worker; leases it still holds are re-queued
@@ -337,10 +312,9 @@ func (d *dispatcher) deregister(id string) bool {
 
 // pruneLocked evicts workers that went stale with no leases left —
 // hard-killed workers never deregister, so without this a server with
-// fleet churn would accumulate dead registry entries forever. Run on
-// every registration: churn (crash + respawn) is exactly when new dead
-// entries appear. A stale worker still holding leases survives until
-// they expire (expiry drives active back to zero).
+// fleet churn would accumulate dead registry entries forever. A stale
+// worker still holding leases survives until they expire (expiry
+// drives active back to zero).
 func (d *dispatcher) pruneLocked() {
 	for id, w := range d.workers {
 		if !d.freshLocked(w) && w.active <= 0 {
@@ -388,21 +362,34 @@ func (d *dispatcher) extraCapacity() int {
 
 // --- lease protocol ---
 
-// nextLease blocks up to wait for a job to offer the worker. A nil
-// lease with nil error means the wait expired empty (→ 204).
-func (d *dispatcher) nextLease(ctx context.Context, workerID string, wait time.Duration) (*lease, *task, error) {
-	maxWait := d.workerTTL / 2
-	if wait <= 0 || wait > maxWait {
+// nextLease serves one lease poll. It refuses a poll in another
+// protocol version or with an ID outside the name grammar, admits the
+// worker (see admitLocked), then blocks up to the poll's wait for a job
+// to offer it. A nil lease with nil error means the wait expired empty,
+// or the worker left while its poll was parked (→ 204).
+func (d *dispatcher) nextLease(ctx context.Context, req worker.LeaseRequest) (*lease, *task, error) {
+	if req.Protocol != worker.ProtocolVersion {
+		return nil, nil, fmt.Errorf("worker speaks protocol %d, server speaks %d", req.Protocol, worker.ProtocolVersion)
+	}
+	if !auth.ValidName(req.WorkerID) {
+		return nil, nil, fmt.Errorf("invalid worker id %q (want [a-z0-9._-]{1,64})", req.WorkerID)
+	}
+	wait := time.Duration(req.WaitMS) * time.Millisecond
+	if maxWait := d.workerTTL / 2; wait <= 0 || wait > maxWait {
 		wait = maxWait
 	}
 	timeout := time.NewTimer(wait)
 	defer timeout.Stop()
+	d.mu.Lock()
+	// Admit once, as the poll arrives. The wait only checks that the
+	// worker is still registered: a DELETE wakes the poll it parked, and
+	// admitting again there would bring the worker back.
+	d.admitLocked(req.WorkerID, req.Capacity)
 	for {
-		d.mu.Lock()
-		w, ok := d.workers[workerID]
+		w, ok := d.workers[req.WorkerID]
 		if !ok {
 			d.mu.Unlock()
-			return nil, nil, fmt.Errorf("unknown worker %q (register first)", workerID)
+			return nil, nil, nil
 		}
 		d.touchLocked(w)
 		if i := slices.IndexFunc(d.queue, func(t *task) bool { return !t.slotOnly }); i >= 0 {
@@ -411,7 +398,7 @@ func (d *dispatcher) nextLease(ctx context.Context, workerID string, wait time.D
 			d.lseq++
 			l := &lease{
 				id:       fmt.Sprintf("l%s-%06d", d.nonce, d.lseq),
-				workerID: workerID,
+				workerID: req.WorkerID,
 				t:        t,
 				deadline: time.Now().Add(d.ttl),
 			}
@@ -427,11 +414,12 @@ func (d *dispatcher) nextLease(ctx context.Context, workerID string, wait time.D
 		select {
 		case <-wake:
 		case <-timeout.C:
-			d.touch(workerID)
+			d.touch(req.WorkerID)
 			return nil, nil, nil
 		case <-ctx.Done():
 			return nil, nil, nil
 		}
+		d.mu.Lock()
 	}
 }
 
@@ -576,7 +564,7 @@ func (d *dispatcher) leasedStore(leaseID, key string) (*ckpt.Store, bool) {
 	if !ok || l.t.ckptKey == "" || l.t.ckptKey != key {
 		return nil, false
 	}
-	return l.t.ckpt, true
+	return l.t.ns.ckpt, true
 }
 
 // --- metrics ---

@@ -38,6 +38,16 @@ func startWorker(t *testing.T, base, name string, conc int, hook func(*worker.Wo
 	})
 }
 
+// join admits a scripted worker as a real one joins, with a short lease
+// poll. Call it before submitting anything the worker should take:
+// while no worker is live, the coordinator's slots take every job.
+func join(t *testing.T, api *worker.API, id string) {
+	t.Helper()
+	if l, ok, err := api.Lease(context.Background(), worker.LeaseRequest{WorkerID: id, WaitMS: 1}); ok || err != nil {
+		t.Fatalf("worker %s joining: leased %+v, %v", id, l, err)
+	}
+}
+
 // waitMetric polls /metrics until name reaches at least want.
 func waitMetric(t *testing.T, cl *Client, name string, want float64) {
 	t.Helper()
@@ -192,10 +202,8 @@ func TestLeaseExpiryLocalFallbackAndLateUpload(t *testing.T) {
 	spec.Techniques = []campaign.Technique{campaign.TechBaseline}
 
 	api := worker.NewAPI(cl.Base)
-	reg, err := api.Register(ctx, worker.RegisterRequest{Name: "zombie", Capacity: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	const zombie = "zombie"
+	join(t, api, zombie)
 
 	sub, err := cl.Submit(ctx, spec)
 	if err != nil {
@@ -203,7 +211,7 @@ func TestLeaseExpiryLocalFallbackAndLateUpload(t *testing.T) {
 	}
 	var l worker.Lease
 	for ok := false; !ok; {
-		if l, ok, err = api.Lease(ctx, worker.LeaseRequest{WorkerID: reg.WorkerID, WaitMS: 2000}); err != nil {
+		if l, ok, err = api.Lease(ctx, worker.LeaseRequest{WorkerID: zombie, WaitMS: 2000}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,11 +231,11 @@ func TestLeaseExpiryLocalFallbackAndLateUpload(t *testing.T) {
 
 	// The zombie finally reports in; its lease is long gone.
 	if _, err := api.Complete(ctx, l.ID, worker.ResultUpload{
-		WorkerID: reg.WorkerID, Key: l.Key, Error: "zombie waking up",
+		WorkerID: zombie, Key: l.Key, Error: "zombie waking up",
 	}); err != worker.ErrLeaseGone {
 		t.Errorf("late upload error = %v, want ErrLeaseGone", err)
 	}
-	if _, err := api.Heartbeat(ctx, l.ID, worker.Heartbeat{WorkerID: reg.WorkerID}); err != worker.ErrLeaseGone {
+	if _, err := api.Heartbeat(ctx, l.ID, worker.Heartbeat{WorkerID: zombie}); err != worker.ErrLeaseGone {
 		t.Errorf("late heartbeat error = %v, want ErrLeaseGone", err)
 	}
 
@@ -268,17 +276,15 @@ func TestCorruptUploadRejectedThenRecovered(t *testing.T) {
 	spec.Techniques = []campaign.Technique{campaign.TechBaseline}
 
 	api := worker.NewAPI(cl.Base)
-	reg, err := api.Register(ctx, worker.RegisterRequest{Name: "byzantine", Capacity: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	const byzantine = "byzantine"
+	join(t, api, byzantine)
 	sub, err := cl.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var l worker.Lease
 	for ok := false; !ok; {
-		if l, ok, err = api.Lease(ctx, worker.LeaseRequest{WorkerID: reg.WorkerID, WaitMS: 2000}); err != nil {
+		if l, ok, err = api.Lease(ctx, worker.LeaseRequest{WorkerID: byzantine, WaitMS: 2000}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,7 +295,7 @@ func TestCorruptUploadRejectedThenRecovered(t *testing.T) {
 	// A result for some other job entirely: wrong key, wrong bench.
 	bogus := campaign.Result{Bench: "mcf", Tech: campaign.TechBaseline}
 	_, err = api.Complete(ctx, l.ID, worker.ResultUpload{
-		WorkerID: reg.WorkerID,
+		WorkerID: byzantine,
 		Key:      strings.Repeat("00", 32),
 		Result:   &bogus,
 	})
@@ -301,7 +307,7 @@ func TestCorruptUploadRejectedThenRecovered(t *testing.T) {
 	// this time, running the real executor like a worker would.
 	var l2 worker.Lease
 	for ok := false; !ok; {
-		if l2, ok, err = api.Lease(ctx, worker.LeaseRequest{WorkerID: reg.WorkerID, WaitMS: 2000}); err != nil {
+		if l2, ok, err = api.Lease(ctx, worker.LeaseRequest{WorkerID: byzantine, WaitMS: 2000}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -314,7 +320,7 @@ func TestCorruptUploadRejectedThenRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp, err := api.Complete(ctx, l2.ID, worker.ResultUpload{
-		WorkerID: reg.WorkerID, Key: l2.Key, Result: &res,
+		WorkerID: byzantine, Key: l2.Key, Result: &res,
 	})
 	if err != nil || !resp.Accepted {
 		t.Fatalf("honest upload: %+v, %v", resp, err)
@@ -361,21 +367,16 @@ func TestImpostorUploadConflicts(t *testing.T) {
 	spec.Techniques = []campaign.Technique{campaign.TechBaseline}
 
 	api := worker.NewAPI(cl.Base)
-	holder, err := api.Register(ctx, worker.RegisterRequest{Name: "holder", Capacity: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	impostor, err := api.Register(ctx, worker.RegisterRequest{Name: "impostor", Capacity: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	const holder, impostor = "holder", "impostor"
+	join(t, api, holder)
+	join(t, api, impostor)
 	sub, err := cl.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var l worker.Lease
 	for ok := false; !ok; {
-		if l, ok, err = api.Lease(ctx, worker.LeaseRequest{WorkerID: holder.WorkerID, WaitMS: 2000}); err != nil {
+		if l, ok, err = api.Lease(ctx, worker.LeaseRequest{WorkerID: holder, WaitMS: 2000}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -384,11 +385,11 @@ func TestImpostorUploadConflicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	up := worker.ResultUpload{WorkerID: impostor.WorkerID, Key: l.Key, Result: &res}
+	up := worker.ResultUpload{WorkerID: impostor, Key: l.Key, Result: &res}
 	if _, err := api.Complete(ctx, l.ID, up); wire.StatusCode(err) != http.StatusConflict {
 		t.Fatalf("impostor's upload: err = %v, want 409", err)
 	}
-	if _, err := api.Heartbeat(ctx, l.ID, worker.Heartbeat{WorkerID: impostor.WorkerID}); err != worker.ErrLeaseGone {
+	if _, err := api.Heartbeat(ctx, l.ID, worker.Heartbeat{WorkerID: impostor}); err != worker.ErrLeaseGone {
 		t.Errorf("impostor's heartbeat: err = %v, want ErrLeaseGone", err)
 	}
 	text := fetchMetrics(t, cl)
@@ -402,7 +403,7 @@ func TestImpostorUploadConflicts(t *testing.T) {
 		}
 	}
 
-	up.WorkerID = holder.WorkerID
+	up.WorkerID = holder
 	if resp, err := api.Complete(ctx, l.ID, up); err != nil || !resp.Accepted {
 		t.Fatalf("holder's upload: %+v, %v", resp, err)
 	}
@@ -421,9 +422,9 @@ func TestImpostorUploadConflicts(t *testing.T) {
 	}
 }
 
-// TestSilentFleetHandsOver: a worker that registers and never polls
-// again keeps the coordinator's slots off the queue only until it turns
-// stale. About WorkerTTL later the slots take the whole campaign, long
+// TestSilentFleetHandsOver: a worker that joins with one lease poll and
+// never polls again keeps the coordinator's slots off the queue only
+// until it turns stale. About WorkerTTL later the slots take the whole campaign, long
 // before a lease could expire, and nothing is ever leased.
 func TestSilentFleetHandsOver(t *testing.T) {
 	const leaseTTL = 5 * time.Second
@@ -435,9 +436,7 @@ func TestSilentFleetHandsOver(t *testing.T) {
 	})
 	ctx := context.Background()
 	spec := failureSpec()
-	if _, err := worker.NewAPI(cl.Base).Register(ctx, worker.RegisterRequest{Name: "silent", Capacity: 1}); err != nil {
-		t.Fatal(err)
-	}
+	join(t, worker.NewAPI(cl.Base), "silent")
 	start := time.Now()
 	rs, err := cl.Run(ctx, spec)
 	if err != nil {
@@ -490,17 +489,17 @@ func TestWorkerJobErrorFallsBackToAuthoritativeError(t *testing.T) {
 	}
 }
 
-// TestWorkerReregistersAfterRegistryLoss: a server that forgets a
-// worker's registration (modelling a sdiqd restart under a live fleet)
-// answers its next lease poll 404; the worker must register afresh and
-// keep serving jobs rather than spinning on a dead identity.
-func TestWorkerReregistersAfterRegistryLoss(t *testing.T) {
+// TestWorkerRejoinsAfterRegistryLoss: a server that forgets its
+// workers (modelling a sdiqd restart under a live fleet) admits a
+// worker again at its next lease poll, with no error and nothing to
+// re-register, and the worker keeps serving jobs.
+func TestWorkerRejoinsAfterRegistryLoss(t *testing.T) {
 	s, cl := startServer(t, Config{
 		CacheDir: t.TempDir(),
 		Workers:  1,
 		LeaseTTL: 2 * time.Second,
 		// Short staleness window → short poll interval, so the worker's
-		// next (404ing) poll lands quickly after the wipe below.
+		// next poll lands quickly after the wipe below.
 		WorkerTTL: 500 * time.Millisecond,
 	})
 	ctx := context.Background()
@@ -509,16 +508,14 @@ func TestWorkerReregistersAfterRegistryLoss(t *testing.T) {
 
 	// Wipe the registry out from under the worker, like a restart would.
 	s.disp.mu.Lock()
-	for id := range s.disp.workers {
-		delete(s.disp.workers, id)
-	}
+	clear(s.disp.workers)
 	s.disp.mu.Unlock()
 
-	// The worker's next poll 404s and it registers afresh.
+	// The worker's next poll admits it again.
 	waitMetric(t, cl, "sdiqd_workers_registered_total", 2)
 	waitMetric(t, cl, "sdiqd_workers_connected", 1)
 
-	// The re-registered worker serves the fleet as before.
+	// The rejoined worker serves the fleet as before.
 	spec := failureSpec()
 	spec.Benchmarks = []string{"gzip"}
 	rs, err := cl.Run(ctx, spec)
@@ -527,9 +524,68 @@ func TestWorkerReregistersAfterRegistryLoss(t *testing.T) {
 	}
 	text := fetchMetrics(t, cl)
 	if got := metricValue(t, text, "sdiqd_workers_registered_total"); got != 2 {
-		t.Errorf("registrations = %g, want 2 (original + re-registration)", got)
+		t.Errorf("admissions = %g, want 2 (the first poll, and the first after the wipe)", got)
 	}
 	if got := metricValue(t, text, "sdiqd_jobs_remote_total"); got != 2 {
-		t.Errorf("remote jobs = %g, want 2 — the re-registered worker must serve the fleet", got)
+		t.Errorf("remote jobs = %g, want 2 — the rejoined worker must serve the fleet", got)
+	}
+}
+
+// TestWorkerLeavesDuringParkedPoll: a worker's DELETE ends the lease
+// poll it has parked with a 204, and that poll does not bring the
+// worker back: a poll admits its worker when it arrives, never when it
+// wakes.
+func TestWorkerLeavesDuringParkedPoll(t *testing.T) {
+	_, cl := startServer(t, Config{Workers: 1, LeaseTTL: time.Minute, WorkerTTL: time.Minute})
+	ctx := context.Background()
+	api := worker.NewAPI(cl.Base)
+	const id = "leaver"
+	type poll struct {
+		ok  bool
+		err error
+	}
+	parked := make(chan poll, 1)
+	go func() {
+		_, ok, err := api.Lease(ctx, worker.LeaseRequest{WorkerID: id, WaitMS: 20_000})
+		parked <- poll{ok, err}
+	}()
+	waitMetric(t, cl, "sdiqd_workers_connected", 1)
+	if err := api.Deregister(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case p := <-parked:
+		if p.ok || p.err != nil {
+			t.Errorf("the parked poll answered ok %v, err %v; want 204", p.ok, p.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the parked poll outlived its worker's DELETE by 10 s")
+	}
+	text := fetchMetrics(t, cl)
+	if got := metricValue(t, text, "sdiqd_workers_connected"); got != 0 {
+		t.Errorf("workers connected = %g after the DELETE, want 0: the parked poll brought its worker back", got)
+	}
+	if got := metricValue(t, text, "sdiqd_workers_registered_total"); got != 1 {
+		t.Errorf("admissions = %g, want 1", got)
+	}
+}
+
+// TestWorkerPollRefused: the server answers a lease poll in another
+// protocol version, or from an ID outside the name grammar, with 400,
+// and admits no worker.
+func TestWorkerPollRefused(t *testing.T) {
+	_, cl := startServer(t, Config{Workers: 1})
+	api := worker.NewAPI(cl.Base)
+	for _, req := range []worker.LeaseRequest{
+		{WorkerID: "w1", Protocol: worker.ProtocolVersion - 1},
+		{WorkerID: "../w1"},
+		{WorkerID: ""},
+	} {
+		if _, _, err := api.Lease(context.Background(), req); wire.StatusCode(err) != http.StatusBadRequest {
+			t.Errorf("poll %+v: %v, want 400", req, err)
+		}
+	}
+	if got := metricValue(t, fetchMetrics(t, cl), "sdiqd_workers_registered_total"); got != 0 {
+		t.Errorf("admissions = %g, want 0", got)
 	}
 }

@@ -28,7 +28,7 @@ type metrics struct {
 	simNanos       atomic.Int64 // wall nanoseconds spent inside simulations
 
 	// Remote worker pool (see dispatcher).
-	workersRegistered atomic.Int64 // workers ever admitted
+	workersRegistered atomic.Int64 // workers admitted by a lease poll
 	leasesGranted     atomic.Int64 // jobs handed to workers
 	leasesExpired     atomic.Int64 // leases that missed their TTL (dead worker)
 	leaseRequeues     atomic.Int64 // jobs put back on the queue after a failed lease
@@ -46,7 +46,6 @@ type metrics struct {
 	campaignsRecovered atomic.Int64 // campaigns resumed from durable state at boot
 	campaignsEvicted   atomic.Int64 // finished campaigns evicted by the registry bound
 	cacheEvictions     atomic.Int64 // result-cache entries evicted by the byte bound
-	workerReconnects   atomic.Int64 // worker re-registrations after losing the coordinator
 
 	// Identity.
 	authFailures atomic.Int64 // requests refused 401/403 (bad token or wrong role)
@@ -85,7 +84,7 @@ func (m *metrics) rows() []row {
 		{"sdiqd_job_dedup_hits_total", "Jobs shared from a concurrent identical execution.", "counter", float64(m.dedupHits.Load())},
 		{"sdiqd_insts_committed_total", "Committed real instructions simulated.", "counter", float64(m.instsCommitted.Load())},
 		{"sdiqd_insts_per_second", "Aggregate simulation rate over wall time spent simulating.", "gauge", m.instsPerSecond()},
-		{"sdiqd_workers_registered_total", "Workers ever admitted to the pool.", "counter", float64(m.workersRegistered.Load())},
+		{"sdiqd_workers_registered_total", "Workers admitted to the pool by a lease poll.", "counter", float64(m.workersRegistered.Load())},
 		{"sdiqd_leases_granted_total", "Jobs handed to remote workers.", "counter", float64(m.leasesGranted.Load())},
 		{"sdiqd_leases_expired_total", "Leases that missed their TTL (worker presumed dead).", "counter", float64(m.leasesExpired.Load())},
 		{"sdiqd_lease_requeues_total", "Jobs re-queued after a failed, expired or rejected lease.", "counter", float64(m.leaseRequeues.Load())},
@@ -98,7 +97,6 @@ func (m *metrics) rows() []row {
 		{"sdiqd_campaigns_recovered_total", "Campaigns resumed from durable state at boot.", "counter", float64(m.campaignsRecovered.Load())},
 		{"sdiqd_campaigns_evicted_total", "Finished campaigns evicted by the registry bound on finished jobs, at finish or at boot.", "counter", float64(m.campaignsEvicted.Load())},
 		{"sdiqd_result_cache_evictions_total", "Result-cache entries evicted by the byte bound.", "counter", float64(m.cacheEvictions.Load())},
-		{"sdiqd_worker_reconnects_total", "Worker re-registrations after losing the coordinator.", "counter", float64(m.workerReconnects.Load())},
 		{"sdiqd_auth_failures_total", "Requests refused with 401/403 (bad token or wrong role).", "counter", float64(m.authFailures.Load())},
 	}
 }

@@ -47,7 +47,7 @@ type progress struct {
 
 	mu     sync.Mutex
 	roster []campaign.JobStatus // in campaign job order; its length never changes
-	index  map[string][]int     // job ID → roster positions (a spec may list a job twice)
+	index  map[string][]int     // job ID → roster positions (a spec may list a job twice); nil once done
 	stat   campaign.Status      // counters; Jobs stays nil
 	events []Event
 	wake   chan struct{} // closed and replaced on every append and at finish
@@ -227,6 +227,7 @@ func (p *progress) finish(finished time.Time, rs *campaign.ResultSet, err error,
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.done, p.finished, p.rs, p.err = true, finished, rs, err
+	p.index = nil // transition reads it only while the campaign runs
 	st := p.stat
 	done := Event{Type: EventDone, Status: &st}
 	if err != nil {

@@ -258,10 +258,9 @@ func serverAt(t *testing.T, addr string, cfg Config) (*Server, *http.Server, str
 // in one scene: a worker holds a lease and a client follows the stream
 // when the coordinator dies mid-campaign. The restarted coordinator
 // (same address, same state) recovers the campaign; the worker's next
-// poll earns an unknown-worker error and it re-registers with backoff
-// (surfaced in sdiqd_worker_reconnects_total); the client's Run rides
-// across the break and still returns a result set byte-identical to a
-// local run.
+// poll after its backoff joins the new boot (its
+// sdiqd_workers_registered_total); the client's Run rides across the
+// break and still returns a result set byte-identical to a local run.
 func TestRestartWithWorkerAndClientAttached(t *testing.T) {
 	spec := failureSpec()
 	want := localCSV(t, spec)
@@ -313,11 +312,12 @@ func TestRestartWithWorkerAndClientAttached(t *testing.T) {
 		t.Errorf("campaigns recovered = %d, want 1", rec)
 	}
 	// The recovered campaign can finish locally (cache hits) before the
-	// worker's jittered re-registration backoff fires; the worker keeps
-	// running until cleanup, so wait for the metric instead of racing it.
-	waitMetric(t, cl, "sdiqd_worker_reconnects_total", 1)
-	if rc := s2.met.workerReconnects.Load(); rc < 1 {
-		t.Errorf("worker reconnects = %d, want >= 1", rc)
+	// worker's next poll, after its jittered backoff, joins the new boot;
+	// the worker keeps running until cleanup, so wait for the metric
+	// instead of racing it.
+	waitMetric(t, cl, "sdiqd_workers_registered_total", 1)
+	if n := s2.met.workersRegistered.Load(); n < 1 {
+		t.Errorf("workers admitted by the restarted server = %d, want >= 1", n)
 	}
 	if exec := s1.met.jobsExecuted.Load() + s2.met.jobsExecuted.Load(); exec != 4 {
 		t.Errorf("executed %d jobs across restart, want exactly 4", exec)

@@ -53,7 +53,7 @@ func synthetic(t testing.TB, s *Server, spec campaign.Spec, finished bool) *camp
 	rc := &campaignRun{
 		progress:  newProgress("", jobs),
 		client:    "synthetic",
-		spec:      spec,
+		name:      spec.Name,
 		submitted: now,
 		ns:        s.tenant("synthetic").ns,
 		ended:     finished,

@@ -104,10 +104,10 @@ type Config struct {
 	// TenantIsolation gives each client its own namespace — result
 	// cache and checkpoint store under tenants/<client> of CacheDir and
 	// CkptDir, plus its own in-flight dedup: tenants then share no result
-	// or artifact on the server — each pays for its own simulations — and
-	// CacheMaxBytes bounds each tenant's stores separately. A worker's
-	// scratch cache and checkpoint store name no tenant, so one worker
-	// may still answer a tenant's lease from another's work.
+	// or artifact — each pays for its own simulations — and CacheMaxBytes
+	// bounds each tenant's stores separately. A lease names its
+	// campaign's namespace, and a worker keeps its own stores per
+	// namespace, so isolation holds across the fleet too.
 	TenantIsolation bool
 }
 
@@ -155,6 +155,7 @@ type tenantState struct {
 // checkpoint store. With isolation off every tenant holds the server's
 // one shared namespace; with it on, each tenant has its own.
 type namespace struct {
+	name     string          // "" for the shared namespace, else the tenant's
 	cacheDir string          // the engines' CacheDir ("" = no cache)
 	cache    *campaign.Cache // GC handle on cacheDir; nil when off
 	ckpt     *ckpt.Store     // nil when CkptDir is unset or unusable
@@ -162,10 +163,9 @@ type namespace struct {
 	disp     *dispatcher
 }
 
-// RunJob queues a cache-missed job on the dispatcher, against the
-// namespace's checkpoint store.
+// RunJob queues a cache-missed job on the dispatcher, in the namespace.
 func (ns *namespace) RunJob(ctx context.Context, job *campaign.Job, key string, params power.Params) (campaign.Result, error) {
-	return ns.disp.runJob(ctx, job, key, params, ns.ckpt)
+	return ns.disp.runJob(ctx, job, key, params, ns)
 }
 
 // maxCampaignJobs is the most jobs one campaign may expand to. A spec
@@ -176,8 +176,8 @@ const maxCampaignJobs = 10_000
 
 // maxFinishedJobs bounds the jobs of the registered finished campaigns,
 // server-wide, at finish and at recovery. A finished job holds about
-// 1.4 KB of heap and a one-job campaign 4.4 KB: about 71 MB in all, or
-// 219 MB at worst.
+// 1.35 KB of heap and a one-job campaign 3.3 KB: about 67 MB in all, or
+// 166 MB at worst.
 const maxFinishedJobs = 50_000
 
 // Any admissible campaign fits under maxFinishedJobs, or this fails to
@@ -188,12 +188,14 @@ const _ = uint(maxFinishedJobs - maxCampaignJobs)
 // paper's 100M: a job's budget is how long it holds a slot or a lease.
 const maxBudget = 1_000_000_000
 
-// campaignRun is one submitted campaign: its identity and spec, plus
-// its progress — roster, counters, event log and outcome.
+// campaignRun is one submitted campaign: its identity and name, plus
+// its progress — roster, counters, event log and outcome. The spec
+// itself goes to run, and the ResultSet keeps the one copy that
+// outlives the campaign.
 type campaignRun struct {
 	*progress
 	client    string
-	spec      campaign.Spec
+	name      string // the spec's
 	submitted time.Time
 	ns        *namespace    // the owner's namespace
 	elem      *list.Element // its place in Server.order; guarded by Server.mu
@@ -298,7 +300,7 @@ func (s *Server) recover() {
 		rc := &campaignRun{
 			progress:  newProgress(rec.Meta.ID, jobs),
 			client:    client,
-			spec:      rec.Meta.Spec,
+			name:      rec.Meta.Spec.Name,
 			submitted: rec.Meta.Submitted,
 			ns:        s.tenant(client).ns,
 			ended:     rec.Snap.Done && rec.Snap.Error != "",
@@ -314,7 +316,7 @@ func (s *Server) recover() {
 			rc.finish(rec.Snap.Finished, nil, errors.New(rec.Snap.Error), nil)
 			continue
 		}
-		go s.run(rc)
+		go s.run(rc, rec.Meta.Spec)
 	}
 }
 
@@ -364,20 +366,25 @@ func (s *Server) tenant(client string) *tenantState {
 	if !ok {
 		ts = &tenantState{ns: s.shared}
 		if ts.ns == nil {
-			ts.ns = s.openNamespace(filepath.Join("tenants", client))
+			ts.ns = s.openNamespace(client)
 		}
 		s.tenants[client] = ts
 	}
 	return ts
 }
 
-// openNamespace opens a namespace whose stores live at sub under
-// CacheDir and CkptDir. A store that fails to open degrades to off
-// rather than refusing to serve: both are accelerators, not correctness
-// dependencies. But say so — a typo'd -ckpt silently costing the fleet
-// its shared warming is a debugging trap.
-func (s *Server) openNamespace(sub string) *namespace {
-	ns := &namespace{disp: s.disp}
+// openNamespace opens a namespace: the shared one ("") has its stores
+// at CacheDir and CkptDir, a tenant's at tenants/<name> under each. A
+// store that fails to open degrades to off rather than refusing to
+// serve: both are accelerators, not correctness dependencies. But say
+// so — a typo'd -ckpt silently costing the fleet its shared warming is
+// a debugging trap.
+func (s *Server) openNamespace(name string) *namespace {
+	ns := &namespace{name: name, disp: s.disp}
+	sub := ""
+	if name != "" {
+		sub = filepath.Join("tenants", name)
+	}
 	var err error
 	if s.cfg.CacheDir != "" {
 		ns.cacheDir = filepath.Join(s.cfg.CacheDir, sub)
@@ -421,7 +428,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/campaigns/{id}/events", s.requireRole(auth.RoleTenant, s.handleEvents))
 	mux.HandleFunc("GET /v1/campaigns/{id}/export", s.requireRole(auth.RoleTenant, s.handleExport))
 	mux.HandleFunc("DELETE /v1/campaigns/{id}", s.requireRole(auth.RoleTenant, s.handleDelete))
-	mux.HandleFunc("POST /v1/workers", s.requireRole(auth.RoleWorker, s.handleWorkerRegister))
 	mux.HandleFunc("DELETE /v1/workers/{id}", s.requireRole(auth.RoleWorker, s.handleWorkerDeregister))
 	mux.HandleFunc("POST /v1/leases", s.requireRole(auth.RoleWorker, s.handleLease))
 	mux.HandleFunc("POST /v1/leases/{id}/heartbeat", s.requireRole(auth.RoleWorker, s.handleHeartbeat))
@@ -584,7 +590,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	rc := &campaignRun{
 		progress:  newProgress("", jobs),
 		client:    client,
-		spec:      spec,
+		name:      spec.Name,
 		submitted: time.Now().UTC(),
 		ns:        s.tenant(client).ns,
 	}
@@ -608,7 +614,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		log.Printf("sdiqd: %s: durable state disabled for this campaign: %v", rc.id, werr)
 	}
 	rc.begin()
-	go s.run(rc)
+	go s.run(rc, spec)
 
 	writeJSON(w, http.StatusAccepted, Submitted{
 		ID:        rc.id,
@@ -619,9 +625,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// run executes one campaign through the job queue, feeding its
+// run executes one campaign's spec through the job queue, feeding its
 // progress and the metrics, then ends it.
-func (s *Server) run(rc *campaignRun) {
+func (s *Server) run(rc *campaignRun, spec campaign.Spec) {
 	// Everything tenant-scoped comes from the owner's namespace: the
 	// cache dir and dedup group, and the runner that pins jobs (on a
 	// slot or leased) to the namespace's checkpoint store, so a worker's
@@ -653,7 +659,7 @@ func (s *Server) run(rc *campaignRun) {
 			rc.failed(j, err)
 		},
 	}
-	rs, err := eng.Run(s.ctx, rc.spec)
+	rs, err := eng.Run(s.ctx, spec)
 	s.end(rc, rs, err)
 }
 
@@ -726,7 +732,7 @@ func (s *Server) info(rc *campaignRun, withJobs bool) CampaignInfo {
 	info := CampaignInfo{
 		ID:        rc.id,
 		Client:    rc.client,
-		Name:      rc.spec.Name,
+		Name:      rc.name,
 		Submitted: rc.submitted,
 		Done:      done,
 		Finished:  finished,

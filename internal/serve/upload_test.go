@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/worker"
@@ -47,22 +46,22 @@ func FuzzLeaseResult(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		d := s.disp
-		reg, err := d.register(worker.RegisterRequest{Protocol: worker.ProtocolVersion, Name: "fuzz"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer d.deregister(reg.WorkerID)
-		tk := &task{job: &job, key: key, params: spec.Params, ctx: context.Background(), outcome: make(chan taskOutcome, 1)}
+		const id = "fuzz"
+		defer d.deregister(id)
+		tk := &task{job: &job, key: key, ns: s.shared, params: spec.Params, ctx: context.Background(), outcome: make(chan taskOutcome, 1)}
+		// The worker joins before the task is queued, or a slot may take
+		// it: while no worker is live, the slots take every job.
 		d.mu.Lock()
+		d.admitLocked(id, 1)
 		d.enqueueLocked(tk, false)
 		d.mu.Unlock()
 		defer d.abandon(tk) // runs first: a requeued task leaves the queue
-		l, leased, err := d.nextLease(context.Background(), reg.WorkerID, time.Millisecond)
+		l, leased, err := d.nextLease(context.Background(), worker.LeaseRequest{WorkerID: id, Protocol: worker.ProtocolVersion, WaitMS: 1})
 		if err != nil || leased != tk {
 			t.Fatalf("lease: %v, %v", leased, err)
 		}
 
-		body = bytes.ReplaceAll(body, []byte("{{worker}}"), []byte(reg.WorkerID))
+		body = bytes.ReplaceAll(body, []byte("{{worker}}"), []byte(id))
 		body = bytes.ReplaceAll(body, []byte("{{key}}"), []byte(key))
 		before := counters()
 		rec := httptest.NewRecorder()

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"time"
 
 	"repro/internal/worker"
 )
@@ -12,20 +11,6 @@ import (
 // Worker-pool HTTP surface: thin JSON shims over the dispatcher. The
 // wire types live in internal/worker (shared with the sdiqw binary and
 // pinned by that package's golden fixtures).
-
-func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
-	var req worker.RegisterRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad registration: %v", err)
-		return
-	}
-	resp, err := s.disp.register(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
 
 func (s *Server) handleWorkerDeregister(w http.ResponseWriter, r *http.Request) {
 	if !s.disp.deregister(r.PathValue("id")) {
@@ -41,9 +26,9 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad lease request: %v", err)
 		return
 	}
-	l, t, err := s.disp.nextLease(r.Context(), req.WorkerID, time.Duration(req.WaitMS)*time.Millisecond)
+	l, t, err := s.disp.nextLease(r.Context(), req)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if l == nil {
@@ -55,6 +40,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		Key:        t.key,
 		Attempt:    t.attempts,
 		DeadlineMS: s.disp.ttl.Milliseconds(),
+		Namespace:  t.ns.name,
 		CkptKey:    t.ckptKey,
 		Job:        worker.JobSpecOf(t.job, t.params),
 	})

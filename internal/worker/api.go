@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -19,16 +18,11 @@ import (
 // and lease the next one.
 var ErrLeaseGone = errors.New("worker: lease gone")
 
-// ErrUnknownWorker reports a lease request from an identity the server
-// does not hold — typically a server restart wiped the registry. The
-// worker's move is to register again, not to retry.
-var ErrUnknownWorker = errors.New("worker: unknown to the server")
-
 // API is the low-level protocol client — one method per endpoint, no
 // policy. Worker drives it; protocol tests drive it directly to play
 // misbehaving fleets (dead workers, late uploads, corrupt results).
 // Its errors are *wire.Error whenever the server answered, except for
-// the two that say what to do next: ErrLeaseGone and ErrUnknownWorker.
+// the one that says what to do next: ErrLeaseGone.
 type API struct {
 	// Base is the server root, e.g. "http://host:8080".
 	Base string
@@ -59,17 +53,6 @@ func (a *API) call(ctx context.Context, method, path string, in, out any) (int, 
 	return status, err
 }
 
-// Register announces the worker and returns its identity and timing
-// contract.
-func (a *API) Register(ctx context.Context, req RegisterRequest) (RegisterResponse, error) {
-	if req.Protocol == 0 {
-		req.Protocol = ProtocolVersion
-	}
-	var resp RegisterResponse
-	_, err := a.call(ctx, http.MethodPost, "/v1/workers", req, &resp)
-	return resp, err
-}
-
 // Deregister removes the worker; any leases it still holds are
 // immediately re-queued.
 func (a *API) Deregister(ctx context.Context, workerID string) error {
@@ -77,18 +60,16 @@ func (a *API) Deregister(ctx context.Context, workerID string) error {
 	return err
 }
 
-// Lease asks for the next job, long-polling up to req.WaitMS. ok is
-// false when the wait expired with nothing to do. ErrUnknownWorker
-// (wrapped) means the server lost this worker's registration — a
-// restart — and the worker must register again.
+// Lease asks for the next job, long-polling up to req.WaitMS; the
+// server admits the worker at its first poll. A zero req.Protocol sends
+// ProtocolVersion. ok is false when the wait expired with nothing to do.
 func (a *API) Lease(ctx context.Context, req LeaseRequest) (Lease, bool, error) {
+	if req.Protocol == 0 {
+		req.Protocol = ProtocolVersion
+	}
 	var l Lease
 	status, err := a.call(ctx, http.MethodPost, "/v1/leases", req, &l)
-	switch {
-	case status == http.StatusNotFound:
-		// The lease endpoint's only 404 is an unregistered worker.
-		return Lease{}, false, fmt.Errorf("%w: %v", ErrUnknownWorker, err)
-	case err != nil:
+	if err != nil {
 		return Lease{}, false, err
 	}
 	return l, status != http.StatusNoContent, nil

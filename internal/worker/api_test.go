@@ -4,25 +4,38 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/wire"
 )
 
-// TestAPIMappings: against a scripted server, a 404 lease poll is
-// ErrUnknownWorker, a 204 one is no lease, a 410 heartbeat or upload is
-// ErrLeaseGone, and an artifact request names its lease.
+// refuseVersion answers a lease poll as sdiqd answers one in another
+// protocol version.
+func refuseVersion(w http.ResponseWriter, worker, server int) {
+	w.WriteHeader(http.StatusBadRequest)
+	fmt.Fprintf(w, `{"error": "worker speaks protocol %d, server speaks %d"}`, worker, server)
+}
+
+// TestAPIMappings: against a scripted server, a lease poll sends
+// ProtocolVersion unless told otherwise, a 400 answer to it is a
+// *wire.Error carrying the server's message, a 204 one is no lease, a
+// 410 heartbeat or upload is ErrLeaseGone, and an artifact request
+// names its lease.
 func TestAPIMappings(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/leases", func(w http.ResponseWriter, r *http.Request) {
 		var req LeaseRequest
 		_ = json.NewDecoder(r.Body).Decode(&req)
-		switch req.WorkerID {
-		case "forgotten":
-			w.WriteHeader(http.StatusNotFound)
-			_, _ = w.Write([]byte(`{"error": "unknown worker \"forgotten\""}`))
-		case "idle":
+		switch {
+		case req.Protocol != ProtocolVersion:
+			refuseVersion(w, req.Protocol, ProtocolVersion)
+		case req.WorkerID == "idle":
 			w.WriteHeader(http.StatusNoContent)
 		default:
 			_ = json.NewEncoder(w).Encode(Lease{ID: "l1", Key: "k1"})
@@ -47,8 +60,9 @@ func TestAPIMappings(t *testing.T) {
 	api := NewAPI(ts.URL)
 	ctx := context.Background()
 
-	if _, ok, err := api.Lease(ctx, LeaseRequest{WorkerID: "forgotten"}); ok || !errors.Is(err, ErrUnknownWorker) {
-		t.Errorf("lease poll answered 404: ok %v, err %v; want ErrUnknownWorker", ok, err)
+	if _, ok, err := api.Lease(ctx, LeaseRequest{WorkerID: "w1", Protocol: ProtocolVersion - 1}); ok ||
+		wire.StatusCode(err) != http.StatusBadRequest || !strings.Contains(err.Error(), "server speaks") {
+		t.Errorf("lease poll answered 400: ok %v, err %v; want a 400 *wire.Error with the server's message", ok, err)
 	}
 	if _, ok, err := api.Lease(ctx, LeaseRequest{WorkerID: "idle"}); ok || err != nil {
 		t.Errorf("lease poll answered 204: ok %v, err %v; want no lease and no error", ok, err)
@@ -74,5 +88,37 @@ func TestAPIMappings(t *testing.T) {
 	}
 	if _, err := api.FetchCkpt(ctx, "l2", "abc"); err == nil {
 		t.Error("fetch under another lease succeeded")
+	}
+}
+
+// TestRunEndsOnRefusedPoll: a lease poll that fails with a 5xx is
+// retried after a backoff, and one refused with a 4xx — here a protocol
+// mismatch — ends Run with that error, at once: waiting cannot fix it.
+func TestRunEndsOnRefusedPoll(t *testing.T) {
+	var polls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || r.URL.Path != "/v1/leases" {
+			t.Errorf("unexpected %s %s", r.Method, r.URL.Path)
+			w.WriteHeader(http.StatusNotFound)
+			return
+		}
+		var req LeaseRequest
+		_ = json.NewDecoder(r.Body).Decode(&req)
+		if polls.Add(1) == 1 {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		refuseVersion(w, req.Protocol, ProtocolVersion+1)
+	}))
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err := (&Worker{Server: ts.URL}).Run(ctx)
+	if wire.StatusCode(err) != http.StatusBadRequest || !strings.Contains(err.Error(), "server speaks") {
+		t.Fatalf("Run = %v, want the poll's 400", err)
+	}
+	if n := polls.Load(); n != 2 {
+		t.Errorf("%d polls, want 2: one retried after its 503, one refused", n)
 	}
 }

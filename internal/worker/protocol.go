@@ -1,30 +1,33 @@
 // Package worker is the remote half of the campaign service's
-// distributed simulation: a pull-based worker that registers with a
-// sdiqd server, leases jobs over HTTP, runs them with the exact
-// executor the local engine uses (against a local scratch cache),
-// streams heartbeats while a job runs, and uploads the finished
-// campaign.Result. The server validates every upload against the job's
-// content hash (campaign.JobKey) before the result enters the shared
-// cache, so a byzantine or stale worker can never corrupt it.
+// distributed simulation: a pull-based worker that leases jobs from a
+// sdiqd server over HTTP, runs them with the exact executor the local
+// engine uses (against local scratch stores), streams heartbeats while
+// a job runs, and uploads the finished campaign.Result. The server
+// validates every upload against the job's content hash
+// (campaign.JobKey) before the result enters the shared cache, so a
+// byzantine or stale worker can never corrupt it.
 //
 // Wire protocol (JSON over the server's existing HTTP listener, except
 // the opaque checkpoint artifacts):
 //
-//	POST   /v1/workers              RegisterRequest  → RegisterResponse
-//	DELETE /v1/workers/{id}         deregister (requeues live leases)
 //	POST   /v1/leases               LeaseRequest     → Lease | 204 (none)
 //	POST   /v1/leases/{id}/heartbeat  Heartbeat      → HeartbeatResponse
 //	POST   /v1/leases/{id}/result   ResultUpload     → ResultResponse
 //	GET    /v1/checkpoints/{key}?lease={id}          → artifact
 //	PUT    /v1/checkpoints/{key}?lease={id}  artifact → 204
+//	DELETE /v1/workers/{id}         leave (requeues live leases)
 //
-// The lease request long-polls: the server holds it open until a job is
-// available or the wait expires. A lease lives LeaseTTLMS from grant and
-// every accepted heartbeat re-arms it; a lease that outlives its TTL is
-// presumed dead, and its job is re-queued for another worker (bounded
-// retries, then the server runs it locally). A late upload against an
-// expired lease is answered 410 Gone and discarded. An artifact request
-// names the live lease whose job carries the artifact's key.
+// A worker names itself. Every lease request carries its ID, capacity
+// and protocol version, and the server admits an ID it does not hold at
+// that poll: joining the fleet, and rejoining a restarted server, is
+// the next poll. The request long-polls: the server holds it open until
+// a job is available or the wait expires. A lease lives DeadlineMS from
+// grant, the worker heartbeats every third of that, and every accepted
+// heartbeat re-arms it; a lease that outlives its TTL is presumed dead,
+// and its job is re-queued for another worker (bounded retries, then
+// the server runs it locally). A late upload against an expired lease
+// is answered 410 Gone and discarded. An artifact request names the
+// live lease whose job carries the artifact's key.
 package worker
 
 import (
@@ -33,51 +36,38 @@ import (
 	"repro/internal/sim"
 )
 
-// ProtocolVersion guards wire compatibility: the server refuses
-// registrations from workers speaking a different version, which turns
-// a skewed-binary fleet into a clean startup error instead of subtle
+// ProtocolVersion guards wire compatibility: the server refuses lease
+// polls from workers speaking a different version (400), which turns a
+// skewed-binary fleet into a clean startup error instead of subtle
 // result corruption.
 //
 // Version 2 adds transport-layer bearer authentication: against a
-// server started with -auth, every request — register, lease,
-// heartbeat, upload, checkpoint GET/PUT — carries
-// "Authorization: Bearer <token>" for a worker-role principal. The
-// wire bodies are unchanged; version 1 workers are refused at
-// registration because they cannot know to send the credential.
-const ProtocolVersion = 2
+// server started with -auth, every request — lease, heartbeat, upload,
+// checkpoint GET/PUT, leave — carries "Authorization: Bearer <token>"
+// for a worker-role principal.
+//
+// Version 3 joins a worker at its lease poll, with no registration: a
+// LeaseRequest names its worker with an ID the worker picked and
+// carries its capacity and version. The heartbeat period is a third of
+// Lease.DeadlineMS, and a Lease names the namespace of the campaign its
+// job serves.
+const ProtocolVersion = 3
 
-// RegisterRequest announces a worker to the server.
-type RegisterRequest struct {
-	// Name labels the worker in logs and metrics (hostname by default).
-	Name string `json:"name"`
+// LeaseRequest asks for the next job, long-polling up to WaitMS. It
+// says all the server knows of a worker: the server admits a WorkerID
+// it does not hold at this poll, and each poll refreshes the worker's
+// capacity and liveness.
+type LeaseRequest struct {
+	// WorkerID names the worker in every request. The worker picks it,
+	// in the grammar of auth.ValidName ([a-z0-9._-]{1,64}).
+	WorkerID string `json:"worker_id"`
 	// Capacity is how many jobs the worker runs concurrently; the server
 	// uses the fleet total to size campaign parallelism.
 	Capacity int `json:"capacity"`
 	// Protocol is the worker's ProtocolVersion.
 	Protocol int `json:"protocol"`
-	// Reconnects counts this worker's re-registrations after losing the
-	// coordinator (0 on first contact) — the server surfaces the fleet's
-	// churn in its metrics.
-	Reconnects int `json:"reconnects,omitempty"`
-}
-
-// RegisterResponse hands the worker its identity and the protocol's
-// timing contract.
-type RegisterResponse struct {
-	// WorkerID names this worker in every subsequent request.
-	WorkerID string `json:"worker_id"`
-	// LeaseTTLMS is how long a granted lease lives without a heartbeat.
-	LeaseTTLMS int64 `json:"lease_ttl_ms"`
-	// HeartbeatMS is how often the worker must heartbeat a running job.
-	HeartbeatMS int64 `json:"heartbeat_ms"`
-	// MaxPollMS caps the long-poll wait the server will honour.
-	MaxPollMS int64 `json:"max_poll_ms"`
-}
-
-// LeaseRequest asks for the next job, long-polling up to WaitMS.
-type LeaseRequest struct {
-	WorkerID string `json:"worker_id"`
-	WaitMS   int64  `json:"wait_ms"`
+	// WaitMS bounds the long poll; 0 means the server's longest wait.
+	WaitMS int64 `json:"wait_ms"`
 }
 
 // Lease is one granted job: the complete job identity travels with the
@@ -93,8 +83,15 @@ type Lease struct {
 	// Attempt counts leases of this job, starting at 1; retries after a
 	// failed or expired lease increment it.
 	Attempt int `json:"attempt"`
-	// DeadlineMS is the lease TTL from grant.
+	// DeadlineMS is the lease TTL from grant; the worker heartbeats
+	// every third of it.
 	DeadlineMS int64 `json:"deadline_ms"`
+	// Namespace names the server namespace of the campaign the job
+	// serves: "" for the shared one, the tenant's name under
+	// -tenant-isolation. The worker keeps a result cache and a
+	// checkpoint store per namespace, so one tenant's work never answers
+	// another's lease.
+	Namespace string `json:"namespace,omitempty"`
 	// CkptKey, when non-empty, is the job's checkpoint artifact key
 	// (campaign.CheckpointKey): while it holds the lease, the worker may
 	// GET the artifact from /v1/checkpoints/{key}?lease={ID} to resume

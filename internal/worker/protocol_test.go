@@ -86,17 +86,11 @@ func TestProtocolGoldenMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	checkGolden(t, "register_request.json", RegisterRequest{
-		Name: "bench-03", Capacity: 4, Protocol: ProtocolVersion,
-	})
-	checkGolden(t, "register_response.json", RegisterResponse{
-		WorkerID: "w0003", LeaseTTLMS: 15000, HeartbeatMS: 5000, MaxPollMS: 7500,
-	})
 	checkGolden(t, "lease_request.json", LeaseRequest{
-		WorkerID: "w0003", WaitMS: 7500,
+		WorkerID: "w0003", Capacity: 4, Protocol: ProtocolVersion, WaitMS: 7500,
 	})
 	checkGolden(t, "lease.json", Lease{
-		ID: "l000042", Key: key, Attempt: 2, DeadlineMS: 15000,
+		ID: "l000042", Key: key, Attempt: 2, DeadlineMS: 15000, Namespace: "alice",
 		Job: JobSpecOf(&job, spec.Params),
 	})
 	checkGolden(t, "heartbeat.json", Heartbeat{WorkerID: "w0003"})

@@ -2,28 +2,32 @@ package worker
 
 import (
 	"context"
-	"errors"
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/auth"
 	"repro/internal/campaign"
 	"repro/internal/ckpt"
 	"repro/internal/wire"
 )
 
-// Worker is the pull-based remote simulation worker: it registers with
-// a campaign server, leases jobs, executes them with
-// campaign.ExecuteStored against a local scratch cache and checkpoint
-// store, heartbeats while they run, and uploads the results. Run drives it until ctx ends (hard stop: in-flight jobs
-// are abandoned and the server re-leases them) or Shutdown is called
-// (graceful: stop leasing, finish in-flight jobs, deregister).
+// Worker is the pull-based remote simulation worker: it leases jobs
+// from a campaign server, executes them with campaign.ExecuteStored
+// against a local scratch cache and checkpoint store, heartbeats while
+// they run, and uploads the results. Run drives it until ctx ends (hard
+// stop: in-flight jobs are abandoned and the server re-leases them) or
+// Shutdown is called (graceful: stop leasing, finish in-flight jobs,
+// leave the fleet).
 type Worker struct {
 	// Server is the sdiqd base URL.
 	Server string
-	// Name labels the worker (hostname when empty).
+	// Name labels the worker in its own log lines (hostname when empty);
+	// the server knows it by the ID Run picks.
 	Name string
 	// Scratch is the local result cache directory ("" = none): a job the
 	// worker has run before is answered from disk without re-simulating.
@@ -32,12 +36,15 @@ type Worker struct {
 	// sampled jobs whose lease names a checkpoint key download the
 	// sweep's shared warm state from the server (or generate and push it
 	// back) instead of each re-warming from scratch.
+	//
+	// Both directories hold the shared namespace's stores; a lease from
+	// an isolated tenant's campaign uses tenants/<name> under each.
 	Ckpt string
 	// Concurrency is how many leases run at once (min 1).
 	Concurrency int
-	// ScratchMaxBytes bounds the scratch cache and the local checkpoint
-	// store, each separately, evicting least recently used entries after
-	// every executed job; 0 means unbounded.
+	// ScratchMaxBytes bounds every result cache and checkpoint store the
+	// worker has opened, each separately, evicting least recently used
+	// entries after every job executed in it; 0 means unbounded.
 	ScratchMaxBytes int64
 	// Token is the worker-role bearer credential, required against a
 	// server running with -auth; "" sends no Authorization header.
@@ -55,12 +62,56 @@ type Worker struct {
 	// upload.
 	OnDone func(l Lease, res campaign.Result, err error)
 
-	// reconnects counts re-registrations after the server forgot us —
-	// reported on the wire so the coordinator can surface fleet churn.
-	reconnects atomic.Int64
-
 	quitOnce sync.Once
 	quit     chan struct{}
+
+	mu     sync.Mutex
+	stores map[string]*stores // by server namespace, opened at first use
+}
+
+// stores are one server namespace's local result cache and checkpoint
+// store.
+type stores struct {
+	scratch *campaign.Cache
+	ckpt    *ckpt.Store // nil when Ckpt is unset or unusable
+}
+
+// storesOf returns the local stores of a server namespace, opening them
+// at first use: the shared namespace ("") keeps the Scratch and Ckpt
+// directories themselves, and an isolated tenant gets tenants/<name>
+// under each, so one tenant's results and warm state never answer
+// another tenant's lease.
+func (w *Worker) storesOf(ns string) (*stores, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if st, ok := w.stores[ns]; ok {
+		return st, nil
+	}
+	if ns != "" && !auth.ValidName(ns) {
+		return nil, fmt.Errorf("invalid namespace %q", ns)
+	}
+	dir := func(root string) string {
+		if root == "" || ns == "" {
+			return root
+		}
+		return filepath.Join(root, "tenants", ns)
+	}
+	scratch, err := campaign.OpenCache(dir(w.Scratch))
+	if err != nil {
+		return nil, fmt.Errorf("scratch cache: %w", err)
+	}
+	store, err := ckpt.Open(dir(w.Ckpt))
+	if err != nil {
+		// Checkpointing is an optimization: a broken store directory
+		// degrades to warm-from-scratch execution, not a dead worker.
+		w.logf("checkpoint store disabled: %v", err)
+	}
+	if w.stores == nil {
+		w.stores = make(map[string]*stores)
+	}
+	st := &stores{scratch: scratch, ckpt: store}
+	w.stores[ns] = st
+	return st, nil
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -88,44 +139,24 @@ func (w *Worker) Shutdown() {
 	}
 }
 
-// Registration and lease-poll failures are retried with jittered
-// exponential backoff between these bounds: a coordinator restart is
-// survived by waiting, not by dying, and the jitter keeps a restarted
-// coordinator from being stampeded by its whole fleet at once.
+// Lease polls that fail in transport or with a 5xx are retried with
+// jittered exponential backoff between these bounds: a coordinator
+// restart is survived by waiting, not by dying, and the jitter keeps a
+// restarted coordinator from being stampeded by its whole fleet at
+// once.
 const (
 	retryBase = 500 * time.Millisecond
 	retryMax  = 15 * time.Second
 )
 
-// register joins (or rejoins) the server, retrying transient failures
-// with jittered backoff until ctx ends. Terminal 4xx refusals —
-// protocol version drift — return immediately: waiting cannot fix them.
-func (w *Worker) register(ctx context.Context, api *API, name string, conc int, reconnect bool) (RegisterResponse, error) {
-	req := RegisterRequest{Name: name, Capacity: conc}
-	if reconnect {
-		req.Reconnects = int(w.reconnects.Add(1))
-	}
-	for attempt := 0; ; attempt++ {
-		reg, err := api.Register(ctx, req)
-		if err == nil {
-			return reg, nil
-		}
-		if wire.StatusCode(err)/100 == 4 || ctx.Err() != nil {
-			return RegisterResponse{}, err
-		}
-		w.logf("register: %v (retrying)", err)
-		select {
-		case <-time.After(wire.Backoff(attempt, retryBase, retryMax)):
-		case <-ctx.Done():
-			return RegisterResponse{}, ctx.Err()
-		}
-	}
-}
-
-// Run registers and serves leases until ctx ends or Shutdown is called.
-// Cancelling ctx is a hard stop — running jobs abort mid-simulation and
-// nothing more is sent, exactly like a crashed machine; the server's
-// lease TTL recovers their jobs.
+// Run picks the worker's ID and serves leases until ctx ends or
+// Shutdown is called. Its first lease poll joins the server's fleet,
+// and after a coordinator restart the next poll joins the new one. A
+// 4xx answer to a poll — protocol drift, or a token the server refuses
+// — ends Run with that error: waiting cannot fix it. Cancelling ctx is
+// a hard stop — running jobs abort mid-simulation and nothing more is
+// sent, exactly like a crashed machine; the server's lease TTL recovers
+// their jobs.
 func (w *Worker) Run(ctx context.Context) error {
 	api := w.API
 	if api == nil {
@@ -142,20 +173,18 @@ func (w *Worker) Run(ctx context.Context) error {
 	if name == "" {
 		name, _ = os.Hostname()
 	}
-	scratch, err := campaign.OpenCache(w.Scratch)
-	if err != nil {
-		return fmt.Errorf("worker: scratch cache: %w", err)
+	// The shared namespace's stores open now, so a bad Scratch fails
+	// here rather than at the first lease.
+	if _, err := w.storesOf(""); err != nil {
+		return fmt.Errorf("worker: %w", err)
 	}
-	store, err := ckpt.Open(w.Ckpt)
-	if err != nil {
-		// Checkpointing is an optimization: a broken store directory
-		// degrades to warm-from-scratch execution, not a dead worker.
-		w.logf("checkpoint store disabled: %v", err)
-		store = nil
-	}
+	var idb [8]byte
+	_, _ = rand.Read(idb[:]) // never fails: since Go 1.24 it crashes the program instead
+	id := "w" + hex.EncodeToString(idb[:])
+	w.logf("%s polls %s as worker %s", name, api.Base, id)
 
-	// pollCtx ends on either stop signal, cutting the long-poll (and any
-	// registration backoff) short.
+	// pollCtx ends on either stop signal, cutting the long poll (and any
+	// backoff) short.
 	pollCtx, cancelPoll := context.WithCancel(ctx)
 	defer cancelPoll()
 	quit := w.quitCh()
@@ -167,19 +196,10 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 	}()
 
-	// Registration retries transient failures forever: a worker that
-	// boots before its coordinator (or during a coordinator restart)
-	// waits, it doesn't die.
-	reg, err := w.register(pollCtx, api, name, conc, false)
-	if err != nil {
-		return err
-	}
-	w.logf("registered as %s (lease ttl %dms, heartbeat %dms)",
-		reg.WorkerID, reg.LeaseTTLMS, reg.HeartbeatMS)
-
+	req := LeaseRequest{WorkerID: id, Capacity: conc}
 	slots := make(chan struct{}, conc)
 	var wg sync.WaitGroup
-	var regErr error
+	var refused error
 	fails := 0
 lease:
 	for {
@@ -188,27 +208,15 @@ lease:
 		case <-pollCtx.Done():
 			break lease
 		}
-		l, ok, err := api.Lease(pollCtx, LeaseRequest{WorkerID: reg.WorkerID, WaitMS: reg.MaxPollMS})
+		l, ok, err := api.Lease(pollCtx, req)
 		if err != nil {
 			<-slots
 			if pollCtx.Err() != nil {
 				break lease
 			}
-			if errors.Is(err, ErrUnknownWorker) {
-				// The server lost our registration (it restarted):
-				// register again instead of retrying a doomed identity.
-				nr, rerr := w.register(pollCtx, api, name, conc, true)
-				if rerr != nil {
-					if pollCtx.Err() != nil {
-						break lease
-					}
-					regErr = rerr // terminal refusal: protocol drift
-					break lease
-				}
-				w.logf("server forgot us; re-registered as %s", nr.WorkerID)
-				reg = nr
-				fails = 0
-				continue
+			if wire.StatusCode(err)/100 == 4 {
+				refused = err
+				break lease
 			}
 			fails++
 			w.logf("lease poll: %v (retrying)", err)
@@ -228,35 +236,35 @@ lease:
 		go func(l Lease) {
 			defer wg.Done()
 			defer func() { <-slots }()
-			w.serve(ctx, api, reg, scratch, store, l)
+			w.serve(ctx, api, id, l)
 		}(l)
 	}
 	wg.Wait()
-	if regErr != nil {
-		return regErr
+	if refused != nil {
+		return refused
 	}
 
-	// Deregister only on the graceful path. A hard stop (ctx cancelled)
+	// Leave only on the graceful path. A hard stop (ctx cancelled)
 	// models a crashed machine: it says nothing, and the server's lease
 	// TTL is the cleanup — which is exactly what the failure-injection
 	// suite exercises.
 	if ctx.Err() == nil {
 		dctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		if err := api.Deregister(dctx, reg.WorkerID); err == nil {
-			w.logf("deregistered %s", reg.WorkerID)
+		if err := api.Deregister(dctx, id); err == nil {
+			w.logf("deregistered %s", id)
 		}
 	}
 	return ctx.Err()
 }
 
-// serve executes one lease: scratch-cache check, checkpoint artifact
-// fetch, heartbeat loop, execution, upload (plus a best-effort artifact
-// push when this worker generated the sweep's warm state). A worker
-// whose ctx dies mid-job goes silent — no upload, no error report —
-// which is precisely the failure the server's lease expiry exists to
-// absorb.
-func (w *Worker) serve(ctx context.Context, api *API, reg RegisterResponse, scratch *campaign.Cache, store *ckpt.Store, l Lease) {
+// serve executes one lease in its namespace's stores: scratch-cache
+// check, checkpoint artifact fetch, heartbeat loop, execution, upload
+// (plus a best-effort artifact push when this worker generated the
+// sweep's warm state). A worker whose ctx dies mid-job goes silent — no
+// upload, no error report — which is precisely the failure the server's
+// lease expiry exists to absorb.
+func (w *Worker) serve(ctx context.Context, api *API, id string, l Lease) {
 	if w.OnLease != nil {
 		w.OnLease(l)
 	}
@@ -270,13 +278,18 @@ func (w *Worker) serve(ctx context.Context, api *API, reg RegisterResponse, scra
 	// worker derives from the same job. A mismatch means protocol or
 	// version drift — refuse rather than poison the shared cache.
 	key, err := campaign.JobKey(&job, l.Job.Params)
-	if err != nil || key != l.Key {
-		if err == nil {
-			err = fmt.Errorf("job key mismatch: lease says %.12s, worker derives %.12s", l.Key, key)
-		}
-		w.upload(ctx, api, reg.WorkerID, l, campaign.Result{}, fmt.Errorf("worker %s: %w", reg.WorkerID, err))
+	if err == nil && key != l.Key {
+		err = fmt.Errorf("job key mismatch: lease says %.12s, worker derives %.12s", l.Key, key)
+	}
+	var st *stores
+	if err == nil {
+		st, err = w.storesOf(l.Namespace)
+	}
+	if err != nil {
+		w.upload(ctx, api, id, l, campaign.Result{}, fmt.Errorf("worker %s: %w", id, err))
 		return
 	}
+	scratch, store := st.scratch, st.ckpt
 
 	if res, ok := scratch.Get(key); ok {
 		res.Point = job.Point
@@ -284,7 +297,7 @@ func (w *Worker) serve(ctx context.Context, api *API, reg RegisterResponse, scra
 		if w.OnDone != nil {
 			w.OnDone(l, res, nil)
 		}
-		w.upload(ctx, api, reg.WorkerID, l, res, nil)
+		w.upload(ctx, api, id, l, res, nil)
 		return
 	}
 
@@ -317,7 +330,7 @@ func (w *Worker) serve(ctx context.Context, api *API, reg RegisterResponse, scra
 	hbDone := make(chan struct{})
 	go func() {
 		defer close(hbDone)
-		every := time.Duration(reg.HeartbeatMS) * time.Millisecond
+		every := time.Duration(l.DeadlineMS) * time.Millisecond / 3
 		if every <= 0 {
 			every = 5 * time.Second
 		}
@@ -329,7 +342,7 @@ func (w *Worker) serve(ctx context.Context, api *API, reg RegisterResponse, scra
 				return
 			case <-t.C:
 			}
-			resp, err := api.Heartbeat(jobCtx, l.ID, Heartbeat{WorkerID: reg.WorkerID})
+			resp, err := api.Heartbeat(jobCtx, l.ID, Heartbeat{WorkerID: id})
 			if err == ErrLeaseGone || resp.Cancel {
 				w.logf("lease %s: server cancelled (gone=%v)", l.ID, err == ErrLeaseGone)
 				cancelJob()
@@ -372,7 +385,7 @@ func (w *Worker) serve(ctx context.Context, api *API, reg RegisterResponse, scra
 	if w.OnDone != nil {
 		w.OnDone(l, res, execErr)
 	}
-	w.upload(ctx, api, reg.WorkerID, l, res, execErr)
+	w.upload(ctx, api, id, l, res, execErr)
 }
 
 // upload sends a lease's outcome, retrying briefly: the lease TTL gives

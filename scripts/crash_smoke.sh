@@ -7,8 +7,8 @@
 #     campaign and its export is byte-identical to a local run;
 #   - the restarted server recovered the campaign from its submission
 #     record and re-ran it (sdiqd_campaigns_recovered_total >= 1);
-#   - both workers re-registered instead of dying
-#     (sdiqd_worker_reconnects_total >= 1);
+#   - both workers joined the new boot with their next lease poll
+#     instead of dying (sdiqd_workers_registered_total >= 2 there);
 #   - work finished before the kill came back as cache hits, never
 #     duplicate simulations (sdiqd_job_cache_hits_total >= 1);
 #   - the state directory holds a meta.json and a snap.json per
@@ -92,12 +92,21 @@ if ! diff "$ART/remote.csv" "$ART/local.csv" >"$ART/export.diff"; then
     echo "exports differ"; cat "$ART/export.diff"; exit 1
 fi
 
+# The client can finish before a worker's backoff brings its next poll
+# to the new boot; the workers keep polling, so wait for both.
+echo "== both workers rejoin the restarted server with their next lease poll"
+for _ in $(seq 1 150); do
+    N=$(curl -fs "http://$ADDR/metrics" | awk '/^sdiqd_workers_registered_total /{print $2}')
+    [ "${N:-0}" -ge 2 ] 2>/dev/null && break
+    sleep 0.2
+done
+
 echo "== durability metrics"
 curl -fs "http://$ADDR/metrics" |
-    grep -E '^sdiqd_(campaigns_recovered_total|worker_reconnects_total|job_cache_hits_total|jobs_executed_total|jobs_remote_total|jobs_failed_total) ' |
+    grep -E '^sdiqd_(campaigns_recovered_total|workers_registered_total|job_cache_hits_total|jobs_executed_total|jobs_remote_total|jobs_failed_total) ' |
     tee "$ART/metrics.txt"
 grep -q '^sdiqd_campaigns_recovered_total [1-9]' "$ART/metrics.txt" || { echo "campaign not recovered from durable state"; exit 1; }
-grep -q '^sdiqd_worker_reconnects_total [1-9]' "$ART/metrics.txt" || { echo "no worker re-registered"; exit 1; }
+grep -qE '^sdiqd_workers_registered_total ([2-9]|[1-9][0-9])' "$ART/metrics.txt" || { echo "the restarted server did not admit both workers"; exit 1; }
 grep -q '^sdiqd_job_cache_hits_total [1-9]' "$ART/metrics.txt" || { echo "finished work re-simulated instead of cache-hit"; exit 1; }
 grep -q '^sdiqd_jobs_failed_total 0' "$ART/metrics.txt" || { echo "jobs failed"; exit 1; }
 

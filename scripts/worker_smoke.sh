@@ -115,9 +115,9 @@ for _ in $(seq 1 50); do
 done
 curl -fs "http://$ADDR/healthz" >/dev/null
 
-echo "== bad-token probes must be 401 (register and submit)"
-CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H "Authorization: Bearer wrong-token" "http://$ADDR/v1/workers")
-[ "$CODE" = "401" ] || { echo "bad-token register probe got $CODE, want 401"; exit 1; }
+echo "== bad-token probes must be 401 (lease poll and submit)"
+CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H "Authorization: Bearer wrong-token" "http://$ADDR/v1/leases")
+[ "$CODE" = "401" ] || { echo "bad-token lease probe got $CODE, want 401"; exit 1; }
 CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/v1/campaigns")
 [ "$CODE" = "401" ] || { echo "no-token submit probe got $CODE, want 401"; exit 1; }
 
@@ -133,8 +133,8 @@ done
 [ "$(curl -fs "http://$ADDR/metrics" | awk '/^sdiqd_workers_connected /{print $2}')" = "1" ] || {
     echo "authed worker never connected"; cat "$WORK/sdiqw-auth.log"; exit 1
 }
-CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H "Authorization: Bearer $TENANT_TOKEN" "http://$ADDR/v1/workers")
-[ "$CODE" = "403" ] || { echo "tenant-token register probe got $CODE, want 403"; exit 1; }
+CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H "Authorization: Bearer $TENANT_TOKEN" "http://$ADDR/v1/leases")
+[ "$CODE" = "403" ] || { echo "tenant-token lease probe got $CODE, want 403"; exit 1; }
 
 echo "== authed remote sweep must be byte-identical, with remote execution"
 "$WORK/sdiq" -remote "http://$ADDR" -token "$TENANT_TOKEN" "${SPEC[@]}" -export "$WORK/authed.csv" >/dev/null

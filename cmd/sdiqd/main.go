@@ -14,7 +14,8 @@
 // across all campaigns (0 = GOMAXPROCS); -quota caps active campaigns
 // per client (0 = unlimited). On SIGTERM/SIGINT the server drains: new
 // submissions are refused with 503, running campaigns get up to -drain
-// to finish, then are cancelled at job granularity.
+// to finish, then are cancelled at job granularity; the HTTP shutdown
+// that follows ends the workers' parked lease polls at once.
 //
 // Remote workers (sdiqw) may join at any time: a worker's first lease
 // poll admits it, and a restarted server's too. Every cache-missed
@@ -34,14 +35,14 @@
 // only -cache-max-bytes removes them.
 //
 // -state makes the control plane durable: each campaign's submission
-// record is written at submit, and its terminal record (outcome and
-// final job roster) once, when it ends — both fsync'd and published by
-// rename. After a crash or restart, sdiqd recovers every campaign,
-// re-runs the ones without a terminal record and the ones that finished
-// cleanly — already-finished jobs come back as result-cache hits, never
-// duplicate simulations (pair -state with -cache) — serves failed ones
-// from their terminal record, and resumes serving status, events and
-// exports to reconnecting clients and workers.
+// record is written at submit, and its terminal record (error, final
+// status and results) once, when it ends — both fsync'd and published
+// by rename. After a crash or restart, sdiqd restores every ended
+// campaign from its terminal record, running nothing, and re-runs the
+// others — already-finished jobs come back as result-cache hits, never
+// duplicate simulations (pair -state with -cache) — then resumes
+// serving status, events and exports to reconnecting clients and
+// workers.
 //
 // Once the finished campaigns hold more than 50,000 jobs in all, the
 // oldest leave, with their durable state. -cache-max-bytes bounds each
@@ -136,6 +137,11 @@ func main() {
 		TenantIsolation: *tenantIsolation,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	// Shutdown runs this once the listener has closed: it ends the
+	// workers' parked lease polls, which would otherwise hold Shutdown
+	// for up to half the worker TTL. Draining keeps them: the fleet
+	// still runs the draining campaigns' jobs.
+	httpSrv.RegisterOnShutdown(s.Close)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -20,19 +20,24 @@ func (rs *ResultSet) WriteJSON(w io.Writer) error {
 
 // ReadJSON loads a campaign previously written by WriteJSON.
 func ReadJSON(r io.Reader) (*ResultSet, error) {
-	dec := json.NewDecoder(r)
 	var rs ResultSet
-	if err := dec.Decode(&rs); err != nil {
+	if err := json.NewDecoder(r).Decode(&rs); err != nil {
 		return nil, fmt.Errorf("campaign: load: %w", err)
 	}
-	for i := range rs.Results {
-		if !rs.Results[i].Tech.Valid() {
-			return nil, fmt.Errorf("campaign: load: result %d has unknown technique %q",
-				i, rs.Results[i].Tech)
+	return NewResultSet(rs.Spec, rs.Results)
+}
+
+// NewResultSet returns stored results of spec (an export, a terminal
+// record) as an indexed set, once every result names a known technique.
+func NewResultSet(spec Spec, results []Result) (*ResultSet, error) {
+	for i := range results {
+		if !results[i].Tech.Valid() {
+			return nil, fmt.Errorf("campaign: load: result %d has unknown technique %q", i, results[i].Tech)
 		}
 	}
+	rs := &ResultSet{Spec: spec, Results: results}
 	rs.reindex()
-	return &rs, nil
+	return rs, nil
 }
 
 // csvEscape quotes a field if it contains CSV metacharacters.

@@ -141,7 +141,8 @@ func (b *syncBuffer) String() string {
 }
 
 // TestRecoverSkipsOversizedCampaign: a durable record whose spec is
-// over the bound (written by a build that admitted it) is skipped at
+// over the bound (written by a build that admitted it), or whose
+// terminal record holds results ReadJSON would refuse, is skipped at
 // boot with a log line, and the campaigns beside it still recover.
 func TestRecoverSkipsOversizedCampaign(t *testing.T) {
 	state, cache := t.TempDir(), t.TempDir()
@@ -153,10 +154,15 @@ func TestRecoverSkipsOversizedCampaign(t *testing.T) {
 	for _, m := range []store.Meta{
 		{ID: "c0001", Submitted: now, Jobs: 1_485_000, Spec: hugeSpec()},
 		{ID: "c0002", Submitted: now, Jobs: 2, Spec: tinySpec()},
+		{ID: "c0003", Submitted: now, Jobs: 2, Spec: tinySpec()},
 	} {
 		if err := st.Create(m); err != nil {
 			t.Fatal(err)
 		}
+	}
+	bad := store.Snapshot{Done: true, Finished: now, Results: []campaign.Result{{Bench: "gzip", Tech: "nosuchtech"}}}
+	if err := st.Finish("c0003", bad); err != nil {
+		t.Fatal(err)
 	}
 
 	var logs syncBuffer
@@ -165,11 +171,18 @@ func TestRecoverSkipsOversizedCampaign(t *testing.T) {
 	defer log.SetOutput(prev)
 	s, cl := startServer(t, Config{CacheDir: cache, StateDir: state, Workers: 2})
 
-	if !strings.Contains(logs.String(), "recover c0001: skipped: campaign too large") {
-		t.Errorf("no log line for the skipped campaign; logged:\n%s", logs.String())
+	for _, line := range []string{
+		"recover c0001: skipped: campaign too large",
+		`recover c0003: skipped: campaign: load: result 0 has unknown technique "nosuchtech"`,
+	} {
+		if !strings.Contains(logs.String(), line) {
+			t.Errorf("no log line %q; logged:\n%s", line, logs.String())
+		}
 	}
-	if _, err := cl.Status(context.Background(), "c0001"); wire.StatusCode(err) != http.StatusNotFound {
-		t.Errorf("oversized campaign after recovery: status err = %v, want 404", err)
+	for _, id := range []string{"c0001", "c0003"} {
+		if _, err := cl.Status(context.Background(), id); wire.StatusCode(err) != http.StatusNotFound {
+			t.Errorf("skipped campaign %s after recovery: status err = %v, want 404", id, err)
+		}
 	}
 	if got := s.met.campaignsRecovered.Load(); got != 1 {
 		t.Errorf("campaigns recovered = %d, want 1 (the small one)", got)

@@ -19,6 +19,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -538,6 +539,18 @@ func TestQuotaSurvivesRecovery(t *testing.T) {
 
 	s1, cl := startServer(t, cfg)
 	cl.ID = "alice"
+	// While a worker is live the slot leaves it the queue, and this one
+	// runs the first job and holds the second until the test ends, so
+	// the kill lands mid-campaign.
+	var leases atomic.Int32
+	startWorker(t, cl.Base, "holder", 1, func(w *worker.Worker) {
+		w.OnLease = func(worker.Lease) {
+			if leases.Add(1) == 2 {
+				<-t.Context().Done()
+			}
+		}
+	})
+	waitMetric(t, cl, "sdiqd_workers_connected", 1)
 	if _, err := cl.Submit(ctx, failureSpec()); err != nil {
 		t.Fatal(err)
 	}

@@ -127,116 +127,87 @@ func (c *Client) ResultSet(ctx context.Context, id string) (*campaign.ResultSet,
 }
 
 // Run is the remote analogue of Engine.Run: submit the spec, follow its
-// progress (relaying to OnEvent), and return the finished ResultSet.
-// Run survives server restarts: a broken stream is re-opened with
-// jittered backoff (events already relayed are filtered by sequence
-// number; a durable server that recovered the campaign starts a new
-// log, numbered from 0 again, which Run relays in full), a server that
-// came back with no memory of the campaign gets the spec resubmitted
-// (the shared result cache makes the re-run cheap), and an unreachable
-// server is retried for up to maxOffline before Run gives up. A failed
-// campaign returns its server-side error.
+// event stream (relaying to OnEvent) to the done event, and return the
+// finished ResultSet. Run follows one stream across server restarts:
+// events already relayed are filtered by sequence number (a durable
+// server that recovered the campaign starts a new log, numbered from 0
+// again, which Run relays in full); a stream that broke after events
+// arrived is re-opened at once; a transport error is retried with
+// jittered backoff for up to maxOffline; and a 404 means the server came
+// back with no memory of the campaign, so the spec is resubmitted (the
+// shared result cache makes the re-run cheap). A transport failure of
+// the export fetch goes round the same loop: the re-opened stream
+// replays the log, done arrives again, and the fetch is retried. A
+// failed campaign returns its server-side error, and any other answered
+// error is returned as it is.
 func (c *Client) Run(ctx context.Context, spec campaign.Spec) (*campaign.ResultSet, error) {
 	sub, err := c.Submit(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
 
-	var done *Event
 	lastSeq := -1
 	var logStart time.Time // Time of the relayed log's "submitted" event
 	var offlineSince time.Time
 	fails := 0
-	for done == nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		_ = c.Stream(ctx, sub.ID, func(ev Event) error {
+	for {
+		var done *Event
+		heard := false
+		err = c.Stream(ctx, sub.ID, func(ev Event) error {
+			heard = true
 			if ev.Type == EventSubmitted && !ev.Time.Equal(logStart) {
 				// A recovered campaign's log, numbered from 0 again.
 				logStart, lastSeq = ev.Time, -1
 			}
-			if ev.Seq <= lastSeq {
-				return nil // replayed history we already relayed
-			}
-			lastSeq = ev.Seq
-			if c.OnEvent != nil {
-				c.OnEvent(ev)
+			if ev.Seq > lastSeq { // else replayed history already relayed
+				lastSeq = ev.Seq
+				if c.OnEvent != nil {
+					c.OnEvent(ev)
+				}
 			}
 			if ev.Type == EventDone {
-				ev := ev
 				done = &ev
 			}
 			return nil
 		})
 		if done != nil {
-			// The stream's transport error is deliberately dropped once
-			// the done event is in hand: the outcome is known, and the
-			// export fetch below stands on its own connection.
-			break
+			// The stream's own error no longer matters: the outcome is in.
+			if done.Error != "" {
+				return nil, fmt.Errorf("%w: %s", errCampaignFailed, done.Error)
+			}
+			rs, ferr := c.ResultSet(ctx, sub.ID)
+			if ferr == nil || wire.StatusCode(ferr) != 0 {
+				return rs, ferr
+			}
+			// The fetch failed in transit: back off, then round again.
+			err, heard = ferr, false
 		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		// The stream broke mid-campaign (server restart, network hiccup).
-		// Probe the status to decide how to resume.
-		info, serr := c.Status(ctx, sub.ID)
-		switch {
-		case serr == nil:
-			offlineSince, fails = time.Time{}, 0
-			if info.Done {
-				if info.Error != "" {
-					return nil, fmt.Errorf("%w: %s", errCampaignFailed, info.Error)
-				}
-				done = &Event{Type: EventDone, Campaign: sub.ID}
-			}
-			continue // server is alive: re-attach the stream
-		case wire.StatusCode(serr) == http.StatusNotFound:
-			// The server restarted without durable state — the campaign
-			// is gone. Resubmit and follow the new one from scratch.
+		switch code := wire.StatusCode(err); {
+		case code == http.StatusNotFound:
+			// The server restarted without durable state: the campaign is
+			// gone. Resubmit and follow the new one from the start.
 			if sub, err = c.Submit(ctx, spec); err != nil {
 				return nil, err
 			}
 			lastSeq, offlineSince, fails = -1, time.Time{}, 0
 			continue
-		case wire.StatusCode(serr) != 0:
-			return nil, serr // answered with an error waiting cannot fix
+		case code != 0:
+			return nil, err // answered with an error waiting cannot fix
+		case heard:
+			// The stream broke mid-campaign, but the server was up a
+			// moment ago: re-attach at once.
+			offlineSince, fails = time.Time{}, 0
+			continue
 		}
 		// Transport error: the server may be restarting. Back off, bounded.
 		if offlineSince.IsZero() {
 			offlineSince = time.Now()
 		}
 		if time.Since(offlineSince) > maxOffline {
-			return nil, fmt.Errorf("serve: server unreachable for %v: %w", maxOffline, serr)
-		}
-		fails++
-		select {
-		case <-time.After(wire.Backoff(fails-1, retryBase, retryMax)):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	if done.Error != "" {
-		return nil, fmt.Errorf("%w: %s", errCampaignFailed, done.Error)
-	}
-
-	// Fetch the export, surviving a restart racing it: a just-recovered
-	// server briefly re-runs the campaign from cache (409 while it
-	// finishes) or may still be coming up (transport error).
-	offlineSince, fails = time.Time{}, 0
-	for {
-		rs, err := c.ResultSet(ctx, sub.ID)
-		if err == nil {
-			return rs, nil
-		}
-		if code := wire.StatusCode(err); code != 0 && code != http.StatusConflict {
-			return nil, err
-		}
-		if offlineSince.IsZero() {
-			offlineSince = time.Now()
-		}
-		if time.Since(offlineSince) > maxOffline {
-			return nil, err
+			return nil, fmt.Errorf("serve: server unreachable for %v: %w", maxOffline, err)
 		}
 		fails++
 		select {

@@ -366,7 +366,8 @@ func (d *dispatcher) extraCapacity() int {
 // protocol version or with an ID outside the name grammar, admits the
 // worker (see admitLocked), then blocks up to the poll's wait for a job
 // to offer it. A nil lease with nil error means the wait expired empty,
-// or the worker left while its poll was parked (→ 204).
+// ctx ended (the poll went away or the server closed), or the worker
+// left while its poll was parked (→ 204).
 func (d *dispatcher) nextLease(ctx context.Context, req worker.LeaseRequest) (*lease, *task, error) {
 	if req.Protocol != worker.ProtocolVersion {
 		return nil, nil, fmt.Errorf("worker speaks protocol %d, server speaks %d", req.Protocol, worker.ProtocolVersion)

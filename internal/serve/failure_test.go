@@ -570,6 +570,33 @@ func TestWorkerLeavesDuringParkedPoll(t *testing.T) {
 	}
 }
 
+// TestWorkerPollEndsAtClose: a lease poll parked on an empty queue
+// answers 204 once the server closes, so an HTTP shutdown (cmd/sdiqd
+// closes the server as it begins) does not wait the poll out.
+func TestWorkerPollEndsAtClose(t *testing.T) {
+	s, cl := startServer(t, Config{Workers: 1, LeaseTTL: time.Minute, WorkerTTL: time.Minute})
+	api := worker.NewAPI(cl.Base)
+	type poll struct {
+		ok  bool
+		err error
+	}
+	parked := make(chan poll, 1)
+	go func() {
+		_, ok, err := api.Lease(context.Background(), worker.LeaseRequest{WorkerID: "idle", WaitMS: 20_000})
+		parked <- poll{ok, err}
+	}()
+	waitMetric(t, cl, "sdiqd_workers_connected", 1)
+	s.Close()
+	select {
+	case p := <-parked:
+		if p.ok || p.err != nil {
+			t.Errorf("the parked poll answered ok %v, err %v; want 204", p.ok, p.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the parked poll outlived the server's Close by 5 s")
+	}
+}
+
 // TestWorkerPollRefused: the server answers a lease poll in another
 // protocol version, or from an ID outside the name grammar, with 400,
 // and admits no worker.

@@ -198,13 +198,17 @@ func (p *progress) failed(j campaign.Job, err error) {
 	}, campaign.JobRunning, campaign.JobPending)
 }
 
-// restore replays job statuses recovered from a terminal record: each
-// known job's status is replaced wholesale and logged, as if the
-// transition had been observed live.
-func (p *progress) restore(jobs []campaign.JobStatus) {
-	for _, js := range jobs {
+// restore replays a terminal record's final status: each known job's
+// status is replaced wholesale and logged, as if observed live, which
+// recounts every counter but the committed instructions, summed as
+// executed jobs land and so taken as recorded.
+func (p *progress) restore(st campaign.Status) {
+	for _, js := range st.Jobs {
 		p.transition(js.ID, func(cur *campaign.JobStatus) { *cur = js }, campaign.JobPending)
 	}
+	p.mu.Lock()
+	p.stat.CommittedInsts = st.CommittedInsts
+	p.mu.Unlock()
 }
 
 // finish ends the campaign: every job still pending or running becomes

@@ -14,13 +14,16 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/wire"
+	"repro/internal/worker"
 )
 
 // killServer simulates a coordinator crash from the campaigns' point of
@@ -66,14 +69,15 @@ func waitStatus(t *testing.T, cl *Client, id string, what string, cond func(Camp
 	}
 }
 
-// TestRestartRecoveryRandomizedCrashPoints is the PR's acceptance gate:
-// kill the server after a randomized number of finished jobs (0 = crash
-// before any work sticks, up to all-but-done), restart over the same
-// state and cache directories, and the campaign must complete with a
-// CSV export byte-identical to an uninterrupted local run. The executed
-// counters across both lives must sum to exactly the job count: every
-// job simulated once, finished work recovered as cache hits, never
-// re-simulated.
+// TestRestartRecoveryRandomizedCrashPoints kills the server after a
+// randomized number of finished jobs (0 = crash before any work
+// sticks, up to all-but-done), restarts over the same state and cache
+// directories, and the campaign must complete with a CSV export
+// byte-identical to an uninterrupted local run. The executed counters
+// across both lives must sum to exactly the job count: every job
+// simulated once. A campaign the kill stopped re-runs, its finished
+// work served as cache hits; one that ended before the kill comes back
+// from its terminal record, with nothing re-run.
 func TestRestartRecoveryRandomizedCrashPoints(t *testing.T) {
 	spec := failureSpec() // four distinct jobs: gzip,mcf × baseline,noop
 	want := localCSV(t, spec)
@@ -94,19 +98,22 @@ func TestRestartRecoveryRandomizedCrashPoints(t *testing.T) {
 		})
 		killServer(s1)
 		exec1 := s1.met.jobsExecuted.Load()
-		// A campaign the kill stopped leaves only its submission record;
-		// one that beat the kill also left its terminal record.
+		// A campaign the kill stopped leaves only its submission record
+		// and re-runs; one that beat the kill also left its terminal
+		// record and is restored from it.
 		wantFiles := []string{"meta.json"}
+		wantRecovered, wantHits := int64(1), exec1
 		if _, _, _, err := s1.campaigns[sub.ID].state(); err == nil {
 			wantFiles = append(wantFiles, "snap.json")
+			wantRecovered, wantHits = 0, 0
 		}
 		if got := campaignFiles(t, state, sub.ID); !slices.Equal(got, wantFiles) {
 			t.Errorf("it %d: durable state after the kill = %v, want %v", it, got, wantFiles)
 		}
 
 		s2, cl2 := startServer(t, Config{CacheDir: cache, StateDir: state, Workers: 2})
-		if got := s2.met.campaignsRecovered.Load(); got != 1 {
-			t.Fatalf("it %d: campaigns recovered = %d, want 1", it, got)
+		if got := s2.met.campaignsRecovered.Load(); got != wantRecovered {
+			t.Fatalf("it %d: campaigns recovered = %d, want %d", it, got, wantRecovered)
 		}
 		waitStatus(t, cl2, sub.ID, "done", func(info CampaignInfo) bool { return info.Done })
 		if got, want := campaignFiles(t, state, sub.ID), []string{"meta.json", "snap.json"}; !slices.Equal(got, want) {
@@ -126,105 +133,128 @@ func TestRestartRecoveryRandomizedCrashPoints(t *testing.T) {
 			t.Errorf("it %d (crash after %d done): executed %d+%d across restart, want exactly 4 (no duplicate simulations)",
 				it, k, exec1, exec2)
 		}
-		// Everything that finished before the crash must come back from
-		// the cache, not the simulator.
-		if hits := s2.met.cacheHits.Load(); hits != exec1 {
-			t.Errorf("it %d: recovered cache hits = %d, want %d (jobs finished before crash)", it, hits, exec1)
+		// A re-run serves everything that finished before the crash from
+		// the cache, not the simulator; a restored campaign reads neither.
+		if hits := s2.met.cacheHits.Load(); hits != wantHits {
+			t.Errorf("it %d: recovered cache hits = %d, want %d", it, hits, wantHits)
 		}
 	}
 }
 
-// TestRestartRecoversFinishedCampaign: a campaign that completed before
-// the crash must come back queryable and exportable — its re-run is
-// pure cache replay, zero simulations.
-func TestRestartRecoversFinishedCampaign(t *testing.T) {
-	spec := tinySpec()
-	ctx := context.Background()
-	state, cache := t.TempDir(), t.TempDir()
+// outcome is what a server serves of one ended campaign: its status
+// and both exports.
+type outcome struct {
+	info      CampaignInfo
+	csv, json []byte
+}
 
+func served(t *testing.T, cl *Client, id string) outcome {
+	t.Helper()
+	ctx := context.Background()
+	var o outcome
+	var err error
+	if o.info, err = cl.Status(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	if o.csv, err = cl.Export(ctx, id, "csv"); err != nil {
+		t.Fatal(err)
+	}
+	if o.json, err = cl.Export(ctx, id, "json"); err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// restoreAcrossRestart runs spec to its end, kills the server, empties
+// the result cache and boots a second server over the same state. The
+// second must serve the campaign as the first did (status with its
+// finish time, counters and roster, and both exports) from the terminal
+// record alone: no job executed or served from the cache, no campaign
+// counted as recovered, and snap.json as the first server left it. It
+// returns the status served before the kill and Run's error.
+func restoreAcrossRestart(t *testing.T, spec campaign.Spec) (CampaignInfo, error) {
+	t.Helper()
+	state, cache := t.TempDir(), t.TempDir()
 	s1, cl1 := startServer(t, Config{CacheDir: cache, StateDir: state, Workers: 2})
-	rs, err := cl1.Run(ctx, spec)
+	_, runErr := cl1.Run(context.Background(), spec)
+	id := registered(s1)[0]
+	before := served(t, cl1, id)
+	killServer(s1)
+	if got, want := campaignFiles(t, state, id), []string{"meta.json", "snap.json"}; !slices.Equal(got, want) {
+		t.Fatalf("durable state of an ended campaign = %v, want %v", got, want)
+	}
+	snapPath := filepath.Join(state, "campaigns", id, "snap.json")
+	snap, err := os.ReadFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wantJSON bytes.Buffer
-	if err := rs.WriteJSON(&wantJSON); err != nil {
+	if err := os.RemoveAll(cache); err != nil {
 		t.Fatal(err)
-	}
-	sub := registered(s1)[0]
-	killServer(s1)
-	if got, want := campaignFiles(t, state, sub), []string{"meta.json", "snap.json"}; !slices.Equal(got, want) {
-		t.Errorf("durable state of a finished campaign = %v, want %v", got, want)
 	}
 
 	s2, cl2 := startServer(t, Config{CacheDir: cache, StateDir: state, Workers: 2})
-	waitStatus(t, cl2, sub, "done", func(info CampaignInfo) bool { return info.Done })
-	got, err := cl2.Export(ctx, sub, "json")
-	if err != nil {
-		t.Fatal(err)
+	after := served(t, cl2, id)
+	if !reflect.DeepEqual(after.info, before.info) {
+		t.Errorf("restored status differs from the one served before the kill:\n got %+v\nwant %+v", after.info, before.info)
 	}
-	if !bytes.Equal(got, wantJSON.Bytes()) {
-		t.Errorf("recovered export differs:\n got: %s\nwant: %s", got, wantJSON.Bytes())
+	if !bytes.Equal(after.csv, before.csv) {
+		t.Errorf("restored CSV export differs:\n got: %s\nwant: %s", after.csv, before.csv)
 	}
-	if exec := s2.met.jobsExecuted.Load(); exec != 0 {
-		t.Errorf("recovering a finished campaign executed %d jobs, want 0", exec)
+	if !bytes.Equal(after.json, before.json) {
+		t.Errorf("restored JSON export differs:\n got: %s\nwant: %s", after.json, before.json)
 	}
-	if hits := s2.met.cacheHits.Load(); hits != 2 {
-		t.Errorf("recovering a finished campaign hit cache %d times, want 2", hits)
+	for name, n := range map[string]int64{
+		"jobs executed":       s2.met.jobsExecuted.Load(),
+		"cache hits":          s2.met.cacheHits.Load(),
+		"campaigns recovered": s2.met.campaignsRecovered.Load(),
+	} {
+		if n != 0 {
+			t.Errorf("restoring an ended campaign: %s = %d, want 0", name, n)
+		}
+	}
+	if got, err := os.ReadFile(snapPath); err != nil || !bytes.Equal(got, snap) {
+		t.Errorf("the second boot changed the terminal record (err %v):\n got %s\nwant %s", err, got, snap)
+	}
+	return before.info, runErr
+}
+
+// TestRestartRecoversFinishedCampaign: a campaign that finished before
+// the crash comes back from its terminal record as it ended, exact or
+// sampled, even with its cached results gone.
+func TestRestartRecoversFinishedCampaign(t *testing.T) {
+	for name, spec := range map[string]campaign.Spec{
+		"exact":   tinySpec(),
+		"sampled": sampledSpec("sampled", []string{"gzip"}, 48, 64),
+	} {
+		t.Run(name, func(t *testing.T) {
+			info, err := restoreAcrossRestart(t, spec)
+			if err != nil || info.Error != "" || info.Status.Done != info.Jobs {
+				t.Errorf("campaign ended with %v (%q), %d of %d jobs done", err, info.Error, info.Status.Done, info.Jobs)
+			}
+		})
 	}
 }
 
 // TestRestartTombstonesFailedCampaign: a campaign that failed on its
-// own (not because the server died) must recover as a tombstone — its
-// error and job roster are served as before the kill, nothing re-runs.
+// own (not because the server died) comes back from its terminal record
+// as it ended: its error, roster and counters, and the exports of its
+// partial results, none or some.
 func TestRestartTombstonesFailedCampaign(t *testing.T) {
-	spec := tinySpec()
-	spec.Benchmarks = []string{"nosuchbench"}
-	ctx := context.Background()
-	state, cache := t.TempDir(), t.TempDir()
-
-	s1, cl1 := startServer(t, Config{CacheDir: cache, StateDir: state, Workers: 2})
-	if _, err := cl1.Run(ctx, spec); err == nil || !strings.Contains(err.Error(), "nosuchbench") {
-		t.Fatalf("campaign error = %v, want nosuchbench failure", err)
-	}
-	sub := registered(s1)[0]
-	before, err := cl1.Status(ctx, sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	killServer(s1)
-
-	s2, cl2 := startServer(t, Config{CacheDir: cache, StateDir: state, Workers: 2})
-	info := waitStatus(t, cl2, sub, "done", func(info CampaignInfo) bool { return info.Done })
-	if !strings.Contains(info.Error, "nosuchbench") {
-		t.Errorf("recovered error = %q, want the original failure", info.Error)
-	}
-	if info.Status.Failed == 0 {
-		t.Errorf("recovered status lost the failed jobs: %+v", info.Status)
-	}
-	// The terminal record's roster: same jobs, order, states and errors.
-	type entry struct {
-		ID, Error string
-		State     campaign.JobState
-	}
-	roster := func(st campaign.Status) []entry {
-		var out []entry
-		for _, js := range st.Jobs {
-			out = append(out, entry{js.ID, js.Error, js.State})
-		}
-		return out
-	}
-	if got, want := roster(info.Status), roster(before.Status); len(want) == 0 || !slices.Equal(got, want) {
-		t.Errorf("recovered roster differs from the one served before the kill:\n got %+v\nwant %+v", got, want)
-	}
-	if _, err := cl2.Export(ctx, sub, "csv"); wire.StatusCode(err) != http.StatusUnprocessableEntity {
-		t.Errorf("export of recovered failed campaign = %v, want 422", err)
-	}
-	if exec := s2.met.jobsExecuted.Load(); exec != 0 {
-		t.Errorf("tombstoned campaign executed %d jobs, want 0", exec)
-	}
-	if rec := s2.met.campaignsRecovered.Load(); rec != 0 {
-		t.Errorf("tombstone counted as recovered-and-resumed: %d", rec)
+	for name, benches := range map[string][]string{
+		"no results":      {"nosuchbench"},
+		"partial results": {"gzip", "nosuchbench"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			spec := tinySpec()
+			spec.Benchmarks = benches
+			info, err := restoreAcrossRestart(t, spec)
+			if err == nil || !strings.Contains(err.Error(), "nosuchbench") || !strings.Contains(info.Error, "nosuchbench") {
+				t.Errorf("campaign error = %v (served %q), want the nosuchbench failure", err, info.Error)
+			}
+			if info.Status.Failed == 0 {
+				t.Errorf("no failed job in the status: %+v", info.Status)
+			}
+		})
 	}
 }
 
@@ -261,6 +291,8 @@ func serverAt(t *testing.T, addr string, cfg Config) (*Server, *http.Server, str
 // poll after its backoff joins the new boot (its
 // sdiqd_workers_registered_total); the client's Run rides across the
 // break and still returns a result set byte-identical to a local run.
+// The worker holds its second lease until the kill is over, so the
+// campaign cannot end before it.
 func TestRestartWithWorkerAndClientAttached(t *testing.T) {
 	spec := failureSpec()
 	want := localCSV(t, spec)
@@ -276,7 +308,18 @@ func TestRestartWithWorkerAndClientAttached(t *testing.T) {
 
 	s1, hs1, addr := serverAt(t, "127.0.0.1:0", cfg)
 	base := "http://" + addr
-	startWorker(t, base, "steady", 1, nil)
+	killed := make(chan struct{})
+	var leases atomic.Int32
+	startWorker(t, base, "steady", 1, func(w *worker.Worker) {
+		w.OnLease = func(worker.Lease) {
+			if leases.Add(1) == 2 {
+				select {
+				case <-killed:
+				case <-t.Context().Done():
+				}
+			}
+		}
+	})
 
 	cl := NewClient(base)
 	runDone := make(chan struct{})
@@ -291,6 +334,7 @@ func TestRestartWithWorkerAndClientAttached(t *testing.T) {
 	waitMetric(t, cl, "sdiqd_jobs_executed_total", 1)
 	hs1.Close() // severs the worker's poll and the client's stream
 	killServer(s1)
+	close(killed)
 
 	s2, _, _ := serverAt(t, addr, cfg)
 	select {

@@ -233,7 +233,7 @@ func New(cfg Config) *Server {
 		log.Printf("sdiqd: durable state disabled: %v", err)
 	}
 	if s.store != nil && cfg.CacheDir == "" {
-		log.Printf("sdiqd: durable state without a result cache: recovered campaigns will re-simulate finished jobs")
+		log.Printf("sdiqd: durable state without a result cache: a campaign recovered without a terminal record will re-simulate its finished jobs")
 	}
 	s.recover()
 	s.startJanitor()
@@ -241,16 +241,15 @@ func New(cfg Config) *Server {
 }
 
 // recover reads the durable state back into the registry, in
-// submission order. Campaigns that finished cleanly or were still
-// running re-run their spec — the engine turns every already-finished
-// job into a cache hit (the cache is the durable home of results),
-// re-simulates only genuinely unfinished jobs, and rebuilds the
-// in-memory ResultSet so exports work again. Campaigns whose terminal
-// record holds a failure come back as tombstones: the recorded job
-// roster, its events and the error are served, nothing re-runs. A spec
-// over maxCampaignJobs or maxBudget is skipped, as submission would
-// refuse it. Finished campaigns over maxFinishedJobs leave oldest
-// first, with their records, as at a finish.
+// submission order. A campaign whose terminal record holds its outcome,
+// an error or results, is restored from it as it ended; nothing runs.
+// Any other campaign re-runs its spec (one the crash stopped, or one an
+// older build finished cleanly without recording results): the engine
+// turns every already-finished job into a cache hit and re-simulates
+// only the rest. A spec over maxCampaignJobs or maxBudget, or results
+// ReadJSON would refuse, are skipped with a log line. Finished
+// campaigns over maxFinishedJobs leave oldest first, with their
+// records, as at a finish.
 func (s *Server) recover() {
 	if s.store == nil {
 		return
@@ -263,14 +262,20 @@ func (s *Server) recover() {
 	slices.SortStableFunc(recs, func(a, b store.Recovered) int {
 		return cmp.Or(cmp.Compare(len(a.Meta.ID), len(b.Meta.ID)), strings.Compare(a.Meta.ID, b.Meta.ID))
 	})
-	counts := make([]int, len(recs)) // 0: skipped
+	counts := make([]int, len(recs))               // 0: skipped
+	sets := make([]*campaign.ResultSet, len(recs)) // the recorded results
 	finished := 0
 	for i, rec := range recs {
 		var n int
 		if _, err := fmt.Sscanf(rec.Meta.ID, "c%d", &n); err == nil && n > s.seq {
 			s.seq = n // never reissue a recovered campaign's ID
 		}
-		if counts[i], err = admit(&rec.Meta.Spec); err != nil {
+		counts[i], err = admit(&rec.Meta.Spec)
+		if err == nil && rec.Snap.Done && rec.Snap.Results != nil {
+			sets[i], err = campaign.NewResultSet(rec.Meta.Spec, rec.Snap.Results)
+		}
+		if err != nil {
+			counts[i] = 0
 			log.Printf("sdiqd: recover %s: skipped: %v", rec.Meta.ID, err)
 		} else if rec.Snap.Done {
 			finished += counts[i]
@@ -303,20 +308,20 @@ func (s *Server) recover() {
 			name:      rec.Meta.Spec.Name,
 			submitted: rec.Meta.Submitted,
 			ns:        s.tenant(client).ns,
-			ended:     rec.Snap.Done && rec.Snap.Error != "",
+			ended:     rec.Snap.Done && (rec.Snap.Error != "" || sets[i] != nil),
 		}
 		_ = s.register(rc, 0) // no quota, and nothing drains before New returns
 		rc.begin()
-		if rc.ended {
-			// Terminal failure: replay the recorded job roster and end
-			// the campaign with its error. No ResultSet survives a
-			// restart, so exports answer 422 with the error — same as
-			// they did before the crash.
-			rc.restore(rec.Snap.Jobs)
-			rc.finish(rec.Snap.Finished, nil, errors.New(rec.Snap.Error), nil)
+		if !rc.ended {
+			go s.run(rc, rec.Meta.Spec)
 			continue
 		}
-		go s.run(rc, rec.Meta.Spec)
+		var cerr error
+		if rec.Snap.Error != "" {
+			cerr = errors.New(rec.Snap.Error)
+		}
+		rc.restore(rec.Snap.Status)
+		rc.finish(rec.Snap.Finished, sets[i], cerr, nil)
 	}
 }
 
@@ -522,8 +527,8 @@ var errDraining = errors.New("server is draining")
 // recovery. An rc without an ID is a submission and takes the next ID;
 // quota, when positive, bounds its owner's running campaigns. A running
 // campaign holds a wait-group slot, the active gauge and a quota slot of
-// its owner until end; an ended one (a recovered tombstone) adds its
-// jobs to the finished count.
+// its owner until end; an ended one (restored from its terminal record)
+// adds its jobs to the finished count.
 func (s *Server) register(rc *campaignRun, quota int) error {
 	ts := s.tenant(rc.client)
 	s.mu.Lock()
@@ -692,9 +697,12 @@ func (s *Server) end(rc *campaignRun, rs *campaign.ResultSet, err error) {
 		if err != nil && s.ctx.Err() != nil {
 			return
 		}
-		snap := store.Snapshot{Done: true, Finished: finished, Jobs: st.Jobs}
+		snap := store.Snapshot{Done: true, Finished: finished, Status: st}
 		if err != nil {
 			snap.Error = err.Error()
+		}
+		if rs != nil {
+			snap.Results = rs.Results
 		}
 		if werr := s.store.Finish(rc.id, snap); werr != nil {
 			log.Printf("sdiqd: %s: terminal record: %v", rc.id, werr)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -26,7 +27,12 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad lease request: %v", err)
 		return
 	}
-	l, t, err := s.disp.nextLease(r.Context(), req)
+	// A parked poll also ends when the server closes, so an HTTP
+	// shutdown need not wait it out.
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	defer context.AfterFunc(s.ctx, cancel)()
+	l, t, err := s.disp.nextLease(ctx, req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -3,18 +3,19 @@
 // records under the state directory,
 //
 //	campaigns/<id>/meta.json  — submission record (spec, client), written at submit
-//	campaigns/<id>/snap.json  — terminal record (outcome, final job roster),
-//	                            written once, when the campaign ends
+//	campaigns/<id>/snap.json  — terminal record (error, final status and
+//	                            results), written once, when the campaign ends
 //
 // Both are published by temp file, fsync and rename, so a reader sees
 // a whole record or none. Nothing else is needed to recover: a campaign
-// without a terminal record re-runs its spec, and the result cache
-// turns every job that finished before the crash into a hit.
+// with a terminal record comes back from it, and one without re-runs
+// its spec, the result cache turning every finished job into a hit.
 //
 // Older builds also logged every job-state change to a wal.log and
-// folded it into snap.json as they went. Their state directories stay
-// readable: a snap.json without done marks a campaign that was still
-// running, and a leftover wal.log is ignored.
+// folded it into snap.json as they went, and recorded no results.
+// Their state directories stay readable: a snap.json without done
+// marks a campaign that was still running, a clean one without results
+// a campaign to re-run, and a leftover wal.log is ignored.
 package store
 
 import (
@@ -43,14 +44,18 @@ type Meta struct {
 	Spec      campaign.Spec `json:"spec"`
 }
 
-// Snapshot is a campaign's terminal record: its outcome and the final
-// status of every job. Error carries the campaign-level failure, if
-// any. Done is false only in a record an older build wrote mid-run.
+// Snapshot is a campaign's terminal record, its whole outcome: the
+// campaign-level error, if any, the final status (counters and job
+// roster) and the results, nil when no result set was left, as in older
+// builds' records, whose roster under "jobs" lands in Status.Jobs. Done
+// is false only in a record an older build wrote mid-run. In JSON, Done
+// hides Status.Done, which the roster determines.
 type Snapshot struct {
-	Done     bool                 `json:"done,omitempty"`
-	Error    string               `json:"error,omitempty"`
-	Finished time.Time            `json:"finished,omitzero"`
-	Jobs     []campaign.JobStatus `json:"jobs"`
+	Done     bool      `json:"done,omitempty"`
+	Error    string    `json:"error,omitempty"`
+	Finished time.Time `json:"finished,omitzero"`
+	campaign.Status
+	Results []campaign.Result `json:"results"`
 }
 
 // Store roots the durable state directory. A nil *Store (from an empty

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/sim"
 )
 
 func testMeta(id string) Meta {
@@ -30,7 +31,9 @@ func js(id string, state campaign.JobState) campaign.JobStatus {
 	return campaign.JobStatus{ID: id, Bench: "gzip", State: state}
 }
 
-// testSnap is a failed campaign's terminal record.
+// testSnap is a failed campaign's terminal record: its final status,
+// counters included, and the result of the job that finished. Its
+// Status.Done stays 0: in JSON the record's done flag hides it.
 func testSnap() Snapshot {
 	done := js("gzip/baseline", campaign.JobDone)
 	done.IPC = 1.25
@@ -40,7 +43,18 @@ func testSnap() Snapshot {
 		Done:     true,
 		Error:    "boom",
 		Finished: time.Date(2026, 8, 8, 13, 0, 0, 0, time.UTC),
-		Jobs:     []campaign.JobStatus{done, failed},
+		Status: campaign.Status{
+			Total:          2,
+			Failed:         1,
+			Executed:       1,
+			CommittedInsts: 4_000,
+			Jobs:           []campaign.JobStatus{done, failed},
+		},
+		Results: []campaign.Result{{
+			Bench: "gzip",
+			Tech:  campaign.TechBaseline,
+			Stats: sim.Stats{Cycles: 3_200, CommittedReal: 4_000},
+		}},
 	}
 }
 
@@ -81,7 +95,8 @@ func campaignFiles(t *testing.T, dir, id string) []string {
 
 // TestRoundTrip is the basic contract: a campaign without a terminal
 // record recovers as running with its spec intact, and once finished it
-// recovers with the roster Finish recorded, in order.
+// recovers with the record Finish wrote: error, counters, the roster in
+// order and the results.
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)

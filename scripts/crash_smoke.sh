@@ -12,9 +12,15 @@
 #   - work finished before the kill came back as cache hits, never
 #     duplicate simulations (sdiqd_job_cache_hits_total >= 1);
 #   - the state directory holds a meta.json and a snap.json per
-#     campaign, and no wal.log.
-# The exports and their diff land in ${CRASH_ARTIFACTS:-$WORK/artifacts}
-# so CI can upload the recovered-vs-local evidence.
+#     campaign, and no wal.log;
+#   - SIGKILLed again once the campaign has ended, with the result cache
+#     moved aside, a third boot on the same state and address restores
+#     the campaign from its terminal record: its CSV export equals the
+#     local run's, and sdiqd_campaigns_recovered_total,
+#     sdiqd_job_cache_hits_total and sdiqd_jobs_executed_total read 0.
+# The exports, their diffs and the metrics land in
+# ${CRASH_ARTIFACTS:-$WORK/artifacts} so CI can upload the
+# recovered-vs-local evidence.
 # CI runs this on every push; it needs only bash, curl and go.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -23,8 +29,8 @@ ADDR="${SDIQD_ADDR:-127.0.0.1:8474}"
 WORK="$(mktemp -d)"
 ART="${CRASH_ARTIFACTS:-$WORK/artifacts}"
 mkdir -p "$ART"
-trap 'kill -9 "$SRV_PID" "$SRV2_PID" "$W1_PID" "$W2_PID" "$CLIENT_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
-SRV_PID=""; SRV2_PID=""; W1_PID=""; W2_PID=""; CLIENT_PID=""
+trap 'kill -9 "$SRV_PID" "$SRV2_PID" "$SRV3_PID" "$W1_PID" "$W2_PID" "$CLIENT_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
+SRV_PID=""; SRV2_PID=""; SRV3_PID=""; W1_PID=""; W2_PID=""; CLIENT_PID=""
 
 echo "== build"
 go build -o "$WORK/sdiqd" ./cmd/sdiqd
@@ -117,10 +123,39 @@ for d in "$WORK/state/campaigns"/*/; do
     [ -f "$d/meta.json" ] && [ -f "$d/snap.json" ] || { echo "$d lacks meta.json or snap.json"; exit 1; }
 done
 
-echo "== shut everything down"
-kill -TERM "$W1_PID" "$W2_PID" "$SRV2_PID" 2>/dev/null || true
+echo "== SIGKILL the server again now that the campaign has ended, and move the result cache aside"
+kill -9 "$SRV2_PID"
+wait "$SRV2_PID" 2>/dev/null || true
+mv "$WORK/cache" "$WORK/cache.aside"
+
+echo "== third boot over the same state and address"
+"$WORK/sdiqd" "${DFLAGS[@]}" >"$ART/sdiqd-3.log" 2>&1 &
+SRV3_PID=$!
 for _ in $(seq 1 50); do
-    kill -0 "$SRV2_PID" 2>/dev/null || break
+    curl -fs "http://$ADDR/healthz" >/dev/null 2>&1 && break
+    sleep 0.2
+done
+curl -fs "http://$ADDR/healthz" >/dev/null
+
+echo "== the ended campaign comes back from its terminal record, with nothing run"
+for d in "$WORK/state/campaigns"/*/; do
+    ID=$(basename "$d")
+    curl -fs "http://$ADDR/v1/campaigns/$ID/export?format=csv" >"$ART/restored-$ID.csv"
+    if ! diff "$ART/restored-$ID.csv" "$ART/local.csv" >"$ART/restored-$ID.diff"; then
+        echo "restored export of $ID differs from the local run"; cat "$ART/restored-$ID.diff"; exit 1
+    fi
+done
+curl -fs "http://$ADDR/metrics" |
+    grep -E '^sdiqd_(campaigns_recovered_total|job_cache_hits_total|jobs_executed_total) ' |
+    tee "$ART/metrics-restored.txt"
+for m in campaigns_recovered_total job_cache_hits_total jobs_executed_total; do
+    grep -q "^sdiqd_$m 0$" "$ART/metrics-restored.txt" || { echo "sdiqd_$m is not 0 on the third boot"; exit 1; }
+done
+
+echo "== shut everything down"
+kill -TERM "$W1_PID" "$W2_PID" "$SRV3_PID" 2>/dev/null || true
+for _ in $(seq 1 50); do
+    kill -0 "$SRV3_PID" 2>/dev/null || break
     sleep 0.2
 done
 

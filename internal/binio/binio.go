@@ -15,6 +15,7 @@ package binio
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 )
 
@@ -143,4 +144,40 @@ func (r *Reader) Raw(n int) []byte {
 		return nil
 	}
 	return r.take(n)
+}
+
+// MaxRankWays is the widest set whose LRU ranks fit a byte each.
+const MaxRankWays = 0xff
+
+// CheckRanks validates the LRU ranks of a cache or branch target buffer
+// that stores its replacement order as one byte per way: 0 for an
+// invalid way, and 1..k ordering a set's k valid ways from least to
+// most recently used. ranks holds consecutive sets of ways bytes each,
+// the last of which may be shorter. Every set must hold each of the
+// ranks 1..k exactly once, so that an accepted order re-encodes to the
+// same bytes; a gap, a duplicate or a rank above k is corrupt. A set of
+// more than MaxRankWays ways has ranks a byte cannot hold, and is
+// refused whatever its bytes.
+func CheckRanks(ranks []byte, ways int) error {
+	if ways <= 0 || ways > MaxRankWays {
+		return fmt.Errorf("binio: %d-way sets have no one-byte LRU ranks", ways)
+	}
+	for base := 0; base < len(ranks); base += ways {
+		set := ranks[base:min(base+ways, len(ranks))]
+		k := 0
+		for _, r := range set {
+			if r != 0 {
+				k++
+			}
+		}
+		var seen [4]uint64 // one bit per rank
+		for _, r := range set {
+			bit := uint64(1) << (r % 64)
+			if r != 0 && (int(r) > k || seen[r/64]&bit != 0) {
+				return ErrCorrupt
+			}
+			seen[r/64] |= bit
+		}
+	}
+	return nil
 }

@@ -108,6 +108,9 @@ func New(cfg Config) *Predictor {
 	return p
 }
 
+// Config returns the predictor's configuration, zero fields resolved.
+func (p *Predictor) Config() Config { return p.cfg }
+
 func pcIndex(pc int) uint64 { return uint64(pc) / isa.InstBytes }
 
 func (p *Predictor) gshareIdx(pc int) int {

@@ -3,9 +3,14 @@
 // fork-per-window sampled engine, AppendState/UnmarshalState the
 // on-disk artifact, and all of them write into the caller's storage. The
 // serialized state is everything a restored predictor needs to behave
-// bit-identically — component counters, chooser, global history, BTB
-// contents with LRU clocks, and the return-address stack. Stats are
-// measurements, not state, and are excluded.
+// bit-identically — component counters, chooser, global history, each
+// BTB entry's tag and target with its LRU rank within its set, and the
+// return-address stack. Ranks stand in for the LRU clocks because
+// UpdateBTB fills the first invalid way or evicts the valid way with
+// the least clock, every hit and install takes the next tick, and no
+// entry ever becomes invalid again: only each set's order of clocks
+// decides anything. Stats are measurements, not state, and are
+// excluded.
 package bpred
 
 import (
@@ -51,24 +56,45 @@ func (p *Predictor) AppendState(buf []byte) []byte {
 	w.U64(p.history)
 	w.U32(uint32(len(p.btb)))
 	for i := range p.btb {
-		e := &p.btb[i]
-		w.Bool(e.valid)
-		w.U64(e.tag)
-		w.I64(int64(e.target))
-		w.I64(e.lru)
+		w.U64(p.btb[i].tag)
+		w.I64(int64(p.btb[i].target))
+	}
+	for base := 0; base < len(p.btb); base += p.cfg.BTBAssoc {
+		set := p.btb[base:min(base+p.cfg.BTBAssoc, len(p.btb))]
+		for i := range set {
+			w.U8(lruRank(set, i))
+		}
 	}
 	w.U32(uint32(len(p.ras)))
 	for _, v := range p.ras {
 		w.I64(int64(v))
 	}
-	w.I64(p.tick)
 	return w.Bytes()
 }
 
-// Encoded sizes of the fixed-size records: a BTB entry (valid, tag,
-// target, lru) and a return-address stack slot.
+// lruRank returns entry i's rank in its BTB set: 0 if it is invalid,
+// else one more than the number of valid entries with a lesser clock.
+// Clocks within a set are distinct, because every hit and install takes
+// the next tick.
+func lruRank(set []btbEntry, i int) uint8 {
+	if !set[i].valid {
+		return 0
+	}
+	rank := 1
+	for j := range set {
+		if set[j].valid && set[j].lru < set[i].lru {
+			rank++
+		}
+	}
+	return uint8(rank)
+}
+
+// Encoded sizes of the fixed-size records: a BTB entry's tag and
+// target, the entry with its rank (in an array of its own), and a
+// return-address stack slot.
 const (
-	btbEntryBytes = 1 + 8 + 8 + 8
+	btbPairBytes  = 8 + 8
+	btbEntryBytes = btbPairBytes + 1
 	rasSlotBytes  = 8
 )
 
@@ -76,7 +102,9 @@ const (
 // predictor built from the same configuration, overwriting whatever
 // state it held in its own storage: the BTB entries are decoded from one
 // bounds-checked slice and the return-address stack is refilled in
-// place. Stats are reset.
+// place. Each valid BTB entry's clock is restored as its rank and the
+// predictor's clock as the associativity, so every later tick exceeds
+// every restored clock. Stats are reset.
 func (p *Predictor) UnmarshalState(data []byte) error {
 	r := binio.NewReader(data)
 	readTable := func(name string, dst []uint8) error {
@@ -121,23 +149,26 @@ func (p *Predictor) UnmarshalState(data []byte) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
+	pairs, ranks := btb[:nbtb*btbPairBytes], btb[nbtb*btbPairBytes:]
+	if err := binio.CheckRanks(ranks, p.cfg.BTBAssoc); err != nil {
+		return fmt.Errorf("bpred: BTB: %w", err)
+	}
 	for i := range p.btb {
-		rec := btb[i*btbEntryBytes:][:btbEntryBytes]
-		if rec[0] > 1 {
-			return binio.ErrCorrupt // a valid byte Writer.Bool cannot write
+		rec := pairs[i*btbPairBytes:][:btbPairBytes]
+		tag, target := binary.LittleEndian.Uint64(rec), int64(binary.LittleEndian.Uint64(rec[8:]))
+		if ranks[i] == 0 {
+			if tag != 0 || target != 0 {
+				return binio.ErrCorrupt // no entry is ever invalidated, so an invalid one was never installed
+			}
+			p.btb[i] = btbEntry{}
+			continue
 		}
-		p.btb[i] = btbEntry{
-			valid:  rec[0] == 1,
-			tag:    binary.LittleEndian.Uint64(rec[1:]),
-			target: int(int64(binary.LittleEndian.Uint64(rec[9:]))),
-			lru:    int64(binary.LittleEndian.Uint64(rec[17:])),
-		}
+		p.btb[i] = btbEntry{valid: true, tag: tag, target: int(target), lru: int64(ranks[i])}
 	}
 	if nras > p.cfg.RASEntries {
 		return fmt.Errorf("bpred: serialized RAS depth %d exceeds capacity %d", nras, p.cfg.RASEntries)
 	}
 	ras := r.Raw(nras * rasSlotBytes)
-	tick := r.I64()
 	if err := r.Err(); err != nil {
 		return err
 	}
@@ -149,7 +180,7 @@ func (p *Predictor) UnmarshalState(data []byte) error {
 	for i := 0; i < nras; i++ {
 		p.ras = append(p.ras, int(int64(binary.LittleEndian.Uint64(ras[i*rasSlotBytes:]))))
 	}
-	p.tick = tick
+	p.tick = int64(p.cfg.BTBAssoc)
 	p.Stats = Stats{}
 	return nil
 }

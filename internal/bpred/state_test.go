@@ -234,8 +234,13 @@ func usedPredictor() *Predictor {
 // must accept or refuse it alike, an accepted state must re-marshal to
 // the same bytes, with zero statistics, and its counters must be ones a
 // predictor can reach. The committed seeds are a trained predictor's
-// state and the same state with a gshare counter of 48, which an
-// earlier decoder accepted.
+// state, with a full and a partial BTB set (trained), and that state
+// corrupted in one place each: a gshare counter of 48, which an earlier
+// decoder accepted (counter), two ranks of the full set alike
+// (duplicate-rank), its top rank above the associativity
+// (rank-above-assoc), the partial set's top rank above its count of
+// valid entries (rank-gap), and a tag or a target on an invalid entry
+// (invalid-way-tag, invalid-way-target).
 func FuzzPredictorState(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fresh, used := New(fuzzPredictor), usedPredictor()

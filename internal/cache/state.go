@@ -1,14 +1,17 @@
 // Warm-state copying and serialization for the checkpoint store
 // (internal/ckpt): a sampled run's functional warming leaves the
 // hierarchy in a state that is expensive to recompute and cheap to
-// snapshot. CopyInto serves the in-process fork-per-window engine;
-// AppendState/UnmarshalState serve the on-disk artifact. Both carry the
-// complete microarchitectural state — every line's valid/tag/lru plus
-// the LRU tick — so a restored hierarchy behaves bit-identically to the
-// original under any subsequent access sequence. All of them write into
-// the caller's storage, so a sampled run that forks, encodes or decodes
-// the state every window reuses the same storage instead of allocating
-// it.
+// snapshot. CopyInto serves the in-process fork-per-window engine and
+// copies the clocks too; AppendState/UnmarshalState serve the on-disk
+// artifact, whose state is every line's tag and its LRU rank within its
+// set. That is the whole state a later access can observe: Touch fills
+// the last invalid way or evicts the valid way with the least clock, a
+// hit or a fill gives its line the next tick, and no line ever becomes
+// invalid again, so only each set's order of clocks decides anything. A
+// restored hierarchy therefore behaves bit-identically to the original
+// under any subsequent access sequence. All of them write into the
+// caller's storage, so a sampled run that forks, encodes or decodes the
+// state every window reuses the same storage instead of allocating it.
 package cache
 
 import (
@@ -61,32 +64,54 @@ func (h *Hierarchy) CopyInto(dst *Hierarchy) {
 	dst.MemCycles = h.MemCycles
 }
 
-// appendState writes the cache's mutable state plus a geometry
-// fingerprint, so a restore into a differently-shaped cache fails
-// loudly instead of silently misplacing lines.
+// appendState writes a geometry fingerprint, so a restore into a
+// differently-shaped cache fails loudly instead of silently misplacing
+// lines, then every line's tag and then every line's rank: 0 for an
+// invalid line, else its place in its set's LRU order, 1 being the
+// least recently used. The cache's clock is not written.
 func (c *Cache) appendState(w *binio.Writer) {
 	w.U32(uint32(c.sets))
 	w.U32(uint32(c.cfg.Assoc))
 	w.U32(uint32(c.cfg.LineBytes))
-	w.I64(c.tick)
 	w.U32(uint32(len(c.lines)))
 	for i := range c.lines {
-		ln := &c.lines[i]
-		w.Bool(ln.valid)
-		w.U64(ln.tag)
-		w.I64(ln.lru)
+		w.U64(c.lines[i].tag)
+	}
+	for base := 0; base < len(c.lines); base += c.cfg.Assoc {
+		set := c.lines[base : base+c.cfg.Assoc]
+		for i := range set {
+			w.U8(lruRank(set, i))
+		}
 	}
 }
 
-// lineStateBytes is the encoded size of one line: valid, tag and lru.
-const lineStateBytes = 1 + 8 + 8
+// lruRank returns line i's rank in its set: 0 if it is invalid, else one
+// more than the number of valid lines with a lesser clock. Clocks within
+// a set are distinct, because every hit and fill takes the next tick.
+func lruRank(set []line, i int) uint8 {
+	if !set[i].valid {
+		return 0
+	}
+	rank := 1
+	for j := range set {
+		if set[j].valid && set[j].lru < set[i].lru {
+			rank++
+		}
+	}
+	return uint8(rank)
+}
+
+// lineStateBytes is the encoded size of one line: its tag and its rank.
+const lineStateBytes = 8 + 1
 
 // readState restores the cache's mutable state, validating the geometry
-// fingerprint against this cache's configuration. The lines are
-// fixed-size records, decoded in place from one bounds-checked slice.
+// fingerprint against this cache's configuration. The tags and ranks
+// are decoded in place from one bounds-checked slice. Each valid line's
+// clock is restored as its rank and the cache's clock as the
+// associativity, so every later tick exceeds every restored clock and
+// the order is all that carries over.
 func (c *Cache) readState(r *binio.Reader) error {
 	sets, assoc, lineBytes := int(r.U32()), int(r.U32()), int(r.U32())
-	tick := r.I64()
 	n := int(r.U32())
 	if err := r.Err(); err != nil {
 		return err
@@ -99,23 +124,27 @@ func (c *Cache) readState(r *binio.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	for i := range c.lines {
-		rec := raw[i*lineStateBytes:][:lineStateBytes]
-		if rec[0] > 1 {
-			return binio.ErrCorrupt // a valid byte Writer.Bool cannot write
-		}
-		c.lines[i] = line{
-			valid: rec[0] == 1,
-			tag:   binary.LittleEndian.Uint64(rec[1:]),
-			lru:   int64(binary.LittleEndian.Uint64(rec[9:])),
-		}
+	tags, ranks := raw[:8*n], raw[8*n:]
+	if err := binio.CheckRanks(ranks, assoc); err != nil {
+		return fmt.Errorf("cache %s: %w", c.cfg.Name, err)
 	}
-	c.tick = tick
+	for i := range c.lines {
+		tag := binary.LittleEndian.Uint64(tags[8*i:])
+		if ranks[i] == 0 {
+			if tag != 0 {
+				return binio.ErrCorrupt // no line is ever invalidated, so an invalid one was never filled
+			}
+			c.lines[i] = line{}
+			continue
+		}
+		c.lines[i] = line{valid: true, tag: tag, lru: int64(ranks[i])}
+	}
+	c.tick = int64(assoc)
 	return nil
 }
 
 // AppendState appends the hierarchy's serialized warm state (all three
-// levels' lines and LRU clocks; Stats are not state and are excluded) to
+// levels' tags and LRU ranks; Stats are not state and are excluded) to
 // buf and returns the extended buffer.
 func (h *Hierarchy) AppendState(buf []byte) []byte {
 	w := binio.NewWriter(buf)

@@ -232,8 +232,14 @@ func usedHierarchy(t *testing.T) *Hierarchy {
 // state and statistics, as the artifact reader's reused storage does:
 // both must accept or refuse it alike, and an accepted state must
 // re-marshal to the same bytes, with zero statistics. The committed
-// seeds are a warmed hierarchy's state and the same state with a line's
-// valid byte set to 0x30, which an earlier decoder accepted as true.
+// seeds are a warmed hierarchy's state (warm) and that state corrupted
+// in one place each: an invalid line's rank byte set to 0x30, which is
+// above the associativity (valid-byte: a rank byte is a line's valid
+// flag too, and an earlier decoder accepted a valid byte of 0x30 as
+// true), two ranks of a full set alike (duplicate-rank), a full set's
+// top rank above its associativity (rank-above-assoc), a partial set's
+// top rank above its count of valid lines (rank-gap), and a tag on an
+// invalid line (invalid-way-tag).
 func FuzzHierarchyState(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fresh, err := NewHierarchy(fuzzHierarchy)

@@ -23,17 +23,24 @@ import (
 // the unbounded rep.Checkpoints accumulation the in-memory predecessor
 // suffered from.
 //
-// Format 2 stores each window as a delta against the previous one,
-// because consecutive windows share nearly all of their state: the
-// emulator checkpoint carries only the pages that changed
-// (emu.MarshalDelta), and the cache and predictor state bytes carry only
-// the diffBlock-byte blocks that changed (appendDiff). Readers rebuild
-// each window's full state before decoding it, so every decoder's
-// validation still runs. Format 1 artifacts fail the version check and
-// are regenerated.
+// Format 3 stores only what a window needs and cannot recompute. Each
+// window is a delta against the previous one, because consecutive
+// windows share nearly all of their state: the emulator checkpoint
+// carries only the pages that changed (emu.MarshalDelta), and the cache
+// and predictor state bytes carry only the diffBlock-byte blocks that
+// changed (appendDiff). The first window's checkpoint is a delta
+// against the program's initial data image, which the reader rebuilds
+// from the program it is given. The cache and predictor state records
+// each set's LRU order as a one-byte rank per line or BTB entry, not the
+// clock that changes on every hit, so a window changes few of those
+// bytes. Readers rebuild each window's full state before decoding it,
+// so every decoder's validation still runs. Artifacts of formats 1
+// (whole windows) and 2 (clocks, and a whole first window) fail the
+// version check, and the store treats them as absent: they are
+// regenerated, or replaced by a peer's current artifact.
 const (
 	artifactMagic   = "SDIQCKP1"
-	artifactVersion = 2
+	artifactVersion = 3
 
 	recWindow  = 1
 	recTrailer = 2
@@ -153,11 +160,20 @@ func (w *Writer) record(tag uint8, payload []byte) error {
 }
 
 // Append adds one window's resume state, as a delta against the
-// previous window's.
+// previous window's. A hierarchy or predictor with a set wider than
+// binio.MaxRankWays has no format-3 encoding: Append refuses its first
+// window, so no artifact of it is published and every run of it warms
+// from scratch, with the same results.
 func (w *Writer) Append(win *Window) error {
 	first := w.n == 0
 	var base *emu.Checkpoint
-	if !first {
+	if first {
+		for _, ways := range []int{win.Mem.IL1.Config().Assoc, win.Mem.DL1.Config().Assoc, win.Mem.L2.Config().Assoc, win.Bp.Config().BTBAssoc} {
+			if ways > binio.MaxRankWays {
+				return fmt.Errorf("ckpt: %d-way sets have no one-byte LRU ranks", ways)
+			}
+		}
+	} else {
 		base = &w.prevCkpt
 	}
 	ck, err := win.Ckpt.MarshalDelta(base)
@@ -338,23 +354,47 @@ func (s *Store) OpenArtifact(key string, p *prog.Program, ccfg cache.HierarchyCo
 		return nil, fmt.Errorf("ckpt: %s: %w", key, err)
 	}
 	r := &Reader{f: f, gz: gz, prog: p, ccfg: ccfg, bcfg: bcfg}
-	hdr := make([]byte, len(artifactMagic)+4+8)
-	if _, err := io.ReadFull(gz, hdr); err != nil {
+	if err := checkHeader(gz); err != nil {
+		r.Close()
+		return nil, fmt.Errorf("ckpt: %s: %w", key, err)
+	}
+	budget := make([]byte, 8)
+	if _, err := io.ReadFull(gz, budget); err != nil {
 		r.Close()
 		return nil, fmt.Errorf("ckpt: %s: short header: %w", key, err)
 	}
-	b := binio.NewReader(hdr)
-	if string(b.Raw(len(artifactMagic))) != artifactMagic {
-		r.Close()
-		return nil, fmt.Errorf("ckpt: %s: bad artifact magic", key)
-	}
-	if v := b.U32(); v != artifactVersion {
-		r.Close()
-		return nil, fmt.Errorf("ckpt: %s: artifact version %d, want %d", key, v, artifactVersion)
-	}
-	r.budget = b.I64()
+	r.budget = binio.NewReader(budget).I64()
 	s.hits.Add(1)
 	return r, nil
+}
+
+// checkHeader reads the magic and version that open every artifact's
+// record stream, and fails unless they are the current format's.
+func checkHeader(gz io.Reader) error {
+	hdr := make([]byte, len(artifactMagic)+4)
+	if _, err := io.ReadFull(gz, hdr); err != nil {
+		return fmt.Errorf("short header: %w", err)
+	}
+	b := binio.NewReader(hdr)
+	if string(b.Raw(len(artifactMagic))) != artifactMagic {
+		return errors.New("bad artifact magic")
+	}
+	if v := b.U32(); v != artifactVersion {
+		return fmt.Errorf("artifact version %d, want %d", v, artifactVersion)
+	}
+	return nil
+}
+
+// currentFormat reports whether a container opens with the current
+// format's header. It reads no further, so a current container may
+// still be corrupt past its header.
+func currentFormat(container io.Reader) bool {
+	gz, err := gzip.NewReader(container)
+	if err != nil {
+		return false
+	}
+	defer gz.Close()
+	return checkHeader(gz) == nil
 }
 
 // Budget returns the generating run's instruction budget (header field).
@@ -500,16 +540,8 @@ func checkContainer(data []byte) error {
 		return fmt.Errorf("ckpt: upload is not an artifact: %w", err)
 	}
 	defer gz.Close()
-	hdr := make([]byte, len(artifactMagic)+4)
-	if _, err := io.ReadFull(gz, hdr); err != nil {
-		return fmt.Errorf("ckpt: upload header: %w", err)
-	}
-	if string(hdr[:len(artifactMagic)]) != artifactMagic {
-		return errors.New("ckpt: upload has wrong artifact magic")
-	}
-	b := binio.NewReader(hdr[len(artifactMagic):])
-	if v := b.U32(); v != artifactVersion {
-		return fmt.Errorf("ckpt: upload artifact version %d, want %d", v, artifactVersion)
+	if err := checkHeader(gz); err != nil {
+		return fmt.Errorf("ckpt: upload: %w", err)
 	}
 	if _, err := io.Copy(io.Discard, gz); err != nil {
 		return fmt.Errorf("ckpt: upload stream: %w", err)

@@ -22,16 +22,22 @@
 // published atomically with the first writer winning, so concurrent
 // writers (or crashed ones) can never publish a partial artifact, and
 // bounded to a byte budget least recently used first (GC). The
-// artifact is a gzip stream of binio-encoded records: a header, one
-// record per window, each a delta against the window before, and a
-// trailer with the run's phase totals — readable strictly in window
-// order, so resuming never holds more than two windows' state in
-// memory.
+// artifact is a gzip stream of binio-encoded records (format 3): a
+// header, one record per window, each a delta against the window
+// before — the first one's memory against the program's initial data
+// image — with each cache and BTB set's LRU order stored as one-byte
+// ranks, and a trailer with the run's phase totals. It is readable
+// strictly in window order, so resuming never holds more than two
+// windows' state in memory. An artifact in an older format is absent
+// to every method of the store, which removes it on sight, so it is
+// regenerated or replaced once.
 package ckpt
 
 import (
+	"bytes"
 	"fmt"
 	"io/fs"
+	"os"
 	"sync"
 	"sync/atomic"
 
@@ -72,9 +78,30 @@ func Open(dir string) (*Store, error) {
 	return &Store{blob: b, gen: map[string]*keyLock{}}, nil
 }
 
-// Has reports whether an artifact for key is published.
+// Has reports whether an artifact for key is published in the current
+// format.
 func (s *Store) Has(key string) bool {
-	return s != nil && s.blob.Has(key)
+	return s != nil && s.current(key)
+}
+
+// current reports whether key's artifact is published in the current
+// format. One in an older format is removed and counted as evicted, so
+// that to every method of the store it is absent: a worker holding one
+// fetches a current copy, a server holding one answers a fetch with
+// fs.ErrNotExist and takes the next upload, and the next resume
+// regenerates it, once, instead of each refusing it forever. A removal
+// racing a peer's replacement costs at most one regeneration.
+func (s *Store) current(key string) bool {
+	f, err := os.Open(s.blob.Path(key))
+	if err != nil {
+		return false
+	}
+	ok := currentFormat(f)
+	f.Close()
+	if !ok {
+		s.Remove(key)
+	}
+	return ok
 }
 
 // Lock serializes in-process generation for key: the caller that gets
@@ -129,18 +156,28 @@ func (s *Store) GC(maxBytes int64) (evicted int, reclaimed int64, err error) {
 
 // ReadRaw returns the raw artifact bytes for key (for shipping to a
 // remote worker) and marks the artifact recently used; a missing
-// artifact returns fs.ErrNotExist.
+// artifact returns fs.ErrNotExist, and so does one in an older format,
+// which is removed.
 func (s *Store) ReadRaw(key string) ([]byte, error) {
 	if s == nil {
 		return nil, fs.ErrNotExist
 	}
-	return s.blob.Read(key)
+	data, err := s.blob.Read(key)
+	if err != nil {
+		return nil, err
+	}
+	if !currentFormat(bytes.NewReader(data)) {
+		s.Remove(key)
+		return nil, fmt.Errorf("ckpt: artifact %.12s… is in an older format: %w", key, fs.ErrNotExist)
+	}
+	return data, nil
 }
 
 // WriteRaw atomically installs raw artifact bytes received from a peer.
 // The container is validated so a corrupt upload cannot be published;
-// an already-present artifact is left untouched (artifacts are
-// content-addressed, so first-writer-wins is safe).
+// an artifact already present in the current format is left untouched
+// (artifacts are content-addressed, so first-writer-wins is safe), and
+// one in an older format is replaced.
 func (s *Store) WriteRaw(key string, data []byte) error {
 	if s == nil || !blob.ValidKey(key) {
 		return fmt.Errorf("ckpt: invalid key %q", key)
@@ -148,6 +185,7 @@ func (s *Store) WriteRaw(key string, data []byte) error {
 	if err := checkContainer(data); err != nil {
 		return err
 	}
+	s.current(key) // removes an older format's artifact, which data replaces
 	published, err := s.blob.Write(key, data)
 	if published {
 		s.bytesWritten.Add(int64(len(data)))
@@ -162,7 +200,8 @@ type Metrics struct {
 	Hits, Misses int64
 	// Generated counts artifacts this process produced and published.
 	Generated int64
-	// Evicted counts artifacts removed by GC.
+	// Evicted counts artifacts removed: by GC, and as unusable (corrupt,
+	// or in an older format).
 	Evicted int64
 	// BytesRead and BytesWritten count artifact I/O through this store.
 	BytesRead, BytesWritten int64

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -356,29 +357,98 @@ func TestArtifactBytesAfterTrailer(t *testing.T) {
 
 // TestFormat1Artifact: testdata/v1.ckpt was written by the format-1
 // build, for gzip at seed 42 with a 6,000-instruction budget under
-// internal/sample's test regime. Opening it fails with an error that
-// names its version, so a resuming run treats it as a miss, and
-// WriteRaw refuses it.
+// internal/sample's test regime, and testdata/v2.ckpt by the format-2
+// build, for gzip at seed 42 with a 60,000-instruction budget under
+// internal/sample's lockstep test regime. Opening either fails with an
+// error that names its version, so a resuming run treats it as a miss,
+// and WriteRaw refuses it. Found in a store, either is absent: Has
+// answers false, ReadRaw answers fs.ErrNotExist, each removing it, and
+// WriteRaw replaces it with a current artifact.
 func TestFormat1Artifact(t *testing.T) {
-	v1, err := os.ReadFile("testdata/v1.ckpt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	install(t, st, testKey, v1)
 	b, _ := workload.ByName("gzip")
-	_, err = st.OpenArtifact(testKey, b.Build(42), cache.HierarchyConfig{}.WithDefaults(), bpred.Config{}.WithDefaults())
-	if err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("OpenArtifact(v1) = %v, want an error naming version 1", err)
+	p := b.Build(42)
+	ccfg, bcfg := cache.HierarchyConfig{}.WithDefaults(), bpred.Config{}.WithDefaults()
+	for _, tc := range []struct{ file, version string }{
+		{"testdata/v1.ckpt", "version 1"},
+		{"testdata/v2.ckpt", "version 2"},
+	} {
+		old, err := os.ReadFile(tc.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		install(t, st, testKey, old)
+		_, err = st.OpenArtifact(testKey, p, ccfg, bcfg)
+		if err == nil || !strings.Contains(err.Error(), tc.version) {
+			t.Fatalf("%s: OpenArtifact = %v, want an error naming %s", tc.file, err, tc.version)
+		}
+		if err := st.WriteRaw(otherKey, old); err == nil || !strings.Contains(err.Error(), tc.version) {
+			t.Fatalf("%s: WriteRaw = %v, want an error naming %s", tc.file, err, tc.version)
+		}
+		if st.Has(otherKey) {
+			t.Fatalf("%s: WriteRaw published an older format's artifact", tc.file)
+		}
+
+		if st.Has(testKey) {
+			t.Errorf("%s: Has reports an older format's artifact", tc.file)
+		}
+		install(t, st, testKey, old)
+		if _, err := st.ReadRaw(testKey); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s: ReadRaw = %v, want fs.ErrNotExist", tc.file, err)
+		}
+		if n, _ := st.DiskStat(); n != 0 {
+			t.Errorf("%s: %d artifacts left after Has and ReadRaw, want 0", tc.file, n)
+		}
+		if m := st.Metrics(); m.Evicted != 2 {
+			t.Errorf("%s: %d evictions, want 2 (one by Has, one by ReadRaw)", tc.file, m.Evicted)
+		}
+		install(t, st, testKey, old)
+		current := writeArtifact(t, st, otherKey, streamWindows(t, p, ccfg, bcfg, 2, 1000))
+		if err := st.WriteRaw(testKey, current); err != nil {
+			t.Fatalf("%s: WriteRaw over it: %v", tc.file, err)
+		}
+		if got, err := st.ReadRaw(testKey); err != nil || !bytes.Equal(got, current) {
+			t.Errorf("%s: after WriteRaw the store holds %d bytes (%v), want the %d uploaded", tc.file, len(got), err, len(current))
+		}
 	}
-	if err := st.WriteRaw(otherKey, v1); err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("WriteRaw(v1) = %v, want an error naming version 1", err)
-	}
-	if st.Has(otherKey) {
-		t.Fatal("WriteRaw published a format-1 artifact")
+}
+
+// TestAppendRefusesWideSets: a set wider than a rank byte can order has
+// no format-3 encoding, so the writer refuses the first window of a
+// hierarchy or predictor with one, and nothing is published.
+func TestAppendRefusesWideSets(t *testing.T) {
+	b, _ := workload.ByName("gzip")
+	p := b.Build(42)
+	wideCache := cache.HierarchyConfig{}.WithDefaults()
+	wideCache.L2.Assoc = 512
+	wideBTB := bpred.Config{}.WithDefaults()
+	wideBTB.BTBAssoc = 512
+	for name, geo := range map[string]struct {
+		c cache.HierarchyConfig
+		b bpred.Config
+	}{
+		"cache": {wideCache, bpred.Config{}.WithDefaults()},
+		"btb":   {cache.HierarchyConfig{}.WithDefaults(), wideBTB},
+	} {
+		st, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := st.Create(testKey, 1_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		win := streamWindows(t, p, geo.c, geo.b, 1, 500)[0]
+		if err := w.Append(&win); err == nil || !strings.Contains(err.Error(), "512-way") {
+			t.Errorf("%s: Append = %v, want an error naming 512-way sets", name, err)
+		}
+		w.Abort()
+		if n, _ := st.DiskStat(); n != 0 {
+			t.Errorf("%s: %d artifacts published", name, n)
+		}
 	}
 }
 
@@ -481,8 +551,8 @@ var (
 // to its end; nothing may panic. Each input is tried as the artifact
 // file and, so that mutations reach the record decoders instead of
 // failing gzip's checksum, as the decompressed body of one. The
-// committed seed is a three-window artifact of fuzzProg; its body is
-// added here.
+// committed seed is a format-3 three-window artifact of fuzzProg; its
+// body is added here.
 func FuzzArtifactReader(f *testing.F) {
 	p := fuzzProg(f)
 	st, err := Open(f.TempDir())

@@ -44,11 +44,6 @@ type Memory struct {
 	epoch *epoch
 }
 
-// NewMemory returns an empty memory.
-func NewMemory() *Memory {
-	return &Memory{pages: map[uint64]*page{}, epoch: new(epoch)}
-}
-
 // Load reads the 8-byte word containing addr; unmapped memory reads 0.
 func (m *Memory) Load(addr uint64) int64 {
 	pg := m.pages[addr>>pageBits]
@@ -117,12 +112,29 @@ func New(p *prog.Program) (*Emulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.mem = NewMemory()
-	for i, w := range p.Data {
-		e.mem.Store(p.DataBase+uint64(8*i), w)
-	}
+	ep := new(epoch)
+	e.mem = &Memory{pages: imagePages(p, ep), epoch: ep}
 	e.flat = e.dec.entry
 	return e, nil
+}
+
+// imagePages returns the pages of p's initial data image, owned by
+// owner: p.Data stored word by word from p.DataBase, each page filled
+// with one copy instead of a Store per word. Every page a data word
+// falls in is mapped, zero pages included, exactly as a Store per word
+// would map it.
+func imagePages(p *prog.Program, owner *epoch) map[uint64]*page {
+	pages := make(map[uint64]*page)
+	for i := 0; i < len(p.Data); {
+		addr := p.DataBase + uint64(8*i)
+		slot := int((addr >> 3) & (pageWords - 1))
+		n := min(pageWords-slot, len(p.Data)-i)
+		pg := &page{owner: owner}
+		copy(pg.words[slot:], p.Data[i:i+n])
+		pages[addr>>pageBits] = pg
+		i += n
+	}
+	return pages
 }
 
 // newBare returns an emulator over a linked program with no memory and

@@ -12,7 +12,7 @@ import (
 )
 
 func TestMemorySparse(t *testing.T) {
-	m := NewMemory()
+	m := &Memory{pages: map[uint64]*page{}, epoch: new(epoch)}
 	if m.Load(0x12345678) != 0 {
 		t.Error("unmapped memory must read 0")
 	}
@@ -31,7 +31,7 @@ func TestMemorySparse(t *testing.T) {
 }
 
 func TestMemoryPropertyRoundTrip(t *testing.T) {
-	m := NewMemory()
+	m := &Memory{pages: map[uint64]*page{}, epoch: new(epoch)}
 	f := func(addr uint64, v int64) bool {
 		addr &= 0xFFFF_FFFF
 		m.Store(addr, v)

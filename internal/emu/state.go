@@ -2,10 +2,14 @@
 // A Checkpoint holds a pointer into its program, so the wire form
 // carries only the architectural state; deserialization re-attaches a
 // program the caller rebuilt (deterministically, from the same
-// benchmark seed) and validates every control position against it. The
-// layout is fixed little-endian with sorted page keys, so identical
-// states serialize to identical bytes — the property the store's
-// content addressing and the bit-identity tests rely on.
+// benchmark seed) and validates every control position against it.
+// Memory is written as a delta: against an earlier checkpoint of the
+// same stream, or else against the program's initial data image, which
+// the decoder rebuilds from the same program, so a page the program
+// never wrote is never carried. The layout is fixed little-endian with
+// sorted page keys, so identical states serialize to identical bytes —
+// the property the store's content addressing and the bit-identity
+// tests rely on.
 package emu
 
 import (
@@ -19,7 +23,7 @@ import (
 )
 
 // ckptMagic guards the checkpoint wire layout; bump it on any change.
-const ckptMagic uint32 = 0x534b_4331 // "SKC1"
+const ckptMagic uint32 = 0x534b_4332 // "SKC2"
 
 func appendPosition(w *binio.Writer, p position) {
 	w.I64(int64(p.proc))
@@ -53,17 +57,24 @@ const pageRecord = 8 + 8*pageWords
 // MarshalDelta serializes the checkpoint as a delta against prev, an
 // earlier checkpoint of the same program that maps no page c does not:
 // the header, the total page count, then only the pages whose words
-// differ from prev's, in ascending key order. A nil prev writes every
-// page, which is MarshalBinary's layout. Checkpoints taken along one
-// stream share the pages the program did not write in between, so
-// those are skipped without comparing their words.
-// UnmarshalCheckpointDelta with the same prev decodes the result.
+// differ from prev's, in ascending key order. A nil prev is the
+// program's initial data image, which every checkpoint of the program
+// maps, because pages are never unmapped: that is MarshalBinary's
+// layout, and it carries only the pages the program has written.
+// Checkpoints taken along one stream share the pages the program did
+// not write in between, so those are skipped without comparing their
+// words. UnmarshalCheckpointDelta with the same prev decodes the
+// result.
 func (c *Checkpoint) MarshalDelta(prev *Checkpoint) ([]byte, error) {
+	var base map[uint64]*page
 	if prev != nil {
-		for k := range prev.pages {
-			if c.pages[k] == nil {
-				return nil, fmt.Errorf("emu: delta base maps page %#x, the checkpoint does not", k)
-			}
+		base = prev.pages
+	} else {
+		base = imagePages(c.prog, nil)
+	}
+	for k := range base {
+		if c.pages[k] == nil {
+			return nil, fmt.Errorf("emu: delta base maps page %#x, the checkpoint does not", k)
 		}
 	}
 	var w binio.Writer
@@ -85,10 +96,8 @@ func (c *Checkpoint) MarshalDelta(prev *Checkpoint) ([]byte, error) {
 	w.U32(uint32(len(keys)))
 	for _, k := range keys {
 		pg := c.pages[k]
-		if prev != nil {
-			if old := prev.pages[k]; old == pg || (old != nil && old.words == pg.words) {
-				continue
-			}
+		if old := base[k]; old == pg || (old != nil && old.words == pg.words) {
+			continue
 		}
 		w.U64(k)
 		for _, word := range pg.words {
@@ -110,10 +119,12 @@ func UnmarshalCheckpoint(data []byte, p *prog.Program) (Checkpoint, error) {
 }
 
 // UnmarshalCheckpointDelta decodes MarshalDelta(prev)'s output as
-// UnmarshalCheckpoint does: the result holds prev's pages overlaid with
-// the pages data carries. It has its own page map and shares the
-// unchanged pages with prev. The page keys must ascend strictly, and
-// the overlay must hold exactly the recorded page total.
+// UnmarshalCheckpoint does: the result holds prev's pages, or for a nil
+// prev the pages of p's initial data image, overlaid with the pages
+// data carries. It has its own page map and shares the unchanged pages
+// with prev. The page keys must ascend strictly, a carried page must
+// differ from the page it replaces (MarshalDelta never carries an equal
+// one), and the overlay must hold exactly the recorded page total.
 func UnmarshalCheckpointDelta(data []byte, p *prog.Program, prev *Checkpoint) (Checkpoint, error) {
 	var c Checkpoint
 	if !p.Linked() {
@@ -154,7 +165,7 @@ func UnmarshalCheckpointDelta(data []byte, p *prog.Program, prev *Checkpoint) (C
 	if prev != nil {
 		c.pages = maps.Clone(prev.pages)
 	} else {
-		c.pages = make(map[uint64]*page, ndelta)
+		c.pages = imagePages(p, nil)
 	}
 	var last uint64
 	for i := 0; i < ndelta; i++ {
@@ -167,6 +178,9 @@ func UnmarshalCheckpointDelta(data []byte, p *prog.Program, prev *Checkpoint) (C
 		b := r.Raw(8 * pageWords)
 		for j := range pg.words {
 			pg.words[j] = int64(binary.LittleEndian.Uint64(b[8*j:]))
+		}
+		if old := c.pages[key]; old != nil && old.words == pg.words {
+			return Checkpoint{}, fmt.Errorf("emu: checkpoint carries page %#x unchanged from its base", key)
 		}
 		c.pages[key] = pg
 	}

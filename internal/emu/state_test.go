@@ -225,7 +225,11 @@ func TestUnmarshalCheckpointRejectsNoncanonical(t *testing.T) {
 // FuzzUnmarshalCheckpoint decodes arbitrary bytes as a full checkpoint
 // and as a delta against a fixed base. Neither may panic; an accepted
 // full checkpoint must re-marshal to the same bytes, and an accepted
-// delta must decode to a whole checkpoint.
+// delta must decode to a whole checkpoint. The committed seeds are the
+// later of streamCheckpoints' two checkpoints, whole (full) and as a
+// delta against the earlier (delta), and a fresh emulator's checkpoint
+// that carries its data page unchanged from the program's image
+// (image-page), which no encoder writes.
 func FuzzUnmarshalCheckpoint(f *testing.F) {
 	p, prev, _ := streamCheckpoints(f)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -48,11 +48,15 @@ func gunzipFile(t *testing.T, path string) []byte {
 
 // TestArtifactMatchesFixture regenerates the artifact in testdata/gzip.ckpt
 // and compares the two decompressed record streams byte for byte. The
-// fixture was written by a build that cloned the hierarchy and the
-// predictor for every window and encoded them into fresh buffers (commit
-// 56c41c8): gzip, seed 42, testBudget under testRegime(), 15 windows. It
-// is regenerated solo and as the 8-cell batch, whose last cell runs on
-// the very storage the next window is encoded from.
+// fixture's state was written by a build that cloned the hierarchy and
+// the predictor for every window and encoded them into fresh buffers
+// (commit 56c41c8): gzip, seed 42, testBudget under testRegime(), 15
+// windows. That build wrote format 2 (internal/ckpt/testdata/v2.ckpt);
+// the fixture is that file converted to format 3, each window decoded
+// with the format-2 codecs and encoded with the format-3 ones, not
+// regenerated. It is regenerated here solo and as the 8-cell batch,
+// whose last cell runs on the very storage the next window is encoded
+// from.
 func TestArtifactMatchesFixture(t *testing.T) {
 	want := gunzipFile(t, "testdata/gzip.ckpt")
 	for _, tc := range []struct {

@@ -156,55 +156,69 @@ func TestRunStoredCorruptArtifact(t *testing.T) {
 }
 
 // TestRunStoredFormat1Artifact: a store holding an artifact written by
-// the format-1 build (internal/ckpt/testdata/v1.ckpt, for exactly this
-// job) treats it as a miss: it is evicted, a current artifact replaces
-// it, and the report equals a storeless run.
+// an older build for exactly this job treats it as a miss: it is
+// evicted, a current artifact replaces it, and the report equals a
+// storeless run. internal/ckpt/testdata/v1.ckpt is the format-1 build's
+// artifact of gzip at a 6,000-instruction budget under testConfig(),
+// and v2.ckpt the format-2 build's of gzip at 60,000 under the
+// lockstep tests' regime.
 func TestRunStoredFormat1Artifact(t *testing.T) {
-	v1, err := os.ReadFile("../ckpt/testdata/v1.ckpt")
-	if err != nil {
-		t.Fatal(err)
-	}
 	b, _ := workload.ByName("gzip")
 	cfg := sim.DefaultConfig()
-	sc := testConfig()
-	dir := t.TempDir()
-	st, err := ckpt.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const key = "ab12cd34ab12cd34ab12cd34ab12cd34"
-	path := filepath.Join(dir, key[:2], key+".ckpt")
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		file   string
+		budget int64
+		sc     Config
+	}{
+		{"../ckpt/testdata/v1.ckpt", 6_000, testConfig()},
+		{"../ckpt/testdata/v2.ckpt", 60_000, Config{WindowInsts: 500, PeriodInsts: 4000, WarmupInsts: 1000, DetailWarmupInsts: 250}},
+	} {
+		old, err := os.ReadFile(tc.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		st, err := ckpt.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const key = "ab12cd34ab12cd34ab12cd34ab12cd34"
+		path := filepath.Join(dir, key[:2], key+".ckpt")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	got, err := RunStored(context.Background(), cfg, b.Build(42), 6_000, sc, st, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Run(context.Background(), cfg, b.Build(42), 6_000, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, plain) {
-		t.Fatal("report over a format-1 artifact differs from a storeless run")
-	}
-	if m := st.Metrics(); m.Evicted != 1 || m.Generated != 1 {
-		t.Fatalf("metrics %+v: want the format-1 artifact evicted and one generated", m)
-	}
-	// The replacement is current: it resumes.
-	resumed, err := RunStored(context.Background(), cfg, b.Build(42), 6_000, sc, st, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resumed, plain) {
-		t.Fatal("resumed report differs from a storeless run")
-	}
-	if m := st.Metrics(); m.Generated != 1 || m.Hits != 1 {
-		t.Fatalf("metrics %+v: want the replacement resumed", m)
+		got, err := RunStored(context.Background(), cfg, b.Build(42), tc.budget, tc.sc, st, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := Run(context.Background(), cfg, b.Build(42), tc.budget, tc.sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plain.Windows) == 0 {
+			t.Fatalf("%s: the job measured no window", tc.file)
+		}
+		if !reflect.DeepEqual(got, plain) {
+			t.Fatalf("%s: report over an older format's artifact differs from a storeless run", tc.file)
+		}
+		if m := st.Metrics(); m.Evicted != 1 || m.Generated != 1 {
+			t.Fatalf("%s: metrics %+v: want the older artifact evicted and one generated", tc.file, m)
+		}
+		// The replacement is current: it resumes.
+		resumed, err := RunStored(context.Background(), cfg, b.Build(42), tc.budget, tc.sc, st, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(resumed, plain) {
+			t.Fatalf("%s: resumed report differs from a storeless run", tc.file)
+		}
+		if m := st.Metrics(); m.Generated != 1 || m.Hits != 1 {
+			t.Fatalf("%s: metrics %+v: want the replacement resumed", tc.file, m)
+		}
 	}
 }
 

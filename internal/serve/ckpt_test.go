@@ -12,6 +12,8 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -114,7 +116,11 @@ func TestCheckpointEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, data := range map[string][]byte{"checksum": corrupt, "format 1": v1} {
+	v2, err := os.ReadFile("../ckpt/testdata/v2.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"checksum": corrupt, "format 1": v1, "format 2": v2} {
 		if code, body := rawCkpt(t, cl, http.MethodPut, lease, key, data); code != http.StatusUnprocessableEntity {
 			t.Errorf("PUT %s artifact = %d (%s), want 422", name, code, body)
 		}
@@ -298,6 +304,91 @@ func TestWorkerPushesArtifactOnce(t *testing.T) {
 	}
 	if v := metricValue(t, text, "sdiqd_ckpt_bytes_shipped_total"); v != float64(len(artifact)) {
 		t.Errorf("sdiqd_ckpt_bytes_shipped_total = %g, want %d (one push of the one artifact)", v, len(artifact))
+	}
+}
+
+// TestWorkerReplacesStaleArtifact: a server whose store holds an
+// artifact of an older format under a sweep's key must not ship it
+// forever. Two workers run a two-cell campaign of that warming
+// identity: the server answers their fetches as misses and removes the
+// stale artifact, the workers generate the sweep's artifact, and the
+// server publishes the first one pushed. A later cell of the identity
+// then resumes from the server's copy, and the campaign exports
+// byte-identically to a local run.
+func TestWorkerReplacesStaleArtifact(t *testing.T) {
+	ctx := context.Background()
+	spec := sampledSpec("stale-artifact", []string{"gzip"}, 48, 64)
+	spec.Techniques = []campaign.Technique{campaign.TechBaseline} // one warming identity
+	laterSpec := spec
+	laterSpec.Axes = []campaign.Axis{{Name: "iq.entries", Values: []int{80}}}
+	later, err := laterSpec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := campaign.CheckpointKey(&later[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := localCSV(t, spec)
+	plain, err := campaign.ExecuteStored(ctx, &later[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range []string{"../ckpt/testdata/v1.ckpt", "../ckpt/testdata/v2.ckpt"} {
+		stale, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckptDir := t.TempDir()
+		path := filepath.Join(ckptDir, key[:2], key+".ckpt")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, stale, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, cl := startServer(t, Config{
+			CacheDir:   t.TempDir(),
+			CkptDir:    ckptDir,
+			Workers:    2,
+			LeaseTTL:   2 * time.Second,
+			WorkerTTL:  60 * time.Second,
+			JobRetries: 2,
+		})
+		startWorker(t, cl.Base, "wa", 1, func(w *worker.Worker) { w.Ckpt = t.TempDir() })
+		startWorker(t, cl.Base, "wb", 1, func(w *worker.Worker) { w.Ckpt = t.TempDir() })
+		waitMetric(t, cl, "sdiqd_workers_connected", 2)
+
+		rs, err := cl.Run(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(csvOf(t, rs), want) {
+			t.Errorf("%s: fleet run over a stale artifact is not byte-identical to a local run", file)
+		}
+		text := fetchMetrics(t, cl)
+		if v := metricValue(t, text, "sdiqd_jobs_remote_total"); v != 2 {
+			t.Errorf("%s: sdiqd_jobs_remote_total = %g, want 2", file, v)
+		}
+		if v := metricValue(t, text, "sdiqd_ckpt_evicted_total"); v != 1 {
+			t.Errorf("%s: sdiqd_ckpt_evicted_total = %g, want 1 (the stale artifact)", file, v)
+		}
+		if got, err := s.shared.ckpt.ReadRaw(key); err != nil || bytes.Equal(got, stale) {
+			t.Fatalf("%s: the server holds no current artifact after the campaign (%v)", file, err)
+		}
+
+		before := s.shared.ckpt.Metrics()
+		res, err := campaign.ExecuteStored(ctx, &later[0], s.shared.ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := s.shared.ckpt.Metrics()
+		if after.Hits != before.Hits+1 || after.Generated != before.Generated {
+			t.Errorf("%s: a later cell did not resume from the server's artifact: metrics %+v, then %+v", file, before, after)
+		}
+		if !reflect.DeepEqual(res.Stats, plain.Stats) || !reflect.DeepEqual(res.Sampled, plain.Sampled) {
+			t.Errorf("%s: the later cell resumed from the server's artifact differs from a storeless run", file)
+		}
 	}
 }
 

@@ -21,11 +21,13 @@ func parentSpec(iq ...int) campaign.Spec {
 
 // TestParentBuildStores is the on-disk layout gate. testdata/parent
 // holds the result cache, checkpoint store and -state directory that
-// the previous build's server left after one finished sampled campaign:
+// an earlier build's server left after one finished sampled campaign:
 // gzip × baseline × IQ {48, 64} at a 20k budget. A server started over
-// copies of them recovers that campaign from its cached results alone,
-// and a new cell of the same warming identity resumes from its
-// artifact.
+// copies of them recovers that campaign from its cached results alone.
+// The artifact is in checkpoint format 2, so a new cell of the same
+// warming identity refuses it and regenerates it, once, and a second
+// new cell resumes from the regenerated artifact; both export
+// byte-identically to a local run.
 func TestParentBuildStores(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.CopyFS(dir, os.DirFS("testdata/parent")); err != nil {
@@ -55,19 +57,30 @@ func TestParentBuildStores(t *testing.T) {
 		t.Errorf("sdiqd_job_cache_hits_total = %g, want 2", v)
 	}
 
-	rs, err := cl.Run(ctx, parentSpec(56))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(csvOf(t, rs), localCSV(t, parentSpec(56))) {
-		t.Error("cell resumed from the parent's artifact differs from a local run")
-	}
-	text = fetchMetrics(t, cl)
-	if v := metricValue(t, text, "sdiqd_ckpt_hits_total"); v != 1 {
-		t.Errorf("sdiqd_ckpt_hits_total = %g, want 1 (resumed from the parent's artifact)", v)
-	}
-	if v := metricValue(t, text, "sdiqd_ckpt_generated_total"); v != 0 {
-		t.Errorf("sdiqd_ckpt_generated_total = %g, want 0", v)
+	for _, tc := range []struct {
+		iq                       int
+		hits, generated, evicted float64
+	}{
+		{56, 0, 1, 1}, // the parent's format-2 artifact is evicted and regenerated
+		{40, 1, 1, 1}, // the regenerated artifact resumes
+	} {
+		rs, err := cl.Run(ctx, parentSpec(tc.iq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(csvOf(t, rs), localCSV(t, parentSpec(tc.iq))) {
+			t.Errorf("IQ %d: cell differs from a local run", tc.iq)
+		}
+		text = fetchMetrics(t, cl)
+		for name, want := range map[string]float64{
+			"sdiqd_ckpt_hits_total":      tc.hits,
+			"sdiqd_ckpt_generated_total": tc.generated,
+			"sdiqd_ckpt_evicted_total":   tc.evicted,
+		} {
+			if v := metricValue(t, text, name); v != want {
+				t.Errorf("IQ %d: %s = %g, want %g", tc.iq, name, v, want)
+			}
+		}
 	}
 }
 

@@ -911,7 +911,7 @@ func (s *Server) ckptRows() []row {
 		{"sdiqd_ckpt_hits_total", "Checkpoint artifacts resumed from the store.", "counter", float64(m.Hits)},
 		{"sdiqd_ckpt_misses_total", "Checkpoint artifact lookups that missed.", "counter", float64(m.Misses)},
 		{"sdiqd_ckpt_generated_total", "Checkpoint artifacts generated and published locally.", "counter", float64(m.Generated)},
-		{"sdiqd_ckpt_evicted_total", "Checkpoint artifacts evicted (GC or corruption).", "counter", float64(m.Evicted)},
+		{"sdiqd_ckpt_evicted_total", "Checkpoint artifacts evicted (GC, corruption or an older format).", "counter", float64(m.Evicted)},
 		{"sdiqd_ckpt_bytes_shipped_total", "Checkpoint artifact bytes shipped to or from workers over HTTP.", "counter", float64(s.met.ckptBytesShipped.Load())},
 		{"sdiqd_ckpt_artifacts", "Checkpoint artifacts currently on disk.", "gauge", float64(artifacts)},
 		{"sdiqd_ckpt_store_bytes", "Total bytes of checkpoint artifacts on disk.", "gauge", float64(bytes)},

@@ -44,8 +44,9 @@
 // serving status, events and exports to reconnecting clients and
 // workers.
 //
-// Once the finished campaigns hold more than 50,000 jobs in all, the
-// oldest leave, with their durable state. -cache-max-bytes bounds each
+// Once the finished campaigns are charged more than 50,000 jobs in all,
+// each its own jobs plus two for the campaign itself, the oldest leave,
+// with their durable state. -cache-max-bytes bounds each
 // on-disk store — the result cache and the checkpoint store,
 // separately — evicting least recently used entries every minute.
 //

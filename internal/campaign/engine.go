@@ -161,13 +161,17 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*ResultSet, error) {
 	)
 
 	// deliver records a finished job and fires OnResult; how selects the
-	// counter the job lands in.
+	// counter the job lands in. It stamps the job's sweep point on every
+	// result: the key omits the point (it is encoded in the derived
+	// config), so a result from the cache, from another caller's flight,
+	// or from a worker may carry another job's coordinates.
 	const (
 		howExecuted = iota
 		howCached
 		howDedup
 	)
 	deliver := func(idx int, res Result, how int) {
+		res.Point = jobs[idx].Point
 		mu.Lock()
 		results[idx], filled[idx] = res, true
 		switch how {
@@ -206,13 +210,7 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*ResultSet, error) {
 		if cache == nil || keys[idx] == "" {
 			return Result{}, false
 		}
-		res, ok := cache.Get(keys[idx])
-		if ok {
-			// The key omits the sweep point (it is encoded in the
-			// derived config); restamp the requester's coordinates.
-			res.Point = jobs[idx].Point
-		}
-		return res, ok
+		return cache.Get(keys[idx])
 	}
 	// execute is the one path that simulates: it runs the unit's
 	// cache-missed cells on the Runner or inline and persists each
@@ -297,10 +295,6 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*ResultSet, error) {
 			how := howExecuted
 			switch {
 			case shared:
-				// Another caller's execution (possibly of a job with a
-				// different sweep point but identical derived config):
-				// restamp our coordinates, as for a cache hit.
-				res[i].Point = jobs[idx].Point
 				res[i].Dedup = true
 				how = howDedup
 			case res[i].Cached:

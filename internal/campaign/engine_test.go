@@ -255,3 +255,58 @@ func TestEngineRunnerIndirection(t *testing.T) {
 			rs2.CacheHits, len(fr.keys))
 	}
 }
+
+// strayPointRunner executes inline and returns each result with another
+// job's sweep point, as a worker's upload of a result from its scratch
+// cache may carry one.
+type strayPointRunner struct{}
+
+func (strayPointRunner) RunJob(ctx context.Context, job *Job, key string, params power.Params) (Result, error) {
+	res, err := ExecuteStored(ctx, job, nil)
+	res.Point = Point{{Axis: "iq.entries", Value: 999}}
+	return res, err
+}
+
+// TestEngineStampsPoints: every delivered result carries its own job's
+// sweep point, whatever the result came back with — executed by a
+// Runner that returned another point, then served from the cache
+// entries those results were stored under — in the ResultSet and in
+// OnResult.
+func TestEngineStampsPoints(t *testing.T) {
+	spec := DefaultSpec(4_000)
+	spec.Benchmarks = []string{"gzip"}
+	spec.Techniques = []Technique{TechBaseline}
+	spec.Axes = []Axis{{Name: "iq.entries", Values: []int{16, 80}}}
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, how := range []string{"executed", "cached"} {
+		var mu sync.Mutex
+		seen := map[string]bool{}
+		eng := &Engine{Workers: 2, CacheDir: dir, Runner: strayPointRunner{}, OnResult: func(r Result) {
+			mu.Lock()
+			seen[r.Point.String()] = true
+			mu.Unlock()
+		}}
+		rs, err := eng.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := rs.Executed + rs.CacheHits; n != len(jobs) || (how == "cached") != (rs.CacheHits == len(jobs)) {
+			t.Fatalf("%s: %d executed, %d cache hits", how, rs.Executed, rs.CacheHits)
+		}
+		for i, r := range rs.Results {
+			if r.Point.String() != jobs[i].Point.String() {
+				t.Errorf("%s: result %d at %q, want its job's %q", how, i, r.Point, jobs[i].Point)
+			}
+			if !seen[jobs[i].Point.String()] {
+				t.Errorf("%s: OnResult never saw %q (saw %v)", how, jobs[i].Point, seen)
+			}
+		}
+		if len(seen) != len(jobs) {
+			t.Errorf("%s: OnResult saw points %v, want only the jobs'", how, seen)
+		}
+	}
+}

@@ -308,14 +308,16 @@ func (w *Writer) Abort() {
 // Reader consumes a published artifact window by window. Create one via
 // Store.OpenArtifact. It decodes every window into storage it owns and
 // reuses: one Window, with one hierarchy and one predictor, and the
-// record's header and payload buffers.
+// record's header and payload buffers. A record it cannot decode, or a
+// stream whose checksum fails, evicts the artifact from its store.
 type Reader struct {
+	s       *Store
+	key     string
 	f       *os.File
 	gz      *gzip.Reader
 	prog    *prog.Program
 	ccfg    cache.HierarchyConfig
 	bcfg    bpred.Config
-	budget  int64
 	trailer *Trailer
 	read    int
 
@@ -329,12 +331,15 @@ type Reader struct {
 	payload []byte
 }
 
-// OpenArtifact opens the artifact for key, marks it recently used, and
-// prepares to deserialize its windows against the given program and
-// configuration. A missing artifact returns an error wrapping
-// fs.ErrNotExist and counts a store miss; an open counts a hit. A nil
-// store always misses.
-func (s *Store) OpenArtifact(key string, p *prog.Program, ccfg cache.HierarchyConfig, bcfg bpred.Config) (*Reader, error) {
+// OpenArtifact opens the artifact for key, generated by a run of the
+// given budget, marks it recently used, and prepares to deserialize its
+// windows against the given program and configuration. A missing
+// artifact returns an error wrapping fs.ErrNotExist and counts a store
+// miss, as does one whose header records another budget, which is kept
+// (the campaign layer's keys include the budget). One whose header
+// cannot be read is evicted. An open counts a hit. A nil store always
+// misses.
+func (s *Store) OpenArtifact(key string, budget int64, p *prog.Program, ccfg cache.HierarchyConfig, bcfg bpred.Config) (*Reader, error) {
 	if s == nil {
 		return nil, os.ErrNotExist
 	}
@@ -348,41 +353,41 @@ func (s *Store) OpenArtifact(key string, p *prog.Program, ccfg cache.HierarchyCo
 	if info, err := f.Stat(); err == nil {
 		s.bytesRead.Add(info.Size())
 	}
-	gz, err := gzip.NewReader(f)
+	r := &Reader{s: s, key: key, f: f, prog: p, ccfg: ccfg, bcfg: bcfg}
+	var got int64
+	if r.gz, err = gzip.NewReader(f); err == nil {
+		got, err = readHeader(r.gz)
+	}
 	if err != nil {
-		f.Close()
+		r.Close()
+		s.evict(key)
 		return nil, fmt.Errorf("ckpt: %s: %w", key, err)
 	}
-	r := &Reader{f: f, gz: gz, prog: p, ccfg: ccfg, bcfg: bcfg}
-	if err := checkHeader(gz); err != nil {
+	if got != budget {
 		r.Close()
-		return nil, fmt.Errorf("ckpt: %s: %w", key, err)
+		s.misses.Add(1)
+		return nil, fmt.Errorf("ckpt: %s: generated for a budget of %d, not %d: %w", key, got, budget, os.ErrNotExist)
 	}
-	budget := make([]byte, 8)
-	if _, err := io.ReadFull(gz, budget); err != nil {
-		r.Close()
-		return nil, fmt.Errorf("ckpt: %s: short header: %w", key, err)
-	}
-	r.budget = binio.NewReader(budget).I64()
 	s.hits.Add(1)
 	return r, nil
 }
 
-// checkHeader reads the magic and version that open every artifact's
-// record stream, and fails unless they are the current format's.
-func checkHeader(gz io.Reader) error {
-	hdr := make([]byte, len(artifactMagic)+4)
+// readHeader reads the header that opens every artifact's record
+// stream, magic, version and the generating run's budget, and fails
+// unless it is the current format's.
+func readHeader(gz io.Reader) (budget int64, err error) {
+	hdr := make([]byte, len(artifactMagic)+4+8)
 	if _, err := io.ReadFull(gz, hdr); err != nil {
-		return fmt.Errorf("short header: %w", err)
+		return 0, fmt.Errorf("short header: %w", err)
 	}
 	b := binio.NewReader(hdr)
 	if string(b.Raw(len(artifactMagic))) != artifactMagic {
-		return errors.New("bad artifact magic")
+		return 0, errors.New("bad artifact magic")
 	}
 	if v := b.U32(); v != artifactVersion {
-		return fmt.Errorf("artifact version %d, want %d", v, artifactVersion)
+		return 0, fmt.Errorf("artifact version %d, want %d", v, artifactVersion)
 	}
-	return nil
+	return b.I64(), nil
 }
 
 // currentFormat reports whether a container opens with the current
@@ -394,19 +399,27 @@ func currentFormat(container io.Reader) bool {
 		return false
 	}
 	defer gz.Close()
-	return checkHeader(gz) == nil
+	_, err = readHeader(gz)
+	return err == nil
 }
 
-// Budget returns the generating run's instruction budget (header field).
-func (r *Reader) Budget() int64 { return r.budget }
-
-// Next returns the next window, or io.EOF after the trailer. The
-// trailer must end the stream, whose gzip checksum is verified then.
+// Next returns the next window, or a bare io.EOF once the trailer has
+// been read, so Trailer then reports it. The trailer must end the
+// stream, whose gzip checksum is verified then. Any other error means
+// the artifact is unusable, and it is evicted.
 //
 // The window is the reader's own storage and is valid until the next
 // call to Next, which decodes the next record into it. Its checkpoint
 // is the exception: each window's is its own and stays valid.
 func (r *Reader) Next() (*Window, error) {
+	win, err := r.next()
+	if err != nil && err != io.EOF {
+		r.s.evict(r.key)
+	}
+	return win, err
+}
+
+func (r *Reader) next() (*Window, error) {
 	if r.trailer != nil {
 		return nil, io.EOF
 	}
@@ -531,20 +544,21 @@ func (r *Reader) Close() error {
 	return r.f.Close()
 }
 
-// checkContainer validates data as an artifact container before
-// WriteRaw publishes it: gzip, magic and version, and a gzip stream that
-// reads to its end with a matching checksum.
+// checkContainer validates data as an artifact container, before
+// WriteRaw publishes it and before ReadRaw hands it out: gzip, magic and
+// version, and a gzip stream that reads to its end with a matching
+// checksum.
 func checkContainer(data []byte) error {
 	gz, err := gzip.NewReader(bytes.NewReader(data))
 	if err != nil {
-		return fmt.Errorf("ckpt: upload is not an artifact: %w", err)
+		return fmt.Errorf("not an artifact: %w", err)
 	}
 	defer gz.Close()
-	if err := checkHeader(gz); err != nil {
-		return fmt.Errorf("ckpt: upload: %w", err)
+	if _, err := readHeader(gz); err != nil {
+		return err
 	}
 	if _, err := io.Copy(io.Discard, gz); err != nil {
-		return fmt.Errorf("ckpt: upload stream: %w", err)
+		return fmt.Errorf("artifact stream: %w", err)
 	}
 	return nil
 }

@@ -28,13 +28,17 @@
 // image — with each cache and BTB set's LRU order stored as one-byte
 // ranks, and a trailer with the run's phase totals. It is readable
 // strictly in window order, so resuming never holds more than two
-// windows' state in memory. An artifact in an older format is absent
-// to every method of the store, which removes it on sight, so it is
-// regenerated or replaced once.
+// windows' state in memory.
+//
+// The store alone decides that an artifact is unusable, and evicts it
+// where it finds so: Has and WriteRaw on an older format's header,
+// OpenArtifact on a header it cannot read, the Reader on a record it
+// cannot decode or a checksum that fails, and ReadRaw on any container
+// WriteRaw would refuse. To every caller an evicted artifact is absent,
+// so it is regenerated, or replaced by a peer's upload, once.
 package ckpt
 
 import (
-	"bytes"
 	"fmt"
 	"io/fs"
 	"os"
@@ -99,7 +103,7 @@ func (s *Store) current(key string) bool {
 	ok := currentFormat(f)
 	f.Close()
 	if !ok {
-		s.Remove(key)
+		s.evict(key)
 	}
 	return ok
 }
@@ -132,13 +136,12 @@ func (s *Store) Lock(key string) (unlock func()) {
 	}
 }
 
-// Remove evicts the artifact for key, reporting whether one existed.
-func (s *Store) Remove(key string) bool {
-	if s == nil || !s.blob.Remove(key) {
-		return false
+// evict removes key's artifact as unusable, counting it in Evicted if
+// it was still there.
+func (s *Store) evict(key string) {
+	if s.blob.Remove(key) {
+		s.evicted.Add(1)
 	}
-	s.evicted.Add(1)
-	return true
 }
 
 // GC bounds the store to maxBytes, evicting artifacts least recently
@@ -155,9 +158,11 @@ func (s *Store) GC(maxBytes int64) (evicted int, reclaimed int64, err error) {
 }
 
 // ReadRaw returns the raw artifact bytes for key (for shipping to a
-// remote worker) and marks the artifact recently used; a missing
-// artifact returns fs.ErrNotExist, and so does one in an older format,
-// which is removed.
+// remote worker) and marks the artifact recently used. The container is
+// checked as WriteRaw checks an upload, so only an artifact a peer
+// would accept leaves the store; one that fails (corrupt, or in an
+// older format) is evicted. A missing or evicted artifact returns an
+// error wrapping fs.ErrNotExist.
 func (s *Store) ReadRaw(key string) ([]byte, error) {
 	if s == nil {
 		return nil, fs.ErrNotExist
@@ -166,9 +171,9 @@ func (s *Store) ReadRaw(key string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !currentFormat(bytes.NewReader(data)) {
-		s.Remove(key)
-		return nil, fmt.Errorf("ckpt: artifact %.12s… is in an older format: %w", key, fs.ErrNotExist)
+	if err := checkContainer(data); err != nil {
+		s.evict(key)
+		return nil, fmt.Errorf("ckpt: artifact %.12s… evicted (%v): %w", key, err, fs.ErrNotExist)
 	}
 	return data, nil
 }
@@ -183,7 +188,7 @@ func (s *Store) WriteRaw(key string, data []byte) error {
 		return fmt.Errorf("ckpt: invalid key %q", key)
 	}
 	if err := checkContainer(data); err != nil {
-		return err
+		return fmt.Errorf("ckpt: upload: %w", err)
 	}
 	s.current(key) // removes an older format's artifact, which data replaces
 	published, err := s.blob.Write(key, data)
@@ -201,7 +206,7 @@ type Metrics struct {
 	// Generated counts artifacts this process produced and published.
 	Generated int64
 	// Evicted counts artifacts removed: by GC, and as unusable (corrupt,
-	// or in an older format).
+	// or in an older format) by whichever method found them so.
 	Evicted int64
 	// BytesRead and BytesWritten count artifact I/O through this store.
 	BytesRead, BytesWritten int64

@@ -65,16 +65,13 @@ func TestOpenEmptyAndNilStore(t *testing.T) {
 		t.Error("nil store claims an artifact")
 	}
 	s.Lock(testKey)() // must not panic
-	if s.Remove(testKey) {
-		t.Error("nil store removed something")
-	}
 	if _, err := s.ReadRaw(testKey); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("nil ReadRaw err = %v", err)
 	}
 	if w, err := s.Create(testKey, 1000); w != nil || err != nil {
 		t.Errorf("nil Create = %v, %v", w, err)
 	}
-	if _, err := s.OpenArtifact(testKey, nil, cache.HierarchyConfig{}, bpred.Config{}); !errors.Is(err, fs.ErrNotExist) {
+	if _, err := s.OpenArtifact(testKey, 1000, nil, cache.HierarchyConfig{}, bpred.Config{}); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("nil OpenArtifact err = %v", err)
 	}
 	if m := s.Metrics(); m != (Metrics{}) {
@@ -119,14 +116,11 @@ func TestArtifactRoundTrip(t *testing.T) {
 		t.Fatal("artifact not published after Commit")
 	}
 
-	r, err := st.OpenArtifact(testKey, p, ccfg, bcfg)
+	r, err := st.OpenArtifact(testKey, 50_000, p, ccfg, bcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Budget() != 50_000 {
-		t.Errorf("Budget = %d, want 50000", r.Budget())
-	}
 	for i := range wins {
 		got, err := r.Next()
 		if err != nil {
@@ -172,7 +166,7 @@ func TestOpenArtifactGeometryMismatch(t *testing.T) {
 	}
 	wrong := ccfg
 	wrong.L2.SizeBytes = ccfg.L2.SizeBytes * 2
-	r, err := st.OpenArtifact(testKey, p, wrong, bcfg)
+	r, err := st.OpenArtifact(testKey, 10_000, p, wrong, bcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +207,7 @@ func TestWriteRawValidation(t *testing.T) {
 	if err := st.WriteRaw(other, data); err != nil {
 		t.Fatal(err)
 	}
-	r, err := st.OpenArtifact(other, p, ccfg, bcfg)
+	r, err := st.OpenArtifact(other, 10_000, p, ccfg, bcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,9 +246,10 @@ func TestInvalidKeys(t *testing.T) {
 		if err := st.WriteRaw(key, nil); err == nil {
 			t.Errorf("WriteRaw(%q) accepted", key)
 		}
-		if st.Remove(key) {
-			t.Errorf("Remove(%q) = true", key)
-		}
+		st.evict(key)
+	}
+	if m := st.Metrics(); m.Evicted != 0 {
+		t.Errorf("evicting invalid keys counted %d evictions", m.Evicted)
 	}
 }
 
@@ -280,12 +275,8 @@ func TestRemoveAndDiskStat(t *testing.T) {
 	if n, b := st.DiskStat(); n != 2 || b <= 0 {
 		t.Fatalf("DiskStat = %d artifacts, %d bytes; want 2, >0", n, b)
 	}
-	if !st.Remove(keys[0]) {
-		t.Fatal("Remove of existing artifact = false")
-	}
-	if st.Remove(keys[0]) {
-		t.Fatal("second Remove = true")
-	}
+	st.evict(keys[0])
+	st.evict(keys[0]) // gone: counts nothing
 	if n, _ := st.DiskStat(); n != 1 {
 		t.Fatalf("DiskStat after remove = %d, want 1", n)
 	}
@@ -433,7 +424,7 @@ func TestGCEvictsLeastRecentlyUsed(t *testing.T) {
 		}
 		size = max(size, fi.Size())
 	}
-	r, err := st.OpenArtifact(keys[0], p, ccfg, bcfg)
+	r, err := st.OpenArtifact(keys[0], 1000, p, ccfg, bcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

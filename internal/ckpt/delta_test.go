@@ -23,6 +23,10 @@ import (
 
 const otherKey = "abcdabcdabcdabcdabcdabcdabcdabcd"
 
+// artifactBudget is the budget writeArtifact records and readWindows
+// opens with.
+const artifactBudget = 1_000_000
+
 // streamWindows returns n windows taken every gap instructions along one
 // stream of p, with a hierarchy and predictor warmed by that stream.
 // Before each window the stream also maps a page it has not touched and
@@ -73,7 +77,7 @@ func streamWindows(tb testing.TB, p *prog.Program, ccfg cache.HierarchyConfig, b
 // writeArtifact publishes wins under key and returns the artifact bytes.
 func writeArtifact(tb testing.TB, st *Store, key string, wins []Window) []byte {
 	tb.Helper()
-	w, err := st.Create(key, 1_000_000)
+	w, err := st.Create(key, artifactBudget)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -82,7 +86,7 @@ func writeArtifact(tb testing.TB, st *Store, key string, wins []Window) []byte {
 			tb.Fatal(err)
 		}
 	}
-	if err := w.Commit(Trailer{TotalReal: 1_000_000}); err != nil {
+	if err := w.Commit(Trailer{TotalReal: artifactBudget}); err != nil {
 		tb.Fatal(err)
 	}
 	data, err := st.ReadRaw(key)
@@ -110,7 +114,7 @@ func install(tb testing.TB, st *Store, key string, data []byte) {
 // returns how many windows were read and the error that ended the read:
 // nil after the trailer.
 func readWindows(st *Store, key string, p *prog.Program, ccfg cache.HierarchyConfig, bcfg bpred.Config, each func(int, *Window)) (int, error) {
-	r, err := st.OpenArtifact(key, p, ccfg, bcfg)
+	r, err := st.OpenArtifact(key, artifactBudget, p, ccfg, bcfg)
 	if err != nil {
 		return 0, err
 	}
@@ -331,7 +335,6 @@ func TestArtifactChecksumVerified(t *testing.T) {
 		if name == "body" && first.Equal(&ck) {
 			t.Error("body flip left the first window's checkpoint as written")
 		}
-		st.Remove(otherKey)
 		if err := st.WriteRaw(otherKey, corrupt); !errors.Is(err, gzip.ErrChecksum) {
 			t.Errorf("%s flip: WriteRaw = %v, want a checksum error", name, err)
 		}
@@ -360,17 +363,20 @@ func TestArtifactBytesAfterTrailer(t *testing.T) {
 // internal/sample's test regime, and testdata/v2.ckpt by the format-2
 // build, for gzip at seed 42 with a 60,000-instruction budget under
 // internal/sample's lockstep test regime. Opening either fails with an
-// error that names its version, so a resuming run treats it as a miss,
-// and WriteRaw refuses it. Found in a store, either is absent: Has
-// answers false, ReadRaw answers fs.ErrNotExist, each removing it, and
+// error that names its version and evicts it, so a resuming run treats
+// it as a miss, and WriteRaw refuses it. Found in a store, either is
+// absent: OpenArtifact and ReadRaw (fs.ErrNotExist) each remove it, and
 // WriteRaw replaces it with a current artifact.
 func TestFormat1Artifact(t *testing.T) {
 	b, _ := workload.ByName("gzip")
 	p := b.Build(42)
 	ccfg, bcfg := cache.HierarchyConfig{}.WithDefaults(), bpred.Config{}.WithDefaults()
-	for _, tc := range []struct{ file, version string }{
-		{"testdata/v1.ckpt", "version 1"},
-		{"testdata/v2.ckpt", "version 2"},
+	for _, tc := range []struct {
+		file, version string
+		budget        int64
+	}{
+		{"testdata/v1.ckpt", "version 1", 6_000},
+		{"testdata/v2.ckpt", "version 2", 60_000},
 	} {
 		old, err := os.ReadFile(tc.file)
 		if err != nil {
@@ -381,7 +387,7 @@ func TestFormat1Artifact(t *testing.T) {
 			t.Fatal(err)
 		}
 		install(t, st, testKey, old)
-		_, err = st.OpenArtifact(testKey, p, ccfg, bcfg)
+		_, err = st.OpenArtifact(testKey, tc.budget, p, ccfg, bcfg)
 		if err == nil || !strings.Contains(err.Error(), tc.version) {
 			t.Fatalf("%s: OpenArtifact = %v, want an error naming %s", tc.file, err, tc.version)
 		}
@@ -403,7 +409,7 @@ func TestFormat1Artifact(t *testing.T) {
 			t.Errorf("%s: %d artifacts left after Has and ReadRaw, want 0", tc.file, n)
 		}
 		if m := st.Metrics(); m.Evicted != 2 {
-			t.Errorf("%s: %d evictions, want 2 (one by Has, one by ReadRaw)", tc.file, m.Evicted)
+			t.Errorf("%s: %d evictions, want 2 (one by OpenArtifact, one by ReadRaw)", tc.file, m.Evicted)
 		}
 		install(t, st, testKey, old)
 		current := writeArtifact(t, st, otherKey, streamWindows(t, p, ccfg, bcfg, 2, 1000))

@@ -1,10 +1,9 @@
 package sample
 
 import (
+	"cmp"
 	"context"
-	"errors"
 	"io"
-	"io/fs"
 	"math/bits"
 
 	"repro/internal/bpred"
@@ -118,20 +117,11 @@ func (w *warmer) observe(d *trace.DynInst) {
 // if any, observes detailed windows only, with cycle numbers restarting
 // at each window.
 func Run(ctx context.Context, cfg sim.Config, p *prog.Program, budget int64, sc Config) (*Report, error) {
-	return RunStored(ctx, cfg, p, budget, sc, nil, "")
-}
-
-// RunStored is Run with a checkpoint store attached. When the store
-// holds an artifact under key, the run resumes its detailed windows
-// directly from the stored warm state — skipping fast-forward and
-// functional warming entirely; otherwise it generates the artifact
-// write-through while running. A nil store or empty key disables
-// checkpointing. Resumed runs are bit-identical to warm-from-scratch
-// runs: the window schedule is a pure function of (budget, regime), and
-// each window executes on a fork of the stream state at its start, so
-// neither path can perturb the other's numbers.
-func RunStored(ctx context.Context, cfg sim.Config, p *prog.Program, budget int64, sc Config, store *ckpt.Store, key string) (*Report, error) {
-	return oneCell(RunLockstepStored(ctx, []sim.Config{cfg}, p, budget, sc, store, key))
+	cells, err := RunLockstepStored(ctx, []sim.Config{cfg}, p, budget, sc, nil, "")
+	if len(cells) == 0 {
+		return nil, err
+	}
+	return cells[0].Report, cmp.Or(err, cells[0].Err)
 }
 
 // runWindow executes one detailed window on a fork of the stream: a
@@ -327,24 +317,15 @@ func generateK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget i
 // resumeK replays a run's detailed windows from a stored artifact for
 // every cell, skipping the functional stream entirely — a warm-resumed
 // lockstep batch touches the artifact once. ok is false when the
-// artifact is missing or unusable (an unusable one is evicted so the
-// caller regenerates it); otherwise the returned cells and error are
-// final.
+// artifact is missing or unusable (the store evicts an unusable one, so
+// the caller regenerates it; windows are deterministic, so the rerun is
+// always safe); otherwise the returned cells and error are final.
 func resumeK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget int64, sc Config, store *ckpt.Store, key string) (cells []Cell, err error, ok bool) {
-	r, oerr := store.OpenArtifact(key, p, cfgs[0].Caches, cfgs[0].Bpred)
+	r, oerr := store.OpenArtifact(key, budget, p, cfgs[0].Caches, cfgs[0].Bpred)
 	if oerr != nil {
-		if !errors.Is(oerr, fs.ErrNotExist) {
-			store.Remove(key)
-		}
 		return nil, nil, false
 	}
 	defer r.Close()
-	if r.Budget() != budget {
-		// A key collision across budgets cannot happen through the
-		// campaign keying (budget is part of the key); treat direct-API
-		// mismatches as a miss without evicting the artifact.
-		return nil, nil, false
-	}
 	b := newBatch(cfgs)
 	for {
 		if cerr := ctx.Err(); cerr != nil {
@@ -356,9 +337,6 @@ func resumeK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget int
 			break
 		}
 		if rerr != nil {
-			// Corrupt mid-stream: evict and regenerate — windows are
-			// deterministic, so the rerun is always safe.
-			store.Remove(key)
 			return nil, nil, false
 		}
 		b.window(ctx, p, win, windowDetail(sc, win.StartReal, budget), sc, budget)
@@ -366,11 +344,7 @@ func resumeK(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget int
 			return b.cells(), nil, true
 		}
 	}
-	tr, got := r.Trailer()
-	if !got {
-		store.Remove(key)
-		return nil, nil, false
-	}
+	tr, _ := r.Trailer()
 	for i, rep := range b.reports {
 		if b.errs[i] == nil {
 			rep.WarmedReal = tr.WarmedReal

@@ -37,14 +37,18 @@ type Cell struct {
 }
 
 // RunLockstepStored executes a sampled simulation of the program under
-// K processor configurations in lockstep over one functional stream —
-// the K-configuration generalisation of RunStored: one warming pass
-// (resumed from the store when the artifact exists, generated
-// write-through when not) feeds every cell's detailed windows. The
-// returned error reports setup problems or cancellation; per-cell
+// K processor configurations in lockstep over one functional stream,
+// with a checkpoint store attached: one warming pass (resumed from the
+// store when it holds an artifact under key, generated write-through
+// when not) feeds every cell's detailed windows. A nil store or empty
+// key disables checkpointing. Resumed runs are bit-identical to
+// warm-from-scratch runs: the window schedule is a pure function of
+// (budget, regime), and each window executes on a fork of the stream
+// state at its start, so neither path can perturb the other's numbers.
+// The returned error reports setup problems or cancellation; per-cell
 // simulation failures land in the cells, leaving the others unharmed.
-// The single-configuration entry points are the K=1 special case of
-// this function, so the two paths cannot drift apart.
+// Run is the storeless K=1 case of this function, so the two paths
+// cannot drift apart.
 func RunLockstepStored(ctx context.Context, cfgs []sim.Config, p *prog.Program, budget int64, sc Config, store *ckpt.Store, key string) ([]Cell, error) {
 	sc = sc.WithDefaults()
 	if err := sc.Validate(); err != nil {
@@ -166,16 +170,4 @@ func (b *batch) cells() []Cell {
 		cells[i] = Cell{Report: b.reports[i], Err: b.errs[i]}
 	}
 	return cells
-}
-
-// oneCell converts a K=1 lockstep result to the single-run signature:
-// the global error when set, else the cell's own.
-func oneCell(cells []Cell, err error) (*Report, error) {
-	if len(cells) == 0 {
-		return nil, err
-	}
-	if err == nil {
-		err = cells[0].Err
-	}
-	return cells[0].Report, err
 }

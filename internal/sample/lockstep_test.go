@@ -2,7 +2,7 @@
 // functional-warming stream out to K detailed cores, and its entire
 // claim to correctness is bit-identity with the per-cell path. These
 // tests run the same 8-cell IQ sweep both ways — at the engine level
-// (sample.RunLockstepStored vs sample.RunStored) and at the campaign
+// (sample.RunLockstepStored vs sample.Run) and at the campaign
 // level (Engine.Lockstep on vs off, exact and sampled, checkpoint store
 // on and off) — and require identical per-cell Stats and byte-identical
 // exports. The suite runs under -race in CI: the per-window fan-out
@@ -61,7 +61,7 @@ func iqConfigs() []sim.Config {
 
 // TestLockstepEngineDifferential is the core claim at the sample-engine
 // level: RunLockstepStored over K configs returns, cell for cell, the
-// exact Report RunStored produces for that config alone — storeless,
+// exact Report Run produces for that config alone — storeless,
 // generating into a cold store, and resuming from a warm one.
 func TestLockstepEngineDifferential(t *testing.T) {
 	ctx := context.Background()
@@ -71,7 +71,7 @@ func TestLockstepEngineDifferential(t *testing.T) {
 
 	want := make([]*sample.Report, len(cfgs))
 	for i, cfg := range cfgs {
-		rep, err := sample.RunStored(ctx, cfg, b.Build(42), testBudget, sc, nil, "")
+		rep, err := sample.Run(ctx, cfg, b.Build(42), testBudget, sc)
 		if err != nil {
 			t.Fatalf("per-cell iq=%d: %v", iqAxis[i], err)
 		}

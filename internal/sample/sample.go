@@ -35,8 +35,8 @@
 // at every window start is therefore a pure function of the stream
 // position and the sampling regime, never of the cell's detailed
 // configuration, which is what lets a checkpoint store (internal/ckpt)
-// share one artifact across an entire sweep grid: RunStored resumes
-// windows directly from stored state, bit-identical to a
+// share one artifact across an entire sweep grid: RunLockstepStored
+// resumes windows directly from stored state, bit-identical to a
 // warm-from-scratch run.
 package sample
 

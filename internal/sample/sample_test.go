@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/ckpt"
+	"repro/internal/prog"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -17,6 +18,17 @@ import (
 func testConfig() Config {
 	// Small regime so unit tests stay fast: 200-inst windows every 2k.
 	return Config{WindowInsts: 200, PeriodInsts: 2000, WarmupInsts: 400, DetailWarmupInsts: 200}
+}
+
+// runStored is one configuration's sampled run against a checkpoint
+// store: a lockstep batch of one, as the campaign layer runs a solo
+// sampled job.
+func runStored(cfg sim.Config, p *prog.Program, budget int64, sc Config, st *ckpt.Store, key string) (*Report, error) {
+	cells, err := RunLockstepStored(context.Background(), []sim.Config{cfg}, p, budget, sc, st, key)
+	if err != nil {
+		return nil, err
+	}
+	return cells[0].Report, cells[0].Err
 }
 
 func TestRunDeterministic(t *testing.T) {
@@ -63,7 +75,7 @@ func TestRunStoredGenerateResume(t *testing.T) {
 	}
 	const key = "ab12cd34ab12cd34ab12cd34ab12cd34"
 
-	cold, err := RunStored(context.Background(), cfg, b.Build(42), 50_000, sc, st, key)
+	cold, err := runStored(cfg, b.Build(42), 50_000, sc, st, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +86,7 @@ func TestRunStoredGenerateResume(t *testing.T) {
 		t.Fatalf("generate metrics: %+v", m)
 	}
 
-	warm, err := RunStored(context.Background(), cfg, b.Build(42), 50_000, sc, st, key)
+	warm, err := runStored(cfg, b.Build(42), 50_000, sc, st, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +140,7 @@ func TestRunStoredCorruptArtifact(t *testing.T) {
 			t.Fatal(err)
 		}
 		const key = "ab12cd34ab12cd34ab12cd34ab12cd34"
-		if _, err := RunStored(context.Background(), cfg, b.Build(42), 50_000, sc, st, key); err != nil {
+		if _, err := runStored(cfg, b.Build(42), 50_000, sc, st, key); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, key[:2], key+".ckpt")
@@ -139,7 +151,7 @@ func TestRunStoredCorruptArtifact(t *testing.T) {
 		if err := os.WriteFile(path, corrupt(good), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunStored(context.Background(), cfg, b.Build(42), 50_000, sc, st, key)
+		got, err := runStored(cfg, b.Build(42), 50_000, sc, st, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +203,7 @@ func TestRunStoredFormat1Artifact(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		got, err := RunStored(context.Background(), cfg, b.Build(42), tc.budget, tc.sc, st, key)
+		got, err := runStored(cfg, b.Build(42), tc.budget, tc.sc, st, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +221,7 @@ func TestRunStoredFormat1Artifact(t *testing.T) {
 			t.Fatalf("%s: metrics %+v: want the older artifact evicted and one generated", tc.file, m)
 		}
 		// The replacement is current: it resumes.
-		resumed, err := RunStored(context.Background(), cfg, b.Build(42), tc.budget, tc.sc, st, key)
+		resumed, err := runStored(cfg, b.Build(42), tc.budget, tc.sc, st, key)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -392,6 +392,84 @@ func TestWorkerReplacesStaleArtifact(t *testing.T) {
 	}
 }
 
+// TestCorruptServerArtifactReplaced: a server whose store holds a
+// current-format artifact with a corrupt gzip stream — its footer CRC
+// flipped, as disk rot might — must not ship it forever. Two workers
+// run two campaigns of that warming identity: the server checks the
+// artifact before shipping it, evicts it and answers 404, a worker
+// generates the sweep's artifact and pushes it, and the server keeps
+// that upload. Both campaigns export byte-identically to local runs,
+// and the server ends holding the intact artifact.
+func TestCorruptServerArtifactReplaced(t *testing.T) {
+	ctx := context.Background()
+	first := sampledSpec("corrupt-artifact", []string{"gzip"}, 48, 64)
+	first.Techniques = []campaign.Technique{campaign.TechBaseline} // one warming identity
+	second := first
+	second.Name = "corrupt-artifact-later"
+	second.Axes = []campaign.Axis{{Name: "iq.entries", Values: []int{32, 80}}}
+	jobs, err := first.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := campaign.CheckpointKey(&jobs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	side, err := ckpt.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := campaign.ExecuteStored(ctx, &jobs[0], side); err != nil {
+		t.Fatal(err)
+	}
+	good, err := side.ReadRaw(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := append([]byte(nil), good...)
+	corrupt[len(corrupt)-8] ^= 1 // the CRC-32 in the gzip footer
+	ckptDir := t.TempDir()
+	path := filepath.Join(ckptDir, key[:2], key+".ckpt")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, cl := startServer(t, Config{
+		CacheDir:   t.TempDir(),
+		CkptDir:    ckptDir,
+		Workers:    2,
+		LeaseTTL:   2 * time.Second,
+		WorkerTTL:  60 * time.Second,
+		JobRetries: 2,
+	})
+	startWorker(t, cl.Base, "wa", 1, func(w *worker.Worker) { w.Ckpt = t.TempDir() })
+	startWorker(t, cl.Base, "wb", 1, func(w *worker.Worker) { w.Ckpt = t.TempDir() })
+	waitMetric(t, cl, "sdiqd_workers_connected", 2)
+
+	for _, spec := range []campaign.Spec{first, second} {
+		rs, err := cl.Run(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(csvOf(t, rs), localCSV(t, spec)) {
+			t.Errorf("%s: fleet run over a corrupt artifact is not byte-identical to a local run", spec.Name)
+		}
+	}
+	text := fetchMetrics(t, cl)
+	if v := metricValue(t, text, "sdiqd_jobs_remote_total"); v != 4 {
+		t.Errorf("sdiqd_jobs_remote_total = %g, want 4", v)
+	}
+	if v := metricValue(t, text, "sdiqd_ckpt_evicted_total"); v < 1 {
+		t.Errorf("sdiqd_ckpt_evicted_total = %g, want at least 1 (the corrupt artifact)", v)
+	}
+	if got, err := s.shared.ckpt.ReadRaw(key); err != nil || !bytes.Equal(got, good) {
+		t.Errorf("the server holds %d bytes (%v) after the campaigns, want the intact %d-byte artifact", len(got), err, len(good))
+	}
+}
+
 // csvOf renders a result set as CSV.
 func csvOf(t *testing.T, rs *campaign.ResultSet) []byte {
 	t.Helper()

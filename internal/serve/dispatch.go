@@ -522,11 +522,9 @@ func (d *dispatcher) complete(leaseID string, up worker.ResultUpload) (worker.Re
 		d.requeueLocked(t)
 		return worker.ResultResponse{Requeued: t.state == taskQueued}, err
 	}
-	res := *up.Result
-	res.Point = t.job.Point // canonical coordinates, as the engine stamps them
 	t.state = taskDone
 	d.met.jobsRemote.Add(1)
-	t.outcome <- taskOutcome{res: res}
+	t.outcome <- taskOutcome{res: *up.Result}
 	return worker.ResultResponse{Accepted: true}, nil
 }
 

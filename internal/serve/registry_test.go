@@ -1,8 +1,9 @@
 // The registry's one way in (register: submission and recovery), its
-// one way out (evict: DELETE and the bound on finished jobs), and the
-// bound itself, at its real value. Synthetic finished campaigns fill the
-// bound cheaply: they are tombstones, as recovery registers a failed
-// campaign, so nothing re-runs them.
+// one way out (evict: DELETE and the bound on finished campaigns), and
+// the bound itself, at its real value: each finished campaign is
+// charged its jobs plus campaignFixedJobs. Synthetic finished campaigns
+// fill the bound cheaply: they are tombstones, as recovery registers a
+// failed campaign, so nothing re-runs them.
 package serve
 
 import (
@@ -75,6 +76,24 @@ func synthetic(t testing.TB, s *Server, spec campaign.Spec, finished bool) *camp
 	return rc
 }
 
+// fillFinished registers finished synthetic campaigns of as many jobs
+// as one may hold until they are charged exactly total.
+func fillFinished(t testing.TB, s *Server, total int) {
+	t.Helper()
+	for total > 0 {
+		n := min(total, charge(maxCampaignJobs)) - campaignFixedJobs
+		synthetic(t, s, jobsSpec(n), true)
+		total -= charge(n)
+	}
+}
+
+// charged returns the finished campaigns' charge.
+func charged(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.finishedJobs
+}
+
 // registered lists the registry's campaign IDs in submission order.
 func registered(s *Server) []string {
 	s.mu.Lock()
@@ -96,8 +115,8 @@ func hasRecords(t *testing.T, state, id string) bool {
 	return err == nil
 }
 
-// TestRegistryBoundAtFinish: finished campaigns registered above
-// maxFinishedJobs stay until a campaign finishes; then the oldest
+// TestRegistryBoundAtFinish: finished campaigns registered while
+// charged above maxFinishedJobs stay until a campaign finishes; then the oldest
 // finished ones leave, in submission order, until the rest fit. A
 // running campaign older than all of them stays, and so does the one
 // that just finished, even when it is the oldest. Each leaver takes its
@@ -116,12 +135,13 @@ func TestRegistryBoundAtFinish(t *testing.T) {
 	if n, _ := s.shared.ckpt.DiskStat(); n != 4 {
 		t.Fatalf("%d artifacts after the first campaign, want 4 (gzip+mcf x plain+noop)", n)
 	}
-	// c0003..c0007: with c0002, four jobs over the bound.
+	// c0003..c0007: with c0002 (4 jobs, charged 6), charged 16 over the
+	// bound.
 	for range maxFinishedJobs / maxCampaignJobs {
 		synthetic(t, s, jobsSpec(maxCampaignJobs), true)
 	}
-	// c0008 finishes two jobs later, over gzip's warm classes again: six
-	// over, so c0002 (4 jobs) and c0003 leave.
+	// c0008 finishes two jobs later, over gzip's warm classes again: 20
+	// over, so c0002 and c0003 leave.
 	if _, err := cl.Run(ctx, sampledSpec("new", []string{"gzip"}, 64)); err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +154,9 @@ func TestRegistryBoundAtFinish(t *testing.T) {
 	if n, _ := s.shared.ckpt.DiskStat(); n != 4 {
 		t.Errorf("%d artifacts after the eviction, want 4: c0002's leave only by the byte bound", n)
 	}
-	// c0009 brings the finished jobs to the bound; c0001, the oldest,
-	// finishes two over it, stays, and c0004 leaves.
-	synthetic(t, s, jobsSpec(maxCampaignJobs-2), true)
+	// c0009 brings the finished campaigns' charge to the bound; c0001,
+	// the oldest, finishes 4 over it, stays, and c0004 leaves.
+	synthetic(t, s, jobsSpec(maxFinishedJobs-charged(s)-campaignFixedJobs), true)
 	s.end(running, nil, errors.New("ended by the test"))
 	left = append(left, "c0004")
 	stayed = []string{running.id, "c0005", "c0006", "c0007", "c0008", "c0009"}
@@ -171,7 +191,7 @@ func TestRegistryBoundAtFinish(t *testing.T) {
 }
 
 // TestRegistryBoundAtRecovery: of the finished records on disk only the
-// newest within maxFinishedJobs register; the older ones are removed
+// newest charged within maxFinishedJobs register; the older ones are removed
 // and counted, not registered or re-run. An unfinished record older
 // than all of them still recovers, and finishes.
 func TestRegistryBoundAtRecovery(t *testing.T) {
@@ -199,8 +219,8 @@ func TestRegistryBoundAtRecovery(t *testing.T) {
 
 	// The newest record holds one job, so fit campaigns of
 	// maxCampaignJobs fit beside it, with room for the unfinished one.
-	fit := (maxFinishedJobs - 1) / maxCampaignJobs
-	if 1+fit*maxCampaignJobs+len(tinySpec().Techniques) > maxFinishedJobs {
+	fit := (maxFinishedJobs - charge(1)) / charge(maxCampaignJobs)
+	if charge(1)+fit*charge(maxCampaignJobs)+charge(len(tinySpec().Techniques)) > maxFinishedJobs {
 		t.Fatal("no room under the bound for the unfinished campaign")
 	}
 	unfinished := write(tinySpec(), false)
@@ -247,9 +267,7 @@ func TestRegistryDeleteRacesEviction(t *testing.T) {
 	for i := range victims {
 		victims[i] = synthetic(t, s, jobsSpec(1), true)
 	}
-	for rest := maxFinishedJobs - races; rest > 0; rest -= maxCampaignJobs {
-		synthetic(t, s, jobsSpec(min(rest, maxCampaignJobs)), true)
-	}
+	fillFinished(t, s, maxFinishedJobs-races*charge(1))
 	h := s.Handler()
 	var deletes, evictions int64
 	for i, v := range victims {
@@ -288,14 +306,32 @@ func TestRegistryDeleteRacesEviction(t *testing.T) {
 		if slices.Contains(registered(s), v.id) || hasRecords(t, state, v.id) {
 			t.Fatalf("%s is still registered or on disk", v.id)
 		}
-		s.mu.Lock()
-		held := s.finishedJobs
-		s.mu.Unlock()
-		if held != maxFinishedJobs {
-			t.Fatalf("after %s: %d finished jobs registered, want %d", v.id, held, maxFinishedJobs)
+		if held := charged(s); held != maxFinishedJobs {
+			t.Fatalf("after %s: finished campaigns charged %d, want %d", v.id, held, maxFinishedJobs)
 		}
 	}
 	t.Logf("%d races won by DELETE, %d by the eviction", deletes, evictions)
+}
+
+// TestRegistryChargesCampaigns: each finished campaign is charged its
+// jobs plus campaignFixedJobs, its own heap counted in jobs, so a
+// registry that one-job campaigns fill holds maxFinishedJobs/(1+k) of
+// them, not maxFinishedJobs: the oldest leave as each new one finishes.
+func TestRegistryChargesCampaigns(t *testing.T) {
+	s, _ := startServer(t, Config{Workers: 1})
+	for range maxFinishedJobs {
+		s.end(synthetic(t, s, jobsSpec(1), false), nil, nil)
+	}
+	held, want := len(registered(s)), maxFinishedJobs/(1+campaignFixedJobs)
+	if held > want {
+		t.Errorf("%d one-job campaigns stay, want at most %d", held, want)
+	}
+	if held != want || charged(s) != want*charge(1) {
+		t.Errorf("%d one-job campaigns stay, charged %d; want the bound full: %d, charged %d", held, charged(s), want, want*charge(1))
+	}
+	if n := s.met.campaignsEvicted.Load(); n != int64(maxFinishedJobs-want) {
+		t.Errorf("%d campaigns evicted, want %d", n, maxFinishedJobs-want)
+	}
 }
 
 // TestRegistryShutdownKeepsRunning: campaigns stopped by server shutdown
@@ -306,9 +342,7 @@ func TestRegistryShutdownKeepsRunning(t *testing.T) {
 	state := t.TempDir()
 	s, _ := startServer(t, Config{StateDir: state, Workers: 1})
 	stopped := []*campaignRun{synthetic(t, s, tinySpec(), false), synthetic(t, s, tinySpec(), false)}
-	for rest := maxFinishedJobs; rest > 0; rest -= maxCampaignJobs {
-		synthetic(t, s, jobsSpec(min(rest, maxCampaignJobs)), true)
-	}
+	fillFinished(t, s, maxFinishedJobs)
 	s.cancel()
 	for _, rc := range stopped {
 		s.end(rc, nil, context.Canceled)
@@ -324,15 +358,15 @@ func TestRegistryShutdownKeepsRunning(t *testing.T) {
 }
 
 // BenchmarkFinishAtBound times one finish at a full registry: with
-// maxFinishedJobs one-job finished campaigns registered, a one-job
-// campaign finishes one job over the bound and the oldest finished
+// maxFinishedJobs/charge(1) one-job finished campaigns registered, a
+// one-job campaign finishes over the bound and the oldest finished
 // campaign leaves. Each finishing campaign registers off the clock.
 //
 //	go test ./internal/serve -run '^$' -bench FinishAtBound -benchtime 2000x
 func BenchmarkFinishAtBound(b *testing.B) {
 	s := New(Config{Workers: 1})
 	b.Cleanup(s.Close)
-	for range maxFinishedJobs {
+	for range maxFinishedJobs / charge(1) {
 		synthetic(b, s, jobsSpec(1), true)
 	}
 	n := int64(0)

@@ -133,7 +133,7 @@ type Server struct {
 	seq          int
 	campaigns    map[string]*campaignRun
 	order        list.List // of *campaignRun, in submission order
-	finishedJobs int       // of the ended campaigns; maxFinishedJobs bounds it
+	finishedJobs int       // the ended campaigns' charge; maxFinishedJobs bounds it
 
 	// tenants is per-client accounting plus each client's namespace.
 	// Guarded by tmu (not mu: namespaces are opened lazily on paths that
@@ -174,15 +174,23 @@ func (ns *namespace) RunJob(ctx context.Context, job *campaign.Job, key string, 
 // hold every job of a campaign in memory.
 const maxCampaignJobs = 10_000
 
-// maxFinishedJobs bounds the jobs of the registered finished campaigns,
-// server-wide, at finish and at recovery. A finished job holds about
-// 1.35 KB of heap and a one-job campaign 3.3 KB: about 67 MB in all, or
-// 166 MB at worst.
+// maxFinishedJobs bounds the registered finished campaigns, server-wide,
+// at finish and at recovery, each charged its jobs plus
+// campaignFixedJobs.
 const maxFinishedJobs = 50_000
+
+// campaignFixedJobs is a finished campaign's own heap in jobs: a job
+// holds about 1.3 KB and a one-job campaign 3.3 KB, so the campaign
+// itself about 2.0 KB, 1.5 jobs, rounded up. The finished campaigns then
+// hold at most about 65 MB, whatever their sizes.
+const campaignFixedJobs = 2
+
+// charge is a finished campaign of n jobs' share of maxFinishedJobs.
+func charge(n int) int { return n + campaignFixedJobs }
 
 // Any admissible campaign fits under maxFinishedJobs, or this fails to
 // compile.
-const _ = uint(maxFinishedJobs - maxCampaignJobs)
+const _ = uint(maxFinishedJobs - (maxCampaignJobs + campaignFixedJobs))
 
 // maxBudget caps the committed instructions per job, ten times the
 // paper's 100M: a job's budget is how long it holds a slot or a lease.
@@ -248,7 +256,7 @@ func New(cfg Config) *Server {
 // turns every already-finished job into a cache hit and re-simulates
 // only the rest. A spec over maxCampaignJobs or maxBudget, or results
 // ReadJSON would refuse, are skipped with a log line. Finished
-// campaigns over maxFinishedJobs leave oldest first, with their
+// campaigns charged over maxFinishedJobs leave oldest first, with their
 // records, as at a finish.
 func (s *Server) recover() {
 	if s.store == nil {
@@ -278,7 +286,7 @@ func (s *Server) recover() {
 			counts[i] = 0
 			log.Printf("sdiqd: recover %s: skipped: %v", rec.Meta.ID, err)
 		} else if rec.Snap.Done {
-			finished += counts[i]
+			finished += charge(counts[i])
 		}
 	}
 	for i, rec := range recs {
@@ -288,8 +296,8 @@ func (s *Server) recover() {
 		// As at a finish, the oldest finished campaigns leave, unexpanded,
 		// while the rest hold more than the bound.
 		if rec.Snap.Done && finished > maxFinishedJobs {
-			finished -= counts[i]
-			log.Printf("sdiqd: recover %s: removed: the finished campaigns hold over %d jobs", rec.Meta.ID, maxFinishedJobs)
+			finished -= charge(counts[i])
+			log.Printf("sdiqd: recover %s: removed: the finished campaigns are charged over %d jobs", rec.Meta.ID, maxFinishedJobs)
 			_ = s.store.Remove(rec.Meta.ID) // a record left behind goes at the next boot
 			s.met.campaignsEvicted.Add(1)
 			continue
@@ -528,7 +536,7 @@ var errDraining = errors.New("server is draining")
 // quota, when positive, bounds its owner's running campaigns. A running
 // campaign holds a wait-group slot, the active gauge and a quota slot of
 // its owner until end; an ended one (restored from its terminal record)
-// adds its jobs to the finished count.
+// adds its charge to the finished campaigns'.
 func (s *Server) register(rc *campaignRun, quota int) error {
 	ts := s.tenant(rc.client)
 	s.mu.Lock()
@@ -553,7 +561,7 @@ func (s *Server) register(rc *campaignRun, quota int) error {
 	s.campaigns[rc.id] = rc
 	rc.elem = s.order.PushBack(rc)
 	if rc.ended {
-		s.finishedJobs += len(rc.roster)
+		s.finishedJobs += charge(len(rc.roster))
 		return nil
 	}
 	ts.active++
@@ -671,13 +679,13 @@ func (s *Server) run(rc *campaignRun, spec campaign.Spec) {
 // end closes a running campaign, before it reads as done so that a
 // client that sees it done finds all of this in place. It leaves the
 // running campaigns, freeing its owner's quota slot; its terminal record
-// is written; and it joins the finished campaigns, of which those over
-// maxFinishedJobs then leave, oldest first — never a running one, nor
-// rc, whose outcome its client is about to read. A failure caused by
-// server shutdown (drain deadline, test kill — the crash-injection
-// suite relies on this) neither writes a record nor joins: the next
-// boot resumes the campaign instead of tombstoning a failure it never
-// earned, and the bound cannot evict it meanwhile.
+// is written; and it joins the finished campaigns, of which those
+// charged over maxFinishedJobs then leave, oldest first — never a
+// running one, nor rc, whose outcome its client is about to read. A
+// failure caused by server shutdown (drain deadline, test kill — the
+// crash-injection suite relies on this) neither writes a record nor
+// joins: the next boot resumes the campaign instead of tombstoning a
+// failure it never earned, and the bound cannot evict it meanwhile.
 func (s *Server) end(rc *campaignRun, rs *campaign.ResultSet, err error) {
 	defer s.wg.Done()
 	finished := time.Now().UTC()
@@ -709,12 +717,12 @@ func (s *Server) end(rc *campaignRun, rs *campaign.ResultSet, err error) {
 		}
 		s.evict(&s.met.campaignsEvicted, func() (victims []*campaignRun) {
 			rc.ended = true
-			s.finishedJobs += len(rc.roster)
+			s.finishedJobs += charge(len(rc.roster))
 			over := s.finishedJobs - maxFinishedJobs
 			for e := s.order.Front(); e != nil && over > 0; e = e.Next() {
 				if old := e.Value.(*campaignRun); old.ended && old != rc {
 					victims = append(victims, old)
-					over -= len(old.roster)
+					over -= charge(len(old.roster))
 				}
 			}
 			return victims
@@ -960,7 +968,7 @@ func (s *Server) evict(ctr *atomic.Int64, pick func() []*campaignRun) {
 	for _, rc := range victims {
 		delete(s.campaigns, rc.id)
 		s.order.Remove(rc.elem)
-		s.finishedJobs -= len(rc.roster)
+		s.finishedJobs -= charge(len(rc.roster))
 	}
 	s.mu.Unlock()
 	for _, rc := range victims {

@@ -292,7 +292,6 @@ func (w *Worker) serve(ctx context.Context, api *API, id string, l Lease) {
 	scratch, store := st.scratch, st.ckpt
 
 	if res, ok := scratch.Get(key); ok {
-		res.Point = job.Point
 		w.logf("lease %s: scratch hit", l.ID)
 		if w.OnDone != nil {
 			w.OnDone(l, res, nil)
@@ -362,11 +361,12 @@ func (w *Worker) serve(ctx context.Context, api *API, id string, l Lease) {
 	}
 	if execErr == nil {
 		_ = scratch.Put(key, res)
-		if ckptKey != "" && !held && store.Has(ckptKey) {
-			// This lease generated the sweep's warm state: publish it so
-			// the server and the rest of the fleet skip their warming.
-			// Best-effort — the server may refuse (another cell beat us
-			// to it) and correctness never depends on the push landing.
+		if ckptKey != "" && !held {
+			// This lease generated the sweep's warm state, if ReadRaw
+			// finds a usable artifact: publish it so the server and the
+			// rest of the fleet skip their warming. Best-effort — the
+			// server may refuse (another cell beat us to it) and
+			// correctness never depends on the push landing.
 			if data, err := store.ReadRaw(ckptKey); err == nil {
 				if err := api.PushCkpt(ctx, l.ID, ckptKey, data); err != nil {
 					w.logf("lease %s: artifact push: %v", l.ID, err)

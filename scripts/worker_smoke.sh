@@ -7,6 +7,11 @@
 # server. The server and both workers run with -ckpt, so the sampled
 # sweep also smokes checkpoint sharing: warm state generated on one
 # worker must be shipped through the server and reused, never recomputed.
+# Then the workers' checkpoint stores are emptied and every artifact on
+# the server loses its last byte: a sweep at a new IQ size of the same
+# warming identities must evict them (the server checks an artifact
+# before shipping it, answers 404 and keeps the fleet's re-upload) and
+# still export byte-identically to a local run.
 # A second phase re-runs the whole fleet with -auth and
 # -tenant-isolation: the worker carries its bearer token, bad-token
 # probes are refused with 401, and the authed remote sweep is still
@@ -70,6 +75,24 @@ echo "== checkpoint reuse (warm state shipped through the server, not recomputed
 curl -fs "http://$ADDR/metrics" | grep -E '^sdiqd_ckpt_(artifacts|generated_total|hits_total|bytes_shipped_total) ' | tee "$WORK/ckpt.txt"
 grep -q '^sdiqd_ckpt_artifacts [1-9]' "$WORK/ckpt.txt" || { echo "no artifact published on the server"; exit 1; }
 grep -q '^sdiqd_ckpt_bytes_shipped_total [1-9]' "$WORK/ckpt.txt" || { echo "no artifact crossed the wire"; exit 1; }
+
+echo "== corrupt server artifacts: workers' stores emptied, each server artifact cut by a byte"
+find "$WORK/ckpt1" "$WORK/ckpt2" -mindepth 1 -delete
+CUT=0
+for f in $(find "$WORK/ckpt" -name '*.ckpt'); do
+    truncate -s -1 "$f"
+    CUT=$((CUT + 1))
+done
+[ "$CUT" -ge 1 ] || { echo "no artifact on the server to corrupt"; exit 1; }
+NEW_IQ=(-experiment sweep -sweep "iq.entries=48" -budget 60000 -seed 7 -sample on -format csv)
+"$WORK/sdiq" -remote "http://$ADDR" "${NEW_IQ[@]}" -export "$WORK/remote-corrupt.csv" >/dev/null
+"$WORK/sdiq" "${NEW_IQ[@]}" -export "$WORK/local-corrupt.csv" >/dev/null
+diff "$WORK/remote-corrupt.csv" "$WORK/local-corrupt.csv"
+curl -fs "http://$ADDR/metrics" >"$WORK/metrics-corrupt.txt"
+grep -E '^sdiqd_ckpt_(artifacts|evicted_total|generated_total) ' "$WORK/metrics-corrupt.txt"
+awk '/^sdiqd_ckpt_evicted_total /{found = ($2 >= 1)} END {exit !found}' "$WORK/metrics-corrupt.txt" || {
+    echo "no corrupt artifact was evicted ($CUT cut)"; exit 1
+}
 
 echo "== graceful worker drain (finish, upload, deregister)"
 kill -TERM "$W1_PID" "$W2_PID"

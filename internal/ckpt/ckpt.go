@@ -89,12 +89,10 @@ func (s *Store) Has(key string) bool {
 }
 
 // current reports whether key's artifact is published in the current
-// format. One in an older format is removed and counted as evicted, so
-// that to every method of the store it is absent: a worker holding one
-// fetches a current copy, a server holding one answers a fetch with
-// fs.ErrNotExist and takes the next upload, and the next resume
-// regenerates it, once, instead of each refusing it forever. A removal
-// racing a peer's replacement costs at most one regeneration.
+// format. One in an older format is evicted, so Has reports it absent
+// (a worker holding one fetches a current copy) and WriteRaw replaces
+// it, once, instead of each refusing it forever. A removal racing a
+// peer's replacement costs at most one regeneration.
 func (s *Store) current(key string) bool {
 	f, err := os.Open(s.blob.Path(key))
 	if err != nil {

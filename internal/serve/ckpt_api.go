@@ -10,10 +10,11 @@ import (
 // Checkpoint artifact shipping: workers GET the sweep's shared warm
 // state instead of re-warming, and PUT artifacts they generated so the
 // rest of the grid (and the coordinator's own slots) can resume from
-// them. Artifacts are opaque content-addressed blobs here; the
-// store validates keys and container headers, and each request names
-// its live lease (?lease=<id>), which must carry the key: the lease
-// authorizes the request and picks the namespace it reads or writes.
+// them. Artifacts are opaque content-addressed blobs here; the store
+// validates keys and whole containers both ways, and evicts a corrupt
+// one it holds, so a GET for it is a 404. Each request names its live
+// lease (?lease=<id>), which must carry the key: the lease authorizes
+// the request and picks the namespace it reads or writes.
 
 // maxArtifactBytes bounds a PUT body. Artifacts are gzip streams of
 // per-window deltas that grow with the window count: in format 3 one

@@ -116,11 +116,11 @@ func hasRecords(t *testing.T, state, id string) bool {
 }
 
 // TestRegistryBoundAtFinish: finished campaigns registered while
-// charged above maxFinishedJobs stay until a campaign finishes; then the oldest
-// finished ones leave, in submission order, until the rest fit. A
-// running campaign older than all of them stays, and so does the one
-// that just finished, even when it is the oldest. Each leaver takes its
-// durable records with it, counts once, and does not come back at
+// charged above maxFinishedJobs stay until a campaign finishes; then
+// the oldest finished ones leave, in submission order, until the rest
+// fit. A running campaign older than all of them stays, and so does the
+// one that just finished, even when it is the oldest. Each leaver takes
+// its durable records with it, counts once, and does not come back at
 // restart.
 func TestRegistryBoundAtFinish(t *testing.T) {
 	ctx := context.Background()
@@ -191,9 +191,9 @@ func TestRegistryBoundAtFinish(t *testing.T) {
 }
 
 // TestRegistryBoundAtRecovery: of the finished records on disk only the
-// newest charged within maxFinishedJobs register; the older ones are removed
-// and counted, not registered or re-run. An unfinished record older
-// than all of them still recovers, and finishes.
+// newest charged within maxFinishedJobs register; the older ones are
+// removed and counted, not registered or re-run. An unfinished record
+// older than all of them still recovers, and finishes.
 func TestRegistryBoundAtRecovery(t *testing.T) {
 	state := t.TempDir()
 	st, err := store.Open(state)

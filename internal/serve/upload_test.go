@@ -21,9 +21,9 @@ import (
 // worker that does not hold the lease), 410 or 422. An accepted upload
 // delivers exactly one result naming the leased job's benchmark,
 // technique and mode (the engine stamps its sweep point on delivery:
-// TestEngineStampsPoints), and any other answer delivers nothing. Each call moves exactly one of the remote,
-// rejected, worker-failure and late-upload counters, and a 400 moves
-// none.
+// TestEngineStampsPoints), and any other answer delivers nothing. Each
+// call moves exactly one of the remote, rejected, worker-failure and
+// late-upload counters, and a 400 moves none.
 func FuzzLeaseResult(f *testing.F) {
 	s := New(Config{})
 	f.Cleanup(s.Close)
